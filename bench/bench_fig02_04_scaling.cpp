@@ -14,7 +14,6 @@
 #include "harness/table.hpp"
 
 using namespace fluxdiv;
-using core::ComponentLoop;
 using core::IntraTileSchedule;
 using core::ParallelGranularity;
 using core::VariantConfig;
@@ -22,16 +21,10 @@ using core::VariantConfig;
 int main(int argc, char** argv) {
   harness::Args args;
   bench::addCommonOptions(args);
-  args.addString(
-      "policy", "",
-      "comma-separated level policies (sequential,parallel,hybrid) to "
-      "additionally sweep through the task-parallel level executor");
-  std::vector<core::LevelPolicy> policies;
   try {
     if (!args.parse(argc, argv)) {
       return 0;
     }
-    policies = bench::parsePolicyList(args.getString("policy"));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
@@ -92,66 +85,5 @@ int main(int argc, char** argv) {
          "Shift-Fuse + overlapped tiling restores N=128 to roughly the\n"
          "N=16 execution time at full thread count.\n";
 
-  if (!policies.empty()) {
-    // Level-policy sweep: the same equal-work problem through the
-    // task-parallel level executor. 32^3 boxes give a 64-box level per
-    // work unit (the multi-box case the executor targets); the single
-    // 128^3 box is the no-box-parallelism guard rail.
-    struct LevelSeries {
-      int boxSize;
-      VariantConfig cfg;
-    };
-    const LevelSeries lseries[] = {
-        {32, core::makeShiftFuse(ParallelGranularity::WithinBox)},
-        {32, core::makeShiftFuse(ParallelGranularity::WithinBox,
-                                 ComponentLoop::Inside)},
-        {32, core::makeBlockedWF(8, ParallelGranularity::WithinBox,
-                                 ComponentLoop::Outside)},
-        {32, core::makeOverlapped(IntraTileSchedule::ShiftFuse, 8,
-                                  ParallelGranularity::WithinBox)},
-        {128, core::makeShiftFuse(ParallelGranularity::WithinBox)},
-    };
-    std::vector<std::string> lheader = {"schedule", "N", "policy"};
-    for (int t : threads) {
-      lheader.push_back("t=" + std::to_string(t));
-    }
-    harness::Table ltable(lheader);
-    for (const LevelSeries& s : lseries) {
-      bench::Problem problem(s.boxSize, nWork);
-      const double boxes = static_cast<double>(problem.phi0.size());
-      std::vector<double> seq(threads.size(), 0.0);
-      for (const core::LevelPolicy policy : policies) {
-        std::vector<std::string> row = {s.cfg.name(),
-                                        std::to_string(s.boxSize),
-                                        core::levelPolicyName(policy)};
-        for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-          const int t = threads[ti];
-          const double secs =
-              bench::timeLevelPolicy(s.cfg, problem, t, reps, policy);
-          // Speedup vs the box-sequential policy at the same thread
-          // count; sweep "sequential" first so the baseline is filled in.
-          if (policy == core::LevelPolicy::BoxSequential) {
-            seq[ti] = secs;
-          }
-          const double speedup = seq[ti] > 0 ? seq[ti] / secs : 0.0;
-          row.push_back(harness::formatSeconds(secs));
-          json.record({{"schedule", s.cfg.name()},
-                       {"policy", core::levelPolicyName(policy)}},
-                      {{"box_size", static_cast<double>(s.boxSize)},
-                       {"boxes", boxes},
-                       {"threads", static_cast<double>(t)},
-                       {"seconds", secs},
-                       {"speedup_vs_sequential", speedup}});
-          std::cerr << "  " << s.cfg.name() << " N=" << s.boxSize << " "
-                    << core::levelPolicyName(policy) << " t=" << t << ": "
-                    << harness::formatSeconds(secs) << "s\n";
-        }
-        ltable.addRow(std::move(row));
-      }
-    }
-    std::cout << "\nlevel-executor policy sweep (core/exec_level, ghosts "
-                 "pre-exchanged):\n\n";
-    ltable.print(std::cout);
-  }
   return 0;
 }

@@ -2,10 +2,7 @@
 
 #include <cstdio>
 #include <iostream>
-#include <sstream>
-#include <stdexcept>
 
-#include "core/exec_level.hpp"
 #include "kernels/exemplar.hpp"
 #include "kernels/init.hpp"
 
@@ -60,44 +57,6 @@ double timeVariant(const core::VariantConfig& cfg, Problem& problem,
     }
   }
   return best;
-}
-
-double timeLevelPolicy(const core::VariantConfig& cfg, Problem& problem,
-                       int threads, int reps, core::LevelPolicy policy) {
-  core::LevelExecutor exec(
-      cfg, threads,
-      core::LevelExecOptions{policy, /*overlapExchange=*/false});
-  problem.resetOutput();
-  exec.run(problem.phi0, problem.phi1); // warm-up (page faults, scratch)
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    problem.resetOutput();
-    harness::Timer t;
-    exec.run(problem.phi0, problem.phi1);
-    const double s = t.seconds();
-    if (r == 0 || s < best) {
-      best = s;
-    }
-  }
-  return best;
-}
-
-std::vector<core::LevelPolicy> parsePolicyList(const std::string& text) {
-  std::vector<core::LevelPolicy> out;
-  std::istringstream in(text);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (token.empty()) {
-      continue;
-    }
-    core::LevelPolicy p = core::LevelPolicy::BoxSequential;
-    if (!core::parseLevelPolicy(token, p)) {
-      throw std::invalid_argument("--policy: unknown level policy '" +
-                                  token + "'");
-    }
-    out.push_back(p);
-  }
-  return out;
 }
 
 JsonWriter::~JsonWriter() {

@@ -61,17 +61,6 @@ struct Problem {
 double timeVariant(const core::VariantConfig& cfg, Problem& problem,
                    int threads, int reps);
 
-/// Same measurement through the task-parallel level executor
-/// (core/exec_level) under `policy`. Ghosts are exchanged up front
-/// (overlap disabled) so every policy times exactly one evaluation of the
-/// same level — the --policy sweep of bench_fig02_04_scaling.
-double timeLevelPolicy(const core::VariantConfig& cfg, Problem& problem,
-                       int threads, int reps, core::LevelPolicy policy);
-
-/// Parse a comma-separated --policy list ("sequential,parallel,hybrid").
-/// Throws std::invalid_argument on an unknown name.
-std::vector<core::LevelPolicy> parsePolicyList(const std::string& text);
-
 /// Register the standard options shared by every figure bench.
 void addCommonOptions(harness::Args& args);
 

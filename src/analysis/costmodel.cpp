@@ -793,7 +793,7 @@ std::vector<LevelPolicyCost> analyzeLevelPolicies(
       case core::ScheduleFamily::SeriesOfLoops:
       case core::ScheduleFamily::ShiftFuse:
         // No independent intra-box units: hybrid degrades to box-parallel
-        // (same fallback exec_level takes).
+        // (same fallback the step graphs take).
         c.taskCount = nBoxes;
         c.depth = 1;
         c.maxConcurrency = nBoxes;

@@ -125,10 +125,10 @@ CostReport analyzeCost(const ScheduleModel& m, const CacheSpec& spec,
 CostReport analyzeCost(const core::VariantConfig& cfg, int boxSize,
                        int nThreads, const CacheSpec& spec);
 
-/// Predicted concurrency profile of one LevelPolicy (core/exec_level)
-/// executing a level of `nBoxes` boxes. Static counterpart of the task
-/// graphs the executor builds: task counts, DAG depth, and a quantized
-/// available-parallelism speedup estimate vs the box-sequential loop.
+/// Predicted concurrency profile of one LevelPolicy (the step graphs' task
+/// granularity, core/variant.hpp) evaluating a level of `nBoxes` boxes:
+/// task counts, DAG depth, and a quantized available-parallelism speedup
+/// estimate vs the box-sequential loop.
 struct LevelPolicyCost {
   core::LevelPolicy policy = core::LevelPolicy::BoxSequential;
   int nBoxes = 1;
@@ -143,9 +143,10 @@ struct LevelPolicyCost {
 /// Analyze all three level policies for `cfg` over `nBoxes` boxes of side
 /// `boxSize` with `nThreads` workers. The per-box metrics (within-box
 /// concurrency, barriers) come from analyzeCost over the lowered schedule;
-/// the level-scale metrics mirror exec_level's graph construction exactly
-/// (whole-box tasks, overlapped (box x tile) tasks, blocked-wavefront
-/// front pipelines). Returned in kLevelPolicies order.
+/// the level-scale metrics count whole-box tasks, overlapped (box x tile)
+/// tasks, and — for the blocked-wavefront family under hybrid — a per-box
+/// front pipeline that the step graphs do not build (they run that family
+/// as box tasks). Returned in kLevelPolicies order.
 std::vector<LevelPolicyCost> analyzeLevelPolicies(
     const core::VariantConfig& cfg, int boxSize, int nBoxes, int nThreads,
     const CacheSpec& spec);

@@ -12,19 +12,6 @@
 
 namespace fluxdiv::analysis {
 
-FieldId taskCacheField(int d) {
-  return d == 0 ? FieldId::CacheX
-                : (d == 1 ? FieldId::CacheY : FieldId::CacheZ);
-}
-
-Box taskSlotBox(int d, const Box& r) {
-  IntVect lo = r.lo();
-  IntVect hi = r.hi();
-  lo[d] = 0;
-  hi[d] = 0;
-  return {lo, hi};
-}
-
 int TaskGraphModel::addTask(std::string label) {
   GraphTask t;
   t.label = std::move(label);

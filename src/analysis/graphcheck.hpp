@@ -2,14 +2,14 @@
 // Static race verifier over lowered task graphs (docs/static-analysis.md,
 // "Task-graph verification"). Where ScheduleVerifier (verifier.hpp) proves
 // the *sequential per-box loop schedules* legal, this pass proves the
-// *concurrent layer* legal: the (box, phase/tile) task graphs the level
-// executor (core/exec_level) hands to the work-stealing TaskPool,
-// including runStep()'s interior/halo-fringe split and the async
-// ghost-exchange copy-op tasks.
+// *concurrent layer* legal: the whole-RK-step task graphs the step-graph
+// executor (core/stepgraph) hands to the work-stealing TaskPool — ghost
+// exchange copy-op tasks, boundary fills, interior/halo-fringe/tile RHS
+// tasks, and stage combines.
 //
 // The executor mirrors every graph it builds into a TaskGraphModel — one
-// node per task with its exact rectangular read/write footprints (the same
-// per-stage regions lower.cpp declares, via kernels/footprint.hpp) — and
+// node per task with its exact rectangular read/write footprints (the RHS
+// reads are the per-stage regions of kernels/footprint.hpp) — and
 // checkTaskGraph() then proves:
 //
 //   G1 (acyclic)        the dependency edges admit a topological order.
@@ -42,16 +42,14 @@ namespace fluxdiv::analysis {
 
 /// One rectangular access of a task. Unlike the per-box Access of
 /// model.hpp, a task access is qualified by the index of the LevelData box
-/// (or per-box cache) it touches: phi0 of box 3 and phi0 of box 5 are
-/// distinct storage. Cache regions are in slot space (taskSlotBox).
+/// it touches: phi0 of box 3 and phi0 of box 5 are distinct storage.
 struct TaskAccess {
   FieldId field = FieldId::Phi0;
-  std::size_t box = 0; ///< owning box of the fab / per-box cache
+  std::size_t box = 0; ///< owning box of the fab
   /// Storage slot for multi-LevelData graphs (core/stepgraph.hpp): whole-RK
   /// step graphs touch several LevelData objects (u plus the stage
   /// temporaries), and slot 3's box 2 is distinct storage from slot 0's
-  /// box 2 even though both model as FieldId::Phi0. Single-level graphs
-  /// leave this 0.
+  /// box 2 even though both model as FieldId::Phi0.
   int slot = 0;
   int comp0 = 0;
   int nComp = 1;
@@ -72,6 +70,9 @@ struct TaskAccess {
 /// graphs' shadow-epoch barriers): their conservative whole-fab footprints
 /// still participate in G2 ordering, but G3 neither demands coverage for
 /// their reads nor accepts their writes as ghost coverage.
+/// `rhsSourceSlot` marks the flux-divergence tasks: the slot their stencil
+/// reads (their writes land in the destination slot), -1 for every other
+/// task. K3 (analysis/kernelcheck) checks exactly these tasks' footprints.
 struct GraphTask {
   std::string label;
   std::vector<TaskAccess> reads;
@@ -79,14 +80,15 @@ struct GraphTask {
   std::vector<int> successors;
   bool exchangeOp = false;
   bool orderingOnly = false;
+  int rhsSourceSlot = -1;
 };
 
-/// The analysis-side mirror of one core::TaskGraph, built by the level
+/// The analysis-side mirror of one core::TaskGraph, built by the step-graph
 /// executor from the same code path that builds the executable graph (so
 /// the model cannot drift from what actually runs).
 struct TaskGraphModel {
-  std::string name;           ///< variant + policy + graph kind
-  bool ghostsPreExchanged = true; ///< run(): phi0 ghosts current at start
+  std::string name;           ///< variant + fuse + policy (+ phase)
+  bool ghostsPreExchanged = true; ///< ghosts current at start (no G3)
   std::vector<Box> validBoxes;    ///< per-box valid regions (G3)
   std::vector<GraphTask> tasks;
 
@@ -125,13 +127,5 @@ struct GraphCheckReport {
 /// edge; the runtime gate leaves it off, the CLI/advisor turn it on).
 GraphCheckReport checkTaskGraph(const TaskGraphModel& m,
                                 bool findRemovable = false);
-
-/// Co-dimension cache field for direction d (CacheX / CacheY / CacheZ).
-FieldId taskCacheField(int d);
-
-/// Slot region of the co-dimension cache for direction d over cell region
-/// `r`: the masked direction is projected out of slot space (same
-/// convention as lower.cpp's cache accesses).
-Box taskSlotBox(int d, const Box& r);
 
 } // namespace fluxdiv::analysis

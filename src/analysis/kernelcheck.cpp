@@ -771,8 +771,6 @@ ProvenFootprints declaredFootprints() {
   ProvenFootprints p;
   for (int d = 0; d < 3; ++d) {
     p.fused[static_cast<std::size_t>(d)] = kernels::fusedCellReadOffsets(d);
-    p.evalFlux1[static_cast<std::size_t>(d)] =
-        kernels::evalFlux1ReadOffsets(d);
   }
   return p;
 }
@@ -793,11 +791,6 @@ extractProven(const std::vector<KernelFootprintModel>& models) {
       const Box h = roleHull(m, 0, 0);
       if (!h.empty()) {
         p.fused[static_cast<std::size_t>(m.dir)] = h;
-      }
-    } else if (m.dir >= 0 && m.stage == Stage::EvalFlux1) {
-      const Box h = roleHull(m, 0, 0);
-      if (!h.empty()) {
-        p.evalFlux1[static_cast<std::size_t>(m.dir)] = h;
       }
     } else if (m.dir < 0) {
       // Pipeline model: out comp 0 (rho) reads comp velocityComp(d) only
@@ -843,114 +836,70 @@ checkGraphFootprints(const TaskGraphModel& m, const ProvenFootprints& proven) {
     return true;
   };
 
-  auto mismatch = [&](const GraphTask& t, Stage stage, int d, const Box& need,
-                      std::string detail) {
-    KernelDiag diag;
-    diag.kind = KernelDiagKind::ContractMismatch;
-    diag.kernel = m.name;
-    diag.stage = kernelStageTag(stage, d);
-    diag.role = t.label;
-    diag.offset = d >= 0 ? (stage == Stage::EvalFlux1
-                                ? proven.evalFlux1[static_cast<std::size_t>(d)]
-                                : proven.fused[static_cast<std::size_t>(d)])
-                               .lo()
-                         : IntVect::zero();
-    diag.repro = need;
-    diag.detail = std::move(detail);
-    out.push_back(std::move(diag));
-  };
-
   for (const GraphTask& t : m.tasks) {
-    if (t.exchangeOp) {
+    if (t.rhsSourceSlot < 0) {
       continue;
     }
-    // Allowed Phi0 hull per source box, accumulated from this task's
-    // proven needs — the K3 tightness bound.
+    const int src = t.rhsSourceSlot;
+    // This task's reads of component c of the source slot's box `box`.
+    const auto sourceReads = [&](std::size_t box, int c) {
+      std::vector<Box> regions;
+      for (const TaskAccess& r : t.reads) {
+        if (r.slot == src && r.box == box && r.comp0 <= c &&
+            c < r.comp0 + r.nComp) {
+          regions.push_back(r.region);
+        }
+      }
+      return regions;
+    };
+    // Allowed source hull per box, accumulated from this task's proven
+    // needs — the K3 tightness bound.
     std::map<std::size_t, Box> allowed;
 
     for (const TaskAccess& w : t.writes) {
-      if (w.field == FieldId::Phi1) {
-        for (int d = 0; d < 3; ++d) {
-          const Box need =
-              minkowski(w.region, proven.fused[static_cast<std::size_t>(d)]);
-          auto [it, ins] = allowed.try_emplace(w.box, need);
-          if (!ins) {
-            it->second = hullUnion(it->second, need);
-          }
-          // Advected components: each written comp c must be readable
-          // over the proven fused region of every direction.
-          for (int c = w.comp0; c < w.comp0 + w.nComp; ++c) {
-            std::vector<Box> regions;
-            for (const TaskAccess& r : t.reads) {
-              if (r.field == FieldId::Phi0 && r.box == w.box &&
-                  r.comp0 <= c && c < r.comp0 + r.nComp) {
-                regions.push_back(r.region);
-              }
-            }
-            if (!covered(need, regions)) {
-              mismatch(t, Stage::FusedCell, d, need,
-                       "task writes Phi1 c" + std::to_string(c) + " over " +
-                           fmtBox(w.region) +
-                           " but its declared Phi0 reads do not cover the "
-                           "proven fused footprint");
-            }
-          }
-          // Velocity component: either read from Phi0 over the proven
-          // fused region, or consumed as precomputed face velocities.
-          std::vector<Box> velPhi0;
-          std::vector<Box> velFaces;
-          for (const TaskAccess& r : t.reads) {
-            if (r.field == FieldId::Phi0 && r.box == w.box &&
-                r.comp0 <= velocityComp(d) &&
-                velocityComp(d) < r.comp0 + r.nComp) {
-              velPhi0.push_back(r.region);
-            }
-            if (r.field == FieldId::Velocity && r.box == w.box &&
-                r.comp0 <= d && d < r.comp0 + r.nComp) {
-              velFaces.push_back(r.region);
-            }
-          }
-          if (!covered(need, velPhi0) &&
-              !covered(w.region.faceBox(d), velFaces)) {
-            mismatch(t, Stage::FusedCell, d, need,
-                     "no Phi0 or precomputed-Velocity read covers the "
-                     "proven velocity footprint of direction " +
-                         std::string(kDirNames[d]));
-          }
-        }
-      } else if (w.field == FieldId::Velocity) {
-        const int d = w.comp0; // velocity faces are stored per direction
-        const Box need = minkowski(
-            w.region, proven.evalFlux1[static_cast<std::size_t>(d)]);
+      for (int d = 0; d < 3; ++d) {
+        const Box need =
+            minkowski(w.region, proven.fused[static_cast<std::size_t>(d)]);
         auto [it, ins] = allowed.try_emplace(w.box, need);
         if (!ins) {
           it->second = hullUnion(it->second, need);
         }
-        std::vector<Box> regions;
-        for (const TaskAccess& r : t.reads) {
-          if (r.field == FieldId::Phi0 && r.box == w.box &&
-              r.comp0 <= velocityComp(d) &&
-              velocityComp(d) < r.comp0 + r.nComp) {
-            regions.push_back(r.region);
-          }
+        // Each written (advected) component and direction d's velocity
+        // component must be read over the proven fused region.
+        std::vector<int> comps;
+        for (int c = w.comp0; c < w.comp0 + w.nComp; ++c) {
+          comps.push_back(c);
         }
-        if (!covered(need, regions)) {
-          mismatch(t, Stage::EvalFlux1, d, need,
-                   "velocity-precompute task does not read Phi0 c" +
-                       std::to_string(velocityComp(d)) +
-                       " over the proven EvalFlux1 footprint");
+        if (velocityComp(d) < w.comp0 ||
+            velocityComp(d) >= w.comp0 + w.nComp) {
+          comps.push_back(velocityComp(d));
+        }
+        for (const int c : comps) {
+          if (covered(need, sourceReads(w.box, c))) {
+            continue;
+          }
+          KernelDiag diag;
+          diag.kind = KernelDiagKind::ContractMismatch;
+          diag.kernel = m.name;
+          diag.stage = kernelStageTag(Stage::FusedCell, d);
+          diag.role = t.label;
+          diag.offset = proven.fused[static_cast<std::size_t>(d)].lo();
+          diag.repro = need;
+          diag.detail = "RHS task writes slot " + std::to_string(w.slot) +
+                        " over " + fmtBox(w.region) + " but its reads of "
+                        "slot " + std::to_string(src) + " c" +
+                        std::to_string(c) + " do not cover the proven " +
+                        kDirNames[d] + " fused footprint";
+          out.push_back(std::move(diag));
         }
       }
     }
 
-    // Tightness: every Phi0 read must stay inside the proven union hull
+    // Tightness: every source read must stay inside the proven union hull
     // of the task's writes — beyond it the graph orders (and the cost
     // model prices) ghost cells no proven kernel touches.
-    if (allowed.empty()) {
-      continue;
-    }
     for (const TaskAccess& r : t.reads) {
-      if (r.field != FieldId::Phi0) {
+      if (r.slot != src) {
         continue;
       }
       const auto it = allowed.find(r.box);
@@ -964,7 +913,7 @@ checkGraphFootprints(const TaskGraphModel& m, const ProvenFootprints& proven) {
       diag.role = t.label;
       diag.offset = IntVect::zero();
       diag.repro = r.region;
-      diag.detail = "Phi0 read " + fmtBox(r.region) +
+      diag.detail = "source read " + fmtBox(r.region) +
                     " extends beyond the proven footprint hull " +
                     fmtBox(it->second);
       out.push_back(std::move(diag));

@@ -200,27 +200,26 @@ struct KernelCheckReport {
 /// for every role of `m`, folding in the probe-time diagnostics.
 KernelCheckReport checkKernelFootprints(const KernelFootprintModel& m);
 
-/// Per-direction footprint hulls proven by inference, feeding K3.
+/// Per-direction fused-stencil hulls proven by inference, feeding K3.
 struct ProvenFootprints {
   std::array<grid::Box, 3> fused;
-  std::array<grid::Box, 3> evalFlux1;
 };
 
 /// The declared contract's hulls (the K3 baseline when no inference has
 /// run — e.g. for tests exercising the graph check in isolation).
 ProvenFootprints declaredFootprints();
 
-/// Extract proven hulls from inferred models: pipeline/FusedCell models
-/// set `fused`, EvalFlux1 stage models set `evalFlux1`. Directions not
-/// covered by any model keep the declared hulls.
+/// Extract proven hulls from inferred models: pipeline and FusedCell
+/// models set `fused`. Directions not covered by any model keep the
+/// declared hulls.
 ProvenFootprints extractProven(const std::vector<KernelFootprintModel>& models);
 
-/// K3: prove the footprints a lowered task graph declares agree with the
-/// proven ones. Every non-exchange task writing Phi1 (resp. Velocity)
-/// must read Phi0 at least over its write region grown by the proven
-/// fused (resp. EvalFlux1) hull per direction — ContractMismatch names
-/// the task and direction otherwise — and every Phi0 read must stay
-/// inside the proven union hull, else an Overdeclared advisory.
+/// K3: prove the footprints a lowered step graph declares agree with the
+/// proven ones. Every RHS task (GraphTask::rhsSourceSlot >= 0) must read
+/// its source slot at least over its destination-slot write region grown
+/// by the proven fused hull per direction — ContractMismatch names the
+/// task and direction otherwise — and every source read must stay inside
+/// the proven union hull, else an Overdeclared advisory.
 std::vector<KernelDiag> checkGraphFootprints(const TaskGraphModel& m,
                                              const ProvenFootprints& proven);
 

@@ -299,7 +299,7 @@ GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
             }
             for (const TaskAccess& ra : m.tasks[r].reads) {
               if (ra.field == FieldId::Phi0 && ra.box == w.box &&
-                  w.comp0 <= ra.comp0 &&
+                  ra.slot == w.slot && w.comp0 <= ra.comp0 &&
                   ra.comp0 + ra.nComp <= w.comp0 + w.nComp &&
                   ra.region.intersects(lost)) {
                 reader = static_cast<int>(r);

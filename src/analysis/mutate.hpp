@@ -82,9 +82,10 @@ GraphMutation rerouteGraphEdge(const TaskGraphModel& m,
                                std::uint64_t seed);
 
 /// Shrink one exchange-op task's ghost write by its outermost layer (a
-/// halo fill that under-copies). Requires a runStep()-style graph
-/// (ghostsPreExchanged == false). Expected: ReadUncovered naming the
-/// first starved reader and the op.
+/// halo fill that under-copies). Requires a graph that performs its own
+/// exchange (ghostsPreExchanged == false), as every step graph does.
+/// Expected: ReadUncovered naming the first starved reader of the same
+/// slot and the op.
 GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
                                std::uint64_t seed);
 

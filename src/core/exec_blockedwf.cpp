@@ -223,48 +223,4 @@ void blockedWFBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
   blockedWFCore(cfg, phi0, phi1, valid, pool[0], &pool, nThreads, scale);
 }
 
-BlockedWFCaches blockedWFPrepareBox(const VariantConfig& cfg,
-                                    Workspace& shared, const Box& valid) {
-  const int nx = valid.size(0);
-  const int ny = valid.size(1);
-  const int nz = valid.size(2);
-  const std::size_t entries = cfg.comp == ComponentLoop::Inside
-                                  ? static_cast<std::size_t>(kNumComp)
-                                  : 1u;
-  BlockedWFCaches caches;
-  caches.cacheX = shared.buffer(
-      Slot::CarryX, static_cast<std::size_t>(ny) * nz * entries);
-  caches.cacheY = shared.buffer(
-      Slot::CarryY, static_cast<std::size_t>(nx) * nz * entries);
-  caches.cacheZ = shared.buffer(
-      Slot::CarryZ, static_cast<std::size_t>(nx) * ny * entries);
-  if (cfg.comp == ComponentLoop::Outside) {
-    caches.vel = &shared.fab(Slot::Velocity, faceSupersetBox(valid), 3);
-  }
-  return caches;
-}
-
-void blockedWFPrecomputeVelocity(const FArrayBox& phi0, FArrayBox& vel,
-                                 const Box& valid) {
-  precomputeFaceVelocity(phi0, vel, valid, 1, 0);
-}
-
-void blockedWFRunTile(const VariantConfig& cfg, const FArrayBox& phi0,
-                      FArrayBox& phi1, int comp,
-                      const BlockedWFCaches& caches, const Box& tileBox,
-                      const Box& valid, Workspace& scratch, Real scale) {
-  const int nx = valid.size(0);
-  const std::size_t scratchLen = 2 * (static_cast<std::size_t>(nx) + 1);
-  Real* fface = scratch.buffer(Slot::Extra, scratchLen);
-  Real* hi = fface + nx + 1;
-  if (cfg.comp == ComponentLoop::Inside) {
-    sweepTileCLI(phi0, phi1, tileBox, valid, caches.cacheX, caches.cacheY,
-                 caches.cacheZ, fface, hi, scale);
-  } else {
-    sweepTileCLO(phi0, phi1, comp, *caches.vel, tileBox, valid,
-                 caches.cacheX, caches.cacheY, caches.cacheZ, fface, hi,
-                 scale);
-  }
-}
-
 } // namespace fluxdiv::core::detail

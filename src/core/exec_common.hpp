@@ -30,8 +30,8 @@ namespace fluxdiv::core::detail {
 /// Worker identity for shadow attribution: the task-pool worker id when
 /// called from inside a TaskPool run, else the OpenMP thread id. Raw
 /// std::threads all report omp_get_thread_num() == 0, which would fold
-/// every pool worker into one and hide cross-worker races under the
-/// task-parallel level executor.
+/// every pool worker into one and hide cross-worker races in the step
+/// graphs.
 inline int shadowWorkerId() {
   const int pool = TaskPool::currentWorker();
   return pool >= 0 ? pool : omp_get_thread_num();
@@ -179,8 +179,8 @@ void overlappedBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
 /// every family accumulates each cell's x, y, z flux differences in the
 /// same per-cell order, so region decompositions are bit-identical). The
 /// calling thread runs the family's serial schedule with workspace `ws`.
-/// Shared by FluxDivRunner's sequential level loop and the task-parallel
-/// level executor's whole-box / interior / halo-fringe tasks.
+/// Shared by FluxDivRunner's over-boxes level loop and the step-graph
+/// executor's whole-box / interior / halo-fringe / tile RHS tasks.
 inline void runBoxSerialDispatch(const VariantConfig& cfg,
                                  const FArrayBox& phi0, FArrayBox& phi1,
                                  const Box& valid, Workspace& ws,
@@ -200,43 +200,5 @@ inline void runBoxSerialDispatch(const VariantConfig& cfg,
     break;
   }
 }
-
-// ---------------------------------------------------------------------------
-// Blocked-wavefront entry points for the task-parallel level executor's
-// hybrid policy: one box's tiles become tasks ordered by the existing
-// sched/tiles wavefronts, sharing the box's co-dimension caches. The
-// caches live in a per-box Workspace sized once (single-threaded) by
-// blockedWFPrepareBox; concurrent tile tasks then receive stable pointers
-// instead of re-querying the workspace (Workspace bookkeeping is not
-// thread-safe).
-// ---------------------------------------------------------------------------
-
-/// Pointers into one box's shared blocked-wavefront caches. `vel` is the
-/// face-velocity fab of the component-loop-outside config (null for CLI).
-struct BlockedWFCaches {
-  Real* cacheX = nullptr;
-  Real* cacheY = nullptr;
-  Real* cacheZ = nullptr;
-  FArrayBox* vel = nullptr;
-};
-
-/// Size (or re-validate) `shared`'s cache buffers for a box of shape
-/// `valid` and return the pointers. Call single-threaded before the box's
-/// tile tasks run.
-BlockedWFCaches blockedWFPrepareBox(const VariantConfig& cfg,
-                                    Workspace& shared, const Box& valid);
-
-/// Whole-box face-velocity precompute of the CLO config (the pipeline's
-/// pre-stage task; runs on the box's owner worker).
-void blockedWFPrecomputeVelocity(const FArrayBox& phi0, FArrayBox& vel,
-                                 const Box& valid);
-
-/// One blocked-wavefront tile sweep under the box's shared caches.
-/// `comp` is the component for CLO configs (ignored for CLI, pass -1).
-/// `scratch` supplies the calling worker's private row scratch.
-void blockedWFRunTile(const VariantConfig& cfg, const FArrayBox& phi0,
-                      FArrayBox& phi1, int comp,
-                      const BlockedWFCaches& caches, const Box& tileBox,
-                      const Box& valid, Workspace& scratch, Real scale);
 
 } // namespace fluxdiv::core::detail

@@ -10,7 +10,6 @@
 
 #include "analysis/costmodel.hpp"
 #include "core/exec_common.hpp"
-#include "core/exec_level.hpp"
 #include "harness/machine.hpp"
 
 #include "analysis/lower.hpp"
@@ -54,24 +53,6 @@ FluxDivRunner::FluxDivRunner(VariantConfig cfg, int nThreads)
   if (nThreads < 1) {
     throw std::invalid_argument("FluxDivRunner: nThreads must be >= 1");
   }
-}
-
-FluxDivRunner::~FluxDivRunner() = default;
-
-std::size_t FluxDivRunner::maxPeakWorkspaceBytes() const {
-  std::size_t worst = pool_.maxPeakBytes();
-  if (levelExec_ != nullptr) {
-    worst = std::max(worst, levelExec_->maxPeakWorkspaceBytes());
-  }
-  return worst;
-}
-
-std::size_t FluxDivRunner::totalPeakWorkspaceBytes() const {
-  std::size_t total = pool_.totalPeakBytes();
-  if (levelExec_ != nullptr) {
-    total += levelExec_->totalPeakWorkspaceBytes();
-  }
-  return total;
 }
 
 void FluxDivRunner::verifySchedule(const Box& valid) {
@@ -223,32 +204,6 @@ void FluxDivRunner::runBox(const FArrayBox& phi0, FArrayBox& phi1,
 
 void FluxDivRunner::run(const LevelData& phi0, LevelData& phi1,
                         Real scale) {
-  // Environment override onto the task-parallel level executor. The
-  // executor's sequential policy comes back through runLevel(), and its
-  // parallel policies never re-enter run(), so this cannot recurse.
-  const char* env = std::getenv("FLUXDIV_LEVEL_POLICY");
-  LevelPolicy policy = LevelPolicy::BoxSequential;
-  if (env != nullptr && *env != '\0' && !parseLevelPolicy(env, policy)) {
-    throw std::invalid_argument(
-        std::string("FLUXDIV_LEVEL_POLICY: unknown policy '") + env + "'");
-  }
-  if (policy != LevelPolicy::BoxSequential) {
-    if (levelExec_ == nullptr || levelExec_->policy() != policy) {
-      // run()'s contract has ghosts already exchanged, so the delegated
-      // executor never needs the async-exchange overlap path.
-      levelExec_ = std::make_unique<LevelExecutor>(
-          cfg_, nThreads_,
-          LevelExecOptions{policy, /*overlapExchange=*/false,
-                           /*pin=*/false});
-    }
-    levelExec_->run(phi0, phi1, scale);
-    return;
-  }
-  runLevel(phi0, phi1, scale);
-}
-
-void FluxDivRunner::runLevel(const LevelData& phi0, LevelData& phi1,
-                             Real scale) {
   if (phi0.size() != phi1.size()) {
     throw std::invalid_argument("run: layout mismatch between levels");
   }

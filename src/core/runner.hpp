@@ -18,7 +18,6 @@
 // predicted capacity-bound on this machine's caches. Advisory only: it
 // never changes execution or throws.
 
-#include <memory>
 #include <vector>
 
 #include "analysis/verifygate.hpp"
@@ -27,8 +26,6 @@
 #include "grid/leveldata.hpp"
 
 namespace fluxdiv::core {
-
-class LevelExecutor;
 
 /// Executes the exemplar under one VariantConfig.
 ///
@@ -41,7 +38,6 @@ class LevelExecutor;
 class FluxDivRunner {
 public:
   FluxDivRunner(VariantConfig cfg, int nThreads);
-  ~FluxDivRunner(); // out of line: LevelExecutor is incomplete here
 
   [[nodiscard]] const VariantConfig& config() const { return cfg_; }
   [[nodiscard]] int nThreads() const { return nThreads_; }
@@ -49,24 +45,14 @@ public:
   /// Accumulate scale * (flux differences of phi0) into phi1 over every
   /// valid cell. phi0's ghost cells must already be exchanged; phi1's
   /// ghosts (if any) are not touched. Levels must share a layout and have
-  /// kNumComp components.
-  ///
-  /// With FLUXDIV_LEVEL_POLICY=parallel|hybrid in the environment, the
-  /// level is executed by the task-parallel LevelExecutor instead of the
-  /// loops below (bit-identical results; see docs/perf.md). Unset, empty,
-  /// or "sequential" keeps this path.
+  /// kNumComp components. Task-parallel execution of whole time steps is
+  /// core::StepGraphExecutor's job (core/stepgraph.hpp).
   void run(const grid::LevelData& phi0, grid::LevelData& phi1,
            grid::Real scale = 1.0);
 
-  /// run() without the FLUXDIV_LEVEL_POLICY override: always the
-  /// configured granularity's level loop. The LevelExecutor's sequential
-  /// policy calls this, which is why the delegation cannot recurse.
-  void runLevel(const grid::LevelData& phi0, grid::LevelData& phi1,
-                grid::Real scale = 1.0);
-
   /// Run the legality gate and cost advisory for boxes of this shape (both
   /// cached per extent, both possibly compiled/opted out — see above).
-  /// runBox/run call this themselves; the task-parallel executor calls it
+  /// runBox/run call this themselves; the step-graph executor calls it
   /// up front so graph tasks need not.
   void prepare(const grid::Box& valid) {
     verifyKernels();
@@ -82,10 +68,12 @@ public:
 
   /// Scratch-storage accounting for the Table I experiment: the largest
   /// per-thread peak and the sum of per-thread peaks since construction.
-  /// Covers the delegated LevelExecutor's workers too, so the numbers stay
-  /// meaningful under FLUXDIV_LEVEL_POLICY.
-  [[nodiscard]] std::size_t maxPeakWorkspaceBytes() const;
-  [[nodiscard]] std::size_t totalPeakWorkspaceBytes() const;
+  [[nodiscard]] std::size_t maxPeakWorkspaceBytes() const {
+    return pool_.maxPeakBytes();
+  }
+  [[nodiscard]] std::size_t totalPeakWorkspaceBytes() const {
+    return pool_.totalPeakBytes();
+  }
 
 private:
   void runBoxSerial(const grid::FArrayBox& phi0, grid::FArrayBox& phi1,
@@ -117,8 +105,6 @@ private:
   analysis::VerifyGate scheduleGate_; ///< box extents proven legal
   std::vector<grid::IntVect> advisedShapes_; ///< box extents already advised
   bool kernelsVerified_ = false; ///< this runner passed the kernel gate
-  /// Lazily-built executor backing the FLUXDIV_LEVEL_POLICY override.
-  std::unique_ptr<LevelExecutor> levelExec_;
 };
 
 } // namespace fluxdiv::core

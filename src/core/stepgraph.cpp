@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/commcheck.hpp"
 #include "analysis/stepcheck.hpp"
 #include "analysis/verifygate.hpp"
 #include "core/exec_common.hpp"
@@ -103,6 +104,59 @@ void verifyStepOnce(const StepProgram& prog, StepFuse fuse,
       "StepGraphExecutor: step-program verification failed under fuse '" +
           std::string(stepFuseName(fuse)) + "'",
       msgs));
+}
+#endif
+
+#ifdef FLUXDIV_COMM_VERIFY
+/// Exchange plans are pure functions of the domain (box and periodicity),
+/// the box size, and the ghost depth, so this key identifies one plan.
+std::string levelShapeKey(const LevelData& level) {
+  const grid::ProblemDomain& dom = level.layout().domain();
+  std::string key;
+  for (const IntVect& v :
+       {dom.box().lo(), dom.box().hi(), level.layout().boxSize()}) {
+    for (int d = 0; d < grid::SpaceDim; ++d) {
+      key += std::to_string(v[d]) + ',';
+    }
+  }
+  for (int d = 0; d < grid::SpaceDim; ++d) {
+    key += dom.isPeriodic(d) ? 'p' : 'w';
+  }
+  return key + ";g" + std::to_string(level.nGhost());
+}
+
+/// FLUXDIV_VERIFY_COMM gate: before a capture lowers the exchanges of a
+/// slot level, prove the level's exchange plan exact, matched, and
+/// deadlock-free (analysis/commcheck) under rank partitions {1,2,4,8}.
+/// Each distinct (layout, ghost depth) is proven once per process — the
+/// solution's standard plan, and CommAvoid's deepened one.
+void verifyCommOnce(const LevelData& level) {
+  static analysis::VerifyGate gate("FLUXDIV_VERIFY_COMM", true);
+  if (level.size() == 0 || level.nGhost() <= 0 ||
+      !gate.shouldVerify(levelShapeKey(level))) {
+    return;
+  }
+  analysis::CommPlanModel model = analysis::buildCommPlanModel(
+      level.layout(), level.copier(), level.nComp());
+  for (const int nranks : {1, 2, 4, 8}) {
+    if (static_cast<std::size_t>(nranks) > level.size()) {
+      break;
+    }
+    analysis::applyRankPartition(model, nranks);
+    const analysis::CommCheckReport report = analysis::checkCommPlan(model);
+    if (report.ok()) {
+      continue;
+    }
+    std::vector<std::string> msgs;
+    msgs.reserve(report.diagnostics.size());
+    for (const auto& d : report.diagnostics) {
+      msgs.push_back(d.message());
+    }
+    throw std::logic_error(analysis::verifyFailureMessage(
+        "StepGraphExecutor: exchange-plan verification failed for '" +
+            model.name + "' under " + std::to_string(nranks) + " rank(s)",
+        msgs));
+  }
 }
 #endif
 
@@ -216,11 +270,11 @@ struct NamedRegion {
 /// happened; there is nothing left to overlap). The hybrid policy turns
 /// overlapped tiles into (box x tile) tasks — the sparse cross-stage
 /// tiling: a tile's stage-(i+1) task depends only on the stage-i tasks
-/// whose footprints it reads, not on the whole level. Other policies use
-/// the level executor's interior + six halo-fringe slabs so interior
-/// compute overlaps the exchange (whole-box when the box is too small,
-/// or under the sequential policy where coarse tasks mirror the seed
-/// loop's granularity). The pieces always partition the region, and every
+/// whose footprints it reads, not on the whole level. Other policies peel
+/// an interior plus six halo-fringe slabs so interior compute overlaps
+/// the exchange (whole-box when the box is too small, or under the
+/// sequential policy where coarse tasks mirror the seed loop's
+/// granularity). The pieces always partition the region, and every
 /// family accumulates each cell's flux differences in the same per-cell
 /// order, so any decomposition is bit-identical.
 std::vector<NamedRegion> rhsRegions(const LowerEnv& env, const Box& valid,
@@ -433,6 +487,7 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
           "rhs " + env.prog.slotName(op.src) + "->" +
               env.prog.slotName(op.dst) + " box" + std::to_string(b) +
               " " + nr.tag + env.stepTag(op));
+      low.model.tasks[static_cast<std::size_t>(t)].rhsSourceSlot = op.src;
       for (int d = 0; d < grid::SpaceDim; ++d) {
         low.access(t, op.src, b,
                    kernels::readRegion(kernels::Stage::FusedCell, d,
@@ -732,6 +787,11 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
         slots[static_cast<std::size_t>(s)];
   }
   cap->tab[static_cast<std::size_t>(prog.nSlots)] = &u;
+#ifdef FLUXDIV_COMM_VERIFY
+  for (const LevelData* level : slots) {
+    verifyCommOnce(*level);
+  }
+#endif
 
   LowerEnv env{cfg_,  ws_,  nThreads_,  prog,      rhs,
                slots, cap->tab.get(), plan, opts_.policy, cap->fuse};

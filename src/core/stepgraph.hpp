@@ -40,7 +40,10 @@
 // Every captured graph is mirrored into an analysis::TaskGraphModel with
 // slot-qualified footprints (TaskAccess::slot) and — in Debug or with
 // -DFLUXDIV_VERIFY_GRAPH=ON — proven race-free by analysis/graphcheck
-// before its first execution. Shadow-epoch barrier tasks (orderingOnly in
+// before its first execution; with -DFLUXDIV_VERIFY_COMM=ON (or Debug) the
+// exchange plan of every slot level, CommAvoid's deepened one included, is
+// proven exact, matched, and deadlock-free by analysis/commcheck before
+// its first capture. Shadow-epoch barrier tasks (orderingOnly in
 // the model) re-arm the FLUXDIV_SHADOW_CHECK write detector between
 // successive RHS writes into the same stage slot.
 
@@ -132,7 +135,8 @@ public:
 
   /// Capture without executing: the analysis models of every graph run()
   /// would dispatch, in dispatch order (one for Fused/CommAvoid, one per
-  /// stage for Staged). For the graphcheck CLI, the advisor, and tests.
+  /// stage for Staged). For the graphcheck and kernelcheck CLIs, the
+  /// advisor, and tests.
   [[nodiscard]] std::vector<analysis::TaskGraphModel>
   lowerModels(const StepProgram& prog, grid::LevelData& u,
               const StepRhsSpec& rhs);

@@ -1,13 +1,13 @@
 #pragma once
 // TaskPool / TaskGraph: a persistent work-stealing thread pool executing
-// level evaluations as dependency-tracked task graphs (docs/perf.md,
-// "Task-parallel level executor"), and — since the throughput service mode
+// whole RK steps as dependency-tracked task graphs (docs/perf.md,
+// "Whole-RK-step fusion"), and — since the throughput service mode
 // (docs/serving.md) — a *shared* pool multiplexing the graphs of many
 // concurrent solver instances through per-instance task domains with
 // weighted fair scheduling.
 //
 // Two usage shapes:
-//   * Synchronous, single graph: run(graph) — the original executor path.
+//   * Synchronous, single graph: run(graph) — a private executor's path.
 //     The calling thread participates as worker 0 and returns when every
 //     task has finished.
 //   * Asynchronous, many graphs: createDomain() once per instance, then

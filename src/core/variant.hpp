@@ -33,15 +33,15 @@ enum class ParallelGranularity { OverBoxes, WithinBox, HybridBoxTile };
 /// Position of the loop over the solution components (Sec. IV axes).
 enum class ComponentLoop { Outside, Inside };
 
-/// How the task-parallel level executor (core/exec_level.hpp) decomposes
-/// one evaluation over a whole LevelData into tasks. Orthogonal to
-/// ParallelGranularity, which describes the *within-box* schedule: the
-/// policy decides what becomes a task, the granularity what each task (or
-/// the sequential loop body) runs.
+/// Task granularity of the step graphs (core/stepgraph.hpp): how each RHS
+/// evaluation and stage combine over a whole LevelData becomes tasks.
+/// Orthogonal to ParallelGranularity, which describes the *within-box*
+/// schedule: the policy decides what becomes a task, the family's serial
+/// schedule what each task runs.
 enum class LevelPolicy {
-  BoxSequential, ///< boxes in sequence, within-box parallelism (seed loop)
-  BoxParallel,   ///< one task per box, serial schedule inside each
-  Hybrid,        ///< (box x wavefront-tile) tasks for the tiled families
+  BoxSequential, ///< one whole-box task per box and op
+  BoxParallel,   ///< per box an interior task plus six halo-fringe slabs
+  Hybrid,        ///< (box x tile) tasks for overlapped tiles, else as above
 };
 
 /// Display / CLI name: "sequential", "parallel", "hybrid".

@@ -76,9 +76,8 @@ Copier::Copier(const DisjointBoxLayout& layout, int nghost)
           op.sector = off;
           if (op.destRegion.empty()) {
             // Degenerate sector: nothing to move. Dropping it here keeps
-            // every dispatch loop (exchange, exchangeAsync, the level
-            // executor's dependency edges) and bytesPerExchange() free of
-            // empty ops.
+            // every dispatch loop (exchange, the step graphs' exchange-op
+            // tasks) and bytesPerExchange() free of empty ops.
             continue;
           }
           ghostCells_ += op.destRegion.numPts();

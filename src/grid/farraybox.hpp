@@ -31,8 +31,8 @@ enum class Pitch : std::uint8_t {
 /// First-fill policy of an FArrayBox allocation. Zero fills from the
 /// defining thread (the seed behavior). Deferred leaves the contents
 /// unspecified so the *first writer* faults — and thereby NUMA-places —
-/// the pages: the task-parallel level executor's firstTouch() zero-fills
-/// each box from the worker that owns its tasks (docs/perf.md).
+/// the pages: per-worker scratch (core/workspace) is first written by the
+/// worker that uses it.
 enum class Init : std::uint8_t { Zero, Deferred };
 
 /// Multi-component double-precision array over a Box (including any ghost

@@ -5,53 +5,6 @@
 
 namespace fluxdiv::grid {
 
-AsyncExchange::AsyncExchange(LevelData& level)
-    : level_(&level), pending_(level.size()),
-      claimed_(level.copier_.ops().size()) {
-  const auto& ops = level.copier_.ops();
-  for (const CopyOp& op : ops) {
-    pending_[op.destBox].fetch_add(1, std::memory_order_relaxed);
-  }
-  remaining_.store(static_cast<std::int64_t>(ops.size()),
-                   std::memory_order_release);
-}
-
-std::size_t AsyncExchange::opCount() const {
-  return level_->copier_.ops().size();
-}
-
-const CopyOp& AsyncExchange::op(std::size_t i) const {
-  return level_->copier_.ops()[i];
-}
-
-void AsyncExchange::runOp(std::size_t i) {
-  bool expected = false;
-  if (!claimed_[i].compare_exchange_strong(expected, true,
-                                           std::memory_order_acq_rel)) {
-    return; // already claimed (possibly still copying on another thread)
-  }
-  const CopyOp& op = level_->copier_.ops()[i];
-  level_->fabs_[op.destBox].copyShifted(level_->fabs_[op.srcBox],
-                                        op.destRegion, op.srcShift, 0, 0,
-                                        level_->ncomp_);
-  pending_[op.destBox].fetch_sub(1, std::memory_order_acq_rel);
-  remaining_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-int AsyncExchange::pendingOps(std::size_t b) const {
-  return pending_[b].load(std::memory_order_acquire);
-}
-
-bool AsyncExchange::done() const {
-  return remaining_.load(std::memory_order_acquire) == 0;
-}
-
-void AsyncExchange::finish() {
-  for (std::size_t i = 0; i < claimed_.size(); ++i) {
-    runOp(i);
-  }
-}
-
 LevelData::LevelData(const DisjointBoxLayout& layout, int ncomp, int nghost,
                      Pitch pitch, Init init)
     : layout_(layout), ncomp_(ncomp), nghost_(nghost),

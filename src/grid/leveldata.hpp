@@ -3,12 +3,11 @@
 // of a DisjointBoxLayout, each allocated with a ghost halo. exchange()
 // fills every ghost cell from the neighboring boxes' valid cells (with
 // periodic wrap), which is the on-node stand-in for Chombo's MPI ghost
-// exchange. exchangeAsync() exposes the same plan as individually
-// runnable ops with per-box completion ticks, so a task-parallel executor
-// can overlap interior compute with the halo copies instead of taking the
-// monolithic exchange() barrier (docs/perf.md).
+// exchange. The step-graph executor (core/stepgraph.hpp) runs the same
+// plan's ops (copier().ops()) as individual tasks, so interior compute
+// overlaps the halo copies instead of waiting on the exchange() barrier.
 
-#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "grid/copier.hpp"
@@ -16,51 +15,6 @@
 #include "grid/layout.hpp"
 
 namespace fluxdiv::grid {
-
-class LevelData;
-
-/// One in-flight ghost exchange. Obtain from LevelData::exchangeAsync();
-/// run each op exactly once (from any thread — distinct ops write disjoint
-/// ghost regions), or call finish() to drain whatever remains on the
-/// calling thread. Per-destination-box pending counts tick down as ops
-/// complete, giving the executor a readiness signal per box.
-class AsyncExchange {
-public:
-  AsyncExchange(const AsyncExchange&) = delete;
-  AsyncExchange& operator=(const AsyncExchange&) = delete;
-
-  /// Number of copy ops in the plan (none degenerate; see Copier::ops()).
-  [[nodiscard]] std::size_t opCount() const;
-  /// The i-th op (for dependency construction: destRegion intersection).
-  [[nodiscard]] const CopyOp& op(std::size_t i) const;
-
-  /// Execute op i and tick its destination box. Each op is claimed
-  /// atomically, so a duplicate call (e.g. finish() racing a stray task)
-  /// is a no-op — but the claimer may still be copying; ordering between
-  /// an op and its dependents is the caller's job (task-graph edges).
-  void runOp(std::size_t i);
-
-  /// Ops still pending into destination box `b` (0 = ghosts of b ready).
-  [[nodiscard]] int pendingOps(std::size_t b) const;
-  [[nodiscard]] bool boxReady(std::size_t b) const {
-    return pendingOps(b) == 0;
-  }
-  /// All ops complete?
-  [[nodiscard]] bool done() const;
-
-  /// Run every op not yet claimed on the calling thread. Afterwards
-  /// done() is true provided no claimed op is still copying elsewhere.
-  void finish();
-
-private:
-  friend class LevelData;
-  explicit AsyncExchange(LevelData& level);
-
-  LevelData* level_;
-  std::vector<std::atomic<int>> pending_;   ///< per dest box
-  std::vector<std::atomic<bool>> claimed_;  ///< per op
-  std::atomic<std::int64_t> remaining_{0};
-};
 
 /// Per-level, per-box solution storage with ghost cells.
 class LevelData {
@@ -70,9 +24,8 @@ public:
   /// Allocate `ncomp` components over every box of `layout`, each grown by
   /// `nghost` ghost layers. Init::Zero zero-fills on the constructing
   /// thread (the seed behavior); Init::Deferred leaves contents
-  /// unspecified so the first writer NUMA-places the pages (see
-  /// core::LevelExecutor::firstTouch). The exchange plan is built eagerly
-  /// so its cost is not attributed to the first exchange.
+  /// unspecified so the first writer places the pages. The exchange plan
+  /// is built eagerly so its cost is not attributed to the first exchange.
   LevelData(const DisjointBoxLayout& layout, int ncomp, int nghost,
             Pitch pitch = Pitch::Padded, Init init = Init::Zero);
 
@@ -93,12 +46,6 @@ public:
   /// copy operations with OpenMP (each op writes a disjoint ghost region);
   /// a plan with no ops (nghost == 0) skips the parallel region entirely.
   void exchange();
-
-  /// Start a ghost exchange without running any copies: the returned
-  /// AsyncExchange hands out the plan's ops for task execution with
-  /// per-box completion ticks. The hot-path alternative to the exchange()
-  /// barrier; see core::LevelExecutor::runStep for the intended use.
-  [[nodiscard]] AsyncExchange exchangeAsync() { return AsyncExchange(*this); }
 
   /// Number of ghost-exchange bytes moved per exchange() call (empty
   /// intersection ops are dropped from the plan and excluded here).
@@ -127,8 +74,6 @@ public:
   static Real maxAbsDiffValid(const LevelData& a, const LevelData& b);
 
 private:
-  friend class AsyncExchange;
-
   DisjointBoxLayout layout_;
   int ncomp_ = 0;
   int nghost_ = 0;

@@ -86,8 +86,8 @@ using AlignedVector = std::vector<Real, AlignedAllocator<Real>>;
 /// for Real) instead of zero-filling them. This keeps allocation from
 /// touching — and therefore NUMA-placing — the new pages: FArrayBox
 /// defines its storage through this allocator and fills explicitly
-/// (Init::Zero) or defers the first touch to the owning worker
-/// (Init::Deferred; see the level executor's firstTouch()).
+/// (Init::Zero) or defers the first touch to the first writer
+/// (Init::Deferred; per-worker scratch in core/workspace uses it).
 template <typename T, std::size_t Align = kFabAlignment>
 struct AlignedUninitAllocator : AlignedAllocator<T, Align> {
   using value_type = T;

@@ -22,8 +22,7 @@ struct CacheLevel {
 
 /// One NUMA node as reported by sysfs: its id and how many hardware
 /// threads its cpulist covers. First-touch page placement makes the node
-/// count the relevant knob for the level executor's box -> thread affinity
-/// (docs/perf.md).
+/// count the relevant knob for the step graphs' box -> worker affinity.
 struct NumaNode {
   int id = 0;
   int cpuCount = 0;

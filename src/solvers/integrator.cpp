@@ -96,9 +96,11 @@ core::StepProgram buildStepProgram(Scheme scheme, Real dt, int nSteps,
       }
       prog.rhs(src, dst, t);
     };
-    // Slot ids per scheme (0 is always u, 1 always the k scratch). The
-    // combine sequences replicate advanceEager() op for op, in order, so
-    // per-(slot, region) program order reproduces its FP rounding exactly.
+    // Slot ids per scheme (0 is always u, 1 always the k scratch). This is
+    // the only statement of each scheme's stage combines and coefficients:
+    // advanceEager() interprets the program op by op, and any lowering
+    // that preserves per-(slot, region) program order reproduces that
+    // interpretation's FP rounding exactly.
     switch (scheme) {
     case Scheme::ForwardEuler:
       rhsOf(0, 1);
@@ -146,27 +148,11 @@ core::StepProgram buildStepProgram(Scheme scheme, Real dt, int nSteps,
   return prog;
 }
 
-namespace {
-
-int stageCount(Scheme scheme) {
-  switch (scheme) {
-  case Scheme::ForwardEuler:
-    return 1; // k1
-  case Scheme::Midpoint:
-  case Scheme::SSPRK3:
-    return 2; // k, staging state
-  case Scheme::RK4:
-    return 3; // k_i, accumulator, staging state
-  }
-  throw std::invalid_argument("unknown scheme");
-}
-
-} // namespace
-
 TimeIntegrator::TimeIntegrator(Scheme scheme,
                                const DisjointBoxLayout& layout)
     : scheme_(scheme) {
-  const int n = stageCount(scheme);
+  // Slot 0 of the program is the caller's solution; the rest are stages.
+  const int n = buildStepProgram(scheme, 0.0).nSlots - 1;
   stages_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     stages_.emplace_back(layout, kernels::kNumComp, kernels::kNumGhost);
@@ -272,68 +258,35 @@ void TimeIntegrator::advanceGraph(LevelData& u, Real dt, FluxDivRhs& rhs,
 }
 
 void TimeIntegrator::advanceEager(LevelData& u, Real dt, FluxDivRhs& rhs) {
-  switch (scheme_) {
-  case Scheme::ForwardEuler: {
-    LevelData& k1 = stages_[0];
-    rhs(u, k1);
-    addScaled(u, k1, dt);
-    return;
-  }
-  case Scheme::Midpoint: {
-    LevelData& k = stages_[0];
-    LevelData& mid = stages_[1];
-    rhs(u, k); // k1 = f(u)
-    copyValid(u, mid);
-    addScaled(mid, k, 0.5 * dt); // mid = u + dt/2 k1
-    rhs(mid, k);                 // k2 = f(mid)
-    addScaled(u, k, dt);         // u += dt k2
-    return;
-  }
-  case Scheme::SSPRK3: {
-    // Shu-Osher form: u1 = u + dt f(u);
-    // u2 = 3/4 u + 1/4 u1 + 1/4 dt f(u1);
-    // u  = 1/3 u + 2/3 u2 + 2/3 dt f(u2).
-    LevelData& k = stages_[0];
-    LevelData& s1 = stages_[1];
-    rhs(u, k);
-    copyValid(u, s1);
-    addScaled(s1, k, dt); // u1
-    rhs(s1, k);
-    scaleValid(s1, 0.25);
-    addScaled(s1, u, 0.75);
-    addScaled(s1, k, 0.25 * dt); // u2
-    rhs(s1, k);
-    scaleValid(u, 1.0 / 3.0);
-    addScaled(u, s1, 2.0 / 3.0);
-    addScaled(u, k, 2.0 / 3.0 * dt);
-    return;
-  }
-  case Scheme::RK4: {
-    LevelData& k = stages_[0];
-    LevelData& acc = stages_[1];
-    LevelData& stage = stages_[2];
-
-    rhs(u, k); // k1
-    copyValid(k, acc);
-    copyValid(u, stage);
-    addScaled(stage, k, 0.5 * dt);
-
-    rhs(stage, k); // k2
-    addScaled(acc, k, 2.0);
-    copyValid(u, stage);
-    addScaled(stage, k, 0.5 * dt);
-
-    rhs(stage, k); // k3
-    addScaled(acc, k, 2.0);
-    copyValid(u, stage);
-    addScaled(stage, k, dt);
-
-    rhs(stage, k); // k4
-    addScaled(acc, k, 1.0);
-
-    addScaled(u, acc, dt / 6.0);
-    return;
-  }
+  // The serial, in-order interpretation of the step program: each op runs
+  // to completion over the whole level before the next starts.
+  const core::StepProgram prog =
+      buildStepProgram(scheme_, dt, 1, rhs.boundary() != nullptr);
+  const auto slot = [&](int s) -> LevelData& {
+    return s == 0 ? u : stages_[static_cast<std::size_t>(s - 1)];
+  };
+  for (const core::StepOp& op : prog.ops) {
+    LevelData& dst = slot(op.dst);
+    switch (op.kind) {
+    case core::StepOpKind::Exchange:
+      dst.exchange();
+      break;
+    case core::StepOpKind::BoundaryFill:
+      rhs.boundary()->fill(dst);
+      break;
+    case core::StepOpKind::RhsEval:
+      rhs.evaluate(slot(op.src), dst);
+      break;
+    case core::StepOpKind::CopySlot:
+      copyValid(slot(op.src), dst);
+      break;
+    case core::StepOpKind::AxpySlot:
+      addScaled(dst, slot(op.src), op.scale);
+      break;
+    case core::StepOpKind::ScaleSlot:
+      scaleValid(dst, op.scale);
+      break;
+    }
   }
 }
 

@@ -4,12 +4,12 @@
 // integrator is schedule-agnostic — any FluxDivRhs (hence any scheduling
 // variant) plugs in.
 //
-// Two execution paths per step (core::StepFuse):
-//   * Eager: the classic loop — each stage synchronously exchanges,
-//     evaluates the RHS, and combines stages with level-wide sweeps. The
-//     bit-identity reference for everything below.
-//   * Staged / Fused / CommAvoid: the stage chain is recorded as a
-//     symbolic StepProgram (buildStepProgram) and lowered by
+// Every scheme is stated once, as a symbolic StepProgram
+// (buildStepProgram). Two execution paths per step (core::StepFuse):
+//   * Eager: the program interpreted serially, op by op — each stage
+//     synchronously exchanges, evaluates the RHS, and combines stages with
+//     level-wide sweeps. The bit-identity reference for everything below.
+//   * Staged / Fused / CommAvoid: the program is lowered by
 //     core::StepGraphExecutor into dependency-tracked task graphs — the
 //     stage combines become per-box/per-tile tasks, cross-stage tasks
 //     overlap (Fused), or per-stage exchanges are replaced by one deepened
@@ -82,10 +82,11 @@ inline constexpr Scheme kSchemes[] = {
 
 /// Record `nSteps` consecutive time steps of `scheme` as a symbolic
 /// core::StepProgram: per stage an Exchange (+ BoundaryFill when
-/// `withBoundary`) and RhsEval, plus the exact copy/axpy/scale stage
-/// combines of the eager path, in the eager path's order — so any lowering
-/// that preserves per-(slot, region) program order is bit-identical to it.
-/// dt is baked into the combine coefficients.
+/// `withBoundary`) and RhsEval, plus the copy/axpy/scale stage combines —
+/// the single source of every scheme's RK coefficients. The eager path
+/// interprets it in order, so any lowering that preserves per-(slot,
+/// region) program order is bit-identical to eager. dt is baked into the
+/// combine coefficients.
 core::StepProgram buildStepProgram(Scheme scheme, grid::Real dt,
                                    int nSteps = 1,
                                    bool withBoundary = false);
@@ -125,14 +126,16 @@ public:
   void advanceSteps(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs,
                     int nSteps);
 
-  /// The eager reference path, always available regardless of fuse mode.
+  /// The eager reference path, always available regardless of fuse mode:
+  /// the step program interpreted serially, op by op.
   void advanceEager(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs);
 
   /// Override the FLUXDIV_STEP_FUSE environment variable (tests/benches).
   void setStepFuse(core::StepFuse fuse) { fuseOverride_ = fuse; }
 
   /// Override the FLUXDIV_LEVEL_POLICY environment variable for the
-  /// step-graph executor's task granularity.
+  /// step-graph executor's task granularity. That variable is read here
+  /// (resolvePolicy) and nowhere else.
   void setLevelPolicy(core::LevelPolicy policy) {
     policyOverride_ = policy;
   }

@@ -32,6 +32,12 @@ public:
     if (boundary_ != nullptr) {
       boundary_->fill(u);
     }
+    evaluate(u, dudt);
+  }
+
+  /// operator() without the ghost update: u's ghosts (and boundary
+  /// ghosts) must already be current. The eager integrator's RhsEval op.
+  void evaluate(const grid::LevelData& u, grid::LevelData& dudt) {
     for (std::size_t b = 0; b < dudt.size(); ++b) {
       dudt[b].setVal(0.0);
     }

@@ -1,13 +1,14 @@
 // Tests of the task-graph race verifier (analysis/graphcheck). Three
 // layers: hand-built miniature models exercise each diagnostic and
-// over-synchronization reason in isolation; the real level-executor
-// graphs (every policy family, both fab pitches, run() and runStep())
-// must verify clean; and the seeded graph miscompilations of
-// analysis/mutate must each be rejected with their predicted two-task
-// witness. The adversarial-replay suite closes the loop on the dynamic
-// side: every policy family stays bit-identical to the sequential
-// evaluation under all four hostile orderings (with shadow-memory
-// checking active when FLUXDIV_SHADOW_CHECK is compiled in).
+// over-synchronization reason in isolation; the real step graphs of one
+// forward-Euler step (exchange, RHS evaluation, axpy — every policy x
+// family, both fab pitches) must verify clean; and the seeded graph
+// miscompilations of analysis/mutate must each be rejected with their
+// predicted two-task witness. The adversarial-replay suite closes the
+// loop on the dynamic side: every policy x family step stays
+// bit-identical to the eager step under all four hostile orderings (with
+// shadow-memory checking active when FLUXDIV_SHADOW_CHECK is compiled
+// in).
 
 #include "analysis/graphcheck.hpp"
 
@@ -20,12 +21,13 @@
 
 #include "analysis/mutate.hpp"
 #include "analysis/verifier.hpp"
-#include "core/exec_level.hpp"
+#include "core/stepgraph.hpp"
 #include "core/variant.hpp"
 #include "grid/box.hpp"
 #include "grid/leveldata.hpp"
 #include "kernels/exemplar.hpp"
 #include "kernels/init.hpp"
+#include "solvers/integrator.hpp"
 
 namespace fluxdiv::analysis {
 namespace {
@@ -246,11 +248,12 @@ TEST(GraphCheck, OverSynchronizationReasonsAreClassified) {
 }
 
 // ---------------------------------------------------------------------------
-// Real executor graphs.
+// Real step graphs.
 // ---------------------------------------------------------------------------
 
 /// The four schedule families at one representative configuration each
-/// (WithinBox granularity so hybrid builds real intra-box tile tasks).
+/// (both blocked-wavefront component loops; the overlapped tiles become
+/// (box x tile) tasks under hybrid).
 std::vector<VariantConfig> representativeFamilies() {
   return {
       core::makeBaseline(core::ParallelGranularity::WithinBox),
@@ -264,54 +267,59 @@ std::vector<VariantConfig> representativeFamilies() {
   };
 }
 
-/// 8-box level (2x2x2 boxes of side 16), ghosts exchanged.
-LevelData makeExchangedLevel(Pitch pitch) {
+constexpr grid::Real kDt = 1e-3;
+
+/// One forward-Euler step: exchange, RHS evaluation, axpy.
+core::StepProgram eulerStep() {
+  return solvers::buildStepProgram(solvers::Scheme::ForwardEuler, kDt);
+}
+
+/// 8-box level (2x2x2 boxes of side 16) holding the exemplar state.
+LevelData makeLevel(Pitch pitch) {
   const ProblemDomain dom(Box::cube(32));
   const DisjointBoxLayout dbl(dom, 16);
-  LevelData phi0(dbl, kernels::kNumComp, kernels::kNumGhost, pitch);
-  kernels::initializeExemplar(phi0);
-  return phi0;
+  LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost, pitch);
+  kernels::initializeExemplar(u);
+  return u;
 }
 
 TaskGraphModel lowerModel(const VariantConfig& cfg, LevelPolicy policy,
-                          Pitch pitch, bool withExchange) {
-  LevelData phi0 = makeExchangedLevel(pitch);
-  LevelData phi1(phi0.layout(), kernels::kNumComp, 0, pitch);
-  core::LevelExecOptions opts;
+                          Pitch pitch) {
+  LevelData u = makeLevel(pitch);
+  core::StepExecOptions opts;
   opts.policy = policy;
-  core::LevelExecutor exec(cfg, 3, opts);
-  return exec.lowerGraph(phi0, phi1, withExchange);
+  core::StepGraphExecutor exec(cfg, 3, opts);
+  const std::vector<TaskGraphModel> models =
+      exec.lowerModels(eulerStep(), u, {});
+  EXPECT_EQ(models.size(), 1u);
+  return models.front();
+}
+
+/// The eager step from the exemplar state: the bit-identity reference.
+LevelData eagerStep(const VariantConfig& cfg, Pitch pitch) {
+  LevelData u = makeLevel(pitch);
+  solvers::FluxDivRhs rhs(cfg, 3);
+  solvers::TimeIntegrator integ(solvers::Scheme::ForwardEuler, u.layout());
+  integ.advanceEager(u, kDt, rhs);
+  return u;
 }
 
 TEST(GraphCheck, AllPolicyFamiliesAndPitchesVerifyClean) {
   for (const Pitch pitch : {Pitch::Padded, Pitch::Dense}) {
     for (const VariantConfig& cfg : representativeFamilies()) {
-      for (const LevelPolicy policy :
-           {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
-        for (const bool withExchange : {false, true}) {
-          const TaskGraphModel m =
-              lowerModel(cfg, policy, pitch, withExchange);
-          const GraphCheckReport rep = checkTaskGraph(m);
-          EXPECT_TRUE(rep.ok()) << m.name << ": first diagnostic: "
-                                << (rep.diagnostics.empty()
-                                        ? std::string("-")
-                                        : rep.diagnostics[0].message());
-          EXPECT_GE(rep.taskCount, 8) << m.name;
-          if (withExchange) {
-            EXPECT_GT(rep.edgeCount, 0)
-                << m.name << ": runStep must order fringes after ops";
-          }
-        }
+      for (const LevelPolicy policy : core::kLevelPolicies) {
+        const TaskGraphModel m = lowerModel(cfg, policy, pitch);
+        const GraphCheckReport rep = checkTaskGraph(m);
+        EXPECT_TRUE(rep.ok()) << m.name << ": first diagnostic: "
+                              << (rep.diagnostics.empty()
+                                      ? std::string("-")
+                                      : rep.diagnostics[0].message());
+        EXPECT_GE(rep.taskCount, 8) << m.name;
+        EXPECT_GT(rep.edgeCount, 0)
+            << m.name << ": RHS tasks must be ordered after exchange ops";
       }
     }
   }
-}
-
-TEST(GraphCheck, SequentialPolicyHasNoGraphToLower) {
-  LevelData phi0 = makeExchangedLevel(Pitch::Padded);
-  LevelData phi1(phi0.layout(), kernels::kNumComp, 0);
-  core::LevelExecutor exec(representativeFamilies()[0], 2);
-  EXPECT_THROW(exec.lowerGraph(phi0, phi1, false), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -339,14 +347,14 @@ void expectMutationCaught(const TaskGraphModel& original,
 }
 
 TEST(GraphCheckMutation, SeededMutationsProduceTheExpectedDiagnostic) {
-  // runStep graphs of a box-parallel family and a tiled hybrid family:
-  // both have conflict-carrying edges to drop/reroute and exchange-op
-  // writes to shrink.
+  // Step graphs of a box-parallel family and a tiled hybrid family: both
+  // have conflict-carrying edges to drop/reroute and exchange-op writes
+  // to shrink.
   const TaskGraphModel models[] = {
       lowerModel(representativeFamilies()[1], LevelPolicy::BoxParallel,
-                 Pitch::Padded, /*withExchange=*/true),
+                 Pitch::Padded),
       lowerModel(representativeFamilies()[4], LevelPolicy::Hybrid,
-                 Pitch::Padded, /*withExchange=*/true),
+                 Pitch::Padded),
   };
   for (const TaskGraphModel& m : models) {
     int executed = 0;
@@ -362,7 +370,7 @@ TEST(GraphCheckMutation, SeededMutationsProduceTheExpectedDiagnostic) {
       }
     }
     EXPECT_GE(executed, 5)
-        << m.name << ": a runStep graph must offer candidates for "
+        << m.name << ": a step graph must offer candidates for "
         << "every mutation class";
   }
 }
@@ -370,7 +378,7 @@ TEST(GraphCheckMutation, SeededMutationsProduceTheExpectedDiagnostic) {
 TEST(GraphCheckMutation, MutationsAreDeterministicPerSeed) {
   const TaskGraphModel m =
       lowerModel(representativeFamilies()[0], LevelPolicy::BoxParallel,
-                 Pitch::Padded, /*withExchange=*/true);
+                 Pitch::Padded);
   const mutate::GraphMutation a = mutate::dropGraphEdge(m, 3);
   const mutate::GraphMutation b = mutate::dropGraphEdge(m, 3);
   EXPECT_EQ(a.what, b.what);
@@ -385,24 +393,16 @@ TEST(GraphCheckMutation, MutationsAreDeterministicPerSeed) {
 // ---------------------------------------------------------------------------
 
 TEST(GraphCheckReplay, HostileOrderingsAreBitIdenticalToSequential) {
-  const LevelData phi0 = makeExchangedLevel(Pitch::Padded);
   for (const VariantConfig& cfg : representativeFamilies()) {
-    LevelData expected(phi0.layout(), kernels::kNumComp, 0);
-    {
-      core::LevelExecOptions opts;
-      opts.policy = LevelPolicy::BoxSequential;
-      core::LevelExecutor exec(cfg, 3, opts);
-      exec.run(phi0, expected);
-    }
-    for (const LevelPolicy policy :
-         {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
+    const LevelData expected = eagerStep(cfg, Pitch::Padded);
+    for (const LevelPolicy policy : core::kLevelPolicies) {
       for (const core::ReplayOrder order : core::kReplayOrders) {
-        core::LevelExecOptions opts;
+        core::StepExecOptions opts;
         opts.policy = policy;
         opts.replay = {order, /*seed=*/42};
-        core::LevelExecutor exec(cfg, 3, opts);
-        LevelData actual(phi0.layout(), kernels::kNumComp, 0);
-        exec.run(phi0, actual);
+        core::StepGraphExecutor exec(cfg, 3, opts);
+        LevelData actual = makeLevel(Pitch::Padded);
+        exec.run(eulerStep(), actual, {});
         EXPECT_EQ(LevelData::maxAbsDiffValid(expected, actual), 0.0)
             << cfg.name() << " / " << core::levelPolicyName(policy)
             << " / " << core::replayOrderName(order);
@@ -412,30 +412,35 @@ TEST(GraphCheckReplay, HostileOrderingsAreBitIdenticalToSequential) {
 }
 
 TEST(GraphCheckReplay, RunStepReplayExchangesAndMatches) {
-  const ProblemDomain dom(Box::cube(32));
-  const DisjointBoxLayout dbl(dom, 16);
   const VariantConfig cfg = representativeFamilies()[1];
-  // Reference: barrier exchange + sequential evaluation.
-  LevelData ref0(dbl, kernels::kNumComp, kernels::kNumGhost);
-  kernels::initializeExemplar(ref0);
-  LevelData expected(dbl, kernels::kNumComp, 0);
-  {
-    core::LevelExecOptions opts;
-    opts.policy = LevelPolicy::BoxSequential;
-    core::LevelExecutor exec(cfg, 3, opts);
-    exec.run(ref0, expected);
-  }
+  const LevelData expected = eagerStep(cfg, Pitch::Padded);
   for (const core::ReplayOrder order : core::kReplayOrders) {
-    LevelData phi0(dbl, kernels::kNumComp, kernels::kNumGhost);
-    kernels::initializeExemplar(phi0);
-    core::LevelExecOptions opts;
+    // Start from clobbered ghosts: a skipped or short-circuited exchange
+    // task would show up in the RHS, hence in the stepped solution.
+    LevelData u = makeLevel(Pitch::Padded);
+    for (std::size_t b = 0; b < u.size(); ++b) {
+      grid::FArrayBox& fab = u[b];
+      const Box valid = u.validBox(b);
+      for (int c = 0; c < kernels::kNumComp; ++c) {
+        grid::Real* p = fab.dataPtr(c);
+        grid::forEachCell(fab.box(), [&](int i, int j, int k) {
+          if (!valid.contains(IntVect(i, j, k))) {
+            p[fab.offset(i, j, k)] = -1.0e30;
+          }
+        });
+      }
+    }
+    core::StepExecOptions opts;
     opts.policy = LevelPolicy::BoxParallel;
     opts.replay = {order, /*seed=*/42};
-    core::LevelExecutor exec(cfg, 3, opts);
-    LevelData actual(dbl, kernels::kNumComp, 0);
-    exec.runStep(phi0, actual);
-    EXPECT_EQ(LevelData::maxAbsDiffValid(expected, actual), 0.0)
-        << core::replayOrderName(order);
+    core::StepGraphExecutor exec(cfg, 3, opts);
+    exec.run(eulerStep(), u, {});
+    // Valid cells and the ghosts the step's exchange filled both match.
+    for (std::size_t b = 0; b < u.size(); ++b) {
+      EXPECT_EQ(grid::FArrayBox::maxAbsDiff(u[b], expected[b], u[b].box()),
+                0.0)
+          << core::replayOrderName(order) << " box " << b;
+    }
   }
 }
 

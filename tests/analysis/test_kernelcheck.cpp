@@ -5,9 +5,9 @@
 // with the precise witness offset (undeclared reads and writes,
 // non-affine absolute indexing, an undeclared accumulate); the seeded
 // kernel miscompilations of analysis/mutate must each be caught with
-// their predicted witness; and the lowered level-executor task graphs
-// must agree with the proven hulls (K3), with a shrunk read footprint
-// rejected as ContractMismatch.
+// their predicted witness; and the RHS tasks of lowered step graphs must
+// agree with the proven hulls (K3), with a shrunk read footprint rejected
+// as ContractMismatch.
 
 #include "analysis/kernelcheck.hpp"
 
@@ -19,14 +19,15 @@
 
 #include "analysis/graphcheck.hpp"
 #include "analysis/mutate.hpp"
-#include "core/exec_level.hpp"
 #include "core/kernelshapes.hpp"
+#include "core/stepgraph.hpp"
 #include "core/variant.hpp"
 #include "grid/box.hpp"
 #include "grid/leveldata.hpp"
 #include "kernels/exemplar.hpp"
 #include "kernels/footprint.hpp"
 #include "kernels/init.hpp"
+#include "solvers/integrator.hpp"
 
 namespace fluxdiv::analysis {
 namespace {
@@ -320,35 +321,29 @@ TEST(KernelCheck, SeededMutationsCaught) {
 // K3: lowered task graphs against the proven hulls.
 // ---------------------------------------------------------------------------
 
-struct Level {
-  LevelData phi0;
-  LevelData phi1;
-};
-
-Level makeLevel(const DisjointBoxLayout& dbl) {
-  Level lv{LevelData(dbl, kernels::kNumComp, kernels::kNumGhost),
-           LevelData(dbl, kernels::kNumComp, 0)};
-  kernels::initializeExemplar(lv.phi0);
-  return lv;
-}
-
+/// One forward-Euler step (exchange, RHS evaluation, axpy) over two 8^3
+/// boxes, lowered through the step-graph executor.
 TaskGraphModel lowerSmallGraph(core::LevelPolicy policy) {
   const int boxSize = 8;
   const ProblemDomain dom(
       Box(IntVect::zero(), IntVect{2 * boxSize - 1, boxSize - 1,
                                    boxSize - 1}));
   const DisjointBoxLayout dbl(dom, boxSize);
-  core::LevelExecOptions opts;
+  core::StepExecOptions opts;
   opts.policy = policy;
-  core::LevelExecutor exec(
+  core::StepGraphExecutor exec(
       core::makeBaseline(core::ParallelGranularity::WithinBox), 2, opts);
-  Level lv = makeLevel(dbl);
-  return exec.lowerGraph(lv.phi0, lv.phi1, /*withExchange=*/false);
+  LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
+  kernels::initializeExemplar(u);
+  return exec
+      .lowerModels(solvers::buildStepProgram(solvers::Scheme::ForwardEuler,
+                                             1e-3),
+                   u, {})
+      .front();
 }
 
 TEST(KernelCheck, GraphFootprintsAgreeWithDeclared) {
-  for (const core::LevelPolicy policy :
-       {core::LevelPolicy::BoxParallel, core::LevelPolicy::Hybrid}) {
+  for (const core::LevelPolicy policy : core::kLevelPolicies) {
     const std::vector<KernelDiag> diags =
         checkGraphFootprints(lowerSmallGraph(policy), declaredFootprints());
     EXPECT_TRUE(diags.empty()) << diagDump(diags);
@@ -357,18 +352,10 @@ TEST(KernelCheck, GraphFootprintsAgreeWithDeclared) {
 
 TEST(KernelCheck, GraphFootprintsAgreeWithProven) {
   // The hulls proven by actual probing, not the declared contract.
-  std::vector<KernelFootprintModel> models;
-  for (const KernelShape& shape : builtinStageShapes()) {
-    if (shape.name.find("scalar:EvalFlux1") != std::string::npos) {
-      models.push_back(inferFootprint(shape, smallProbe()));
-    }
-  }
-  models.push_back(
-      inferFootprint(builtinPipelineShapes().front(), smallProbe()));
-  const ProvenFootprints proven = extractProven(models);
+  const ProvenFootprints proven = extractProven(
+      {inferFootprint(builtinPipelineShapes().front(), smallProbe())});
   for (int d = 0; d < 3; ++d) {
     EXPECT_EQ(proven.fused[d], kernels::fusedCellReadOffsets(d));
-    EXPECT_EQ(proven.evalFlux1[d], kernels::evalFlux1ReadOffsets(d));
   }
   const std::vector<KernelDiag> diags = checkGraphFootprints(
       lowerSmallGraph(core::LevelPolicy::BoxParallel), proven);
@@ -377,19 +364,15 @@ TEST(KernelCheck, GraphFootprintsAgreeWithProven) {
 
 TEST(KernelCheck, ShrunkGraphReadIsContractMismatch) {
   TaskGraphModel model = lowerSmallGraph(core::LevelPolicy::BoxParallel);
-  // Shrink every Phi0 read of the first Phi1-writing task below the
-  // stencil reach: its declared footprint no longer covers the proven one.
+  // Shrink every source-slot read of the first RHS task below the stencil
+  // reach: its declared footprint no longer covers the proven one.
   bool shrunk = false;
   for (GraphTask& t : model.tasks) {
-    bool writesPhi1 = false;
-    for (const TaskAccess& w : t.writes) {
-      writesPhi1 |= w.field == FieldId::Phi1;
-    }
-    if (!writesPhi1) {
+    if (t.rhsSourceSlot < 0) {
       continue;
     }
     for (TaskAccess& r : t.reads) {
-      if (r.field == FieldId::Phi0) {
+      if (r.slot == t.rhsSourceSlot) {
         r.region = Box(r.region.lo() + IntVect{2, 0, 0},
                        r.region.hi() - IntVect{2, 0, 0});
         shrunk = true;

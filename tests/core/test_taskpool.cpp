@@ -3,7 +3,8 @@
 // rejected before anything runs, and the pool is reusable across runs.
 // Also covers the labeled-diagnostics contract (graph-construction and
 // cycle errors name task labels, not indices) and the deterministic
-// adversarial-replay mode (core::ReplayMode).
+// adversarial-replay mode (core::ReplayMode). Under FLUXDIV_SHADOW_CHECK
+// a seeded two-worker race on the pool must trip the shadow detector.
 
 #include "core/taskpool.hpp"
 
@@ -14,6 +15,9 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "grid/box.hpp"
+#include "grid/farraybox.hpp"
 
 namespace fluxdiv::core {
 namespace {
@@ -505,6 +509,40 @@ TEST(TaskPool, SubmitRejectsUnknownDomainAndCycles) {
   cyclic.addDep(b, a);
   EXPECT_THROW(pool.submit(cyclic, 0), std::logic_error);
 }
+
+#ifdef FLUXDIV_SHADOW_CHECK
+TEST(TaskPoolShadow, SeededRaceOnTaskPoolIsDetected) {
+  // Two tasks on distinct pool workers write overlapping regions of the
+  // same fab in one epoch. The atomic rendezvous blocks each task until
+  // the other has started, so a single worker can never run both; the
+  // shadow detector must attribute the writes to different workers and
+  // flag the overlap.
+  using grid::Box;
+  grid::FArrayBox fab(Box::cube(8), 1);
+  fab.shadowBeginEpoch();
+  const Box whole = Box::cube(8);
+  const Box half = whole.lowSlab(2, 6); // overlaps `whole` in 8x8x4 cells
+
+  TaskPool pool(2);
+  std::atomic<int> arrived{0};
+  TaskGraph graph;
+  auto body = [&](const Box& region) {
+    return [&, region](int) {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) {
+        // Spin until both tasks are in flight on their own workers.
+      }
+      fab.shadowRecordWrite(region, 0, 1, TaskPool::currentWorker());
+    };
+  };
+  graph.addTask(body(whole), 0);
+  graph.addTask(body(half), 1);
+  pool.run(graph);
+
+  EXPECT_GT(fab.shadow().violationCount(), 0u)
+      << "overlapping writes from two pool workers must be flagged";
+}
+#endif
 
 } // namespace
 } // namespace fluxdiv::core

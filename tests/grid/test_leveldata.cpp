@@ -129,81 +129,44 @@ TEST(LevelData, CopierRejectsOversizedGhost) {
   EXPECT_THROW(LevelData(dbl, 1, 17), std::invalid_argument);
 }
 
-TEST(LevelData, AsyncExchangeMatchesExchange) {
+TEST(LevelData, CopierOpsInAnyOrderMatchExchange) {
   DisjointBoxLayout dbl(ProblemDomain(Box::cube(32)), 16);
   LevelData ref(dbl, 3, 2);
-  LevelData async(dbl, 3, 2);
+  LevelData byOps(dbl, 3, 2);
   fillValid(ref);
-  fillValid(async);
+  fillValid(byOps);
   ref.exchange();
-  AsyncExchange ax = async.exchangeAsync();
-  ASSERT_GT(ax.opCount(), 0u);
-  // Run the plan in reverse order: ops are independent, so any order must
+  // Run the plan's ops one by one in reverse order, as independent tasks
+  // would: distinct ops write disjoint ghost regions, so any order must
   // deliver the exact exchange() result.
-  for (std::size_t i = ax.opCount(); i-- > 0;) {
-    ax.runOp(i);
+  const auto& ops = byOps.copier().ops();
+  ASSERT_FALSE(ops.empty());
+  for (std::size_t i = ops.size(); i-- > 0;) {
+    const CopyOp& op = ops[i];
+    byOps[op.destBox].copyShifted(byOps[op.srcBox], op.destRegion,
+                                  op.srcShift, 0, 0, byOps.nComp());
   }
-  EXPECT_TRUE(ax.done());
   for (std::size_t b = 0; b < ref.size(); ++b) {
-    EXPECT_EQ(FArrayBox::maxAbsDiff(ref[b], async[b], ref[b].box()), 0.0)
+    EXPECT_EQ(FArrayBox::maxAbsDiff(ref[b], byOps[b], ref[b].box()), 0.0)
         << "box " << b;
   }
 }
 
-TEST(LevelData, AsyncExchangePendingOpsTickDownPerDestBox) {
-  DisjointBoxLayout dbl(ProblemDomain(Box::cube(32)), 16);
-  LevelData ld(dbl, 1, 2);
-  fillValid(ld);
-  AsyncExchange ax = ld.exchangeAsync();
-  // Every box has ghost faces to fill, so none is ready at the start.
-  for (std::size_t b = 0; b < ld.size(); ++b) {
-    EXPECT_GT(ax.pendingOps(b), 0) << "box " << b;
-    EXPECT_FALSE(ax.boxReady(b)) << "box " << b;
-  }
-  std::vector<int> before(ld.size());
-  for (std::size_t b = 0; b < ld.size(); ++b) {
-    before[b] = ax.pendingOps(b);
-  }
-  const std::size_t dest = ax.op(0).destBox;
-  ax.runOp(0);
-  EXPECT_EQ(ax.pendingOps(dest), before[dest] - 1);
-  ax.finish();
-  EXPECT_TRUE(ax.done());
-  for (std::size_t b = 0; b < ld.size(); ++b) {
-    EXPECT_TRUE(ax.boxReady(b)) << "box " << b;
-  }
-}
-
-TEST(LevelData, AsyncExchangeRunOpIsIdempotent) {
-  DisjointBoxLayout dbl(ProblemDomain(Box::cube(32)), 16);
-  LevelData ld(dbl, 1, 2);
-  fillValid(ld);
-  AsyncExchange ax = ld.exchangeAsync();
-  const std::size_t dest = ax.op(0).destBox;
-  const int before = ax.pendingOps(dest);
-  ax.runOp(0);
-  ax.runOp(0); // second claim must lose the CAS and change nothing
-  EXPECT_EQ(ax.pendingOps(dest), before - 1);
-  ax.finish();
-  EXPECT_TRUE(ax.done());
-}
-
-TEST(LevelData, AsyncExchangeWithoutGhostsIsEmptyAndDone) {
+TEST(LevelData, ExchangeWithoutGhostsHasNoOps) {
   DisjointBoxLayout dbl(ProblemDomain(Box::cube(32)), 16);
   LevelData ld(dbl, 2, 0);
-  AsyncExchange ax = ld.exchangeAsync();
-  EXPECT_EQ(ax.opCount(), 0u);
-  EXPECT_TRUE(ax.done());
-  EXPECT_NO_THROW(ax.finish());
+  EXPECT_TRUE(ld.copier().ops().empty());
+  EXPECT_EQ(ld.exchangeBytes(), 0u);
+  EXPECT_NO_THROW(ld.exchange());
 }
 
 TEST(LevelData, ExchangePlanHasNoEmptyOpsAndBytesAgree) {
   DisjointBoxLayout dbl(ProblemDomain(Box::cube(32)), 16);
   LevelData ld(dbl, 5, 2);
-  AsyncExchange ax = ld.exchangeAsync();
+  const auto& ops = ld.copier().ops();
   std::size_t bytes = 0;
-  for (std::size_t i = 0; i < ax.opCount(); ++i) {
-    const CopyOp& op = ax.op(i);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const CopyOp& op = ops[i];
     EXPECT_FALSE(op.destRegion.empty()) << "op " << i;
     bytes += static_cast<std::size_t>(op.destRegion.numPts()) * 5 *
              sizeof(Real);
@@ -228,8 +191,8 @@ TEST(LevelData, DensePitchExchangeMatchesPadded) {
 
 TEST(LevelData, DeferredInitIsUsableAfterExplicitFill) {
   DisjointBoxLayout dbl(ProblemDomain(Box::cube(32)), 16);
-  // Deferred skips the allocation-time zero-fill (for NUMA first-touch
-  // placement by the level executor); writing every cell before any read
+  // Deferred skips the allocation-time zero-fill (so the first writer
+  // places the pages); writing every cell before any read
   // is the caller's contract, which fillValid + exchange satisfies for
   // the cells compared here.
   LevelData ld(dbl, 1, 2, Pitch::Padded, Init::Deferred);

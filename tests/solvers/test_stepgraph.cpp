@@ -1,6 +1,7 @@
 // Whole-RK-step task graphs (core/stepgraph.hpp + the TimeIntegrator fuse
 // modes): bit-identity of every fuse mode against the eager reference
-// across schemes, policies, pitches, and thread counts; the deepened-halo
+// across schemes, schedule families, policies, pitches, and thread counts
+// (including steps that start from stale ghosts); the deepened-halo
 // plan of the comm-avoiding transform; graphcheck verification of every
 // lowered model; seeded cross-stage edge-drop mutations; and adversarial
 // serial replay of the fused graphs.
@@ -9,7 +10,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/graphcheck.hpp"
 #include "analysis/mutate.hpp"
@@ -127,6 +131,130 @@ TEST(StepGraph, BitIdenticalWithDensePitch) {
       EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
           << schemeName(scheme) << "/" << core::stepFuseName(fuse)
           << " dense pitch";
+    }
+  }
+}
+
+/// The four schedule families at one representative configuration each,
+/// with tiles that fit the 8^3 boxes of smallLayout().
+std::vector<core::VariantConfig> representativeFamilies() {
+  return {
+      core::makeBaseline(core::ParallelGranularity::WithinBox),
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox),
+      core::makeBlockedWF(4, core::ParallelGranularity::WithinBox,
+                          core::ComponentLoop::Inside),
+      core::makeBlockedWF(4, core::ParallelGranularity::WithinBox,
+                          core::ComponentLoop::Outside),
+      core::makeOverlapped(core::IntraTileSchedule::ShiftFuse, 4,
+                           core::ParallelGranularity::WithinBox),
+  };
+}
+
+/// One exchange, one RHS evaluation, one axpy: the level-scale graph of
+/// every family under each of `policies` and every fuse mode, on both fab
+/// pitches, must reproduce the eager (FluxDivRunner) step.
+void expectEulerBitIdenticalAcrossFamilies(
+    std::initializer_list<LevelPolicy> policies) {
+  const auto dbl = smallLayout();
+  const Real dt = 0.005;
+  for (const Pitch pitch : {Pitch::Padded, Pitch::Dense}) {
+    for (const core::VariantConfig& cfg : representativeFamilies()) {
+      for (const int threads : {1, 3}) {
+        const LevelData ref = eagerReference(Scheme::ForwardEuler, dbl, cfg,
+                                             dt, 1, threads, pitch);
+        for (const StepFuse fuse : kGraphModes) {
+          for (const LevelPolicy policy : policies) {
+            LevelData u = initialState(dbl, pitch);
+            FluxDivRhs rhs(cfg, threads);
+            TimeIntegrator integ(Scheme::ForwardEuler, dbl);
+            integ.setStepFuse(fuse);
+            integ.setLevelPolicy(policy);
+            integ.advance(u, dt, rhs);
+            EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+                << cfg.name() << " / "
+                << caseName(Scheme::ForwardEuler, fuse, policy, threads)
+                << " / " << (pitch == Pitch::Padded ? "padded" : "dense");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StepGraph, EulerBitIdenticalAcrossFamiliesPoliciesAndPitches) {
+  expectEulerBitIdenticalAcrossFamilies(
+      {LevelPolicy::BoxParallel, LevelPolicy::Hybrid});
+}
+
+TEST(StepGraph, SequentialPolicyMatchesRunnerAcrossFamilies) {
+  // Whole-box tasks only: the graph degenerates to one task per box and
+  // op, which must still equal the runner's eager evaluation.
+  expectEulerBitIdenticalAcrossFamilies({LevelPolicy::BoxSequential});
+}
+
+/// Start every graph step from clobbered ghosts under `policy`: a skipped
+/// or short-circuited exchange task would show up in the RHS, hence in the
+/// stepped solution.
+void expectExchangeTasksReplaceStaleGhosts(LevelPolicy policy) {
+  const auto dbl = smallLayout();
+  const Real dt = 0.005;
+  const auto cfg = tiledConfig();
+  const LevelData ref = eagerReference(Scheme::ForwardEuler, dbl, cfg, dt,
+                                       1, 3);
+  for (const StepFuse fuse : kGraphModes) {
+    LevelData u = initialState(dbl);
+    for (std::size_t b = 0; b < u.size(); ++b) {
+      grid::FArrayBox& fab = u[b];
+      const Box valid = u.validBox(b);
+      for (int c = 0; c < kNumComp; ++c) {
+        Real* p = fab.dataPtr(c);
+        grid::forEachCell(fab.box(), [&](int i, int j, int k) {
+          if (!valid.contains(grid::IntVect(i, j, k))) {
+            p[fab.offset(i, j, k)] = -1.0e30;
+          }
+        });
+      }
+    }
+    FluxDivRhs rhs(cfg, 3);
+    TimeIntegrator integ(Scheme::ForwardEuler, dbl);
+    integ.setStepFuse(fuse);
+    integ.setLevelPolicy(policy);
+    integ.advance(u, dt, rhs);
+    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+        << caseName(Scheme::ForwardEuler, fuse, policy, 3);
+  }
+}
+
+TEST(StepGraph, ExchangeTasksReplaceStaleGhosts) {
+  expectExchangeTasksReplaceStaleGhosts(LevelPolicy::BoxParallel);
+  expectExchangeTasksReplaceStaleGhosts(LevelPolicy::Hybrid);
+}
+
+TEST(StepGraph, SequentialPolicyStillExchanges) {
+  expectExchangeTasksReplaceStaleGhosts(LevelPolicy::BoxSequential);
+}
+
+TEST(StepGraph, InvDxIsHonoredUnderEveryPolicy) {
+  const auto dbl = smallLayout();
+  const Real dt = 0.002;
+  const auto cfg = tiledConfig();
+  LevelData ref = initialState(dbl);
+  {
+    FluxDivRhs rhs(cfg, 2, /*invDx=*/2.0);
+    TimeIntegrator integ(Scheme::Midpoint, dbl);
+    integ.setStepFuse(StepFuse::Eager);
+    integ.advance(ref, dt, rhs);
+  }
+  for (const StepFuse fuse : kGraphModes) {
+    for (const LevelPolicy policy : core::kLevelPolicies) {
+      LevelData u = initialState(dbl);
+      FluxDivRhs rhs(cfg, 2, /*invDx=*/2.0);
+      TimeIntegrator integ(Scheme::Midpoint, dbl);
+      integ.setStepFuse(fuse);
+      integ.setLevelPolicy(policy);
+      integ.advance(u, dt, rhs);
+      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+          << caseName(Scheme::Midpoint, fuse, policy, 2) << " invDx=2";
     }
   }
 }
@@ -500,6 +628,42 @@ TEST(StepGraph, EnvironmentSelectsTheFuseMode) {
   EXPECT_TRUE(core::parseStepFuse("staged", parsed));
   EXPECT_EQ(parsed, StepFuse::Staged);
   EXPECT_FALSE(core::parseStepFuse("nope", parsed));
+}
+
+/// Sets an environment variable for one scope and restores (or unsets)
+/// it on exit — CI runs this binary with some FLUXDIV_* variables set.
+class ScopedEnv {
+public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* prev = std::getenv(name)) {
+      prev_ = prev;
+    }
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (prev_.has_value()) {
+      ::setenv(name_, prev_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+private:
+  const char* name_;
+  std::optional<std::string> prev_;
+};
+
+TEST(StepGraph, EnvironmentRejectsUnknownLevelPolicy) {
+  const auto dbl = smallLayout();
+  const auto cfg = core::makeShiftFuse(core::ParallelGranularity::OverBoxes);
+  LevelData u = initialState(dbl);
+  FluxDivRhs rhs(cfg, 2);
+  const ScopedEnv policy("FLUXDIV_LEVEL_POLICY", "warp-drive");
+  TimeIntegrator integ(Scheme::ForwardEuler, dbl);
+  integ.setStepFuse(StepFuse::Staged);
+  EXPECT_THROW(integ.advance(u, 0.004, rhs), std::invalid_argument);
 }
 
 } // namespace

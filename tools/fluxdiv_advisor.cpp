@@ -27,9 +27,10 @@
 // --pad prices working sets for the default padded fab allocation (x-pitch
 // rounded to grid::kSimdDoubles, docs/perf.md) instead of dense storage.
 //
-// --nboxes > 1 additionally ranks the task-parallel level-executor
-// policies (sequential / parallel / hybrid, core/exec_level) for a level
-// of that many boxes, from the box-level concurrency each policy exposes.
+// --nboxes > 1 additionally ranks the level policies (sequential /
+// parallel / hybrid: the step graphs' task granularity, core/stepgraph)
+// for a level of that many boxes, from the box-level concurrency each
+// policy exposes, and notes removable edges in a lowered Euler step.
 //
 // --strict additionally runs internal consistency checks over every report
 // (finite traffic, non-degenerate working sets, traffic not far below the
@@ -46,7 +47,7 @@
 #include "analysis/graphcheck.hpp"
 #include "analysis/kernelcheck.hpp"
 #include "analysis/stepcheck.hpp"
-#include "core/exec_level.hpp"
+#include "core/stepgraph.hpp"
 #include "grid/copier.hpp"
 #include "grid/leveldata.hpp"
 #include "grid/real.hpp"
@@ -224,11 +225,12 @@ int main(int argc, char** argv) {
     }
     ptable.print(std::cout);
 
-    // Over-synchronization advisory: lower the actual task graphs the
-    // level executor would run under the parallel policies over a small
-    // level of this box count, and ask the graph checker which dependency
-    // edges could be dropped without losing race-freedom. Removable edges
-    // are parallelism the depth/concurrency table above cannot see.
+    // Over-synchronization advisory: lower the step graph of one
+    // forward-Euler step (exchange, RHS evaluation, axpy) under the
+    // parallel policies over a small level of this box count, and ask the
+    // graph checker which dependency edges could be dropped without losing
+    // race-freedom. Removable edges are parallelism the depth/concurrency
+    // table above cannot see.
     const int side = std::min(n, 16);
     const int wantBoxes = std::min(nBoxes, 8);
     grid::IntVect counts = grid::IntVect::unit(1);
@@ -246,18 +248,18 @@ int main(int argc, char** argv) {
         grid::IntVect{counts[0] * side - 1, counts[1] * side - 1,
                       counts[2] * side - 1}));
     const grid::DisjointBoxLayout dbl(dom, side);
+    const core::StepProgram euler =
+        solvers::buildStepProgram(solvers::Scheme::ForwardEuler, 1e-3);
     bool anyGraphNote = false;
     for (std::size_t i = 0; i < shown; ++i) {
       for (const core::LevelPolicy policy :
            {core::LevelPolicy::BoxParallel, core::LevelPolicy::Hybrid}) {
-        core::LevelExecOptions opts;
+        core::StepExecOptions opts;
         opts.policy = policy;
-        core::LevelExecutor exec(ranked[i].cfg, nThreads, opts);
-        grid::LevelData phi0(dbl, kernels::kNumComp, kernels::kNumGhost);
-        grid::LevelData phi1(dbl, kernels::kNumComp, 0);
-        for (const bool withExchange : {false, true}) {
-          const analysis::TaskGraphModel model =
-              exec.lowerGraph(phi0, phi1, withExchange);
+        core::StepGraphExecutor exec(ranked[i].cfg, nThreads, opts);
+        grid::LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
+        for (const analysis::TaskGraphModel& model :
+             exec.lowerModels(euler, u, {})) {
           const analysis::GraphCheckReport rep =
               analysis::checkTaskGraph(model, /*findRemovable=*/true);
           if (rep.removable.empty()) {

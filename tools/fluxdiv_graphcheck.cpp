@@ -1,12 +1,13 @@
 // Task-graph race verifier CLI (docs/static-analysis.md, "Task-graph
-// verification"). Lowers the level executor's task graphs — run() and
-// runStep(), every policy, every schedule family — to their analysis
-// models and proves them race-free with analysis::checkTaskGraph: G1
+// verification"). Lowers one forward-Euler step — one ghost exchange, one
+// flux-divergence evaluation, one axpy — through the step-graph executor
+// (core/stepgraph) for every schedule family under each level policy, and
+// proves the graphs race-free with analysis::checkTaskGraph: G1
 // acyclicity, G2 happens-before-ordered conflicting footprints, G3 ghost
 // reads covered by preceding exchange-op writes. Also reports the
 // over-synchronization advisory (removable edges).
 //
-//   ./tools/fluxdiv_graphcheck [--policy all|parallel|hybrid]
+//   ./tools/fluxdiv_graphcheck [--policy all|sequential|parallel|hybrid]
 //                              [--nboxes 8] [--boxsize 16] [--threads 4]
 //                              [--strict] [--json]
 //                              [--mutate] [--seeds 5] [--replay]
@@ -17,10 +18,10 @@
 //   exits 1 unless the checker rejects each with the predicted two-task
 //   witness — the CI guard that the verifier actually detects races, not
 //   merely accepts legal graphs.
-// --replay additionally executes each graph under the four adversarial
+// --replay additionally executes each step under the four adversarial
 //   serial orderings (fifo, lifo, steal, random; core::ReplayMode) and
-//   exits 1 unless every ordering produces bit-identical phi1 to the
-//   box-sequential evaluation.
+//   exits 1 unless every ordering produces a solution bit-identical to the
+//   eager step.
 
 #include <cstdint>
 #include <iostream>
@@ -30,7 +31,7 @@
 #include "analysis/graphcheck.hpp"
 #include "analysis/mutate.hpp"
 #include "analysis/verifier.hpp"
-#include "core/exec_level.hpp"
+#include "core/stepgraph.hpp"
 #include "core/variant.hpp"
 #include "grid/box.hpp"
 #include "grid/leveldata.hpp"
@@ -38,6 +39,7 @@
 #include "harness/table.hpp"
 #include "kernels/exemplar.hpp"
 #include "kernels/init.hpp"
+#include "solvers/integrator.hpp"
 
 using namespace fluxdiv;
 using core::LevelPolicy;
@@ -51,7 +53,8 @@ using grid::ProblemDomain;
 namespace {
 
 /// The four schedule families at one representative configuration each
-/// (WithinBox granularity so hybrid decomposes into real tile tasks).
+/// (both blocked-wavefront component loops; the overlapped tiles become
+/// (box x tile) tasks under hybrid).
 std::vector<VariantConfig> representativeFamilies(int boxSize) {
   const int tile = boxSize >= 8 ? 4 : 2;
   return {
@@ -96,25 +99,37 @@ std::string jsonEscape(const std::string& s) {
 struct GraphRun {
   std::string variant;
   std::string policy;
-  std::string graph; ///< "run" or "runStep"
   analysis::GraphCheckReport report;
 };
 
-/// One level-shaped pair of fields for lowering (ghosts exchanged so the
-/// run() contract holds; lowerGraph never executes kernels anyway).
-struct Level {
-  LevelData phi0;
-  LevelData phi1;
-};
+constexpr grid::Real kDt = 1e-3;
 
-Level makeLevel(const DisjointBoxLayout& dbl) {
-  Level lv{LevelData(dbl, kernels::kNumComp, kernels::kNumGhost),
-           LevelData(dbl, kernels::kNumComp, 0)};
-  kernels::initializeExemplar(lv.phi0);
-  return lv;
+/// One forward-Euler step: exchange, RHS evaluation, axpy — the level's
+/// exchange-plus-evaluation graph and one stage combine.
+core::StepProgram eulerStep() {
+  return solvers::buildStepProgram(solvers::Scheme::ForwardEuler, kDt);
+}
+
+LevelData makeLevel(const DisjointBoxLayout& dbl) {
+  LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
+  kernels::initializeExemplar(u);
+  return u;
+}
+
+/// The analysis model of the Euler step's graph under `policy` (lowered,
+/// never executed).
+analysis::TaskGraphModel lowerStep(const VariantConfig& cfg,
+                                   LevelPolicy policy, int nThreads,
+                                   const DisjointBoxLayout& dbl) {
+  core::StepExecOptions opts;
+  opts.policy = policy;
+  core::StepGraphExecutor exec(cfg, nThreads, opts);
+  LevelData u = makeLevel(dbl);
+  return exec.lowerModels(eulerStep(), u, {}).front();
 }
 
 int runMutations(const std::vector<VariantConfig>& families,
+                 const std::vector<LevelPolicy>& policies,
                  const DisjointBoxLayout& dbl, int nThreads, int nSeeds,
                  bool json, std::vector<std::string>& jsonRows) {
   using analysis::mutate::GraphMutation;
@@ -122,58 +137,51 @@ int runMutations(const std::vector<VariantConfig>& families,
   int executed = 0;
   int skipped = 0;
   for (const VariantConfig& cfg : families) {
-    for (const LevelPolicy policy :
-         {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
-      core::LevelExecOptions opts;
-      opts.policy = policy;
-      core::LevelExecutor exec(cfg, nThreads, opts);
-      Level lv = makeLevel(dbl);
-      for (const bool withExchange : {false, true}) {
-        const analysis::TaskGraphModel model =
-            exec.lowerGraph(lv.phi0, lv.phi1, withExchange);
-        for (std::uint64_t seed = 0;
-             seed < static_cast<std::uint64_t>(nSeeds); ++seed) {
-          const GraphMutation muts[] = {
-              analysis::mutate::dropGraphEdge(model, seed),
-              analysis::mutate::rerouteGraphEdge(model, seed),
-              analysis::mutate::shrinkGhostWrite(model, seed),
-          };
-          for (const GraphMutation& mut : muts) {
-            if (mut.expect == analysis::DiagnosticKind::Ok) {
-              ++skipped; // graph offered no candidate for this class
+    for (const LevelPolicy policy : policies) {
+      const analysis::TaskGraphModel model =
+          lowerStep(cfg, policy, nThreads, dbl);
+      for (std::uint64_t seed = 0;
+           seed < static_cast<std::uint64_t>(nSeeds); ++seed) {
+        const GraphMutation muts[] = {
+            analysis::mutate::dropGraphEdge(model, seed),
+            analysis::mutate::rerouteGraphEdge(model, seed),
+            analysis::mutate::shrinkGhostWrite(model, seed),
+        };
+        for (const GraphMutation& mut : muts) {
+          if (mut.expect == analysis::DiagnosticKind::Ok) {
+            ++skipped; // graph offered no candidate for this class
+            continue;
+          }
+          ++executed;
+          const auto rep = analysis::checkTaskGraph(mut.model);
+          const std::string tagA = model.label(mut.taskA);
+          const std::string tagB = model.label(mut.taskB);
+          bool caught = false;
+          for (const analysis::Diagnostic& d : rep.diagnostics) {
+            if (d.kind != mut.expect) {
               continue;
             }
-            ++executed;
-            const auto rep = analysis::checkTaskGraph(mut.model);
-            const std::string tagA = model.label(mut.taskA);
-            const std::string tagB = model.label(mut.taskB);
-            bool caught = false;
-            for (const analysis::Diagnostic& d : rep.diagnostics) {
-              if (d.kind != mut.expect) {
-                continue;
-              }
-              const bool namesPair =
-                  (d.stageA == tagA && d.stageB == tagB) ||
-                  (d.stageA == tagB && d.stageB == tagA);
-              if (namesPair) {
-                caught = true;
-                break;
-              }
+            const bool namesPair =
+                (d.stageA == tagA && d.stageB == tagB) ||
+                (d.stageA == tagB && d.stageB == tagA);
+            if (namesPair) {
+              caught = true;
+              break;
             }
-            if (!caught) {
-              ++failures;
-              std::cerr << "MISSED MUTATION [" << model.name
-                        << ", seed " << seed << "]: " << mut.what
-                        << "\n  expected "
-                        << analysis::diagnosticKindName(mut.expect)
-                        << " naming '" << tagA << "' vs '" << tagB
-                        << "', got " << rep.diagnostics.size()
-                        << " diagnostic(s)";
-              for (const auto& d : rep.diagnostics) {
-                std::cerr << "\n    " << d.message();
-              }
-              std::cerr << "\n";
+          }
+          if (!caught) {
+            ++failures;
+            std::cerr << "MISSED MUTATION [" << model.name
+                      << ", seed " << seed << "]: " << mut.what
+                      << "\n  expected "
+                      << analysis::diagnosticKindName(mut.expect)
+                      << " naming '" << tagA << "' vs '" << tagB
+                      << "', got " << rep.diagnostics.size()
+                      << " diagnostic(s)";
+            for (const auto& d : rep.diagnostics) {
+              std::cerr << "\n    " << d.message();
             }
+            std::cerr << "\n";
           }
         }
       }
@@ -197,31 +205,29 @@ int runMutations(const std::vector<VariantConfig>& families,
 }
 
 int runReplay(const std::vector<VariantConfig>& families,
+              const std::vector<LevelPolicy>& policies,
               const DisjointBoxLayout& dbl, int nThreads, bool json,
               std::vector<std::string>& jsonRows) {
   int failures = 0;
   int executed = 0;
   for (const VariantConfig& cfg : families) {
-    // Reference: box-sequential evaluation of the same exchanged level.
-    Level ref = makeLevel(dbl);
+    // Reference: the eager step from the same initial data.
+    LevelData ref = makeLevel(dbl);
     {
-      core::LevelExecOptions opts;
-      opts.policy = LevelPolicy::BoxSequential;
-      core::LevelExecutor exec(cfg, nThreads, opts);
-      exec.run(ref.phi0, ref.phi1);
+      solvers::FluxDivRhs rhs(cfg, nThreads);
+      solvers::TimeIntegrator integ(solvers::Scheme::ForwardEuler, dbl);
+      integ.advanceEager(ref, kDt, rhs);
     }
-    for (const LevelPolicy policy :
-         {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
+    for (const LevelPolicy policy : policies) {
       for (const core::ReplayOrder order : core::kReplayOrders) {
-        core::LevelExecOptions opts;
+        core::StepExecOptions opts;
         opts.policy = policy;
         opts.replay = {order, /*seed=*/1234};
-        core::LevelExecutor exec(cfg, nThreads, opts);
-        Level lv = makeLevel(dbl);
-        exec.run(lv.phi0, lv.phi1);
+        core::StepGraphExecutor exec(cfg, nThreads, opts);
+        LevelData u = makeLevel(dbl);
+        exec.run(eulerStep(), u, {});
         ++executed;
-        const double diff =
-            LevelData::maxAbsDiffValid(ref.phi1, lv.phi1);
+        const double diff = LevelData::maxAbsDiffValid(ref, u);
         if (diff != 0.0) {
           ++failures;
           std::cerr << "REPLAY MISMATCH: " << cfg.name() << " / "
@@ -242,7 +248,7 @@ int runReplay(const std::vector<VariantConfig>& families,
   } else {
     std::cout << "replay suite: " << executed
               << " adversarial ordering(s), " << failures
-              << " mismatched vs sequential\n";
+              << " mismatched vs eager\n";
   }
   return failures;
 }
@@ -252,8 +258,8 @@ int runReplay(const std::vector<VariantConfig>& families,
 int main(int argc, char** argv) {
   harness::Args args;
   args.addString("policy", "all",
-                 "level policy to verify: all, parallel, or hybrid "
-                 "(sequential has no task graph)");
+                 "level policy to verify: all (parallel and hybrid), "
+                 "sequential, parallel, or hybrid");
   args.addInt("nboxes", 8, "boxes per level");
   args.addInt("boxsize", 16, "box side N");
   args.addInt("threads", 4, "pool workers (task ownership layout)");
@@ -264,8 +270,8 @@ int main(int argc, char** argv) {
                "checker to reject each with its predicted witness");
   args.addInt("seeds", 5, "seeds per mutation class for --mutate");
   args.addBool("replay",
-               "execute each graph under the four adversarial orderings "
-               "and require bit-identity with the sequential policy");
+               "execute each step under the four adversarial orderings "
+               "and require bit-identity with the eager step");
   try {
     if (!args.parse(argc, argv)) {
       return 0;
@@ -289,10 +295,9 @@ int main(int argc, char** argv) {
     policies = {LevelPolicy::BoxParallel, LevelPolicy::Hybrid};
   } else {
     LevelPolicy p{};
-    if (!core::parseLevelPolicy(policyArg, p) ||
-        p == LevelPolicy::BoxSequential) {
-      std::cerr << "error: --policy must be all, parallel, or hybrid "
-                   "(got '"
+    if (!core::parseLevelPolicy(policyArg, p)) {
+      std::cerr << "error: --policy must be all, sequential, parallel, or "
+                   "hybrid (got '"
                 << policyArg << "')\n";
       return 1;
     }
@@ -311,20 +316,12 @@ int main(int argc, char** argv) {
   std::vector<GraphRun> runs;
   for (const VariantConfig& cfg : families) {
     for (const LevelPolicy policy : policies) {
-      core::LevelExecOptions opts;
-      opts.policy = policy;
-      core::LevelExecutor exec(cfg, nThreads, opts);
-      Level lv = makeLevel(dbl);
-      for (const bool withExchange : {false, true}) {
-        GraphRun gr;
-        gr.variant = cfg.name();
-        gr.policy = core::levelPolicyName(policy);
-        gr.graph = withExchange ? "runStep" : "run";
-        gr.report = analysis::checkTaskGraph(
-            exec.lowerGraph(lv.phi0, lv.phi1, withExchange),
-            /*findRemovable=*/true);
-        runs.push_back(std::move(gr));
-      }
+      GraphRun gr;
+      gr.variant = cfg.name();
+      gr.policy = core::levelPolicyName(policy);
+      gr.report = analysis::checkTaskGraph(
+          lowerStep(cfg, policy, nThreads, dbl), /*findRemovable=*/true);
+      runs.push_back(std::move(gr));
     }
   }
 
@@ -339,7 +336,6 @@ int main(int argc, char** argv) {
       }
       row += "{\"variant\": \"" + jsonEscape(gr.variant) + "\"";
       row += ", \"policy\": \"" + gr.policy + "\"";
-      row += ", \"graph\": \"" + gr.graph + "\"";
       row += ", \"tasks\": " + std::to_string(gr.report.taskCount);
       row += ", \"edges\": " + std::to_string(gr.report.edgeCount);
       row += ", \"criticalPath\": " +
@@ -353,13 +349,13 @@ int main(int argc, char** argv) {
     row += "]";
     jsonRows.push_back(std::move(row));
   } else {
-    std::cout << "verifying level-executor task graphs over "
+    std::cout << "verifying forward-Euler step graphs over "
               << dbl.size() << " x " << boxSize
               << "^3 boxes, threads=" << nThreads << "\n\n";
-    harness::Table table({"variant", "policy", "graph", "tasks", "edges",
+    harness::Table table({"variant", "policy", "tasks", "edges",
                           "depth", "races", "removable"});
     for (const GraphRun& gr : runs) {
-      table.addRow({gr.variant, gr.policy, gr.graph,
+      table.addRow({gr.variant, gr.policy,
                     std::to_string(gr.report.taskCount),
                     std::to_string(gr.report.edgeCount),
                     std::to_string(gr.report.criticalPath),
@@ -381,13 +377,14 @@ int main(int argc, char** argv) {
   int mutationFailures = 0;
   if (args.getBool("mutate")) {
     mutationFailures =
-        runMutations(families, dbl, nThreads,
+        runMutations(families, policies, dbl, nThreads,
                      static_cast<int>(args.getInt("seeds")), json,
                      jsonRows);
   }
   int replayFailures = 0;
   if (args.getBool("replay")) {
-    replayFailures = runReplay(families, dbl, nThreads, json, jsonRows);
+    replayFailures =
+        runReplay(families, policies, dbl, nThreads, json, jsonRows);
   }
 
   if (json) {

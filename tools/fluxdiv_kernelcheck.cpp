@@ -4,8 +4,8 @@
 // reference pipelines, and the variant executors' whole-box paths — and
 // proves the declared stencil footprints of kernels/footprint.hpp sound
 // and tight: K1 (every observed access is declared), K2 (every declared
-// offset is exercised), K3 (the lowered task graphs' footprints agree
-// with the proven hulls).
+// offset is exercised), K3 (the RHS tasks of the lowered step graphs
+// read what the proven hulls say they must).
 //
 //   ./tools/fluxdiv_kernelcheck [--stage <substring>] [--boxsize 8]
 //                               [--pitch all|padded|dense] [--threads 4]
@@ -31,8 +31,8 @@
 
 #include "analysis/kernelcheck.hpp"
 #include "analysis/mutate.hpp"
-#include "core/exec_level.hpp"
 #include "core/kernelshapes.hpp"
+#include "core/stepgraph.hpp"
 #include "core/variant.hpp"
 #include "grid/box.hpp"
 #include "grid/leveldata.hpp"
@@ -40,6 +40,7 @@
 #include "harness/table.hpp"
 #include "kernels/exemplar.hpp"
 #include "kernels/init.hpp"
+#include "solvers/integrator.hpp"
 
 using namespace fluxdiv;
 using core::VariantConfig;
@@ -103,8 +104,9 @@ int countObservedReads(const analysis::KernelFootprintModel& m) {
   return n;
 }
 
-/// K3: lower the level executor's run() graphs for the representative
-/// families and prove their declared footprints agree with the hulls the
+/// K3: lower one forward-Euler step (exchange, RHS evaluation, axpy)
+/// through the step-graph executor for the representative families and
+/// prove its RHS tasks' declared footprints agree with the hulls the
 /// differential probe established.
 std::vector<analysis::KernelDiag>
 checkLoweredGraphs(const analysis::ProvenFootprints& proven, int boxSize,
@@ -113,20 +115,20 @@ checkLoweredGraphs(const analysis::ProvenFootprints& proven, int boxSize,
       IntVect::zero(),
       IntVect{2 * boxSize - 1, 2 * boxSize - 1, 2 * boxSize - 1}));
   const DisjointBoxLayout dbl(dom, boxSize);
-  LevelData phi0(dbl, kernels::kNumComp, kernels::kNumGhost);
-  LevelData phi1(dbl, kernels::kNumComp, 0);
-  kernels::initializeExemplar(phi0);
+  LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
+  kernels::initializeExemplar(u);
+  const core::StepProgram prog =
+      solvers::buildStepProgram(solvers::Scheme::ForwardEuler, 1e-3);
 
   std::vector<analysis::KernelDiag> diags;
   for (const VariantConfig& cfg : representativeFamilies(boxSize)) {
     for (const core::LevelPolicy policy :
          {core::LevelPolicy::BoxParallel, core::LevelPolicy::Hybrid}) {
-      core::LevelExecOptions opts;
+      core::StepExecOptions opts;
       opts.policy = policy;
-      core::LevelExecutor exec(cfg, nThreads, opts);
-      for (const bool withExchange : {false, true}) {
-        const analysis::TaskGraphModel model =
-            exec.lowerGraph(phi0, phi1, withExchange);
+      core::StepGraphExecutor exec(cfg, nThreads, opts);
+      for (const analysis::TaskGraphModel& model :
+           exec.lowerModels(prog, u, {})) {
         ++graphsChecked;
         std::vector<analysis::KernelDiag> d =
             analysis::checkGraphFootprints(model, proven);
