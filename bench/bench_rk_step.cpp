@@ -1,6 +1,6 @@
-// Whole-RK-step fusion bench (docs/perf.md "Step fusion"): staged vs
-// fused vs comm-avoiding lazy step graphs (core/stepgraph) against the
-// eager per-stage loop, across schemes, box sizes, and thread counts.
+// Whole-RK-step fusion bench (docs/perf.md "Step fusion"): fused vs
+// comm-avoiding lazy step graphs (core/stepgraph) against the eager
+// per-stage loop, across schemes, box sizes, and thread counts.
 // Fused graphs let stage-(i+1) interior tasks start while stage-i fringe
 // tasks drain, and amortize one pool dispatch over the whole step;
 // comm-avoiding additionally collapses the per-stage exchanges into one
@@ -12,6 +12,8 @@
 //                         [--window 1] [--threads ...] [--reps 5]
 //                         [--csv out.csv] [--json out.json]
 //
+// --fuse all means eager, fused, commavoid; the "vs fused" column is the
+// fused step time over each row's (>1 = faster than fused).
 // --window W > 1 captures W consecutive time steps as one task graph
 // under fused/comm-avoiding (cross-timestep fusion).
 //
@@ -87,7 +89,7 @@ grid::DisjointBoxLayout rowLayout(int n, int nBoxes) {
 /// time steps advanced in `window`-step chunks: window 1 times the
 /// per-step graphs; window > 1 captures `window` consecutive steps as
 /// ONE task graph under fused/comm-avoiding (cross-timestep fusion;
-/// eager and staged always advance step by step). One warm-up chunk
+/// eager always advances step by step). One warm-up chunk
 /// captures the graph outside the timed region.
 double timeStep(solvers::Scheme scheme, core::StepFuse fuse,
                 core::LevelPolicy policy, const core::VariantConfig& cfg,
@@ -127,7 +129,7 @@ int main(int argc, char** argv) {
                  "or 'all'");
   args.addString("fuse", "all",
                  "comma-separated step-fuse modes "
-                 "(eager/staged/fused/commavoid) or 'all'");
+                 "(eager/fused/commavoid) or 'all'");
   args.addString("policy", "parallel",
                  "level policy for the step-graph task granularity "
                  "(sequential/parallel/hybrid)");
@@ -160,7 +162,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bench::printHeader("Whole-RK-step fusion: staged vs fused vs "
+  bench::printHeader("Whole-RK-step fusion: eager vs fused vs "
                      "comm-avoiding step graphs",
                      args);
   const int reps = static_cast<int>(args.getInt("reps"));
@@ -179,7 +181,7 @@ int main(int argc, char** argv) {
           : core::makeShiftFuse(core::ParallelGranularity::WithinBox);
 
   harness::Table table({"scheme", "boxes", "fuse", "threads", "s/step",
-                        "vs staged"});
+                        "vs fused"});
   harness::CsvWriter csv(args.getString("csv"),
                          {"scheme", "boxsize", "nboxes", "fuse", "policy",
                           "window", "threads", "seconds_per_step"});
@@ -188,21 +190,30 @@ int main(int argc, char** argv) {
   for (const solvers::Scheme scheme : schemes) {
     for (const int n : args.getIntList("boxsize")) {
       const grid::DisjointBoxLayout dbl = rowLayout(n, nBoxes);
+      const std::string boxes =
+          std::to_string(nBoxes) + "x" + std::to_string(n) + "^3";
       for (const int t : threads) {
-        double stagedSecs = 0.0;
+        std::vector<double> secsOf;
+        double fusedSecs = 0.0;
         for (const core::StepFuse fuse : fuses) {
-          const double secs = timeStep(scheme, fuse, policy, cfg, dbl, t,
-                                       steps, window, reps);
-          if (fuse == core::StepFuse::Staged) {
-            stagedSecs = secs;
+          secsOf.push_back(timeStep(scheme, fuse, policy, cfg, dbl, t,
+                                    steps, window, reps));
+          if (fuse == core::StepFuse::Fused) {
+            fusedSecs = secsOf.back();
           }
-          const std::string boxes =
-              std::to_string(nBoxes) + "x" + std::to_string(n) + "^3";
+          std::cerr << "  " << solvers::schemeName(scheme) << " " << boxes
+                    << " " << core::stepFuseName(fuse) << " t=" << t
+                    << ": " << harness::formatSeconds(secsOf.back())
+                    << "s/step\n";
+        }
+        for (std::size_t f = 0; f < fuses.size(); ++f) {
+          const core::StepFuse fuse = fuses[f];
+          const double secs = secsOf[f];
           table.addRow({solvers::schemeName(scheme), boxes,
                         core::stepFuseName(fuse), std::to_string(t),
                         harness::formatSeconds(secs),
-                        stagedSecs > 0.0
-                            ? harness::formatDouble(stagedSecs / secs, 2) +
+                        fusedSecs > 0.0
+                            ? harness::formatDouble(fusedSecs / secs, 2) +
                                   "x"
                             : "-"});
           csv.writeRow({solvers::schemeName(scheme), std::to_string(n),
@@ -219,9 +230,6 @@ int main(int argc, char** argv) {
                        {"window", static_cast<double>(window)},
                        {"threads", static_cast<double>(t)},
                        {"seconds_per_step", secs}});
-          std::cerr << "  " << solvers::schemeName(scheme) << " " << boxes
-                    << " " << core::stepFuseName(fuse) << " t=" << t
-                    << ": " << harness::formatSeconds(secs) << "s/step\n";
         }
       }
     }

@@ -714,25 +714,6 @@ std::array<std::int64_t, 3> tileGrid(const core::VariantConfig& cfg,
   return n;
 }
 
-/// Widest wavefront (front with the most tiles) of a tile grid under the
-/// diagonal ordering tx + ty + tz = w.
-std::int64_t maxFrontSize(const std::array<std::int64_t, 3>& n) {
-  std::int64_t best = 0;
-  for (std::int64_t w = 0; w <= n[0] + n[1] + n[2] - 3; ++w) {
-    std::int64_t size = 0;
-    for (std::int64_t tz = 0; tz < n[2]; ++tz) {
-      for (std::int64_t ty = 0; ty < n[1]; ++ty) {
-        const std::int64_t tx = w - tz - ty;
-        if (tx >= 0 && tx < n[0]) {
-          ++size;
-        }
-      }
-    }
-    best = std::max(best, size);
-  }
-  return best;
-}
-
 } // namespace
 
 std::vector<LevelPolicyCost> analyzeLevelPolicies(
@@ -741,11 +722,6 @@ std::vector<LevelPolicyCost> analyzeLevelPolicies(
   const CostReport box = analyzeCost(cfg, boxSize, nThreads, spec);
   const auto grid = tileGrid(cfg, boxSize);
   const std::int64_t tiles = grid[0] * grid[1] * grid[2];
-  const std::int64_t fronts = grid[0] + grid[1] + grid[2] - 2;
-  const std::int64_t passes =
-      cfg.comp == core::ComponentLoop::Outside
-          ? static_cast<std::int64_t>(kernels::kNumComp)
-          : 1;
 
   std::vector<LevelPolicyCost> out;
   for (const core::LevelPolicy policy : core::kLevelPolicies) {
@@ -778,22 +754,12 @@ std::vector<LevelPolicyCost> analyzeLevelPolicies(
         c.avgConcurrency = static_cast<double>(nBoxes * tiles);
         c.barrierCount = 1;
         break;
-      case core::ScheduleFamily::BlockedWavefront:
-        // Per-box front pipeline (plus the CLO velocity pre-stage); the
-        // boxes' pipelines are independent, so the level DAG is one box
-        // deep and nBoxes wide.
-        c.taskCount =
-            nBoxes * (tiles * passes + (passes > 1 ? 1 : 0));
-        c.depth = fronts * passes + (passes > 1 ? 1 : 0);
-        c.maxConcurrency = nBoxes * maxFrontSize(grid);
-        c.avgConcurrency = static_cast<double>(c.taskCount) /
-                           static_cast<double>(c.depth);
-        c.barrierCount = c.depth;
-        break;
       case core::ScheduleFamily::SeriesOfLoops:
       case core::ScheduleFamily::ShiftFuse:
-        // No independent intra-box units: hybrid degrades to box-parallel
-        // (same fallback the step graphs take).
+      case core::ScheduleFamily::BlockedWavefront:
+        // No independent intra-box units (a wavefront's tiles depend on
+        // their predecessors): hybrid degrades to box-parallel, the box
+        // tasks the step graphs build for these families.
         c.taskCount = nBoxes;
         c.depth = 1;
         c.maxConcurrency = nBoxes;
@@ -884,9 +850,6 @@ std::vector<StepFusionCost> analyzeStepFusion(int rhsEvals, int boxSize,
       // per stage one exchange, one RHS dispatch, and ~2 stage combines.
       c.dispatches = eagerOps > 0 ? eagerOps : 4 * rhsEvals;
       break;
-    case core::StepFuse::Staged:
-      c.dispatches = rhsEvals; // one graph per stage, split at exchanges
-      break;
     case core::StepFuse::Fused:
     case core::StepFuse::CommAvoid:
       c.dispatches = 1; // the whole step is one graph
@@ -894,7 +857,7 @@ std::vector<StepFusionCost> analyzeStepFusion(int rhsEvals, int boxSize,
     }
     // Price: per-exchange fixed costs + halo bytes moved + the write
     // traffic of recomputed RHS cells (each recomputed cell is produced —
-    // written — once more than the staged reference produces it).
+    // written — once more than the fused reference produces it).
     c.costBytes = c.alphaBytes + c.exchangeBytes +
                   c.recomputeCells * fieldBytes;
     if (deep) {

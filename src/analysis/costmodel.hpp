@@ -143,10 +143,10 @@ struct LevelPolicyCost {
 /// Analyze all three level policies for `cfg` over `nBoxes` boxes of side
 /// `boxSize` with `nThreads` workers. The per-box metrics (within-box
 /// concurrency, barriers) come from analyzeCost over the lowered schedule;
-/// the level-scale metrics count whole-box tasks, overlapped (box x tile)
-/// tasks, and — for the blocked-wavefront family under hybrid — a per-box
-/// front pipeline that the step graphs do not build (they run that family
-/// as box tasks). Returned in kLevelPolicies order.
+/// the level-scale metrics count whole-box tasks, or (box x tile) tasks
+/// for the overlapped-tile family under hybrid — the task shapes the step
+/// graphs build (every other family runs as box tasks under hybrid).
+/// Returned in kLevelPolicies order.
 std::vector<LevelPolicyCost> analyzeLevelPolicies(
     const core::VariantConfig& cfg, int boxSize, int nBoxes, int nThreads,
     const CacheSpec& spec);
@@ -179,7 +179,7 @@ struct StepFusionCost {
   std::vector<CostNote> notes;
 };
 
-/// Price all four fuse modes for an `rhsEvals`-stage scheme over a level
+/// Price all three fuse modes for an `rhsEvals`-stage scheme over a level
 /// of `nBoxes` boxes of side `boxSize` (kStepFuseModes order, rank
 /// filled). Emits CostNoteKind::DeepHaloRecompute on the CommAvoid entry
 /// when the deepened-ghost recompute + extra halo traffic exceeds the

@@ -501,7 +501,7 @@ std::string opLabel(const StepProgram& prog, int i) {
 }
 
 /// One lockstep S1 interpretation: `prog` under `plan` against `ref`
-/// under `ref`'s eager (staged) plan. Returns diagnostics; fills
+/// under `ref`'s eager plan. Returns diagnostics; fills
 /// `consumed`/`advDiags` only when tracking liveness (full mode).
 struct RunOutcome {
   std::vector<StepDiagnostic> diagnostics;
@@ -512,7 +512,7 @@ struct RunOutcome {
 RunOutcome runLockstep(const StepProgram& prog, const StepHaloPlan& plan,
                        const StepProgram& ref, const StepCheckOptions& opts,
                        ExprTable& tab, bool track) {
-  const StepHaloPlan eager = core::planStepHalos(ref, StepFuse::Staged);
+  const StepHaloPlan eager = core::planStepHalos(ref, StepFuse::Eager);
   const int depth =
       std::max(storageDepth(prog, plan), storageDepth(ref, eager));
 

@@ -112,7 +112,7 @@ struct StepCheckOptions {
 };
 
 struct StepCheckReport {
-  core::StepFuse fuse = core::StepFuse::Staged;
+  core::StepFuse fuse = core::StepFuse::Fused;
   std::vector<StepDiagnostic> diagnostics;
   std::vector<StepAdvisory> advisories;
   std::size_t exprCount = 0; ///< hash-consed provenance DAG size

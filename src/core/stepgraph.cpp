@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/commcheck.hpp"
+#include "analysis/region.hpp"
 #include "analysis/stepcheck.hpp"
 #include "analysis/verifygate.hpp"
 #include "core/exec_common.hpp"
@@ -161,13 +162,23 @@ void verifyCommOnce(const LevelData& level) {
 #endif
 
 /// Executable graph + analysis mirror + dependence tracker for one
-/// dispatch. addTask() keeps the graph and the model in lockstep (same
+/// capture. addTask() keeps the graph and the model in lockstep (same
 /// ids, same labels, built from the same calls, so the model cannot drift
 /// from what runs); access() records a footprint in the model AND derives
 /// the dependency edges: any earlier access of the same (slot, box) with
 /// a component/region overlap where either side writes becomes an edge.
-/// Program order makes every derived edge point forward, so the graphs
-/// are acyclic by construction (G1 re-proves it independently).
+/// Program order makes every derived edge point forward, so the graph is
+/// acyclic by construction (G1 re-proves it independently).
+///
+/// A write drops the part of every earlier log entry it covers (an entry
+/// it contains goes entirely; a partly covered one keeps its uncovered
+/// rest). Any later access that conflicts with a dropped cell overlaps
+/// the covering write too, so it is ordered after that write, which is
+/// already ordered after the entry: happens-before is unchanged, only
+/// the transitively implied edges go. Without this, each task of a
+/// multi-stage (or multi-step) capture would carry an edge to every
+/// conflicting access of all earlier stages, and the edge count would
+/// grow quadratically with the captured steps instead of linearly.
 class Lowering {
 public:
   Lowering(std::string name, const LevelData& u) {
@@ -203,6 +214,20 @@ public:
         graph.addDep(e.task, task);
         model.addEdge(e.task, task);
       }
+    }
+    if (write) {
+      const std::size_t n = entries.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        const Entry e = entries[i];
+        if (!e.region.intersects(region)) {
+          continue;
+        }
+        for (const Box& rest : analysis::boxDiff(e.region, region)) {
+          entries.push_back({e.task, rest, e.write});
+        }
+        entries[i].task = -1; // covered part dropped, rest re-logged
+      }
+      std::erase_if(entries, [](const Entry& e) { return e.task < 0; });
     }
     entries.push_back({task, region, write});
     analysis::TaskAccess a;
@@ -585,8 +610,8 @@ void lowerOp(Lowering& low, LowerEnv& env, std::size_t opIdx) {
 } // namespace
 
 struct StepGraphExecutor::Capture {
-  // Layout-signature capture key (docs/serving.md "Graph cache"): graphs
-  // are rebuilt only when any of these change. The *identity* of the
+  // Layout-signature capture key (docs/serving.md "Graph cache"): the
+  // graph is rebuilt only when any of these change. The *identity* of the
   // solution LevelData is deliberately absent — a reallocated level with
   // the same signature rebinds via the slot table below.
   std::vector<StepOp> ops;
@@ -607,7 +632,7 @@ struct StepGraphExecutor::Capture {
   std::uint64_t signature = 0;
   int depth = kNumGhost;
   const LevelData* boundU = nullptr; ///< what the rebind slot points at
-  std::vector<LevelData> stage; ///< Staged/Fused: slots 1..nSlots-1
+  std::vector<LevelData> stage; ///< Fused: slots 1..nSlots-1
   std::vector<LevelData> deep;  ///< CommAvoid: all slots at `depth` ghosts
   /// Runtime slot table every task lambda dereferences: entries
   /// 0..nSlots-1 back the program slots, entry nSlots is the external
@@ -615,12 +640,9 @@ struct StepGraphExecutor::Capture {
   /// capture so its address outlives rebinds.
   std::unique_ptr<LevelData*[]> tab;
   int rebindSlot = 0; ///< tab index that tracks the caller's solution
-  struct Phase {
-    TaskGraph graph;
-    analysis::TaskGraphModel model;
-    std::vector<std::pair<int, std::size_t>> epochTargets;
-  };
-  std::vector<Phase> phases;
+  TaskGraph graph;
+  analysis::TaskGraphModel model;
+  std::vector<std::pair<int, std::size_t>> epochTargets;
 
   [[nodiscard]] bool matches(const StepProgram& prog, const LevelData& u,
                              const StepRhsSpec& rhs) const {
@@ -696,9 +718,9 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
       // Same layout signature, different allocation: rebind the solution
       // entry of the slot table — every cached task lambda now reads and
       // writes the new level. Nothing is re-lowered or re-verified (the
-      // graphs depend only on the signature), so the S4 gate first proves
+      // graph depends only on the signature), so the S4 gate first proves
       // the signature of what we are about to run equals the one the
-      // graphs were captured (and step-verified) under.
+      // graph was captured (and step-verified) under.
       const std::uint64_t sig = analysis::stepSignature(
           prog, capture_->fuse, stepShapeKeyOf(u, rhs));
       if (sig != capture_->signature) {
@@ -706,7 +728,7 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
             "StepGraphExecutor: rebind signature mismatch (captured " +
             analysis::stepSignatureHex(capture_->signature) +
             ", rebinding against " + analysis::stepSignatureHex(sig) +
-            "): the cache key admitted a shape the graphs were never "
+            "): the cache key admitted a shape the graph was never "
             "verified for");
       }
       capture_->tab[static_cast<std::size_t>(capture_->rebindSlot)] = &u;
@@ -757,8 +779,8 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
     runner_->prepare(u.validBox(b));
   }
 
-  // Backing storage. Staged/Fused: the solution slot is the caller's
-  // level; stage slots get standard-ghost levels. CommAvoid: every slot —
+  // Backing storage. Fused: the solution slot is the caller's level;
+  // stage slots get standard-ghost levels. CommAvoid: every slot —
   // including a private copy of the solution — gets a deepened-halo level
   // so the one up-front exchange can feed the whole widened chain. The
   // runtime slot table carries one extra entry (index nSlots) for the
@@ -799,87 +821,49 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
     env.rhs.boundary = nullptr; // periodic only; BC ops are dropped
   }
 
-  // Phase split: Staged dispatches one graph per stage (cut before each
-  // exchange, the eager path's synchronization points); Fused/CommAvoid
-  // lower everything into a single graph.
-  std::vector<std::vector<std::size_t>> phaseOps;
-  if (cap->fuse == StepFuse::Staged) {
-    std::vector<std::size_t> cur;
-    for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-      if (prog.ops[i].kind == StepOpKind::Exchange && !cur.empty()) {
-        phaseOps.push_back(std::move(cur));
-        cur.clear();
-      }
-      cur.push_back(i);
-    }
-    if (!cur.empty()) {
-      phaseOps.push_back(std::move(cur));
-    }
-  } else {
-    std::vector<std::size_t> all(prog.ops.size());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      all[i] = i;
-    }
-    phaseOps.push_back(std::move(all));
-  }
-
+  Lowering low(cfg_.name() + " [step " + stepFuseName(cap->fuse) + " " +
+                   levelPolicyName(opts_.policy) + "]",
+               u);
+  low.rhsWritten.assign(static_cast<std::size_t>(prog.nSlots), false);
   const int nc = u.nComp();
-  for (std::size_t p = 0; p < phaseOps.size(); ++p) {
-    std::string name = cfg_.name() + " [step " +
-                       stepFuseName(cap->fuse) + " " +
-                       levelPolicyName(opts_.policy);
-    if (phaseOps.size() > 1) {
-      name += " phase " + std::to_string(p + 1) + "/" +
-              std::to_string(phaseOps.size());
+  LevelData* const* tab = cap->tab.get();
+  const auto extSlot = static_cast<std::size_t>(prog.nSlots);
+  if (cap->fuse == StepFuse::CommAvoid) {
+    // Copy the caller's solution into the deep slot (model slot nSlots
+    // identifies the external level).
+    for (std::size_t b = 0; b < u.size(); ++b) {
+      const Box valid = u.validBox(b);
+      const int t = low.addTask(
+          [tab, extSlot, b, valid, nc](int) {
+            (*tab[0])[b].copy((*tab[extSlot])[b], valid, 0, 0, nc);
+          },
+          env.ownerOf(b), "copyin u box" + std::to_string(b));
+      low.access(t, prog.nSlots, b, valid, nc, false);
+      low.access(t, 0, b, valid, nc, true);
     }
-    name += "]";
-    Lowering low(std::move(name), u);
-    low.rhsWritten.assign(static_cast<std::size_t>(prog.nSlots), false);
-
-    LevelData* const* tab = cap->tab.get();
-    const auto extSlot = static_cast<std::size_t>(prog.nSlots);
-    if (cap->fuse == StepFuse::CommAvoid && p == 0) {
-      // Copy the caller's solution into the deep slot (model slot
-      // nSlots identifies the external level).
-      for (std::size_t b = 0; b < u.size(); ++b) {
-        const Box valid = u.validBox(b);
-        const int t = low.addTask(
-            [tab, extSlot, b, valid, nc](int) {
-              (*tab[0])[b].copy((*tab[extSlot])[b], valid, 0, 0, nc);
-            },
-            env.ownerOf(b), "copyin u box" + std::to_string(b));
-        low.access(t, prog.nSlots, b, valid, nc, false);
-        low.access(t, 0, b, valid, nc, true);
-      }
-    }
-    for (const std::size_t i : phaseOps[p]) {
-      lowerOp(low, env, i);
-    }
-    if (cap->fuse == StepFuse::CommAvoid && p + 1 == phaseOps.size()) {
-      for (std::size_t b = 0; b < u.size(); ++b) {
-        const Box valid = u.validBox(b);
-        const int t = low.addTask(
-            [tab, extSlot, b, valid, nc](int) {
-              (*tab[extSlot])[b].copy((*tab[0])[b], valid, 0, 0, nc);
-            },
-            env.ownerOf(b), "copyout u box" + std::to_string(b));
-        low.access(t, 0, b, valid, nc, false);
-        low.access(t, prog.nSlots, b, valid, nc, true);
-      }
-    }
-
-    Capture::Phase phase;
-    phase.graph = std::move(low.graph);
-    phase.model = std::move(low.model);
-    phase.epochTargets = std::move(low.epochTargets);
-    cap->phases.push_back(std::move(phase));
   }
+  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
+    lowerOp(low, env, i);
+  }
+  if (cap->fuse == StepFuse::CommAvoid) {
+    for (std::size_t b = 0; b < u.size(); ++b) {
+      const Box valid = u.validBox(b);
+      const int t = low.addTask(
+          [tab, extSlot, b, valid, nc](int) {
+            (*tab[extSlot])[b].copy((*tab[0])[b], valid, 0, 0, nc);
+          },
+          env.ownerOf(b), "copyout u box" + std::to_string(b));
+      low.access(t, 0, b, valid, nc, false);
+      low.access(t, prog.nSlots, b, valid, nc, true);
+    }
+  }
+  cap->graph = std::move(low.graph);
+  cap->model = std::move(low.model);
+  cap->epochTargets = std::move(low.epochTargets);
 
 #ifdef FLUXDIV_GRAPH_VERIFY
-  // Prove every captured graph race-free before its first execution.
-  for (const Capture::Phase& phase : cap->phases) {
-    throwOnStepGraphDiagnostics(phase.model);
-  }
+  // Prove the captured graph race-free before its first execution.
+  throwOnStepGraphDiagnostics(cap->model);
 #endif
 
   const std::uint64_t hits = stats_.cacheHits;
@@ -888,16 +872,14 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   stats_.cacheHits = hits; // lifetime counters survive rebuilds
   stats_.rebinds = rebinds;
   stats_.fuse = cap->fuse;
-  stats_.graphCount = cap->phases.size();
+  stats_.graphCount = 1;
   stats_.exchangeDepth = cap->depth;
   stats_.rebuilt = true;
-  for (const Capture::Phase& phase : cap->phases) {
-    stats_.taskCount += phase.graph.size();
-    stats_.edgeCount += phase.model.edgeCount();
-    for (const auto& t : phase.model.tasks) {
-      if (t.exchangeOp) {
-        ++stats_.exchangeOps;
-      }
+  stats_.taskCount = cap->graph.size();
+  stats_.edgeCount = cap->model.edgeCount();
+  for (const auto& t : cap->model.tasks) {
+    if (t.exchangeOp) {
+      ++stats_.exchangeOps;
     }
   }
 
@@ -907,69 +889,59 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
 
 void StepGraphExecutor::run(const StepProgram& prog, grid::LevelData& u,
                             const StepRhsSpec& rhs) {
-  Capture& cap = ensureCapture(prog, u, rhs);
-  const bool rebuilt = stats_.rebuilt;
-  for (std::size_t p = 0; p < cap.phases.size(); ++p) {
-    TaskGraph& graph = beginPhase(p);
-    if (opts_.replay.order != ReplayOrder::None) {
-      pool_->runReplay(graph, opts_.replay);
-    } else if (opts_.sharedPool != nullptr) {
-      pool_->wait(pool_->submit(graph, opts_.domain));
-    } else {
-      pool_->run(graph);
-    }
-    endPhase(p);
+  ensureCapture(prog, u, rhs);
+  TaskGraph& graph = beginPhase(0);
+  if (opts_.replay.order != ReplayOrder::None) {
+    pool_->runReplay(graph, opts_.replay);
+  } else if (opts_.sharedPool != nullptr) {
+    pool_->wait(pool_->submit(graph, opts_.domain));
+  } else {
+    pool_->run(graph);
   }
-  stats_.rebuilt = rebuilt;
+  endPhase(0);
 }
 
 std::size_t StepGraphExecutor::preparePhases(const StepProgram& prog,
                                              grid::LevelData& u,
                                              const StepRhsSpec& rhs) {
-  return ensureCapture(prog, u, rhs).phases.size();
+  ensureCapture(prog, u, rhs);
+  return 1;
+}
+
+StepGraphExecutor::Capture&
+StepGraphExecutor::capturedPhase(std::size_t p, const char* caller) {
+  if (capture_ == nullptr || p != 0) {
+    throw std::logic_error(std::string("StepGraphExecutor::") + caller +
+                           ": no capture (call preparePhases) or phase " +
+                           std::to_string(p) + " is not 0");
+  }
+  return *capture_;
 }
 
 TaskGraph& StepGraphExecutor::beginPhase(std::size_t p) {
-  if (capture_ == nullptr || p >= capture_->phases.size()) {
-    throw std::logic_error(
-        "StepGraphExecutor::beginPhase: no capture (call preparePhases) "
-        "or phase out of range");
-  }
-  Capture::Phase& phase = capture_->phases[p];
+  Capture& cap = capturedPhase(p, "beginPhase");
 #ifdef FLUXDIV_SHADOW_CHECK
-  for (const auto& [slot, b] : phase.epochTargets) {
-    (*capture_->tab[static_cast<std::size_t>(slot)])[b].shadowBeginEpoch();
+  for (const auto& [slot, b] : cap.epochTargets) {
+    (*cap.tab[static_cast<std::size_t>(slot)])[b].shadowBeginEpoch();
   }
 #endif
-  return phase.graph;
+  return cap.graph;
 }
 
 void StepGraphExecutor::endPhase(std::size_t p) {
-  if (capture_ == nullptr || p >= capture_->phases.size()) {
-    throw std::logic_error(
-        "StepGraphExecutor::endPhase: no capture or phase out of range");
-  }
+  [[maybe_unused]] const Capture& cap = capturedPhase(p, "endPhase");
 #ifdef FLUXDIV_SHADOW_CHECK
-  const Capture::Phase& phase = capture_->phases[p];
-  for (const auto& [slot, b] : phase.epochTargets) {
+  for (const auto& [slot, b] : cap.epochTargets) {
     detail::throwOnShadowViolations(
-        (*capture_->tab[static_cast<std::size_t>(slot)])[b],
-        "StepGraphExecutor");
+        (*cap.tab[static_cast<std::size_t>(slot)])[b], "StepGraphExecutor");
   }
 #endif
 }
 
-std::vector<analysis::TaskGraphModel>
-StepGraphExecutor::lowerModels(const StepProgram& prog,
-                               grid::LevelData& u,
-                               const StepRhsSpec& rhs) {
-  Capture& cap = ensureCapture(prog, u, rhs);
-  std::vector<analysis::TaskGraphModel> models;
-  models.reserve(cap.phases.size());
-  for (const Capture::Phase& phase : cap.phases) {
-    models.push_back(phase.model);
-  }
-  return models;
+analysis::TaskGraphModel
+StepGraphExecutor::lowerModel(const StepProgram& prog, grid::LevelData& u,
+                              const StepRhsSpec& rhs) {
+  return ensureCapture(prog, u, rhs).model;
 }
 
 } // namespace fluxdiv::core

@@ -11,18 +11,17 @@
 // boxes are still in flight (the delayed-execution idea of the OPS
 // runtime-tiling work, applied to our RK substep chains).
 //
-// Three executable fuse modes (core::StepFuse; StepFuse::Eager stays in
-// solvers as the reference path):
+// Two executable fuse modes (core::StepFuse; StepFuse::Eager stays in
+// solvers as the reference path). Either way a capture is exactly one
+// graph, dispatched once per run:
 //
-//   Staged     one graph dispatch per stage: identical synchronization
-//              structure to the eager path, but the copyValid/addScaled
-//              stage combines run as per-box (or per-tile) tasks on the
-//              work-stealing pool instead of serial whole-level sweeps.
-//   Fused      one graph for the whole step (or several steps): only true
-//              data dependencies order tasks across stages, and with the
-//              hybrid level policy the (box x tile) stage tasks skew so a
-//              tile's stage-2 compute runs right after its stage-1
-//              producers (sparse cross-stage tiling over sched/tiles).
+//   Fused      the whole step (or several steps): only true data
+//              dependencies order tasks across stages, the copyValid/
+//              addScaled stage combines run as per-box (or per-tile)
+//              tasks, and with the hybrid level policy the (box x tile)
+//              stage tasks skew so a tile's stage-2 compute runs right
+//              after its stage-1 producers (sparse cross-stage tiling
+//              over sched/tiles).
 //   CommAvoid  one *deepened* exchange of kNumGhost x rhsEvals ghost
 //              layers up front; every stage recomputes its RHS on a halo
 //              widened by a backward dataflow analysis (planStepHalos),
@@ -37,7 +36,7 @@
 // valid region, and comm-avoiding recomputation only changes *where*
 // ghost values come from, never the arithmetic on valid cells.
 //
-// Every captured graph is mirrored into an analysis::TaskGraphModel with
+// The captured graph is mirrored into an analysis::TaskGraphModel with
 // slot-qualified footprints (TaskAccess::slot) and — in Debug or with
 // -DFLUXDIV_VERIFY_GRAPH=ON — proven race-free by analysis/graphcheck
 // before its first execution; with -DFLUXDIV_VERIFY_COMM=ON (or Debug) the
@@ -51,7 +50,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "analysis/graphcheck.hpp"
 #include "core/stepprogram.hpp"
@@ -95,28 +93,28 @@ struct StepExecOptions {
 /// Statistics of the most recent capture, for benches and the advisor.
 /// `cacheHits` and `rebinds` accumulate over the executor's lifetime
 /// (they survive rebuilds): a hit is any run that reused the cached
-/// graphs, a rebind is the subset where the solution LevelData was a
+/// graph, a rebind is the subset where the solution LevelData was a
 /// *different* allocation with an identical layout signature — the
 /// layout-keyed reuse path (docs/serving.md "Graph cache").
 struct StepGraphStats {
   StepFuse fuse = StepFuse::Fused;   ///< effective mode after CA fallback
-  std::size_t graphCount = 0;        ///< dispatches per run (Staged > 1)
-  std::size_t taskCount = 0;         ///< tasks across all graphs
-  std::size_t edgeCount = 0;         ///< dependency edges across all graphs
+  std::size_t graphCount = 0;        ///< dispatches per run: always 1
+  std::size_t taskCount = 0;         ///< tasks in the graph
+  std::size_t edgeCount = 0;         ///< dependency edges in the graph
   int exchangeDepth = 0;             ///< ghost layers the exchanges fill
   std::size_t exchangeOps = 0;       ///< ghost copy-op tasks per run
-  bool rebuilt = false;              ///< last run() rebuilt the graphs
-  std::uint64_t cacheHits = 0;       ///< runs that reused cached graphs
+  bool rebuilt = false;              ///< last run() rebuilt the graph
+  std::uint64_t cacheHits = 0;       ///< runs that reused the cached graph
   std::uint64_t rebinds = 0;         ///< hits onto a reallocated LevelData
 };
 
 /// Captures a StepProgram over one LevelData and executes it on a
 /// persistent work-stealing TaskPool (a private one, or a shared service
-/// pool via StepExecOptions::sharedPool). Graphs are keyed by *layout
+/// pool via StepExecOptions::sharedPool). The graph is keyed by *layout
 /// signature* — domain box, periodicity, box size, ghost depth, component
 /// count, program ops, and physics — not by LevelData pointer identity:
 /// a re-allocated solution with an identical shape rebinds into the
-/// cached graphs through the capture's slot table instead of re-lowering
+/// cached graph through the capture's slot table instead of re-lowering
 /// (stats().rebinds counts these). Stage/deep-halo storage is owned by
 /// the executor and reused across runs.
 class StepGraphExecutor {
@@ -133,13 +131,12 @@ public:
   void run(const StepProgram& prog, grid::LevelData& u,
            const StepRhsSpec& rhs);
 
-  /// Capture without executing: the analysis models of every graph run()
-  /// would dispatch, in dispatch order (one for Fused/CommAvoid, one per
-  /// stage for Staged). For the graphcheck and kernelcheck CLIs, the
+  /// Capture without executing: the analysis model of the graph run()
+  /// would dispatch. For the graphcheck and kernelcheck CLIs, the
   /// advisor, and tests.
-  [[nodiscard]] std::vector<analysis::TaskGraphModel>
-  lowerModels(const StepProgram& prog, grid::LevelData& u,
-              const StepRhsSpec& rhs);
+  [[nodiscard]] analysis::TaskGraphModel
+  lowerModel(const StepProgram& prog, grid::LevelData& u,
+             const StepRhsSpec& rhs);
 
   /// The fuse mode that would actually execute for this program/level
   /// (CommAvoid falls back to Fused on boundary conditions or when the
@@ -152,32 +149,38 @@ public:
   [[nodiscard]] int nThreads() const { return nThreads_; }
   [[nodiscard]] const StepGraphStats& stats() const { return stats_; }
 
-  /// Phase-by-phase service API (docs/serving.md): capture (or rebind)
-  /// without executing and return the number of graph dispatches one
-  /// run() performs (1 for Fused/CommAvoid, stages for Staged). The
-  /// orchestrator then, per phase in order: beginPhase -> submit the
-  /// returned graph to the shared pool -> after its ticket completes,
-  /// endPhase. Phases of one executor must run in order and one at a
-  /// time; different executors interleave freely.
+  /// Submission API for an externally driven pool (docs/serving.md):
+  /// capture (or rebind) without executing and return the number of
+  /// graphs one run() dispatches — always 1, the single phase 0. The
+  /// caller then runs beginPhase(0) -> submit the returned graph to the
+  /// shared pool -> after its ticket completes, endPhase(0). One
+  /// executor's graph runs one submission at a time; different executors
+  /// interleave freely.
   std::size_t preparePhases(const StepProgram& prog, grid::LevelData& u,
                             const StepRhsSpec& rhs);
 
-  /// Arm phase `p` (re-arms shadow-check epochs on the stage storage the
-  /// phase overwrites) and return its executable graph for submission.
+  /// Arm the graph (re-arms shadow-check epochs on the stage storage it
+  /// overwrites) and return it for submission. `p` must be 0; any other
+  /// index, or no prior preparePhases(), throws std::logic_error.
   [[nodiscard]] TaskGraph& beginPhase(std::size_t p);
 
-  /// Complete phase `p` after its submitted graph finished: runs the
+  /// Complete the graph after its submission finished: runs the
   /// shadow-violation check (throws std::logic_error on a detected race).
+  /// `p` must be 0, as for beginPhase.
   void endPhase(std::size_t p);
 
 private:
-  struct Capture; // cached lowered graphs + bookkeeping (stepgraph.cpp)
+  struct Capture; // cached lowered graph + bookkeeping (stepgraph.cpp)
 
   /// (Re)capture when the (program, layout signature, physics) key
   /// changed; rebind when only the solution's identity changed; returns
   /// the up-to-date capture.
   Capture& ensureCapture(const StepProgram& prog, grid::LevelData& u,
                          const StepRhsSpec& rhs);
+
+  /// The capture, after checking the phase index `p` is 0 (throws
+  /// std::logic_error naming `caller` otherwise, or with no capture).
+  Capture& capturedPhase(std::size_t p, const char* caller);
 
   VariantConfig cfg_;
   int nThreads_;

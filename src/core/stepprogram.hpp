@@ -81,7 +81,7 @@ struct StepHaloPlan {
   int depth = 0;
 };
 
-/// Run the backward halo-width analysis. For Staged/Fused every width is
+/// Run the backward halo-width analysis. For Eager/Fused every width is
 /// 0 and every exchange keeps depth kNumGhost; for CommAvoid only the
 /// per-time-step slot-0 exchange survives, deepened so each stage can
 /// recompute its RHS on a correspondingly widened halo.

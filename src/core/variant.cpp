@@ -195,8 +195,6 @@ const char* stepFuseName(StepFuse fuse) {
   switch (fuse) {
   case StepFuse::Eager:
     return "eager";
-  case StepFuse::Staged:
-    return "staged";
   case StepFuse::Fused:
     return "fused";
   case StepFuse::CommAvoid:

@@ -58,30 +58,28 @@ inline constexpr LevelPolicy kLevelPolicies[] = {
     LevelPolicy::Hybrid,
 };
 
-/// How the step-graph executor (core/stepgraph.hpp) runs one whole RK
-/// step. Orthogonal to LevelPolicy, which decides the per-evaluation task
-/// granularity: the fuse mode decides how many dispatch barriers one time
-/// step pays and whether per-stage ghost exchanges are replaced by
-/// deepened-halo recomputation (paper Sec. IV-D generalized from
-/// intra-step to inter-step).
+/// How one whole RK step runs. Orthogonal to LevelPolicy, which decides
+/// the per-evaluation task granularity: the fuse mode decides whether the
+/// step is the eager level-wide loop or one task graph
+/// (core/stepgraph.hpp), and whether that graph's per-stage ghost
+/// exchanges are replaced by deepened-halo recomputation (paper Sec. IV-D
+/// generalized from intra-step to inter-step).
 enum class StepFuse {
   Eager,     ///< reference path: eager exchange -> BC -> rhs -> axpy loops
-  Staged,    ///< one task graph per stage (combines become tasks too)
   Fused,     ///< one task graph for the whole step, cross-stage deps only
   CommAvoid, ///< one deepened exchange, stages recompute on widened halos
 };
 
-/// Display / CLI name: "eager", "staged", "fused", "commavoid".
+/// Display / CLI name: "eager", "fused", "commavoid".
 [[nodiscard]] const char* stepFuseName(StepFuse fuse);
 
 /// Parse a fuse-mode name (the FLUXDIV_STEP_FUSE / --fuse values).
 /// Returns false and leaves `out` untouched on an unknown name.
 bool parseStepFuse(const std::string& text, StepFuse& out);
 
-/// All four fuse modes, in ranking/report order.
+/// All three fuse modes, in ranking/report order.
 inline constexpr StepFuse kStepFuseModes[] = {
     StepFuse::Eager,
-    StepFuse::Staged,
     StepFuse::Fused,
     StepFuse::CommAvoid,
 };

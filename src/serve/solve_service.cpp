@@ -148,8 +148,8 @@ grid::DisjointBoxLayout specLayout(const InstanceSpec& spec) {
 /// One cached solve shape: the executor (whose graph cache persists
 /// across solves of the shape), its pool-lifetime task domain, and the
 /// step program. `busy` guards against two concurrent instances of the
-/// same shape sharing one executor (phases of one executor must run one
-/// at a time); a second in-flight instance gets its own entry.
+/// same shape sharing one executor (one executor's graph runs one
+/// submission at a time); a second in-flight instance gets its own entry.
 struct SolveService::ExecEntry {
   solvers::Scheme scheme = solvers::Scheme::RK4;
   int boxSize = 0;
@@ -270,14 +270,12 @@ ServiceReport SolveService::run(const std::vector<InstanceSpec>& specs,
   latencies.reserve(specs.size());
 
   /// Per-admitted-instance orchestration state: the cached executor
-  /// entry, its phase cursor, and the bookkeeping the report needs.
+  /// entry, its in-flight ticket, and the bookkeeping the report needs.
   struct Active {
     std::size_t idx = 0;
     ExecEntry* entry = nullptr;
     core::StepRhsSpec rhsSpec;
     LevelData* u = nullptr;
-    std::size_t nPhases = 0;
-    std::size_t phase = 0;
     double t0 = 0;
     core::DomainStats dom0;
     std::uint64_t hits0 = 0;
@@ -329,8 +327,7 @@ ServiceReport SolveService::run(const std::vector<InstanceSpec>& specs,
     a.hits0 = a.entry->exec->stats().cacheHits;
     a.rebinds0 = a.entry->exec->stats().rebinds;
     a.t0 = wall.seconds();
-    a.nPhases = a.entry->exec->preparePhases(a.entry->prog, u, a.rhsSpec);
-    a.phase = 0;
+    a.entry->exec->preparePhases(a.entry->prog, u, a.rhsSpec);
     a.ticket =
         pool_.submit(a.entry->exec->beginPhase(0), a.entry->domain);
     active.push_back(std::move(a));
@@ -383,16 +380,9 @@ ServiceReport SolveService::run(const std::vector<InstanceSpec>& specs,
     }
     const std::size_t k = pool_.waitAny(tickets);
     Active& a = active[k];
-    a.entry->exec->endPhase(a.phase);
-    ++a.phase;
-    if (a.phase < a.nPhases) {
-      a.ticket = pool_.submit(a.entry->exec->beginPhase(a.phase),
-                              a.entry->domain);
-    } else {
-      finalize(a);
-      active.erase(active.begin() +
-                   static_cast<std::ptrdiff_t>(k));
-    }
+    a.entry->exec->endPhase(0);
+    finalize(a);
+    active.erase(active.begin() + static_cast<std::ptrdiff_t>(k));
   }
 
   out.solves = specs.size();

@@ -5,11 +5,11 @@
 // through its own StepGraphExecutor into the pool under a per-instance
 // task domain, so captured graphs from different instances interleave in
 // the same worker deques with weighted-fair scheduling between them. A
-// single orchestrator thread drives every instance's phase state machine
-// with submit()/waitAny() and harvests per-solve latency; admission
-// consults a persistent tuner::TuneDB so repeat traffic is admitted with
-// measured (fuse, policy) choices and never re-tunes, while cold traffic
-// is admitted on cost-model priors and measured once.
+// single orchestrator thread submits each instance's one step graph,
+// harvests completions with waitAny(), and records per-solve latency;
+// admission consults a persistent tuner::TuneDB so repeat traffic is
+// admitted with measured (fuse, policy) choices and never re-tunes, while
+// cold traffic is admitted on cost-model priors and measured once.
 
 #include <cstddef>
 #include <cstdint>

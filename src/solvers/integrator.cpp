@@ -174,7 +174,7 @@ core::StepFuse TimeIntegrator::resolveFuse() const {
     }
     return fuse;
   }
-  return core::StepFuse::Staged;
+  return core::StepFuse::Fused;
 }
 
 core::LevelPolicy TimeIntegrator::resolvePolicy() const {
@@ -223,31 +223,18 @@ TimeIntegrator::stepExecutor(const FluxDivRhs& rhs) {
 }
 
 void TimeIntegrator::advance(LevelData& u, Real dt, FluxDivRhs& rhs) {
-  const core::StepFuse fuse = resolveFuse();
-  if (fuse == core::StepFuse::Eager) {
-    advanceEager(u, dt, rhs);
-    return;
-  }
-  advanceGraph(u, dt, rhs, 1, fuse);
+  advanceSteps(u, dt, rhs, 1);
 }
 
 void TimeIntegrator::advanceSteps(LevelData& u, Real dt, FluxDivRhs& rhs,
                                   int nSteps) {
-  const core::StepFuse fuse = resolveFuse();
-  if (fuse == core::StepFuse::Eager || fuse == core::StepFuse::Staged) {
-    // No cross-step fusion to gain: run the steps one by one (Staged
-    // still reuses its captured per-stage graphs across the steps).
+  core::StepGraphExecutor* exec = stepExecutor(rhs);
+  if (exec == nullptr) { // StepFuse::Eager
     for (int t = 0; t < nSteps; ++t) {
-      advance(u, dt, rhs);
+      advanceEager(u, dt, rhs);
     }
     return;
   }
-  advanceGraph(u, dt, rhs, nSteps, fuse);
-}
-
-void TimeIntegrator::advanceGraph(LevelData& u, Real dt, FluxDivRhs& rhs,
-                                  int nSteps, core::StepFuse /*fuse*/) {
-  core::StepGraphExecutor* exec = stepExecutor(rhs);
   const core::StepProgram prog = buildStepProgram(
       scheme_, dt, nSteps, rhs.boundary() != nullptr);
   core::StepRhsSpec spec;

@@ -9,12 +9,12 @@
 //   * Eager: the program interpreted serially, op by op — each stage
 //     synchronously exchanges, evaluates the RHS, and combines stages with
 //     level-wide sweeps. The bit-identity reference for everything below.
-//   * Staged / Fused / CommAvoid: the program is lowered by
-//     core::StepGraphExecutor into dependency-tracked task graphs — the
-//     stage combines become per-box/per-tile tasks, cross-stage tasks
-//     overlap (Fused), or per-stage exchanges are replaced by one deepened
-//     exchange plus halo recomputation (CommAvoid). Selected by the
-//     FLUXDIV_STEP_FUSE environment variable (default: staged) or
+//   * Fused / CommAvoid: the program is lowered by
+//     core::StepGraphExecutor into one dependency-tracked task graph —
+//     the stage combines become per-box/per-tile tasks and cross-stage
+//     tasks overlap (Fused), or per-stage exchanges are replaced by one
+//     deepened exchange plus halo recomputation (CommAvoid). Selected by
+//     the FLUXDIV_STEP_FUSE environment variable (default: fused) or
 //     setStepFuse(). All modes produce bit-identical solutions.
 
 #include <optional>
@@ -122,7 +122,7 @@ public:
 
   /// Advance u by `nSteps` steps of size dt. Under Fused/CommAvoid the
   /// whole sequence is captured as ONE task graph (cross-time-step
-  /// fusion); otherwise equivalent to calling advance() nSteps times.
+  /// fusion); under Eager equivalent to calling advance() nSteps times.
   void advanceSteps(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs,
                     int nSteps);
 
@@ -140,7 +140,7 @@ public:
     policyOverride_ = policy;
   }
 
-  /// Adversarial serial replay of the captured graphs (tests; see
+  /// Adversarial serial replay of the captured graph (tests; see
   /// core::ReplayMode). Only affects the non-eager paths.
   void setReplay(core::ReplayMode replay) { replay_ = replay; }
 
@@ -149,15 +149,13 @@ public:
   [[nodiscard]] const core::StepGraphStats* stepStats() const;
 
   /// The executor a non-eager advance would use, creating it on demand
-  /// (tests poke lowerModels()/effectiveFuse() through this). Null only
+  /// (tests poke lowerModel()/effectiveFuse() through this). Null only
   /// for StepFuse::Eager.
   core::StepGraphExecutor* stepExecutor(const FluxDivRhs& rhs);
 
 private:
   [[nodiscard]] core::StepFuse resolveFuse() const;
   [[nodiscard]] core::LevelPolicy resolvePolicy() const;
-  void advanceGraph(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs,
-                    int nSteps, core::StepFuse fuse);
 
   Scheme scheme_;
   std::vector<grid::LevelData> stages_; ///< k_i and the staging state

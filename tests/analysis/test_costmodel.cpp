@@ -330,29 +330,15 @@ TEST(CostModel, LevelPolicyHybridCountsBoxTimesTileTasks) {
   EXPECT_EQ(costs[2].depth, 1) << "overlapped tiles are all independent";
 }
 
-TEST(CostModel, LevelPolicyHybridWavefrontPipelineDepth) {
-  // Blocked wavefront, 8^3 tiles over 32^3: 4x4x4 tile grid, 10 fronts.
-  // Component-outside runs kNumComp passes plus the velocity pre-stage.
-  const auto clo = analyzeLevelPolicies(
-      core::makeBlockedWF(8, core::ParallelGranularity::WithinBox,
-                          core::ComponentLoop::Outside),
-      32, 4, 4, CacheSpec::typical());
-  EXPECT_EQ(clo[2].depth, 10 * 5 + 1);
-  EXPECT_EQ(clo[2].taskCount, 4 * (64 * 5 + 1));
-  const auto cli = analyzeLevelPolicies(
-      core::makeBlockedWF(8, core::ParallelGranularity::WithinBox,
-                          core::ComponentLoop::Inside),
-      32, 4, 4, CacheSpec::typical());
-  EXPECT_EQ(cli[2].depth, 10);
-  EXPECT_EQ(cli[2].taskCount, 4 * 64);
-  EXPECT_GT(cli[2].maxConcurrency, cli[1].nBoxes)
-      << "hybrid exposes more than one unit per box at the widest front";
-}
-
 TEST(CostModel, LevelPolicyHybridFallsBackToBoxParallelForFusedFamilies) {
+  // Every family without independent intra-box tiles runs as box tasks
+  // under hybrid — the blocked wavefront too, whose tiles wait on their
+  // predecessors' fronts.
   for (const auto& cfg :
        {core::makeBaseline(core::ParallelGranularity::WithinBox),
-        core::makeShiftFuse(core::ParallelGranularity::WithinBox)}) {
+        core::makeShiftFuse(core::ParallelGranularity::WithinBox),
+        core::makeBlockedWF(8, core::ParallelGranularity::WithinBox,
+                            core::ComponentLoop::Outside)}) {
     const auto costs =
         analyzeLevelPolicies(cfg, 32, 8, 4, CacheSpec::typical());
     EXPECT_EQ(costs[2].taskCount, costs[1].taskCount) << cfg.name();
@@ -376,11 +362,10 @@ TEST(CostModel, LevelPolicyParallelSpeedupCappedByThreads) {
 TEST(StepFusion, ComesBackInFuseModeOrderWithValidRanks) {
   const auto costs = analyzeStepFusion(/*rhsEvals=*/4, /*boxSize=*/32,
                                        /*nBoxes=*/8);
-  ASSERT_EQ(costs.size(), 4u);
+  ASSERT_EQ(costs.size(), 3u);
   EXPECT_EQ(costs[0].fuse, core::StepFuse::Eager);
-  EXPECT_EQ(costs[1].fuse, core::StepFuse::Staged);
-  EXPECT_EQ(costs[2].fuse, core::StepFuse::Fused);
-  EXPECT_EQ(costs[3].fuse, core::StepFuse::CommAvoid);
+  EXPECT_EQ(costs[1].fuse, core::StepFuse::Fused);
+  EXPECT_EQ(costs[2].fuse, core::StepFuse::CommAvoid);
   std::vector<int> ranks;
   for (const auto& c : costs) {
     ranks.push_back(c.rank);
@@ -388,19 +373,19 @@ TEST(StepFusion, ComesBackInFuseModeOrderWithValidRanks) {
     EXPECT_GE(c.dispatches, 1);
   }
   std::sort(ranks.begin(), ranks.end());
-  EXPECT_EQ(ranks, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(ranks, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(StepFusion, CommAvoidDeepensOneExchangeAndRecomputes) {
   const int evals = 4; // RK4
   const auto costs = analyzeStepFusion(evals, 32, 8);
-  const auto& ca = costs[3];
+  const auto& ca = costs[2];
   EXPECT_EQ(ca.exchanges, 1);
   EXPECT_EQ(ca.exchangeDepth, kernels::kNumGhost * evals);
   EXPECT_GT(ca.recomputeCells, 0.0);
   EXPECT_GT(ca.recomputeFraction, 0.0);
   EXPECT_EQ(ca.dispatches, 1);
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(costs[i].exchanges, evals) << i;
     EXPECT_EQ(costs[i].exchangeDepth, kernels::kNumGhost) << i;
     EXPECT_EQ(costs[i].recomputeCells, 0.0) << i;
@@ -415,17 +400,16 @@ TEST(StepFusion, CommAvoidDeepensOneExchangeAndRecomputes) {
   EXPECT_DOUBLE_EQ(ca.recomputeCells, expectCells);
   // The deep halo moves more bytes than the per-stage halos combined —
   // the fixed per-exchange cost is what comm-avoiding actually saves.
-  EXPECT_GT(ca.exchangeBytes, costs[2].exchangeBytes);
-  EXPECT_LT(ca.alphaBytes, costs[2].alphaBytes);
+  EXPECT_GT(ca.exchangeBytes, costs[1].exchangeBytes);
+  EXPECT_LT(ca.alphaBytes, costs[1].alphaBytes);
 }
 
 TEST(StepFusion, DispatchCountsMirrorTheExecutors) {
   const auto costs = analyzeStepFusion(/*rhsEvals=*/3, 16, 4,
                                        /*eagerOps=*/13);
   EXPECT_EQ(costs[0].dispatches, 13); // caller-supplied sweep count
-  EXPECT_EQ(costs[1].dispatches, 3);  // one graph per stage
-  EXPECT_EQ(costs[2].dispatches, 1);  // whole step is one graph
-  EXPECT_EQ(costs[3].dispatches, 1);
+  EXPECT_EQ(costs[1].dispatches, 1);  // whole step is one graph
+  EXPECT_EQ(costs[2].dispatches, 1);
   const auto approx = analyzeStepFusion(3, 16, 4);
   EXPECT_EQ(approx[0].dispatches, 12); // 4 sweeps per stage default
 }
@@ -434,11 +418,11 @@ TEST(StepFusion, InfeasibleDeepHaloFallsBackToFusedStructure) {
   // RK4 needs an 8-deep halo; a 4^3 box cannot host it — the analyzer
   // must price what the executor would actually run (the Fused fallback).
   const auto costs = analyzeStepFusion(/*rhsEvals=*/4, /*boxSize=*/4, 8);
-  const auto& ca = costs[3];
+  const auto& ca = costs[2];
   EXPECT_EQ(ca.exchanges, 4);
   EXPECT_EQ(ca.exchangeDepth, kernels::kNumGhost);
   EXPECT_EQ(ca.recomputeCells, 0.0);
-  EXPECT_EQ(ca.exchangeBytes, costs[2].exchangeBytes);
+  EXPECT_EQ(ca.exchangeBytes, costs[1].exchangeBytes);
   EXPECT_TRUE(ca.notes.empty());
 }
 
@@ -448,14 +432,14 @@ TEST(StepFusion, BoxSizeDecidesTheCommAvoidingTrade) {
   // recompute + extra halo outgrow the fixed savings and the
   // DeepHaloRecompute note names the condition.
   const auto small = analyzeStepFusion(/*rhsEvals=*/2, /*boxSize=*/16, 8);
-  EXPECT_LT(small[3].costBytes, small[2].costBytes);
-  EXPECT_TRUE(small[3].notes.empty());
-  EXPECT_EQ(small[3].rank, 1);
+  EXPECT_LT(small[2].costBytes, small[1].costBytes);
+  EXPECT_TRUE(small[2].notes.empty());
+  EXPECT_EQ(small[2].rank, 1);
 
   const auto big = analyzeStepFusion(/*rhsEvals=*/2, /*boxSize=*/128, 8);
-  EXPECT_GT(big[3].costBytes, big[2].costBytes);
-  ASSERT_EQ(big[3].notes.size(), 1u);
-  const CostNote& note = big[3].notes.front();
+  EXPECT_GT(big[2].costBytes, big[1].costBytes);
+  ASSERT_EQ(big[2].notes.size(), 1u);
+  const CostNote& note = big[2].notes.front();
   EXPECT_EQ(note.kind, CostNoteKind::DeepHaloRecompute);
   EXPECT_GT(note.actualBytes, note.limitBytes);
   const std::string msg = note.message();
@@ -470,8 +454,8 @@ TEST(StepFusion, NoteFiresExactlyWhenCommAvoidPricesWorseThanFused) {
     for (const int n : {8, 16, 32, 64, 128}) {
       const auto costs = analyzeStepFusion(evals, n, 4);
       const bool feasible = kernels::kNumGhost * evals <= n;
-      const bool worse = costs[3].costBytes > costs[2].costBytes;
-      EXPECT_EQ(costs[3].notes.size() == 1u, feasible && worse)
+      const bool worse = costs[2].costBytes > costs[1].costBytes;
+      EXPECT_EQ(costs[2].notes.size() == 1u, feasible && worse)
           << "evals " << evals << " n " << n;
     }
   }

@@ -289,10 +289,7 @@ TaskGraphModel lowerModel(const VariantConfig& cfg, LevelPolicy policy,
   core::StepExecOptions opts;
   opts.policy = policy;
   core::StepGraphExecutor exec(cfg, 3, opts);
-  const std::vector<TaskGraphModel> models =
-      exec.lowerModels(eulerStep(), u, {});
-  EXPECT_EQ(models.size(), 1u);
-  return models.front();
+  return exec.lowerModel(eulerStep(), u, {});
 }
 
 /// The eager step from the exemplar state: the bit-identity reference.

@@ -335,11 +335,9 @@ TaskGraphModel lowerSmallGraph(core::LevelPolicy policy) {
       core::makeBaseline(core::ParallelGranularity::WithinBox), 2, opts);
   LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
   kernels::initializeExemplar(u);
-  return exec
-      .lowerModels(solvers::buildStepProgram(solvers::Scheme::ForwardEuler,
-                                             1e-3),
-                   u, {})
-      .front();
+  return exec.lowerModel(
+      solvers::buildStepProgram(solvers::Scheme::ForwardEuler, 1e-3), u,
+      {});
 }
 
 TEST(KernelCheck, GraphFootprintsAgreeWithDeclared) {

@@ -37,8 +37,7 @@ using grid::IntVect;
 using mutate::StepMutation;
 using solvers::Scheme;
 
-constexpr StepFuse kCheckedFuses[] = {StepFuse::Staged, StepFuse::Fused,
-                                      StepFuse::CommAvoid};
+constexpr StepFuse kCheckedFuses[] = {StepFuse::Fused, StepFuse::CommAvoid};
 
 std::string tag(Scheme scheme, int steps, StepFuse fuse) {
   return std::string(solvers::schemeName(scheme)) + " x" +

@@ -46,8 +46,7 @@ using solvers::Scheme;
 constexpr int kGhost = kernels::kNumGhost;
 constexpr int kCells = 17; ///< interior cells; odd, larger than any halo
 
-constexpr StepFuse kCheckedFuses[] = {StepFuse::Staged, StepFuse::Fused,
-                                      StepFuse::CommAvoid};
+constexpr StepFuse kCheckedFuses[] = {StepFuse::Fused, StepFuse::CommAvoid};
 
 /// Deterministic, asymmetric stencil weights for the oracle's RHS — any
 /// fixed weights work; asymmetry catches mirrored-exchange mistakes.
@@ -194,7 +193,7 @@ bool interiorsEqual(const OracleState& a, const OracleState& b) {
 }
 
 std::vector<int> eagerWidths(const StepProgram& prog) {
-  return core::planStepHalos(prog, StepFuse::Staged).width;
+  return core::planStepHalos(prog, StepFuse::Eager).width;
 }
 
 /// Run the mutant and the eager reference in lockstep — the concrete

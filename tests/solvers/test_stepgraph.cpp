@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,8 +57,7 @@ core::VariantConfig tiledConfig() {
                               core::ParallelGranularity::HybridBoxTile);
 }
 
-constexpr StepFuse kGraphModes[] = {StepFuse::Staged, StepFuse::Fused,
-                                    StepFuse::CommAvoid};
+constexpr StepFuse kGraphModes[] = {StepFuse::Fused, StepFuse::CommAvoid};
 
 /// Advance `steps` eager steps of `scheme` from the exemplar state.
 LevelData eagerReference(Scheme scheme, const DisjointBoxLayout& dbl,
@@ -283,7 +283,7 @@ TEST(StepGraph, BitIdenticalWithDissipation) {
 
 TEST(StepGraph, WallBoundedBitIdentical) {
   // Walls on x, periodic y/z: the BC fill becomes per-(box, dim) tasks in
-  // the Staged/Fused graphs; CommAvoid must fall back to Fused (deepened
+  // the Fused graph; CommAvoid must fall back to Fused (deepened
   // halos cannot re-apply physical BCs between stages).
   const int n = 16;
   ProblemDomain domain(Box::cube(n), std::array<bool, 3>{false, true, true});
@@ -374,9 +374,9 @@ TEST(StepGraph, CommAvoidDeepensTheExchangeToGhostTimesStages) {
     const core::StepProgram prog = buildStepProgram(scheme, 0.01);
     EXPECT_EQ(prog.rhsEvals, schemeRhsEvals(scheme));
 
-    const core::StepHaloPlan staged =
-        core::planStepHalos(prog, StepFuse::Staged);
-    EXPECT_EQ(staged.depth, kNumGhost);
+    const core::StepHaloPlan fused =
+        core::planStepHalos(prog, StepFuse::Fused);
+    EXPECT_EQ(fused.depth, kNumGhost);
 
     const core::StepHaloPlan ca =
         core::planStepHalos(prog, StepFuse::CommAvoid);
@@ -436,38 +436,60 @@ TEST(StepGraph, CommAvoidFallsBackWhenHaloExceedsBox) {
 // ---------------------------------------------------------------------------
 
 TEST(StepGraph, LoweredModelsPassGraphcheck) {
+  // Every scheme, graph fuse mode, and policy captures exactly one graph
+  // — phase 0 of the submission API, any other index a caller error —
+  // and that graph is race-free.
   const auto dbl = smallLayout();
   const auto cfg = tiledConfig();
   for (const Scheme scheme : kSchemes) {
     const core::StepProgram prog = buildStepProgram(scheme, 0.01);
     for (const StepFuse fuse : kGraphModes) {
-      for (const LevelPolicy policy :
-           {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
+      for (const LevelPolicy policy : core::kLevelPolicies) {
         LevelData u = initialState(dbl);
         core::StepExecOptions opts;
         opts.fuse = fuse;
         opts.policy = policy;
         core::StepGraphExecutor exec(cfg, 2, opts);
-        const auto models = exec.lowerModels(prog, u, {});
-        if (fuse == StepFuse::Staged) {
-          EXPECT_EQ(models.size(),
-                    static_cast<std::size_t>(schemeRhsEvals(scheme)))
-              << "Staged must dispatch one graph per stage";
-        } else {
-          EXPECT_EQ(models.size(), 1u);
-        }
-        for (const TaskGraphModel& m : models) {
-          const GraphCheckReport rep = analysis::checkTaskGraph(m);
-          EXPECT_TRUE(rep.ok())
-              << m.name << ": "
-              << (rep.diagnostics.empty()
-                      ? std::string("-")
-                      : rep.diagnostics[0].message());
-          EXPECT_GT(rep.edgeCount, 0) << m.name;
-        }
+        const std::string what = caseName(scheme, fuse, policy, 2);
+        EXPECT_THROW((void)exec.beginPhase(0), std::logic_error)
+            << what << ": no capture yet";
+        EXPECT_EQ(exec.preparePhases(prog, u, {}), 1u) << what;
+        EXPECT_EQ(exec.stats().graphCount, 1u) << what;
+        EXPECT_THROW((void)exec.beginPhase(1), std::logic_error) << what;
+        EXPECT_THROW(exec.endPhase(1), std::logic_error) << what;
+        const TaskGraphModel m = exec.lowerModel(prog, u, {});
+        const GraphCheckReport rep = analysis::checkTaskGraph(m);
+        EXPECT_TRUE(rep.ok())
+            << m.name << ": "
+            << (rep.diagnostics.empty() ? std::string("-")
+                                        : rep.diagnostics[0].message());
+        EXPECT_GT(rep.edgeCount, 0) << m.name;
       }
     }
   }
+}
+
+TEST(StepGraph, CapturedEdgesGrowLinearlyWithSteps) {
+  // A write drops the parts of earlier dependence-log entries it covers,
+  // so every captured step after the first adds the same edges. Without
+  // that, each task would carry an edge to every conflicting access of all
+  // earlier stages and the edge count would grow quadratically.
+  const auto dbl = smallLayout();
+  const auto edgesOf = [&](int steps) {
+    LevelData u = initialState(dbl);
+    core::StepExecOptions opts;
+    opts.fuse = StepFuse::Fused;
+    core::StepGraphExecutor exec(tiledConfig(), 2, opts);
+    (void)exec.preparePhases(buildStepProgram(Scheme::RK4, 0.01, steps), u,
+                             {});
+    return exec.stats().edgeCount;
+  };
+  const std::size_t one = edgesOf(1);
+  const std::size_t two = edgesOf(2);
+  const std::size_t three = edgesOf(3);
+  EXPECT_GT(one, 0u);
+  EXPECT_EQ(three - two, two - one)
+      << "edges for 1/2/3 steps: " << one << " / " << two << " / " << three;
 }
 
 TEST(StepGraph, StatsReflectTheCapture) {
@@ -536,10 +558,8 @@ TEST(StepGraph, DroppedCrossStageEdgesAreCaught) {
   core::StepExecOptions opts;
   opts.fuse = StepFuse::Fused;
   core::StepGraphExecutor exec(tiledConfig(), 2, opts);
-  const auto models =
-      exec.lowerModels(buildStepProgram(Scheme::RK4, 0.01), u, {});
-  ASSERT_EQ(models.size(), 1u);
-  const TaskGraphModel& m = models[0];
+  const TaskGraphModel m =
+      exec.lowerModel(buildStepProgram(Scheme::RK4, 0.01), u, {});
 
   int caught = 0;
   int crossOp = 0;
@@ -620,13 +640,33 @@ TEST(StepGraph, EnvironmentSelectsTheFuseMode) {
     TimeIntegrator integ(Scheme::Midpoint, dbl);
     EXPECT_THROW(integ.advance(u, 0.004, rhs), std::invalid_argument);
   }
+  // The removed per-stage mode is rejected like any unknown value, and
+  // the error names it.
+  ::setenv("FLUXDIV_STEP_FUSE", "staged", 1);
+  {
+    TimeIntegrator integ(Scheme::Midpoint, dbl);
+    try {
+      integ.advance(u, 0.004, rhs);
+      ADD_FAILURE() << "FLUXDIV_STEP_FUSE=staged must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'staged'"), std::string::npos)
+          << e.what();
+    }
+  }
   ::unsetenv("FLUXDIV_STEP_FUSE");
+  {
+    TimeIntegrator integ(Scheme::Midpoint, dbl);
+    integ.advance(u, 0.004, rhs);
+    ASSERT_NE(integ.stepStats(), nullptr);
+    EXPECT_EQ(integ.stepStats()->fuse, StepFuse::Fused)
+        << "fused is the default";
+  }
 
   core::StepFuse parsed{};
   EXPECT_TRUE(core::parseStepFuse("comm-avoiding", parsed));
   EXPECT_EQ(parsed, StepFuse::CommAvoid);
-  EXPECT_TRUE(core::parseStepFuse("staged", parsed));
-  EXPECT_EQ(parsed, StepFuse::Staged);
+  EXPECT_FALSE(core::parseStepFuse("staged", parsed));
+  EXPECT_EQ(parsed, StepFuse::CommAvoid) << "untouched on failure";
   EXPECT_FALSE(core::parseStepFuse("nope", parsed));
 }
 
@@ -662,7 +702,7 @@ TEST(StepGraph, EnvironmentRejectsUnknownLevelPolicy) {
   FluxDivRhs rhs(cfg, 2);
   const ScopedEnv policy("FLUXDIV_LEVEL_POLICY", "warp-drive");
   TimeIntegrator integ(Scheme::ForwardEuler, dbl);
-  integ.setStepFuse(StepFuse::Staged);
+  integ.setStepFuse(StepFuse::Fused);
   EXPECT_THROW(integ.advance(u, 0.004, rhs), std::invalid_argument);
 }
 

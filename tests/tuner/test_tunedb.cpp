@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "analysis/costmodel.hpp"
 #include "solvers/integrator.hpp"
@@ -49,6 +51,31 @@ TEST(TuneDB, RoundTripThroughDisk) {
   EXPECT_TRUE(hit.measured);
   EXPECT_EQ(reloaded.counters().hits, 1U);
   EXPECT_EQ(reloaded.counters().misses, 0U);
+
+  // A file from before the per-stage fuse mode was removed may hold a
+  // record naming it (fuse staged): that record alone is dropped and
+  // counted, the file still loads, and its other records are kept.
+  db.observe(key("rk4", 32, 4), core::StepFuse::Fused,
+             core::LevelPolicy::BoxParallel, 2.0e-3);
+  db.save(path);
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string fused = "\"fuse\": \"fused\"";
+  const std::size_t at = text.find(fused);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, fused.size(), "\"fuse\": \"staged\"");
+  std::ofstream(path, std::ios::trunc) << text;
+  TuneDB old(fakeMachine());
+  ASSERT_TRUE(old.load(path));
+  EXPECT_EQ(old.counters().rejected, 1U);
+  EXPECT_EQ(old.size(), 1U);
+  EXPECT_EQ(old.find(key("rk4", 32, 4)), nullptr);
+  ASSERT_NE(old.find(key()), nullptr);
+  EXPECT_EQ(old.find(key())->fuse, core::StepFuse::CommAvoid);
 }
 
 TEST(TuneDB, MachineMismatchFallsBackToCostModelPrior) {
@@ -81,6 +108,10 @@ TEST(TuneDB, PriorMatchesStepFusionRanking) {
       EXPECT_DOUBLE_EQ(prior.priorCostBytes, f.costBytes);
     }
   }
+  // One stage: Fused and Eager move the same bytes and Fused wins on
+  // dispatches; CommAvoid's single exchange is no deeper, so it ties.
+  EXPECT_EQ(costModelPrior(key("euler", 16, 4), 8, fakeMachine()).fuse,
+            core::StepFuse::Fused);
   EXPECT_THROW(costModelPrior(TuneKey{"rk9", 16, 2, 4}, 8, fakeMachine()),
                std::invalid_argument);
 }
@@ -103,8 +134,8 @@ TEST(TuneDB, PriorIsSeededOnceAndUpgradedByObserve) {
 
 TEST(TuneDB, ObserveKeepsTheFasterChoice) {
   TuneDB db(fakeMachine());
-  db.observe(key(), core::StepFuse::Staged, core::LevelPolicy::BoxParallel,
-             2.0);
+  db.observe(key(), core::StepFuse::CommAvoid,
+             core::LevelPolicy::BoxParallel, 2.0);
   db.observe(key(), core::StepFuse::Fused, core::LevelPolicy::Hybrid, 1.0);
   const TuneEntry* e = db.find(key());
   ASSERT_NE(e, nullptr);

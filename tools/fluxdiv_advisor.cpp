@@ -17,7 +17,7 @@
 // exchange plan price ghost cells no kernel touches.
 //
 // --scheme additionally ranks the whole-RK-step fusion modes
-// (core::StepFuse: eager / staged / fused / comm-avoiding, lowered by
+// (core::StepFuse: eager / fused / comm-avoiding, lowered by
 // core/stepgraph) for that time scheme — or every scheme with 'all' — by
 // modeled halo traffic + deepened-ghost recompute traffic per step
 // (analysis::analyzeStepFusion), and prints a deep-halo-recompute note
@@ -258,27 +258,25 @@ int main(int argc, char** argv) {
         opts.policy = policy;
         core::StepGraphExecutor exec(ranked[i].cfg, nThreads, opts);
         grid::LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
-        for (const analysis::TaskGraphModel& model :
-             exec.lowerModels(euler, u, {})) {
-          const analysis::GraphCheckReport rep =
-              analysis::checkTaskGraph(model, /*findRemovable=*/true);
-          if (rep.removable.empty()) {
-            continue;
-          }
-          analysis::CostNote note;
-          note.kind = analysis::CostNoteKind::OverSynchronized;
-          note.where = model.name;
-          note.actualBytes = static_cast<double>(rep.removable.size());
-          note.limitBytes = static_cast<double>(rep.edgeCount);
-          if (!anyGraphNote) {
-            std::cout << "\ntask-graph notes (" << dbl.size() << " x "
-                      << side << "^3 boxes, analysis/graphcheck):\n";
-            anyGraphNote = true;
-          }
-          std::cout << "  [" << analysis::costNoteKindName(note.kind)
-                    << "] " << ranked[i].cost.variant << ": "
-                    << note.message() << "\n";
+        const analysis::TaskGraphModel model = exec.lowerModel(euler, u, {});
+        const analysis::GraphCheckReport rep =
+            analysis::checkTaskGraph(model, /*findRemovable=*/true);
+        if (rep.removable.empty()) {
+          continue;
         }
+        analysis::CostNote note;
+        note.kind = analysis::CostNoteKind::OverSynchronized;
+        note.where = model.name;
+        note.actualBytes = static_cast<double>(rep.removable.size());
+        note.limitBytes = static_cast<double>(rep.edgeCount);
+        if (!anyGraphNote) {
+          std::cout << "\ntask-graph notes (" << dbl.size() << " x "
+                    << side << "^3 boxes, analysis/graphcheck):\n";
+          anyGraphNote = true;
+        }
+        std::cout << "  [" << analysis::costNoteKindName(note.kind) << "] "
+                  << ranked[i].cost.variant << ": " << note.message()
+                  << "\n";
       }
     }
 
@@ -380,8 +378,7 @@ int main(int argc, char** argv) {
       const core::StepProgram prog =
           solvers::buildStepProgram(s, /*dt=*/1.0);
       for (const core::StepFuse fuse :
-           {core::StepFuse::Staged, core::StepFuse::Fused,
-            core::StepFuse::CommAvoid}) {
+           {core::StepFuse::Fused, core::StepFuse::CommAvoid}) {
         analysis::StepCheckOptions sopts;
         sopts.boxSize = n;
         sopts.nBoxes = levelBoxes;

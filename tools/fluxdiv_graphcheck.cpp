@@ -125,7 +125,7 @@ analysis::TaskGraphModel lowerStep(const VariantConfig& cfg,
   opts.policy = policy;
   core::StepGraphExecutor exec(cfg, nThreads, opts);
   LevelData u = makeLevel(dbl);
-  return exec.lowerModels(eulerStep(), u, {}).front();
+  return exec.lowerModel(eulerStep(), u, {});
 }
 
 int runMutations(const std::vector<VariantConfig>& families,

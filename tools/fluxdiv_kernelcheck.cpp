@@ -127,14 +127,11 @@ checkLoweredGraphs(const analysis::ProvenFootprints& proven, int boxSize,
       core::StepExecOptions opts;
       opts.policy = policy;
       core::StepGraphExecutor exec(cfg, nThreads, opts);
-      for (const analysis::TaskGraphModel& model :
-           exec.lowerModels(prog, u, {})) {
-        ++graphsChecked;
-        std::vector<analysis::KernelDiag> d =
-            analysis::checkGraphFootprints(model, proven);
-        diags.insert(diags.end(), std::make_move_iterator(d.begin()),
-                     std::make_move_iterator(d.end()));
-      }
+      ++graphsChecked;
+      std::vector<analysis::KernelDiag> d = analysis::checkGraphFootprints(
+          exec.lowerModel(prog, u, {}), proven);
+      diags.insert(diags.end(), std::make_move_iterator(d.begin()),
+                   std::make_move_iterator(d.end()));
     }
   }
   return diags;

@@ -5,8 +5,8 @@
 // re-tuning, and prints the service report (solves/sec, p50/p99 latency,
 // pool utilization, steal/domain-crossing counts).
 //
-//   fluxdiv_serve --workload w.spec --tunedb tune.json \
-//       --threads 8 --repeat 2
+//   fluxdiv_serve --workload w.spec --tunedb tune.json --threads 8
+//                 --repeat 2
 //
 // Workload spec: one instance per line, `name key=value...` with keys
 // scheme, box, nboxes, steps, dt, weight, fuse, policy ('#' comments).

@@ -9,7 +9,7 @@
 // their recompute price).
 //
 //   ./tools/fluxdiv_stepcheck [--scheme all|euler|midpoint|ssprk3|rk4]
-//                             [--fuse all|staged|fused|commavoid]
+//                             [--fuse all|fused|commavoid]
 //                             [--nsteps 0] [--boxsize 16] [--nboxes 8]
 //                             [--strict] [--json]
 //                             [--mutate] [--seeds 5]
@@ -56,8 +56,7 @@ std::string jsonEscape(const std::string& s) {
 
 /// The fuse modes stepcheck proves against the eager reference. Eager
 /// itself is the reference semantics — nothing to prove.
-constexpr StepFuse kCheckedFuses[] = {StepFuse::Staged, StepFuse::Fused,
-                                      StepFuse::CommAvoid};
+constexpr StepFuse kCheckedFuses[] = {StepFuse::Fused, StepFuse::CommAvoid};
 
 struct ProgramRun {
   std::string scheme;
@@ -170,8 +169,8 @@ int main(int argc, char** argv) {
   args.addString("scheme", "all",
                  "RK scheme to prove: all, euler, midpoint, ssprk3, rk4");
   args.addString("fuse", "all",
-                 "fuse mode to prove: all, staged, fused, or commavoid "
-                 "(eager is the reference semantics)");
+                 "fuse mode to prove: all, fused, or commavoid (eager, "
+                 "the third mode, is the reference semantics)");
   args.addInt("nsteps", 0,
               "steps per program (0 = sweep 1- and 3-step programs)");
   args.addInt("boxsize", 16, "box side N for witness cells and pricing");
@@ -221,8 +220,8 @@ int main(int argc, char** argv) {
   } else {
     StepFuse f{};
     if (!core::parseStepFuse(fuseArg, f) || f == StepFuse::Eager) {
-      std::cerr << "error: --fuse must be all, staged, fused, or "
-                   "commavoid (got '"
+      std::cerr << "error: --fuse must be all, fused, or commavoid "
+                   "(got '"
                 << fuseArg << "')\n";
       return 1;
     }
