@@ -2,8 +2,7 @@
 // The schedule advisor: ranks the variant registry for a target machine by
 // predicted memory traffic (costmodel.hpp) and recommends blocked-wavefront
 // tile sizes, entirely statically — the tool-facing layer of the cost
-// model. `tools/fluxdiv_advisor` prints its output; FluxDivRunner consults
-// it under FLUXDIV_ADVISE to warn about capacity-bound variant choices.
+// model. `tools/fluxdiv_advisor` prints its output.
 
 #include <string>
 #include <vector>

@@ -1,25 +1,10 @@
 #include "analysis/verifygate.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace fluxdiv::analysis {
 
-VerifyGate::VerifyGate(const char* envVar, bool compiledIn) {
-  if (!compiledIn) {
-    return;
-  }
-  const char* env = std::getenv(envVar);
-  enabled_ = env == nullptr || (std::strcmp(env, "0") != 0 &&
-                                std::strcmp(env, "off") != 0 &&
-                                std::strcmp(env, "false") != 0);
-}
-
 bool VerifyGate::shouldVerify(const std::string& shapeKey) {
-  if (!enabled_) {
-    return false;
-  }
   const std::lock_guard<std::mutex> lock(mutex_);
   return seen_.insert(shapeKey).second;
 }

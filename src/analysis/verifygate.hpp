@@ -1,12 +1,10 @@
 #pragma once
-// Shared runtime for the FLUXDIV_VERIFY_* gates (docs/static-analysis.md,
-// "The verification stack"). Every executor-side gate — schedule, kernel,
-// graph, comm, step — has the same shape: compiled in by default in Debug
-// (or with -DFLUXDIV_VERIFY_X=ON), overridable at run time through its
-// FLUXDIV_VERIFY_X environment variable (0/off/false disables), and
-// memoized so each distinct shape is proven exactly once per gate
-// instance. VerifyGate centralizes that boilerplate; the checkers
-// themselves stay in their own translation units.
+// Shared runtime for the first-use verification gates
+// (docs/static-analysis.md, "The verification stack"). Every
+// executor-side gate — schedule, kernel, graph, comm, step — is compiled
+// in by FLUXDIV_VERIFY (always in Debug) and proves each distinct shape
+// exactly once per gate instance. VerifyGate is that once-per-shape memo;
+// the checkers themselves stay in their own translation units.
 
 #include <mutex>
 #include <string>
@@ -17,28 +15,17 @@ namespace fluxdiv::analysis {
 
 class VerifyGate {
 public:
-  /// `envVar` names the runtime override (e.g. "FLUXDIV_VERIFY_STEP");
-  /// `compiledIn` is the call site's gate macro (the gate is a no-op in
-  /// builds that did not compile the checker in). The environment is read
-  /// once, at construction.
-  VerifyGate(const char* envVar, bool compiledIn);
-
-  /// Compiled in and not disabled through the environment.
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   /// True exactly once per distinct shape key — the caller runs its
-  /// checker on `true`. Always false when the gate is disabled. The key
-  /// is inserted *before* the caller's checker runs, so a checker that
-  /// re-enters its own gate (the kernel probe does) terminates; the
-  /// insertion is mutex-protected, so a process-wide static gate is safe
-  /// under concurrent executors.
+  /// checker on `true`. The key is inserted *before* the caller's checker
+  /// runs, so a checker that re-enters its own gate (the kernel probe
+  /// does) terminates; the insertion is mutex-protected, so a
+  /// process-wide static gate is safe under concurrent executors.
   bool shouldVerify(const std::string& shapeKey);
 
   /// Number of distinct shapes verified so far (tests).
   [[nodiscard]] std::size_t verifiedShapes() const;
 
 private:
-  bool enabled_ = false;
   mutable std::mutex mutex_;
   std::unordered_set<std::string> seen_;
 };

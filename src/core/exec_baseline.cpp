@@ -268,6 +268,7 @@ void baselineBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
       cfg.comp == ComponentLoop::Inside
           ? &shared.fab(Slot::Velocity, faceSupersetBox(valid), 1)
           : nullptr;
+  FLUXDIV_SHADOW_PREPARE(phi1);
 #pragma omp parallel num_threads(nThreads)
   {
     baselineBody(cfg, phi0, phi1, valid, flux, vel, scale,

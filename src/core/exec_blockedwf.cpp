@@ -220,6 +220,7 @@ void blockedWFBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
 void blockedWFBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
                           FArrayBox& phi1, const Box& valid,
                           WorkspacePool& pool, int nThreads, Real scale) {
+  FLUXDIV_SHADOW_PREPARE(phi1);
   blockedWFCore(cfg, phi0, phi1, valid, pool[0], &pool, nThreads, scale);
 }
 

@@ -59,8 +59,13 @@ inline void throwOnShadowViolations(grid::FArrayBox& fab,
 #define FLUXDIV_SHADOW_WRITE(fab, region, c0, nc)                          \
   (fab).shadowRecordWrite((region), (c0), (nc),                            \
                           ::fluxdiv::core::detail::shadowWorkerId())
+// Shape a fab's lazily allocated shadow before a parallel region writes
+// it; otherwise every worker's first FLUXDIV_SHADOW_WRITE would allocate
+// and define it at once.
+#define FLUXDIV_SHADOW_PREPARE(fab) ((void)(fab).shadow())
 #else
 #define FLUXDIV_SHADOW_WRITE(fab, region, c0, nc) ((void)0)
+#define FLUXDIV_SHADOW_PREPARE(fab) ((void)0)
 #endif
 
 namespace fluxdiv::core::detail {

@@ -46,6 +46,7 @@ void overlappedBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
   const auto traversal = sched::tileTraversal(
       tiles, cfg.order == TileOrder::Morton ? sched::TileOrder::Morton
                                             : sched::TileOrder::Lexicographic);
+  FLUXDIV_SHADOW_PREPARE(phi1);
 #pragma omp parallel num_threads(nThreads)
   {
     Workspace& ws = pool[omp_get_thread_num()];

@@ -192,6 +192,7 @@ void shiftFuseBoxWavefront(const VariantConfig& cfg, const FArrayBox& phi0,
       Slot::CarryY, static_cast<std::size_t>(nx) * nz * entries);
   Real* cacheZ = shared.buffer(
       Slot::CarryZ, static_cast<std::size_t>(nx) * ny * entries);
+  FLUXDIV_SHADOW_PREPARE(phi1);
 
   if (cfg.comp == ComponentLoop::Inside) {
     const ConstComps p(phi0);

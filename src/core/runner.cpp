@@ -3,23 +3,14 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
 #include <stdexcept>
 
-#include "analysis/costmodel.hpp"
 #include "core/exec_common.hpp"
-#include "harness/machine.hpp"
 
-#include "analysis/lower.hpp"
-
-#ifdef FLUXDIV_SCHEDULE_VERIFY
-#include "analysis/verifier.hpp"
-#endif
-
-#ifdef FLUXDIV_KERNEL_VERIFY
+#ifdef FLUXDIV_VERIFY
 #include "analysis/kernelcheck.hpp"
+#include "analysis/lower.hpp"
+#include "analysis/verifier.hpp"
 #include "core/kernelshapes.hpp"
 #endif
 
@@ -34,29 +25,15 @@ using detail::FArrayBox;
 using grid::LevelData;
 using grid::Real;
 
-namespace {
-
-/// Compile-time halves of the runner's gates (analysis::VerifyGate adds
-/// the run-time environment override and the once-per-shape memo).
-constexpr bool kScheduleVerifyCompiled =
-#ifdef FLUXDIV_SCHEDULE_VERIFY
-    true;
-#else
-    false;
-#endif
-
-} // namespace
-
 FluxDivRunner::FluxDivRunner(VariantConfig cfg, int nThreads)
-    : cfg_(cfg), nThreads_(nThreads), pool_(nThreads),
-      scheduleGate_("FLUXDIV_VERIFY_SCHEDULE", kScheduleVerifyCompiled) {
+    : cfg_(cfg), nThreads_(nThreads), pool_(nThreads) {
   if (nThreads < 1) {
     throw std::invalid_argument("FluxDivRunner: nThreads must be >= 1");
   }
 }
 
 void FluxDivRunner::verifySchedule(const Box& valid) {
-#ifdef FLUXDIV_SCHEDULE_VERIFY
+#ifdef FLUXDIV_VERIFY
   const grid::IntVect extents = valid.size();
   const std::string key = std::to_string(extents[0]) + "x" +
                           std::to_string(extents[1]) + "x" +
@@ -76,42 +53,8 @@ void FluxDivRunner::verifySchedule(const Box& valid) {
 #endif
 }
 
-void FluxDivRunner::adviseSchedule(const Box& valid) {
-  const char* env = std::getenv("FLUXDIV_ADVISE");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0) {
-    return;
-  }
-  const grid::IntVect extents = valid.size();
-  for (const auto& shape : advisedShapes_) {
-    if (shape == extents) {
-      return;
-    }
-  }
-  advisedShapes_.push_back(extents);
-  try {
-    const Box shape(grid::IntVect::zero(), extents - grid::IntVect::unit(1));
-    const analysis::CacheSpec spec =
-        analysis::CacheSpec::fromMachine(harness::queryMachine());
-    const analysis::CostReport cost = analysis::analyzeCost(
-        analysis::lowerVariant(cfg_, shape, nThreads_), spec, nThreads_);
-    if (!cost.capacityBound && cost.notes.empty()) {
-      return;
-    }
-    std::cerr << "FLUXDIV_ADVISE: variant '" << cfg_.name() << "' over "
-              << extents[0] << "x" << extents[1] << "x" << extents[2]
-              << " (threads=" << nThreads_ << "):\n";
-    for (const auto& note : cost.notes) {
-      std::cerr << "  " << note.message() << "\n";
-    }
-  } catch (const std::exception& e) {
-    // Advisory only — a cost-model failure must never break execution.
-    std::cerr << "FLUXDIV_ADVISE: cost analysis unavailable for '"
-              << cfg_.name() << "': " << e.what() << "\n";
-  }
-}
-
 void FluxDivRunner::verifyKernels() {
-#ifdef FLUXDIV_KERNEL_VERIFY
+#ifdef FLUXDIV_VERIFY
   if (kernelsVerified_) {
     return;
   }
@@ -121,7 +64,7 @@ void FluxDivRunner::verifyKernels() {
   // VerifyGate inserts the name before the probe runs, which terminates
   // the recursion (and keeps concurrent runners from probing the same
   // config twice). Process-wide: footprints depend only on the config.
-  static analysis::VerifyGate gate("FLUXDIV_VERIFY_KERNEL", true);
+  static analysis::VerifyGate gate;
   if (!gate.shouldVerify(cfg_.name())) {
     return;
   }
@@ -154,9 +97,7 @@ void FluxDivRunner::runBox(const FArrayBox& phi0, FArrayBox& phi1,
     throw std::invalid_argument("variant '" + cfg_.name() +
                                 "' is not valid for this box size");
   }
-  verifyKernels();
-  verifySchedule(valid);
-  adviseSchedule(valid);
+  prepare(valid);
 #ifdef FLUXDIV_SHADOW_CHECK
   phi1.shadowBeginEpoch();
 #endif
@@ -218,7 +159,6 @@ void FluxDivRunner::run(const LevelData& phi0, LevelData& phi1,
   verifyKernels();
   for (std::size_t b = 0; b < phi0.size(); ++b) {
     verifySchedule(phi0.validBox(b)); // cached after the first box shape
-    adviseSchedule(phi0.validBox(b));
   }
 #ifdef FLUXDIV_SHADOW_CHECK
   for (std::size_t b = 0; b < phi1.size(); ++b) {

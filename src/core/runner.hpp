@@ -4,21 +4,12 @@
 // LevelData under a chosen scheduling variant and thread count. This is
 // the object the examples, tests, and every figure bench drive.
 //
-// In Debug builds (or with -DFLUXDIV_VERIFY_SCHEDULES=ON) the runner
-// additionally proves the configured schedule legal before the first
-// execution over each box shape — see src/analysis and
-// docs/static-analysis.md. Release builds compile the gate out entirely.
-// A second Debug gate (-DFLUXDIV_VERIFY_KERNELS=ON elsewhere) probes each
-// variant's kernels differentially once per config and proves the
-// declared stencil footprints sound before the first real execution.
-//
-// With FLUXDIV_ADVISE=1 in the environment, the runner also consults the
-// static cost model (docs/cost-model.md) before the first execution over
-// each box shape and prints a stderr warning when the requested variant is
-// predicted capacity-bound on this machine's caches. Advisory only: it
-// never changes execution or throws.
-
-#include <vector>
+// In Debug builds (or with -DFLUXDIV_VERIFY=ON) the runner additionally
+// proves the configured schedule legal before the first execution over
+// each box shape, and probes each variant's kernels differentially once
+// per config to prove the declared stencil footprints sound — see
+// src/analysis and docs/static-analysis.md. Release builds compile both
+// gates out entirely.
 
 #include "analysis/verifygate.hpp"
 #include "core/variant.hpp"
@@ -50,14 +41,13 @@ public:
   void run(const grid::LevelData& phi0, grid::LevelData& phi1,
            grid::Real scale = 1.0);
 
-  /// Run the legality gate and cost advisory for boxes of this shape (both
-  /// cached per extent, both possibly compiled/opted out — see above).
-  /// runBox/run call this themselves; the step-graph executor calls it
-  /// up front so graph tasks need not.
+  /// Run the kernel and legality gates for boxes of this shape (cached,
+  /// compiled out unless FLUXDIV_VERIFY — see above). runBox/run call
+  /// this themselves; the step-graph executor calls it up front so graph
+  /// tasks need not.
   void prepare(const grid::Box& valid) {
     verifyKernels();
     verifySchedule(valid);
-    adviseSchedule(valid);
   }
 
   /// Single-box entry point: phi0 must cover valid.grow(kNumGhost) with
@@ -80,20 +70,15 @@ private:
                     const grid::Box& valid, Workspace& ws,
                     grid::Real scale);
 
-  /// Schedule-legality gate (no-op unless FLUXDIV_SCHEDULE_VERIFY is
+  /// Schedule-legality gate (no-op unless FLUXDIV_VERIFY is
   /// defined): lowers the variant over this box shape and runs the
   /// ScheduleVerifier, throwing std::logic_error with the diagnostic on
   /// an illegal schedule. Legality is translation-invariant, so results
   /// are cached per box extent.
   void verifySchedule(const grid::Box& valid);
 
-  /// Opt-in cost advisory (FLUXDIV_ADVISE=1): run the static cost model
-  /// over this box shape and warn on stderr when the variant is predicted
-  /// capacity-bound. Cached per box extent; never throws.
-  void adviseSchedule(const grid::Box& valid);
-
-  /// Kernel footprint contract gate (no-op unless FLUXDIV_KERNEL_VERIFY
-  /// is defined): differentially probe this variant's whole-pipeline
+  /// Kernel footprint contract gate (no-op unless FLUXDIV_VERIFY is
+  /// defined): differentially probe this variant's whole-pipeline
   /// kernels over a small sampled box and prove the declared stencil
   /// footprints sound (analysis/kernelcheck), throwing std::logic_error
   /// on an undeclared access. Probed once per config name process-wide.
@@ -103,7 +88,6 @@ private:
   int nThreads_;
   WorkspacePool pool_;
   analysis::VerifyGate scheduleGate_; ///< box extents proven legal
-  std::vector<grid::IntVect> advisedShapes_; ///< box extents already advised
   bool kernelsVerified_ = false; ///< this runner passed the kernel gate
 };
 

@@ -33,7 +33,7 @@ using kernels::kNumGhost;
 
 namespace {
 
-#ifdef FLUXDIV_GRAPH_VERIFY
+#ifdef FLUXDIV_VERIFY
 void throwOnStepGraphDiagnostics(const analysis::TaskGraphModel& model) {
   const analysis::GraphCheckReport report =
       analysis::checkTaskGraph(model, /*findRemovable=*/false);
@@ -72,8 +72,8 @@ analysis::StepShapeKey stepShapeKeyOf(const LevelData& u,
   return key;
 }
 
-#ifdef FLUXDIV_STEP_VERIFY
-/// FLUXDIV_VERIFY_STEP gate: before the first capture of each distinct
+#ifdef FLUXDIV_VERIFY
+/// Whole-step gate: before the first capture of each distinct
 /// (program, fuse, layout, physics) signature, prove the fuse mode's halo
 /// plan semantically equivalent to the eager reference (stepcheck S1/S2).
 /// Tightness (S3) is advisory and priced offline by fluxdiv_stepcheck, so
@@ -81,7 +81,7 @@ analysis::StepShapeKey stepShapeKeyOf(const LevelData& u,
 void verifyStepOnce(const StepProgram& prog, StepFuse fuse,
                     const StepHaloPlan& plan, const LevelData& u,
                     const StepRhsSpec& rhs) {
-  static analysis::VerifyGate gate("FLUXDIV_VERIFY_STEP", true);
+  static analysis::VerifyGate gate;
   const std::uint64_t sig =
       analysis::stepSignature(prog, fuse, stepShapeKeyOf(u, rhs));
   if (!gate.shouldVerify(analysis::stepSignatureHex(sig))) {
@@ -106,9 +106,7 @@ void verifyStepOnce(const StepProgram& prog, StepFuse fuse,
           std::string(stepFuseName(fuse)) + "'",
       msgs));
 }
-#endif
 
-#ifdef FLUXDIV_COMM_VERIFY
 /// Exchange plans are pure functions of the domain (box and periodicity),
 /// the box size, and the ghost depth, so this key identifies one plan.
 std::string levelShapeKey(const LevelData& level) {
@@ -126,13 +124,13 @@ std::string levelShapeKey(const LevelData& level) {
   return key + ";g" + std::to_string(level.nGhost());
 }
 
-/// FLUXDIV_VERIFY_COMM gate: before a capture lowers the exchanges of a
+/// Exchange-plan gate: before a capture lowers the exchanges of a
 /// slot level, prove the level's exchange plan exact, matched, and
 /// deadlock-free (analysis/commcheck) under rank partitions {1,2,4,8}.
 /// Each distinct (layout, ghost depth) is proven once per process — the
 /// solution's standard plan, and CommAvoid's deepened one.
 void verifyCommOnce(const LevelData& level) {
-  static analysis::VerifyGate gate("FLUXDIV_VERIFY_COMM", true);
+  static analysis::VerifyGate gate;
   if (level.size() == 0 || level.nGhost() <= 0 ||
       !gate.shouldVerify(levelShapeKey(level))) {
     return;
@@ -768,13 +766,13 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   cap->depth = plan.depth;
   cap->signature =
       analysis::stepSignature(prog, cap->fuse, stepShapeKeyOf(u, rhs));
-#ifdef FLUXDIV_STEP_VERIFY
+#ifdef FLUXDIV_VERIFY
   verifyStepOnce(prog, cap->fuse, plan, u, rhs);
 #endif
 
-  // Schedule-legality, kernel-contract, and cost-advisory gates for every
-  // box shape the tasks will run (each cached per extent inside the
-  // runner, each possibly compiled out — see core/runner.hpp).
+  // Schedule-legality and kernel-contract gates for every box shape the
+  // tasks will run (cached inside the runner, compiled out unless
+  // FLUXDIV_VERIFY — see core/runner.hpp).
   for (std::size_t b = 0; b < u.size(); ++b) {
     runner_->prepare(u.validBox(b));
   }
@@ -809,7 +807,7 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
         slots[static_cast<std::size_t>(s)];
   }
   cap->tab[static_cast<std::size_t>(prog.nSlots)] = &u;
-#ifdef FLUXDIV_COMM_VERIFY
+#ifdef FLUXDIV_VERIFY
   for (const LevelData* level : slots) {
     verifyCommOnce(*level);
   }
@@ -861,7 +859,7 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   cap->model = std::move(low.model);
   cap->epochTargets = std::move(low.epochTargets);
 
-#ifdef FLUXDIV_GRAPH_VERIFY
+#ifdef FLUXDIV_VERIFY
   // Prove the captured graph race-free before its first execution.
   throwOnStepGraphDiagnostics(cap->model);
 #endif

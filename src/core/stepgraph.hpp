@@ -37,14 +37,15 @@
 // ghost values come from, never the arithmetic on valid cells.
 //
 // The captured graph is mirrored into an analysis::TaskGraphModel with
-// slot-qualified footprints (TaskAccess::slot) and — in Debug or with
-// -DFLUXDIV_VERIFY_GRAPH=ON — proven race-free by analysis/graphcheck
-// before its first execution; with -DFLUXDIV_VERIFY_COMM=ON (or Debug) the
-// exchange plan of every slot level, CommAvoid's deepened one included, is
-// proven exact, matched, and deadlock-free by analysis/commcheck before
-// its first capture. Shadow-epoch barrier tasks (orderingOnly in
-// the model) re-arm the FLUXDIV_SHADOW_CHECK write detector between
-// successive RHS writes into the same stage slot.
+// slot-qualified footprints (TaskAccess::slot). In Debug or with
+// -DFLUXDIV_VERIFY=ON it is proven race-free by analysis/graphcheck before
+// its first execution, and before its first capture the step program is
+// proven equivalent to eager by analysis/stepcheck and the exchange plan
+// of every slot level, CommAvoid's deepened one included, is proven
+// exact, matched, and deadlock-free by analysis/commcheck. Shadow-epoch
+// barrier tasks (orderingOnly in the model) re-arm the
+// FLUXDIV_SHADOW_CHECK write detector between successive RHS writes into
+// the same stage slot.
 
 #include <cstddef>
 #include <cstdint>
@@ -62,7 +63,7 @@
 
 namespace fluxdiv::core {
 
-class FluxDivRunner; // verification/advisory gates (core/runner.hpp)
+class FluxDivRunner; // verification gates (core/runner.hpp)
 
 // StepOpKind / StepOp / StepProgram / StepHaloPlan / planStepHalos live in
 // core/stepprogram.hpp (compiled into fluxdiv_variant) so the analysis

@@ -150,14 +150,7 @@ core::StepProgram buildStepProgram(Scheme scheme, Real dt, int nSteps,
 
 TimeIntegrator::TimeIntegrator(Scheme scheme,
                                const DisjointBoxLayout& layout)
-    : scheme_(scheme) {
-  // Slot 0 of the program is the caller's solution; the rest are stages.
-  const int n = buildStepProgram(scheme, 0.0).nSlots - 1;
-  stages_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    stages_.emplace_back(layout, kernels::kNumComp, kernels::kNumGhost);
-  }
-}
+    : scheme_(scheme), layout_(layout) {}
 
 TimeIntegrator::~TimeIntegrator() = default;
 
@@ -249,6 +242,13 @@ void TimeIntegrator::advanceEager(LevelData& u, Real dt, FluxDivRhs& rhs) {
   // to completion over the whole level before the next starts.
   const core::StepProgram prog =
       buildStepProgram(scheme_, dt, 1, rhs.boundary() != nullptr);
+  // Slot 0 of the program is the caller's solution; the rest are stages.
+  if (stages_.empty()) {
+    stages_.reserve(static_cast<std::size_t>(prog.nSlots - 1));
+    for (int s = 1; s < prog.nSlots; ++s) {
+      stages_.emplace_back(layout_, kernels::kNumComp, kernels::kNumGhost);
+    }
+  }
   const auto slot = [&](int s) -> LevelData& {
     return s == 0 ? u : stages_[static_cast<std::size_t>(s - 1)];
   };

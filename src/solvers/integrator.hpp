@@ -101,11 +101,12 @@ void addScaled(grid::LevelData& dst, const grid::LevelData& src,
 /// dst *= scale over valid regions.
 void scaleValid(grid::LevelData& dst, grid::Real scale);
 
-/// Explicit RK integrator with preallocated stage storage.
+/// Explicit RK integrator.
 class TimeIntegrator {
 public:
-  /// Stage storage is allocated on `layout` with the exemplar's component
-  /// and ghost counts.
+  /// Eager stage storage is allocated on `layout`, with the exemplar's
+  /// component and ghost counts, by the first advanceEager(); the
+  /// step-graph modes use their executor's own stage levels.
   TimeIntegrator(Scheme scheme, const grid::DisjointBoxLayout& layout);
   ~TimeIntegrator();
 
@@ -158,7 +159,8 @@ private:
   [[nodiscard]] core::LevelPolicy resolvePolicy() const;
 
   Scheme scheme_;
-  std::vector<grid::LevelData> stages_; ///< k_i and the staging state
+  grid::DisjointBoxLayout layout_;      ///< where stages_ is allocated
+  std::vector<grid::LevelData> stages_; ///< eager k_i and staging state
   std::optional<core::StepFuse> fuseOverride_;
   std::optional<core::LevelPolicy> policyOverride_;
   core::ReplayMode replay_{};

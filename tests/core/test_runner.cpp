@@ -68,24 +68,6 @@ TEST(FluxDivRunner, RunBoxMatchesLevelRun) {
   EXPECT_EQ(LevelData::maxAbsDiffValid(viaLevel, viaBox), 0.0);
 }
 
-TEST(FluxDivRunner, AdviseEnvWarnsButNeverChangesResults) {
-  // FLUXDIV_ADVISE=1 runs the static cost model before the first
-  // evaluation of each box shape and prints advice to stderr. It must be
-  // purely advisory: identical results, no throw.
-  DisjointBoxLayout dbl(ProblemDomain(Box::cube(8)), 8);
-  LevelData phi0 = makeInitialized(dbl);
-  LevelData plain(dbl, kNumComp, kNumGhost);
-  LevelData advised(dbl, kNumComp, kNumGhost);
-  FluxDivRunner runner(makeBaseline(ParallelGranularity::OverBoxes), 1);
-  runner.run(phi0, plain);
-  ::setenv("FLUXDIV_ADVISE", "1", 1);
-  FluxDivRunner advisedRunner(makeBaseline(ParallelGranularity::OverBoxes),
-                              1);
-  EXPECT_NO_THROW(advisedRunner.run(phi0, advised));
-  ::unsetenv("FLUXDIV_ADVISE");
-  EXPECT_EQ(LevelData::maxAbsDiffValid(plain, advised), 0.0);
-}
-
 TEST(FluxDivRunner, WorkspaceAccountingReflectsTableOne) {
   // Measured per-thread temporary storage must track Table I's analytic
   // footprints: baseline ~ C(N+1)^3 flux; overlapped tiles ~ tile-sized.

@@ -11,7 +11,12 @@ namespace {
 
 class CheckpointTest : public testing::Test {
 protected:
-  std::string path_ = testing::TempDir() + "fluxdiv_test.ckpt";
+  // One file per test: ctest runs every case as its own process, so a
+  // shared name would let one case's TearDown delete another's file.
+  std::string path_ =
+      testing::TempDir() + "fluxdiv_ckpt_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".ckpt";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

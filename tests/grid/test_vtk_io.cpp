@@ -10,7 +10,12 @@ namespace {
 
 class VtkTest : public testing::Test {
 protected:
-  std::string path_ = testing::TempDir() + "fluxdiv_test.vtk";
+  // One file per test: ctest runs every case as its own process, so a
+  // shared name would let one case's TearDown delete another's file.
+  std::string path_ =
+      testing::TempDir() + "fluxdiv_vtk_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".vtk";
   void TearDown() override { std::remove(path_.c_str()); }
 
   static LevelData makeLevel() {

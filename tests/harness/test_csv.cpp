@@ -18,7 +18,12 @@ std::string readAll(const std::string& path) {
 
 class CsvTest : public testing::Test {
 protected:
-  std::string path_ = testing::TempDir() + "fluxdiv_csv_test.csv";
+  // One file per test: ctest runs every case as its own process, so a
+  // shared name would let one case's TearDown delete another's file.
+  std::string path_ =
+      testing::TempDir() + "fluxdiv_csv_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

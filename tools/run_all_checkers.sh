@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Sweep the whole static verification stack (docs/static-analysis.md) in
-# one command — the local equivalent of CI's five checker jobs:
+# one command — CI's verify job runs exactly this:
 #
 #   fluxdiv_verify       schedule legality over every registered variant
-#   fluxdiv_graphcheck   task-graph races, seeded graph miscompilations
+#   fluxdiv_graphcheck   task-graph races, seeded graph miscompilations,
+#                        adversarial replay against the eager step
 #   fluxdiv_commcheck    exchange-plan exactness/matching/deadlock
 #   fluxdiv_kernelcheck  kernel footprint contracts, sound and tight
 #   fluxdiv_stepcheck    whole-step semantic equivalence per fuse mode
@@ -38,26 +39,41 @@ run() {
 run "$tools/fluxdiv_verify" --boxsize 16 --extensions
 run "$tools/fluxdiv_verify" --boxsize 64 --extensions
 
-# Task graphs: both parallel policies, default shape plus a denser
+# Task graphs: both parallel policies (--policy all), replayed under the
+# hostile orderings, at two pool sizes (task ownership, and so the
+# steal-heavy replay order, depends on them); plus a denser
 # many-small-boxes level.
-run "$tools/fluxdiv_graphcheck" --policy all --strict --mutate
-run "$tools/fluxdiv_graphcheck" --policy all --nboxes 27 --boxsize 8 \
-  --strict
+for threads in 2 8; do
+  run "$tools/fluxdiv_graphcheck" --policy all --threads "$threads" \
+    --strict --mutate --replay
+  run "$tools/fluxdiv_graphcheck" --policy all --nboxes 27 --boxsize 8 \
+    --threads "$threads" --strict
+done
 
-# Exchange plans: shared-memory and rank-partitioned, plus a ghost sweep.
-run "$tools/fluxdiv_commcheck" --strict --mutate
-run "$tools/fluxdiv_commcheck" --nranks 4 --nboxes 64 --boxsize 8 \
-  --strict --mutate
-run "$tools/fluxdiv_commcheck" --ghost 1 --strict
-run "$tools/fluxdiv_commcheck" --ghost 4 --strict
+# Exchange plans: shared-memory (nranks 0) and rank-partitioned shapes,
+# each at the standard ghost depth and swept over depths 1 and 4.
+for shape in "0 8 16" "0 27 8" "4 64 8" "8 16 8"; do
+  read -r nranks nboxes boxsize <<<"$shape"
+  for ghost in 2 1 4; do
+    run "$tools/fluxdiv_commcheck" --nranks "$nranks" --nboxes "$nboxes" \
+      --boxsize "$boxsize" --ghost "$ghost" --strict --mutate
+  done
+done
 
-# Kernel contracts: exhaustive small box and a sampled larger one.
-run "$tools/fluxdiv_kernelcheck" --boxsize 8 --strict --mutate
-run "$tools/fluxdiv_kernelcheck" --boxsize 16 --strict
+# Kernel contracts: exhaustive at box 8, sampled at 16 and 32, and dense
+# rows only (pad lanes absent, offsets must not move).
+for boxsize in 8 16 32; do
+  run "$tools/fluxdiv_kernelcheck" --boxsize "$boxsize" --strict --mutate
+  run "$tools/fluxdiv_kernelcheck" --boxsize "$boxsize" --pitch dense \
+    --strict
+done
 
-# Whole-step semantics: every scheme x fuse x {1,3}-step program, with
-# the seeded step miscompilations.
+# Whole-step semantics: every scheme x fuse mode (--fuse all) x {1,3}-step
+# program with the seeded step miscompilations, then 3-step programs on
+# 32^3 boxes with more seeds.
 run "$tools/fluxdiv_stepcheck" --strict --mutate
+run "$tools/fluxdiv_stepcheck" --nsteps 3 --boxsize 32 --strict --mutate \
+  --seeds 7
 
 echo
 if [[ "$failures" -ne 0 ]]; then
