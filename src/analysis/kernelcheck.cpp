@@ -332,8 +332,6 @@ std::vector<TraceSlot> outputProbeSlots(const TracingFab& out,
   return slots;
 }
 
-} // namespace
-
 const char* kernelDiagKindName(KernelDiagKind k) {
   switch (k) {
   case KernelDiagKind::Ok:
@@ -351,6 +349,8 @@ const char* kernelDiagKindName(KernelDiagKind k) {
   }
   return "?";
 }
+
+} // namespace
 
 std::string KernelDiag::message() const {
   std::ostringstream os;

@@ -99,8 +99,6 @@ enum class KernelDiagKind : std::uint8_t {
   ContractMismatch, ///< K3: a consumer's footprint disagrees with proof
 };
 
-const char* kernelDiagKindName(KernelDiagKind k);
-
 /// One structured finding. `repro` is the minimal repro: re-running the
 /// kernel with exactly this output region (inputs grown by the ghost
 /// margin) reproduces the offending access.

@@ -599,8 +599,9 @@ void lowerOverlapped(ScheduleModel& m, const VariantConfig& cfg,
   (void)nThreads;
 }
 
-} // namespace
-
+/// Display label used for Diagnostic::variant (kept independent of
+/// core::VariantConfig::name() so the analysis library layers strictly
+/// below fluxdiv_core).
 std::string variantLabel(const VariantConfig& cfg) {
   std::string n;
   switch (cfg.family) {
@@ -635,6 +636,8 @@ std::string variantLabel(const VariantConfig& cfg) {
   }
   return n;
 }
+
+} // namespace
 
 ScheduleModel lowerVariant(const VariantConfig& cfg, const Box& valid,
                            int nThreads) {

@@ -19,9 +19,4 @@ namespace fluxdiv::analysis {
 ScheduleModel lowerVariant(const core::VariantConfig& cfg,
                            const grid::Box& valid, int nThreads);
 
-/// Display label used for Diagnostic::variant (kept independent of
-/// core::VariantConfig::name() so the analysis library layers strictly
-/// below fluxdiv_core).
-std::string variantLabel(const core::VariantConfig& cfg);
-
 } // namespace fluxdiv::analysis

@@ -605,8 +605,6 @@ long long extraCells(int boxSize, int nBoxes, int w, int minW) {
   return (vol(w) - vol(minW)) * nBoxes;
 }
 
-} // namespace
-
 const char* stepDiagKindName(StepDiagKind kind) {
   switch (kind) {
   case StepDiagKind::ValueMismatch: return "value-mismatch";
@@ -624,6 +622,8 @@ const char* stepNoteKindName(StepNoteKind kind) {
   }
   return "?";
 }
+
+} // namespace
 
 std::string StepDiagnostic::message() const {
   std::string msg = "[";

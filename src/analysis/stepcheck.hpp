@@ -63,7 +63,6 @@ enum class StepDiagKind {
   ReadBeforeWrite, ///< S2: op reads a never-written stage-slot layer
   StorageExceeded, ///< plan inconsistency: exchange deeper than its depth
 };
-const char* stepDiagKindName(StepDiagKind kind);
 
 /// One stepcheck failure with its minimal witness: `op` is the first
 /// program op whose written interior diverges (or performs the bad read),
@@ -85,7 +84,6 @@ enum class StepNoteKind {
   DeadExchange, ///< exchange fills ghosts nothing ever reads (S2)
   OverDeepHalo, ///< plan width not minimal; shrinking keeps S1 (S3)
 };
-const char* stepNoteKindName(StepNoteKind kind);
 
 struct StepAdvisory {
   StepNoteKind kind = StepNoteKind::DeadStore;

@@ -27,9 +27,8 @@ analysis::KernelShape makeVariantShape(const VariantConfig& cfg,
   return shape;
 }
 
-std::vector<analysis::KernelShape> variantShapes(int nThreads, int tile) {
-  std::vector<analysis::KernelShape> shapes;
-  const std::vector<VariantConfig> cfgs = {
+std::vector<VariantConfig> representativeFamilies(int tile) {
+  return {
       makeBaseline(ParallelGranularity::WithinBox),
       makeShiftFuse(ParallelGranularity::WithinBox),
       makeBlockedWF(tile, ParallelGranularity::WithinBox,
@@ -39,6 +38,11 @@ std::vector<analysis::KernelShape> variantShapes(int nThreads, int tile) {
       makeOverlapped(IntraTileSchedule::ShiftFuse, tile,
                      ParallelGranularity::WithinBox),
   };
+}
+
+std::vector<analysis::KernelShape> variantShapes(int nThreads, int tile) {
+  std::vector<analysis::KernelShape> shapes;
+  const std::vector<VariantConfig> cfgs = representativeFamilies(tile);
   shapes.reserve(cfgs.size());
   for (const VariantConfig& cfg : cfgs) {
     shapes.push_back(makeVariantShape(cfg, nThreads));

@@ -21,9 +21,14 @@ namespace fluxdiv::core {
 analysis::KernelShape makeVariantShape(const VariantConfig& cfg,
                                        int nThreads);
 
-/// The representative schedule families (the same set the graphcheck and
-/// verify tools sweep) as pipeline shapes. `tile` must not exceed the
-/// probe box size.
+/// The four schedule families at one representative configuration each:
+/// baseline, shift-fuse, blocked wavefront with both component loops,
+/// and shift-fuse overlapped tiles (which become (box x tile) tasks under
+/// the hybrid policy), all within-box; `tile` sizes the tiled ones.
+std::vector<VariantConfig> representativeFamilies(int tile);
+
+/// The representative families as pipeline shapes. `tile` must not
+/// exceed the probe box size.
 std::vector<analysis::KernelShape> variantShapes(int nThreads,
                                                  int tile = 4);
 

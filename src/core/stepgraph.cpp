@@ -76,8 +76,8 @@ analysis::StepShapeKey stepShapeKeyOf(const LevelData& u,
 /// Whole-step gate: before the first capture of each distinct
 /// (program, fuse, layout, physics) signature, prove the fuse mode's halo
 /// plan semantically equivalent to the eager reference (stepcheck S1/S2).
-/// Tightness (S3) is advisory and priced offline by fluxdiv_stepcheck, so
-/// the gate skips it.
+/// Tightness (S3) is advisory and proven offline by the stepcheck test
+/// suite (tests/analysis/test_stepcheck.cpp), so the gate skips it.
 void verifyStepOnce(const StepProgram& prog, StepFuse fuse,
                     const StepHaloPlan& plan, const LevelData& u,
                     const StepRhsSpec& rhs) {

@@ -47,7 +47,7 @@ enum class LevelPolicy {
 /// Display / CLI name: "sequential", "parallel", "hybrid".
 [[nodiscard]] const char* levelPolicyName(LevelPolicy policy);
 
-/// Parse a policy name (the FLUXDIV_LEVEL_POLICY / --policy values).
+/// Parse a policy name (the --policy and workload-spec `policy=` values).
 /// Returns false and leaves `out` untouched on an unknown name.
 bool parseLevelPolicy(const std::string& text, LevelPolicy& out);
 
@@ -73,7 +73,7 @@ enum class StepFuse {
 /// Display / CLI name: "eager", "fused", "commavoid".
 [[nodiscard]] const char* stepFuseName(StepFuse fuse);
 
-/// Parse a fuse-mode name (the FLUXDIV_STEP_FUSE / --fuse values).
+/// Parse a fuse-mode name (the --fuse and workload-spec `fuse=` values).
 /// Returns false and leaves `out` untouched on an unknown name.
 bool parseStepFuse(const std::string& text, StepFuse& out);
 

@@ -1,7 +1,5 @@
 #include "solvers/integrator.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "kernels/exemplar.hpp"
@@ -154,51 +152,18 @@ TimeIntegrator::TimeIntegrator(Scheme scheme,
 
 TimeIntegrator::~TimeIntegrator() = default;
 
-core::StepFuse TimeIntegrator::resolveFuse() const {
-  if (fuseOverride_.has_value()) {
-    return *fuseOverride_;
-  }
-  if (const char* env = std::getenv("FLUXDIV_STEP_FUSE")) {
-    core::StepFuse fuse{};
-    if (!core::parseStepFuse(env, fuse)) {
-      throw std::invalid_argument(
-          std::string("TimeIntegrator: unknown FLUXDIV_STEP_FUSE '") +
-          env + "'");
-    }
-    return fuse;
-  }
-  return core::StepFuse::Fused;
-}
-
-core::LevelPolicy TimeIntegrator::resolvePolicy() const {
-  if (policyOverride_.has_value()) {
-    return *policyOverride_;
-  }
-  if (const char* env = std::getenv("FLUXDIV_LEVEL_POLICY")) {
-    core::LevelPolicy policy{};
-    if (!core::parseLevelPolicy(env, policy)) {
-      throw std::invalid_argument(
-          std::string("TimeIntegrator: unknown FLUXDIV_LEVEL_POLICY '") +
-          env + "'");
-    }
-    return policy;
-  }
-  return core::LevelPolicy::BoxParallel;
-}
-
 const core::StepGraphStats* TimeIntegrator::stepStats() const {
   return exec_ != nullptr ? &exec_->stats() : nullptr;
 }
 
 core::StepGraphExecutor*
 TimeIntegrator::stepExecutor(const FluxDivRhs& rhs) {
-  const core::StepFuse fuse = resolveFuse();
-  if (fuse == core::StepFuse::Eager) {
+  if (fuse_ == core::StepFuse::Eager) {
     return nullptr;
   }
   core::StepExecOptions opts;
-  opts.policy = resolvePolicy();
-  opts.fuse = fuse;
+  opts.policy = policy_;
+  opts.fuse = fuse_;
   opts.replay = replay_;
   const bool reusable =
       exec_ != nullptr && execCfg_ == rhs.config() &&

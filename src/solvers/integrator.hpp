@@ -14,10 +14,9 @@
 //     the stage combines become per-box/per-tile tasks and cross-stage
 //     tasks overlap (Fused), or per-stage exchanges are replaced by one
 //     deepened exchange plus halo recomputation (CommAvoid). Selected by
-//     the FLUXDIV_STEP_FUSE environment variable (default: fused) or
-//     setStepFuse(). All modes produce bit-identical solutions.
+//     setStepFuse() (default: fused). All modes produce bit-identical
+//     solutions.
 
-#include <optional>
 #include <memory>
 #include <vector>
 
@@ -117,8 +116,7 @@ public:
 
   /// Advance u by one step of size dt: u <- u + dt * combination of
   /// rhs evaluations per the scheme. Dispatches on the fuse mode (see the
-  /// header comment); throws std::invalid_argument on an unparsable
-  /// FLUXDIV_STEP_FUSE / FLUXDIV_LEVEL_POLICY value.
+  /// header comment).
   void advance(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs);
 
   /// Advance u by `nSteps` steps of size dt. Under Fused/CommAvoid the
@@ -131,15 +129,12 @@ public:
   /// the step program interpreted serially, op by op.
   void advanceEager(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs);
 
-  /// Override the FLUXDIV_STEP_FUSE environment variable (tests/benches).
-  void setStepFuse(core::StepFuse fuse) { fuseOverride_ = fuse; }
+  /// Select the fuse mode (default: fused).
+  void setStepFuse(core::StepFuse fuse) { fuse_ = fuse; }
 
-  /// Override the FLUXDIV_LEVEL_POLICY environment variable for the
-  /// step-graph executor's task granularity. That variable is read here
-  /// (resolvePolicy) and nowhere else.
-  void setLevelPolicy(core::LevelPolicy policy) {
-    policyOverride_ = policy;
-  }
+  /// Select the step-graph executor's task granularity (default:
+  /// box-parallel).
+  void setLevelPolicy(core::LevelPolicy policy) { policy_ = policy; }
 
   /// Adversarial serial replay of the captured graph (tests; see
   /// core::ReplayMode). Only affects the non-eager paths.
@@ -155,14 +150,11 @@ public:
   core::StepGraphExecutor* stepExecutor(const FluxDivRhs& rhs);
 
 private:
-  [[nodiscard]] core::StepFuse resolveFuse() const;
-  [[nodiscard]] core::LevelPolicy resolvePolicy() const;
-
   Scheme scheme_;
   grid::DisjointBoxLayout layout_;      ///< where stages_ is allocated
   std::vector<grid::LevelData> stages_; ///< eager k_i and staging state
-  std::optional<core::StepFuse> fuseOverride_;
-  std::optional<core::LevelPolicy> policyOverride_;
+  core::StepFuse fuse_ = core::StepFuse::Fused;
+  core::LevelPolicy policy_ = core::LevelPolicy::BoxParallel;
   core::ReplayMode replay_{};
   core::VariantConfig execCfg_; ///< config the executor was built for
   std::unique_ptr<core::StepGraphExecutor> exec_;

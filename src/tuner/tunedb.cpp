@@ -401,8 +401,17 @@ void TuneDB::save(const std::string& path) const {
     out += "}";
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";
-  std::ofstream f(path, std::ios::trunc);
-  if (!f || !(f << out) || !f.flush()) {
+  // Write a sibling temp file and rename it over `path`, so a crash or a
+  // failed write never leaves a truncated database behind.
+  const std::string tmp = path + ".tmp";
+  std::ofstream f(tmp, std::ios::trunc);
+  if (!f) {
+    throw std::runtime_error("TuneDB::save: cannot create " + tmp);
+  }
+  f << out;
+  f.close();
+  if (!f || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
     throw std::runtime_error("TuneDB::save: cannot write " + path);
   }
 }

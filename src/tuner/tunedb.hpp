@@ -103,8 +103,9 @@ public:
   bool load(const std::string& path);
 
   /// Write every measured record (priors are recomputable and are not
-  /// persisted). Throws std::runtime_error when the file cannot be
-  /// written.
+  /// persisted). Atomic: the records go to `path + ".tmp"`, which is then
+  /// renamed over `path`. Throws std::runtime_error when the file cannot
+  /// be written; `path` is then left as it was.
   void save(const std::string& path) const;
 
   /// The measured record for `key`, or nullptr. Does not touch counters.

@@ -5,7 +5,8 @@
 // inputs; hand-edited plans exercise each diagnostic kind in isolation
 // with its labeled two-endpoint witness; and the seeded plan
 // miscompilations of analysis/mutate must each be rejected with their
-// predicted witness labels.
+// predicted witness labels. The suite layouts include a matrix of level
+// shapes x ghost depths x domain periodicities.
 
 #include "analysis/commcheck.hpp"
 
@@ -37,10 +38,65 @@ struct NamedLayout {
   std::string name;
   DisjointBoxLayout dbl;
   int nghost;
+  int maxRanks = 8; ///< largest rank partition to verify and mutate
 };
 
+/// Near-cubic per-axis box counts whose product is >= nBoxes.
+IntVect factorBoxes(int nBoxes) {
+  IntVect counts = IntVect::unit(1);
+  while (counts.product() < nBoxes) {
+    int smallest = 0;
+    for (int d = 1; d < grid::SpaceDim; ++d) {
+      if (counts[d] < counts[smallest]) {
+        smallest = d;
+      }
+    }
+    counts[smallest] += 1;
+  }
+  return counts;
+}
+
+/// A matrix of level shapes: shared-memory levels (8 x 16^3, 27 x 8^3)
+/// and rank-partitioned ones (4 ranks over 64 x 8^3, 8 ranks over
+/// 16 x 8^3), at ghost depths 1, 2 and 4, each over periodic, walled and
+/// mixed-periodicity domains.
+std::vector<NamedLayout> levelMatrix() {
+  struct Shape {
+    int maxRanks;
+    int nBoxes;
+    int boxSize;
+  };
+  std::vector<NamedLayout> out;
+  for (const Shape& sh : {Shape{8, 8, 16}, Shape{8, 27, 8}, Shape{4, 64, 8},
+                          Shape{8, 16, 8}}) {
+    const grid::Box domBox(IntVect::zero(),
+                           factorBoxes(sh.nBoxes) * sh.boxSize -
+                               IntVect::unit(1));
+    for (const int ghost : {1, 2, 4}) {
+      const std::string tag = std::to_string(sh.nBoxes) + "@" +
+                              std::to_string(sh.boxSize) + " g" +
+                              std::to_string(ghost);
+      out.push_back({"periodic " + tag,
+                     DisjointBoxLayout(ProblemDomain(domBox), sh.boxSize),
+                     ghost, sh.maxRanks});
+      out.push_back(
+          {"walls " + tag,
+           DisjointBoxLayout(ProblemDomain(domBox, /*periodicAll=*/false),
+                             sh.boxSize),
+           ghost, sh.maxRanks});
+      out.push_back(
+          {"mixed " + tag,
+           DisjointBoxLayout(
+               ProblemDomain(domBox, std::array<bool, 3>{true, false, true}),
+               sh.boxSize),
+           ghost, sh.maxRanks});
+    }
+  }
+  return out;
+}
+
 std::vector<NamedLayout> suiteLayouts() {
-  return {
+  std::vector<NamedLayout> out = {
       {"periodic 3^3@8 g2",
        DisjointBoxLayout(ProblemDomain(grid::Box::cube(24)), 8), 2},
       {"single box self-wrap g2",
@@ -63,6 +119,10 @@ std::vector<NamedLayout> suiteLayouts() {
                          8),
        2},
   };
+  for (NamedLayout& nl : levelMatrix()) {
+    out.push_back(std::move(nl));
+  }
+  return out;
 }
 
 CommPlanModel modelFor(const NamedLayout& nl, int ncomp = 2) {
@@ -91,7 +151,8 @@ TEST(CommCheckClean, AllSuitePlansVerifyUnderAllPartitions) {
     const Copier copier(nl.dbl, nl.nghost);
     CommPlanModel model = buildCommPlanModel(nl.dbl, copier, 2, nl.name);
     for (const int nranks : {1, 2, 4, 8}) {
-      if (static_cast<std::size_t>(nranks) > nl.dbl.size()) {
+      if (static_cast<std::size_t>(nranks) > nl.dbl.size() ||
+          nranks > nl.maxRanks) {
         break;
       }
       const distsim::RankDecomposition ranks(nl.dbl, nranks);
@@ -330,13 +391,16 @@ TEST(CommCheckAdvisories, SmallPeriodicLayoutHasMergeableMessages) {
 using MutatorFn = mutate::CommMutation (*)(const CommPlanModel&,
                                            std::uint64_t);
 
-void expectCaught(const CommPlanModel& base, MutatorFn fn,
-                  const char* mutator) {
+/// Returns the number of seeds whose mutation had a candidate.
+int expectCaught(const CommPlanModel& base, MutatorFn fn,
+                 const char* mutator) {
+  int executed = 0;
   for (std::uint64_t seed = 0; seed < 7; ++seed) {
     const mutate::CommMutation mut = fn(base, seed);
     if (mut.expect == CommDiagKind::Ok) {
       continue; // no candidate in this plan
     }
+    ++executed;
     const CommCheckReport rep = checkCommPlan(mut.model);
     EXPECT_TRUE(reported(rep, mut.expect, mut.witnessA, mut.witnessB))
         << mutator << " seed " << seed << " (" << mut.what
@@ -350,18 +414,31 @@ void expectCaught(const CommPlanModel& base, MutatorFn fn,
           << commDiagKindName(mut.expectAlso);
     }
   }
+  return executed;
 }
 
 TEST(CommCheckMutations, AllMutatorsCaughtOnAllSuiteLayouts) {
-  for (const NamedLayout& nl : suiteLayouts()) {
+  int matrixExecuted = 0;
+  const std::vector<NamedLayout> layouts = suiteLayouts();
+  const std::size_t matrixBegin = layouts.size() - levelMatrix().size();
+  for (std::size_t i = 0; i < layouts.size(); ++i) {
+    const NamedLayout& nl = layouts[i];
     CommPlanModel base = modelFor(nl);
-    applyRankPartition(
-        base, static_cast<int>(std::min<std::size_t>(nl.dbl.size(), 8)));
-    expectCaught(base, &mutate::dropCommOp, "dropCommOp");
-    expectCaught(base, &mutate::shrinkCommRegion, "shrinkCommRegion");
-    expectCaught(base, &mutate::skewCommSource, "skewCommSource");
-    expectCaught(base, &mutate::unmatchCommSend, "unmatchCommSend");
+    applyRankPartition(base, std::min(static_cast<int>(nl.dbl.size()),
+                                      nl.maxRanks));
+    const int executed =
+        expectCaught(base, &mutate::dropCommOp, "dropCommOp") +
+        expectCaught(base, &mutate::shrinkCommRegion, "shrinkCommRegion") +
+        expectCaught(base, &mutate::skewCommSource, "skewCommSource") +
+        expectCaught(base, &mutate::unmatchCommSend, "unmatchCommSend");
+    if (i >= matrixBegin) {
+      matrixExecuted += executed;
+    }
   }
+  // Every matrix plan offers a candidate for every class at every seed,
+  // except that a one-layer halo has no region to shrink: 4 shapes x 3
+  // domains x 7 seeds x (4 classes at ghost 2 and 4, 3 at ghost 1).
+  EXPECT_EQ(matrixExecuted, 4 * 3 * 7 * (4 + 4 + 3));
 }
 
 TEST(CommCheckMutations, UnmutatedBaselineStaysClean) {

@@ -8,7 +8,8 @@
 // loop on the dynamic side: every policy x family step stays
 // bit-identical to the eager step under all four hostile orderings (with
 // shadow-memory checking active when FLUXDIV_SHADOW_CHECK is compiled
-// in).
+// in). The real graphs are lowered on 2, 3 and 8 workers, and on a level
+// of 27 small boxes.
 
 #include "analysis/graphcheck.hpp"
 
@@ -21,6 +22,7 @@
 
 #include "analysis/mutate.hpp"
 #include "analysis/verifier.hpp"
+#include "core/kernelshapes.hpp"
 #include "core/stepgraph.hpp"
 #include "core/variant.hpp"
 #include "grid/box.hpp"
@@ -251,22 +253,6 @@ TEST(GraphCheck, OverSynchronizationReasonsAreClassified) {
 // Real step graphs.
 // ---------------------------------------------------------------------------
 
-/// The four schedule families at one representative configuration each
-/// (both blocked-wavefront component loops; the overlapped tiles become
-/// (box x tile) tasks under hybrid).
-std::vector<VariantConfig> representativeFamilies() {
-  return {
-      core::makeBaseline(core::ParallelGranularity::WithinBox),
-      core::makeShiftFuse(core::ParallelGranularity::WithinBox),
-      core::makeBlockedWF(8, core::ParallelGranularity::WithinBox,
-                          core::ComponentLoop::Outside),
-      core::makeBlockedWF(8, core::ParallelGranularity::WithinBox,
-                          core::ComponentLoop::Inside),
-      core::makeOverlapped(core::IntraTileSchedule::ShiftFuse, 8,
-                           core::ParallelGranularity::WithinBox),
-  };
-}
-
 constexpr grid::Real kDt = 1e-3;
 
 /// One forward-Euler step: exchange, RHS evaluation, axpy.
@@ -274,46 +260,70 @@ core::StepProgram eulerStep() {
   return solvers::buildStepProgram(solvers::Scheme::ForwardEuler, kDt);
 }
 
-/// 8-box level (2x2x2 boxes of side 16) holding the exemplar state.
-LevelData makeLevel(Pitch pitch) {
-  const ProblemDomain dom(Box::cube(32));
-  const DisjointBoxLayout dbl(dom, 16);
+/// Where a step graph is lowered: a periodic level of `perSide`^3 boxes
+/// of side `boxSize`, a pool of `nThreads` workers (task ownership, and
+/// with it the steal-heavy replay order, depends on it), and the tile
+/// size of the tiled families.
+struct StepSetup {
+  int perSide;
+  int boxSize;
+  int nThreads;
+  int tile;
+};
+
+/// 8 boxes of 16^3 on 3 workers with tile-8 families, and the same level
+/// on 2 and 8 workers with tile-4 families.
+constexpr StepSetup kStepSetups[] = {
+    {2, 16, 3, 8}, {2, 16, 2, 4}, {2, 16, 8, 4}};
+/// 27 boxes of 8^3: more boxes than workers, tiles of half a box.
+constexpr StepSetup kSmallBoxSetups[] = {{3, 8, 2, 4}, {3, 8, 8, 4}};
+
+LevelData makeLevel(Pitch pitch, const StepSetup& s = kStepSetups[0]) {
+  const ProblemDomain dom(Box::cube(s.perSide * s.boxSize));
+  const DisjointBoxLayout dbl(dom, s.boxSize);
   LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost, pitch);
   kernels::initializeExemplar(u);
   return u;
 }
 
 TaskGraphModel lowerModel(const VariantConfig& cfg, LevelPolicy policy,
-                          Pitch pitch) {
-  LevelData u = makeLevel(pitch);
+                          Pitch pitch, const StepSetup& s = kStepSetups[0]) {
+  LevelData u = makeLevel(pitch, s);
   core::StepExecOptions opts;
   opts.policy = policy;
-  core::StepGraphExecutor exec(cfg, 3, opts);
+  core::StepGraphExecutor exec(cfg, s.nThreads, opts);
   return exec.lowerModel(eulerStep(), u, {});
 }
 
 /// The eager step from the exemplar state: the bit-identity reference.
-LevelData eagerStep(const VariantConfig& cfg, Pitch pitch) {
-  LevelData u = makeLevel(pitch);
-  solvers::FluxDivRhs rhs(cfg, 3);
+LevelData eagerStep(const VariantConfig& cfg, Pitch pitch,
+                    const StepSetup& s = kStepSetups[0]) {
+  LevelData u = makeLevel(pitch, s);
+  solvers::FluxDivRhs rhs(cfg, s.nThreads);
   solvers::TimeIntegrator integ(solvers::Scheme::ForwardEuler, u.layout());
   integ.advanceEager(u, kDt, rhs);
   return u;
 }
 
 TEST(GraphCheck, AllPolicyFamiliesAndPitchesVerifyClean) {
-  for (const Pitch pitch : {Pitch::Padded, Pitch::Dense}) {
-    for (const VariantConfig& cfg : representativeFamilies()) {
-      for (const LevelPolicy policy : core::kLevelPolicies) {
-        const TaskGraphModel m = lowerModel(cfg, policy, pitch);
-        const GraphCheckReport rep = checkTaskGraph(m);
-        EXPECT_TRUE(rep.ok()) << m.name << ": first diagnostic: "
-                              << (rep.diagnostics.empty()
-                                      ? std::string("-")
-                                      : rep.diagnostics[0].message());
-        EXPECT_GE(rep.taskCount, 8) << m.name;
-        EXPECT_GT(rep.edgeCount, 0)
-            << m.name << ": RHS tasks must be ordered after exchange ops";
+  std::vector<StepSetup> setups(std::begin(kStepSetups), std::end(kStepSetups));
+  setups.insert(setups.end(), std::begin(kSmallBoxSetups),
+                std::end(kSmallBoxSetups));
+  for (const StepSetup& s : setups) {
+    for (const Pitch pitch : {Pitch::Padded, Pitch::Dense}) {
+      for (const VariantConfig& cfg : core::representativeFamilies(s.tile)) {
+        for (const LevelPolicy policy : core::kLevelPolicies) {
+          const TaskGraphModel m = lowerModel(cfg, policy, pitch, s);
+          const GraphCheckReport rep = checkTaskGraph(m);
+          EXPECT_TRUE(rep.ok()) << m.name << " on " << s.nThreads
+                                << " workers: first diagnostic: "
+                                << (rep.diagnostics.empty()
+                                        ? std::string("-")
+                                        : rep.diagnostics[0].message());
+          EXPECT_GE(rep.taskCount, 8) << m.name;
+          EXPECT_GT(rep.edgeCount, 0)
+              << m.name << ": RHS tasks must be ordered after exchange ops";
+        }
       }
     }
   }
@@ -346,13 +356,22 @@ void expectMutationCaught(const TaskGraphModel& original,
 TEST(GraphCheckMutation, SeededMutationsProduceTheExpectedDiagnostic) {
   // Step graphs of a box-parallel family and a tiled hybrid family: both
   // have conflict-carrying edges to drop/reroute and exchange-op writes
-  // to shrink.
-  const TaskGraphModel models[] = {
-      lowerModel(representativeFamilies()[1], LevelPolicy::BoxParallel,
+  // to shrink. Then every family under both parallel policies on 2 and 8
+  // workers.
+  std::vector<TaskGraphModel> models = {
+      lowerModel(core::representativeFamilies(8)[1], LevelPolicy::BoxParallel,
                  Pitch::Padded),
-      lowerModel(representativeFamilies()[4], LevelPolicy::Hybrid,
+      lowerModel(core::representativeFamilies(8)[4], LevelPolicy::Hybrid,
                  Pitch::Padded),
   };
+  for (const StepSetup& s : {kStepSetups[1], kStepSetups[2]}) {
+    for (const VariantConfig& cfg : core::representativeFamilies(s.tile)) {
+      for (const LevelPolicy policy :
+           {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
+        models.push_back(lowerModel(cfg, policy, Pitch::Padded, s));
+      }
+    }
+  }
   for (const TaskGraphModel& m : models) {
     int executed = 0;
     for (std::uint64_t seed = 0; seed < 5; ++seed) {
@@ -366,15 +385,15 @@ TEST(GraphCheckMutation, SeededMutationsProduceTheExpectedDiagnostic) {
         executed += mut.expect != DiagnosticKind::Ok ? 1 : 0;
       }
     }
-    EXPECT_GE(executed, 5)
+    EXPECT_EQ(executed, 5 * 3)
         << m.name << ": a step graph must offer candidates for "
-        << "every mutation class";
+        << "every mutation class at every seed";
   }
 }
 
 TEST(GraphCheckMutation, MutationsAreDeterministicPerSeed) {
   const TaskGraphModel m =
-      lowerModel(representativeFamilies()[0], LevelPolicy::BoxParallel,
+      lowerModel(core::representativeFamilies(8)[0], LevelPolicy::BoxParallel,
                  Pitch::Padded);
   const mutate::GraphMutation a = mutate::dropGraphEdge(m, 3);
   const mutate::GraphMutation b = mutate::dropGraphEdge(m, 3);
@@ -390,26 +409,34 @@ TEST(GraphCheckMutation, MutationsAreDeterministicPerSeed) {
 // ---------------------------------------------------------------------------
 
 TEST(GraphCheckReplay, HostileOrderingsAreBitIdenticalToSequential) {
-  for (const VariantConfig& cfg : representativeFamilies()) {
-    const LevelData expected = eagerStep(cfg, Pitch::Padded);
-    for (const LevelPolicy policy : core::kLevelPolicies) {
-      for (const core::ReplayOrder order : core::kReplayOrders) {
-        core::StepExecOptions opts;
-        opts.policy = policy;
-        opts.replay = {order, /*seed=*/42};
-        core::StepGraphExecutor exec(cfg, 3, opts);
-        LevelData actual = makeLevel(Pitch::Padded);
-        exec.run(eulerStep(), actual, {});
-        EXPECT_EQ(LevelData::maxAbsDiffValid(expected, actual), 0.0)
-            << cfg.name() << " / " << core::levelPolicyName(policy)
-            << " / " << core::replayOrderName(order);
+  for (const StepSetup& s : kStepSetups) {
+    for (const VariantConfig& cfg : core::representativeFamilies(s.tile)) {
+      const LevelData expected = eagerStep(cfg, Pitch::Padded, s);
+      for (const LevelPolicy policy : core::kLevelPolicies) {
+        for (const core::ReplayOrder order : core::kReplayOrders) {
+          for (const std::uint64_t seed : {42ull, 1234ull}) {
+            core::StepExecOptions opts;
+            opts.policy = policy;
+            opts.replay = {order, seed};
+            core::StepGraphExecutor exec(cfg, s.nThreads, opts);
+            LevelData actual = makeLevel(Pitch::Padded, s);
+            exec.run(eulerStep(), actual, {});
+            EXPECT_EQ(LevelData::maxAbsDiffValid(expected, actual), 0.0)
+                << cfg.name() << " / " << core::levelPolicyName(policy)
+                << " / " << core::replayOrderName(order) << " seed "
+                << seed << " on " << s.nThreads << " workers";
+            if (order != core::ReplayOrder::Random) {
+              break; // the seed only matters for Random
+            }
+          }
+        }
       }
     }
   }
 }
 
 TEST(GraphCheckReplay, RunStepReplayExchangesAndMatches) {
-  const VariantConfig cfg = representativeFamilies()[1];
+  const VariantConfig cfg = core::representativeFamilies(8)[1];
   const LevelData expected = eagerStep(cfg, Pitch::Padded);
   for (const core::ReplayOrder order : core::kReplayOrders) {
     // Start from clobbered ghosts: a skipped or short-circuited exchange

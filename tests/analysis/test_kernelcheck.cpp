@@ -7,12 +7,14 @@
 // kernel miscompilations of analysis/mutate must each be caught with
 // their predicted witness; and the RHS tasks of lowered step graphs must
 // agree with the proven hulls (K3), with a shrunk read footprint rejected
-// as ContractMismatch.
+// as ContractMismatch. KernelCheckSweep runs all four layers' checks over
+// every shape at probe boxes 8, 16 and 32.
 
 #include "analysis/kernelcheck.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -100,9 +102,10 @@ TEST(KernelCheck, ReferencePipelinesSoundAndTight) {
 }
 
 TEST(KernelCheck, VariantExecutorSoundAndTight) {
-  // One executor smoke check here (sampled; the tool sweeps all five
-  // families exhaustively): the blocked wavefront runs tiles through
-  // carry-slot pencils, the code path most unlike the reference sweep.
+  // One executor smoke check at a small box (KernelCheckSweep probes all
+  // five families at boxes 8-32): the blocked wavefront runs tiles
+  // through carry-slot pencils, the code path most unlike the reference
+  // sweep.
   const KernelShape shape = core::makeVariantShape(
       core::makeBlockedWF(2, core::ParallelGranularity::WithinBox,
                           core::ComponentLoop::Outside),
@@ -278,6 +281,40 @@ TEST(KernelCheck, WidenedDeclaredSetIsOverdeclared) {
 // Seeded miscompilations: each caught with its predicted witness.
 // ---------------------------------------------------------------------------
 
+/// Runs the three seeded kernel miscompilations of `m` at seeds
+/// [0, nSeeds); returns how many had a candidate and were checked.
+int expectMutationsCaught(const KernelFootprintModel& m,
+                          std::uint64_t nSeeds) {
+  int executed = 0;
+  for (std::uint64_t seed = 0; seed < nSeeds; ++seed) {
+    const mutate::KernelMutation muts[] = {
+        mutate::widenKernelRead(m, seed),
+        mutate::shiftKernelStencil(m, seed),
+        mutate::forgetDeclaredOffset(m, seed),
+    };
+    for (const mutate::KernelMutation& mut : muts) {
+      EXPECT_NE(mut.expect, KernelDiagKind::Ok)
+          << m.kernel << " offered no candidate: " << mut.what;
+      if (mut.expect == KernelDiagKind::Ok) {
+        continue;
+      }
+      ++executed;
+      const KernelCheckReport rep = checkKernelFootprints(mut.model);
+      EXPECT_TRUE(hasDiag(rep.diagnostics, mut.expect, mut.role,
+                          mut.offset))
+          << mut.what << "\n" << diagDump(rep.diagnostics);
+      if (mut.expectAlso != KernelDiagKind::Ok) {
+        bool also = false;
+        for (const KernelDiag& d : rep.advisories) {
+          also |= d.kind == mut.expectAlso && d.role == mut.role;
+        }
+        EXPECT_TRUE(also) << mut.what << "\n" << diagDump(rep.advisories);
+      }
+    }
+  }
+  return executed;
+}
+
 TEST(KernelCheck, SeededMutationsCaught) {
   std::vector<KernelFootprintModel> models;
   for (const KernelShape& shape : builtinStageShapes()) {
@@ -290,29 +327,7 @@ TEST(KernelCheck, SeededMutationsCaught) {
 
   int executed = 0;
   for (const KernelFootprintModel& m : models) {
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      const mutate::KernelMutation muts[] = {
-          mutate::widenKernelRead(m, seed),
-          mutate::shiftKernelStencil(m, seed),
-          mutate::forgetDeclaredOffset(m, seed),
-      };
-      for (const mutate::KernelMutation& mut : muts) {
-        ASSERT_NE(mut.expect, KernelDiagKind::Ok)
-            << m.kernel << " offered no candidate: " << mut.what;
-        ++executed;
-        const KernelCheckReport rep = checkKernelFootprints(mut.model);
-        EXPECT_TRUE(hasDiag(rep.diagnostics, mut.expect, mut.role,
-                            mut.offset))
-            << mut.what << "\n" << diagDump(rep.diagnostics);
-        if (mut.expectAlso != KernelDiagKind::Ok) {
-          bool also = false;
-          for (const KernelDiag& d : rep.advisories) {
-            also |= d.kind == mut.expectAlso && d.role == mut.role;
-          }
-          EXPECT_TRUE(also) << mut.what << "\n" << diagDump(rep.advisories);
-        }
-      }
-    }
+    executed += expectMutationsCaught(m, 4);
   }
   EXPECT_EQ(executed, 2 * 4 * 3);
 }
@@ -405,6 +420,105 @@ TEST(KernelCheck, BuiltinShapeInventory) {
   EXPECT_EQ(builtinPipelineShapes().size(), 2u);
   EXPECT_EQ(builtinShapes().size(), 26u);
 }
+
+// ---------------------------------------------------------------------------
+// Full sweep: every shipped shape (26 stage/pipeline shapes plus the five
+// representative variant executors) at probe boxes 8, 16 and 32, one
+// ctest entry per (shape, box). Each must prove sound and tight over
+// padded and dense rows; the dense probe must observe exactly the padded
+// probe's offsets (pad lanes absent, offsets must not move), or
+// inferFootprintAcross reports NonAffineAccess. Every seeded
+// miscompilation of it must be caught, and every hull it proves must
+// agree with the RHS tasks of the lowered step graphs (K3).
+// ---------------------------------------------------------------------------
+
+struct ProbeCase {
+  std::size_t shape;
+  int boxSize;
+};
+
+std::vector<KernelShape> sweptShapes() {
+  std::vector<KernelShape> shapes = builtinShapes();
+  for (KernelShape& s : core::variantShapes(/*nThreads=*/4, /*tile=*/4)) {
+    shapes.push_back(std::move(s));
+  }
+  return shapes;
+}
+
+/// The RHS-task footprints of one forward-Euler step over 2^3 boxes of
+/// side `boxSize`, for the five families at tile 4 under the two parallel
+/// policies, checked against `proven`.
+std::vector<KernelDiag> checkLoweredGraphs(const ProvenFootprints& proven,
+                                           int boxSize) {
+  const ProblemDomain dom(Box::cube(2 * boxSize));
+  const DisjointBoxLayout dbl(dom, boxSize);
+  LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
+  kernels::initializeExemplar(u);
+  const core::StepProgram prog =
+      solvers::buildStepProgram(solvers::Scheme::ForwardEuler, 1e-3);
+  std::vector<KernelDiag> diags;
+  for (const core::VariantConfig& cfg : core::representativeFamilies(4)) {
+    for (const core::LevelPolicy policy :
+         {core::LevelPolicy::BoxParallel, core::LevelPolicy::Hybrid}) {
+      core::StepExecOptions opts;
+      opts.policy = policy;
+      core::StepGraphExecutor exec(cfg, 4, opts);
+      for (KernelDiag& d :
+           checkGraphFootprints(exec.lowerModel(prog, u, {}), proven)) {
+        diags.push_back(std::move(d));
+      }
+    }
+  }
+  return diags;
+}
+
+class KernelCheckSweep : public testing::TestWithParam<ProbeCase> {};
+
+TEST_P(KernelCheckSweep, SoundTightAndMutationsCaught) {
+  const KernelShape shape = sweptShapes().at(GetParam().shape);
+  const int n = GetParam().boxSize;
+  ProbeOptions opts;
+  opts.boxSize = n;
+
+  const KernelFootprintModel m = inferFootprintAcross(
+      shape, {n}, {Pitch::Padded, Pitch::Dense}, opts);
+  const KernelCheckReport rep = checkKernelFootprints(m);
+  EXPECT_TRUE(rep.ok()) << diagDump(rep.diagnostics);
+  EXPECT_TRUE(rep.advisories.empty()) << diagDump(rep.advisories);
+
+  EXPECT_EQ(expectMutationsCaught(m, 5), 5 * 3);
+
+  // K3 for the shapes whose hulls extractProven reads: the per-direction
+  // fused stencils and the whole pipelines.
+  if (m.dir < 0 || m.stage == Stage::FusedCell) {
+    const std::vector<KernelDiag> diags =
+        checkLoweredGraphs(extractProven({m}), n);
+    EXPECT_TRUE(diags.empty()) << diagDump(diags);
+  }
+}
+
+std::vector<ProbeCase> probeCases() {
+  std::vector<ProbeCase> out;
+  const std::size_t nShapes = sweptShapes().size();
+  for (const int n : {8, 16, 32}) {
+    for (std::size_t s = 0; s < nShapes; ++s) {
+      out.push_back({s, n});
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, KernelCheckSweep, testing::ValuesIn(probeCases()),
+    [](const testing::TestParamInfo<ProbeCase>& info) {
+      std::string name = sweptShapes().at(info.param.shape).name;
+      for (char& c : name) {
+        if (std::isalnum(static_cast<unsigned char>(c)) == 0) {
+          c = '_';
+        }
+      }
+      return name + "_n" + std::to_string(info.param.boxSize);
+    });
 
 } // namespace
 } // namespace fluxdiv::analysis

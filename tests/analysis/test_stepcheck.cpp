@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/costmodel.hpp"
@@ -44,20 +45,28 @@ std::string tag(Scheme scheme, int steps, StepFuse fuse) {
 }
 
 TEST(StepCheck, AllSchemesAllFusesAllStepsEquivalent) {
-  for (const Scheme scheme : solvers::kSchemes) {
-    for (const int steps : {1, 3}) {
-      const StepProgram prog =
-          solvers::buildStepProgram(scheme, /*dt=*/1e-3, steps);
-      for (const StepFuse fuse : kCheckedFuses) {
-        const StepCheckReport rep = checkStepProgram(prog, fuse);
-        EXPECT_TRUE(rep.ok()) << tag(scheme, steps, fuse) << ": "
-                              << (rep.ok()
-                                      ? ""
-                                      : rep.diagnostics[0].message());
-        EXPECT_TRUE(rep.advisories.empty())
-            << tag(scheme, steps, fuse)
-            << ": shipped programs must plan tight, live halos";
-        EXPECT_GT(rep.exprCount, 0u);
+  // Witness boxes of 16^3 (the default) and 32^3; the box count only
+  // prices advisories, of which there must be none.
+  for (const int boxSize : {16, 32}) {
+    StepCheckOptions opts;
+    opts.boxSize = boxSize;
+    opts.nBoxes = 8;
+    for (const Scheme scheme : solvers::kSchemes) {
+      for (const int steps : {1, 3}) {
+        const StepProgram prog =
+            solvers::buildStepProgram(scheme, /*dt=*/1e-3, steps);
+        for (const StepFuse fuse : kCheckedFuses) {
+          const StepCheckReport rep = checkStepProgram(prog, fuse, opts);
+          EXPECT_TRUE(rep.ok()) << tag(scheme, steps, fuse) << " @ "
+                                << boxSize << ": "
+                                << (rep.ok()
+                                        ? ""
+                                        : rep.diagnostics[0].message());
+          EXPECT_TRUE(rep.advisories.empty())
+              << tag(scheme, steps, fuse)
+              << ": shipped programs must plan tight, live halos";
+          EXPECT_GT(rep.exprCount, 0u);
+        }
       }
     }
   }
@@ -90,11 +99,12 @@ TEST(StepCheck, CommAvoidPlanIsDeepenedAndCheckedSound) {
 /// need a clean report plus the predicted over-deep advisory; the rest
 /// need the predicted diagnostic kind at the predicted witness op, first.
 void expectCaught(const char* name, const StepMutation& m, StepFuse fuse,
-                  const std::string& where) {
+                  const std::string& where, int boxSize) {
   if (!m.valid) {
     return;
   }
   StepCheckOptions opts;
+  opts.boxSize = boxSize;
   if (m.useReference) {
     opts.reference = &m.reference;
   }
@@ -128,33 +138,42 @@ void expectCaught(const char* name, const StepMutation& m, StepFuse fuse,
 }
 
 TEST(StepCheck, MutationsRejectedWithPredictedWitness) {
-  for (const Scheme scheme : solvers::kSchemes) {
-    for (const int steps : {1, 3}) {
+  // Every scheme x fuse mode: 1- and 3-step programs at seeds 0-4 on
+  // 16^3 witness boxes, then the 3-step programs again at seeds 0-6 on
+  // 32^3 witness boxes.
+  struct Sweep {
+    int steps;
+    int boxSize;
+    std::uint64_t seeds;
+  };
+  int executed = 0;
+  for (const Sweep sw : {Sweep{1, 16, 5}, Sweep{3, 16, 5}, Sweep{3, 32, 7}}) {
+    for (const Scheme scheme : solvers::kSchemes) {
       const StepProgram prog =
-          solvers::buildStepProgram(scheme, 1e-3, steps);
+          solvers::buildStepProgram(scheme, 1e-3, sw.steps);
       for (const StepFuse fuse : kCheckedFuses) {
-        for (std::uint64_t seed = 0; seed < 5; ++seed) {
-          const std::string where =
-              tag(scheme, steps, fuse) + ", seed " +
-              std::to_string(seed);
-          expectCaught("drop",
-                       mutate::dropStepExchange(prog, fuse, seed), fuse,
-                       where);
-          expectCaught("shallow",
-                       mutate::shallowStepHalo(prog, fuse, seed), fuse,
-                       where);
-          expectCaught("reorder",
-                       mutate::reorderStepOps(prog, fuse, seed), fuse,
-                       where);
-          expectCaught("skew", mutate::skewStepCoeff(prog, fuse, seed),
-                       fuse, where);
-          expectCaught("deepen",
-                       mutate::deepenStepHalo(prog, fuse, seed), fuse,
-                       where);
+        for (std::uint64_t seed = 0; seed < sw.seeds; ++seed) {
+          const std::string where = tag(scheme, sw.steps, fuse) + " @ " +
+                                    std::to_string(sw.boxSize) +
+                                    ", seed " + std::to_string(seed);
+          const std::pair<const char*, StepMutation> muts[] = {
+              {"drop", mutate::dropStepExchange(prog, fuse, seed)},
+              {"shallow", mutate::shallowStepHalo(prog, fuse, seed)},
+              {"reorder", mutate::reorderStepOps(prog, fuse, seed)},
+              {"skew", mutate::skewStepCoeff(prog, fuse, seed)},
+              {"deepen", mutate::deepenStepHalo(prog, fuse, seed)},
+          };
+          for (const auto& [name, mut] : muts) {
+            expectCaught(name, mut, fuse, where, sw.boxSize);
+            executed += mut.valid ? 1 : 0;
+          }
         }
       }
     }
   }
+  // 4 schemes x 2 fuse modes x 5 classes x (5 + 5 + 7) seeds, every one
+  // a candidate.
+  EXPECT_EQ(executed, 400 + 280);
 }
 
 TEST(StepCheck, EveryMutationClassFindsACandidateSomewhere) {

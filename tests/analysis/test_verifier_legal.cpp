@@ -24,11 +24,15 @@ void expectLegal(const VariantConfig& cfg, int boxSize, int nThreads) {
 }
 
 TEST(VerifierLegal, FullRegistrySweep) {
+  // Tile sizes stay strictly below the box, so box 33 enumerates the same
+  // variant set as box 64 (the tile-32 variants included) at a fraction
+  // of the cost: the tile-4 variants' verification grows with the tile
+  // count.
   int checked = 0;
-  for (const int boxSize : {16, 32}) {
+  for (const int boxSize : {16, 32, 33}) {
     for (const auto& cfg :
          core::enumerateVariants(boxSize, /*includeExtensions=*/true)) {
-      for (const int nThreads : {1, 4, 7}) {
+      for (const int nThreads : {1, 4, 7, 8}) {
         expectLegal(cfg, boxSize, nThreads);
         ++checked;
       }
@@ -37,6 +41,8 @@ TEST(VerifierLegal, FullRegistrySweep) {
   // Guard against the registry silently shrinking: the paper grid is 4
   // families x CLO/CLI x granularities, plus tile-size/aspect extensions.
   EXPECT_GE(checked, 100);
+  EXPECT_EQ(core::enumerateVariants(33, /*includeExtensions=*/true),
+            core::enumerateVariants(64, /*includeExtensions=*/true));
 }
 
 // Each ScheduleFamily x ParallelGranularity pair spelled out, so a failure

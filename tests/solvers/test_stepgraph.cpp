@@ -9,15 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <initializer_list>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/graphcheck.hpp"
 #include "analysis/mutate.hpp"
+#include "core/kernelshapes.hpp"
 #include "core/stepgraph.hpp"
 #include "grid/bc.hpp"
 #include "kernels/exemplar.hpp"
@@ -135,21 +134,6 @@ TEST(StepGraph, BitIdenticalWithDensePitch) {
   }
 }
 
-/// The four schedule families at one representative configuration each,
-/// with tiles that fit the 8^3 boxes of smallLayout().
-std::vector<core::VariantConfig> representativeFamilies() {
-  return {
-      core::makeBaseline(core::ParallelGranularity::WithinBox),
-      core::makeShiftFuse(core::ParallelGranularity::WithinBox),
-      core::makeBlockedWF(4, core::ParallelGranularity::WithinBox,
-                          core::ComponentLoop::Inside),
-      core::makeBlockedWF(4, core::ParallelGranularity::WithinBox,
-                          core::ComponentLoop::Outside),
-      core::makeOverlapped(core::IntraTileSchedule::ShiftFuse, 4,
-                           core::ParallelGranularity::WithinBox),
-  };
-}
-
 /// One exchange, one RHS evaluation, one axpy: the level-scale graph of
 /// every family under each of `policies` and every fuse mode, on both fab
 /// pitches, must reproduce the eager (FluxDivRunner) step.
@@ -158,7 +142,8 @@ void expectEulerBitIdenticalAcrossFamilies(
   const auto dbl = smallLayout();
   const Real dt = 0.005;
   for (const Pitch pitch : {Pitch::Padded, Pitch::Dense}) {
-    for (const core::VariantConfig& cfg : representativeFamilies()) {
+    // Tile 4 fits the 8^3 boxes of smallLayout().
+    for (const core::VariantConfig& cfg : core::representativeFamilies(4)) {
       for (const int threads : {1, 3}) {
         const LevelData ref = eagerReference(Scheme::ForwardEuler, dbl, cfg,
                                              dt, 1, threads, pitch);
@@ -619,91 +604,31 @@ TEST(StepGraph, AdversarialReplayIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Environment dispatch.
+// Defaults.
 // ---------------------------------------------------------------------------
 
-TEST(StepGraph, EnvironmentSelectsTheFuseMode) {
+TEST(StepGraph, DefaultsAreFusedAndBoxParallel) {
   const auto dbl = smallLayout();
   const auto cfg = core::makeShiftFuse(core::ParallelGranularity::OverBoxes);
   LevelData u = initialState(dbl);
   FluxDivRhs rhs(cfg, 2);
-
-  ::setenv("FLUXDIV_STEP_FUSE", "commavoid", 1);
-  {
-    TimeIntegrator integ(Scheme::Midpoint, dbl);
-    integ.advance(u, 0.004, rhs);
-    ASSERT_NE(integ.stepStats(), nullptr);
-    EXPECT_EQ(integ.stepStats()->fuse, StepFuse::CommAvoid);
-  }
-  ::setenv("FLUXDIV_STEP_FUSE", "bogus", 1);
-  {
-    TimeIntegrator integ(Scheme::Midpoint, dbl);
-    EXPECT_THROW(integ.advance(u, 0.004, rhs), std::invalid_argument);
-  }
-  // The removed per-stage mode is rejected like any unknown value, and
-  // the error names it.
-  ::setenv("FLUXDIV_STEP_FUSE", "staged", 1);
-  {
-    TimeIntegrator integ(Scheme::Midpoint, dbl);
-    try {
-      integ.advance(u, 0.004, rhs);
-      ADD_FAILURE() << "FLUXDIV_STEP_FUSE=staged must be rejected";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("'staged'"), std::string::npos)
-          << e.what();
-    }
-  }
-  ::unsetenv("FLUXDIV_STEP_FUSE");
-  {
-    TimeIntegrator integ(Scheme::Midpoint, dbl);
-    integ.advance(u, 0.004, rhs);
-    ASSERT_NE(integ.stepStats(), nullptr);
-    EXPECT_EQ(integ.stepStats()->fuse, StepFuse::Fused)
-        << "fused is the default";
-  }
+  TimeIntegrator integ(Scheme::Midpoint, dbl);
+  integ.advance(u, 0.004, rhs);
+  ASSERT_NE(integ.stepStats(), nullptr);
+  EXPECT_EQ(integ.stepStats()->fuse, StepFuse::Fused);
+  EXPECT_EQ(integ.stepExecutor(rhs)->options().policy,
+            LevelPolicy::BoxParallel);
 
   core::StepFuse parsed{};
   EXPECT_TRUE(core::parseStepFuse("comm-avoiding", parsed));
   EXPECT_EQ(parsed, StepFuse::CommAvoid);
-  EXPECT_FALSE(core::parseStepFuse("staged", parsed));
+  EXPECT_FALSE(core::parseStepFuse("staged", parsed))
+      << "the removed per-stage mode is an unknown name";
   EXPECT_EQ(parsed, StepFuse::CommAvoid) << "untouched on failure";
   EXPECT_FALSE(core::parseStepFuse("nope", parsed));
-}
-
-/// Sets an environment variable for one scope and restores (or unsets)
-/// it on exit — CI runs this binary with some FLUXDIV_* variables set.
-class ScopedEnv {
-public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* prev = std::getenv(name)) {
-      prev_ = prev;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (prev_.has_value()) {
-      ::setenv(name_, prev_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-private:
-  const char* name_;
-  std::optional<std::string> prev_;
-};
-
-TEST(StepGraph, EnvironmentRejectsUnknownLevelPolicy) {
-  const auto dbl = smallLayout();
-  const auto cfg = core::makeShiftFuse(core::ParallelGranularity::OverBoxes);
-  LevelData u = initialState(dbl);
-  FluxDivRhs rhs(cfg, 2);
-  const ScopedEnv policy("FLUXDIV_LEVEL_POLICY", "warp-drive");
-  TimeIntegrator integ(Scheme::ForwardEuler, dbl);
-  integ.setStepFuse(StepFuse::Fused);
-  EXPECT_THROW(integ.advance(u, 0.004, rhs), std::invalid_argument);
+  core::LevelPolicy policy = LevelPolicy::Hybrid;
+  EXPECT_FALSE(core::parseLevelPolicy("warp-drive", policy));
+  EXPECT_EQ(policy, LevelPolicy::Hybrid) << "untouched on failure";
 }
 
 } // namespace

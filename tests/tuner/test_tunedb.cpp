@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/costmodel.hpp"
@@ -178,6 +180,64 @@ TEST(TuneDB, MissingFileIsAColdCache) {
   TuneDB db(fakeMachine());
   EXPECT_FALSE(db.load(tmpPath("tunedb_does_not_exist.json")));
   EXPECT_EQ(db.size(), 0U);
+}
+
+TEST(TuneDB, FailedSaveLeavesTheOldFileIntact) {
+  const std::string path = tmpPath("tunedb_atomic.json");
+  TuneDB db(fakeMachine());
+  db.observe(key("rk4", 16, 4), core::StepFuse::Fused,
+             core::LevelPolicy::BoxParallel, 1.0);
+  db.observe(key("ssprk3", 16, 4), core::StepFuse::CommAvoid,
+             core::LevelPolicy::Hybrid, 2.0);
+  db.save(path);
+
+  // A directory where the temp file goes: the save cannot start.
+  const std::filesystem::path blocker = path + ".tmp";
+  std::filesystem::create_directory(blocker);
+  db.observe(key("rk4", 32, 4), core::StepFuse::Fused,
+             core::LevelPolicy::BoxParallel, 3.0);
+  EXPECT_THROW(db.save(path), std::runtime_error);
+  EXPECT_TRUE(std::filesystem::is_directory(blocker));
+  std::filesystem::remove(blocker);
+
+  TuneDB reloaded(fakeMachine());
+  ASSERT_TRUE(reloaded.load(path));
+  EXPECT_EQ(reloaded.size(), 2U);
+  EXPECT_NE(reloaded.find(key("rk4", 16, 4)), nullptr);
+  EXPECT_NE(reloaded.find(key("ssprk3", 16, 4)), nullptr);
+  EXPECT_EQ(reloaded.find(key("rk4", 32, 4)), nullptr);
+}
+
+TEST(TuneDB, EveryTruncatedPrefixLoadsWithoutThrowing) {
+  const std::string path = tmpPath("tunedb_truncated.json");
+  TuneDB db(fakeMachine());
+  db.observe(key("rk4", 16, 4), core::StepFuse::Fused,
+             core::LevelPolicy::BoxParallel, 1.0);
+  db.observe(key("ssprk3", 24, 4), core::StepFuse::CommAvoid,
+             core::LevelPolicy::Hybrid, 2.0);
+  db.observe(key("euler", 8, 2), core::StepFuse::Fused,
+             core::LevelPolicy::BoxSequential, 3.0);
+  db.save(path);
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(text.size(), 100U);
+  for (std::size_t n = 0; n < text.size(); ++n) {
+    std::ofstream(path, std::ios::trunc) << text.substr(0, n);
+    TuneDB cut(fakeMachine());
+    bool loaded = true;
+    EXPECT_NO_THROW(loaded = cut.load(path)) << "prefix of " << n;
+    if (!loaded) {
+      EXPECT_EQ(cut.size(), 0U) << "a cold load keeps no records";
+    }
+  }
+  std::ofstream(path, std::ios::trunc) << text;
+  TuneDB full(fakeMachine());
+  ASSERT_TRUE(full.load(path));
+  EXPECT_EQ(full.size(), 3U);
 }
 
 TEST(TuneDB, KeysDiscriminateEveryField) {
