@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
                  "(eager/fused/commavoid) or 'all'");
   args.addString("policy", "parallel",
                  "level policy for the step-graph task granularity "
-                 "(sequential/parallel/hybrid)");
+                 "(sequential/parallel)");
   args.addIntList("boxsize", {16, 32}, "box sides to sweep");
   args.addInt("nboxes", 8, "boxes per level (1 = single-box working set)");
   args.addInt("steps", 4, "time steps per timed measurement");
@@ -171,14 +171,8 @@ int main(int argc, char** argv) {
       std::max(1, static_cast<int>(args.getInt("window")));
   const int nBoxes = static_cast<int>(args.getInt("nboxes"));
   const std::vector<int> threads = bench::threadSweep(args);
-  // Under the hybrid policy use an overlapped-tile family so RHS and
-  // combine tasks decompose per tile (sparse cross-stage tiling);
-  // otherwise the fused shift-fuse schedule.
   const core::VariantConfig cfg =
-      policy == core::LevelPolicy::Hybrid
-          ? core::makeOverlapped(core::IntraTileSchedule::ShiftFuse, 8,
-                                 core::ParallelGranularity::HybridBoxTile)
-          : core::makeShiftFuse(core::ParallelGranularity::WithinBox);
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox);
 
   harness::Table table({"scheme", "boxes", "fuse", "threads", "s/step",
                         "vs fused"});

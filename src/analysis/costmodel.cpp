@@ -1,7 +1,6 @@
 #include "analysis/costmodel.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -11,6 +10,7 @@
 
 #include "analysis/lower.hpp"
 #include "analysis/region.hpp"
+#include "core/stepprogram.hpp"
 #include "harness/machine.hpp"
 #include "harness/table.hpp"
 
@@ -699,29 +699,16 @@ double usableParallelism(double conc, int nThreads) {
   return conc / rounds;
 }
 
-/// Per-direction tile counts of `cfg` over an N^3 box (1x1x1 for the
-/// untiled families).
-std::array<std::int64_t, 3> tileGrid(const core::VariantConfig& cfg,
-                                     int boxSize) {
-  if (cfg.tileSize <= 0) {
-    return {1, 1, 1};
-  }
-  const std::array<int, 3> ext = core::tileExtents(cfg, boxSize);
-  std::array<std::int64_t, 3> n{};
-  for (std::size_t d = 0; d < 3; ++d) {
-    n[d] = (boxSize + ext[d] - 1) / ext[d];
-  }
-  return n;
-}
-
 } // namespace
 
 std::vector<LevelPolicyCost> analyzeLevelPolicies(
     const core::VariantConfig& cfg, int boxSize, int nBoxes, int nThreads,
     const CacheSpec& spec) {
   const CostReport box = analyzeCost(cfg, boxSize, nThreads, spec);
-  const auto grid = tileGrid(cfg, boxSize);
-  const std::int64_t tiles = grid[0] * grid[1] * grid[2];
+  // The parallel policy runs one task per logical tile of each box, the
+  // tiles the step-graph lowering cuts (core::logicalTiles).
+  const auto tiles = static_cast<std::int64_t>(
+      core::logicalTiles(grid::Box::cube(boxSize)).size());
 
   std::vector<LevelPolicyCost> out;
   for (const core::LevelPolicy policy : core::kLevelPolicies) {
@@ -739,34 +726,11 @@ std::vector<LevelPolicyCost> analyzeLevelPolicies(
       c.barrierCount = nBoxes * box.barrierCount;
       break;
     case core::LevelPolicy::BoxParallel:
-      c.taskCount = nBoxes;
+      c.taskCount = nBoxes * tiles;
       c.depth = 1;
-      c.maxConcurrency = nBoxes;
-      c.avgConcurrency = nBoxes;
+      c.maxConcurrency = nBoxes * tiles;
+      c.avgConcurrency = static_cast<double>(nBoxes * tiles);
       c.barrierCount = 1; // the single join when the graph drains
-      break;
-    case core::LevelPolicy::Hybrid:
-      switch (cfg.family) {
-      case core::ScheduleFamily::OverlappedTiles:
-        c.taskCount = nBoxes * tiles;
-        c.depth = 1;
-        c.maxConcurrency = nBoxes * tiles;
-        c.avgConcurrency = static_cast<double>(nBoxes * tiles);
-        c.barrierCount = 1;
-        break;
-      case core::ScheduleFamily::SeriesOfLoops:
-      case core::ScheduleFamily::ShiftFuse:
-      case core::ScheduleFamily::BlockedWavefront:
-        // No independent intra-box units (a wavefront's tiles depend on
-        // their predecessors): hybrid degrades to box-parallel, the box
-        // tasks the step graphs build for these families.
-        c.taskCount = nBoxes;
-        c.depth = 1;
-        c.maxConcurrency = nBoxes;
-        c.avgConcurrency = nBoxes;
-        c.barrierCount = 1;
-        break;
-      }
       break;
     }
     out.push_back(c);

@@ -140,13 +140,12 @@ struct LevelPolicyCost {
   double predictedSpeedup = 1;    ///< vs BoxSequential, capped by nThreads
 };
 
-/// Analyze all three level policies for `cfg` over `nBoxes` boxes of side
+/// Analyze both level policies for `cfg` over `nBoxes` boxes of side
 /// `boxSize` with `nThreads` workers. The per-box metrics (within-box
 /// concurrency, barriers) come from analyzeCost over the lowered schedule;
-/// the level-scale metrics count whole-box tasks, or (box x tile) tasks
-/// for the overlapped-tile family under hybrid — the task shapes the step
-/// graphs build (every other family runs as box tasks under hybrid).
-/// Returned in kLevelPolicies order.
+/// the level-scale metrics count the tasks the step graphs build: one per
+/// box under sequential, nBoxes x core::logicalTiles per box under
+/// parallel. Returned in kLevelPolicies order.
 std::vector<LevelPolicyCost> analyzeLevelPolicies(
     const core::VariantConfig& cfg, int boxSize, int nBoxes, int nThreads,
     const CacheSpec& spec);

@@ -23,8 +23,8 @@ analysis::KernelShape makeVariantShape(const VariantConfig& cfg,
 
 /// The four schedule families at one representative configuration each:
 /// baseline, shift-fuse, blocked wavefront with both component loops,
-/// and shift-fuse overlapped tiles (which become (box x tile) tasks under
-/// the hybrid policy), all within-box; `tile` sizes the tiled ones.
+/// and shift-fuse overlapped tiles, all within-box; `tile` sizes the
+/// tiled ones.
 std::vector<VariantConfig> representativeFamilies(int tile);
 
 /// The representative families as pipeline shapes. `tile` must not

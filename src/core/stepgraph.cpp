@@ -288,32 +288,27 @@ struct NamedRegion {
   std::string tag;
 };
 
+/// Tag of tile `t` of `n`: `single` when the box is one tile.
+std::string tileTag(const std::string& base, const std::string& single,
+                    std::size_t t, std::size_t n) {
+  return n == 1 ? single : base + std::to_string(t);
+}
+
 /// Task decomposition of one RHS evaluation over one box. Comm-avoiding
-/// runs the whole widened region as one task (the deep exchange already
-/// happened; there is nothing left to overlap). The hybrid policy turns
-/// overlapped tiles into (box x tile) tasks — the sparse cross-stage
-/// tiling: a tile's stage-(i+1) task depends only on the stage-i tasks
-/// whose footprints it reads, not on the whole level. Other policies peel
-/// an interior plus six halo-fringe slabs so interior compute overlaps
-/// the exchange (whole-box when the box is too small, or under the
-/// sequential policy where coarse tasks mirror the seed loop's
-/// granularity). The pieces always partition the region, and every
-/// family accumulates each cell's flux differences in the same per-cell
-/// order, so any decomposition is bit-identical.
+/// runs a widened region as one task (the deep exchange already happened;
+/// there is nothing left to overlap), and so does the sequential policy,
+/// whose coarse tasks mirror the seed loop's granularity. Otherwise the
+/// box's logical tiles (logicalTiles) become tasks: under Fused their
+/// interior parts plus six halo-fringe slabs, so interior compute
+/// overlaps the exchange (whole-box when the box has no interior). The
+/// pieces always partition the region, and every family accumulates each
+/// cell's flux differences in the same per-cell order, so any
+/// decomposition is bit-identical.
 std::vector<NamedRegion> rhsRegions(const LowerEnv& env, const Box& valid,
                                     int w) {
   std::vector<NamedRegion> out;
-  if (env.fuse == StepFuse::CommAvoid) {
-    out.push_back({valid.grow(w), w > 0 ? "w" + std::to_string(w) : "all"});
-    return out;
-  }
-  if (env.policy == LevelPolicy::Hybrid &&
-      env.cfg.family == ScheduleFamily::OverlappedTiles &&
-      env.cfg.tileSize > 0) {
-    const sched::TileSet tiles = detail::makeTileSet(env.cfg, valid);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      out.push_back({tiles.tileBox(t), "tile" + std::to_string(t)});
-    }
+  if (env.fuse == StepFuse::CommAvoid && w > 0) {
+    out.push_back({valid.grow(w), "w" + std::to_string(w)});
     return out;
   }
   const int g = kNumGhost;
@@ -322,9 +317,19 @@ std::vector<NamedRegion> rhsRegions(const LowerEnv& env, const Box& valid,
     out.push_back({valid, "all"});
     return out;
   }
+  const std::vector<Box> tiles = logicalTiles(valid);
+  if (env.fuse == StepFuse::CommAvoid) {
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+      out.push_back({tiles[t], tileTag("tile", "all", t, tiles.size())});
+    }
+    return out;
+  }
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    out.push_back(
+        {tiles[t] & interior, tileTag("int", "int", t, tiles.size())});
+  }
   const Box zmid = valid.grow(2, -g);
   const Box zymid = zmid.grow(1, -g);
-  out.push_back({interior, "int"});
   out.push_back({valid.lowSlab(2, g), "z-lo"});
   out.push_back({valid.highSlab(2, g), "z-hi"});
   out.push_back({zmid.lowSlab(1, g), "y-lo"});
@@ -335,23 +340,19 @@ std::vector<NamedRegion> rhsRegions(const LowerEnv& env, const Box& valid,
 }
 
 /// Task decomposition of one stage combine (copy/axpy/scale) over one
-/// box: per-tile under the hybrid policy's sparse tiling, else one task
-/// per box (already a parallel improvement over the eager integrator's
-/// serial whole-level sweeps).
+/// box: one task per logical tile, or one whole-box task under the
+/// sequential policy and on comm-avoiding's widened regions.
 std::vector<NamedRegion> combineRegions(const LowerEnv& env,
                                         const Box& valid, int w) {
   std::vector<NamedRegion> out;
-  if (env.fuse != StepFuse::CommAvoid &&
-      env.policy == LevelPolicy::Hybrid &&
-      env.cfg.family == ScheduleFamily::OverlappedTiles &&
-      env.cfg.tileSize > 0) {
-    const sched::TileSet tiles = detail::makeTileSet(env.cfg, valid);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      out.push_back({tiles.tileBox(t), " tile" + std::to_string(t)});
-    }
+  if (w > 0 || env.policy == LevelPolicy::BoxSequential) {
+    out.push_back({valid.grow(w), w > 0 ? " w" + std::to_string(w) : ""});
     return out;
   }
-  out.push_back({valid.grow(w), w > 0 ? " w" + std::to_string(w) : ""});
+  const std::vector<Box> tiles = logicalTiles(valid);
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    out.push_back({tiles[t], tileTag(" tile", "", t, tiles.size())});
+  }
   return out;
 }
 

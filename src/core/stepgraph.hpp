@@ -16,12 +16,12 @@
 // graph, dispatched once per run:
 //
 //   Fused      the whole step (or several steps): only true data
-//              dependencies order tasks across stages, the copyValid/
-//              addScaled stage combines run as per-box (or per-tile)
-//              tasks, and with the hybrid level policy the (box x tile)
-//              stage tasks skew so a tile's stage-2 compute runs right
-//              after its stage-1 producers (sparse cross-stage tiling
-//              over sched/tiles).
+//              dependencies order tasks across stages. Under the
+//              parallel level policy each box's RHS and copyValid/
+//              addScaled stage combines run as one task per logical tile
+//              (core::logicalTiles: full-x x 16 x 16), so one large box
+//              keeps every worker busy and a tile's stage-2 compute
+//              starts right after its stage-1 producers.
 //   CommAvoid  one *deepened* exchange of kNumGhost x rhsEvals ghost
 //              layers up front; every stage recomputes its RHS on a halo
 //              widened by a backward dataflow analysis (planStepHalos),

@@ -166,8 +166,6 @@ const char* levelPolicyName(LevelPolicy policy) {
     return "sequential";
   case LevelPolicy::BoxParallel:
     return "parallel";
-  case LevelPolicy::Hybrid:
-    return "hybrid";
   }
   return "?";
 }

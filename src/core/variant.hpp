@@ -40,22 +40,20 @@ enum class ComponentLoop { Outside, Inside };
 /// schedule what each task runs.
 enum class LevelPolicy {
   BoxSequential, ///< one whole-box task per box and op
-  BoxParallel,   ///< per box an interior task plus six halo-fringe slabs
-  Hybrid,        ///< (box x tile) tasks for overlapped tiles, else as above
+  BoxParallel,   ///< per logical tile of each box (core::logicalTiles)
 };
 
-/// Display / CLI name: "sequential", "parallel", "hybrid".
+/// Display / CLI name: "sequential", "parallel".
 [[nodiscard]] const char* levelPolicyName(LevelPolicy policy);
 
 /// Parse a policy name (the --policy and workload-spec `policy=` values).
 /// Returns false and leaves `out` untouched on an unknown name.
 bool parseLevelPolicy(const std::string& text, LevelPolicy& out);
 
-/// All three policies, in ranking/report order.
+/// Both policies, in ranking/report order.
 inline constexpr LevelPolicy kLevelPolicies[] = {
     LevelPolicy::BoxSequential,
     LevelPolicy::BoxParallel,
-    LevelPolicy::Hybrid,
 };
 
 /// How one whole RK step runs. Orthogonal to LevelPolicy, which decides

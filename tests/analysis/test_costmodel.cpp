@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
+#include "core/kernelshapes.hpp"
+#include "core/stepprogram.hpp"
 #include "core/variant.hpp"
 #include "harness/machine.hpp"
 #include "kernels/exemplar.hpp"
@@ -282,10 +285,9 @@ TEST(CostModel, LevelPoliciesComeBackInRegistryOrder) {
   const auto costs = analyzeLevelPolicies(
       core::makeBaseline(core::ParallelGranularity::WithinBox), 32, 8, 4,
       CacheSpec::typical());
-  ASSERT_EQ(costs.size(), 3u);
+  ASSERT_EQ(costs.size(), 2u);
   EXPECT_EQ(costs[0].policy, core::LevelPolicy::BoxSequential);
   EXPECT_EQ(costs[1].policy, core::LevelPolicy::BoxParallel);
-  EXPECT_EQ(costs[2].policy, core::LevelPolicy::Hybrid);
   for (const auto& c : costs) {
     EXPECT_EQ(c.nBoxes, 8);
     EXPECT_GT(c.taskCount, 0);
@@ -310,8 +312,9 @@ TEST(CostModel, LevelPolicySequentialMirrorsPerBoxBarriers) {
 }
 
 TEST(CostModel, LevelPolicyParallelIsOneJoinOfNBoxTasks) {
+  // 16^3 boxes have 12^3 interiors: one logical tile, one task per box.
   const auto costs = analyzeLevelPolicies(
-      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 32, 16, 4,
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 16, 16, 4,
       CacheSpec::typical());
   EXPECT_EQ(costs[1].taskCount, 16);
   EXPECT_EQ(costs[1].depth, 1);
@@ -319,32 +322,22 @@ TEST(CostModel, LevelPolicyParallelIsOneJoinOfNBoxTasks) {
   EXPECT_EQ(costs[1].barrierCount, 1);
 }
 
-TEST(CostModel, LevelPolicyHybridCountsBoxTimesTileTasks) {
-  // Overlapped 8^3 tiles over a 32^3 box: 4^3 tiles per box.
-  const auto costs = analyzeLevelPolicies(
-      core::makeOverlapped(core::IntraTileSchedule::ShiftFuse, 8,
-                           core::ParallelGranularity::WithinBox),
-      32, 8, 4, CacheSpec::typical());
-  EXPECT_EQ(costs[2].taskCount, 8 * 64);
-  EXPECT_EQ(costs[2].maxConcurrency, 8 * 64);
-  EXPECT_EQ(costs[2].depth, 1) << "overlapped tiles are all independent";
-}
-
-TEST(CostModel, LevelPolicyHybridFallsBackToBoxParallelForFusedFamilies) {
-  // Every family without independent intra-box tiles runs as box tasks
-  // under hybrid — the blocked wavefront too, whose tiles wait on their
-  // predecessors' fronts.
-  for (const auto& cfg :
-       {core::makeBaseline(core::ParallelGranularity::WithinBox),
-        core::makeShiftFuse(core::ParallelGranularity::WithinBox),
-        core::makeBlockedWF(8, core::ParallelGranularity::WithinBox,
-                            core::ComponentLoop::Outside)}) {
-    const auto costs =
-        analyzeLevelPolicies(cfg, 32, 8, 4, CacheSpec::typical());
-    EXPECT_EQ(costs[2].taskCount, costs[1].taskCount) << cfg.name();
-    EXPECT_EQ(costs[2].depth, costs[1].depth) << cfg.name();
-    EXPECT_EQ(costs[2].maxConcurrency, costs[1].maxConcurrency)
-        << cfg.name();
+TEST(CostModel, LevelPolicyParallelCountsBoxTimesLogicalTiles) {
+  // Every family runs one task per logical tile of each box, the tiles
+  // the step-graph lowering cuts: a 64^3 box has a 60^3 interior, 4 x 4
+  // x-long tiles; a 32^3 box 2 x 2.
+  for (const core::VariantConfig& cfg : core::representativeFamilies(8)) {
+    for (const auto& [boxSize, tiles] :
+         {std::pair{64, 16}, std::pair{32, 4}}) {
+      ASSERT_EQ(core::logicalTiles(grid::Box::cube(boxSize)).size(),
+                static_cast<std::size_t>(tiles));
+      const auto costs =
+          analyzeLevelPolicies(cfg, boxSize, 2, 4, CacheSpec::typical());
+      EXPECT_EQ(costs[1].taskCount, 2 * tiles) << cfg.name();
+      EXPECT_EQ(costs[1].maxConcurrency, 2 * tiles) << cfg.name();
+      EXPECT_EQ(costs[1].depth, 1) << cfg.name();
+      EXPECT_EQ(costs[0].taskCount, 2) << cfg.name();
+    }
   }
 }
 

@@ -278,6 +278,13 @@ constexpr StepSetup kStepSetups[] = {
 /// 27 boxes of 8^3: more boxes than workers, tiles of half a box.
 constexpr StepSetup kSmallBoxSetups[] = {{3, 8, 2, 4}, {3, 8, 8, 4}};
 
+/// `s`'s workers and tile size on one periodic 24^3 box, whose 20-cell
+/// interior spans two logical tiles (16 + 4) in y and in z: the parallel
+/// policy lowers it to per-tile RHS and combine tasks.
+constexpr StepSetup tiledSetup(const StepSetup& s) {
+  return {1, 24, s.nThreads, s.tile};
+}
+
 LevelData makeLevel(Pitch pitch, const StepSetup& s = kStepSetups[0]) {
   const ProblemDomain dom(Box::cube(s.perSide * s.boxSize));
   const DisjointBoxLayout dbl(dom, s.boxSize);
@@ -309,6 +316,9 @@ TEST(GraphCheck, AllPolicyFamiliesAndPitchesVerifyClean) {
   std::vector<StepSetup> setups(std::begin(kStepSetups), std::end(kStepSetups));
   setups.insert(setups.end(), std::begin(kSmallBoxSetups),
                 std::end(kSmallBoxSetups));
+  for (const StepSetup& s : kStepSetups) {
+    setups.push_back(tiledSetup(s));
+  }
   for (const StepSetup& s : setups) {
     for (const Pitch pitch : {Pitch::Padded, Pitch::Dense}) {
       for (const VariantConfig& cfg : core::representativeFamilies(s.tile)) {
@@ -354,24 +364,26 @@ void expectMutationCaught(const TaskGraphModel& original,
 }
 
 TEST(GraphCheckMutation, SeededMutationsProduceTheExpectedDiagnostic) {
-  // Step graphs of a box-parallel family and a tiled hybrid family: both
-  // have conflict-carrying edges to drop/reroute and exchange-op writes
-  // to shrink. Then every family under both parallel policies on 2 and 8
+  // Step graphs of the parallel policy over one-tile boxes and over a box
+  // cut into logical tiles: both have conflict-carrying edges to
+  // drop/reroute and exchange-op writes to shrink. First a box-parallel
+  // family and the overlapped-tile family, then every family on 2 and 8
   // workers.
   std::vector<TaskGraphModel> models = {
       lowerModel(core::representativeFamilies(8)[1], LevelPolicy::BoxParallel,
                  Pitch::Padded),
-      lowerModel(core::representativeFamilies(8)[4], LevelPolicy::Hybrid,
-                 Pitch::Padded),
+      lowerModel(core::representativeFamilies(8)[4], LevelPolicy::BoxParallel,
+                 Pitch::Padded, tiledSetup(kStepSetups[0])),
   };
   for (const StepSetup& s : {kStepSetups[1], kStepSetups[2]}) {
     for (const VariantConfig& cfg : core::representativeFamilies(s.tile)) {
-      for (const LevelPolicy policy :
-           {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
-        models.push_back(lowerModel(cfg, policy, Pitch::Padded, s));
+      for (const StepSetup& level : {s, tiledSetup(s)}) {
+        models.push_back(
+            lowerModel(cfg, LevelPolicy::BoxParallel, Pitch::Padded, level));
       }
     }
   }
+  int total = 0;
   for (const TaskGraphModel& m : models) {
     int executed = 0;
     for (std::uint64_t seed = 0; seed < 5; ++seed) {
@@ -388,7 +400,9 @@ TEST(GraphCheckMutation, SeededMutationsProduceTheExpectedDiagnostic) {
     EXPECT_EQ(executed, 5 * 3)
         << m.name << ": a step graph must offer candidates for "
         << "every mutation class at every seed";
+    total += executed;
   }
+  EXPECT_EQ(total, 22 * 5 * 3);
 }
 
 TEST(GraphCheckMutation, MutationsAreDeterministicPerSeed) {
@@ -409,7 +423,9 @@ TEST(GraphCheckMutation, MutationsAreDeterministicPerSeed) {
 // ---------------------------------------------------------------------------
 
 TEST(GraphCheckReplay, HostileOrderingsAreBitIdenticalToSequential) {
-  for (const StepSetup& s : kStepSetups) {
+  std::vector<StepSetup> setups(std::begin(kStepSetups), std::end(kStepSetups));
+  setups.push_back(tiledSetup(kStepSetups[0]));
+  for (const StepSetup& s : setups) {
     for (const VariantConfig& cfg : core::representativeFamilies(s.tile)) {
       const LevelData expected = eagerStep(cfg, Pitch::Padded, s);
       for (const LevelPolicy policy : core::kLevelPolicies) {

@@ -17,6 +17,7 @@
 #include <cctype>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/graphcheck.hpp"
@@ -445,24 +446,23 @@ std::vector<KernelShape> sweptShapes() {
   return shapes;
 }
 
-/// The RHS-task footprints of one forward-Euler step over 2^3 boxes of
-/// side `boxSize`, for the five families at tile 4 under the two parallel
-/// policies, checked against `proven`.
+/// The RHS-task footprints of one forward-Euler step, for the five
+/// families at tile 4 under the parallel policy, checked against
+/// `proven`: over 2^3 boxes of side `boxSize`, and over one periodic 24^3
+/// box whose 20-cell interior spans two logical tiles in y and z.
 std::vector<KernelDiag> checkLoweredGraphs(const ProvenFootprints& proven,
                                            int boxSize) {
-  const ProblemDomain dom(Box::cube(2 * boxSize));
-  const DisjointBoxLayout dbl(dom, boxSize);
-  LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
-  kernels::initializeExemplar(u);
   const core::StepProgram prog =
       solvers::buildStepProgram(solvers::Scheme::ForwardEuler, 1e-3);
   std::vector<KernelDiag> diags;
-  for (const core::VariantConfig& cfg : core::representativeFamilies(4)) {
-    for (const core::LevelPolicy policy :
-         {core::LevelPolicy::BoxParallel, core::LevelPolicy::Hybrid}) {
-      core::StepExecOptions opts;
-      opts.policy = policy;
-      core::StepGraphExecutor exec(cfg, 4, opts);
+  for (const auto& [domainSide, boxSide] :
+       {std::pair{2 * boxSize, boxSize}, std::pair{24, 24}}) {
+    const DisjointBoxLayout dbl(ProblemDomain(Box::cube(domainSide)),
+                                boxSide);
+    LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
+    kernels::initializeExemplar(u);
+    for (const core::VariantConfig& cfg : core::representativeFamilies(4)) {
+      core::StepGraphExecutor exec(cfg, 4, core::StepExecOptions{});
       for (KernelDiag& d :
            checkGraphFootprints(exec.lowerModel(prog, u, {}), proven)) {
         diags.push_back(std::move(d));

@@ -55,7 +55,7 @@ InstanceSpec pinnedSpec(const std::string& name, solvers::Scheme scheme,
 TEST(Workload, ParsesNamesAndKeyValueTokens) {
   const InstanceSpec spec = parseInstanceSpec(
       "burst0 scheme=ssprk3 box=8 nboxes=3 steps=5 dt=2e-4 weight=3 "
-      "fuse=commavoid policy=hybrid");
+      "fuse=commavoid policy=sequential");
   EXPECT_EQ(spec.name, "burst0");
   EXPECT_EQ(spec.scheme, solvers::Scheme::SSPRK3);
   EXPECT_EQ(spec.boxSize, 8);
@@ -66,7 +66,7 @@ TEST(Workload, ParsesNamesAndKeyValueTokens) {
   EXPECT_FALSE(spec.autoFuse);
   EXPECT_EQ(spec.fuse, core::StepFuse::CommAvoid);
   EXPECT_FALSE(spec.autoPolicy);
-  EXPECT_EQ(spec.policy, core::LevelPolicy::Hybrid);
+  EXPECT_EQ(spec.policy, core::LevelPolicy::BoxSequential);
 
   const InstanceSpec dflt = parseInstanceSpec("plain fuse=auto");
   EXPECT_TRUE(dflt.autoFuse);
@@ -82,6 +82,19 @@ TEST(Workload, ParsesNamesAndKeyValueTokens) {
     ADD_FAILURE() << "fuse=staged must be rejected";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("bad token 'fuse=staged'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Workload, RemovedHybridPolicyIsABadToken) {
+  // Workload files written before the hybrid level policy was folded into
+  // the parallel policy's logical tiles get the ordinary diagnostic.
+  try {
+    (void)parseInstanceSpec("old scheme=rk4 box=16 policy=hybrid");
+    ADD_FAILURE() << "policy=hybrid must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bad token 'policy=hybrid'"),
               std::string::npos)
         << e.what();
   }
@@ -127,13 +140,14 @@ TEST(SolveService, ConcurrentInstancesBitIdenticalToSoloAcrossSchemes) {
                              core::LevelPolicy::BoxParallel));
   specs.push_back(pinnedSpec("mp", solvers::Scheme::Midpoint, 8, 2,
                              core::StepFuse::Fused,
-                             core::LevelPolicy::Hybrid));
+                             core::LevelPolicy::BoxSequential));
   specs.push_back(pinnedSpec("s3", solvers::Scheme::SSPRK3, 8, 2,
                              core::StepFuse::CommAvoid,
                              core::LevelPolicy::BoxParallel));
-  specs.push_back(pinnedSpec("r4", solvers::Scheme::RK4, 16, 1,
+  // A 24^3 box: its 20-cell interior lowers to 2 x 2 logical tiles.
+  specs.push_back(pinnedSpec("r4", solvers::Scheme::RK4, 24, 1,
                              core::StepFuse::Fused,
-                             core::LevelPolicy::Hybrid));
+                             core::LevelPolicy::BoxParallel));
   specs.push_back(pinnedSpec("r4seq", solvers::Scheme::RK4, 8, 2,
                              core::StepFuse::CommAvoid,
                              core::LevelPolicy::BoxSequential));

@@ -1,7 +1,8 @@
 // Whole-RK-step task graphs (core/stepgraph.hpp + the TimeIntegrator fuse
 // modes): bit-identity of every fuse mode against the eager reference
 // across schemes, schedule families, policies, pitches, and thread counts
-// (including steps that start from stale ghosts); the deepened-halo
+// (including steps that start from stale ghosts and boxes cut into
+// logical tiles); the task structure of the logical tiles; the deepened-halo
 // plan of the comm-avoiding transform; graphcheck verification of every
 // lowered model; seeded cross-stage edge-drop mutations; and adversarial
 // serial replay of the fused graphs.
@@ -167,8 +168,7 @@ void expectEulerBitIdenticalAcrossFamilies(
 }
 
 TEST(StepGraph, EulerBitIdenticalAcrossFamiliesPoliciesAndPitches) {
-  expectEulerBitIdenticalAcrossFamilies(
-      {LevelPolicy::BoxParallel, LevelPolicy::Hybrid});
+  expectEulerBitIdenticalAcrossFamilies({LevelPolicy::BoxParallel});
 }
 
 TEST(StepGraph, SequentialPolicyMatchesRunnerAcrossFamilies) {
@@ -212,7 +212,6 @@ void expectExchangeTasksReplaceStaleGhosts(LevelPolicy policy) {
 
 TEST(StepGraph, ExchangeTasksReplaceStaleGhosts) {
   expectExchangeTasksReplaceStaleGhosts(LevelPolicy::BoxParallel);
-  expectExchangeTasksReplaceStaleGhosts(LevelPolicy::Hybrid);
 }
 
 TEST(StepGraph, SequentialPolicyStillExchanges) {
@@ -289,23 +288,20 @@ TEST(StepGraph, WallBoundedBitIdentical) {
       }
     }
     for (const StepFuse fuse : kGraphModes) {
-      for (const LevelPolicy policy :
-           {LevelPolicy::BoxParallel, LevelPolicy::Hybrid}) {
-        LevelData u = initialState(dbl);
-        FluxDivRhs rhs(cfg, 2, 1.0, &walls);
-        TimeIntegrator integ(scheme, dbl);
-        integ.setStepFuse(fuse);
-        integ.setLevelPolicy(policy);
-        for (int s = 0; s < 2; ++s) {
-          integ.advance(u, dt, rhs);
-        }
-        EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-            << caseName(scheme, fuse, policy, 2) << " wall-bounded";
-        if (fuse == StepFuse::CommAvoid) {
-          ASSERT_NE(integ.stepStats(), nullptr);
-          EXPECT_EQ(integ.stepStats()->fuse, StepFuse::Fused)
-              << "boundary conditions must force the CommAvoid fallback";
-        }
+      LevelData u = initialState(dbl);
+      FluxDivRhs rhs(cfg, 2, 1.0, &walls);
+      TimeIntegrator integ(scheme, dbl);
+      integ.setStepFuse(fuse);
+      for (int s = 0; s < 2; ++s) {
+        integ.advance(u, dt, rhs);
+      }
+      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+          << caseName(scheme, fuse, LevelPolicy::BoxParallel, 2)
+          << " wall-bounded";
+      if (fuse == StepFuse::CommAvoid) {
+        ASSERT_NE(integ.stepStats(), nullptr);
+        EXPECT_EQ(integ.stepStats()->fuse, StepFuse::Fused)
+            << "boundary conditions must force the CommAvoid fallback";
       }
     }
   }
@@ -346,6 +342,117 @@ TEST(StepGraph, MultiStepCaptureMatchesRepeatedAdvance) {
           << " rebound multi-step";
       integ.advanceSteps(u2, dt, rhs, steps);
       EXPECT_FALSE(integ.stepStats()->rebuilt);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Logical tiles: under the parallel policy each box's RHS interior and
+// stage combines lower to one task per logical tile (core::logicalTiles).
+// ---------------------------------------------------------------------------
+
+TEST(StepGraph, LogicalTilesPartitionTheBox) {
+  struct Case {
+    int side;
+    std::size_t perDim; ///< tiles in y and in z
+  };
+  for (const Case c : {Case{8, 1}, Case{16, 1}, Case{20, 1}, Case{21, 2},
+                       Case{36, 2}, Case{40, 3}, Case{128, 8}}) {
+    const Box valid = Box::cube(c.side, grid::IntVect{-3, 5, 7});
+    const Box interior = valid.grow(-kNumGhost);
+    const std::vector<Box> tiles = core::logicalTiles(valid);
+    ASSERT_EQ(tiles.size(), c.perDim * c.perDim) << "side " << c.side;
+    std::int64_t cells = 0;
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+      EXPECT_TRUE(valid.contains(tiles[t])) << c.side << " tile " << t;
+      EXPECT_EQ(tiles[t].lo(0), valid.lo(0)) << "tiles span the full x";
+      EXPECT_EQ(tiles[t].hi(0), valid.hi(0)) << "tiles span the full x";
+      for (const int d : {1, 2}) {
+        EXPECT_LE((tiles[t] & interior).size(d), core::kLogicalTileWidth)
+            << c.side << " tile " << t << " d" << d;
+      }
+      for (std::size_t o = 0; o < t; ++o) {
+        EXPECT_FALSE(tiles[t].intersects(tiles[o]))
+            << c.side << " tiles " << o << ", " << t;
+      }
+      cells += tiles[t].numPts();
+    }
+    EXPECT_EQ(cells, valid.numPts()) << "the tiles cover the box";
+  }
+}
+
+/// Labels of the RHS and combine tasks of one forward-Euler step over a
+/// single periodic box of side `side`, lowered under the parallel policy.
+struct EulerTasks {
+  int interior = 0; ///< RHS interior tasks
+  int fringe = 0;   ///< RHS halo-fringe slabs
+  int combine = 0;  ///< axpy tasks
+};
+
+EulerTasks eulerTasksOnOneBox(int side) {
+  const DisjointBoxLayout dbl(ProblemDomain(Box::cube(side)), side);
+  LevelData u = initialState(dbl);
+  core::StepExecOptions opts;
+  opts.fuse = StepFuse::Fused;
+  core::StepGraphExecutor exec(
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 4, opts);
+  const TaskGraphModel m = exec.lowerModel(
+      buildStepProgram(Scheme::ForwardEuler, 0.01), u, {});
+  EulerTasks n;
+  for (const analysis::GraphTask& t : m.tasks) {
+    if (t.label.starts_with("rhs ")) {
+      ++(t.label.find(" int") != std::string::npos ? n.interior : n.fringe);
+    } else if (t.label.starts_with("axpy ")) {
+      ++n.combine;
+    }
+  }
+  return n;
+}
+
+TEST(StepGraph, LargeBoxLowersToOneTaskPerLogicalTile) {
+  // 64^3: a 60^3 interior, 4 x 4 tiles, each an interior RHS task and an
+  // axpy task; the six fringe slabs stay.
+  const EulerTasks big = eulerTasksOnOneBox(64);
+  EXPECT_EQ(big.interior, 16);
+  EXPECT_EQ(big.fringe, 6);
+  EXPECT_EQ(big.combine, 16);
+  // 16^3: a 12^3 interior is one tile, today's 1 + 6 RHS tasks per box.
+  const EulerTasks small = eulerTasksOnOneBox(16);
+  EXPECT_EQ(small.interior, 1);
+  EXPECT_EQ(small.fringe, 6);
+  EXPECT_EQ(small.combine, 1);
+}
+
+TEST(StepGraph, TiledInteriorsBitIdenticalAcrossFamiliesThreadsAndPitches) {
+  // 1 x 40^3: 36-cell interiors cut 16 + 16 + 4 (a ragged last tile) in
+  // y and z; 2 x 36^3: 32-cell interiors, 2 x 2 tiles per box.
+  const DisjointBoxLayout levels[] = {
+      DisjointBoxLayout(ProblemDomain(Box::cube(40)), 40),
+      DisjointBoxLayout(
+          ProblemDomain(Box(grid::IntVect::zero(), grid::IntVect{71, 35, 35})),
+          36)};
+  const Real dt = 0.002;
+  for (const DisjointBoxLayout& dbl : levels) {
+    for (const Pitch pitch : {Pitch::Padded, Pitch::Dense}) {
+      for (const core::VariantConfig& cfg : core::representativeFamilies(8)) {
+        for (const int threads : {1, 4}) {
+          const LevelData ref =
+              eagerReference(Scheme::RK4, dbl, cfg, dt, 1, threads, pitch);
+          for (const StepFuse fuse : kGraphModes) {
+            LevelData u = initialState(dbl, pitch);
+            FluxDivRhs rhs(cfg, threads);
+            TimeIntegrator integ(Scheme::RK4, dbl);
+            integ.setStepFuse(fuse);
+            integ.advance(u, dt, rhs);
+            EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+                << cfg.name() << " / " << dbl.size() << " x "
+                << dbl.boxSize()[0] << "^3 / "
+                << caseName(Scheme::RK4, fuse, LevelPolicy::BoxParallel,
+                            threads)
+                << " / " << (pitch == Pitch::Padded ? "padded" : "dense");
+          }
+        }
+      }
     }
   }
 }
@@ -591,7 +698,6 @@ TEST(StepGraph, AdversarialReplayIsBitIdentical) {
       FluxDivRhs rhs(cfg, 3);
       TimeIntegrator integ(Scheme::RK4, dbl);
       integ.setStepFuse(StepFuse::Fused);
-      integ.setLevelPolicy(LevelPolicy::Hybrid);
       integ.setReplay({order, seed});
       integ.advance(u, dt, rhs);
       EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
@@ -626,9 +732,9 @@ TEST(StepGraph, DefaultsAreFusedAndBoxParallel) {
       << "the removed per-stage mode is an unknown name";
   EXPECT_EQ(parsed, StepFuse::CommAvoid) << "untouched on failure";
   EXPECT_FALSE(core::parseStepFuse("nope", parsed));
-  core::LevelPolicy policy = LevelPolicy::Hybrid;
+  core::LevelPolicy policy = LevelPolicy::BoxSequential;
   EXPECT_FALSE(core::parseLevelPolicy("warp-drive", policy));
-  EXPECT_EQ(policy, LevelPolicy::Hybrid) << "untouched on failure";
+  EXPECT_EQ(policy, LevelPolicy::BoxSequential) << "untouched on failure";
 }
 
 } // namespace

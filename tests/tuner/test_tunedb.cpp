@@ -34,8 +34,8 @@ std::string tmpPath(const std::string& name) {
 TEST(TuneDB, RoundTripThroughDisk) {
   const std::string path = tmpPath("tunedb_roundtrip.json");
   TuneDB db(fakeMachine());
-  db.observe(key(), core::StepFuse::CommAvoid, core::LevelPolicy::Hybrid,
-             1.25e-3);
+  db.observe(key(), core::StepFuse::CommAvoid,
+             core::LevelPolicy::BoxSequential, 1.25e-3);
   db.save(path);
 
   TuneDB reloaded(fakeMachine());
@@ -44,7 +44,7 @@ TEST(TuneDB, RoundTripThroughDisk) {
   const TuneEntry* e = reloaded.find(key());
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->fuse, core::StepFuse::CommAvoid);
-  EXPECT_EQ(e->policy, core::LevelPolicy::Hybrid);
+  EXPECT_EQ(e->policy, core::LevelPolicy::BoxSequential);
   EXPECT_DOUBLE_EQ(e->seconds, 1.25e-3);
   EXPECT_TRUE(e->measured);
 
@@ -78,6 +78,41 @@ TEST(TuneDB, RoundTripThroughDisk) {
   EXPECT_EQ(old.find(key("rk4", 32, 4)), nullptr);
   ASSERT_NE(old.find(key()), nullptr);
   EXPECT_EQ(old.find(key())->fuse, core::StepFuse::CommAvoid);
+}
+
+TEST(TuneDB, RemovedHybridPolicyRecordIsRejectedAndTheRestLoads) {
+  // A file from before the hybrid level policy was folded into the
+  // parallel policy's logical tiles may hold a record naming it: that
+  // record alone is dropped and counted, the others load.
+  const std::string path = tmpPath("tunedb_hybrid.json");
+  TuneDB db(fakeMachine());
+  db.observe(key("rk4", 16, 4), core::StepFuse::Fused,
+             core::LevelPolicy::BoxParallel, 1.0);
+  db.observe(key("rk4", 128, 4), core::StepFuse::Fused,
+             core::LevelPolicy::BoxSequential, 2.0);
+  db.observe(key("euler", 32, 4), core::StepFuse::CommAvoid,
+             core::LevelPolicy::BoxParallel, 3.0);
+  db.save(path);
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string sequential = "\"policy\": \"sequential\"";
+  const std::size_t at = text.find(sequential);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, sequential.size(), "\"policy\": \"hybrid\"");
+  std::ofstream(path, std::ios::trunc) << text;
+
+  TuneDB old(fakeMachine());
+  ASSERT_TRUE(old.load(path));
+  EXPECT_EQ(old.counters().rejected, 1U);
+  EXPECT_EQ(old.size(), 2U);
+  EXPECT_EQ(old.find(key("rk4", 128, 4)), nullptr);
+  ASSERT_NE(old.find(key("rk4", 16, 4)), nullptr);
+  ASSERT_NE(old.find(key("euler", 32, 4)), nullptr);
+  EXPECT_EQ(old.find(key("euler", 32, 4))->fuse, core::StepFuse::CommAvoid);
 }
 
 TEST(TuneDB, MachineMismatchFallsBackToCostModelPrior) {
@@ -138,7 +173,8 @@ TEST(TuneDB, ObserveKeepsTheFasterChoice) {
   TuneDB db(fakeMachine());
   db.observe(key(), core::StepFuse::CommAvoid,
              core::LevelPolicy::BoxParallel, 2.0);
-  db.observe(key(), core::StepFuse::Fused, core::LevelPolicy::Hybrid, 1.0);
+  db.observe(key(), core::StepFuse::Fused,
+             core::LevelPolicy::BoxSequential, 1.0);
   const TuneEntry* e = db.find(key());
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->fuse, core::StepFuse::Fused);
@@ -146,9 +182,11 @@ TEST(TuneDB, ObserveKeepsTheFasterChoice) {
 
   // A slower repeat of a different choice does not displace the record;
   // a faster repeat of the same choice tightens it.
-  db.observe(key(), core::StepFuse::Eager, core::LevelPolicy::Hybrid, 1.5);
+  db.observe(key(), core::StepFuse::Eager,
+             core::LevelPolicy::BoxSequential, 1.5);
   EXPECT_EQ(db.find(key())->fuse, core::StepFuse::Fused);
-  db.observe(key(), core::StepFuse::Fused, core::LevelPolicy::Hybrid, 0.5);
+  db.observe(key(), core::StepFuse::Fused,
+             core::LevelPolicy::BoxSequential, 0.5);
   EXPECT_DOUBLE_EQ(db.find(key())->seconds, 0.5);
   EXPECT_EQ(db.counters().refines, 4U);
 }
@@ -188,7 +226,7 @@ TEST(TuneDB, FailedSaveLeavesTheOldFileIntact) {
   db.observe(key("rk4", 16, 4), core::StepFuse::Fused,
              core::LevelPolicy::BoxParallel, 1.0);
   db.observe(key("ssprk3", 16, 4), core::StepFuse::CommAvoid,
-             core::LevelPolicy::Hybrid, 2.0);
+             core::LevelPolicy::BoxSequential, 2.0);
   db.save(path);
 
   // A directory where the temp file goes: the save cannot start.
@@ -214,7 +252,7 @@ TEST(TuneDB, EveryTruncatedPrefixLoadsWithoutThrowing) {
   db.observe(key("rk4", 16, 4), core::StepFuse::Fused,
              core::LevelPolicy::BoxParallel, 1.0);
   db.observe(key("ssprk3", 24, 4), core::StepFuse::CommAvoid,
-             core::LevelPolicy::Hybrid, 2.0);
+             core::LevelPolicy::BoxSequential, 2.0);
   db.observe(key("euler", 8, 2), core::StepFuse::Fused,
              core::LevelPolicy::BoxSequential, 3.0);
   db.save(path);

@@ -28,8 +28,8 @@
 // rounded to grid::kSimdDoubles, docs/perf.md) instead of dense storage.
 //
 // --nboxes > 1 additionally ranks the level policies (sequential /
-// parallel / hybrid: the step graphs' task granularity, core/stepgraph)
-// for a level of that many boxes, from the box-level concurrency each
+// parallel: the step graphs' task granularity, core/stepgraph) for a
+// level of that many boxes, from the box- and tile-level concurrency each
 // policy exposes, and notes removable edges in a lowered Euler step.
 //
 // --strict additionally runs internal consistency checks over every report
@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
 
     // Over-synchronization advisory: lower the step graph of one
     // forward-Euler step (exchange, RHS evaluation, axpy) under the
-    // parallel policies over a small level of this box count, and ask the
+    // parallel policy over a small level of this box count, and ask the
     // graph checker which dependency edges could be dropped without losing
     // race-freedom. Removable edges are parallelism the depth/concurrency
     // table above cannot see.
@@ -252,32 +252,28 @@ int main(int argc, char** argv) {
         solvers::buildStepProgram(solvers::Scheme::ForwardEuler, 1e-3);
     bool anyGraphNote = false;
     for (std::size_t i = 0; i < shown; ++i) {
-      for (const core::LevelPolicy policy :
-           {core::LevelPolicy::BoxParallel, core::LevelPolicy::Hybrid}) {
-        core::StepExecOptions opts;
-        opts.policy = policy;
-        core::StepGraphExecutor exec(ranked[i].cfg, nThreads, opts);
-        grid::LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
-        const analysis::TaskGraphModel model = exec.lowerModel(euler, u, {});
-        const analysis::GraphCheckReport rep =
-            analysis::checkTaskGraph(model, /*findRemovable=*/true);
-        if (rep.removable.empty()) {
-          continue;
-        }
-        analysis::CostNote note;
-        note.kind = analysis::CostNoteKind::OverSynchronized;
-        note.where = model.name;
-        note.actualBytes = static_cast<double>(rep.removable.size());
-        note.limitBytes = static_cast<double>(rep.edgeCount);
-        if (!anyGraphNote) {
-          std::cout << "\ntask-graph notes (" << dbl.size() << " x "
-                    << side << "^3 boxes, analysis/graphcheck):\n";
-          anyGraphNote = true;
-        }
-        std::cout << "  [" << analysis::costNoteKindName(note.kind) << "] "
-                  << ranked[i].cost.variant << ": " << note.message()
-                  << "\n";
+      core::StepExecOptions opts;
+      opts.policy = core::LevelPolicy::BoxParallel;
+      core::StepGraphExecutor exec(ranked[i].cfg, nThreads, opts);
+      grid::LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
+      const analysis::TaskGraphModel model = exec.lowerModel(euler, u, {});
+      const analysis::GraphCheckReport rep =
+          analysis::checkTaskGraph(model, /*findRemovable=*/true);
+      if (rep.removable.empty()) {
+        continue;
       }
+      analysis::CostNote note;
+      note.kind = analysis::CostNoteKind::OverSynchronized;
+      note.where = model.name;
+      note.actualBytes = static_cast<double>(rep.removable.size());
+      note.limitBytes = static_cast<double>(rep.edgeCount);
+      if (!anyGraphNote) {
+        std::cout << "\ntask-graph notes (" << dbl.size() << " x " << side
+                  << "^3 boxes, analysis/graphcheck):\n";
+        anyGraphNote = true;
+      }
+      std::cout << "  [" << analysis::costNoteKindName(note.kind) << "] "
+                << ranked[i].cost.variant << ": " << note.message() << "\n";
     }
 
     // Over-communication advisory: verify the level's ghost-exchange plan
