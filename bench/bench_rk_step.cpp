@@ -1,10 +1,10 @@
 // Whole-RK-step fusion bench (docs/perf.md "Step fusion"): fused vs
 // comm-avoiding lazy step graphs (core/stepgraph) against the eager
 // per-stage loop, across schemes, box sizes, and thread counts.
-// Fused graphs let stage-(i+1) interior tasks start while stage-i fringe
-// tasks drain, and amortize one pool dispatch over the whole step;
-// comm-avoiding additionally collapses the per-stage exchanges into one
-// deepened exchange plus halo recomputation. All modes are bit-identical
+// Fused graphs let a stage-(i+1) tile task start as soon as the stage-i
+// tasks it reads have run, and amortize one pool dispatch over the whole
+// step; comm-avoiding additionally collapses the per-stage exchanges
+// into one deepened exchange plus halo recomputation. All modes are bit-identical
 // to eager (tests/solvers), so this bench measures pure scheduling.
 //
 //   ./bench/bench_rk_step [--scheme all] [--fuse all] [--policy parallel]

@@ -4,8 +4,8 @@
 // the *sequential per-box loop schedules* legal, this pass proves the
 // *concurrent layer* legal: the whole-RK-step task graphs the step-graph
 // executor (core/stepgraph) hands to the work-stealing TaskPool — ghost
-// exchange copy-op tasks, boundary fills, interior/halo-fringe/tile RHS
-// tasks, and stage combines.
+// exchange copy-op tasks, boundary fills, whole-box/tile RHS tasks, and
+// stage combines.
 //
 // The executor mirrors every graph it builds into a TaskGraphModel — one
 // node per task with its exact rectangular read/write footprints (the RHS

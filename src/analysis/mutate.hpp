@@ -7,7 +7,7 @@
 //
 // The GraphMutation half does the same for lowered *task graphs*
 // (analysis/graphcheck.hpp): seeded edge drops, edge reroutes, and
-// fringe-footprint shrinks, each predicting the two-task witness
+// ghost-write shrinks, each predicting the two-task witness
 // checkTaskGraph must report.
 
 //

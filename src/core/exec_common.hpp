@@ -185,7 +185,7 @@ void overlappedBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
 /// same per-cell order, so region decompositions are bit-identical). The
 /// calling thread runs the family's serial schedule with workspace `ws`.
 /// Shared by FluxDivRunner's over-boxes level loop and the step-graph
-/// executor's whole-box / interior / halo-fringe / tile RHS tasks.
+/// executor's whole-box / logical-tile RHS tasks.
 inline void runBoxSerialDispatch(const VariantConfig& cfg,
                                  const FArrayBox& phi0, FArrayBox& phi1,
                                  const Box& valid, Workspace& ws,

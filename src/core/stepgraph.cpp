@@ -273,7 +273,6 @@ struct LowerEnv {
   LevelData* const* tab;         ///< runtime slot table (Capture-owned)
   const StepHaloPlan& plan;
   LevelPolicy policy;
-  StepFuse fuse;
 
   [[nodiscard]] int ownerOf(std::size_t b) const {
     return static_cast<int>(b % static_cast<std::size_t>(nThreads));
@@ -295,47 +294,31 @@ std::string tileTag(const std::string& base, const std::string& single,
 }
 
 /// Task decomposition of one RHS evaluation over one box. Comm-avoiding
-/// runs a widened region as one task (the deep exchange already happened;
-/// there is nothing left to overlap), and so does the sequential policy,
-/// whose coarse tasks mirror the seed loop's granularity. Otherwise the
-/// box's logical tiles (logicalTiles) become tasks: under Fused their
-/// interior parts plus six halo-fringe slabs, so interior compute
-/// overlaps the exchange (whole-box when the box has no interior). The
-/// pieces always partition the region, and every family accumulates each
-/// cell's flux differences in the same per-cell order, so any
+/// runs a widened region as one task (the deep exchange already happened),
+/// and so does the sequential policy, whose coarse tasks mirror the seed
+/// loop's granularity. Otherwise each of the box's logical tiles
+/// (logicalTiles) is one whole-tile task; the lowering's access log makes
+/// it wait for exactly the exchange copies its read footprint overlaps.
+/// The pieces always partition the region, and every family accumulates
+/// each cell's flux differences in the same per-cell order, so any
 /// decomposition is bit-identical.
 std::vector<NamedRegion> rhsRegions(const LowerEnv& env, const Box& valid,
                                     int w) {
   std::vector<NamedRegion> out;
-  if (env.fuse == StepFuse::CommAvoid && w > 0) {
-    out.push_back({valid.grow(w), "w" + std::to_string(w)});
+  if (w > 0) {
+    // append, not "w" + ...: GCC 12 inlines that into a false -Wrestrict.
+    out.push_back(
+        {valid.grow(w), std::string("w").append(std::to_string(w))});
     return out;
   }
-  const int g = kNumGhost;
-  const Box interior = valid.grow(-g);
-  if (env.policy == LevelPolicy::BoxSequential || interior.empty()) {
+  if (env.policy == LevelPolicy::BoxSequential) {
     out.push_back({valid, "all"});
     return out;
   }
   const std::vector<Box> tiles = logicalTiles(valid);
-  if (env.fuse == StepFuse::CommAvoid) {
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      out.push_back({tiles[t], tileTag("tile", "all", t, tiles.size())});
-    }
-    return out;
-  }
   for (std::size_t t = 0; t < tiles.size(); ++t) {
-    out.push_back(
-        {tiles[t] & interior, tileTag("int", "int", t, tiles.size())});
+    out.push_back({tiles[t], tileTag("tile", "all", t, tiles.size())});
   }
-  const Box zmid = valid.grow(2, -g);
-  const Box zymid = zmid.grow(1, -g);
-  out.push_back({valid.lowSlab(2, g), "z-lo"});
-  out.push_back({valid.highSlab(2, g), "z-hi"});
-  out.push_back({zmid.lowSlab(1, g), "y-lo"});
-  out.push_back({zmid.highSlab(1, g), "y-hi"});
-  out.push_back({zymid.lowSlab(0, g), "x-lo"});
-  out.push_back({zymid.highSlab(0, g), "x-hi"});
   return out;
 }
 
@@ -814,8 +797,8 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   }
 #endif
 
-  LowerEnv env{cfg_,  ws_,  nThreads_,  prog,      rhs,
-               slots, cap->tab.get(), plan, opts_.policy, cap->fuse};
+  LowerEnv env{cfg_, ws_, nThreads_, prog, rhs, slots, cap->tab.get(),
+               plan, opts_.policy};
   if (cap->fuse == StepFuse::CommAvoid) {
     env.rhs.boundary = nullptr; // periodic only; BC ops are dropped
   }

@@ -6,8 +6,8 @@
 // every per-stage ghost exchange, boundary fill, flux-divergence
 // evaluation, and copy/axpy stage combine, optionally for several
 // consecutive time steps — as a slot-based StepProgram, then lowers it
-// into one dependency-tracked core::TaskGraph, so stage-(i+1) interior
-// tasks on one box start while stage-i fringe/exchange tasks on other
+// into one dependency-tracked core::TaskGraph, so stage-(i+1) tile
+// tasks on one box start while stage-i tile/exchange tasks on other
 // boxes are still in flight (the delayed-execution idea of the OPS
 // runtime-tiling work, applied to our RK substep chains).
 //

@@ -277,7 +277,7 @@ struct TaskPool::Impl {
       return;
     }
     // Name the stuck tasks (label, not index) so the builder bug is
-    // findable: "box 3 fringe z-lo" beats "task 17".
+    // findable: "rhs u->k box3 tile5" beats "task 17".
     std::string names;
     int listed = 0;
     std::size_t stuck = 0;

@@ -212,13 +212,13 @@ TEST(TaskPool, LabelsRoundTripAndDefaultToIndices) {
 TEST(TaskPool, CycleErrorNamesTaskLabels) {
   TaskPool pool(2);
   TaskGraph graph;
-  const int a = graph.addTask([](int) {}, 0, "box 0 fringe z-lo");
+  const int a = graph.addTask([](int) {}, 0, "rhs u->k box0 tile3");
   const int b = graph.addTask([](int) {}, 0, "exchange op 7");
   graph.addDep(a, b);
   graph.addDep(b, a);
   const std::string msg =
       messageOf<std::logic_error>([&] { pool.run(graph); });
-  EXPECT_NE(msg.find("box 0 fringe z-lo"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("rhs u->k box0 tile3"), std::string::npos) << msg;
   EXPECT_NE(msg.find("exchange op 7"), std::string::npos) << msg;
 }
 

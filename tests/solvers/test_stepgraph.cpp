@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -381,27 +383,33 @@ TEST(StepGraph, LogicalTilesPartitionTheBox) {
   }
 }
 
-/// Labels of the RHS and combine tasks of one forward-Euler step over a
-/// single periodic box of side `side`, lowered under the parallel policy.
-struct EulerTasks {
-  int interior = 0; ///< RHS interior tasks
-  int fringe = 0;   ///< RHS halo-fringe slabs
-  int combine = 0;  ///< axpy tasks
-};
-
-EulerTasks eulerTasksOnOneBox(int side) {
+/// The model of one forward-Euler step over a single periodic box of side
+/// `side`, lowered fused under the parallel policy.
+TaskGraphModel eulerModelOnOneBox(int side) {
   const DisjointBoxLayout dbl(ProblemDomain(Box::cube(side)), side);
   LevelData u = initialState(dbl);
   core::StepExecOptions opts;
   opts.fuse = StepFuse::Fused;
   core::StepGraphExecutor exec(
       core::makeShiftFuse(core::ParallelGranularity::WithinBox), 4, opts);
-  const TaskGraphModel m = exec.lowerModel(
-      buildStepProgram(Scheme::ForwardEuler, 0.01), u, {});
+  return exec.lowerModel(buildStepProgram(Scheme::ForwardEuler, 0.01), u,
+                         {});
+}
+
+/// Counts of the RHS and combine tasks of eulerModelOnOneBox(side).
+struct EulerTasks {
+  int tile = 0;     ///< whole-tile RHS tasks
+  int otherRhs = 0; ///< any other RHS task
+  int combine = 0;  ///< axpy tasks
+};
+
+EulerTasks eulerTasksOnOneBox(int side) {
   EulerTasks n;
-  for (const analysis::GraphTask& t : m.tasks) {
+  for (const analysis::GraphTask& t : eulerModelOnOneBox(side).tasks) {
     if (t.label.starts_with("rhs ")) {
-      ++(t.label.find(" int") != std::string::npos ? n.interior : n.fringe);
+      const bool tile = t.label.find(" tile") != std::string::npos ||
+                        t.label.ends_with(" all");
+      ++(tile ? n.tile : n.otherRhs);
     } else if (t.label.starts_with("axpy ")) {
       ++n.combine;
     }
@@ -410,17 +418,69 @@ EulerTasks eulerTasksOnOneBox(int side) {
 }
 
 TEST(StepGraph, LargeBoxLowersToOneTaskPerLogicalTile) {
-  // 64^3: a 60^3 interior, 4 x 4 tiles, each an interior RHS task and an
-  // axpy task; the six fringe slabs stay.
+  // 64^3: a 60^3 interior, 4 x 4 tiles, each one whole-tile RHS task and
+  // one axpy task.
   const EulerTasks big = eulerTasksOnOneBox(64);
-  EXPECT_EQ(big.interior, 16);
-  EXPECT_EQ(big.fringe, 6);
+  EXPECT_EQ(big.tile, 16);
+  EXPECT_EQ(big.otherRhs, 0);
   EXPECT_EQ(big.combine, 16);
-  // 16^3: a 12^3 interior is one tile, today's 1 + 6 RHS tasks per box.
+  // 16^3: a 12^3 interior is one tile, the whole box.
   const EulerTasks small = eulerTasksOnOneBox(16);
-  EXPECT_EQ(small.interior, 1);
-  EXPECT_EQ(small.fringe, 6);
+  EXPECT_EQ(small.tile, 1);
+  EXPECT_EQ(small.otherRhs, 0);
   EXPECT_EQ(small.combine, 1);
+}
+
+/// The copier sectors ("sector[-1,0,0]") of the exchange-op tasks with a
+/// direct edge into `task`.
+std::set<std::string> exchangeSectorsFeeding(const TaskGraphModel& m,
+                                             std::size_t task) {
+  std::set<std::string> sectors;
+  for (const analysis::GraphTask& t : m.tasks) {
+    if (!t.exchangeOp ||
+        std::ranges::find(t.successors, static_cast<int>(task)) ==
+            t.successors.end()) {
+      continue;
+    }
+    sectors.insert(t.label.substr(t.label.find("sector[")));
+  }
+  return sectors;
+}
+
+TEST(StepGraph, EachTileWaitsOnlyForTheCopiesThatFeedIt) {
+  // One periodic 64^3 box: tiles are cut at y, z = 18, 34, 50. A tile
+  // away from the y/z rim reads ghosts only through its x faces, so its
+  // RHS task must wait for the x-lo and x-hi face copies and no others; a
+  // rim tile also waits for the y/z copies its footprint reaches.
+  const TaskGraphModel m = eulerModelOnOneBox(64);
+  const grid::IntVect innerCell(32, 24, 24); // in the y, z in [18, 33] tile
+  const grid::IntVect rimCell(0, 0, 0);
+  std::size_t innerTask = m.tasks.size();
+  std::size_t rimTask = m.tasks.size();
+  for (std::size_t t = 0; t < m.tasks.size(); ++t) {
+    const analysis::GraphTask& task = m.tasks[t];
+    if (!task.label.starts_with("rhs ")) {
+      continue;
+    }
+    for (const analysis::TaskAccess& w : task.writes) {
+      if (w.region.contains(innerCell)) {
+        innerTask = t;
+      }
+      if (w.region.contains(rimCell)) {
+        rimTask = t;
+      }
+    }
+  }
+  ASSERT_LT(innerTask, m.tasks.size());
+  ASSERT_LT(rimTask, m.tasks.size());
+  EXPECT_EQ(exchangeSectorsFeeding(m, innerTask),
+            (std::set<std::string>{"sector[-1,0,0]", "sector[+1,0,0]"}))
+      << m.label(static_cast<int>(innerTask));
+  const std::set<std::string> rimSectors = exchangeSectorsFeeding(m, rimTask);
+  for (const char* s : {"sector[-1,0,0]", "sector[+1,0,0]", "sector[0,-1,0]",
+                        "sector[0,0,-1]"}) {
+    EXPECT_TRUE(rimSectors.contains(s)) << s;
+  }
 }
 
 TEST(StepGraph, TiledInteriorsBitIdenticalAcrossFamiliesThreadsAndPitches) {
