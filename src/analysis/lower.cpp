@@ -312,7 +312,8 @@ void lowerBaseline(ScheduleModel& m, const VariantConfig& cfg,
     return;
   }
 
-  // Within-box z-slab team, mirroring baselineBody's barrier placement:
+  // Within-box z-slab tasks, mirroring the phases of exec_baseline's
+  // makePhases (one join between consecutive phases):
   // EvalFlux1 | B | EvalFlux2[c0] | B | FluxDiff[c0] EvalFlux2[c1] | B |
   // ... | FluxDiff[c3] EvalFlux2[vd] | B | FluxDiff[vd] | B | next d.
   auto slabItems = [&](const std::string& phaseName) {

@@ -85,8 +85,8 @@ struct WorkItem {
 };
 
 /// Barrier-delimited group of concurrently-executing items. Phases execute
-/// in order with an implied barrier between them (exactly the executors'
-/// omp barriers / implicit loop-end barriers).
+/// in order with an implied barrier between them (exactly the dependence
+/// joins between the phases of FluxDivRunner's within-box task graphs).
 struct Phase {
   std::string name;
   std::vector<WorkItem> items;

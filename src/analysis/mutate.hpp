@@ -49,7 +49,7 @@ ScheduleModel thinOverlap(ScheduleModel m);
 ScheduleModel overlappingTileWrites(ScheduleModel m);
 
 /// Remove the barrier after `phase`, merging it with its successor (the
-/// classic dropped omp barrier). For the slab-parallel baseline in the z
+/// classic dropped barrier: a missing join between two phases). For the slab-parallel baseline in the z
 /// direction this races a slab's flux-difference read against its
 /// neighbor's face writes: rejected with ReadWriteRace.
 ScheduleModel droppedBarrier(ScheduleModel m, std::size_t phase);

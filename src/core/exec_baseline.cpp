@@ -2,7 +2,8 @@
 // separate passes over faces (EvalFlux1), faces again (EvalFlux2), and cells
 // (accumulation), with whole-box face-centered temporaries. Axes: component
 // loop outside (CLO) or inside (CLI); parallelization over boxes (caller) or
-// over z-slabs within the box.
+// over z-slabs within the box (one task per slab and barrier-delimited
+// phase).
 //
 // Inner loops go through the pencil layer (kernels/pencil.hpp): every pass
 // walks whole unit-stride x-rows, so the stage structure the legality
@@ -13,7 +14,7 @@
 // each (row, component) becomes one pencil; per (cell, component) the
 // expressions and their evaluation order are unchanged.
 
-#include <omp.h>
+#include <memory>
 
 #include "core/exec_common.hpp"
 #include "kernels/pencil.hpp"
@@ -75,13 +76,13 @@ void fluxPass(FArrayBox& flux, const FArrayBox& vel, int velComp, int c,
 }
 
 /// Accumulation pass: phi1[c] += scale * (flux[cell + e_d] - flux[cell])
-/// over cell region `cb`.
+/// over cell region `cb`, attributed to shadow writer `writer`.
 void accumulatePass(const FArrayBox& flux, FArrayBox& phi1, int d, int c,
-                    const Box& cb, Real scale) {
+                    const Box& cb, Real scale, int writer) {
   if (cb.empty()) {
     return;
   }
-  FLUXDIV_SHADOW_WRITE(phi1, cb, c, 1);
+  FLUXDIV_SHADOW_WRITE_AS(phi1, cb, c, 1, writer);
   const Idx ix(flux);
   const Idx io(phi1);
   const std::int64_t s = ix.stride(d);
@@ -165,11 +166,11 @@ void cliFlux2(FArrayBox& flux, const FArrayBox& vel, const Box& fb) {
 
 /// CLI accumulation pass with the component loop innermost.
 void cliAccumulate(const FArrayBox& flux, FArrayBox& phi1, int d,
-                   const Box& cb, Real scale) {
+                   const Box& cb, Real scale, int writer) {
   if (cb.empty()) {
     return;
   }
-  FLUXDIV_SHADOW_WRITE(phi1, cb, 0, kNumComp);
+  FLUXDIV_SHADOW_WRITE_AS(phi1, cb, 0, kNumComp, writer);
   const Idx ix(flux);
   const Idx io(phi1);
   const std::int64_t s = ix.stride(d);
@@ -188,58 +189,75 @@ void cliAccumulate(const FArrayBox& flux, FArrayBox& phi1, int d,
   }
 }
 
-/// Body executed by every thread of the within-box team (or once, serially,
-/// with nth == 1). Stage regions are partitioned into z-slabs; barriers
-/// separate stages whose reads cross slab boundaries.
+/// The schedule over worker `tid` of `nth`'s z-slabs. Barriers (sync)
+/// separate stages whose reads cross slab boundaries and number the
+/// phases between them. Runs only phase `only` as slab `tid`'s task of the
+/// within-box graph, or every phase on the calling worker when `only` < 0.
 void baselineBody(const VariantConfig& cfg, const FArrayBox& phi0,
                   FArrayBox& phi1, const Box& valid, FArrayBox& flux,
-                  FArrayBox* vel, Real scale, int nth, int tid) {
-  // Synchronize the within-box team between dependent stages. Guarded so
-  // the serial path (nth == 1) stays barrier-free: the overlapped-tile
-  // executor calls this body per tile from inside its own OpenMP region,
-  // where an unconditional orphaned barrier would deadlock the team.
-  auto sync = [nth] {
-    if (nth > 1) {
-#pragma omp barrier
-    }
+                  FArrayBox* vel, Real scale, int nth, int tid, int only) {
+  int phase = 0;
+  auto slab = [&](const Box& b) {
+    return only < 0 || only == phase ? zSlab(b, nth, tid) : Box();
   };
+  auto sync = [&] { ++phase; };
+  // Each cell is accumulated three times (x, y, z): a slab's tasks are
+  // ordered by the graph but may run on any worker, so the slab is the
+  // shadow writer of its cells.
+  const int writer = only < 0 ? shadowWorkerId() : tid;
   for (int d = 0; d < grid::SpaceDim; ++d) {
     const Box fb = valid.faceBox(d);
     const int vd = kernels::velocityComp(d);
-    const Box faceSlab = zSlab(fb, nth, tid);
-    const Box cellSlab = zSlab(valid, nth, tid);
-
     if (cfg.comp == ComponentLoop::Outside) {
       // Line 6 of Fig. 6: component loop outside the face loop.
       for (int c = 0; c < kNumComp; ++c) {
-        facePhiPass(phi0, flux, d, c, faceSlab);
+        facePhiPass(phi0, flux, d, c, slab(fb));
       }
-sync();
+      sync();
       // CLO avoids the velocity temporary by multiplying the velocity
       // component last (the loop reordering noted in Sec. IV-A).
       for (int c = 0; c < kNumComp; ++c) {
         if (c == vd) {
           continue;
         }
-        fluxPass(flux, flux, vd, c, faceSlab);
+        fluxPass(flux, flux, vd, c, slab(fb));
         sync();
-        accumulatePass(flux, phi1, d, c, cellSlab, scale);
+        accumulatePass(flux, phi1, d, c, slab(valid), scale, writer);
       }
-      fluxPass(flux, flux, vd, vd, faceSlab);
+      fluxPass(flux, flux, vd, vd, slab(fb));
       sync();
-      accumulatePass(flux, phi1, d, vd, cellSlab, scale);
+      accumulatePass(flux, phi1, d, vd, slab(valid), scale, writer);
       sync();
     } else {
       // CLI: EvalFlux2 overwrites flux in place, so the velocity component
       // must be copied out first (the Velocity temporary of Table I).
+      const Box faceSlab = slab(fb);
       cliFacePhi(phi0, flux, d, faceSlab);
       velocityCopy(flux, *vel, vd, faceSlab);
       cliFlux2(flux, *vel, faceSlab);
       sync();
-      cliAccumulate(flux, phi1, d, cellSlab, scale);
+      cliAccumulate(flux, phi1, d, slab(valid), scale, writer);
       sync();
     }
   }
+}
+
+/// baselineBody's phase count: its sync() calls per direction.
+int baselinePhases(const VariantConfig& cfg) {
+  return grid::SpaceDim *
+         (cfg.comp == ComponentLoop::Outside ? kNumComp + 2 : 2);
+}
+
+/// The whole-box temporaries: the flux and, under CLI, the velocity. CLO
+/// reorders the component loop to multiply the velocity component last,
+/// eliminating the Velocity temporary (Sec. IV-A).
+std::pair<FArrayBox*, FArrayBox*> baselineScratch(const VariantConfig& cfg,
+                                                  const Box& valid,
+                                                  Workspace& ws) {
+  FArrayBox* vel = cfg.comp == ComponentLoop::Inside
+                       ? &ws.fab(Slot::Velocity, faceSupersetBox(valid), 1)
+                       : nullptr;
+  return {&ws.fab(Slot::Flux, faceSupersetBox(valid), kNumComp), vel};
 }
 
 } // namespace
@@ -247,32 +265,30 @@ sync();
 void baselineBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
                        FArrayBox& phi1, const Box& valid, Workspace& ws,
                        Real scale) {
-  FArrayBox& flux = ws.fab(Slot::Flux, faceSupersetBox(valid), kNumComp);
-  // CLO reorders the component loop to multiply the velocity component
-  // last, eliminating the Velocity temporary (Sec. IV-A).
-  FArrayBox* vel =
-      cfg.comp == ComponentLoop::Inside
-          ? &ws.fab(Slot::Velocity, faceSupersetBox(valid), 1)
-          : nullptr;
-  baselineBody(cfg, phi0, phi1, valid, flux, vel, scale, 1, 0);
+  const auto [flux, vel] = baselineScratch(cfg, valid, ws);
+  baselineBody(cfg, phi0, phi1, valid, *flux, vel, scale, 1, 0, -1);
 }
 
-void baselineBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
-                         FArrayBox& phi1, const Box& valid,
-                         WorkspacePool& pool, int nThreads, Real scale) {
-  // Whole-box temporaries are shared by the team, drawn from thread 0's
-  // workspace before the region opens.
-  Workspace& shared = pool[0];
-  FArrayBox& flux = shared.fab(Slot::Flux, faceSupersetBox(valid), kNumComp);
-  FArrayBox* vel =
-      cfg.comp == ComponentLoop::Inside
-          ? &shared.fab(Slot::Velocity, faceSupersetBox(valid), 1)
-          : nullptr;
-  FLUXDIV_SHADOW_PREPARE(phi1);
-#pragma omp parallel num_threads(nThreads)
-  {
-    baselineBody(cfg, phi0, phi1, valid, flux, vel, scale,
-                 omp_get_num_threads(), omp_get_thread_num());
+void baselineBoxGraph(TaskGraph& graph, const VariantConfig& cfg,
+                      int nThreads, const RunnerCall& call) {
+  // Whole-box temporaries are shared by the slabs, drawn from worker 0's
+  // workspace by a first task.
+  auto scratch = std::make_shared<std::pair<FArrayBox*, FArrayBox*>>();
+  PhaseChain chain(graph);
+  chain.add([&cfg, &call, scratch](int) {
+    *scratch = baselineScratch(cfg, call.boxes[0].valid, (*call.ws)[0]);
+  });
+  for (int p = 0; p < baselinePhases(cfg); ++p) {
+    chain.barrier();
+    for (int tid = 0; tid < nThreads; ++tid) {
+      chain.add(
+          [&cfg, &call, scratch, nThreads, tid, p](int) {
+            const RunnerCall::BoxRef& b = call.boxes[0];
+            baselineBody(cfg, *b.phi0, *b.phi1, b.valid, *scratch->first,
+                         scratch->second, call.scale, nThreads, tid, p);
+          },
+          tid);
+    }
   }
 }
 

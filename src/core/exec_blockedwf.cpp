@@ -4,7 +4,8 @@
 // +x/+y/+z between tiles and forces wavefront execution over tiles.
 // Within one tile wavefront, tiles have pairwise-distinct orthogonal
 // coordinates in every direction, so their cache slots are disjoint and
-// they can execute concurrently.
+// they can execute concurrently: the within-box schedule runs one task per
+// tile and front, each front after the one before.
 //
 // Tile sweeps are vectorized one x-row at a time (kernels/pencil.hpp).
 // The schedule is untouched: boundary fluxes are still *read from* and
@@ -17,8 +18,6 @@
 // fusedFaceDiffPencil. To make those cache rows contiguous per component,
 // the CLI caches are laid out component-major (c slowest); the slot set
 // per (tile, front) — hence the disjointness argument — is unchanged.
-
-#include <omp.h>
 
 #include "core/exec_fused.hpp"
 #include "kernels/pencil.hpp"
@@ -35,7 +34,7 @@ namespace pencil = kernels::pencil;
 /// boundaries the cache slot was written by the -d neighbor tile.
 /// Cache layouts (component-major): cacheX[(c*nz + kk)*ny + jj],
 /// cacheY[(c*nz + kk)*nx + ii], cacheZ[(c*ny + jj)*nx + ii].
-/// `fface`/`hi` are per-thread row scratch of >= nx+1 entries each.
+/// `fface`/`hi` are per-worker row scratch of >= nx+1 entries each.
 void sweepTileCLI(const FArrayBox& phi0, FArrayBox& phi1, const Box& tb,
                   const Box& valid, Real* cacheX, Real* cacheY,
                   Real* cacheZ, Real* fface, Real* hi, Real scale) {
@@ -145,68 +144,25 @@ void sweepTileCLO(const FArrayBox& phi0, FArrayBox& phi1, int c,
   }
 }
 
-/// Shared implementation: nThreads == 1 runs the tiles serially in
-/// lexicographic order (a valid topological order of the tile dependences);
-/// otherwise tiles execute wavefront-by-wavefront with an OpenMP team.
-/// `pool` supplies per-thread row scratch when parallel (nullptr serial).
-void blockedWFCore(const VariantConfig& cfg, const FArrayBox& phi0,
-                   FArrayBox& phi1, const Box& valid, Workspace& shared,
-                   WorkspacePool* pool, int nThreads, Real scale) {
-  const sched::TileSet tiles = makeTileSet(cfg, valid);
-  const sched::TileWavefronts fronts(tiles);
-  const int nx = valid.size(0);
-  const int ny = valid.size(1);
-  const int nz = valid.size(2);
-  const std::size_t entries = cfg.comp == ComponentLoop::Inside
-                                  ? static_cast<std::size_t>(kNumComp)
-                                  : 1u;
-  Real* cacheX = shared.buffer(
-      Slot::CarryX, static_cast<std::size_t>(ny) * nz * entries);
-  Real* cacheY = shared.buffer(
-      Slot::CarryY, static_cast<std::size_t>(nx) * nz * entries);
-  Real* cacheZ = shared.buffer(
-      Slot::CarryZ, static_cast<std::size_t>(nx) * ny * entries);
-  // Two row-scratch buffers per thread: the (nx+1)-face x row and the
-  // high-face y/z row.
-  const std::size_t scratchLen = 2 * (static_cast<std::size_t>(nx) + 1);
-
+/// Sweep tile `tb` of `valid` (for component `c` under CLO) with the
+/// caller's row scratch: two buffers of nx+1 entries, the x face row and
+/// the high-face y/z row.
+void sweepTile(const VariantConfig& cfg, const FArrayBox& phi0,
+               FArrayBox& phi1, int c, const Box& tb, const Box& valid,
+               const WavefrontScratch& s, Real* rows, Real scale) {
+  Real* fface = rows;
+  Real* hi = rows + valid.size(0) + 1;
   if (cfg.comp == ComponentLoop::Inside) {
-#pragma omp parallel num_threads(nThreads) if (nThreads > 1)
-    {
-      Workspace& mine = pool ? (*pool)[omp_get_thread_num()] : shared;
-      Real* fface = mine.buffer(Slot::Extra, scratchLen);
-      Real* hi = fface + nx + 1;
-      for (std::size_t w = 0; w < fronts.count(); ++w) {
-        const auto& front = fronts.front(w);
-#pragma omp for schedule(dynamic)
-        for (std::size_t t = 0; t < front.size(); ++t) {
-          sweepTileCLI(phi0, phi1, tiles.tileBox(front[t]), valid, cacheX,
-                       cacheY, cacheZ, fface, hi, scale);
-        }
-      }
-    }
+    sweepTileCLI(phi0, phi1, tb, valid, s.cacheX, s.cacheY, s.cacheZ, fface,
+                 hi, scale);
   } else {
-    FArrayBox& vel = shared.fab(Slot::Velocity, faceSupersetBox(valid), 3);
-#pragma omp parallel num_threads(nThreads) if (nThreads > 1)
-    {
-      Workspace& mine = pool ? (*pool)[omp_get_thread_num()] : shared;
-      Real* fface = mine.buffer(Slot::Extra, scratchLen);
-      Real* hi = fface + nx + 1;
-      precomputeFaceVelocity(phi0, vel, valid, omp_get_num_threads(),
-                             omp_get_thread_num());
-#pragma omp barrier
-      for (int c = 0; c < kNumComp; ++c) {
-        for (std::size_t w = 0; w < fronts.count(); ++w) {
-          const auto& front = fronts.front(w);
-#pragma omp for schedule(dynamic)
-          for (std::size_t t = 0; t < front.size(); ++t) {
-            sweepTileCLO(phi0, phi1, c, vel, tiles.tileBox(front[t]),
-                         valid, cacheX, cacheY, cacheZ, fface, hi, scale);
-          }
-        }
-      }
-    }
+    sweepTileCLO(phi0, phi1, c, *s.vel, tb, valid, s.cacheX, s.cacheY,
+                 s.cacheZ, fface, hi, scale);
   }
+}
+
+std::size_t rowScratchLen(const Box& valid) {
+  return 2 * (static_cast<std::size_t>(valid.size(0)) + 1);
 }
 
 } // namespace
@@ -214,14 +170,49 @@ void blockedWFCore(const VariantConfig& cfg, const FArrayBox& phi0,
 void blockedWFBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
                         FArrayBox& phi1, const Box& valid, Workspace& ws,
                         Real scale) {
-  blockedWFCore(cfg, phi0, phi1, valid, ws, nullptr, 1, scale);
+  const sched::TileSet tiles = makeTileSet(cfg, valid);
+  const sched::TileWavefronts fronts(tiles);
+  const WavefrontScratch s(cfg, valid, ws);
+  Real* rows = ws.buffer(Slot::Extra, rowScratchLen(valid));
+  if (s.vel != nullptr) {
+    precomputeFaceVelocity(phi0, *s.vel, valid, 1, 0);
+  }
+  // Front by front is a topological order of the tile dependences.
+  const int sweeps = cfg.comp == ComponentLoop::Outside ? kNumComp : 1;
+  for (int c = 0; c < sweeps; ++c) {
+    for (std::size_t w = 0; w < fronts.count(); ++w) {
+      for (const std::size_t t : fronts.front(w)) {
+        sweepTile(cfg, phi0, phi1, c, tiles.tileBox(t), valid, s, rows,
+                  scale);
+      }
+    }
+  }
 }
 
-void blockedWFBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
-                          FArrayBox& phi1, const Box& valid,
-                          WorkspacePool& pool, int nThreads, Real scale) {
-  FLUXDIV_SHADOW_PREPARE(phi1);
-  blockedWFCore(cfg, phi0, phi1, valid, pool[0], &pool, nThreads, scale);
+void blockedWFBoxGraph(TaskGraph& graph, const VariantConfig& cfg,
+                       const Box& shape, int nThreads,
+                       const RunnerCall& call) {
+  PhaseChain chain(graph);
+  const auto scratch = beginWavefrontGraph(chain, cfg, nThreads, call);
+  const sched::TileSet tiles = makeTileSet(cfg, shape);
+  const sched::TileWavefronts fronts(tiles);
+  const int sweeps = cfg.comp == ComponentLoop::Outside ? kNumComp : 1;
+  for (int c = 0; c < sweeps; ++c) {
+    for (std::size_t w = 0; w < fronts.count(); ++w) {
+      for (const std::size_t t : fronts.front(w)) {
+        chain.add(
+            [&cfg, &call, scratch, c, tile = tiles.tileBox(t)](int worker) {
+              const RunnerCall::BoxRef& b = call.boxes[0];
+              Real* rows = (*call.ws)[worker].buffer(Slot::Extra,
+                                                     rowScratchLen(b.valid));
+              sweepTile(cfg, *b.phi0, *b.phi1, c, tile.shift(b.valid.lo()),
+                        b.valid, *scratch, rows, call.scale);
+            },
+            static_cast<int>(t) % nThreads);
+      }
+      chain.barrier();
+    }
+  }
 }
 
 } // namespace fluxdiv::core::detail

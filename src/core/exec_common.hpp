@@ -4,38 +4,41 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/taskpool.hpp"
 #include "core/variant.hpp"
 #include "core/workspace.hpp"
 #include "grid/farraybox.hpp"
 #include "kernels/exemplar.hpp"
 #include "sched/tiles.hpp"
 
-// Shadow-memory instrumentation of the executors' phi1 commits (see
-// grid/shadow.hpp). Each expansion records "the calling worker wrote this
-// region of these components in the current epoch"; the legal schedules
-// keep every (cell, component) of the output single-writer per
-// evaluation, so any cross-worker double write is a real race. Expands to
-// nothing unless FLUXDIV_SHADOW_CHECK is on.
-#ifdef FLUXDIV_SHADOW_CHECK
-#include <omp.h>
-
-#include <stdexcept>
-#include <string>
-
-#include "core/taskpool.hpp"
-
 namespace fluxdiv::core::detail {
 
 /// Worker identity for shadow attribution: the task-pool worker id when
-/// called from inside a TaskPool run, else the OpenMP thread id. Raw
-/// std::threads all report omp_get_thread_num() == 0, which would fold
-/// every pool worker into one and hide cross-worker races in the step
-/// graphs.
+/// called from inside a TaskPool run; a caller outside the pool is
+/// worker 0.
 inline int shadowWorkerId() {
-  const int pool = TaskPool::currentWorker();
-  return pool >= 0 ? pool : omp_get_thread_num();
+  const int worker = TaskPool::currentWorker();
+  return worker >= 0 ? worker : 0;
 }
+
+} // namespace fluxdiv::core::detail
+
+// Shadow-memory instrumentation of the executors' phi1 commits (see
+// grid/shadow.hpp). Each expansion records "this writer wrote this region
+// of these components in the current epoch"; the legal schedules keep
+// every (cell, component) of the output single-writer per evaluation, so
+// any cross-writer double write is a real race. The writer is the calling
+// worker, or under FLUXDIV_SHADOW_WRITE_AS the schedule's own owner of the
+// region (a z-slab, whose tasks may land on any worker but are ordered by
+// the graph). Expands to nothing unless FLUXDIV_SHADOW_CHECK is on.
+#ifdef FLUXDIV_SHADOW_CHECK
+#include <stdexcept>
+
+namespace fluxdiv::core::detail {
 
 /// Fail loudly when the shadow memory caught a race during the evaluation
 /// that just finished. Call only after all workers have joined.
@@ -56,16 +59,14 @@ inline void throwOnShadowViolations(grid::FArrayBox& fab,
 
 } // namespace fluxdiv::core::detail
 
+#define FLUXDIV_SHADOW_WRITE_AS(fab, region, c0, nc, writer)               \
+  (fab).shadowRecordWrite((region), (c0), (nc), (writer))
 #define FLUXDIV_SHADOW_WRITE(fab, region, c0, nc)                          \
-  (fab).shadowRecordWrite((region), (c0), (nc),                            \
+  FLUXDIV_SHADOW_WRITE_AS(fab, region, c0, nc,                             \
                           ::fluxdiv::core::detail::shadowWorkerId())
-// Shape a fab's lazily allocated shadow before a parallel region writes
-// it; otherwise every worker's first FLUXDIV_SHADOW_WRITE would allocate
-// and define it at once.
-#define FLUXDIV_SHADOW_PREPARE(fab) ((void)(fab).shadow())
 #else
+#define FLUXDIV_SHADOW_WRITE_AS(fab, region, c0, nc, writer) ((void)(writer))
 #define FLUXDIV_SHADOW_WRITE(fab, region, c0, nc) ((void)0)
-#define FLUXDIV_SHADOW_PREPARE(fab) ((void)0)
 #endif
 
 namespace fluxdiv::core::detail {
@@ -136,55 +137,106 @@ inline Box faceSupersetBox(const Box& b) {
   return {b.lo(), b.hi() + IntVect::unit(1)};
 }
 
+/// What a FluxDivRunner graph's tasks act on. The runner builds each
+/// graph once per box shape (per layout for P>=Box and P=Box*Tile) and
+/// points this at the current call before every dispatch, so tasks read
+/// the call's fabs, valid boxes and scale and a repeated call rebuilds
+/// nothing.
+struct RunnerCall {
+  struct BoxRef {
+    const FArrayBox* phi0 = nullptr;
+    FArrayBox* phi1 = nullptr;
+    Box valid;
+  };
+  std::vector<BoxRef> boxes; ///< a within-box graph acts on boxes[0]
+  Real scale = 1.0;
+  WorkspacePool* ws = nullptr; ///< one Workspace per pool worker
+};
+
+/// Builds a graph as a chain of barrier-delimited phases: every task of a
+/// phase waits for every task of the phase before it, which is what an
+/// OpenMP team barrier between two stages of a schedule guarantees. A
+/// phase of several tasks is joined through one empty task, so the edge
+/// count stays linear in the task count.
+class PhaseChain {
+public:
+  explicit PhaseChain(TaskGraph& graph) : graph_(graph) {}
+
+  /// Add a task to the open phase.
+  void add(TaskGraph::Fn fn, int owner = 0) {
+    const int task = graph_.addTask(std::move(fn), owner);
+    if (last_ >= 0) {
+      graph_.addDep(last_, task);
+    }
+    open_.push_back(task);
+  }
+
+  /// Close the open phase: later tasks wait for all of it.
+  void barrier() {
+    if (open_.size() > 1) {
+      const int join = graph_.addTask([](int) {});
+      for (const int task : open_) {
+        graph_.addDep(task, join);
+      }
+      open_.assign(1, join);
+    }
+    if (!open_.empty()) {
+      last_ = open_.front();
+      open_.clear();
+    }
+  }
+
+private:
+  TaskGraph& graph_;
+  int last_ = -1; ///< the previous phase's only task, or its join
+  std::vector<int> open_;
+};
+
 // ---------------------------------------------------------------------------
 // Per-box entry points implemented in the exec_*.cpp files. All assume:
 //   - phi0 covers valid.grow(kNumGhost) with ghosts filled,
 //   - phi1 covers valid,
 //   - both have kNumComp components.
-// Serial variants take the calling thread's workspace. Parallel-within-box
-// variants open their own OpenMP region with `nThreads` threads and draw
-// per-thread scratch from `pool`.
+// Serial variants run on the calling thread with its workspace. The
+// *BoxGraph functions add a family's within-box (P<Box) schedule over one
+// box of `shape`'s extents (zero origin) to a TaskGraph whose tasks act on
+// call.boxes[0]; per-worker scratch comes from call.ws.
 // ---------------------------------------------------------------------------
 
 void baselineBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
                        FArrayBox& phi1, const Box& valid, Workspace& ws,
                        Real scale);
-void baselineBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
-                         FArrayBox& phi1, const Box& valid,
-                         WorkspacePool& pool, int nThreads, Real scale);
+void baselineBoxGraph(TaskGraph& graph, const VariantConfig& cfg,
+                      int nThreads, const RunnerCall& call);
 
 void shiftFuseBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
                         FArrayBox& phi1, const Box& valid, Workspace& ws,
                         Real scale);
-void shiftFuseBoxWavefront(const VariantConfig& cfg, const FArrayBox& phi0,
-                           FArrayBox& phi1, const Box& valid,
-                           WorkspacePool& pool, int nThreads, Real scale);
+void shiftFuseBoxGraph(TaskGraph& graph, const VariantConfig& cfg,
+                       const Box& shape, int nThreads,
+                       const RunnerCall& call);
 
 void blockedWFBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
                         FArrayBox& phi1, const Box& valid, Workspace& ws,
                         Real scale);
-void blockedWFBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
-                          FArrayBox& phi1, const Box& valid,
-                          WorkspacePool& pool, int nThreads, Real scale);
-
-/// One overlapped tile, runnable from any parallel context (used by the
-/// hybrid box-x-tile granularity in the runner).
-void overlappedRunTile(const VariantConfig& cfg, const FArrayBox& phi0,
-                       FArrayBox& phi1, const Box& tileBox, Workspace& ws,
-                       Real scale);
+void blockedWFBoxGraph(TaskGraph& graph, const VariantConfig& cfg,
+                       const Box& shape, int nThreads,
+                       const RunnerCall& call);
 
 void overlappedBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
                          FArrayBox& phi1, const Box& valid, Workspace& ws,
                          Real scale);
-void overlappedBoxParallel(const VariantConfig& cfg, const FArrayBox& phi0,
-                           FArrayBox& phi1, const Box& valid,
-                           WorkspacePool& pool, int nThreads, Real scale);
+/// One task per overlapped tile of call.boxes[box]: the within-box
+/// schedule for box 0, and the P=Box*Tile level graph box by box.
+void overlappedTileTasks(TaskGraph& graph, const VariantConfig& cfg,
+                         const Box& shape, int nThreads,
+                         const RunnerCall& call, std::size_t box);
 
 /// Serial dispatch of one whole box (or any rectangular subregion of one:
 /// every family accumulates each cell's x, y, z flux differences in the
 /// same per-cell order, so region decompositions are bit-identical). The
 /// calling thread runs the family's serial schedule with workspace `ws`.
-/// Shared by FluxDivRunner's over-boxes level loop and the step-graph
+/// Shared by FluxDivRunner's over-boxes box tasks and the step-graph
 /// executor's whole-box / logical-tile RHS tasks.
 inline void runBoxSerialDispatch(const VariantConfig& cfg,
                                  const FArrayBox& phi0, FArrayBox& phi1,

@@ -1,18 +1,19 @@
 #pragma once
-// The shifted-and-fused per-cell computation (paper Sec. IV-B, Fig. 8a),
-// shared by the untiled shift-fuse executors, the blocked-wavefront
-// executor, and the shift-fuse overlapped-tile executor. One fused
-// iteration computes the three high-side face fluxes of a cell, consumes
-// the low-side fluxes left behind by the -x/-y/-z predecessor iterations
-// (or computes them fresh on the sweep's low boundary), and accumulates
-// the flux differences into phi1.
+// Shared pieces of the shifted-and-fused schedules (paper Sec. IV-B/C):
+// the per-cell fused iteration, which the per-iteration (cell) wavefront
+// runs — the serial, blocked and overlapped sweeps run the same
+// arithmetic as pencils (kernels/pencil.hpp) — plus the face-velocity
+// precompute and the box-shared scratch and graph prologue of the two
+// wavefront schedules. One fused iteration computes the three high-side
+// face fluxes of a cell, consumes the low-side fluxes left behind by the
+// -x/-y/-z predecessor iterations (or computes them fresh on the sweep's
+// low boundary), and accumulates the flux differences into phi1.
 //
 // The "slot" pointers are where the predecessor stored the shared face
-// flux and where this cell stores its high flux for the successor. Their
-// layout is the only difference between the serial schedule (scalar carry,
-// row, plane — Table I row 2), the per-iteration wavefront and the blocked
-// wavefront (co-dimension caches — Sec. IV-C), and the overlapped tiles
-// (tile-local carries — Table I row 4).
+// flux and where this cell stores its high flux for the successor: in
+// the wavefront, slots of the co-dimension caches (Sec. IV-C).
+
+#include <memory>
 
 #include "core/exec_common.hpp"
 
@@ -85,9 +86,33 @@ inline void fusedCellCLO(const Real* pc, Real* outc, std::int64_t a,
 
 /// Fill `vel` component d with the face-averaged normal velocity
 /// (EvalFlux1 of phi0 component d+1) over region `fb_d` = the z-slab of
-/// valid.faceBox(d) owned by this worker. `vel` must be allocated on
-/// faceSupersetBox(valid) (or a superset) with 3 components.
+/// valid.faceBox(d) owned by worker `tid` of `nth`. `vel` must be
+/// allocated on faceSupersetBox(valid) (or a superset) with 3 components.
 void precomputeFaceVelocity(const FArrayBox& phi0, FArrayBox& vel,
                             const Box& valid, int nth, int tid);
+
+/// Box-shared scratch of the wavefront schedules (shift-fuse cell
+/// wavefront, blocked tile wavefront): the co-dimension flux caches —
+/// cacheX holds one slot per (j,k) pencil, cacheY per (i,k), cacheZ per
+/// (i,j), kNumComp entries each under CLI — and, under CLO, the
+/// precomputed face velocities.
+struct WavefrontScratch {
+  Real* cacheX = nullptr;
+  Real* cacheY = nullptr;
+  Real* cacheZ = nullptr;
+  FArrayBox* vel = nullptr;
+
+  WavefrontScratch() = default;
+  WavefrontScratch(const VariantConfig& cfg, const Box& valid,
+                   Workspace& shared);
+};
+
+/// Open a wavefront schedule's graph: one task draws the WavefrontScratch
+/// of call.boxes[0] from worker 0's workspace, then under CLO the z-slab
+/// velocity precompute runs as one phase. Returns the scratch the later
+/// phases read.
+std::shared_ptr<const WavefrontScratch>
+beginWavefrontGraph(PhaseChain& chain, const VariantConfig& cfg,
+                    int nThreads, const RunnerCall& call);
 
 } // namespace fluxdiv::core::detail

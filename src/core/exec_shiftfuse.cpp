@@ -12,11 +12,11 @@
 // once per sweep (the carried value and the fresh value are the same
 // expression on the same cells), so the schedule's recomputation count and
 // per-(cell, component) x,y,z accumulation order — hence the bits — are
-// unchanged. The wavefront executor keeps the per-cell fused iteration:
+// unchanged. The wavefront schedule keeps the per-cell fused iteration:
 // cells of one diagonal front are not contiguous in any direction, so
 // there is no pencil to form.
 
-#include <omp.h>
+#include <algorithm>
 
 #include "core/exec_common.hpp"
 #include "core/exec_fused.hpp"
@@ -157,6 +157,63 @@ void serialCLO(const FArrayBox& phi0, FArrayBox& phi1, const Box& valid,
   }
 }
 
+/// Visit cells [first, last) of cell wavefront `w` (ii + jj + kk == w,
+/// box-relative) of `valid`, in (kk, jj) order, as fn(ii, jj, kk); returns
+/// the front's cell count. Each (j,k) pair contributes at most one cell to
+/// a front, and cells of one front touch pairwise-distinct slots of every
+/// co-dimension cache, so slices of a front run concurrently.
+template <typename Fn>
+int forFrontCells(const Box& valid, int w, int first, int last, Fn&& fn) {
+  const int nx = valid.size(0);
+  int idx = 0;
+  for (int kk = std::max(0, w - (nx - 1) - (valid.size(1) - 1));
+       kk <= std::min(valid.size(2) - 1, w); ++kk) {
+    const int jjLo = std::max(0, w - kk - (nx - 1));
+    const int jjHi = std::min(valid.size(1) - 1, w - kk);
+    for (int jj = jjLo; jj <= jjHi; ++jj, ++idx) {
+      if (idx >= first && idx < last) {
+        fn(w - kk - jj, jj, kk);
+      }
+    }
+  }
+  return idx;
+}
+
+/// Cells [first, last) of cell wavefront `w`, of component `c` under CLO.
+void sweepFrontSlice(const VariantConfig& cfg, const RunnerCall::BoxRef& b,
+                     const WavefrontScratch& s, int c, int w, int first,
+                     int last, Real scale) {
+  const Idx ip(*b.phi0);
+  const Idx io(*b.phi1);
+  const ConstComps p(*b.phi0);
+  const MutComps out(*b.phi1);
+  const bool cli = cfg.comp == ComponentLoop::Inside;
+  const FArrayBox& vel = cli ? *b.phi0 : *s.vel; // CLI reads no velocity
+  const Idx iv(vel);
+  const auto nx = static_cast<std::size_t>(b.valid.size(0));
+  const auto ny = static_cast<std::size_t>(b.valid.size(1));
+  const std::size_t e = cli ? kNumComp : 1; // cache entries per slot
+  forFrontCells(b.valid, w, first, last, [&](int ii, int jj, int kk) {
+    const IntVect at = b.valid.lo() + IntVect(ii, jj, kk);
+    const std::int64_t ai = ip(at[0], at[1], at[2]);
+    const std::int64_t oi = io(at[0], at[1], at[2]);
+    Real* slotX = s.cacheX + (kk * ny + jj) * e;
+    Real* slotY = s.cacheY + (kk * nx + ii) * e;
+    Real* slotZ = s.cacheZ + (jj * nx + ii) * e;
+    if (cli) {
+      FLUXDIV_SHADOW_WRITE(*b.phi1, Box(at, at), 0, kNumComp);
+      fusedCellCLI(p, out, ai, oi, ip.sy, ip.sz, ii == 0, jj == 0, kk == 0,
+                   slotX, slotY, slotZ, scale);
+    } else {
+      FLUXDIV_SHADOW_WRITE(*b.phi1, Box(at, at), c, 1);
+      fusedCellCLO(p[c], out[c], ai, oi, ip.sy, ip.sz, vel.dataPtr(0),
+                   vel.dataPtr(1), vel.dataPtr(2), iv(at[0], at[1], at[2]),
+                   iv.sy, iv.sz, ii == 0, jj == 0, kk == 0, slotX, slotY,
+                   slotZ, scale);
+    }
+  });
+}
+
 } // namespace
 
 void shiftFuseBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
@@ -170,97 +227,69 @@ void shiftFuseBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
   }
 }
 
-void shiftFuseBoxWavefront(const VariantConfig& cfg, const FArrayBox& phi0,
-                           FArrayBox& phi1, const Box& valid,
-                           WorkspacePool& pool, int nThreads, Real scale) {
-  const Idx ip(phi0);
-  const Idx io(phi1);
-  const int nx = valid.size(0);
-  const int ny = valid.size(1);
-  const int nz = valid.size(2);
-  const int nFronts = nx + ny + nz - 2;
+WavefrontScratch::WavefrontScratch(const VariantConfig& cfg,
+                                   const Box& valid, Workspace& shared) {
+  const auto nx = static_cast<std::size_t>(valid.size(0));
+  const auto ny = static_cast<std::size_t>(valid.size(1));
+  const auto nz = static_cast<std::size_t>(valid.size(2));
   const std::size_t entries = cfg.comp == ComponentLoop::Inside
                                   ? static_cast<std::size_t>(kNumComp)
                                   : 1u;
-  // Co-dimension flux caches shared by the team: cacheX[j][k] holds the
-  // most recent x-face flux of the (j,k) pencil, and so on. Cells on one
-  // wavefront touch pairwise-distinct slots of every cache.
-  Workspace& shared = pool[0];
-  Real* cacheX = shared.buffer(
-      Slot::CarryX, static_cast<std::size_t>(ny) * nz * entries);
-  Real* cacheY = shared.buffer(
-      Slot::CarryY, static_cast<std::size_t>(nx) * nz * entries);
-  Real* cacheZ = shared.buffer(
-      Slot::CarryZ, static_cast<std::size_t>(nx) * ny * entries);
-  FLUXDIV_SHADOW_PREPARE(phi1);
+  cacheX = shared.buffer(Slot::CarryX, ny * nz * entries);
+  cacheY = shared.buffer(Slot::CarryY, nx * nz * entries);
+  cacheZ = shared.buffer(Slot::CarryZ, nx * ny * entries);
+  if (cfg.comp == ComponentLoop::Outside) {
+    vel = &shared.fab(Slot::Velocity, faceSupersetBox(valid), 3);
+  }
+}
 
-  if (cfg.comp == ComponentLoop::Inside) {
-    const ConstComps p(phi0);
-    const MutComps out(phi1);
-#pragma omp parallel num_threads(nThreads)
-    for (int w = 0; w < nFronts; ++w) {
-      // Each (j,k) pair contributes at most one cell to wavefront w.
-#pragma omp for collapse(2)
-      for (int k = valid.lo(2); k <= valid.hi(2); ++k) {
-        for (int j = valid.lo(1); j <= valid.hi(1); ++j) {
-          const int ii = w - (k - valid.lo(2)) - (j - valid.lo(1));
-          if (ii < 0 || ii >= nx) {
-            continue;
-          }
-          const int i = valid.lo(0) + ii;
-          const int jj = j - valid.lo(1);
-          const int kk = k - valid.lo(2);
-          FLUXDIV_SHADOW_WRITE(phi1, Box(IntVect(i, j, k), IntVect(i, j, k)),
-                               0, kNumComp);
-          fusedCellCLI(
-              p, out, ip(i, j, k), io(i, j, k), ip.sy, ip.sz, ii == 0,
-              jj == 0, kk == 0,
-              cacheX + (static_cast<std::size_t>(kk) * ny + jj) * kNumComp,
-              cacheY + (static_cast<std::size_t>(kk) * nx + ii) * kNumComp,
-              cacheZ + (static_cast<std::size_t>(jj) * nx + ii) * kNumComp,
-              scale);
-        }
-      }
-      // implicit barrier of the omp for separates wavefronts
+std::shared_ptr<const WavefrontScratch>
+beginWavefrontGraph(PhaseChain& chain, const VariantConfig& cfg,
+                    int nThreads, const RunnerCall& call) {
+  auto scratch = std::make_shared<WavefrontScratch>();
+  chain.add([&cfg, &call, scratch](int) {
+    *scratch = WavefrontScratch(cfg, call.boxes[0].valid, (*call.ws)[0]);
+  });
+  chain.barrier();
+  if (cfg.comp == ComponentLoop::Outside) {
+    for (int tid = 0; tid < nThreads; ++tid) {
+      chain.add(
+          [&call, scratch, nThreads, tid](int) {
+            const RunnerCall::BoxRef& b = call.boxes[0];
+            precomputeFaceVelocity(*b.phi0, *scratch->vel, b.valid,
+                                   nThreads, tid);
+          },
+          tid);
     }
-  } else {
-    FArrayBox& vel = shared.fab(Slot::Velocity, faceSupersetBox(valid), 3);
-    const Idx iv(vel);
-    const Real* velx = vel.dataPtr(0);
-    const Real* vely = vel.dataPtr(1);
-    const Real* velz = vel.dataPtr(2);
-#pragma omp parallel num_threads(nThreads)
-    {
-      precomputeFaceVelocity(phi0, vel, valid, omp_get_num_threads(),
-                             omp_get_thread_num());
-#pragma omp barrier
-      for (int c = 0; c < kNumComp; ++c) {
-        const Real* pc = phi0.dataPtr(c);
-        Real* outc = phi1.dataPtr(c);
-        for (int w = 0; w < nFronts; ++w) {
-#pragma omp for collapse(2)
-          for (int k = valid.lo(2); k <= valid.hi(2); ++k) {
-            for (int j = valid.lo(1); j <= valid.hi(1); ++j) {
-              const int ii = w - (k - valid.lo(2)) - (j - valid.lo(1));
-              if (ii < 0 || ii >= nx) {
-                continue;
-              }
-              const int i = valid.lo(0) + ii;
-              const int jj = j - valid.lo(1);
-              const int kk = k - valid.lo(2);
-              FLUXDIV_SHADOW_WRITE(
-                  phi1, Box(IntVect(i, j, k), IntVect(i, j, k)), c, 1);
-              fusedCellCLO(pc, outc, ip(i, j, k), io(i, j, k), ip.sy,
-                           ip.sz, velx, vely, velz, iv(i, j, k), iv.sy,
-                           iv.sz, ii == 0, jj == 0, kk == 0,
-                           cacheX + static_cast<std::size_t>(kk) * ny + jj,
-                           cacheY + static_cast<std::size_t>(kk) * nx + ii,
-                           cacheZ + static_cast<std::size_t>(jj) * nx + ii,
-                           scale);
-            }
-          }
-        }
+    chain.barrier();
+  }
+  return scratch;
+}
+
+void shiftFuseBoxGraph(TaskGraph& graph, const VariantConfig& cfg,
+                       const Box& shape, int nThreads,
+                       const RunnerCall& call) {
+  PhaseChain chain(graph);
+  const auto scratch = beginWavefrontGraph(chain, cfg, nThreads, call);
+  const int nFronts = shape.size(0) + shape.size(1) + shape.size(2) - 2;
+  // CLO sweeps the cell wavefronts once per component.
+  const int sweeps = cfg.comp == ComponentLoop::Outside ? kNumComp : 1;
+  for (int c = 0; c < sweeps; ++c) {
+    for (int w = 0; w < nFronts; ++w) {
+      // One slice of the front's cells per worker.
+      const int cells = forFrontCells(shape, w, 0, 0, [](int, int, int) {});
+      const int nSlices = std::min(nThreads, cells);
+      for (int slice = 0; slice < nSlices; ++slice) {
+        const auto [first, last] = sched::staticSlice(cells, nSlices, slice);
+        chain.add(
+            [&cfg, &call, scratch, c, w, first = static_cast<int>(first),
+             last = static_cast<int>(last)](int) {
+              sweepFrontSlice(cfg, call.boxes[0], *scratch, c, w, first, last,
+                              call.scale);
+            },
+            slice);
       }
+      chain.barrier();
     }
   }
 }

@@ -1,8 +1,8 @@
 #include "core/runner.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
+#include <array>
+#include <map>
 #include <stdexcept>
 
 #include "core/exec_common.hpp"
@@ -25,12 +25,24 @@ using detail::FArrayBox;
 using grid::LevelData;
 using grid::Real;
 
+struct FluxDivRunner::Graphs {
+  detail::RunnerCall call;
+  std::unique_ptr<TaskPool> pool;
+  /// Keyed by (nBoxes, box extents).
+  std::map<std::array<std::size_t, 4>, TaskGraph> built;
+  ReplayMode replay;
+};
+
 FluxDivRunner::FluxDivRunner(VariantConfig cfg, int nThreads)
-    : cfg_(cfg), nThreads_(nThreads), pool_(nThreads) {
+    : cfg_(cfg), nThreads_(nThreads), ws_(nThreads),
+      graphs_(std::make_unique<Graphs>()) {
   if (nThreads < 1) {
     throw std::invalid_argument("FluxDivRunner: nThreads must be >= 1");
   }
+  graphs_->call.ws = &ws_;
 }
+
+FluxDivRunner::~FluxDivRunner() = default;
 
 void FluxDivRunner::verifySchedule(const Box& valid) {
 #ifdef FLUXDIV_VERIFY
@@ -85,59 +97,79 @@ void FluxDivRunner::verifyKernels() {
 #endif
 }
 
-void FluxDivRunner::runBoxSerial(const FArrayBox& phi0, FArrayBox& phi1,
-                                 const Box& valid, Workspace& ws,
-                                 Real scale) {
-  detail::runBoxSerialDispatch(cfg_, phi0, phi1, valid, ws, scale);
-}
-
-void FluxDivRunner::runBox(const FArrayBox& phi0, FArrayBox& phi1,
-                           const Box& valid, Real scale) {
+TaskGraph& FluxDivRunner::graphFor(const Box& valid, std::size_t nBoxes) {
+  const grid::IntVect ext = valid.size();
+  const std::array<std::size_t, 4> key{
+      nBoxes, static_cast<std::size_t>(ext[0]),
+      static_cast<std::size_t>(ext[1]), static_cast<std::size_t>(ext[2])};
+  if (const auto it = graphs_->built.find(key); it != graphs_->built.end()) {
+    return it->second;
+  }
   if (!cfg_.validFor(valid.size(0))) {
     throw std::invalid_argument("variant '" + cfg_.name() +
                                 "' is not valid for this box size");
   }
   prepare(valid);
+  const Box shape(grid::IntVect::zero(), ext - grid::IntVect::unit(1));
+  const detail::RunnerCall& call = graphs_->call;
+  TaskGraph graph;
+  switch (cfg_.par) {
+  case ParallelGranularity::OverBoxes:
+    // The Chombo/MPI proxy: one task per box (Sec. I, III-C).
+    for (std::size_t b = 0; b < nBoxes; ++b) {
+      graph.addTask(
+          [this, &call, b](int worker) {
+            const detail::RunnerCall::BoxRef& box = call.boxes[b];
+            detail::runBoxSerialDispatch(cfg_, *box.phi0, *box.phi1,
+                                         box.valid, ws_[worker], call.scale);
+          },
+          static_cast<int>(b % static_cast<std::size_t>(nThreads_)));
+    }
+    break;
+  case ParallelGranularity::HybridBoxTile:
+    // Hierarchical-overlapped-tiling-style extension: the (box, tile)
+    // pairs of the whole level are one pool of independent tasks. Only
+    // defined for overlapped tiles (the only independent tiles).
+    for (std::size_t b = 0; b < nBoxes; ++b) {
+      detail::overlappedTileTasks(graph, cfg_, shape, nThreads_, call, b);
+    }
+    break;
+  case ParallelGranularity::WithinBox:
+    switch (cfg_.family) {
+    case ScheduleFamily::SeriesOfLoops:
+      detail::baselineBoxGraph(graph, cfg_, nThreads_, call);
+      break;
+    case ScheduleFamily::ShiftFuse:
+      detail::shiftFuseBoxGraph(graph, cfg_, shape, nThreads_, call);
+      break;
+    case ScheduleFamily::BlockedWavefront:
+      detail::blockedWFBoxGraph(graph, cfg_, shape, nThreads_, call);
+      break;
+    case ScheduleFamily::OverlappedTiles:
+      detail::overlappedTileTasks(graph, cfg_, shape, nThreads_, call, 0);
+      break;
+    }
+    break;
+  }
+  return graphs_->built.emplace(key, std::move(graph)).first->second;
+}
+
+void FluxDivRunner::dispatch(TaskGraph& graph) {
+  if (!graphs_->pool) {
+    graphs_->pool = std::make_unique<TaskPool>(nThreads_);
+  }
+  graphs_->pool->runReplay(graph, graphs_->replay);
+}
+
+void FluxDivRunner::runBox(const FArrayBox& phi0, FArrayBox& phi1,
+                           const Box& valid, Real scale) {
+  TaskGraph& graph = graphFor(valid, 1);
+  graphs_->call.boxes.assign(1, {&phi0, &phi1, valid});
+  graphs_->call.scale = scale;
 #ifdef FLUXDIV_SHADOW_CHECK
   phi1.shadowBeginEpoch();
 #endif
-  if (cfg_.par == ParallelGranularity::OverBoxes) {
-    runBoxSerial(phi0, phi1, valid, pool_[0], scale);
-#ifdef FLUXDIV_SHADOW_CHECK
-    throwOnShadowViolations(phi1, "runBox");
-#endif
-    return;
-  }
-  if (cfg_.par == ParallelGranularity::HybridBoxTile) {
-    // For a single box the hybrid granularity degenerates to parallel
-    // tiles within the box.
-    detail::overlappedBoxParallel(cfg_, phi0, phi1, valid, pool_,
-                                  nThreads_, scale);
-#ifdef FLUXDIV_SHADOW_CHECK
-    throwOnShadowViolations(phi1, "runBox");
-#endif
-    return;
-  }
-  // WithinBox keeps its schedule-specific code path even at one thread so
-  // the measured temporary-storage footprint reflects the schedule.
-  switch (cfg_.family) {
-  case ScheduleFamily::SeriesOfLoops:
-    detail::baselineBoxParallel(cfg_, phi0, phi1, valid, pool_, nThreads_,
-                                scale);
-    break;
-  case ScheduleFamily::ShiftFuse:
-    detail::shiftFuseBoxWavefront(cfg_, phi0, phi1, valid, pool_,
-                                  nThreads_, scale);
-    break;
-  case ScheduleFamily::BlockedWavefront:
-    detail::blockedWFBoxParallel(cfg_, phi0, phi1, valid, pool_, nThreads_,
-                                 scale);
-    break;
-  case ScheduleFamily::OverlappedTiles:
-    detail::overlappedBoxParallel(cfg_, phi0, phi1, valid, pool_,
-                                  nThreads_, scale);
-    break;
-  }
+  dispatch(graph);
 #ifdef FLUXDIV_SHADOW_CHECK
   throwOnShadowViolations(phi1, "runBox");
 #endif
@@ -155,67 +187,49 @@ void FluxDivRunner::run(const LevelData& phi0, LevelData& phi1,
   if (phi0.nGhost() < detail::kNumGhost) {
     throw std::invalid_argument("run: phi0 needs >= kNumGhost ghost layers");
   }
-
-  verifyKernels();
-  for (std::size_t b = 0; b < phi0.size(); ++b) {
-    verifySchedule(phi0.validBox(b)); // cached after the first box shape
+  if (phi0.size() == 0) {
+    return;
   }
+  // Parallelism within each box runs the boxes in sequence (the paper's
+  // "parallelized over tiles within each box ... iterated over the boxes"
+  // ordering, Sec. VI); the other granularities run the level as one
+  // graph over the layout's equal-shaped boxes.
+  const bool byBox = cfg_.par == ParallelGranularity::WithinBox;
+  TaskGraph& graph = graphFor(phi0.validBox(0), byBox ? 1 : phi0.size());
 #ifdef FLUXDIV_SHADOW_CHECK
   for (std::size_t b = 0; b < phi1.size(); ++b) {
     phi1[b].shadowBeginEpoch();
   }
 #endif
-
-  if (cfg_.par == ParallelGranularity::OverBoxes) {
-    // The Chombo/MPI proxy: one OpenMP thread per box (Sec. I, III-C).
-#pragma omp parallel num_threads(nThreads_)
-    {
-      Workspace& ws = pool_[omp_get_thread_num()];
-#pragma omp for schedule(dynamic)
-      for (std::size_t b = 0; b < phi0.size(); ++b) {
-        runBoxSerial(phi0[b], phi1[b], phi0.validBox(b), ws, scale);
-      }
+  detail::RunnerCall& call = graphs_->call;
+  call.scale = scale;
+  call.boxes.clear();
+  for (std::size_t b = 0; b < phi0.size(); ++b) {
+    call.boxes.push_back({&phi0[b], &phi1[b], phi0.validBox(b)});
+    if (byBox) {
+      dispatch(graph);
+      call.boxes.clear();
     }
-  } else if (cfg_.par == ParallelGranularity::HybridBoxTile) {
-    // Hierarchical-overlapped-tiling-style extension: flatten the
-    // (box, tile) pairs of the whole level into one parallel loop, so the
-    // scheduler can balance both across and within boxes. Only defined
-    // for overlapped tiles (the only family whose tiles are independent).
-    if (!cfg_.validFor(phi0.layout().boxSize()[0])) {
-      throw std::invalid_argument("variant '" + cfg_.name() +
-                                  "' is not valid for this layout");
-    }
-    const sched::TileSet tiles =
-        detail::makeTileSet(cfg_, phi0.validBox(0));
-    const std::size_t tilesPerBox = tiles.size();
-#pragma omp parallel num_threads(nThreads_)
-    {
-      Workspace& ws = pool_[omp_get_thread_num()];
-#pragma omp for schedule(dynamic) collapse(2)
-      for (std::size_t b = 0; b < phi0.size(); ++b) {
-        for (std::size_t t = 0; t < tilesPerBox; ++t) {
-          // Tile boxes are relative to each box's own valid region.
-          const grid::Box tileBox =
-              tiles.tileBox(t).shift(phi0.validBox(b).lo() -
-                                     phi0.validBox(0).lo());
-          detail::overlappedRunTile(cfg_, phi0[b], phi1[b], tileBox, ws,
-                                    scale);
-        }
-      }
-    }
-  } else {
-    // Parallelism within each box; boxes processed in sequence (the paper
-    // "parallelized over tiles within each box ... iterated over the
-    // boxes" ordering, Sec. VI).
-    for (std::size_t b = 0; b < phi0.size(); ++b) {
-      runBox(phi0[b], phi1[b], phi0.validBox(b), scale);
-    }
+  }
+  if (!byBox) {
+    dispatch(graph);
   }
 #ifdef FLUXDIV_SHADOW_CHECK
   for (std::size_t b = 0; b < phi1.size(); ++b) {
     throwOnShadowViolations(phi1[b], "run");
   }
 #endif
+}
+
+void detail::runReplayed(FluxDivRunner& runner, const LevelData& phi0,
+                         LevelData& phi1, const ReplayMode& mode,
+                         Real scale) {
+  struct Restore {
+    ReplayMode& replay;
+    ~Restore() { replay = ReplayMode{}; }
+  } restore{runner.graphs_->replay};
+  restore.replay = mode;
+  runner.run(phi0, phi1, scale);
 }
 
 } // namespace fluxdiv::core

@@ -4,6 +4,13 @@
 // LevelData under a chosen scheduling variant and thread count. This is
 // the object the examples, tests, and every figure bench drive.
 //
+// Every granularity runs as core::TaskGraphs on a TaskPool of nThreads
+// workers, created on the first run()/runBox(): P>=Box as one task per
+// box, P=Box*Tile as one task per (box, tile), and P<Box box by box, each
+// box's schedule as tasks with a dependence join wherever the schedule
+// has a team barrier (the phases analysis::lowerVariant models). Graphs
+// are built once per box shape (per layout for P>=Box and P=Box*Tile).
+//
 // In Debug builds (or with -DFLUXDIV_VERIFY=ON) the runner additionally
 // proves the configured schedule legal before the first execution over
 // each box shape, and probes each variant's kernels differentially once
@@ -11,12 +18,27 @@
 // src/analysis and docs/static-analysis.md. Release builds compile both
 // gates out entirely.
 
+#include <memory>
+
 #include "analysis/verifygate.hpp"
 #include "core/variant.hpp"
 #include "core/workspace.hpp"
 #include "grid/leveldata.hpp"
 
 namespace fluxdiv::core {
+
+class FluxDivRunner;
+class TaskGraph;
+struct ReplayMode;
+
+namespace detail {
+/// FluxDivRunner::run with every graph dispatch replayed serially in the
+/// adversarial order `mode` (TaskPool::runReplay) instead of on the
+/// pool's workers. White-box entry point for the replay tests.
+void runReplayed(FluxDivRunner& runner, const grid::LevelData& phi0,
+                 grid::LevelData& phi1, const ReplayMode& mode,
+                 grid::Real scale = 1.0);
+} // namespace detail
 
 /// Executes the exemplar under one VariantConfig.
 ///
@@ -29,6 +51,10 @@ namespace fluxdiv::core {
 class FluxDivRunner {
 public:
   FluxDivRunner(VariantConfig cfg, int nThreads);
+  ~FluxDivRunner();
+  // The built graphs hold this runner's address.
+  FluxDivRunner(const FluxDivRunner&) = delete;
+  FluxDivRunner& operator=(const FluxDivRunner&) = delete;
 
   [[nodiscard]] const VariantConfig& config() const { return cfg_; }
   [[nodiscard]] int nThreads() const { return nThreads_; }
@@ -36,15 +62,17 @@ public:
   /// Accumulate scale * (flux differences of phi0) into phi1 over every
   /// valid cell. phi0's ghost cells must already be exchanged; phi1's
   /// ghosts (if any) are not touched. Levels must share a layout and have
-  /// kNumComp components. Task-parallel execution of whole time steps is
-  /// core::StepGraphExecutor's job (core/stepgraph.hpp).
+  /// kNumComp components. Throws std::invalid_argument when the config
+  /// is not valid for the layout's box size. Task-parallel execution of
+  /// whole time steps is core::StepGraphExecutor's job
+  /// (core/stepgraph.hpp).
   void run(const grid::LevelData& phi0, grid::LevelData& phi1,
            grid::Real scale = 1.0);
 
   /// Run the kernel and legality gates for boxes of this shape (cached,
   /// compiled out unless FLUXDIV_VERIFY — see above). runBox/run call
-  /// this themselves; the step-graph executor calls it up front so graph
-  /// tasks need not.
+  /// this when they first meet a box shape; the step-graph executor calls
+  /// it up front so graph tasks need not.
   void prepare(const grid::Box& valid) {
     verifyKernels();
     verifySchedule(valid);
@@ -52,23 +80,32 @@ public:
 
   /// Single-box entry point: phi0 must cover valid.grow(kNumGhost) with
   /// ghosts filled; phi1 must cover `valid`. Uses the configured parallel
-  /// granularity (WithinBox parallelizes inside this one box).
+  /// granularity (WithinBox parallelizes inside this one box, and so does
+  /// HybridBoxTile).
   void runBox(const grid::FArrayBox& phi0, grid::FArrayBox& phi1,
               const grid::Box& valid, grid::Real scale = 1.0);
 
   /// Scratch-storage accounting for the Table I experiment: the largest
-  /// per-thread peak and the sum of per-thread peaks since construction.
+  /// per-worker peak and the sum of per-worker peaks since construction.
   [[nodiscard]] std::size_t maxPeakWorkspaceBytes() const {
-    return pool_.maxPeakBytes();
+    return ws_.maxPeakBytes();
   }
   [[nodiscard]] std::size_t totalPeakWorkspaceBytes() const {
-    return pool_.totalPeakBytes();
+    return ws_.totalPeakBytes();
   }
 
 private:
-  void runBoxSerial(const grid::FArrayBox& phi0, grid::FArrayBox& phi1,
-                    const grid::Box& valid, Workspace& ws,
-                    grid::Real scale);
+  friend void detail::runReplayed(FluxDivRunner&, const grid::LevelData&,
+                                  grid::LevelData&, const ReplayMode&,
+                                  grid::Real);
+  struct Graphs; ///< the built graphs, their pool and the call they act on
+
+  /// The graph over `nBoxes` boxes shaped like `valid` under the
+  /// configured granularity (P<Box: one box, nBoxes == 1), built on first
+  /// use. Validates the config for the shape and runs the gates first.
+  TaskGraph& graphFor(const grid::Box& valid, std::size_t nBoxes);
+  /// Run one graph on the pool (created here on first use).
+  void dispatch(TaskGraph& graph);
 
   /// Schedule-legality gate (no-op unless FLUXDIV_VERIFY is
   /// defined): lowers the variant over this box shape and runs the
@@ -86,7 +123,8 @@ private:
 
   VariantConfig cfg_;
   int nThreads_;
-  WorkspacePool pool_;
+  WorkspacePool ws_; ///< one per pool worker
+  std::unique_ptr<Graphs> graphs_;
   analysis::VerifyGate scheduleGate_; ///< box extents proven legal
   bool kernelsVerified_ = false; ///< this runner passed the kernel gate
 };

@@ -217,9 +217,9 @@ public:
 
   /// Pool worker id of the calling thread while inside a task (or inside
   /// run() on the caller), -1 otherwise. Used by the shadow-memory race
-  /// detector to attribute writes to pool workers — raw std::threads all
-  /// report omp_get_thread_num() == 0, which would fold every worker into
-  /// one and hide cross-worker races.
+  /// detector to attribute writes to pool workers, so a cross-worker race
+  /// shows as writes from two ids (a caller outside any pool counts as
+  /// worker 0).
   [[nodiscard]] static int currentWorker();
 
 private:

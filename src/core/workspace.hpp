@@ -1,5 +1,5 @@
 #pragma once
-// Per-thread scratch storage for the schedule executors, with byte
+// Per-worker scratch storage for the schedule executors, with byte
 // accounting. The paper's Table I compares the temporary-data footprint of
 // the schedule categories; Workspace::peakBytes() is the measured side of
 // that comparison (see bench_table1_tempdata).
@@ -28,7 +28,7 @@ enum class Slot : int {
   kCount
 };
 
-/// Scratch arena owned by one thread (or shared by a box's threads for the
+/// Scratch arena owned by one worker (or shared by a box's tasks for the
 /// within-box cache structures).
 class Workspace {
 public:
@@ -57,7 +57,8 @@ private:
   std::size_t peak_ = 0;
 };
 
-/// One workspace per OpenMP thread, indexed by omp_get_thread_num().
+/// One workspace per TaskPool worker, indexed by the worker id a task
+/// receives.
 class WorkspacePool {
 public:
   explicit WorkspacePool(int nThreads = 0) { resize(nThreads); }
@@ -74,9 +75,9 @@ public:
     return pool_[static_cast<std::size_t>(tid)];
   }
 
-  /// Largest per-thread peak across the pool.
+  /// Largest per-worker peak across the pool.
   [[nodiscard]] std::size_t maxPeakBytes() const;
-  /// Sum of per-thread peaks (the "P x per-tile" footprint of Table I's
+  /// Sum of per-worker peaks (the "P x per-tile" footprint of Table I's
   /// overlapped-tile row).
   [[nodiscard]] std::size_t totalPeakBytes() const;
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/exec_common.hpp"
+#include "core/runner.hpp"
 #include "kernels/init.hpp"
 
 namespace fluxdiv::core::detail {
@@ -87,25 +88,20 @@ TEST(PaddedStorage, SerialExecutorsAreBitIdenticalAcrossPitches) {
 }
 
 TEST(PaddedStorage, ParallelExecutorsAreBitIdenticalAcrossPitches) {
+  // The within-box task schedules, through the runner's graphs.
   const Box valid = Box::cube(13, grid::IntVect(1, -2, 4));
   const int nThreads = 3;
+  const auto par = ParallelGranularity::WithinBox;
   const struct {
     const char* label;
     VariantConfig cfg;
-    void (*exec)(const VariantConfig&, const FArrayBox&, FArrayBox&,
-                 const Box&, WorkspacePool&, int, Real);
   } execs[] = {
-      {"baseline-par",
-       makeBaseline(ParallelGranularity::WithinBox, ComponentLoop::Outside),
-       &baselineBoxParallel},
-      {"blockedwf-par-4",
-       makeBlockedWF(4, ParallelGranularity::WithinBox,
-                     ComponentLoop::Outside),
-       &blockedWFBoxParallel},
+      {"baseline-par", makeBaseline(par, ComponentLoop::Outside)},
+      {"shiftfuse-wf-CLO", makeShiftFuse(par, ComponentLoop::Outside)},
+      {"shiftfuse-wf-CLI", makeShiftFuse(par, ComponentLoop::Inside)},
+      {"blockedwf-par-4", makeBlockedWF(4, par, ComponentLoop::Outside)},
       {"overlapped-par-4",
-       makeOverlapped(IntraTileSchedule::ShiftFuse, 4,
-                      ParallelGranularity::WithinBox),
-       &overlappedBoxParallel},
+       makeOverlapped(IntraTileSchedule::ShiftFuse, 4, par)},
   };
   for (const auto& e : execs) {
     SCOPED_TRACE(e.label);
@@ -117,8 +113,7 @@ TEST(PaddedStorage, ParallelExecutorsAreBitIdenticalAcrossPitches) {
       FArrayBox phi1(valid, kernels::kNumComp, pitches[p]);
       kernels::initializeExemplar(phi0, valid);
       phi1.setVal(0.0);
-      WorkspacePool pool(nThreads);
-      e.exec(e.cfg, phi0, phi1, valid, pool, nThreads, kScale);
+      FluxDivRunner(e.cfg, nThreads).runBox(phi0, phi1, valid, kScale);
       results[p] = std::move(phi1);
     }
     expectBitIdentical(results[0], results[1], valid, e.label);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/taskpool.hpp"
+
 #include "kernels/exemplar.hpp"
 #include "kernels/init.hpp"
 #include "kernels/reference.hpp"
@@ -47,14 +49,45 @@ TEST(FluxDivRunner, RejectsInsufficientGhosts) {
 }
 
 TEST(FluxDivRunner, RejectsInvalidTileForBox) {
+  // 32^3 tiles on 8^3 boxes, under every granularity, through both entry
+  // points.
   DisjointBoxLayout dbl(ProblemDomain(Box::cube(8)), 8);
   LevelData phi0 = makeInitialized(dbl);
   LevelData out(dbl, kNumComp, kNumGhost);
-  FluxDivRunner runner(
-      makeOverlapped(IntraTileSchedule::Basic, 32,
-                     ParallelGranularity::WithinBox),
-      1);
-  EXPECT_THROW(runner.run(phi0, out), std::invalid_argument);
+  for (const ParallelGranularity par :
+       {ParallelGranularity::OverBoxes, ParallelGranularity::WithinBox,
+        ParallelGranularity::HybridBoxTile}) {
+    FluxDivRunner runner(makeOverlapped(IntraTileSchedule::Basic, 32, par),
+                         2);
+    SCOPED_TRACE(runner.config().name());
+    EXPECT_THROW(runner.run(phi0, out), std::invalid_argument);
+    EXPECT_THROW(runner.runBox(phi0[0], out[0], phi0.validBox(0)),
+                 std::invalid_argument);
+  }
+}
+
+TEST(FluxDivRunner, ReplayedGraphsMatchOneThreadRun) {
+  // Every registered schedule's graphs, replayed serially in each
+  // adversarial order at 4 workers, against a 1-thread run. In a
+  // FLUXDIV_SHADOW_CHECK build the shadow detector checks every replay.
+  DisjointBoxLayout dbl(ProblemDomain(Box(grid::IntVect::zero(),
+                                          grid::IntVect(31, 31, 15))),
+                        16);
+  ASSERT_EQ(dbl.size(), 4u);
+  LevelData phi0 = makeInitialized(dbl);
+  phi0.exchange();
+  for (const VariantConfig& cfg : enumerateVariants(16, true)) {
+    SCOPED_TRACE(cfg.name());
+    LevelData expect(dbl, kNumComp, kNumGhost);
+    FluxDivRunner(cfg, 1).run(phi0, expect);
+    FluxDivRunner runner(cfg, 4);
+    for (const ReplayOrder order : kReplayOrders) {
+      SCOPED_TRACE(replayOrderName(order));
+      LevelData got(dbl, kNumComp, kNumGhost);
+      detail::runReplayed(runner, phi0, got, ReplayMode{order, 7});
+      EXPECT_EQ(LevelData::maxAbsDiffValid(expect, got), 0.0);
+    }
+  }
 }
 
 TEST(FluxDivRunner, RunBoxMatchesLevelRun) {
