@@ -17,8 +17,10 @@
 // --window W > 1 captures W consecutive time steps as one task graph
 // under fused/comm-avoiding (cross-timestep fusion).
 //
-// BENCH_rkstep.json in the repo root is this bench's committed output
-// (multi-box and single-box working sets; see docs/perf.md).
+// BENCH_rkstep.json in the repo root is this bench's committed output:
+// fused vs comm-avoiding on 2, 4 and 8 boxes of 8^3-24^3 at 1 and 4
+// threads, the rows the cost model's step-fusion ranking is tested
+// against (docs/perf.md, "Step fusion").
 
 #include <omp.h>
 
@@ -233,8 +235,7 @@ int main(int argc, char** argv) {
   std::cout << "\npaper shape check: one lazy whole-step graph beats the "
                "eager per-stage\nloop by eliminating per-sweep fork/joins "
                "and overlapping cross-stage work;\ncomm-avoiding trades "
-               "recomputation for exchanges and wins only when the\nhalo "
-               "fixed costs dominate (small boxes, many stages — see "
-               "fluxdiv_advisor\n--scheme).\n";
+               "recomputed RHS work for exchange latency (priced by\n"
+               "fluxdiv_advisor --scheme).\n";
   return 0;
 }

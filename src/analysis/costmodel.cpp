@@ -588,8 +588,9 @@ std::string CostNote::message() const {
           "model prices ghost cells no kernel touches";
     break;
   case CostNoteKind::DeepHaloRecompute:
-    os << "'" << where << "': deepened-ghost recompute + extra halo "
-       << formatBytesD(actualBytes) << " > avoided-exchange savings "
+    os << "'" << where << "': recomputed RHS + widened combines + "
+          "copies + extra halo "
+       << formatBytesD(actualBytes) << " > avoided-exchange latency "
        << formatBytesD(limitBytes)
        << " -> comm-avoiding unprofitable at this box size";
     break;
@@ -704,7 +705,13 @@ double usableParallelism(double conc, int nThreads) {
 std::vector<LevelPolicyCost> analyzeLevelPolicies(
     const core::VariantConfig& cfg, int boxSize, int nBoxes, int nThreads,
     const CacheSpec& spec) {
-  const CostReport box = analyzeCost(cfg, boxSize, nThreads, spec);
+  return analyzeLevelPolicies(analyzeCost(cfg, boxSize, nThreads, spec),
+                              boxSize, nBoxes, nThreads);
+}
+
+std::vector<LevelPolicyCost> analyzeLevelPolicies(const CostReport& box,
+                                                  int boxSize, int nBoxes,
+                                                  int nThreads) {
   // The parallel policy runs one task per logical tile of each box, the
   // tiles the step-graph lowering cuts (core::logicalTiles).
   const auto tiles = static_cast<std::int64_t>(
@@ -763,86 +770,102 @@ constexpr double kMessagesPerBox = 26.0;
 
 } // namespace
 
-std::vector<StepFusionCost> analyzeStepFusion(int rhsEvals, int boxSize,
-                                              int nBoxes, int eagerOps) {
-  rhsEvals = std::max(1, rhsEvals);
+std::vector<StepFusionCost> analyzeStepFusion(const core::StepProgram& prog,
+                                              const CostReport& box,
+                                              int boxSize, int nBoxes) {
   boxSize = std::max(1, boxSize);
   nBoxes = std::max(1, nBoxes);
-  const int g = kernels::kNumGhost;
   const double N = boxSize;
   const double fieldBytes = kernels::kNumComp * kRealBytes;
 
-  // shell(x): bytes of an x-deep ghost shell around every box's N^3 valid
-  // region — the per-exchange halo volume at depth x.
-  const auto shell = [&](int x) {
-    const double side = N + 2.0 * x;
-    return (side * side * side - N * N * N) * fieldBytes * nBoxes;
+  // Cells of every box's valid region grown by w, over the level.
+  const auto grown = [&](int w) {
+    const double side = N + 2.0 * w;
+    return side * side * side * nBoxes;
   };
+  const double valid = grown(0);
   const double alphaPerExchange = kMessagesPerBox * nBoxes *
                                   kExchangeAlphaBytes;
 
-  const int deepDepth = g * rhsEvals;
+  const core::StepHaloPlan shallow =
+      core::planStepHalos(prog, core::StepFuse::Fused);
+  const core::StepHaloPlan deepPlan =
+      core::planStepHalos(prog, core::StepFuse::CommAvoid);
   // StepGraphExecutor falls back CommAvoid -> Fused when the deepened
   // halo no longer fits next to the box (effectiveFuse()).
-  const bool caFeasible = deepDepth <= boxSize;
-
-  // CommAvoid recompute: stage s needs its RHS valid to width
-  // w_s = g x (rhsEvals - 1 - s) beyond the box, so it evaluates
-  // (N + 2 w_s)^3 - N^3 extra cells (planStepHalos' backward dataflow).
-  double recomputeCells = 0;
-  for (int s = 0; s < rhsEvals; ++s) {
-    const int w = g * (rhsEvals - 1 - s);
-    const double side = N + 2.0 * w;
-    recomputeCells += (side * side * side - N * N * N) * nBoxes;
-  }
-  const double validRhsCells = rhsEvals * N * N * N * nBoxes;
+  const bool caFeasible = deepPlan.depth <= boxSize;
 
   std::vector<StepFusionCost> out;
   for (const core::StepFuse fuse : core::kStepFuseModes) {
     StepFusionCost c;
     c.fuse = fuse;
     const bool deep = fuse == core::StepFuse::CommAvoid && caFeasible;
-    c.exchanges = deep ? 1 : rhsEvals;
-    c.exchangeDepth = deep ? deepDepth : g;
-    c.exchangeBytes = c.exchanges * shell(c.exchangeDepth);
-    c.alphaBytes = c.exchanges * alphaPerExchange;
-    c.recomputeCells = deep ? recomputeCells : 0;
-    c.recomputeFraction = c.recomputeCells / validRhsCells;
-    switch (fuse) {
-    case core::StepFuse::Eager:
-      // Every level-wide sweep of the eager loop is an implicit fork/join:
-      // per stage one exchange, one RHS dispatch, and ~2 stage combines.
-      c.dispatches = eagerOps > 0 ? eagerOps : 4 * rhsEvals;
-      break;
-    case core::StepFuse::Fused:
-    case core::StepFuse::CommAvoid:
-      c.dispatches = 1; // the whole step is one graph
-      break;
-    }
-    // Price: per-exchange fixed costs + halo bytes moved + the write
-    // traffic of recomputed RHS cells (each recomputed cell is produced —
-    // written — once more than the fused reference produces it).
-    c.costBytes = c.alphaBytes + c.exchangeBytes +
-                  c.recomputeCells * fieldBytes;
-    if (deep) {
-      // What deepening added vs what the avoided exchanges cost: fires
-      // exactly when CommAvoid prices worse than Fused.
-      const double extra = c.recomputeCells * fieldBytes +
-                           (shell(deepDepth) - shell(g));
-      const double savings = (rhsEvals - 1) *
-                             (shell(g) + alphaPerExchange);
-      if (extra > savings) {
-        CostNote note;
-        note.kind = CostNoteKind::DeepHaloRecompute;
-        note.where = "comm-avoiding " + std::to_string(rhsEvals) +
-                     "-stage step, box " + std::to_string(boxSize) + "^3";
-        note.actualBytes = extra;
-        note.limitBytes = savings;
-        note.fraction = c.recomputeFraction;
-        c.notes.push_back(note);
+    const core::StepHaloPlan& plan = deep ? deepPlan : shallow;
+    double validRhsCells = 0;
+    for (std::size_t i = 0; i < prog.ops.size(); ++i) {
+      const int w = plan.width[i];
+      const double cells = grown(std::max(0, w));
+      switch (prog.ops[i].kind) {
+      case core::StepOpKind::Exchange:
+        if (w >= 0) { // CommAvoid drops the intermediate exchanges
+          ++c.exchanges;
+          c.exchangeDepth = std::max(c.exchangeDepth, w);
+          c.exchangeBytes += (cells - valid) * fieldBytes;
+        }
+        break;
+      case core::StepOpKind::BoundaryFill:
+        break;
+      case core::StepOpKind::RhsEval:
+        c.rhsCells += cells;
+        validRhsCells += valid;
+        break;
+      case core::StepOpKind::CopySlot:
+      case core::StepOpKind::ScaleSlot:
+        c.combineBytes += cells * 2.0 * fieldBytes;
+        break;
+      case core::StepOpKind::AxpySlot:
+        c.combineBytes += cells * 3.0 * fieldBytes;
+        break;
       }
     }
+    c.alphaBytes = c.exchanges * alphaPerExchange;
+    c.rhsBytes = c.rhsCells * box.bytesPerCell;
+    c.recomputeCells = c.rhsCells - validRhsCells;
+    c.recomputeFraction =
+        validRhsCells > 0 ? c.recomputeCells / validRhsCells : 0.0;
+    if (deep) {
+      // copyin + copyout per time step: each reads and writes u's valid
+      // cells once.
+      c.copyBytes = prog.nSteps * 2.0 * valid * 2.0 * fieldBytes;
+    }
+    // Every level-wide sweep of the eager loop is an implicit fork/join;
+    // a step graph is one dispatch.
+    c.dispatches = fuse == core::StepFuse::Eager
+                       ? static_cast<std::int64_t>(prog.ops.size())
+                       : 1;
+    c.costBytes = c.alphaBytes + c.exchangeBytes + c.rhsBytes +
+                  c.combineBytes + c.copyBytes;
     out.push_back(std::move(c));
+  }
+
+  // What deepening added against the exchange latency it avoided: the
+  // note fires exactly when CommAvoid prices worse than Fused.
+  const StepFusionCost& fused = out[1];
+  StepFusionCost& ca = out[2];
+  if (caFeasible) {
+    const double added = ca.costBytes - ca.alphaBytes -
+                         (fused.costBytes - fused.alphaBytes);
+    const double savings = fused.alphaBytes - ca.alphaBytes;
+    if (added > savings) {
+      CostNote note;
+      note.kind = CostNoteKind::DeepHaloRecompute;
+      note.where = "comm-avoiding " + std::to_string(prog.rhsEvals) +
+                   "-stage step, box " + std::to_string(boxSize) + "^3";
+      note.actualBytes = added;
+      note.limitBytes = savings;
+      note.fraction = ca.recomputeFraction;
+      ca.notes.push_back(note);
+    }
   }
 
   // Rank by modeled traffic, dispatch count breaking ties (fewer joins

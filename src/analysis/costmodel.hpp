@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "analysis/model.hpp"
+#include "core/stepprogram.hpp"
 #include "core/variant.hpp"
 
 namespace fluxdiv::harness {
@@ -150,46 +151,62 @@ std::vector<LevelPolicyCost> analyzeLevelPolicies(
     const core::VariantConfig& cfg, int boxSize, int nBoxes, int nThreads,
     const CacheSpec& spec);
 
-/// Static price of one whole RK time step under one StepFuse mode
-/// (core/stepgraph.hpp): exchanged halo bytes, per-exchange latency
-/// equivalents, deepened-ghost recomputation volume, and synchronization
-/// structure, per time step over the whole level. Mirrors planStepHalos
-/// analytically: under CommAvoid stage s of an R-stage scheme recomputes
-/// its RHS on a halo of width g x (R - 1 - s), fed by one exchange of
-/// depth g x R. A deep halo always moves MORE bytes than the R shallow
-/// halos it replaces ((N+2Rg)^3 grows faster than R shells of width g) —
-/// comm-avoiding pays bandwidth and recomputation to buy back the
-/// per-exchange fixed costs, so each exchange message is priced with an
-/// alpha-model latency byte-equivalent on top of its halo bytes. That is
-/// what makes the trade box-size dependent: small boxes are latency-bound
-/// (CommAvoid wins), large boxes are volume-bound (the
-/// DeepHaloRecompute note fires).
+/// The same from an already computed `box` = analyzeCost(cfg, boxSize,
+/// nThreads, spec), so a caller that also prices step fusion from that
+/// report lowers and analyzes the variant once.
+std::vector<LevelPolicyCost> analyzeLevelPolicies(const CostReport& box,
+                                                  int boxSize, int nBoxes,
+                                                  int nThreads);
+
+/// Static price of one recorded step program under one StepFuse mode
+/// (core/stepgraph.hpp), over the whole level: the work each mode
+/// executes plus the exchanges it runs, all in byte-equivalents.
+/// Mirrors the lowering through planStepHalos: under CommAvoid every op
+/// runs on valid.grow(w) for its planned width w, so an R-stage scheme
+/// recomputes stage s's RHS on a halo of width g x (R - 1 - s) and runs
+/// the stage combines feeding it on the same widened region, all fed by
+/// one exchange of depth g x R between a copy-in and a copy-out of the
+/// solution. RHS cells are priced at the within-box variant's modeled
+/// DRAM bytes per cell (CostReport::bytesPerCell), combines at their
+/// streamed bytes (a read per source, a write per destination, and a
+/// read of an accumulated destination), and each exchange at its halo
+/// bytes plus an alpha-model latency byte-equivalent per message. The
+/// deep exchange saves the per-stage alpha terms but moves more halo
+/// bytes, and the recomputed RHS work outweighs the saving at every box
+/// size measured (BENCH_rkstep.json), so CommAvoid prices above Fused and
+/// its DeepHaloRecompute note fires; at large boxes even the exchange
+/// side alone is a loss.
 struct StepFusionCost {
   core::StepFuse fuse = core::StepFuse::Eager;
-  int exchanges = 0;        ///< ghost exchanges per time step
-  int exchangeDepth = 0;    ///< ghost layers each exchange fills
-  double exchangeBytes = 0; ///< halo bytes moved per time step (level)
+  int exchanges = 0;        ///< ghost exchanges per run of the program
+  int exchangeDepth = 0;    ///< ghost layers the deepest exchange fills
+  double exchangeBytes = 0; ///< halo bytes moved (level)
   double alphaBytes = 0;    ///< latency byte-equivalent of the exchanges
+  double rhsCells = 0;      ///< RHS cells evaluated: valid + recomputed
+  double rhsBytes = 0;      ///< rhsCells x the variant's bytes per cell
   double recomputeCells = 0;    ///< RHS cells evaluated beyond valid
   double recomputeFraction = 0; ///< recomputeCells / valid RHS cells
+  double combineBytes = 0;  ///< streamed bytes of the stage combines
+  double copyBytes = 0;     ///< CommAvoid's solution copy-in + copy-out
   std::int64_t dispatches = 1;  ///< graph dispatches (join barriers)
-  double costBytes = 0; ///< exchange + alpha + recompute write traffic
+  double costBytes = 0; ///< exchange + alpha + rhs + combine + copy bytes
   int rank = 0;         ///< 1 = cheapest costBytes (dispatches tiebreak)
   std::vector<CostNote> notes;
 };
 
-/// Price all three fuse modes for an `rhsEvals`-stage scheme over a level
-/// of `nBoxes` boxes of side `boxSize` (kStepFuseModes order, rank
-/// filled). Emits CostNoteKind::DeepHaloRecompute on the CommAvoid entry
-/// when the deepened-ghost recompute + extra halo traffic exceeds the
-/// cost of the avoided exchanges, and prices CommAvoid as infeasible
-/// (falls back; same structure as Fused) when the deepened halo exceeds
-/// the box side — exactly when StepGraphExecutor::effectiveFuse falls
-/// back. `eagerOps` is the eager path's level-wide sweep count per step
-/// (exchanges + RHS dispatches + stage combines) used for its dispatch
-/// count; pass 0 to approximate it as 4 x rhsEvals.
-std::vector<StepFusionCost> analyzeStepFusion(int rhsEvals, int boxSize,
-                                              int nBoxes,
-                                              int eagerOps = 0);
+/// Price all three fuse modes for `prog` (solvers::buildStepProgram's
+/// output; one time step unless it captures several) over a level of
+/// `nBoxes` boxes of side `boxSize`, whose within-box variant analyzes
+/// to `box` (analyzeCost(cfg, boxSize, nThreads, spec)). Returned in
+/// kStepFuseModes order with rank filled. Emits
+/// CostNoteKind::DeepHaloRecompute on the CommAvoid entry exactly when it
+/// prices worse than Fused, and prices CommAvoid as the Fused structure
+/// when the deepened halo exceeds the box side — exactly when
+/// StepGraphExecutor::effectiveFuse falls back. Eager dispatches one
+/// level-wide sweep per recorded op. The TuneDB's cold prior and
+/// fluxdiv_advisor --scheme both rank fuse modes by this price.
+std::vector<StepFusionCost> analyzeStepFusion(const core::StepProgram& prog,
+                                              const CostReport& box,
+                                              int boxSize, int nBoxes);
 
 } // namespace fluxdiv::analysis

@@ -308,7 +308,7 @@ ServiceReport SolveService::run(const std::vector<InstanceSpec>& specs,
                            u.nGhost(), pool_.nThreads()};
     if (opts_.tunedb != nullptr && (spec.autoFuse || spec.autoPolicy)) {
       const tuner::TuneEntry& entry =
-          opts_.tunedb->suggest(a.key, spec.nBoxes);
+          opts_.tunedb->suggest(a.key, spec.nBoxes, opts_.cfg);
       if (spec.autoFuse) {
         a.report.fuse = entry.fuse;
       }

@@ -56,7 +56,8 @@ std::string TuneKey::str() const {
 // Cost-model prior
 
 TuneEntry costModelPrior(const TuneKey& key, int nBoxes,
-                         const MachineSignature& machine) {
+                         const MachineSignature& machine,
+                         const core::VariantConfig& cfg) {
   solvers::Scheme scheme{};
   if (!solvers::parseScheme(key.scheme, scheme)) {
     throw std::invalid_argument("costModelPrior: unknown scheme '" +
@@ -64,12 +65,22 @@ TuneEntry costModelPrior(const TuneKey& key, int nBoxes,
   }
   TuneEntry entry;
   entry.key = key;
+  nBoxes = std::max(1, nBoxes);
+  const int threads = std::max(1, key.threads);
+
+  // The within-box variant's cost report prices both the RHS work of
+  // every fuse mode and the level policies.
+  analysis::CacheSpec spec;
+  if (machine.llcBytes > 0) {
+    spec.llcBytes = machine.llcBytes;
+  }
+  const analysis::CostReport box =
+      analysis::analyzeCost(cfg, key.boxSize, threads, spec);
 
   // Fuse mode: the rank-1 row of the step-fusion price list.
-  const std::vector<analysis::StepFusionCost> fusion =
-      analysis::analyzeStepFusion(solvers::schemeRhsEvals(scheme),
-                                  key.boxSize, std::max(1, nBoxes));
-  for (const analysis::StepFusionCost& f : fusion) {
+  for (const analysis::StepFusionCost& f : analysis::analyzeStepFusion(
+           solvers::buildStepProgram(scheme, /*dt=*/1.0), box, key.boxSize,
+           nBoxes)) {
     if (f.rank == 1) {
       entry.fuse = f.fuse;
       entry.priorCostBytes = f.costBytes;
@@ -77,19 +88,10 @@ TuneEntry costModelPrior(const TuneKey& key, int nBoxes,
     }
   }
 
-  // Level policy: the fastest predicted concurrency profile under the
-  // machine's cache capacities.
-  analysis::CacheSpec spec;
-  if (machine.llcBytes > 0) {
-    spec.llcBytes = machine.llcBytes;
-  }
-  const core::VariantConfig cfg =
-      core::makeShiftFuse(core::ParallelGranularity::WithinBox);
-  const std::vector<analysis::LevelPolicyCost> policies =
-      analysis::analyzeLevelPolicies(cfg, key.boxSize, std::max(1, nBoxes),
-                                     std::max(1, key.threads), spec);
+  // Level policy: the fastest predicted concurrency profile.
   double bestSpeedup = 0.0;
-  for (const analysis::LevelPolicyCost& p : policies) {
+  for (const analysis::LevelPolicyCost& p : analysis::analyzeLevelPolicies(
+           box, key.boxSize, nBoxes, threads)) {
     if (p.predictedSpeedup > bestSpeedup) {
       bestSpeedup = p.predictedSpeedup;
       entry.policy = p.policy;
@@ -434,7 +436,8 @@ const TuneEntry* TuneDB::find(const TuneKey& key) const {
   return nullptr;
 }
 
-const TuneEntry& TuneDB::suggest(const TuneKey& key, int nBoxes) {
+const TuneEntry& TuneDB::suggest(const TuneKey& key, int nBoxes,
+                                 const core::VariantConfig& cfg) {
   if (const TuneEntry* hit = findMutable(key, true)) {
     ++counters_.hits;
     return *hit;
@@ -444,7 +447,7 @@ const TuneEntry& TuneDB::suggest(const TuneKey& key, int nBoxes) {
     return *prior; // already-seeded prior; still a miss (not measured)
   }
   ++counters_.seeds;
-  entries_.push_back(costModelPrior(key, nBoxes, machine_));
+  entries_.push_back(costModelPrior(key, nBoxes, machine_, cfg));
   return entries_.back();
 }
 

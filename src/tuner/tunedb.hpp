@@ -4,13 +4,13 @@
 // (machine, scheme, box size, ghost depth, threads) so repeat traffic is
 // admitted without re-tuning: a cold key is answered by a cost-model
 // prior (analysis::analyzeStepFusion + analyzeLevelPolicies rank the
-// candidates before anything is timed), a warm key by the measured record
-// from a previous service run. Storage is a single self-describing JSON
-// file; records carry the machine signature they were measured on, and a
-// file written on a different machine contributes nothing but its
-// existence — every lookup then falls back to the prior, which is exactly
-// the cold-start behavior (measurements do not transfer across hosts; the
-// model does).
+// candidates for the service's within-box variant before anything is
+// timed), a warm key by the measured record from a previous service run.
+// Storage is a single self-describing JSON file; records carry the
+// machine signature they were measured on, and a file written on a
+// different machine contributes nothing but its existence — every lookup
+// then falls back to the prior, which is exactly the cold-start behavior
+// (measurements do not transfer across hosts; the model does).
 
 #include <cstddef>
 #include <cstdint>
@@ -79,13 +79,17 @@ struct TuneDBCounters {
 
 /// Cost-model prior for a cold key: the rank-1 fuse mode of
 /// analysis::analyzeStepFusion and the fastest-predicted level policy of
-/// analysis::analyzeLevelPolicies, priced for `machine`. `nBoxes` is the
-/// admission-time hint for the level size (the key deliberately omits it:
-/// measurements are keyed by what dominates reuse — box size — while the
-/// prior may still use the hint to price exchange volume). Throws
-/// std::invalid_argument on an unknown scheme name.
-TuneEntry costModelPrior(const TuneKey& key, int nBoxes,
-                         const MachineSignature& machine);
+/// analysis::analyzeLevelPolicies, both priced from one analyzeCost of
+/// `cfg` — the within-box variant the solves run — under `machine`'s
+/// cache capacities. `nBoxes` is the admission-time hint for the level
+/// size (the key deliberately omits it: measurements are keyed by what
+/// dominates reuse — box size — while the prior may still use the hint
+/// to price exchange volume). Throws std::invalid_argument on an unknown
+/// scheme name.
+TuneEntry costModelPrior(
+    const TuneKey& key, int nBoxes, const MachineSignature& machine,
+    const core::VariantConfig& cfg =
+        core::makeShiftFuse(core::ParallelGranularity::WithinBox));
 
 /// The persistent database. Not thread-safe: the service consults it from
 /// its single orchestrator thread.
@@ -112,10 +116,14 @@ public:
   [[nodiscard]] const TuneEntry* find(const TuneKey& key) const;
 
   /// Admission query: the measured record when one exists (a hit —
-  /// repeat traffic never re-tunes), else a memoized cost-model prior (a
-  /// miss — the service is expected to measure the solve it admits and
-  /// observe() the result).
-  const TuneEntry& suggest(const TuneKey& key, int nBoxes = 8);
+  /// repeat traffic never re-tunes), else a memoized cost-model prior
+  /// priced for the within-box variant `cfg` (a miss — the service is
+  /// expected to measure the solve it admits and observe() the result).
+  /// The prior is memoized per key: a DB serves one service's variant.
+  const TuneEntry& suggest(
+      const TuneKey& key, int nBoxes = 8,
+      const core::VariantConfig& cfg =
+          core::makeShiftFuse(core::ParallelGranularity::WithinBox));
 
   /// Fold one measured solve into the DB: a first measurement upgrades
   /// the prior in place; a repeat measurement keeps the faster of the

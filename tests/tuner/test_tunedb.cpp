@@ -136,21 +136,53 @@ TEST(TuneDB, MachineMismatchFallsBackToCostModelPrior) {
 
 TEST(TuneDB, PriorMatchesStepFusionRanking) {
   const TuneKey k = key("rk4", 16, 4);
-  const TuneEntry prior = costModelPrior(k, 8, fakeMachine());
+  const MachineSignature machine = fakeMachine();
+  const TuneEntry prior = costModelPrior(k, 8, machine);
+  // The same price the prior takes: the service variant's cost report
+  // under the machine's LLC, one RK4 step over 8 boxes.
+  analysis::CacheSpec spec;
+  spec.llcBytes = machine.llcBytes;
+  const analysis::CostReport box = analysis::analyzeCost(
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 16, 4,
+      spec);
   const auto fusion = analysis::analyzeStepFusion(
-      solvers::schemeRhsEvals(solvers::Scheme::RK4), 16, 8);
+      solvers::buildStepProgram(solvers::Scheme::RK4, 1.0), box, 16, 8);
   for (const auto& f : fusion) {
     if (f.rank == 1) {
       EXPECT_EQ(prior.fuse, f.fuse);
       EXPECT_DOUBLE_EQ(prior.priorCostBytes, f.costBytes);
     }
   }
+  // A prior priced for another within-box variant charges that variant's
+  // RHS traffic.
+  const core::VariantConfig baseline =
+      core::makeBaseline(core::ParallelGranularity::WithinBox);
+  EXPECT_NE(costModelPrior(k, 8, machine, baseline).priorCostBytes,
+            prior.priorCostBytes);
   // One stage: Fused and Eager move the same bytes and Fused wins on
-  // dispatches; CommAvoid's single exchange is no deeper, so it ties.
+  // dispatches; CommAvoid's single exchange is no deeper but it copies
+  // the solution in and out.
   EXPECT_EQ(costModelPrior(key("euler", 16, 4), 8, fakeMachine()).fuse,
             core::StepFuse::Fused);
   EXPECT_THROW(costModelPrior(TuneKey{"rk9", 16, 2, 4}, 8, fakeMachine()),
                std::invalid_argument);
+}
+
+TEST(TuneDB, PriorAdmitsServeWarmShapesFused) {
+  // benchsuite's serve-warm mix: {ssprk3, rk4} x box {12, 16, 24} x
+  // {2, 4} boxes at 4 threads. Comm-avoiding measured 1.2-3.5x slower
+  // than fused on every one of them at 1 and 4 threads
+  // (BENCH_rkstep.json).
+  for (const char* scheme : {"ssprk3", "rk4"}) {
+    for (const int n : {12, 16, 24}) {
+      for (const int nBoxes : {2, 4}) {
+        EXPECT_EQ(costModelPrior(key(scheme, n, 4), nBoxes, fakeMachine())
+                      .fuse,
+                  core::StepFuse::Fused)
+            << scheme << " " << nBoxes << " x " << n << "^3";
+      }
+    }
+  }
 }
 
 TEST(TuneDB, PriorIsSeededOnceAndUpgradedByObserve) {

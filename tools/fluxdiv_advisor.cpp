@@ -19,10 +19,12 @@
 // --scheme additionally ranks the whole-RK-step fusion modes
 // (core::StepFuse: eager / fused / comm-avoiding, lowered by
 // core/stepgraph) for that time scheme — or every scheme with 'all' — by
-// modeled halo traffic + deepened-ghost recompute traffic per step
-// (analysis::analyzeStepFusion), and prints a deep-halo-recompute note
-// whenever comm-avoiding's widened-halo recomputation costs more than the
-// exchanges it eliminates.
+// the price the TuneDB's cold prior uses (analysis::analyzeStepFusion):
+// exchange bytes and latency, the RHS work at the service variant's
+// modeled bytes per cell including comm-avoiding's recomputed shell, and
+// the stage combines and copies. It prints a deep-halo-recompute note
+// whenever comm-avoiding's widened work costs more than the exchange
+// latency it eliminates; --strict also checks every step price.
 //
 // --pad prices working sets for the default padded fab allocation (x-pitch
 // rounded to grid::kSimdDoubles, docs/perf.md) instead of dense storage.
@@ -56,6 +58,7 @@
 #include "harness/machine.hpp"
 #include "harness/table.hpp"
 #include "kernels/exemplar.hpp"
+#include "serve/solve_service.hpp"
 #include "solvers/integrator.hpp"
 
 using namespace fluxdiv;
@@ -329,20 +332,23 @@ int main(int argc, char** argv) {
       schemes.push_back(s);
     }
     const int levelBoxes = std::max(1, nBoxes);
+    // The TuneDB prior's price: the service's within-box variant, analyzed
+    // once, prices every scheme's RHS work.
+    const core::VariantConfig serviceCfg = serve::ServiceOptions{}.cfg;
+    const analysis::CostReport box =
+        analysis::analyzeCost(serviceCfg, n, nThreads, spec);
     std::cout << "\nstep-fusion ranking (" << levelBoxes << " x " << n
-              << "^3 boxes, per time step; modeled halo + recompute "
-                 "traffic, analysis::analyzeStepFusion):\n\n";
+              << "^3 boxes, per time step; exchange + RHS work at "
+              << serviceCfg.name() << "'s "
+              << harness::formatDouble(box.bytesPerCell, 1)
+              << " B/cell + combines, analysis::analyzeStepFusion):\n\n";
     harness::Table ftable({"scheme", "fuse", "exchanges", "depth", "halo",
-                           "alpha", "recomp", "dispatches", "cost",
-                           "rank"});
+                           "alpha", "rhs", "recomp", "combine",
+                           "dispatches", "cost", "rank"});
     std::vector<std::pair<std::string, analysis::CostNote>> fuseNotes;
     for (const solvers::Scheme s : schemes) {
-      // The eager path's dispatch count is its level-wide sweep count:
-      // one per recorded op (exchange / RHS / stage combine).
-      const int eagerOps = static_cast<int>(
-          solvers::buildStepProgram(s, /*dt=*/1.0).ops.size());
       const auto costs = analysis::analyzeStepFusion(
-          solvers::schemeRhsEvals(s), n, levelBoxes, eagerOps);
+          solvers::buildStepProgram(s, /*dt=*/1.0), box, n, levelBoxes);
       for (const auto& fc : costs) {
         ftable.addRow({solvers::schemeName(s),
                        core::stepFuseName(fc.fuse),
@@ -350,12 +356,22 @@ int main(int argc, char** argv) {
                        std::to_string(fc.exchangeDepth),
                        fmtBytes(fc.exchangeBytes),
                        fmtBytes(fc.alphaBytes),
+                       fmtBytes(fc.rhsBytes),
                        harness::formatDouble(fc.recomputeFraction, 3),
+                       fmtBytes(fc.combineBytes + fc.copyBytes),
                        std::to_string(fc.dispatches),
                        fmtBytes(fc.costBytes),
                        std::to_string(fc.rank)});
         for (const auto& note : fc.notes) {
           fuseNotes.emplace_back(solvers::schemeName(s), note);
+        }
+        if (args.getBool("strict") &&
+            (!std::isfinite(fc.costBytes) || fc.costBytes <= 0 ||
+             fc.rhsBytes <= 0)) {
+          std::cerr << "model error: " << solvers::schemeName(s) << "/"
+                    << core::stepFuseName(fc.fuse)
+                    << ": non-finite or non-positive step price\n";
+          ++strictFailures;
         }
       }
     }
