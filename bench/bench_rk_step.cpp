@@ -1,26 +1,22 @@
-// Whole-RK-step fusion bench (docs/perf.md "Step fusion"): fused vs
-// comm-avoiding lazy step graphs (core/stepgraph) against the eager
-// per-stage loop, across schemes, box sizes, and thread counts.
-// Fused graphs let a stage-(i+1) tile task start as soon as the stage-i
-// tasks it reads have run, and amortize one pool dispatch over the whole
-// step; comm-avoiding additionally collapses the per-stage exchanges
-// into one deepened exchange plus halo recomputation. All modes are bit-identical
-// to eager (tests/solvers), so this bench measures pure scheduling.
+// Whole-RK-step fusion bench (docs/perf.md "Step fusion"): the fused
+// lazy step graph (core/stepgraph) against the eager per-stage loop,
+// across schemes, box sizes, and thread counts. Fused graphs let a
+// stage-(i+1) tile task start as soon as the stage-i tasks it reads have
+// run, and amortize one pool dispatch over the whole step. Both modes are
+// bit-identical (tests/solvers), so this bench measures pure scheduling.
 //
 //   ./bench/bench_rk_step [--scheme all] [--fuse all] [--policy parallel]
 //                         [--boxsize 16,32] [--nboxes 8] [--steps 4]
 //                         [--window 1] [--threads ...] [--reps 5]
 //                         [--csv out.csv] [--json out.json]
 //
-// --fuse all means eager, fused, commavoid; the "vs fused" column is the
-// fused step time over each row's (>1 = faster than fused).
+// --fuse all means eager and fused; the "vs fused" column is the fused
+// step time over each row's (>1 = faster than fused).
 // --window W > 1 captures W consecutive time steps as one task graph
-// under fused/comm-avoiding (cross-timestep fusion).
+// under fused (cross-timestep fusion).
 //
-// BENCH_rkstep.json in the repo root is this bench's committed output:
-// fused vs comm-avoiding on 2, 4 and 8 boxes of 8^3-24^3 at 1 and 4
-// threads, the rows the cost model's step-fusion ranking is tested
-// against (docs/perf.md, "Step fusion").
+// BENCH_rkstep.json in the repo root holds this bench's committed rows,
+// the measurements docs/perf.md "Step fusion" cites.
 
 #include <omp.h>
 
@@ -90,8 +86,8 @@ grid::DisjointBoxLayout rowLayout(int n, int nBoxes) {
 /// Min wall seconds per time step over `reps` measurements of `steps`
 /// time steps advanced in `window`-step chunks: window 1 times the
 /// per-step graphs; window > 1 captures `window` consecutive steps as
-/// ONE task graph under fused/comm-avoiding (cross-timestep fusion;
-/// eager always advances step by step). One warm-up chunk
+/// ONE task graph under fused (cross-timestep fusion; eager always
+/// advances step by step). One warm-up chunk
 /// captures the graph outside the timed region.
 double timeStep(solvers::Scheme scheme, core::StepFuse fuse,
                 core::LevelPolicy policy, const core::VariantConfig& cfg,
@@ -130,8 +126,8 @@ int main(int argc, char** argv) {
                  "comma-separated schemes (euler/midpoint/ssprk3/rk4) "
                  "or 'all'");
   args.addString("fuse", "all",
-                 "comma-separated step-fuse modes "
-                 "(eager/fused/commavoid) or 'all'");
+                 "comma-separated step-fuse modes (eager/fused) or "
+                 "'all'");
   args.addString("policy", "parallel",
                  "level policy for the step-graph task granularity "
                  "(sequential/parallel)");
@@ -164,8 +160,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bench::printHeader("Whole-RK-step fusion: eager vs fused vs "
-                     "comm-avoiding step graphs",
+  bench::printHeader("Whole-RK-step fusion: eager loop vs fused step graph",
                      args);
   const int reps = static_cast<int>(args.getInt("reps"));
   const int steps = static_cast<int>(args.getInt("steps"));
@@ -234,8 +229,6 @@ int main(int argc, char** argv) {
 
   std::cout << "\npaper shape check: one lazy whole-step graph beats the "
                "eager per-stage\nloop by eliminating per-sweep fork/joins "
-               "and overlapping cross-stage work;\ncomm-avoiding trades "
-               "recomputed RHS work for exchange latency (priced by\n"
-               "fluxdiv_advisor --scheme).\n";
+               "and overlapping cross-stage work.\n";
   return 0;
 }

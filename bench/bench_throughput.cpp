@@ -45,7 +45,7 @@ std::vector<solvers::Scheme> parseSchemeList(const std::string& text) {
 std::vector<serve::InstanceSpec> buildWorkload(
     const std::vector<solvers::Scheme>& schemes,
     const std::vector<std::int64_t>& boxSizes, int nBoxes, int steps,
-    int copies, core::StepFuse fuse, core::LevelPolicy policy) {
+    int copies, core::LevelPolicy policy) {
   std::vector<serve::InstanceSpec> specs;
   int id = 0;
   for (int c = 0; c < copies; ++c) {
@@ -58,8 +58,6 @@ std::vector<serve::InstanceSpec> buildWorkload(
         spec.boxSize = static_cast<int>(n);
         spec.nBoxes = nBoxes;
         spec.steps = steps;
-        spec.autoFuse = false;
-        spec.fuse = fuse;
         spec.autoPolicy = false;
         spec.policy = policy;
         specs.push_back(spec);
@@ -83,7 +81,6 @@ std::vector<double> soloLatencies(
     kernels::initializeExemplar(u);
     solvers::FluxDivRhs rhs(cfg, threads);
     solvers::TimeIntegrator integ(spec.scheme, dbl);
-    integ.setStepFuse(spec.fuse);
     integ.setLevelPolicy(spec.policy);
     harness::Timer t;
     integ.advanceSteps(u, spec.dt, rhs, spec.steps);
@@ -126,7 +123,6 @@ int main(int argc, char** argv) {
   args.addInt("nboxes", 4, "boxes per instance level");
   args.addInt("steps", 4, "time steps per solve");
   args.addInt("copies", 3, "solves per scheme x box-size combo");
-  args.addString("fuse", "fused", "step-fuse mode for every instance");
   args.addString("policy", "parallel", "level policy for every instance");
   if (!args.parse(argc, argv)) {
     return 1;
@@ -134,11 +130,9 @@ int main(int argc, char** argv) {
 
   const std::vector<solvers::Scheme> schemes =
       parseSchemeList(args.getString("scheme"));
-  core::StepFuse fuse{};
   core::LevelPolicy policy{};
-  if (!core::parseStepFuse(args.getString("fuse"), fuse) ||
-      !core::parseLevelPolicy(args.getString("policy"), policy)) {
-    std::cerr << "bad --fuse/--policy\n";
+  if (!core::parseLevelPolicy(args.getString("policy"), policy)) {
+    std::cerr << "bad --policy\n";
     return 1;
   }
   const int reps = static_cast<int>(args.getInt("reps"));
@@ -151,7 +145,7 @@ int main(int argc, char** argv) {
 
   const std::vector<serve::InstanceSpec> specs =
       buildWorkload(schemes, args.getIntList("boxsize"), nBoxes, steps,
-                    copies, fuse, policy);
+                    copies, policy);
   const core::VariantConfig cfg =
       core::makeShiftFuse(core::ParallelGranularity::WithinBox);
 

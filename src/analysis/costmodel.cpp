@@ -6,8 +6,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "kernels/exemplar.hpp"
-
 #include "analysis/lower.hpp"
 #include "analysis/region.hpp"
 #include "core/stepprogram.hpp"
@@ -537,8 +535,6 @@ const char* costNoteKindName(CostNoteKind k) {
     return "over-communicated";
   case CostNoteKind::OverdeclaredFootprint:
     return "overdeclared-footprint";
-  case CostNoteKind::DeepHaloRecompute:
-    return "deep-halo-recompute";
   case CostNoteKind::DeadStore:
     return "dead-store";
   case CostNoteKind::OverDeepHalo:
@@ -586,13 +582,6 @@ std::string CostNote::message() const {
        << static_cast<std::int64_t>(limitBytes)
        << " declared stencil offset(s) never read by the kernel -> cost "
           "model prices ghost cells no kernel touches";
-    break;
-  case CostNoteKind::DeepHaloRecompute:
-    os << "'" << where << "': recomputed RHS + widened combines + "
-          "copies + extra halo "
-       << formatBytesD(actualBytes) << " > avoided-exchange latency "
-       << formatBytesD(limitBytes)
-       << " -> comm-avoiding unprofitable at this box size";
     break;
   case CostNoteKind::DeadStore:
     os << "'" << where
@@ -751,139 +740,6 @@ std::vector<LevelPolicyCost> analyzeLevelPolicies(const CostReport& box,
   for (LevelPolicyCost& c : out) {
     c.predictedSpeedup =
         usableParallelism(c.avgConcurrency, nThreads) / seqUsable;
-  }
-  return out;
-}
-
-namespace {
-
-// Alpha-model latency of one ghost-exchange message expressed in
-// byte-equivalents (~1.5 us at ~10 GB/s). This is the fixed cost
-// comm-avoiding buys back: a deep halo always moves MORE bytes than the
-// per-stage halos it replaces, so without a latency term CommAvoid could
-// never rank first and the trade would not depend on the box size.
-constexpr double kExchangeAlphaBytes = 16.0 * 1024;
-
-// Messages per exchange per box: the 26 face/edge/corner neighbors of a
-// 3D box (periodic levels keep all 26 as wrap copies).
-constexpr double kMessagesPerBox = 26.0;
-
-} // namespace
-
-std::vector<StepFusionCost> analyzeStepFusion(const core::StepProgram& prog,
-                                              const CostReport& box,
-                                              int boxSize, int nBoxes) {
-  boxSize = std::max(1, boxSize);
-  nBoxes = std::max(1, nBoxes);
-  const double N = boxSize;
-  const double fieldBytes = kernels::kNumComp * kRealBytes;
-
-  // Cells of every box's valid region grown by w, over the level.
-  const auto grown = [&](int w) {
-    const double side = N + 2.0 * w;
-    return side * side * side * nBoxes;
-  };
-  const double valid = grown(0);
-  const double alphaPerExchange = kMessagesPerBox * nBoxes *
-                                  kExchangeAlphaBytes;
-
-  const core::StepHaloPlan shallow =
-      core::planStepHalos(prog, core::StepFuse::Fused);
-  const core::StepHaloPlan deepPlan =
-      core::planStepHalos(prog, core::StepFuse::CommAvoid);
-  // StepGraphExecutor falls back CommAvoid -> Fused when the deepened
-  // halo no longer fits next to the box (effectiveFuse()).
-  const bool caFeasible = deepPlan.depth <= boxSize;
-
-  std::vector<StepFusionCost> out;
-  for (const core::StepFuse fuse : core::kStepFuseModes) {
-    StepFusionCost c;
-    c.fuse = fuse;
-    const bool deep = fuse == core::StepFuse::CommAvoid && caFeasible;
-    const core::StepHaloPlan& plan = deep ? deepPlan : shallow;
-    double validRhsCells = 0;
-    for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-      const int w = plan.width[i];
-      const double cells = grown(std::max(0, w));
-      switch (prog.ops[i].kind) {
-      case core::StepOpKind::Exchange:
-        if (w >= 0) { // CommAvoid drops the intermediate exchanges
-          ++c.exchanges;
-          c.exchangeDepth = std::max(c.exchangeDepth, w);
-          c.exchangeBytes += (cells - valid) * fieldBytes;
-        }
-        break;
-      case core::StepOpKind::BoundaryFill:
-        break;
-      case core::StepOpKind::RhsEval:
-        c.rhsCells += cells;
-        validRhsCells += valid;
-        break;
-      case core::StepOpKind::CopySlot:
-      case core::StepOpKind::ScaleSlot:
-        c.combineBytes += cells * 2.0 * fieldBytes;
-        break;
-      case core::StepOpKind::AxpySlot:
-        c.combineBytes += cells * 3.0 * fieldBytes;
-        break;
-      }
-    }
-    c.alphaBytes = c.exchanges * alphaPerExchange;
-    c.rhsBytes = c.rhsCells * box.bytesPerCell;
-    c.recomputeCells = c.rhsCells - validRhsCells;
-    c.recomputeFraction =
-        validRhsCells > 0 ? c.recomputeCells / validRhsCells : 0.0;
-    if (deep) {
-      // copyin + copyout per time step: each reads and writes u's valid
-      // cells once.
-      c.copyBytes = prog.nSteps * 2.0 * valid * 2.0 * fieldBytes;
-    }
-    // Every level-wide sweep of the eager loop is an implicit fork/join;
-    // a step graph is one dispatch.
-    c.dispatches = fuse == core::StepFuse::Eager
-                       ? static_cast<std::int64_t>(prog.ops.size())
-                       : 1;
-    c.costBytes = c.alphaBytes + c.exchangeBytes + c.rhsBytes +
-                  c.combineBytes + c.copyBytes;
-    out.push_back(std::move(c));
-  }
-
-  // What deepening added against the exchange latency it avoided: the
-  // note fires exactly when CommAvoid prices worse than Fused.
-  const StepFusionCost& fused = out[1];
-  StepFusionCost& ca = out[2];
-  if (caFeasible) {
-    const double added = ca.costBytes - ca.alphaBytes -
-                         (fused.costBytes - fused.alphaBytes);
-    const double savings = fused.alphaBytes - ca.alphaBytes;
-    if (added > savings) {
-      CostNote note;
-      note.kind = CostNoteKind::DeepHaloRecompute;
-      note.where = "comm-avoiding " + std::to_string(prog.rhsEvals) +
-                   "-stage step, box " + std::to_string(boxSize) + "^3";
-      note.actualBytes = added;
-      note.limitBytes = savings;
-      note.fraction = ca.recomputeFraction;
-      ca.notes.push_back(note);
-    }
-  }
-
-  // Rank by modeled traffic, dispatch count breaking ties (fewer joins
-  // wins at equal bytes); stable order keeps kStepFuseModes order for
-  // fully tied entries.
-  std::vector<std::size_t> order(out.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (out[a].costBytes != out[b].costBytes) {
-                       return out[a].costBytes < out[b].costBytes;
-                     }
-                     return out[a].dispatches < out[b].dispatches;
-                   });
-  for (std::size_t r = 0; r < order.size(); ++r) {
-    out[order[r]].rank = static_cast<int>(r) + 1;
   }
   return out;
 }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "analysis/model.hpp"
-#include "core/stepprogram.hpp"
 #include "core/variant.hpp"
 
 namespace fluxdiv::harness {
@@ -58,7 +57,6 @@ enum class CostNoteKind {
   OverSynchronized, ///< task graph carries removable dependency edges
   OverCommunicated, ///< exchange plan has redundant/mergeable ops
   OverdeclaredFootprint, ///< declared stencil offsets no kernel reads
-  DeepHaloRecompute, ///< comm-avoiding recompute outweighs exchange savings
   DeadStore,      ///< step op writes values nothing reads (stepcheck S2)
   OverDeepHalo,   ///< halo width above proven minimum (stepcheck S3)
   ModelError,     ///< internal inconsistency (tool-level strict checks)
@@ -152,61 +150,10 @@ std::vector<LevelPolicyCost> analyzeLevelPolicies(
     const CacheSpec& spec);
 
 /// The same from an already computed `box` = analyzeCost(cfg, boxSize,
-/// nThreads, spec), so a caller that also prices step fusion from that
-/// report lowers and analyzes the variant once.
+/// nThreads, spec), so a caller that already holds that report lowers and
+/// analyzes the variant once.
 std::vector<LevelPolicyCost> analyzeLevelPolicies(const CostReport& box,
                                                   int boxSize, int nBoxes,
                                                   int nThreads);
-
-/// Static price of one recorded step program under one StepFuse mode
-/// (core/stepgraph.hpp), over the whole level: the work each mode
-/// executes plus the exchanges it runs, all in byte-equivalents.
-/// Mirrors the lowering through planStepHalos: under CommAvoid every op
-/// runs on valid.grow(w) for its planned width w, so an R-stage scheme
-/// recomputes stage s's RHS on a halo of width g x (R - 1 - s) and runs
-/// the stage combines feeding it on the same widened region, all fed by
-/// one exchange of depth g x R between a copy-in and a copy-out of the
-/// solution. RHS cells are priced at the within-box variant's modeled
-/// DRAM bytes per cell (CostReport::bytesPerCell), combines at their
-/// streamed bytes (a read per source, a write per destination, and a
-/// read of an accumulated destination), and each exchange at its halo
-/// bytes plus an alpha-model latency byte-equivalent per message. The
-/// deep exchange saves the per-stage alpha terms but moves more halo
-/// bytes, and the recomputed RHS work outweighs the saving at every box
-/// size measured (BENCH_rkstep.json), so CommAvoid prices above Fused and
-/// its DeepHaloRecompute note fires; at large boxes even the exchange
-/// side alone is a loss.
-struct StepFusionCost {
-  core::StepFuse fuse = core::StepFuse::Eager;
-  int exchanges = 0;        ///< ghost exchanges per run of the program
-  int exchangeDepth = 0;    ///< ghost layers the deepest exchange fills
-  double exchangeBytes = 0; ///< halo bytes moved (level)
-  double alphaBytes = 0;    ///< latency byte-equivalent of the exchanges
-  double rhsCells = 0;      ///< RHS cells evaluated: valid + recomputed
-  double rhsBytes = 0;      ///< rhsCells x the variant's bytes per cell
-  double recomputeCells = 0;    ///< RHS cells evaluated beyond valid
-  double recomputeFraction = 0; ///< recomputeCells / valid RHS cells
-  double combineBytes = 0;  ///< streamed bytes of the stage combines
-  double copyBytes = 0;     ///< CommAvoid's solution copy-in + copy-out
-  std::int64_t dispatches = 1;  ///< graph dispatches (join barriers)
-  double costBytes = 0; ///< exchange + alpha + rhs + combine + copy bytes
-  int rank = 0;         ///< 1 = cheapest costBytes (dispatches tiebreak)
-  std::vector<CostNote> notes;
-};
-
-/// Price all three fuse modes for `prog` (solvers::buildStepProgram's
-/// output; one time step unless it captures several) over a level of
-/// `nBoxes` boxes of side `boxSize`, whose within-box variant analyzes
-/// to `box` (analyzeCost(cfg, boxSize, nThreads, spec)). Returned in
-/// kStepFuseModes order with rank filled. Emits
-/// CostNoteKind::DeepHaloRecompute on the CommAvoid entry exactly when it
-/// prices worse than Fused, and prices CommAvoid as the Fused structure
-/// when the deepened halo exceeds the box side — exactly when
-/// StepGraphExecutor::effectiveFuse falls back. Eager dispatches one
-/// level-wide sweep per recorded op. The TuneDB's cold prior and
-/// fluxdiv_advisor --scheme both rank fuse modes by this price.
-std::vector<StepFusionCost> analyzeStepFusion(const core::StepProgram& prog,
-                                              const CostReport& box,
-                                              int boxSize, int nBoxes);
 
 } // namespace fluxdiv::analysis

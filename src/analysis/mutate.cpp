@@ -641,9 +641,6 @@ int stepStorageDepth(const StepProgram& prog, const StepHaloPlan& plan) {
   int depth = std::max(plan.depth, g);
   for (std::size_t i = 0; i < prog.ops.size(); ++i) {
     const int w = plan.width[i];
-    if (w < 0) {
-      continue;
-    }
     depth = std::max(
         depth, prog.ops[i].kind == StepOpKind::RhsEval ? w + g : w);
   }
@@ -673,9 +670,6 @@ int predictStaleWitness(const StepProgram& prog, const StepHaloPlan& plan,
   for (std::size_t i = from + 1; i < prog.ops.size(); ++i) {
     const StepOp& op = prog.ops[i];
     const int w = plan.width[i];
-    if (w < 0) {
-      continue; // dropped by the plan
-    }
     switch (op.kind) {
     case StepOpKind::Exchange:
       // A mirror-refill from a clean interior repairs ghosts up to w.
@@ -755,9 +749,6 @@ std::vector<int> stepUninitFrom(const StepProgram& prog,
   u[0] = kCleanLayer;
   for (std::size_t j = 0; j < upTo; ++j) {
     const int w = plan.width[j];
-    if (w < 0) {
-      continue;
-    }
     const StepOp& op = prog.ops[j];
     int& ud = u[static_cast<std::size_t>(op.dst)];
     if (stepWritesInterior(op.kind)) {
@@ -826,9 +817,6 @@ bool predictExchangeWitness(const StepProgram& prog,
     const int depth = stepStorageDepth(prog, plan);
     for (std::size_t j = from + 1; j < prog.ops.size(); ++j) {
       const int w = plan.width[j];
-      if (w < 0) {
-        continue;
-      }
       const StepOp& op = prog.ops[j];
       const std::vector<int> reads = stepReadSlots(op);
       if (std::find(reads.begin(), reads.end(), dst) != reads.end() &&
@@ -862,10 +850,10 @@ bool predictExchangeWitness(const StepProgram& prog,
 } // namespace
 
 StepMutation dropStepExchange(const core::StepProgram& prog,
-                              core::StepFuse fuse, std::uint64_t seed) {
+                              std::uint64_t seed) {
   StepMutation mut;
   mut.prog = prog;
-  mut.plan = core::planStepHalos(prog, fuse);
+  mut.plan = core::planStepHalos(prog);
   const std::vector<std::size_t> cand = keptExchanges(prog, mut.plan);
   if (cand.empty()) {
     mut.what = "dropStepExchange: no kept exchange to drop";
@@ -873,7 +861,7 @@ StepMutation dropStepExchange(const core::StepProgram& prog,
   }
   const std::size_t i = cand[seed % cand.size()];
   const int w = mut.plan.width[i];
-  mut.plan.width[i] = -1;
+  mut.plan.width[i] = 0; // an exchange of width 0 moves nothing
   if (!predictExchangeWitness(prog, mut.plan, i, 1, w, mut.expect,
                               mut.witnessOp)) {
     mut.what = "dropStepExchange: missing ghosts never reach a reader";
@@ -885,10 +873,10 @@ StepMutation dropStepExchange(const core::StepProgram& prog,
 }
 
 StepMutation shallowStepHalo(const core::StepProgram& prog,
-                             core::StepFuse fuse, std::uint64_t seed) {
+                             std::uint64_t seed) {
   StepMutation mut;
   mut.prog = prog;
-  mut.plan = core::planStepHalos(prog, fuse);
+  mut.plan = core::planStepHalos(prog);
   const std::vector<std::size_t> cand = keptExchanges(prog, mut.plan);
   if (cand.empty()) {
     mut.what = "shallowStepHalo: no kept exchange to shave";
@@ -910,7 +898,7 @@ StepMutation shallowStepHalo(const core::StepProgram& prog,
 }
 
 StepMutation reorderStepOps(const core::StepProgram& prog,
-                            core::StepFuse fuse, std::uint64_t seed) {
+                            std::uint64_t seed) {
   StepMutation mut;
   mut.prog = prog;
   mut.reference = prog;
@@ -944,14 +932,6 @@ StepMutation reorderStepOps(const core::StepProgram& prog,
     if (!conflict) {
       continue;
     }
-    // Both swapped ops must survive the mutated program's own plan, or
-    // the first divergence is a plan artifact, not the swap itself.
-    StepProgram probe = prog;
-    std::swap(probe.ops[i], probe.ops[i + 1]);
-    const StepHaloPlan pp = core::planStepHalos(probe, fuse);
-    if (pp.width[i] < 0 || pp.width[i + 1] < 0) {
-      continue;
-    }
     cand.push_back(i);
   }
   if (cand.empty()) {
@@ -960,7 +940,7 @@ StepMutation reorderStepOps(const core::StepProgram& prog,
   }
   const std::size_t i = cand[seed % cand.size()];
   std::swap(mut.prog.ops[i], mut.prog.ops[i + 1]);
-  mut.plan = core::planStepHalos(mut.prog, fuse);
+  mut.plan = core::planStepHalos(mut.prog);
   mut.useReference = true;
   mut.valid = true;
   mut.witnessOp = static_cast<int>(i);
@@ -984,7 +964,7 @@ StepMutation reorderStepOps(const core::StepProgram& prog,
 }
 
 StepMutation skewStepCoeff(const core::StepProgram& prog,
-                           core::StepFuse fuse, std::uint64_t seed) {
+                           std::uint64_t seed) {
   StepMutation mut;
   mut.prog = prog;
   mut.reference = prog;
@@ -1002,7 +982,7 @@ StepMutation skewStepCoeff(const core::StepProgram& prog,
   }
   const std::size_t i = cand[seed % cand.size()];
   mut.prog.ops[i].scale *= 1.0 + 1e-12;
-  mut.plan = core::planStepHalos(mut.prog, fuse);
+  mut.plan = core::planStepHalos(mut.prog);
   mut.useReference = true;
   mut.valid = true;
   mut.expect = StepDiagKind::ValueMismatch;
@@ -1012,10 +992,10 @@ StepMutation skewStepCoeff(const core::StepProgram& prog,
 }
 
 StepMutation deepenStepHalo(const core::StepProgram& prog,
-                            core::StepFuse fuse, std::uint64_t seed) {
+                            std::uint64_t seed) {
   StepMutation mut;
   mut.prog = prog;
-  mut.plan = core::planStepHalos(prog, fuse);
+  mut.plan = core::planStepHalos(prog);
   // Only exchanges can be deepened without side effects: a mirror-fill one
   // layer deeper is still well-defined, whereas e.g. a widened stage
   // combine would read ghost layers its RHS never produced.

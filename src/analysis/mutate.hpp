@@ -173,11 +173,13 @@ KernelMutation forgetDeclaredOffset(const KernelFootprintModel& m,
 /// A seeded step-program/halo-plan miscompilation plus the verdict it must
 /// provoke from checkStepProgram (analysis/stepcheck.hpp). `valid == false`
 /// means the program offered no candidate for this mutation class (e.g. a
-/// plan with no kept exchange has nothing to drop); callers skip those.
+/// plan with no exchange has nothing to drop); callers skip those. Every
+/// factory mutates core::planStepHalos(prog), the plan the step graph
+/// runs.
 ///
 /// Check the mutation with
 ///   StepCheckOptions o; if (m.useReference) o.reference = &m.reference;
-///   checkStepProgram(m.prog, fuse, m.plan, o)
+///   checkStepProgram(m.prog, StepFuse::Fused, m.plan, o)
 /// When `expectAdvisory` is false the report's FIRST diagnostic must have
 /// kind `expect` and op `witnessOp`. When true the report must instead be
 /// clean (ok()) but carry an OverDeepHalo advisory at `witnessOp` whose
@@ -195,19 +197,19 @@ struct StepMutation {
   int expectMinWidth = -1;     ///< deepen: the width S3 must prove minimal
 };
 
-/// Drop one kept halo exchange from the plan outright (width -> -1) — the
+/// Drop one halo exchange from the plan outright (width -> 0) — the
 /// classic forgotten exchange before a stage RHS. Expected: ValueMismatch
 /// at the first later op whose written interior is fed by the now-stale
 /// ghosts (predicted by an independent forward staleness pass).
 StepMutation dropStepExchange(const core::StepProgram& prog,
-                              core::StepFuse fuse, std::uint64_t seed);
+                              std::uint64_t seed);
 
-/// Shave one ghost layer off one kept exchange (width w -> w-1) — the
-/// under-provisioned comm-avoiding halo. Expected: ValueMismatch at the
+/// Shave one ghost layer off one exchange (width w -> w-1) — the
+/// under-provisioned halo. Expected: ValueMismatch at the
 /// first op where the missing layer reaches a written interior cell; this
 /// is exactly the width-minimality direction of the S3 tightness proof.
 StepMutation shallowStepHalo(const core::StepProgram& prog,
-                             core::StepFuse fuse, std::uint64_t seed);
+                             std::uint64_t seed);
 
 /// Swap one adjacent pair of genuinely conflicting ops (one writes a slot
 /// the other touches) — the classic stage-combine emitted before its RHS.
@@ -216,19 +218,19 @@ StepMutation shallowStepHalo(const core::StepProgram& prog,
 /// hoisted op now reads a never-written stage temp, ValueMismatch
 /// otherwise.
 StepMutation reorderStepOps(const core::StepProgram& prog,
-                            core::StepFuse fuse, std::uint64_t seed);
+                            std::uint64_t seed);
 
 /// Perturb one combine coefficient by a relative 1e-12 (a wrong Butcher
 /// tableau entry). Checked against the unmutated program as reference.
 /// Expected: ValueMismatch at the skewed op itself.
 StepMutation skewStepCoeff(const core::StepProgram& prog,
-                           core::StepFuse fuse, std::uint64_t seed);
+                           std::uint64_t seed);
 
 /// Deepen one op's halo width by a layer (width w -> w+1, growing plan
 /// depth if needed) — the over-provisioned halo that silently recomputes.
 /// S1 still holds, so expected: a clean report carrying an OverDeepHalo
 /// advisory at the op with proven minimum = the original width.
 StepMutation deepenStepHalo(const core::StepProgram& prog,
-                            core::StepFuse fuse, std::uint64_t seed);
+                            std::uint64_t seed);
 
 } // namespace fluxdiv::analysis::mutate

@@ -286,7 +286,7 @@ struct Machine {
 
   void applyExchange(int s, int w, int op) {
     if (w <= 0) {
-      return; // dropped (-1) or zero layers: nothing moves
+      return; // zero layers: nothing moves
     }
     consume(s, 1 - w, 0, op);
     Bands part;
@@ -398,9 +398,7 @@ struct Machine {
       applyExchange(sop.dst, w, i);
       break;
     case StepOpKind::BoundaryFill:
-      if (w >= 0) {
-        applyBoundaryFill(sop.dst, i);
-      }
+      applyBoundaryFill(sop.dst, i);
       break;
     case StepOpKind::RhsEval:
       applyRhs(sop.src, sop.dst, w, i);
@@ -453,16 +451,13 @@ grid::IntVect witnessCell(int layer, int boxSize) {
   return {d, d, d};
 }
 
-/// Storage depth the plan implies: every kept width fits, every RHS
-/// source read (width + kG) fits, and at least the declared depth / the
-/// base ghost width.
+/// Storage depth the plan implies: every width fits, every RHS source
+/// read (width + kG) fits, and at least the declared depth / the base
+/// ghost width.
 int storageDepth(const StepProgram& prog, const StepHaloPlan& plan) {
   int d = std::max(plan.depth, kG);
   for (std::size_t i = 0; i < prog.ops.size(); ++i) {
     const int w = i < plan.width.size() ? plan.width[i] : 0;
-    if (w < 0) {
-      continue;
-    }
     d = std::max(d, prog.ops[i].kind == StepOpKind::RhsEval ? w + kG : w);
   }
   return d;
@@ -512,7 +507,7 @@ struct RunOutcome {
 RunOutcome runLockstep(const StepProgram& prog, const StepHaloPlan& plan,
                        const StepProgram& ref, const StepCheckOptions& opts,
                        ExprTable& tab, bool track) {
-  const StepHaloPlan eager = core::planStepHalos(ref, StepFuse::Eager);
+  const StepHaloPlan eager = core::planStepHalos(ref);
   const int depth =
       std::max(storageDepth(prog, plan), storageDepth(ref, eager));
 
@@ -683,7 +678,7 @@ StepCheckReport checkStepProgram(const StepProgram& prog, StepFuse fuse,
     // S2 advisories: ops whose written values nothing ever consumed.
     run.plan.consumeOutput();
     for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-      if (plan.width[i] < 0 || run.consumed[i] != 0) {
+      if (run.consumed[i] != 0) {
         continue;
       }
       const StepOp& op = prog.ops[i];
@@ -700,7 +695,7 @@ StepCheckReport checkStepProgram(const StepProgram& prog, StepFuse fuse,
   }
 
   if (report.ok() && opts.checkTightness) {
-    // S3: every kept positive width must be minimal — width-1 breaks S1.
+    // S3: every positive width must be minimal — width-1 breaks S1.
     StepCheckOptions sub = opts;
     sub.checkTightness = false;
     for (std::size_t i = 0; i < prog.ops.size(); ++i) {
@@ -740,8 +735,7 @@ StepCheckReport checkStepProgram(const StepProgram& prog, StepFuse fuse,
 
 StepCheckReport checkStepProgram(const StepProgram& prog, StepFuse fuse,
                                  const StepCheckOptions& opts) {
-  return checkStepProgram(prog, fuse, core::planStepHalos(prog, fuse),
-                          opts);
+  return checkStepProgram(prog, fuse, core::planStepHalos(prog), opts);
 }
 
 std::vector<CostNote> stepCheckNotes(const StepCheckReport& report,

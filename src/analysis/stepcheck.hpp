@@ -6,14 +6,11 @@
 // (this file). It interprets a core::StepProgram symbolically — per slot,
 // per *ghost/interior layer* — building hash-consed provenance
 // expressions for every value the op chain produces, and proves that the
-// fuse transforms of core::StepGraphExecutor cannot change the answer:
+// halo plan core::StepGraphExecutor lowers cannot change the answer:
 //
-//   S1 equivalence   under the fuse mode's StepHaloPlan, every
-//                    valid-region layer of every slot carries the same
-//                    provenance expression as under eager semantics —
-//                    including that CommAvoid's halo *recomputation*
-//                    reproduces exactly what the dropped exchanges would
-//                    have delivered. Failure carries a minimal witness
+//   S1 equivalence   under the StepHaloPlan, every valid-region layer of
+//                    every slot carries the same provenance expression as
+//                    under eager semantics. Failure carries a minimal witness
 //                    (first op whose written interior diverges, deepest
 //                    diverging layer, a concrete witness cell).
 //   S2 liveness      no op reads a slot layer that was never written
@@ -37,13 +34,8 @@
 // is an ordered list of layer bands sharing one expression; an exchange
 // fills ghost layer L with the interior expression at layer 1-L (what the
 // neighbor's valid cells hold); an RHS evaluation at layer L reads the
-// window [L-g, L+g]. Both the fuse-mode run and the eager reference run
+// window [L-g, L+g]. Both the planned run and the eager reference run
 // intern expressions into one table, so S1 is a per-layer id comparison.
-//
-// Note CommAvoid's planStepHalos deliberately drops BoundaryFill ops
-// (width -1). For programs that contain them the checker duly reports the
-// S1 break — proving *why* StepGraphExecutor::effectiveFuse falls back to
-// Fused on boundary conditions rather than asserting it.
 
 #include <array>
 #include <cstdint>
@@ -114,14 +106,14 @@ struct StepCheckReport {
   std::vector<StepDiagnostic> diagnostics;
   std::vector<StepAdvisory> advisories;
   std::size_t exprCount = 0; ///< hash-consed provenance DAG size
-  int planDepth = 0;         ///< deepest kept exchange of the plan
+  int planDepth = 0;         ///< deepest exchange of the plan
 
   [[nodiscard]] bool ok() const { return diagnostics.empty(); }
 };
 
-/// Prove S1/S2/S3 for `prog` under `plan` (as fuse mode `fuse` would run
-/// it) against the eager reference semantics. The two-argument overload
-/// plans the halos itself with core::planStepHalos.
+/// Prove S1/S2/S3 for `prog` under `plan` against the eager reference
+/// semantics; `fuse` labels the report. The overload without a plan takes
+/// core::planStepHalos(prog).
 StepCheckReport checkStepProgram(const core::StepProgram& prog,
                                  core::StepFuse fuse,
                                  const core::StepHaloPlan& plan,

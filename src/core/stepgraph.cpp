@@ -74,16 +74,15 @@ analysis::StepShapeKey stepShapeKeyOf(const LevelData& u,
 
 #ifdef FLUXDIV_VERIFY
 /// Whole-step gate: before the first capture of each distinct
-/// (program, fuse, layout, physics) signature, prove the fuse mode's halo
-/// plan semantically equivalent to the eager reference (stepcheck S1/S2).
+/// (program, layout, physics) signature, prove the graph's halo plan
+/// semantically equivalent to the eager reference (stepcheck S1/S2).
 /// Tightness (S3) is advisory and proven offline by the stepcheck test
 /// suite (tests/analysis/test_stepcheck.cpp), so the gate skips it.
-void verifyStepOnce(const StepProgram& prog, StepFuse fuse,
-                    const StepHaloPlan& plan, const LevelData& u,
-                    const StepRhsSpec& rhs) {
+void verifyStepOnce(const StepProgram& prog, const StepHaloPlan& plan,
+                    const LevelData& u, const StepRhsSpec& rhs) {
   static analysis::VerifyGate gate;
-  const std::uint64_t sig =
-      analysis::stepSignature(prog, fuse, stepShapeKeyOf(u, rhs));
+  const std::uint64_t sig = analysis::stepSignature(
+      prog, StepFuse::Fused, stepShapeKeyOf(u, rhs));
   if (!gate.shouldVerify(analysis::stepSignatureHex(sig))) {
     return;
   }
@@ -92,7 +91,7 @@ void verifyStepOnce(const StepProgram& prog, StepFuse fuse,
   opts.nBoxes = static_cast<int>(u.size());
   opts.checkTightness = false;
   const analysis::StepCheckReport report =
-      analysis::checkStepProgram(prog, fuse, plan, opts);
+      analysis::checkStepProgram(prog, StepFuse::Fused, plan, opts);
   if (report.ok()) {
     return;
   }
@@ -102,9 +101,7 @@ void verifyStepOnce(const StepProgram& prog, StepFuse fuse,
     msgs.push_back(d.message());
   }
   throw std::logic_error(analysis::verifyFailureMessage(
-      "StepGraphExecutor: step-program verification failed under fuse '" +
-          std::string(stepFuseName(fuse)) + "'",
-      msgs));
+      "StepGraphExecutor: step-program verification failed", msgs));
 }
 
 /// Exchange plans are pure functions of the domain (box and periodicity),
@@ -127,8 +124,7 @@ std::string levelShapeKey(const LevelData& level) {
 /// Exchange-plan gate: before a capture lowers the exchanges of a
 /// slot level, prove the level's exchange plan exact, matched, and
 /// deadlock-free (analysis/commcheck) under rank partitions {1,2,4,8}.
-/// Each distinct (layout, ghost depth) is proven once per process — the
-/// solution's standard plan, and CommAvoid's deepened one.
+/// Each distinct (layout, ghost depth) is proven once per process.
 void verifyCommOnce(const LevelData& level) {
   static analysis::VerifyGate gate;
   if (level.size() == 0 || level.nGhost() <= 0 ||
@@ -257,21 +253,18 @@ private:
   std::vector<std::set<int>> preds_;
 };
 
-/// Everything lowerOp() needs about the capture being built. `slots` is
-/// the lowering-time view (layouts, copiers, valid boxes); `tab` is the
-/// capture's *runtime* slot table, which task lambdas capture and
-/// dereference on every execution so rebinding an entry (layout-keyed
-/// reuse after the solution is reallocated) retargets every task without
-/// re-lowering.
+/// Everything lowerOp() needs about the capture being built. `tab` is the
+/// capture's runtime slot table: the lowering reads layouts, copiers and
+/// valid boxes through it, and task lambdas capture it and dereference it
+/// on every execution, so rebinding an entry (layout-keyed reuse after the
+/// solution is reallocated) retargets every task without re-lowering.
 struct LowerEnv {
   const VariantConfig& cfg;
   WorkspacePool& ws;
   int nThreads;
   const StepProgram& prog;
-  StepRhsSpec rhs;
-  std::vector<LevelData*> slots; ///< program slot -> backing storage
-  LevelData* const* tab;         ///< runtime slot table (Capture-owned)
-  const StepHaloPlan& plan;
+  const StepRhsSpec& rhs;
+  LevelData* const* tab; ///< program slot -> storage (Capture-owned)
   LevelPolicy policy;
 
   [[nodiscard]] int ownerOf(std::size_t b) const {
@@ -293,24 +286,16 @@ std::string tileTag(const std::string& base, const std::string& single,
   return n == 1 ? single : base + std::to_string(t);
 }
 
-/// Task decomposition of one RHS evaluation over one box. Comm-avoiding
-/// runs a widened region as one task (the deep exchange already happened),
-/// and so does the sequential policy, whose coarse tasks mirror the seed
-/// loop's granularity. Otherwise each of the box's logical tiles
-/// (logicalTiles) is one whole-tile task; the lowering's access log makes
-/// it wait for exactly the exchange copies its read footprint overlaps.
-/// The pieces always partition the region, and every family accumulates
-/// each cell's flux differences in the same per-cell order, so any
-/// decomposition is bit-identical.
-std::vector<NamedRegion> rhsRegions(const LowerEnv& env, const Box& valid,
-                                    int w) {
+/// Task decomposition of one RHS evaluation over one box. The sequential
+/// policy runs the box as one task, mirroring the seed loop's
+/// granularity. Otherwise each of the box's logical tiles (logicalTiles)
+/// is one whole-tile task; the lowering's access log makes it wait for
+/// exactly the exchange copies its read footprint overlaps. The pieces
+/// always partition the box, and every family accumulates each cell's
+/// flux differences in the same per-cell order, so any decomposition is
+/// bit-identical.
+std::vector<NamedRegion> rhsRegions(const LowerEnv& env, const Box& valid) {
   std::vector<NamedRegion> out;
-  if (w > 0) {
-    // append, not "w" + ...: GCC 12 inlines that into a false -Wrestrict.
-    out.push_back(
-        {valid.grow(w), std::string("w").append(std::to_string(w))});
-    return out;
-  }
   if (env.policy == LevelPolicy::BoxSequential) {
     out.push_back({valid, "all"});
     return out;
@@ -324,12 +309,12 @@ std::vector<NamedRegion> rhsRegions(const LowerEnv& env, const Box& valid,
 
 /// Task decomposition of one stage combine (copy/axpy/scale) over one
 /// box: one task per logical tile, or one whole-box task under the
-/// sequential policy and on comm-avoiding's widened regions.
+/// sequential policy.
 std::vector<NamedRegion> combineRegions(const LowerEnv& env,
-                                        const Box& valid, int w) {
+                                        const Box& valid) {
   std::vector<NamedRegion> out;
-  if (w > 0 || env.policy == LevelPolicy::BoxSequential) {
-    out.push_back({valid.grow(w), w > 0 ? " w" + std::to_string(w) : ""});
+  if (env.policy == LevelPolicy::BoxSequential) {
+    out.push_back({valid, ""});
     return out;
   }
   const std::vector<Box> tiles = logicalTiles(valid);
@@ -340,7 +325,7 @@ std::vector<NamedRegion> combineRegions(const LowerEnv& env,
 }
 
 void lowerExchange(Lowering& low, LowerEnv& env, const StepOp& op) {
-  LevelData& level = *env.slots[static_cast<std::size_t>(op.dst)];
+  LevelData& level = *env.tab[static_cast<std::size_t>(op.dst)];
   const auto& ops = level.copier().ops();
   const int nc = level.nComp();
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -367,7 +352,7 @@ void lowerBoundaryFill(Lowering& low, LowerEnv& env, const StepOp& op) {
   if (bf == nullptr) {
     return;
   }
-  LevelData& level = *env.slots[static_cast<std::size_t>(op.dst)];
+  LevelData& level = *env.tab[static_cast<std::size_t>(op.dst)];
   const grid::ProblemDomain& domain = level.layout().domain();
   const Box dom = domain.box();
   const int nc = level.nComp();
@@ -433,8 +418,8 @@ void lowerBoundaryFill(Lowering& low, LowerEnv& env, const StepOp& op) {
   }
 }
 
-void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
-  LevelData& dst = *env.slots[static_cast<std::size_t>(op.dst)];
+void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op) {
+  LevelData& dst = *env.tab[static_cast<std::size_t>(op.dst)];
   const int nc = dst.nComp();
   const bool firstWrite = !low.rhsWritten[static_cast<std::size_t>(op.dst)];
   low.rhsWritten[static_cast<std::size_t>(op.dst)] = true;
@@ -473,7 +458,7 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
     WorkspacePool* ws = &env.ws;
     const Real scale = -env.rhs.invDx;
     const Real diss = env.rhs.dissipation;
-    for (const NamedRegion& nr : rhsRegions(env, valid, w)) {
+    for (const NamedRegion& nr : rhsRegions(env, valid)) {
       const Box region = nr.region;
       const int t = low.addTask(
           [cfg, ws, tab, srcSlot, dstSlot, b, region, nc, scale,
@@ -506,15 +491,15 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
   }
 }
 
-void lowerCombine(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
-  LevelData& dst = *env.slots[static_cast<std::size_t>(op.dst)];
+void lowerCombine(Lowering& low, LowerEnv& env, const StepOp& op) {
+  LevelData& dst = *env.tab[static_cast<std::size_t>(op.dst)];
   const int nc = dst.nComp();
   LevelData* const* tab = env.tab;
   const auto srcSlot = static_cast<std::size_t>(op.src);
   const auto dstSlot = static_cast<std::size_t>(op.dst);
   for (std::size_t b = 0; b < dst.size(); ++b) {
     const Box valid = dst.validBox(b);
-    for (const NamedRegion& nr : combineRegions(env, valid, w)) {
+    for (const NamedRegion& nr : combineRegions(env, valid)) {
       const Box region = nr.region;
       TaskGraph::Fn fn;
       std::string label;
@@ -565,12 +550,7 @@ void lowerCombine(Lowering& low, LowerEnv& env, const StepOp& op, int w) {
   }
 }
 
-void lowerOp(Lowering& low, LowerEnv& env, std::size_t opIdx) {
-  const StepOp& op = env.prog.ops[opIdx];
-  const int w = env.plan.width[opIdx];
-  if (w < 0) {
-    return; // dropped by the comm-avoiding transform
-  }
+void lowerOp(Lowering& low, LowerEnv& env, const StepOp& op) {
   switch (op.kind) {
   case StepOpKind::Exchange:
     lowerExchange(low, env, op);
@@ -579,12 +559,12 @@ void lowerOp(Lowering& low, LowerEnv& env, std::size_t opIdx) {
     lowerBoundaryFill(low, env, op);
     break;
   case StepOpKind::RhsEval:
-    lowerRhsEval(low, env, op, w);
+    lowerRhsEval(low, env, op);
     break;
   case StepOpKind::CopySlot:
   case StepOpKind::AxpySlot:
   case StepOpKind::ScaleSlot:
-    lowerCombine(low, env, op, w);
+    lowerCombine(low, env, op);
     break;
   }
 }
@@ -608,20 +588,15 @@ struct StepGraphExecutor::Capture {
   const grid::BoundaryFiller* boundary = nullptr;
 
   // Lowered state.
-  StepFuse fuse = StepFuse::Fused;
   /// S4 rebind signature (analysis::stepSignature over the key above plus
-  /// the program and fuse), re-derived and matched on every rebind.
+  /// the program), re-derived and matched on every rebind.
   std::uint64_t signature = 0;
-  int depth = kNumGhost;
-  const LevelData* boundU = nullptr; ///< what the rebind slot points at
-  std::vector<LevelData> stage; ///< Fused: slots 1..nSlots-1
-  std::vector<LevelData> deep;  ///< CommAvoid: all slots at `depth` ghosts
-  /// Runtime slot table every task lambda dereferences: entries
-  /// 0..nSlots-1 back the program slots, entry nSlots is the external
-  /// solution under CommAvoid (copyin/copyout). Heap-allocated once per
-  /// capture so its address outlives rebinds.
+  const LevelData* boundU = nullptr; ///< what slot 0 points at
+  std::vector<LevelData> stage; ///< slots 1..nSlots-1
+  /// Runtime slot table every task lambda dereferences, one entry per
+  /// program slot; entry 0 is the caller's solution, the rebind target.
+  /// Heap-allocated once per capture so its address outlives rebinds.
   std::unique_ptr<LevelData*[]> tab;
-  int rebindSlot = 0; ///< tab index that tracks the caller's solution
   TaskGraph graph;
   analysis::TaskGraphModel model;
   std::vector<std::pair<int, std::size_t>> epochTargets;
@@ -659,35 +634,9 @@ StepGraphExecutor::StepGraphExecutor(VariantConfig cfg, int nThreads,
       pool_(opts.sharedPool != nullptr ? opts.sharedPool
                                        : ownedPool_.get()),
       ws_(nThreads_),
-      runner_(std::make_unique<FluxDivRunner>(cfg, nThreads_)) {
-  if (opts_.fuse == StepFuse::Eager) {
-    throw std::invalid_argument(
-        "StepGraphExecutor: StepFuse::Eager is the reference path; use "
-        "the integrator's eager loop");
-  }
-}
+      runner_(std::make_unique<FluxDivRunner>(cfg, nThreads_)) {}
 
 StepGraphExecutor::~StepGraphExecutor() = default;
-
-StepFuse StepGraphExecutor::effectiveFuse(const StepProgram& prog,
-                                          const grid::LevelData& u,
-                                          const StepRhsSpec& rhs) const {
-  if (opts_.fuse != StepFuse::CommAvoid) {
-    return opts_.fuse;
-  }
-  if (rhs.boundary != nullptr) {
-    return StepFuse::Fused; // BCs need the per-stage ghost rebuild
-  }
-  const int depth = planStepHalos(prog, StepFuse::CommAvoid).depth;
-  for (std::size_t b = 0; b < u.size(); ++b) {
-    for (int d = 0; d < grid::SpaceDim; ++d) {
-      if (depth > u.validBox(b).size(d)) {
-        return StepFuse::Fused; // halo deeper than the box: no exchange
-      }
-    }
-  }
-  return StepFuse::CommAvoid;
-}
 
 StepGraphExecutor::Capture&
 StepGraphExecutor::ensureCapture(const StepProgram& prog,
@@ -704,7 +653,7 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
       // the signature of what we are about to run equals the one the
       // graph was captured (and step-verified) under.
       const std::uint64_t sig = analysis::stepSignature(
-          prog, capture_->fuse, stepShapeKeyOf(u, rhs));
+          prog, StepFuse::Fused, stepShapeKeyOf(u, rhs));
       if (sig != capture_->signature) {
         throw std::logic_error(
             "StepGraphExecutor: rebind signature mismatch (captured " +
@@ -713,7 +662,7 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
             "): the cache key admitted a shape the graph was never "
             "verified for");
       }
-      capture_->tab[static_cast<std::size_t>(capture_->rebindSlot)] = &u;
+      capture_->tab[0] = &u;
       capture_->boundU = &u;
       ++stats_.rebinds;
     }
@@ -744,14 +693,12 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   cap->dissipation = rhs.dissipation;
   cap->boundary = rhs.boundary;
   cap->boundU = &u;
-  cap->fuse = effectiveFuse(prog, u, rhs);
 
-  const StepHaloPlan plan = planStepHalos(prog, cap->fuse);
-  cap->depth = plan.depth;
+  const StepHaloPlan plan = planStepHalos(prog);
   cap->signature =
-      analysis::stepSignature(prog, cap->fuse, stepShapeKeyOf(u, rhs));
+      analysis::stepSignature(prog, StepFuse::Fused, stepShapeKeyOf(u, rhs));
 #ifdef FLUXDIV_VERIFY
-  verifyStepOnce(prog, cap->fuse, plan, u, rhs);
+  verifyStepOnce(prog, plan, u, rhs);
 #endif
 
   // Schedule-legality and kernel-contract gates for every box shape the
@@ -761,83 +708,29 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
     runner_->prepare(u.validBox(b));
   }
 
-  // Backing storage. Fused: the solution slot is the caller's level;
-  // stage slots get standard-ghost levels. CommAvoid: every slot —
-  // including a private copy of the solution — gets a deepened-halo level
-  // so the one up-front exchange can feed the whole widened chain. The
-  // runtime slot table carries one extra entry (index nSlots) for the
-  // external solution, which CommAvoid's copyin/copyout tasks use; the
-  // entry tracking the caller's level is the rebind target.
-  std::vector<LevelData*> slots(static_cast<std::size_t>(prog.nSlots));
-  cap->tab.reset(new LevelData*[static_cast<std::size_t>(prog.nSlots + 1)]);
-  if (cap->fuse == StepFuse::CommAvoid) {
-    cap->deep.reserve(static_cast<std::size_t>(prog.nSlots));
-    for (int s = 0; s < prog.nSlots; ++s) {
-      cap->deep.emplace_back(u.layout(), kNumComp, cap->depth);
-      slots[static_cast<std::size_t>(s)] = &cap->deep.back();
-    }
-    cap->rebindSlot = prog.nSlots;
-  } else {
-    slots[0] = &u;
-    cap->stage.reserve(static_cast<std::size_t>(prog.nSlots - 1));
-    for (int s = 1; s < prog.nSlots; ++s) {
-      cap->stage.emplace_back(u.layout(), kNumComp, kNumGhost);
-      slots[static_cast<std::size_t>(s)] = &cap->stage.back();
-    }
-    cap->rebindSlot = 0;
+  // Backing storage: the solution slot is the caller's level; stage slots
+  // get standard-ghost levels owned by the capture.
+  cap->tab.reset(new LevelData*[static_cast<std::size_t>(prog.nSlots)]);
+  cap->tab[0] = &u;
+  cap->stage.reserve(static_cast<std::size_t>(prog.nSlots - 1));
+  for (int s = 1; s < prog.nSlots; ++s) {
+    cap->stage.emplace_back(u.layout(), kNumComp, kNumGhost);
+    cap->tab[static_cast<std::size_t>(s)] = &cap->stage.back();
   }
-  for (int s = 0; s < prog.nSlots; ++s) {
-    cap->tab[static_cast<std::size_t>(s)] =
-        slots[static_cast<std::size_t>(s)];
-  }
-  cap->tab[static_cast<std::size_t>(prog.nSlots)] = &u;
 #ifdef FLUXDIV_VERIFY
-  for (const LevelData* level : slots) {
-    verifyCommOnce(*level);
+  for (int s = 0; s < prog.nSlots; ++s) {
+    verifyCommOnce(*cap->tab[static_cast<std::size_t>(s)]);
   }
 #endif
 
-  LowerEnv env{cfg_, ws_, nThreads_, prog, rhs, slots, cap->tab.get(),
-               plan, opts_.policy};
-  if (cap->fuse == StepFuse::CommAvoid) {
-    env.rhs.boundary = nullptr; // periodic only; BC ops are dropped
-  }
-
-  Lowering low(cfg_.name() + " [step " + stepFuseName(cap->fuse) + " " +
-                   levelPolicyName(opts_.policy) + "]",
+  LowerEnv env{cfg_, ws_, nThreads_, prog, rhs, cap->tab.get(),
+               opts_.policy};
+  Lowering low(cfg_.name() + " [step " + stepFuseName(StepFuse::Fused) +
+                   " " + levelPolicyName(opts_.policy) + "]",
                u);
   low.rhsWritten.assign(static_cast<std::size_t>(prog.nSlots), false);
-  const int nc = u.nComp();
-  LevelData* const* tab = cap->tab.get();
-  const auto extSlot = static_cast<std::size_t>(prog.nSlots);
-  if (cap->fuse == StepFuse::CommAvoid) {
-    // Copy the caller's solution into the deep slot (model slot nSlots
-    // identifies the external level).
-    for (std::size_t b = 0; b < u.size(); ++b) {
-      const Box valid = u.validBox(b);
-      const int t = low.addTask(
-          [tab, extSlot, b, valid, nc](int) {
-            (*tab[0])[b].copy((*tab[extSlot])[b], valid, 0, 0, nc);
-          },
-          env.ownerOf(b), "copyin u box" + std::to_string(b));
-      low.access(t, prog.nSlots, b, valid, nc, false);
-      low.access(t, 0, b, valid, nc, true);
-    }
-  }
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    lowerOp(low, env, i);
-  }
-  if (cap->fuse == StepFuse::CommAvoid) {
-    for (std::size_t b = 0; b < u.size(); ++b) {
-      const Box valid = u.validBox(b);
-      const int t = low.addTask(
-          [tab, extSlot, b, valid, nc](int) {
-            (*tab[extSlot])[b].copy((*tab[0])[b], valid, 0, 0, nc);
-          },
-          env.ownerOf(b), "copyout u box" + std::to_string(b));
-      low.access(t, 0, b, valid, nc, false);
-      low.access(t, prog.nSlots, b, valid, nc, true);
-    }
+  for (const StepOp& op : prog.ops) {
+    lowerOp(low, env, op);
   }
   cap->graph = std::move(low.graph);
   cap->model = std::move(low.model);
@@ -853,9 +746,9 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   stats_ = StepGraphStats{};
   stats_.cacheHits = hits; // lifetime counters survive rebuilds
   stats_.rebinds = rebinds;
-  stats_.fuse = cap->fuse;
+  stats_.fuse = StepFuse::Fused;
   stats_.graphCount = 1;
-  stats_.exchangeDepth = cap->depth;
+  stats_.exchangeDepth = plan.depth;
   stats_.rebuilt = true;
   stats_.taskCount = cap->graph.size();
   stats_.edgeCount = cap->model.edgeCount();

@@ -11,41 +11,29 @@
 // boxes are still in flight (the delayed-execution idea of the OPS
 // runtime-tiling work, applied to our RK substep chains).
 //
-// Two executable fuse modes (core::StepFuse; StepFuse::Eager stays in
-// solvers as the reference path). Either way a capture is exactly one
-// graph, dispatched once per run:
+// One graph mode, StepFuse::Fused (StepFuse::Eager stays in solvers as
+// the serial reference path). A capture is exactly one graph, dispatched
+// once per run, over the whole step (or several steps): only true data
+// dependencies order tasks across stages. Under the parallel level policy
+// each box's RHS and copyValid/addScaled stage combines run as one task
+// per logical tile (core::logicalTiles: full-x x 16 x 16), so one large
+// box keeps every worker busy and a tile's stage-2 compute starts right
+// after its stage-1 producers.
 //
-//   Fused      the whole step (or several steps): only true data
-//              dependencies order tasks across stages. Under the
-//              parallel level policy each box's RHS and copyValid/
-//              addScaled stage combines run as one task per logical tile
-//              (core::logicalTiles: full-x x 16 x 16), so one large box
-//              keeps every worker busy and a tile's stage-2 compute
-//              starts right after its stage-1 producers.
-//   CommAvoid  one *deepened* exchange of kNumGhost x rhsEvals ghost
-//              layers up front; every stage recomputes its RHS on a halo
-//              widened by a backward dataflow analysis (planStepHalos),
-//              eliminating the per-stage exchanges entirely — the paper's
-//              overlapped-tile recomputation generalized from intra-step
-//              to inter-step. Falls back to Fused when the program needs
-//              boundary conditions or the depth exceeds the box size.
-//
-// All modes are bit-identical to the eager reference: RHS tasks reuse the
+// The graph is bit-identical to the eager reference: RHS tasks reuse the
 // per-region serial dispatch (every family accumulates each cell's x, y,
-// z flux differences in the same per-cell order), combines partition the
-// valid region, and comm-avoiding recomputation only changes *where*
-// ghost values come from, never the arithmetic on valid cells.
+// z flux differences in the same per-cell order) and both RHS and
+// combine tasks partition the valid region.
 //
 // The captured graph is mirrored into an analysis::TaskGraphModel with
 // slot-qualified footprints (TaskAccess::slot). In Debug or with
 // -DFLUXDIV_VERIFY=ON it is proven race-free by analysis/graphcheck before
 // its first execution, and before its first capture the step program is
 // proven equivalent to eager by analysis/stepcheck and the exchange plan
-// of every slot level, CommAvoid's deepened one included, is proven
-// exact, matched, and deadlock-free by analysis/commcheck. Shadow-epoch
-// barrier tasks (orderingOnly in the model) re-arm the
-// FLUXDIV_SHADOW_CHECK write detector between successive RHS writes into
-// the same stage slot.
+// of every slot level is proven exact, matched, and deadlock-free by
+// analysis/commcheck. Shadow-epoch barrier tasks (orderingOnly in the
+// model) re-arm the FLUXDIV_SHADOW_CHECK write detector between
+// successive RHS writes into the same stage slot.
 
 #include <cstddef>
 #include <cstdint>
@@ -78,7 +66,6 @@ struct StepRhsSpec {
 
 struct StepExecOptions {
   LevelPolicy policy = LevelPolicy::BoxParallel;
-  StepFuse fuse = StepFuse::Fused;
   bool pin = false;       ///< TaskPool worker pinning (owned pool only)
   ReplayMode replay{};    ///< adversarial serial replay (tests)
   /// Service mode (docs/serving.md): execute on this externally-owned
@@ -98,7 +85,7 @@ struct StepExecOptions {
 /// *different* allocation with an identical layout signature — the
 /// layout-keyed reuse path (docs/serving.md "Graph cache").
 struct StepGraphStats {
-  StepFuse fuse = StepFuse::Fused;   ///< effective mode after CA fallback
+  StepFuse fuse = StepFuse::Fused;   ///< always Fused: the graph's mode
   std::size_t graphCount = 0;        ///< dispatches per run: always 1
   std::size_t taskCount = 0;         ///< tasks in the graph
   std::size_t edgeCount = 0;         ///< dependency edges in the graph
@@ -116,8 +103,8 @@ struct StepGraphStats {
 /// count, program ops, and physics — not by LevelData pointer identity:
 /// a re-allocated solution with an identical shape rebinds into the
 /// cached graph through the capture's slot table instead of re-lowering
-/// (stats().rebinds counts these). Stage/deep-halo storage is owned by
-/// the executor and reused across runs.
+/// (stats().rebinds counts these). Stage storage is owned by the executor
+/// and reused across runs.
 class StepGraphExecutor {
 public:
   StepGraphExecutor(VariantConfig cfg, int nThreads,
@@ -138,13 +125,6 @@ public:
   [[nodiscard]] analysis::TaskGraphModel
   lowerModel(const StepProgram& prog, grid::LevelData& u,
              const StepRhsSpec& rhs);
-
-  /// The fuse mode that would actually execute for this program/level
-  /// (CommAvoid falls back to Fused on boundary conditions or when the
-  /// deepened halo exceeds the box size).
-  [[nodiscard]] StepFuse effectiveFuse(const StepProgram& prog,
-                                       const grid::LevelData& u,
-                                       const StepRhsSpec& rhs) const;
 
   [[nodiscard]] const StepExecOptions& options() const { return opts_; }
   [[nodiscard]] int nThreads() const { return nThreads_; }

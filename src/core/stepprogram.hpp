@@ -72,22 +72,19 @@ struct StepProgram {
   }
 };
 
-/// Per-op halo plan of one program under one fuse mode, from a backward
-/// dataflow pass: width[i] is the ghost width op i runs at (compute ops
-/// execute on valid.grow(width); exchanges fill `width` ghost layers), or
-/// -1 for exchanges/BC fills the comm-avoiding transform drops. `depth`
-/// is the deepest kept exchange — kNumGhost x rhsEvals for the RK schemes
-/// under StepFuse::CommAvoid, kNumGhost otherwise.
+/// Per-op halo plan of one program: width[i] is the ghost width op i runs
+/// at (exchanges fill `width` ghost layers; compute ops run on
+/// valid.grow(width)), and `depth` is the deepest exchange. analysis/
+/// stepcheck proves a plan equivalent to eager and minimal, and its
+/// mutation suite perturbs the widths.
 struct StepHaloPlan {
   std::vector<int> width;
   int depth = 0;
 };
 
-/// Run the backward halo-width analysis. For Eager/Fused every width is
-/// 0 and every exchange keeps depth kNumGhost; for CommAvoid only the
-/// per-time-step slot-0 exchange survives, deepened so each stage can
-/// recompute its RHS on a correspondingly widened halo.
-StepHaloPlan planStepHalos(const StepProgram& prog, StepFuse fuse);
+/// The halo plan the step-graph lowering runs: every exchange fills
+/// kNumGhost layers and every compute op runs on the valid region.
+StepHaloPlan planStepHalos(const StepProgram& prog);
 
 /// Side in y and z of a logical tile. A fixed constant: on a 4-core Xeon,
 /// an RK4 step of one 128^3 box took 20% less time with 16-wide tiles

@@ -195,8 +195,6 @@ const char* stepFuseName(StepFuse fuse) {
     return "eager";
   case StepFuse::Fused:
     return "fused";
-  case StepFuse::CommAvoid:
-    return "commavoid";
   }
   return "?";
 }
@@ -207,11 +205,6 @@ bool parseStepFuse(const std::string& text, StepFuse& out) {
       out = fuse;
       return true;
     }
-  }
-  // Accept the hyphenated long form too (CI matrix readability).
-  if (text == "comm-avoid" || text == "comm-avoiding") {
-    out = StepFuse::CommAvoid;
-    return true;
   }
   return false;
 }

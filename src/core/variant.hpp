@@ -58,28 +58,24 @@ inline constexpr LevelPolicy kLevelPolicies[] = {
 
 /// How one whole RK step runs. Orthogonal to LevelPolicy, which decides
 /// the per-evaluation task granularity: the fuse mode decides whether the
-/// step is the eager level-wide loop or one task graph
-/// (core/stepgraph.hpp), and whether that graph's per-stage ghost
-/// exchanges are replaced by deepened-halo recomputation (paper Sec. IV-D
-/// generalized from intra-step to inter-step).
+/// step is the serial eager loop (the bit-identity reference) or one task
+/// graph (core/stepgraph.hpp).
 enum class StepFuse {
-  Eager,     ///< reference path: eager exchange -> BC -> rhs -> axpy loops
-  Fused,     ///< one task graph for the whole step, cross-stage deps only
-  CommAvoid, ///< one deepened exchange, stages recompute on widened halos
+  Eager, ///< reference path: eager exchange -> BC -> rhs -> axpy loops
+  Fused, ///< one task graph for the whole step, cross-stage deps only
 };
 
-/// Display / CLI name: "eager", "fused", "commavoid".
+/// Display / CLI name: "eager", "fused".
 [[nodiscard]] const char* stepFuseName(StepFuse fuse);
 
-/// Parse a fuse-mode name (the --fuse and workload-spec `fuse=` values).
-/// Returns false and leaves `out` untouched on an unknown name.
+/// Parse a fuse-mode name (the --fuse values). Returns false and leaves
+/// `out` untouched on an unknown name.
 bool parseStepFuse(const std::string& text, StepFuse& out);
 
-/// All three fuse modes, in ranking/report order.
+/// Both fuse modes, in report order.
 inline constexpr StepFuse kStepFuseModes[] = {
     StepFuse::Eager,
     StepFuse::Fused,
-    StepFuse::CommAvoid,
 };
 
 /// Tile shape for the tiled families — an extension exploring the partial

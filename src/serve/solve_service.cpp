@@ -94,8 +94,7 @@ InstanceSpec parseInstanceSpec(const std::string& line) {
         badToken(line, token);
       }
     } else if (key == "fuse") {
-      spec.autoFuse = (val == "auto");
-      if (!spec.autoFuse && !core::parseStepFuse(val, spec.fuse)) {
+      if (val != "fused" && val != "auto") {
         badToken(line, token);
       }
     } else if (key == "policy") {
@@ -156,7 +155,6 @@ struct SolveService::ExecEntry {
   int nBoxes = 0;
   int steps = 0;
   grid::Real dt = 0;
-  core::StepFuse fuse = core::StepFuse::Fused;
   core::LevelPolicy policy = core::LevelPolicy::BoxParallel;
   int weight = 1;
 
@@ -171,10 +169,10 @@ struct SolveService::ExecEntry {
 
 namespace {
 
-/// The (program, fuse, layout, physics) digest of one instance spec —
-/// the service always solves periodic kNumComp/kNumGhost levels with the
+/// The (program, layout, physics) digest of one instance spec — the
+/// service always solves periodic kNumComp/kNumGhost levels with the
 /// default RHS physics, so the spec determines the whole key.
-std::uint64_t entrySignature(const InstanceSpec& spec, core::StepFuse fuse,
+std::uint64_t entrySignature(const InstanceSpec& spec,
                              const core::StepProgram& prog) {
   const grid::DisjointBoxLayout layout = specLayout(spec);
   analysis::StepShapeKey key;
@@ -190,7 +188,7 @@ std::uint64_t entrySignature(const InstanceSpec& spec, core::StepFuse fuse,
   key.invDx = rhs.invDx;
   key.dissipation = rhs.dissipation;
   key.hasBoundary = false;
-  return analysis::stepSignature(prog, fuse, key);
+  return analysis::stepSignature(prog, core::StepFuse::Fused, key);
 }
 
 } // namespace
@@ -201,12 +199,11 @@ SolveService::SolveService(ServiceOptions opts)
 SolveService::~SolveService() = default;
 
 SolveService::ExecEntry& SolveService::acquireExecutor(
-    const InstanceSpec& spec, core::StepFuse fuse,
-    core::LevelPolicy policy) {
+    const InstanceSpec& spec, core::LevelPolicy policy) {
   for (const std::unique_ptr<ExecEntry>& e : executors_) {
     if (!e->busy && e->scheme == spec.scheme &&
         e->boxSize == spec.boxSize && e->nBoxes == spec.nBoxes &&
-        e->steps == spec.steps && e->dt == spec.dt && e->fuse == fuse &&
+        e->steps == spec.steps && e->dt == spec.dt &&
         e->policy == policy && e->weight == spec.weight) {
       // S4 rebind gate: the shape fields just matched, so the signature
       // of what this spec would capture must equal the one the entry's
@@ -214,8 +211,7 @@ SolveService::ExecEntry& SolveService::acquireExecutor(
       // means the cache key admitted a spec the graphs were never proven
       // for.
       const std::uint64_t sig = entrySignature(
-          spec, fuse,
-          solvers::buildStepProgram(spec.scheme, spec.dt, spec.steps));
+          spec, solvers::buildStepProgram(spec.scheme, spec.dt, spec.steps));
       if (sig != e->signature) {
         throw std::logic_error(
             "SolveService: executor-cache signature mismatch for '" +
@@ -233,19 +229,17 @@ SolveService::ExecEntry& SolveService::acquireExecutor(
   entry->nBoxes = spec.nBoxes;
   entry->steps = spec.steps;
   entry->dt = spec.dt;
-  entry->fuse = fuse;
   entry->policy = policy;
   entry->weight = spec.weight;
   entry->domain = pool_.createDomain(spec.weight, spec.name);
   core::StepExecOptions execOpts;
-  execOpts.fuse = fuse;
   execOpts.policy = policy;
   execOpts.sharedPool = &pool_;
   execOpts.domain = entry->domain;
   entry->exec = std::make_unique<core::StepGraphExecutor>(
       opts_.cfg, pool_.nThreads(), execOpts);
   entry->prog = solvers::buildStepProgram(spec.scheme, spec.dt, spec.steps);
-  entry->signature = entrySignature(spec, fuse, entry->prog);
+  entry->signature = entrySignature(spec, entry->prog);
   entry->busy = true;
   executors_.push_back(std::move(entry));
   return *executors_.back();
@@ -298,7 +292,6 @@ ServiceReport SolveService::run(const std::vector<InstanceSpec>& specs,
     a.u = &u;
     a.report.name = spec.name;
     a.report.scheme = spec.scheme;
-    a.report.fuse = spec.fuse;
     a.report.policy = spec.policy;
 
     // Admission-time tuning: measured record if the key is warm, else a
@@ -306,15 +299,10 @@ ServiceReport SolveService::run(const std::vector<InstanceSpec>& specs,
     // folded back below).
     a.key = tuner::TuneKey{solvers::schemeName(spec.scheme), spec.boxSize,
                            u.nGhost(), pool_.nThreads()};
-    if (opts_.tunedb != nullptr && (spec.autoFuse || spec.autoPolicy)) {
+    if (opts_.tunedb != nullptr && spec.autoPolicy) {
       const tuner::TuneEntry& entry =
           opts_.tunedb->suggest(a.key, spec.nBoxes, opts_.cfg);
-      if (spec.autoFuse) {
-        a.report.fuse = entry.fuse;
-      }
-      if (spec.autoPolicy) {
-        a.report.policy = entry.policy;
-      }
+      a.report.policy = entry.policy;
       a.fromPrior = !entry.measured;
       a.report.tunedFromPrior = a.fromPrior;
       if (a.fromPrior) {
@@ -322,7 +310,7 @@ ServiceReport SolveService::run(const std::vector<InstanceSpec>& specs,
       }
     }
 
-    a.entry = &acquireExecutor(spec, a.report.fuse, a.report.policy);
+    a.entry = &acquireExecutor(spec, a.report.policy);
     a.dom0 = pool_.domainStats(a.entry->domain);
     a.hits0 = a.entry->exec->stats().cacheHits;
     a.rebinds0 = a.entry->exec->stats().rebinds;
@@ -344,7 +332,7 @@ ServiceReport SolveService::run(const std::vector<InstanceSpec>& specs,
     a.report.domain.stolen = d1.stolen - a.dom0.stolen;
     latencies.push_back(a.report.latencySeconds);
     if (opts_.tunedb != nullptr && a.fromPrior) {
-      opts_.tunedb->observe(a.key, a.report.fuse, a.report.policy,
+      opts_.tunedb->observe(a.key, core::StepFuse::Fused, a.report.policy,
                             a.report.stepSeconds);
     }
     a.entry->busy = false;
@@ -439,7 +427,6 @@ void printServiceReport(std::ostream& os, const ServiceReport& report) {
   os.unsetf(std::ios::floatfield);
   for (const InstanceReport& r : report.instances) {
     os << "  " << r.name << ": " << solvers::schemeName(r.scheme) << " "
-       << core::stepFuseName(r.fuse) << "/"
        << core::levelPolicyName(r.policy)
        << (r.tunedFromPrior ? " (prior)" : " (db)") << ", "
        << std::setprecision(4) << r.latencySeconds * 1e3 << " ms, "

@@ -1,6 +1,6 @@
 #pragma once
 // Throughput service mode (docs/serving.md): admit M independent solver
-// instances — different box counts, box sizes, schemes, fuse modes — into
+// instances — different box counts, box sizes, schemes, level policies — into
 // ONE shared work-stealing TaskPool. Each instance's RK step is lowered
 // through its own StepGraphExecutor into the pool under a per-instance
 // task domain, so captured graphs from different instances interleave in
@@ -8,7 +8,7 @@
 // single orchestrator thread submits each instance's one step graph,
 // harvests completions with waitAny(), and records per-solve latency;
 // admission consults a persistent tuner::TuneDB so repeat traffic is
-// admitted with measured (fuse, policy) choices and never re-tunes, while
+// admitted with measured level-policy choices and never re-tunes, while
 // cold traffic is admitted on cost-model priors and measured once.
 
 #include <cstddef>
@@ -38,16 +38,16 @@ struct InstanceSpec {
   int steps = 2;      ///< time steps per solve
   grid::Real dt = 1e-4;
   int weight = 1;     ///< fair-share weight of the instance's task domain
-  bool autoFuse = true;   ///< consult the TuneDB / prior for the fuse mode
-  bool autoPolicy = true; ///< same for the level policy
-  core::StepFuse fuse = core::StepFuse::Fused;         ///< when !autoFuse
+  bool autoPolicy = true; ///< consult the TuneDB / prior for the policy
   core::LevelPolicy policy = core::LevelPolicy::BoxParallel; ///< when
                                                              ///< !autoPolicy
 };
 
 /// Parse one workload line: `name key=value...` with keys scheme, box,
-/// nboxes, steps, dt, weight, fuse, policy (fuse/policy accept "auto").
-/// Throws std::invalid_argument with the offending token.
+/// nboxes, steps, dt, weight, fuse, policy (policy accepts "auto"). Every
+/// solve runs the fused step graph, so `fuse=` accepts only `fused` and
+/// `auto`, kept so existing workload files still parse. Throws
+/// std::invalid_argument with the offending token.
 InstanceSpec parseInstanceSpec(const std::string& line);
 
 /// Parse a workload stream/file: one instance per line, '#' comments and
@@ -78,7 +78,6 @@ struct ServiceOptions {
 struct InstanceReport {
   std::string name;
   solvers::Scheme scheme = solvers::Scheme::RK4;
-  core::StepFuse fuse = core::StepFuse::Fused;     ///< as admitted
   core::LevelPolicy policy = core::LevelPolicy::BoxParallel;
   bool tunedFromPrior = false; ///< admission fell back to the cost model
                                ///< (a re-tune: the solve was measured and
@@ -138,14 +137,14 @@ public:
 
 private:
   /// Cached (executor, domain, program) for one solve shape — scheme, box
-  /// size, box count, steps, dt, fuse, policy, weight. Repeat traffic of
+  /// size, box count, steps, dt, policy, weight. Repeat traffic of
   /// the same shape reuses the entry, so its layout-signature-keyed graph
   /// cache REBINDS onto the new solution allocation instead of
   /// re-lowering (InstanceReport::cacheHits counts these); the entry's
   /// task domain is created once and lives for the pool's lifetime.
   struct ExecEntry;
 
-  ExecEntry& acquireExecutor(const InstanceSpec& spec, core::StepFuse fuse,
+  ExecEntry& acquireExecutor(const InstanceSpec& spec,
                              core::LevelPolicy policy);
 
   ServiceOptions opts_;

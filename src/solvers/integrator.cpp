@@ -163,13 +163,11 @@ TimeIntegrator::stepExecutor(const FluxDivRhs& rhs) {
   }
   core::StepExecOptions opts;
   opts.policy = policy_;
-  opts.fuse = fuse_;
   opts.replay = replay_;
   const bool reusable =
       exec_ != nullptr && execCfg_ == rhs.config() &&
       exec_->nThreads() == rhs.nThreads() &&
       exec_->options().policy == opts.policy &&
-      exec_->options().fuse == opts.fuse &&
       exec_->options().replay.order == opts.replay.order &&
       exec_->options().replay.seed == opts.replay.seed;
   if (!reusable) {

@@ -8,14 +8,12 @@
 // (buildStepProgram). Two execution paths per step (core::StepFuse):
 //   * Eager: the program interpreted serially, op by op — each stage
 //     synchronously exchanges, evaluates the RHS, and combines stages with
-//     level-wide sweeps. The bit-identity reference for everything below.
-//   * Fused / CommAvoid: the program is lowered by
-//     core::StepGraphExecutor into one dependency-tracked task graph —
-//     the stage combines become per-box/per-tile tasks and cross-stage
-//     tasks overlap (Fused), or per-stage exchanges are replaced by one
-//     deepened exchange plus halo recomputation (CommAvoid). Selected by
-//     setStepFuse() (default: fused). All modes produce bit-identical
-//     solutions.
+//     level-wide sweeps. The bit-identity reference for the graph below.
+//   * Fused: the program is lowered by core::StepGraphExecutor into one
+//     dependency-tracked task graph — the stage combines become
+//     per-box/per-tile tasks and cross-stage tasks overlap.
+// Selected by setStepFuse() (default: fused). Both produce bit-identical
+// solutions.
 
 #include <memory>
 #include <vector>
@@ -119,8 +117,8 @@ public:
   /// header comment).
   void advance(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs);
 
-  /// Advance u by `nSteps` steps of size dt. Under Fused/CommAvoid the
-  /// whole sequence is captured as ONE task graph (cross-time-step
+  /// Advance u by `nSteps` steps of size dt. Under Fused the whole
+  /// sequence is captured as ONE task graph (cross-time-step
   /// fusion); under Eager equivalent to calling advance() nSteps times.
   void advanceSteps(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs,
                     int nSteps);
@@ -145,8 +143,8 @@ public:
   [[nodiscard]] const core::StepGraphStats* stepStats() const;
 
   /// The executor a non-eager advance would use, creating it on demand
-  /// (tests poke lowerModel()/effectiveFuse() through this). Null only
-  /// for StepFuse::Eager.
+  /// (tests poke lowerModel() through this). Null only for
+  /// StepFuse::Eager.
   core::StepGraphExecutor* stepExecutor(const FluxDivRhs& rhs);
 
 private:

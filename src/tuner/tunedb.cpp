@@ -65,28 +65,17 @@ TuneEntry costModelPrior(const TuneKey& key, int nBoxes,
   }
   TuneEntry entry;
   entry.key = key;
+  entry.fuse = core::StepFuse::Fused; // the one step-graph mode
   nBoxes = std::max(1, nBoxes);
   const int threads = std::max(1, key.threads);
 
-  // The within-box variant's cost report prices both the RHS work of
-  // every fuse mode and the level policies.
+  // The within-box variant's cost report prices the level policies.
   analysis::CacheSpec spec;
   if (machine.llcBytes > 0) {
     spec.llcBytes = machine.llcBytes;
   }
   const analysis::CostReport box =
       analysis::analyzeCost(cfg, key.boxSize, threads, spec);
-
-  // Fuse mode: the rank-1 row of the step-fusion price list.
-  for (const analysis::StepFusionCost& f : analysis::analyzeStepFusion(
-           solvers::buildStepProgram(scheme, /*dt=*/1.0), box, key.boxSize,
-           nBoxes)) {
-    if (f.rank == 1) {
-      entry.fuse = f.fuse;
-      entry.priorCostBytes = f.costBytes;
-      break;
-    }
-  }
 
   // Level policy: the fastest predicted concurrency profile.
   double bestSpeedup = 0.0;
@@ -264,7 +253,6 @@ bool parseRecord(const std::vector<std::pair<std::string, std::string>>& kv,
   const std::string* fuse = Scanner::get(kv, "fuse");
   const std::string* policy = Scanner::get(kv, "policy");
   const std::string* seconds = Scanner::get(kv, "seconds");
-  const std::string* prior = Scanner::get(kv, "priorCostBytes");
   const std::string* refines = Scanner::get(kv, "refines");
   if (scheme == nullptr || boxSize == nullptr || ghost == nullptr ||
       threads == nullptr || fuse == nullptr || policy == nullptr ||
@@ -278,9 +266,6 @@ bool parseRecord(const std::vector<std::pair<std::string, std::string>>& kv,
       !toDouble(*seconds, e.seconds) ||
       !core::parseStepFuse(*fuse, e.fuse) ||
       !core::parseLevelPolicy(*policy, e.policy)) {
-    return false;
-  }
-  if (prior != nullptr && !toDouble(*prior, e.priorCostBytes)) {
     return false;
   }
   if (refines != nullptr && !toInt(*refines, e.refines)) {
@@ -398,7 +383,6 @@ void TuneDB::save(const std::string& path) const {
     out += ", \"policy\": ";
     appendEscaped(out, core::levelPolicyName(e.policy));
     out += ", \"seconds\": " + formatDouble(e.seconds);
-    out += ", \"priorCostBytes\": " + formatDouble(e.priorCostBytes);
     out += ", \"refines\": " + std::to_string(e.refines);
     out += "}";
   }

@@ -3,9 +3,9 @@
 // "TuneDB"). Records the best-known (fuse mode, level policy) per
 // (machine, scheme, box size, ghost depth, threads) so repeat traffic is
 // admitted without re-tuning: a cold key is answered by a cost-model
-// prior (analysis::analyzeStepFusion + analyzeLevelPolicies rank the
-// candidates for the service's within-box variant before anything is
-// timed), a warm key by the measured record from a previous service run.
+// prior (analysis::analyzeLevelPolicies ranks the level policies for the
+// service's within-box variant before anything is timed), a warm key by
+// the measured record from a previous service run.
 // Storage is a single self-describing JSON file; records carry the
 // machine signature they were measured on, and a file written on a
 // different machine contributes nothing but its existence — every lookup
@@ -59,11 +59,10 @@ struct TuneEntry {
   TuneKey key;
   core::StepFuse fuse = core::StepFuse::Fused;
   core::LevelPolicy policy = core::LevelPolicy::BoxParallel;
-  double seconds = 0.0;        ///< best measured per-step wall time;
-                               ///< 0 while the entry is only a prior
-  double priorCostBytes = 0.0; ///< cost-model price that seeded it
-  bool measured = false;       ///< refined from a real service run?
-  int refines = 0;             ///< measurements folded into the entry
+  double seconds = 0.0;  ///< best measured per-step wall time;
+                         ///< 0 while the entry is only a prior
+  bool measured = false; ///< refined from a real service run?
+  int refines = 0;       ///< measurements folded into the entry
 };
 
 /// Observable traffic counters, for service stats and the zero-re-tune
@@ -77,15 +76,15 @@ struct TuneDBCounters {
                               ///< machine signature or unparsable)
 };
 
-/// Cost-model prior for a cold key: the rank-1 fuse mode of
-/// analysis::analyzeStepFusion and the fastest-predicted level policy of
-/// analysis::analyzeLevelPolicies, both priced from one analyzeCost of
-/// `cfg` — the within-box variant the solves run — under `machine`'s
-/// cache capacities. `nBoxes` is the admission-time hint for the level
-/// size (the key deliberately omits it: measurements are keyed by what
+/// Cost-model prior for a cold key: the fused step graph (the one graph
+/// mode) under the fastest-predicted level policy of
+/// analysis::analyzeLevelPolicies, priced from one analyzeCost of `cfg` —
+/// the within-box variant the solves run — under `machine`'s cache
+/// capacities. `nBoxes` is the admission-time hint for the level size
+/// (the key deliberately omits it: measurements are keyed by what
 /// dominates reuse — box size — while the prior may still use the hint
-/// to price exchange volume). Throws std::invalid_argument on an unknown
-/// scheme name.
+/// to count tasks). Throws std::invalid_argument on an unknown scheme
+/// name.
 TuneEntry costModelPrior(
     const TuneKey& key, int nBoxes, const MachineSignature& machine,
     const core::VariantConfig& cfg =
@@ -101,9 +100,11 @@ public:
 
   /// Merge records from `path`. Returns false when the file is missing or
   /// unreadable (a cold cache, not an error). Records whose machine
-  /// signature differs from this DB's are dropped and counted in
+  /// signature differs from this DB's, or that name a fuse mode or level
+  /// policy this build does not know, are dropped and counted in
   /// counters().rejected — lookups for those keys fall back to the
-  /// cost-model prior.
+  /// cost-model prior. Keys a record carries beyond the schema (e.g. an
+  /// older file's priorCostBytes) are ignored.
   bool load(const std::string& path);
 
   /// Write every measured record (priors are recomputable and are not

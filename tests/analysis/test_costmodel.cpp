@@ -14,8 +14,6 @@
 #include "core/stepprogram.hpp"
 #include "core/variant.hpp"
 #include "harness/machine.hpp"
-#include "kernels/exemplar.hpp"
-#include "solvers/integrator.hpp"
 
 namespace fluxdiv::analysis {
 namespace {
@@ -351,248 +349,6 @@ TEST(CostModel, LevelPolicyParallelSpeedupCappedByThreads) {
       CacheSpec::typical());
   EXPECT_LE(costs[1].predictedSpeedup, 8.0 + 1e-12);
   EXPECT_GE(costs[1].predictedSpeedup, 1.0);
-}
-
-/// The price the TuneDB prior ranks by: one `scheme` step over `nBoxes`
-/// boxes of side `n`, RHS work at the service variant's modeled bytes
-/// per cell under the typical caches.
-std::vector<StepFusionCost> priceStep(solvers::Scheme scheme, int n,
-                                      int nBoxes, int threads = 4,
-                                      bool withBoundary = false) {
-  const CostReport box = analyzeCost(
-      core::makeShiftFuse(core::ParallelGranularity::WithinBox), n,
-      threads, CacheSpec::typical());
-  return analyzeStepFusion(
-      solvers::buildStepProgram(scheme, /*dt=*/1.0, 1, withBoundary), box,
-      n, nBoxes);
-}
-
-TEST(StepFusion, ComesBackInFuseModeOrderWithValidRanks) {
-  const auto costs = priceStep(solvers::Scheme::RK4, /*n=*/32,
-                               /*nBoxes=*/8);
-  ASSERT_EQ(costs.size(), 3u);
-  EXPECT_EQ(costs[0].fuse, core::StepFuse::Eager);
-  EXPECT_EQ(costs[1].fuse, core::StepFuse::Fused);
-  EXPECT_EQ(costs[2].fuse, core::StepFuse::CommAvoid);
-  std::vector<int> ranks;
-  for (const auto& c : costs) {
-    ranks.push_back(c.rank);
-    EXPECT_GT(c.costBytes, 0.0);
-    EXPECT_GE(c.dispatches, 1);
-  }
-  std::sort(ranks.begin(), ranks.end());
-  EXPECT_EQ(ranks, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(StepFusion, CommAvoidDeepensOneExchangeAndRecomputes) {
-  const int evals = 4; // RK4
-  const auto costs = priceStep(solvers::Scheme::RK4, 32, 8);
-  const auto& ca = costs[2];
-  EXPECT_EQ(ca.exchanges, 1);
-  EXPECT_EQ(ca.exchangeDepth, kernels::kNumGhost * evals);
-  EXPECT_GT(ca.recomputeCells, 0.0);
-  EXPECT_GT(ca.recomputeFraction, 0.0);
-  EXPECT_EQ(ca.dispatches, 1);
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(costs[i].exchanges, evals) << i;
-    EXPECT_EQ(costs[i].exchangeDepth, kernels::kNumGhost) << i;
-    EXPECT_EQ(costs[i].recomputeCells, 0.0) << i;
-  }
-  // Stage s recomputes a width g(R-1-s) shell: sum the closed form.
-  double expectCells = 0;
-  const double n = 32;
-  for (int s = 0; s < evals; ++s) {
-    const double w = kernels::kNumGhost * (evals - 1 - s);
-    expectCells += ((n + 2 * w) * (n + 2 * w) * (n + 2 * w) - n * n * n) * 8;
-  }
-  EXPECT_DOUBLE_EQ(ca.recomputeCells, expectCells);
-  EXPECT_DOUBLE_EQ(ca.rhsCells, costs[1].rhsCells + expectCells);
-  // The deep halo moves more bytes than the per-stage halos combined —
-  // the fixed per-exchange cost is what comm-avoiding actually saves.
-  EXPECT_GT(ca.exchangeBytes, costs[1].exchangeBytes);
-  EXPECT_LT(ca.alphaBytes, costs[1].alphaBytes);
-}
-
-TEST(StepFusion, ChargesTheWorkEachModeExecutes) {
-  // Midpoint: u -> k (RHS), mid = u, mid += k/2, k = f(mid), u += k.
-  const double n = 16;
-  const double boxes = 8;
-  const double field = kernels::kNumComp * 8.0;
-  const CostReport box = analyzeCost(
-      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 16, 4,
-      CacheSpec::typical());
-  const auto costs = priceStep(solvers::Scheme::Midpoint, 16, 8);
-  const double valid = n * n * n * boxes;
-  const double wide = (n + 4) * (n + 4) * (n + 4) * boxes; // w = g = 2
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_DOUBLE_EQ(costs[i].rhsCells, 2 * valid) << i;
-    EXPECT_DOUBLE_EQ(costs[i].rhsBytes, 2 * valid * box.bytesPerCell) << i;
-    // copy (2 streams) + two axpys (3 streams each).
-    EXPECT_DOUBLE_EQ(costs[i].combineBytes, 8 * valid * field) << i;
-    EXPECT_EQ(costs[i].copyBytes, 0.0) << i;
-  }
-  const auto& ca = costs[2];
-  // Stage 0 and the combines feeding stage 1 run on valid.grow(g).
-  EXPECT_DOUBLE_EQ(ca.rhsCells, wide + valid);
-  EXPECT_DOUBLE_EQ(ca.combineBytes, (5 * wide + 3 * valid) * field);
-  EXPECT_DOUBLE_EQ(ca.copyBytes, 2 * 2 * valid * field);
-  for (const auto& c : costs) {
-    EXPECT_DOUBLE_EQ(c.costBytes, c.alphaBytes + c.exchangeBytes +
-                                      c.rhsBytes + c.combineBytes +
-                                      c.copyBytes);
-  }
-}
-
-TEST(StepFusion, DispatchCountsMirrorTheExecutors) {
-  // Eager runs one level-wide sweep per recorded op: SSPRK3 records 3
-  // exchanges, 3 RHS evaluations and 8 stage combines, plus 3 BC fills
-  // with a boundary.
-  const auto costs = priceStep(solvers::Scheme::SSPRK3, 16, 4);
-  EXPECT_EQ(costs[0].dispatches, 14);
-  EXPECT_EQ(costs[1].dispatches, 1); // whole step is one graph
-  EXPECT_EQ(costs[2].dispatches, 1);
-  const auto bc = priceStep(solvers::Scheme::SSPRK3, 16, 4, 4,
-                            /*withBoundary=*/true);
-  EXPECT_EQ(bc[0].dispatches, 17);
-}
-
-TEST(StepFusion, InfeasibleDeepHaloFallsBackToFusedStructure) {
-  // RK4 needs an 8-deep halo; a 4^3 box cannot host it — the analyzer
-  // must price what the executor would actually run (the Fused fallback).
-  const auto costs = priceStep(solvers::Scheme::RK4, /*n=*/4, 8);
-  const auto& ca = costs[2];
-  EXPECT_EQ(ca.exchanges, 4);
-  EXPECT_EQ(ca.exchangeDepth, kernels::kNumGhost);
-  EXPECT_EQ(ca.recomputeCells, 0.0);
-  EXPECT_EQ(ca.exchangeBytes, costs[1].exchangeBytes);
-  EXPECT_EQ(ca.copyBytes, 0.0);
-  EXPECT_EQ(ca.costBytes, costs[1].costBytes);
-  EXPECT_TRUE(ca.notes.empty());
-}
-
-TEST(StepFusion, BoxSizeDecidesTheCommAvoidingTrade) {
-  // Small boxes are latency-bound: one deep exchange moves fewer halo and
-  // latency bytes than the per-stage exchanges. But the RHS work it
-  // recomputes outweighs that saving (midpoint on 8 x 16^3 measured
-  // fused/comm-avoiding 0.56 at 1 thread, BENCH_rkstep.json), so Fused
-  // ranks first. Large boxes are volume-bound: even the exchange side is
-  // a loss, and the DeepHaloRecompute note names the condition.
-  const auto small = priceStep(solvers::Scheme::Midpoint, 16, 8);
-  EXPECT_LT(small[2].exchangeBytes + small[2].alphaBytes,
-            small[1].exchangeBytes + small[1].alphaBytes);
-  EXPECT_GT(small[2].costBytes, small[1].costBytes);
-  EXPECT_EQ(small[1].rank, 1);
-  EXPECT_EQ(small[2].notes.size(), 1u);
-
-  const auto big = priceStep(solvers::Scheme::Midpoint, 128, 8);
-  EXPECT_GT(big[2].exchangeBytes + big[2].alphaBytes,
-            big[1].exchangeBytes + big[1].alphaBytes);
-  EXPECT_GT(big[2].costBytes, big[1].costBytes);
-  ASSERT_EQ(big[2].notes.size(), 1u);
-  const CostNote& note = big[2].notes.front();
-  EXPECT_EQ(note.kind, CostNoteKind::DeepHaloRecompute);
-  EXPECT_GT(note.actualBytes, note.limitBytes);
-  const std::string msg = note.message();
-  EXPECT_NE(msg.find("deep-halo-recompute"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("128^3"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("comm-avoiding unprofitable"), std::string::npos)
-      << msg;
-}
-
-TEST(StepFusion, NoteFiresExactlyWhenCommAvoidPricesWorseThanFused) {
-  for (const solvers::Scheme scheme : solvers::kSchemes) {
-    for (const int n : {8, 16, 32, 64, 128}) {
-      const auto costs = priceStep(scheme, n, 4);
-      const bool feasible =
-          kernels::kNumGhost * solvers::schemeRhsEvals(scheme) <= n;
-      const bool worse = costs[2].costBytes > costs[1].costBytes;
-      EXPECT_EQ(costs[2].notes.size() == 1u, feasible && worse)
-          << solvers::schemeName(scheme) << " n " << n;
-    }
-  }
-}
-
-TEST(StepFusion, RankAgreesWithMeasuredWinners) {
-  // fused / comm-avoiding seconds per step, copied from BENCH_rkstep.json
-  // (4-core Xeon, gcc 12 Release; bench_rk_step --fuse fused,commavoid).
-  struct Row {
-    const char* scheme;
-    int boxSize;
-    int nBoxes;
-    int threads;
-    double fusedOverCommAvoid;
-  };
-  const Row rows[] = {
-      {"euler", 8, 2, 1, 1.00}, {"euler", 8, 2, 4, 0.96},
-      {"euler", 12, 2, 1, 0.92}, {"euler", 12, 2, 4, 0.83},
-      {"euler", 16, 2, 1, 0.77}, {"euler", 16, 2, 4, 0.80},
-      {"euler", 24, 2, 1, 0.83}, {"euler", 24, 2, 4, 0.74},
-      {"euler", 8, 4, 1, 0.85}, {"euler", 8, 4, 4, 0.92},
-      {"euler", 12, 4, 1, 0.84}, {"euler", 12, 4, 4, 0.77},
-      {"euler", 16, 4, 1, 0.85}, {"euler", 16, 4, 4, 0.78},
-      {"euler", 24, 4, 1, 0.83}, {"euler", 24, 4, 4, 0.68},
-      {"euler", 8, 8, 1, 0.85}, {"euler", 8, 8, 4, 1.02},
-      {"euler", 12, 8, 1, 0.72}, {"euler", 12, 8, 4, 0.86},
-      {"euler", 16, 8, 1, 0.86}, {"euler", 16, 8, 4, 0.92},
-      {"euler", 24, 8, 1, 0.80}, {"euler", 24, 8, 4, 1.04},
-      {"midpoint", 8, 2, 1, 0.64}, {"midpoint", 8, 2, 4, 0.80},
-      {"midpoint", 12, 2, 1, 0.68}, {"midpoint", 12, 2, 4, 0.77},
-      {"midpoint", 16, 2, 1, 0.59}, {"midpoint", 16, 2, 4, 0.86},
-      {"midpoint", 24, 2, 1, 0.78}, {"midpoint", 24, 2, 4, 0.79},
-      {"midpoint", 8, 4, 1, 0.67}, {"midpoint", 8, 4, 4, 0.74},
-      {"midpoint", 12, 4, 1, 0.56}, {"midpoint", 12, 4, 4, 0.80},
-      {"midpoint", 16, 4, 1, 0.78}, {"midpoint", 16, 4, 4, 0.77},
-      {"midpoint", 24, 4, 1, 0.85}, {"midpoint", 24, 4, 4, 0.88},
-      {"midpoint", 8, 8, 1, 0.53}, {"midpoint", 8, 8, 4, 1.00},
-      {"midpoint", 12, 8, 1, 0.68}, {"midpoint", 12, 8, 4, 0.99},
-      {"midpoint", 16, 8, 1, 0.56}, {"midpoint", 16, 8, 4, 0.90},
-      {"midpoint", 24, 8, 1, 0.70}, {"midpoint", 24, 8, 4, 0.85},
-      {"ssprk3", 8, 2, 1, 0.47}, {"ssprk3", 8, 2, 4, 0.56},
-      {"ssprk3", 12, 2, 1, 0.66}, {"ssprk3", 12, 2, 4, 0.64},
-      {"ssprk3", 16, 2, 1, 0.53}, {"ssprk3", 16, 2, 4, 0.57},
-      {"ssprk3", 24, 2, 1, 0.61}, {"ssprk3", 24, 2, 4, 0.58},
-      {"ssprk3", 8, 4, 1, 0.39}, {"ssprk3", 8, 4, 4, 0.64},
-      {"ssprk3", 12, 4, 1, 0.81}, {"ssprk3", 12, 4, 4, 0.69},
-      {"ssprk3", 16, 4, 1, 0.53}, {"ssprk3", 16, 4, 4, 0.63},
-      {"ssprk3", 24, 4, 1, 0.52}, {"ssprk3", 24, 4, 4, 0.85},
-      {"ssprk3", 8, 8, 1, 0.47}, {"ssprk3", 8, 8, 4, 0.62},
-      {"ssprk3", 12, 8, 1, 0.53}, {"ssprk3", 12, 8, 4, 0.68},
-      {"ssprk3", 16, 8, 1, 0.59}, {"ssprk3", 16, 8, 4, 0.64},
-      {"ssprk3", 24, 8, 1, 0.49}, {"ssprk3", 24, 8, 4, 0.74},
-      {"rk4", 8, 2, 1, 0.32}, {"rk4", 8, 2, 4, 0.44}, {"rk4", 12, 2, 1, 0.41},
-      {"rk4", 12, 2, 4, 0.48}, {"rk4", 16, 2, 1, 0.42},
-      {"rk4", 16, 2, 4, 0.59}, {"rk4", 24, 2, 1, 0.59},
-      {"rk4", 24, 2, 4, 0.53}, {"rk4", 8, 4, 1, 0.35}, {"rk4", 8, 4, 4, 0.54},
-      {"rk4", 12, 4, 1, 0.29}, {"rk4", 12, 4, 4, 0.58},
-      {"rk4", 16, 4, 1, 0.47}, {"rk4", 16, 4, 4, 0.65},
-      {"rk4", 24, 4, 1, 0.47}, {"rk4", 24, 4, 4, 0.70},
-      {"rk4", 8, 8, 1, 0.31}, {"rk4", 8, 8, 4, 0.51}, {"rk4", 12, 8, 1, 0.37},
-      {"rk4", 12, 8, 4, 0.43}, {"rk4", 16, 8, 1, 0.29},
-      {"rk4", 16, 8, 4, 0.57}, {"rk4", 24, 8, 1, 0.40},
-      {"rk4", 24, 8, 4, 0.62},
-  };
-  int decided = 0;
-  for (const Row& r : rows) {
-    if (r.fusedOverCommAvoid >= 0.9 && r.fusedOverCommAvoid <= 1.1) {
-      continue; // within noise: either rank is acceptable
-    }
-    solvers::Scheme scheme{};
-    ASSERT_TRUE(solvers::parseScheme(r.scheme, scheme)) << r.scheme;
-    const auto costs = priceStep(scheme, r.boxSize, r.nBoxes, r.threads);
-    const core::StepFuse winner = r.fusedOverCommAvoid < 1.0
-                                      ? core::StepFuse::Fused
-                                      : core::StepFuse::CommAvoid;
-    const auto first = std::find_if(
-        costs.begin(), costs.end(),
-        [](const StepFusionCost& c) { return c.rank == 1; });
-    ASSERT_NE(first, costs.end());
-    EXPECT_EQ(first->fuse, winner)
-        << r.scheme << " " << r.nBoxes << " x " << r.boxSize << "^3 at "
-        << r.threads << " threads: measured fused/comm-avoiding "
-        << r.fusedOverCommAvoid;
-    ++decided;
-  }
-  EXPECT_GT(decided, 0);
 }
 
 } // namespace

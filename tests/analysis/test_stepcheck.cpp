@@ -1,6 +1,6 @@
 // Whole-step semantic-equivalence prover (analysis/stepcheck): every
-// shipped RK scheme is proven equivalent to eager semantics under every
-// fuse mode's halo plan (S1-S3, multi-step captures included); every
+// shipped RK scheme is proven equivalent to eager semantics under the
+// fused graph's halo plan (S1-S3, multi-step captures included); every
 // seeded step miscompilation of analysis/mutate is rejected with its
 // independently predicted witness op; an artificially deepened plan is
 // flagged over-deep with the proven-minimal width while that minimum - 1
@@ -37,11 +37,9 @@ using grid::IntVect;
 using mutate::StepMutation;
 using solvers::Scheme;
 
-constexpr StepFuse kCheckedFuses[] = {StepFuse::Fused, StepFuse::CommAvoid};
-
-std::string tag(Scheme scheme, int steps, StepFuse fuse) {
+std::string tag(Scheme scheme, int steps) {
   return std::string(solvers::schemeName(scheme)) + " x" +
-         std::to_string(steps) + " / " + core::stepFuseName(fuse);
+         std::to_string(steps);
 }
 
 TEST(StepCheck, AllSchemesAllFusesAllStepsEquivalent) {
@@ -55,50 +53,24 @@ TEST(StepCheck, AllSchemesAllFusesAllStepsEquivalent) {
       for (const int steps : {1, 3}) {
         const StepProgram prog =
             solvers::buildStepProgram(scheme, /*dt=*/1e-3, steps);
-        for (const StepFuse fuse : kCheckedFuses) {
-          const StepCheckReport rep = checkStepProgram(prog, fuse, opts);
-          EXPECT_TRUE(rep.ok()) << tag(scheme, steps, fuse) << " @ "
-                                << boxSize << ": "
-                                << (rep.ok()
-                                        ? ""
-                                        : rep.diagnostics[0].message());
-          EXPECT_TRUE(rep.advisories.empty())
-              << tag(scheme, steps, fuse)
-              << ": shipped programs must plan tight, live halos";
-          EXPECT_GT(rep.exprCount, 0u);
-        }
+        const StepCheckReport rep =
+            checkStepProgram(prog, StepFuse::Fused, opts);
+        EXPECT_TRUE(rep.ok())
+            << tag(scheme, steps) << " @ " << boxSize << ": "
+            << (rep.ok() ? "" : rep.diagnostics[0].message());
+        EXPECT_TRUE(rep.advisories.empty())
+            << tag(scheme, steps)
+            << ": shipped programs must plan tight, live halos";
+        EXPECT_GT(rep.exprCount, 0u);
       }
     }
   }
 }
 
-TEST(StepCheck, CommAvoidPlanIsDeepenedAndCheckedSound) {
-  // Midpoint under CommAvoid: only the per-step u exchange survives,
-  // deepened to kNumGhost x rhsEvals; the stage exchange is dropped and
-  // its RHS recomputes on the widened halo. stepcheck proves exactly that
-  // plan equivalent, which is the paper's comm-avoiding trade stated as a
-  // theorem about the recorded program rather than a benchmark outcome.
-  const StepProgram prog =
-      solvers::buildStepProgram(Scheme::Midpoint, 1e-3);
-  const StepHaloPlan plan =
-      core::planStepHalos(prog, StepFuse::CommAvoid);
-  EXPECT_EQ(plan.depth, kernels::kNumGhost * prog.rhsEvals);
-  int dropped = 0;
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    if (plan.width[i] < 0) {
-      ++dropped;
-      EXPECT_EQ(prog.ops[i].kind, core::StepOpKind::Exchange);
-    }
-  }
-  EXPECT_EQ(dropped, 1) << "one stage exchange avoided per step";
-  EXPECT_TRUE(
-      checkStepProgram(prog, StepFuse::CommAvoid, plan).ok());
-}
-
 /// The uniform mutation protocol of analysis/mutate: advisory mutations
 /// need a clean report plus the predicted over-deep advisory; the rest
 /// need the predicted diagnostic kind at the predicted witness op, first.
-void expectCaught(const char* name, const StepMutation& m, StepFuse fuse,
+void expectCaught(const char* name, const StepMutation& m,
                   const std::string& where, int boxSize) {
   if (!m.valid) {
     return;
@@ -109,7 +81,7 @@ void expectCaught(const char* name, const StepMutation& m, StepFuse fuse,
     opts.reference = &m.reference;
   }
   const StepCheckReport rep =
-      checkStepProgram(m.prog, fuse, m.plan, opts);
+      checkStepProgram(m.prog, StepFuse::Fused, m.plan, opts);
   if (m.expectAdvisory) {
     EXPECT_TRUE(rep.ok())
         << name << " [" << where << "] " << m.what
@@ -138,9 +110,9 @@ void expectCaught(const char* name, const StepMutation& m, StepFuse fuse,
 }
 
 TEST(StepCheck, MutationsRejectedWithPredictedWitness) {
-  // Every scheme x fuse mode: 1- and 3-step programs at seeds 0-4 on
-  // 16^3 witness boxes, then the 3-step programs again at seeds 0-6 on
-  // 32^3 witness boxes.
+  // Every scheme: 1- and 3-step programs at seeds 0-4 on 16^3 witness
+  // boxes, then the 3-step programs again at seeds 0-6 on 32^3 witness
+  // boxes.
   struct Sweep {
     int steps;
     int boxSize;
@@ -151,29 +123,26 @@ TEST(StepCheck, MutationsRejectedWithPredictedWitness) {
     for (const Scheme scheme : solvers::kSchemes) {
       const StepProgram prog =
           solvers::buildStepProgram(scheme, 1e-3, sw.steps);
-      for (const StepFuse fuse : kCheckedFuses) {
-        for (std::uint64_t seed = 0; seed < sw.seeds; ++seed) {
-          const std::string where = tag(scheme, sw.steps, fuse) + " @ " +
-                                    std::to_string(sw.boxSize) +
-                                    ", seed " + std::to_string(seed);
-          const std::pair<const char*, StepMutation> muts[] = {
-              {"drop", mutate::dropStepExchange(prog, fuse, seed)},
-              {"shallow", mutate::shallowStepHalo(prog, fuse, seed)},
-              {"reorder", mutate::reorderStepOps(prog, fuse, seed)},
-              {"skew", mutate::skewStepCoeff(prog, fuse, seed)},
-              {"deepen", mutate::deepenStepHalo(prog, fuse, seed)},
-          };
-          for (const auto& [name, mut] : muts) {
-            expectCaught(name, mut, fuse, where, sw.boxSize);
-            executed += mut.valid ? 1 : 0;
-          }
+      for (std::uint64_t seed = 0; seed < sw.seeds; ++seed) {
+        const std::string where = tag(scheme, sw.steps) + " @ " +
+                                  std::to_string(sw.boxSize) + ", seed " +
+                                  std::to_string(seed);
+        const std::pair<const char*, StepMutation> muts[] = {
+            {"drop", mutate::dropStepExchange(prog, seed)},
+            {"shallow", mutate::shallowStepHalo(prog, seed)},
+            {"reorder", mutate::reorderStepOps(prog, seed)},
+            {"skew", mutate::skewStepCoeff(prog, seed)},
+            {"deepen", mutate::deepenStepHalo(prog, seed)},
+        };
+        for (const auto& [name, mut] : muts) {
+          expectCaught(name, mut, where, sw.boxSize);
+          executed += mut.valid ? 1 : 0;
         }
       }
     }
   }
-  // 4 schemes x 2 fuse modes x 5 classes x (5 + 5 + 7) seeds, every one
-  // a candidate.
-  EXPECT_EQ(executed, 400 + 280);
+  // 4 schemes x 5 classes x (5 + 5 + 7) seeds, every one a candidate.
+  EXPECT_EQ(executed, 200 + 140);
 }
 
 TEST(StepCheck, EveryMutationClassFindsACandidateSomewhere) {
@@ -183,13 +152,11 @@ TEST(StepCheck, EveryMutationClassFindsACandidateSomewhere) {
   int counts[5] = {0, 0, 0, 0, 0};
   for (const Scheme scheme : solvers::kSchemes) {
     const StepProgram prog = solvers::buildStepProgram(scheme, 1e-3);
-    for (const StepFuse fuse : kCheckedFuses) {
-      counts[0] += mutate::dropStepExchange(prog, fuse, 0).valid;
-      counts[1] += mutate::shallowStepHalo(prog, fuse, 0).valid;
-      counts[2] += mutate::reorderStepOps(prog, fuse, 0).valid;
-      counts[3] += mutate::skewStepCoeff(prog, fuse, 0).valid;
-      counts[4] += mutate::deepenStepHalo(prog, fuse, 0).valid;
-    }
+    counts[0] += mutate::dropStepExchange(prog, 0).valid;
+    counts[1] += mutate::shallowStepHalo(prog, 0).valid;
+    counts[2] += mutate::reorderStepOps(prog, 0).valid;
+    counts[3] += mutate::skewStepCoeff(prog, 0).valid;
+    counts[4] += mutate::deepenStepHalo(prog, 0).valid;
   }
   for (int c : counts) {
     EXPECT_GT(c, 0);
@@ -197,15 +164,14 @@ TEST(StepCheck, EveryMutationClassFindsACandidateSomewhere) {
 }
 
 TEST(StepCheck, OverDeepHaloAdvisedAndMinimumIsSharp) {
-  // The S3 acceptance case end to end: deepen the comm-avoiding u
-  // exchange by one layer. S1 must still hold, the advisory must price
-  // the width back down to the planned minimum, and that minimum - 1
-  // must provably break S1 - i.e. the advisory's minWidth is sharp, not
-  // merely "some smaller width passed".
+  // The S3 acceptance case end to end: deepen the fused plan's u
+  // exchange by one layer (kNumGhost + 1). S1 must still hold, the
+  // advisory must price the width back down to the planned minimum, and
+  // that minimum - 1 must provably break S1 - i.e. the advisory's
+  // minWidth is sharp, not merely "some smaller width passed".
   const StepProgram prog =
       solvers::buildStepProgram(Scheme::Midpoint, 1e-3);
-  const StepHaloPlan plan =
-      core::planStepHalos(prog, StepFuse::CommAvoid);
+  const StepHaloPlan plan = core::planStepHalos(prog);
   int deepOp = -1;
   for (std::size_t i = 0; i < prog.ops.size(); ++i) {
     if (prog.ops[i].kind == core::StepOpKind::Exchange &&
@@ -216,12 +182,15 @@ TEST(StepCheck, OverDeepHaloAdvisedAndMinimumIsSharp) {
   }
   ASSERT_GE(deepOp, 0);
   const int planned = plan.width[static_cast<std::size_t>(deepOp)];
+  ASSERT_EQ(planned, kernels::kNumGhost);
+  ASSERT_EQ(prog.ops[static_cast<std::size_t>(deepOp)].dst, 0)
+      << "the first exchange fills u's ghosts";
 
   StepHaloPlan deepened = plan;
   deepened.width[static_cast<std::size_t>(deepOp)] = planned + 1;
   deepened.depth = std::max(deepened.depth, planned + 1);
   const StepCheckReport rep =
-      checkStepProgram(prog, StepFuse::CommAvoid, deepened);
+      checkStepProgram(prog, StepFuse::Fused, deepened);
   ASSERT_TRUE(rep.ok()) << rep.diagnostics[0].message();
   ASSERT_EQ(rep.advisories.size(), 1u);
   EXPECT_EQ(rep.advisories[0].kind, StepNoteKind::OverDeepHalo);
@@ -232,8 +201,7 @@ TEST(StepCheck, OverDeepHaloAdvisedAndMinimumIsSharp) {
 
   StepHaloPlan shaved = plan;
   shaved.width[static_cast<std::size_t>(deepOp)] = planned - 1;
-  EXPECT_FALSE(
-      checkStepProgram(prog, StepFuse::CommAvoid, shaved).ok())
+  EXPECT_FALSE(checkStepProgram(prog, StepFuse::Fused, shaved).ok())
       << "minWidth - 1 must break S1, else the minimum is not minimal";
 }
 
@@ -280,11 +248,10 @@ TEST(StepCheck, DeadStoreAndDeadExchangeAdvised) {
 TEST(StepCheck, OverDeepNotePricedForAdvisor) {
   const StepProgram prog =
       solvers::buildStepProgram(Scheme::Midpoint, 1e-3);
-  StepHaloPlan plan = core::planStepHalos(prog, StepFuse::CommAvoid);
+  StepHaloPlan plan = core::planStepHalos(prog);
   plan.width[0] += 1;
   plan.depth = std::max(plan.depth, plan.width[0]);
-  const StepCheckReport rep =
-      checkStepProgram(prog, StepFuse::CommAvoid, plan);
+  const StepCheckReport rep = checkStepProgram(prog, StepFuse::Fused, plan);
   const std::vector<CostNote> notes = stepCheckNotes(rep, prog);
   ASSERT_EQ(notes.size(), 1u);
   EXPECT_EQ(notes[0].kind, CostNoteKind::OverDeepHalo);
@@ -311,7 +278,7 @@ TEST(StepSignature, DeterministicAndSensitiveToEveryField) {
   const std::uint64_t sig =
       stepSignature(prog, StepFuse::Fused, key);
   EXPECT_EQ(sig, stepSignature(prog, StepFuse::Fused, key));
-  EXPECT_NE(sig, stepSignature(prog, StepFuse::CommAvoid, key));
+  EXPECT_NE(sig, stepSignature(prog, StepFuse::Eager, key));
   EXPECT_NE(sig, stepSignature(
                      solvers::buildStepProgram(Scheme::SSPRK3, 2e-3),
                      StepFuse::Fused, key));

@@ -7,10 +7,10 @@
 // checker, the oracle runs the planned program and the eager reference in
 // lockstep and compares every slot's interior after every op: stepcheck
 // proves *per-op* equivalence, which is strictly stronger than
-// final-state equivalence (a reordered exchange/axpy pair under a deep
-// comm-avoiding halo can converge again by the last op, and the checker
-// still — correctly — rejects it). The bridge properties, over every
-// scheme x step count x fuse mode and the seeded mutations:
+// final-state equivalence (a reordered exchange/axpy pair can converge
+// again by the last op, and the checker still — correctly — rejects it).
+// The bridge properties, over every scheme x step count and the seeded
+// mutations:
 //
 //   checker Ok             => lockstep runs bit-equal after every op
 //   predicts ValueMismatch => the runs concretely diverge at some op
@@ -46,8 +46,6 @@ using solvers::Scheme;
 constexpr int kGhost = kernels::kNumGhost;
 constexpr int kCells = 17; ///< interior cells; odd, larger than any halo
 
-constexpr StepFuse kCheckedFuses[] = {StepFuse::Fused, StepFuse::CommAvoid};
-
 /// Deterministic, asymmetric stencil weights for the oracle's RHS — any
 /// fixed weights work; asymmetry catches mirrored-exchange mistakes.
 double stencilWeight(int d) {
@@ -79,9 +77,6 @@ int storageDepth(const StepProgram& prog, const std::vector<int>& width) {
   int d = kGhost;
   for (std::size_t i = 0; i < prog.ops.size(); ++i) {
     const int w = width[i];
-    if (w < 0) {
-      continue;
-    }
     const int reach =
         prog.ops[i].kind == StepOpKind::RhsEval ? w + kGhost : w;
     d = std::max(d, reach);
@@ -108,11 +103,11 @@ OracleState initState(const StepProgram& prog, int depth) {
   return st;
 }
 
-/// Execute op `opIdx` of `prog` cell by cell at ghost width `w` (< 0
-/// skips the op — a dropped exchange).
+/// Execute op `opIdx` of `prog` cell by cell at ghost width `w` (an
+/// exchange of width 0 — a dropped exchange — moves nothing).
 void applyOp(OracleState& st, const StepProgram& prog, std::size_t opIdx,
              int w) {
-  if (w < 0 || st.undefinedRead) {
+  if (st.undefinedRead) {
     return; // like the checker, stop at the first bad read
   }
   const StepOp& op = prog.ops[opIdx];
@@ -193,7 +188,7 @@ bool interiorsEqual(const OracleState& a, const OracleState& b) {
 }
 
 std::vector<int> eagerWidths(const StepProgram& prog) {
-  return core::planStepHalos(prog, StepFuse::Eager).width;
+  return core::planStepHalos(prog).width;
 }
 
 /// Run the mutant and the eager reference in lockstep — the concrete
@@ -228,9 +223,9 @@ OracleVerdict runLockstep(const StepProgram& prog,
   return v;
 }
 
-std::string tag(Scheme scheme, int steps, StepFuse fuse) {
+std::string tag(Scheme scheme, int steps) {
   return std::string(solvers::schemeName(scheme)) + " x" +
-         std::to_string(steps) + " / " + core::stepFuseName(fuse);
+         std::to_string(steps);
 }
 
 TEST(StepCheckProps, CheckerOkImpliesConcreteLockstepEquality) {
@@ -238,16 +233,14 @@ TEST(StepCheckProps, CheckerOkImpliesConcreteLockstepEquality) {
     for (const int steps : {1, 2, 3}) {
       const StepProgram prog =
           solvers::buildStepProgram(scheme, /*dt=*/1e-3, steps);
-      for (const StepFuse fuse : kCheckedFuses) {
-        const StepHaloPlan plan = core::planStepHalos(prog, fuse);
-        ASSERT_TRUE(checkStepProgram(prog, fuse, plan).ok())
-            << tag(scheme, steps, fuse);
-        const OracleVerdict v = runLockstep(prog, plan.width, prog);
-        EXPECT_FALSE(v.undefinedRead) << tag(scheme, steps, fuse);
-        EXPECT_FALSE(v.diverged())
-            << tag(scheme, steps, fuse) << ": checker passed a plan the "
-            << "concrete oracle refutes at op " << v.firstDivergeOp;
-      }
+      const StepHaloPlan plan = core::planStepHalos(prog);
+      ASSERT_TRUE(checkStepProgram(prog, StepFuse::Fused, plan).ok())
+          << tag(scheme, steps);
+      const OracleVerdict v = runLockstep(prog, plan.width, prog);
+      EXPECT_FALSE(v.undefinedRead) << tag(scheme, steps);
+      EXPECT_FALSE(v.diverged())
+          << tag(scheme, steps) << ": checker passed a plan the "
+          << "concrete oracle refutes at op " << v.firstDivergeOp;
     }
   }
 }
@@ -263,36 +256,31 @@ TEST(StepCheckProps, PredictedFailuresAreConcretelyReal) {
     for (const int steps : {1, 3}) {
       const StepProgram prog =
           solvers::buildStepProgram(scheme, /*dt=*/1.0, steps);
-      for (const StepFuse fuse : kCheckedFuses) {
-        for (std::uint64_t seed = 0; seed < 5; ++seed) {
-          const StepMutation muts[] = {
-              mutate::dropStepExchange(prog, fuse, seed),
-              mutate::shallowStepHalo(prog, fuse, seed),
-              mutate::reorderStepOps(prog, fuse, seed),
-              mutate::skewStepCoeff(prog, fuse, seed),
-          };
-          for (const StepMutation& m : muts) {
-            if (!m.valid) {
-              continue;
-            }
-            const std::string where =
-                tag(scheme, steps, fuse) + ", seed " +
-                std::to_string(seed) + ": " + m.what;
-            const StepProgram& ref =
-                m.useReference ? m.reference : m.prog;
-            const OracleVerdict v =
-                runLockstep(m.prog, m.plan.width, ref);
-            if (m.expect == StepDiagKind::ReadBeforeWrite) {
-              EXPECT_TRUE(v.undefinedRead)
-                  << where << ": checker predicts a read of "
-                             "never-written cells; the oracle read none";
-              EXPECT_EQ(v.undefinedAtOp, m.witnessOp) << where;
-            } else {
-              EXPECT_FALSE(v.undefinedRead) << where;
-              EXPECT_TRUE(v.diverged())
-                  << where << ": checker predicts a value divergence "
-                             "the oracle cannot reproduce";
-            }
+      for (std::uint64_t seed = 0; seed < 5; ++seed) {
+        const StepMutation muts[] = {
+            mutate::dropStepExchange(prog, seed),
+            mutate::shallowStepHalo(prog, seed),
+            mutate::reorderStepOps(prog, seed),
+            mutate::skewStepCoeff(prog, seed),
+        };
+        for (const StepMutation& m : muts) {
+          if (!m.valid) {
+            continue;
+          }
+          const std::string where = tag(scheme, steps) + ", seed " +
+                                    std::to_string(seed) + ": " + m.what;
+          const StepProgram& ref = m.useReference ? m.reference : m.prog;
+          const OracleVerdict v = runLockstep(m.prog, m.plan.width, ref);
+          if (m.expect == StepDiagKind::ReadBeforeWrite) {
+            EXPECT_TRUE(v.undefinedRead)
+                << where << ": checker predicts a read of "
+                           "never-written cells; the oracle read none";
+            EXPECT_EQ(v.undefinedAtOp, m.witnessOp) << where;
+          } else {
+            EXPECT_FALSE(v.undefinedRead) << where;
+            EXPECT_TRUE(v.diverged())
+                << where << ": checker predicts a value divergence "
+                           "the oracle cannot reproduce";
           }
         }
       }
@@ -303,18 +291,16 @@ TEST(StepCheckProps, PredictedFailuresAreConcretelyReal) {
 TEST(StepCheckProps, OverDeepHalosAreConcretelyHarmless) {
   for (const Scheme scheme : solvers::kSchemes) {
     const StepProgram prog = solvers::buildStepProgram(scheme, 1e-3);
-    for (const StepFuse fuse : kCheckedFuses) {
-      for (std::uint64_t seed = 0; seed < 3; ++seed) {
-        const StepMutation m = mutate::deepenStepHalo(prog, fuse, seed);
-        if (!m.valid) {
-          continue;
-        }
-        const OracleVerdict v = runLockstep(m.prog, m.plan.width, m.prog);
-        EXPECT_FALSE(v.undefinedRead) << m.what;
-        EXPECT_FALSE(v.diverged())
-            << tag(scheme, 1, fuse) << ": " << m.what
-            << ": a deepened halo must not change the answer";
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const StepMutation m = mutate::deepenStepHalo(prog, seed);
+      if (!m.valid) {
+        continue;
       }
+      const OracleVerdict v = runLockstep(m.prog, m.plan.width, m.prog);
+      EXPECT_FALSE(v.undefinedRead) << m.what;
+      EXPECT_FALSE(v.diverged())
+          << tag(scheme, 1) << ": " << m.what
+          << ": a deepened halo must not change the answer";
     }
   }
 }

@@ -1,6 +1,6 @@
 // End-to-end tests of the throughput service (src/serve): workload spec
 // parsing, bit-identity of every concurrently-admitted instance against
-// its solo StepGraphExecutor run across schemes x fuse modes x policies,
+// its solo StepGraphExecutor run across schemes x policies,
 // admission through the TuneDB (cold = cost-model prior + one measurement,
 // warm = zero re-tunes), and the report counters.
 
@@ -23,30 +23,26 @@ using grid::LevelData;
 /// Solo reference: the same spec advanced by a private TimeIntegrator
 /// (own StepGraphExecutor, own pool) with the same within-box schedule.
 LevelData soloSolve(const InstanceSpec& spec, const core::VariantConfig& cfg,
-                    int threads, core::StepFuse fuse,
-                    core::LevelPolicy policy) {
+                    int threads, core::LevelPolicy policy) {
   const grid::DisjointBoxLayout dbl = specLayout(spec);
   LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
   kernels::initializeExemplar(u);
   solvers::FluxDivRhs rhs(cfg, threads);
   solvers::TimeIntegrator integ(spec.scheme, dbl);
-  integ.setStepFuse(fuse);
   integ.setLevelPolicy(policy);
   integ.advanceSteps(u, spec.dt, rhs, spec.steps);
   return u;
 }
 
 InstanceSpec pinnedSpec(const std::string& name, solvers::Scheme scheme,
-                        int boxSize, int nBoxes, core::StepFuse fuse,
-                        core::LevelPolicy policy, int steps = 2) {
+                        int boxSize, int nBoxes, core::LevelPolicy policy,
+                        int steps = 2) {
   InstanceSpec spec;
   spec.name = name;
   spec.scheme = scheme;
   spec.boxSize = boxSize;
   spec.nBoxes = nBoxes;
   spec.steps = steps;
-  spec.autoFuse = false;
-  spec.fuse = fuse;
   spec.autoPolicy = false;
   spec.policy = policy;
   return spec;
@@ -55,7 +51,7 @@ InstanceSpec pinnedSpec(const std::string& name, solvers::Scheme scheme,
 TEST(Workload, ParsesNamesAndKeyValueTokens) {
   const InstanceSpec spec = parseInstanceSpec(
       "burst0 scheme=ssprk3 box=8 nboxes=3 steps=5 dt=2e-4 weight=3 "
-      "fuse=commavoid policy=sequential");
+      "fuse=fused policy=sequential");
   EXPECT_EQ(spec.name, "burst0");
   EXPECT_EQ(spec.scheme, solvers::Scheme::SSPRK3);
   EXPECT_EQ(spec.boxSize, 8);
@@ -63,27 +59,28 @@ TEST(Workload, ParsesNamesAndKeyValueTokens) {
   EXPECT_EQ(spec.steps, 5);
   EXPECT_DOUBLE_EQ(spec.dt, 2e-4);
   EXPECT_EQ(spec.weight, 3);
-  EXPECT_FALSE(spec.autoFuse);
-  EXPECT_EQ(spec.fuse, core::StepFuse::CommAvoid);
   EXPECT_FALSE(spec.autoPolicy);
   EXPECT_EQ(spec.policy, core::LevelPolicy::BoxSequential);
 
   const InstanceSpec dflt = parseInstanceSpec("plain fuse=auto");
-  EXPECT_TRUE(dflt.autoFuse);
   EXPECT_TRUE(dflt.autoPolicy);
 
   EXPECT_THROW(parseInstanceSpec("x scheme=rk9"), std::invalid_argument);
   EXPECT_THROW(parseInstanceSpec("x box=0"), std::invalid_argument);
   EXPECT_THROW(parseInstanceSpec("x bogus=1"), std::invalid_argument);
   EXPECT_THROW(parseInstanceSpec("scheme=rk4"), std::invalid_argument);
-  // The removed per-stage fuse mode is an unknown token like any other.
-  try {
-    (void)parseInstanceSpec("x fuse=staged");
-    ADD_FAILURE() << "fuse=staged must be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("bad token 'fuse=staged'"),
-              std::string::npos)
-        << e.what();
+  // Every solve runs the fused graph: `fuse=` takes only fused and auto.
+  // The eager reference path and the removed modes are unknown tokens
+  // like any other.
+  for (const std::string mode : {"eager", "commavoid", "staged"}) {
+    try {
+      (void)parseInstanceSpec("x fuse=" + mode);
+      ADD_FAILURE() << "fuse=" << mode << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad token 'fuse=" + mode + "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -112,44 +109,33 @@ TEST(Workload, StreamSkipsCommentsAndBlankLines) {
 }
 
 TEST(SolveService, SingleInstanceBitIdenticalToSolo) {
-  for (const core::StepFuse fuse :
-       {core::StepFuse::Fused, core::StepFuse::CommAvoid}) {
-    const InstanceSpec spec =
-        pinnedSpec("one", solvers::Scheme::RK4, 8, 2, fuse,
-                   core::LevelPolicy::BoxParallel);
-    ServiceOptions opts;
-    opts.threads = 3;
-    SolveService service(opts);
-    LevelData u(specLayout(spec), kernels::kNumComp, kernels::kNumGhost);
-    kernels::initializeExemplar(u);
-    service.run({spec}, {&u});
-    const LevelData ref = soloSolve(spec, opts.cfg, 2, fuse,
-                                    core::LevelPolicy::BoxParallel);
-    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-        << core::stepFuseName(fuse);
-  }
+  const InstanceSpec spec = pinnedSpec("one", solvers::Scheme::RK4, 8, 2,
+                                       core::LevelPolicy::BoxParallel);
+  ServiceOptions opts;
+  opts.threads = 3;
+  SolveService service(opts);
+  LevelData u(specLayout(spec), kernels::kNumComp, kernels::kNumGhost);
+  kernels::initializeExemplar(u);
+  service.run({spec}, {&u});
+  const LevelData ref =
+      soloSolve(spec, opts.cfg, 2, core::LevelPolicy::BoxParallel);
+  EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0);
 }
 
 TEST(SolveService, ConcurrentInstancesBitIdenticalToSoloAcrossSchemes) {
-  // The acceptance matrix: schemes x fuse modes x policies admitted
-  // together into one pool, every solution compared bit-for-bit with its
-  // solo run.
+  // The acceptance matrix: schemes x policies admitted together into one
+  // pool, every solution compared bit-for-bit with its solo run.
   std::vector<InstanceSpec> specs;
   specs.push_back(pinnedSpec("fe", solvers::Scheme::ForwardEuler, 8, 3,
-                             core::StepFuse::Fused,
                              core::LevelPolicy::BoxParallel));
   specs.push_back(pinnedSpec("mp", solvers::Scheme::Midpoint, 8, 2,
-                             core::StepFuse::Fused,
                              core::LevelPolicy::BoxSequential));
   specs.push_back(pinnedSpec("s3", solvers::Scheme::SSPRK3, 8, 2,
-                             core::StepFuse::CommAvoid,
                              core::LevelPolicy::BoxParallel));
   // A 24^3 box: its 20-cell interior lowers to 2 x 2 logical tiles.
   specs.push_back(pinnedSpec("r4", solvers::Scheme::RK4, 24, 1,
-                             core::StepFuse::Fused,
                              core::LevelPolicy::BoxParallel));
   specs.push_back(pinnedSpec("r4seq", solvers::Scheme::RK4, 8, 2,
-                             core::StepFuse::CommAvoid,
                              core::LevelPolicy::BoxSequential));
 
   ServiceOptions opts;
@@ -168,7 +154,7 @@ TEST(SolveService, ConcurrentInstancesBitIdenticalToSoloAcrossSchemes) {
   ASSERT_EQ(report.instances.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const LevelData ref =
-        soloSolve(specs[i], opts.cfg, 2, specs[i].fuse, specs[i].policy);
+        soloSolve(specs[i], opts.cfg, 2, specs[i].policy);
     EXPECT_EQ(LevelData::maxAbsDiffValid(ref, *states[i]), 0.0)
         << specs[i].name;
     EXPECT_GT(report.instances[i].domain.executed, 0U) << specs[i].name;
@@ -191,7 +177,6 @@ TEST(SolveService, AdmissionWindowStillCompletesEverything) {
     name += std::to_string(i);
     specs.push_back(pinnedSpec(name,
                                solvers::Scheme::Midpoint, 8, 2,
-                               core::StepFuse::Fused,
                                core::LevelPolicy::BoxParallel, 1));
   }
   ServiceOptions opts;
@@ -211,7 +196,7 @@ TEST(SolveService, RepeatTrafficReusesCapturedGraphs) {
   // graph instead of capturing again, and nothing deadlocks.
   const InstanceSpec spec =
       pinnedSpec("rep", solvers::Scheme::Midpoint, 8, 2,
-                 core::StepFuse::Fused, core::LevelPolicy::BoxParallel, 3);
+                 core::LevelPolicy::BoxParallel, 3);
   ServiceOptions opts;
   opts.threads = 2;
   SolveService service(opts);
@@ -280,16 +265,15 @@ TEST(SolveService, TunedAdmissionStillBitIdenticalToSolo) {
   kernels::initializeExemplar(u);
   const ServiceReport report = service.run({spec}, {&u});
   ASSERT_EQ(report.instances.size(), 1U);
-  const LevelData ref = soloSolve(spec, opts.cfg, 2,
-                                  report.instances[0].fuse,
-                                  report.instances[0].policy);
+  const LevelData ref =
+      soloSolve(spec, opts.cfg, 2, report.instances[0].policy);
   EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0);
 }
 
 TEST(SolveService, ReportPrinterMentionsEveryInstance) {
   const InstanceSpec spec =
       pinnedSpec("printed", solvers::Scheme::ForwardEuler, 8, 1,
-                 core::StepFuse::Fused, core::LevelPolicy::BoxParallel, 1);
+                 core::LevelPolicy::BoxParallel, 1);
   ServiceOptions opts;
   opts.threads = 1;
   SolveService service(opts);

@@ -1,11 +1,10 @@
 // Whole-RK-step task graphs (core/stepgraph.hpp + the TimeIntegrator fuse
-// modes): bit-identity of every fuse mode against the eager reference
+// modes): bit-identity of the fused graph against the eager reference
 // across schemes, schedule families, policies, pitches, and thread counts
 // (including steps that start from stale ghosts and boxes cut into
-// logical tiles); the task structure of the logical tiles; the deepened-halo
-// plan of the comm-avoiding transform; graphcheck verification of every
-// lowered model; seeded cross-stage edge-drop mutations; and adversarial
-// serial replay of the fused graphs.
+// logical tiles); the task structure of the logical tiles; graphcheck
+// verification of every lowered model; seeded cross-stage edge-drop
+// mutations; and adversarial serial replay of the fused graphs.
 
 #include <gtest/gtest.h>
 
@@ -59,8 +58,6 @@ core::VariantConfig tiledConfig() {
                               core::ParallelGranularity::HybridBoxTile);
 }
 
-constexpr StepFuse kGraphModes[] = {StepFuse::Fused, StepFuse::CommAvoid};
-
 /// Advance `steps` eager steps of `scheme` from the exemplar state.
 LevelData eagerReference(Scheme scheme, const DisjointBoxLayout& dbl,
                          const core::VariantConfig& cfg, Real dt,
@@ -76,16 +73,14 @@ LevelData eagerReference(Scheme scheme, const DisjointBoxLayout& dbl,
   return u;
 }
 
-std::string caseName(Scheme scheme, StepFuse fuse, LevelPolicy policy,
-                     int threads) {
-  return std::string(schemeName(scheme)) + "/" + core::stepFuseName(fuse) +
-         "/" + core::levelPolicyName(policy) + "/T" +
-         std::to_string(threads);
+std::string caseName(Scheme scheme, LevelPolicy policy, int threads) {
+  return std::string(schemeName(scheme)) + "/" +
+         core::levelPolicyName(policy) + "/T" + std::to_string(threads);
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity: every fuse mode x policy x thread count reproduces the
-// eager reference exactly.
+// Bit-identity: the fused graph under every policy x thread count
+// reproduces the eager reference exactly.
 // ---------------------------------------------------------------------------
 
 TEST(StepGraph, BitIdenticalAcrossSchemesFuseModesAndPolicies) {
@@ -97,19 +92,16 @@ TEST(StepGraph, BitIdenticalAcrossSchemesFuseModesAndPolicies) {
     for (const int threads : {1, 3}) {
       const LevelData ref =
           eagerReference(scheme, dbl, cfg, dt, steps, threads);
-      for (const StepFuse fuse : kGraphModes) {
-        for (const LevelPolicy policy : core::kLevelPolicies) {
-          LevelData u = initialState(dbl);
-          FluxDivRhs rhs(cfg, threads);
-          TimeIntegrator integ(scheme, dbl);
-          integ.setStepFuse(fuse);
-          integ.setLevelPolicy(policy);
-          for (int s = 0; s < steps; ++s) {
-            integ.advance(u, dt, rhs);
-          }
-          EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-              << caseName(scheme, fuse, policy, threads);
+      for (const LevelPolicy policy : core::kLevelPolicies) {
+        LevelData u = initialState(dbl);
+        FluxDivRhs rhs(cfg, threads);
+        TimeIntegrator integ(scheme, dbl);
+        integ.setLevelPolicy(policy);
+        for (int s = 0; s < steps; ++s) {
+          integ.advance(u, dt, rhs);
         }
+        EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+            << caseName(scheme, policy, threads);
       }
     }
   }
@@ -122,24 +114,20 @@ TEST(StepGraph, BitIdenticalWithDensePitch) {
   for (const Scheme scheme : {Scheme::SSPRK3, Scheme::RK4}) {
     const LevelData ref =
         eagerReference(scheme, dbl, cfg, dt, 2, 2, Pitch::Dense);
-    for (const StepFuse fuse : kGraphModes) {
-      LevelData u = initialState(dbl, Pitch::Dense);
-      FluxDivRhs rhs(cfg, 2);
-      TimeIntegrator integ(scheme, dbl);
-      integ.setStepFuse(fuse);
-      for (int s = 0; s < 2; ++s) {
-        integ.advance(u, dt, rhs);
-      }
-      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-          << schemeName(scheme) << "/" << core::stepFuseName(fuse)
-          << " dense pitch";
+    LevelData u = initialState(dbl, Pitch::Dense);
+    FluxDivRhs rhs(cfg, 2);
+    TimeIntegrator integ(scheme, dbl);
+    for (int s = 0; s < 2; ++s) {
+      integ.advance(u, dt, rhs);
     }
+    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+        << schemeName(scheme) << " dense pitch";
   }
 }
 
 /// One exchange, one RHS evaluation, one axpy: the level-scale graph of
-/// every family under each of `policies` and every fuse mode, on both fab
-/// pitches, must reproduce the eager (FluxDivRunner) step.
+/// every family under each of `policies`, on both fab pitches, must
+/// reproduce the eager (FluxDivRunner) step.
 void expectEulerBitIdenticalAcrossFamilies(
     std::initializer_list<LevelPolicy> policies) {
   const auto dbl = smallLayout();
@@ -150,19 +138,16 @@ void expectEulerBitIdenticalAcrossFamilies(
       for (const int threads : {1, 3}) {
         const LevelData ref = eagerReference(Scheme::ForwardEuler, dbl, cfg,
                                              dt, 1, threads, pitch);
-        for (const StepFuse fuse : kGraphModes) {
-          for (const LevelPolicy policy : policies) {
-            LevelData u = initialState(dbl, pitch);
-            FluxDivRhs rhs(cfg, threads);
-            TimeIntegrator integ(Scheme::ForwardEuler, dbl);
-            integ.setStepFuse(fuse);
-            integ.setLevelPolicy(policy);
-            integ.advance(u, dt, rhs);
-            EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-                << cfg.name() << " / "
-                << caseName(Scheme::ForwardEuler, fuse, policy, threads)
-                << " / " << (pitch == Pitch::Padded ? "padded" : "dense");
-          }
+        for (const LevelPolicy policy : policies) {
+          LevelData u = initialState(dbl, pitch);
+          FluxDivRhs rhs(cfg, threads);
+          TimeIntegrator integ(Scheme::ForwardEuler, dbl);
+          integ.setLevelPolicy(policy);
+          integ.advance(u, dt, rhs);
+          EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+              << cfg.name() << " / "
+              << caseName(Scheme::ForwardEuler, policy, threads) << " / "
+              << (pitch == Pitch::Padded ? "padded" : "dense");
         }
       }
     }
@@ -188,28 +173,25 @@ void expectExchangeTasksReplaceStaleGhosts(LevelPolicy policy) {
   const auto cfg = tiledConfig();
   const LevelData ref = eagerReference(Scheme::ForwardEuler, dbl, cfg, dt,
                                        1, 3);
-  for (const StepFuse fuse : kGraphModes) {
-    LevelData u = initialState(dbl);
-    for (std::size_t b = 0; b < u.size(); ++b) {
-      grid::FArrayBox& fab = u[b];
-      const Box valid = u.validBox(b);
-      for (int c = 0; c < kNumComp; ++c) {
-        Real* p = fab.dataPtr(c);
-        grid::forEachCell(fab.box(), [&](int i, int j, int k) {
-          if (!valid.contains(grid::IntVect(i, j, k))) {
-            p[fab.offset(i, j, k)] = -1.0e30;
-          }
-        });
-      }
+  LevelData u = initialState(dbl);
+  for (std::size_t b = 0; b < u.size(); ++b) {
+    grid::FArrayBox& fab = u[b];
+    const Box valid = u.validBox(b);
+    for (int c = 0; c < kNumComp; ++c) {
+      Real* p = fab.dataPtr(c);
+      grid::forEachCell(fab.box(), [&](int i, int j, int k) {
+        if (!valid.contains(grid::IntVect(i, j, k))) {
+          p[fab.offset(i, j, k)] = -1.0e30;
+        }
+      });
     }
-    FluxDivRhs rhs(cfg, 3);
-    TimeIntegrator integ(Scheme::ForwardEuler, dbl);
-    integ.setStepFuse(fuse);
-    integ.setLevelPolicy(policy);
-    integ.advance(u, dt, rhs);
-    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-        << caseName(Scheme::ForwardEuler, fuse, policy, 3);
   }
+  FluxDivRhs rhs(cfg, 3);
+  TimeIntegrator integ(Scheme::ForwardEuler, dbl);
+  integ.setLevelPolicy(policy);
+  integ.advance(u, dt, rhs);
+  EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+      << caseName(Scheme::ForwardEuler, policy, 3);
 }
 
 TEST(StepGraph, ExchangeTasksReplaceStaleGhosts) {
@@ -231,17 +213,14 @@ TEST(StepGraph, InvDxIsHonoredUnderEveryPolicy) {
     integ.setStepFuse(StepFuse::Eager);
     integ.advance(ref, dt, rhs);
   }
-  for (const StepFuse fuse : kGraphModes) {
-    for (const LevelPolicy policy : core::kLevelPolicies) {
-      LevelData u = initialState(dbl);
-      FluxDivRhs rhs(cfg, 2, /*invDx=*/2.0);
-      TimeIntegrator integ(Scheme::Midpoint, dbl);
-      integ.setStepFuse(fuse);
-      integ.setLevelPolicy(policy);
-      integ.advance(u, dt, rhs);
-      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-          << caseName(Scheme::Midpoint, fuse, policy, 2) << " invDx=2";
-    }
+  for (const LevelPolicy policy : core::kLevelPolicies) {
+    LevelData u = initialState(dbl);
+    FluxDivRhs rhs(cfg, 2, /*invDx=*/2.0);
+    TimeIntegrator integ(Scheme::Midpoint, dbl);
+    integ.setLevelPolicy(policy);
+    integ.advance(u, dt, rhs);
+    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+        << caseName(Scheme::Midpoint, policy, 2) << " invDx=2";
   }
 }
 
@@ -256,21 +235,16 @@ TEST(StepGraph, BitIdenticalWithDissipation) {
     integ.setStepFuse(StepFuse::Eager);
     integ.advance(ref, dt, rhs);
   }
-  for (const StepFuse fuse : kGraphModes) {
-    LevelData u = initialState(dbl);
-    FluxDivRhs rhs(cfg, 2, /*invDx=*/1.0, nullptr, /*dissipation=*/0.05);
-    TimeIntegrator integ(Scheme::RK4, dbl);
-    integ.setStepFuse(fuse);
-    integ.advance(u, dt, rhs);
-    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-        << core::stepFuseName(fuse) << " with dissipation";
-  }
+  LevelData u = initialState(dbl);
+  FluxDivRhs rhs(cfg, 2, /*invDx=*/1.0, nullptr, /*dissipation=*/0.05);
+  TimeIntegrator integ(Scheme::RK4, dbl);
+  integ.advance(u, dt, rhs);
+  EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0) << "with dissipation";
 }
 
 TEST(StepGraph, WallBoundedBitIdentical) {
   // Walls on x, periodic y/z: the BC fill becomes per-(box, dim) tasks in
-  // the Fused graph; CommAvoid must fall back to Fused (deepened
-  // halos cannot re-apply physical BCs between stages).
+  // the fused graph.
   const int n = 16;
   ProblemDomain domain(Box::cube(n), std::array<bool, 3>{false, true, true});
   DisjointBoxLayout dbl(domain, 8);
@@ -289,23 +263,14 @@ TEST(StepGraph, WallBoundedBitIdentical) {
         integ.advance(ref, dt, rhs);
       }
     }
-    for (const StepFuse fuse : kGraphModes) {
-      LevelData u = initialState(dbl);
-      FluxDivRhs rhs(cfg, 2, 1.0, &walls);
-      TimeIntegrator integ(scheme, dbl);
-      integ.setStepFuse(fuse);
-      for (int s = 0; s < 2; ++s) {
-        integ.advance(u, dt, rhs);
-      }
-      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-          << caseName(scheme, fuse, LevelPolicy::BoxParallel, 2)
-          << " wall-bounded";
-      if (fuse == StepFuse::CommAvoid) {
-        ASSERT_NE(integ.stepStats(), nullptr);
-        EXPECT_EQ(integ.stepStats()->fuse, StepFuse::Fused)
-            << "boundary conditions must force the CommAvoid fallback";
-      }
+    LevelData u = initialState(dbl);
+    FluxDivRhs rhs(cfg, 2, 1.0, &walls);
+    TimeIntegrator integ(scheme, dbl);
+    for (int s = 0; s < 2; ++s) {
+      integ.advance(u, dt, rhs);
     }
+    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+        << caseName(scheme, LevelPolicy::BoxParallel, 2) << " wall-bounded";
   }
 }
 
@@ -316,35 +281,30 @@ TEST(StepGraph, MultiStepCaptureMatchesRepeatedAdvance) {
   const auto cfg = tiledConfig();
   for (const Scheme scheme : {Scheme::Midpoint, Scheme::RK4}) {
     const LevelData ref = eagerReference(scheme, dbl, cfg, dt, steps, 2);
-    for (const StepFuse fuse : {StepFuse::Fused, StepFuse::CommAvoid}) {
-      LevelData u = initialState(dbl);
-      FluxDivRhs rhs(cfg, 2);
-      TimeIntegrator integ(scheme, dbl);
-      integ.setStepFuse(fuse);
-      integ.advanceSteps(u, dt, rhs, steps);
-      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-          << schemeName(scheme) << "/" << core::stepFuseName(fuse)
-          << " multi-step";
-      ASSERT_NE(integ.stepStats(), nullptr);
-      EXPECT_EQ(integ.stepStats()->graphCount, 1u)
-          << "a multi-step capture must dispatch as one graph";
-      EXPECT_TRUE(integ.stepStats()->rebuilt);
-      // A different LevelData with the same layout signature REBINDS into
-      // the cached graphs instead of re-lowering (layout-keyed reuse),
-      // and must still produce the bit-identical result.
-      const std::uint64_t rebinds0 = integ.stepStats()->rebinds;
-      LevelData u2 = initialState(dbl);
-      integ.advanceSteps(u2, dt, rhs, steps);
-      EXPECT_FALSE(integ.stepStats()->rebuilt)
-          << "same layout signature must reuse the cached graphs";
-      EXPECT_GT(integ.stepStats()->rebinds, rebinds0)
-          << "a reallocated solution must be counted as a rebind";
-      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u2), 0.0)
-          << schemeName(scheme) << "/" << core::stepFuseName(fuse)
-          << " rebound multi-step";
-      integ.advanceSteps(u2, dt, rhs, steps);
-      EXPECT_FALSE(integ.stepStats()->rebuilt);
-    }
+    LevelData u = initialState(dbl);
+    FluxDivRhs rhs(cfg, 2);
+    TimeIntegrator integ(scheme, dbl);
+    integ.advanceSteps(u, dt, rhs, steps);
+    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+        << schemeName(scheme) << " multi-step";
+    ASSERT_NE(integ.stepStats(), nullptr);
+    EXPECT_EQ(integ.stepStats()->graphCount, 1u)
+        << "a multi-step capture must dispatch as one graph";
+    EXPECT_TRUE(integ.stepStats()->rebuilt);
+    // A different LevelData with the same layout signature REBINDS into
+    // the cached graphs instead of re-lowering (layout-keyed reuse), and
+    // must still produce the bit-identical result.
+    const std::uint64_t rebinds0 = integ.stepStats()->rebinds;
+    LevelData u2 = initialState(dbl);
+    integ.advanceSteps(u2, dt, rhs, steps);
+    EXPECT_FALSE(integ.stepStats()->rebuilt)
+        << "same layout signature must reuse the cached graphs";
+    EXPECT_GT(integ.stepStats()->rebinds, rebinds0)
+        << "a reallocated solution must be counted as a rebind";
+    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u2), 0.0)
+        << schemeName(scheme) << " rebound multi-step";
+    integ.advanceSteps(u2, dt, rhs, steps);
+    EXPECT_FALSE(integ.stepStats()->rebuilt);
   }
 }
 
@@ -388,10 +348,8 @@ TEST(StepGraph, LogicalTilesPartitionTheBox) {
 TaskGraphModel eulerModelOnOneBox(int side) {
   const DisjointBoxLayout dbl(ProblemDomain(Box::cube(side)), side);
   LevelData u = initialState(dbl);
-  core::StepExecOptions opts;
-  opts.fuse = StepFuse::Fused;
   core::StepGraphExecutor exec(
-      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 4, opts);
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 4);
   return exec.lowerModel(buildStepProgram(Scheme::ForwardEuler, 0.01), u,
                          {});
 }
@@ -498,88 +456,19 @@ TEST(StepGraph, TiledInteriorsBitIdenticalAcrossFamiliesThreadsAndPitches) {
         for (const int threads : {1, 4}) {
           const LevelData ref =
               eagerReference(Scheme::RK4, dbl, cfg, dt, 1, threads, pitch);
-          for (const StepFuse fuse : kGraphModes) {
-            LevelData u = initialState(dbl, pitch);
-            FluxDivRhs rhs(cfg, threads);
-            TimeIntegrator integ(Scheme::RK4, dbl);
-            integ.setStepFuse(fuse);
-            integ.advance(u, dt, rhs);
-            EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-                << cfg.name() << " / " << dbl.size() << " x "
-                << dbl.boxSize()[0] << "^3 / "
-                << caseName(Scheme::RK4, fuse, LevelPolicy::BoxParallel,
-                            threads)
-                << " / " << (pitch == Pitch::Padded ? "padded" : "dense");
-          }
+          LevelData u = initialState(dbl, pitch);
+          FluxDivRhs rhs(cfg, threads);
+          TimeIntegrator integ(Scheme::RK4, dbl);
+          integ.advance(u, dt, rhs);
+          EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+              << cfg.name() << " / " << dbl.size() << " x "
+              << dbl.boxSize()[0] << "^3 / "
+              << caseName(Scheme::RK4, LevelPolicy::BoxParallel, threads)
+              << " / " << (pitch == Pitch::Padded ? "padded" : "dense");
         }
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// The comm-avoiding halo plan.
-// ---------------------------------------------------------------------------
-
-TEST(StepGraph, CommAvoidDeepensTheExchangeToGhostTimesStages) {
-  for (const Scheme scheme : kSchemes) {
-    const core::StepProgram prog = buildStepProgram(scheme, 0.01);
-    EXPECT_EQ(prog.rhsEvals, schemeRhsEvals(scheme));
-
-    const core::StepHaloPlan fused =
-        core::planStepHalos(prog, StepFuse::Fused);
-    EXPECT_EQ(fused.depth, kNumGhost);
-
-    const core::StepHaloPlan ca =
-        core::planStepHalos(prog, StepFuse::CommAvoid);
-    EXPECT_EQ(ca.depth, kNumGhost * schemeRhsEvals(scheme))
-        << schemeName(scheme);
-    int keptExchanges = 0;
-    int firstRhsWidth = -1;
-    for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-      if (prog.ops[i].kind == core::StepOpKind::Exchange) {
-        if (ca.width[i] >= 0) {
-          ++keptExchanges;
-          EXPECT_EQ(prog.ops[i].dst, 0)
-              << "only the solution exchange survives";
-          EXPECT_EQ(ca.width[i], ca.depth);
-        }
-      } else if (prog.ops[i].kind == core::StepOpKind::RhsEval &&
-                 firstRhsWidth < 0) {
-        firstRhsWidth = ca.width[i];
-      }
-    }
-    EXPECT_EQ(keptExchanges, 1) << schemeName(scheme);
-    // Stage 1 recomputes on the widest halo: depth minus one stencil.
-    EXPECT_EQ(firstRhsWidth, ca.depth - kNumGhost) << schemeName(scheme);
-  }
-}
-
-TEST(StepGraph, CommAvoidFallsBackWhenHaloExceedsBox) {
-  // RK4 needs an 8-deep halo; on 4^3 boxes the Copier cannot provide it.
-  DisjointBoxLayout dbl(ProblemDomain(Box::cube(8)), 4);
-  const auto cfg = core::makeShiftFuse(core::ParallelGranularity::OverBoxes);
-  const Real dt = 0.004;
-  const LevelData ref = eagerReference(Scheme::RK4, dbl, cfg, dt, 2, 2);
-  LevelData u = initialState(dbl);
-  FluxDivRhs rhs(cfg, 2);
-  TimeIntegrator integ(Scheme::RK4, dbl);
-  integ.setStepFuse(StepFuse::CommAvoid);
-  for (int s = 0; s < 2; ++s) {
-    integ.advance(u, dt, rhs);
-  }
-  EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0);
-  ASSERT_NE(integ.stepStats(), nullptr);
-  EXPECT_EQ(integ.stepStats()->fuse, StepFuse::Fused);
-
-  // Euler only needs depth 2: CommAvoid proper must engage there.
-  LevelData v = initialState(dbl);
-  TimeIntegrator euler(Scheme::ForwardEuler, dbl);
-  euler.setStepFuse(StepFuse::CommAvoid);
-  euler.advance(v, dt, rhs);
-  ASSERT_NE(euler.stepStats(), nullptr);
-  EXPECT_EQ(euler.stepStats()->fuse, StepFuse::CommAvoid);
-  EXPECT_EQ(euler.stepStats()->exchangeDepth, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -588,35 +477,32 @@ TEST(StepGraph, CommAvoidFallsBackWhenHaloExceedsBox) {
 // ---------------------------------------------------------------------------
 
 TEST(StepGraph, LoweredModelsPassGraphcheck) {
-  // Every scheme, graph fuse mode, and policy captures exactly one graph
-  // — phase 0 of the submission API, any other index a caller error —
-  // and that graph is race-free.
+  // Every scheme and policy captures exactly one graph — phase 0 of the
+  // submission API, any other index a caller error — and that graph is
+  // race-free.
   const auto dbl = smallLayout();
   const auto cfg = tiledConfig();
   for (const Scheme scheme : kSchemes) {
     const core::StepProgram prog = buildStepProgram(scheme, 0.01);
-    for (const StepFuse fuse : kGraphModes) {
-      for (const LevelPolicy policy : core::kLevelPolicies) {
-        LevelData u = initialState(dbl);
-        core::StepExecOptions opts;
-        opts.fuse = fuse;
-        opts.policy = policy;
-        core::StepGraphExecutor exec(cfg, 2, opts);
-        const std::string what = caseName(scheme, fuse, policy, 2);
-        EXPECT_THROW((void)exec.beginPhase(0), std::logic_error)
-            << what << ": no capture yet";
-        EXPECT_EQ(exec.preparePhases(prog, u, {}), 1u) << what;
-        EXPECT_EQ(exec.stats().graphCount, 1u) << what;
-        EXPECT_THROW((void)exec.beginPhase(1), std::logic_error) << what;
-        EXPECT_THROW(exec.endPhase(1), std::logic_error) << what;
-        const TaskGraphModel m = exec.lowerModel(prog, u, {});
-        const GraphCheckReport rep = analysis::checkTaskGraph(m);
-        EXPECT_TRUE(rep.ok())
-            << m.name << ": "
-            << (rep.diagnostics.empty() ? std::string("-")
-                                        : rep.diagnostics[0].message());
-        EXPECT_GT(rep.edgeCount, 0) << m.name;
-      }
+    for (const LevelPolicy policy : core::kLevelPolicies) {
+      LevelData u = initialState(dbl);
+      core::StepExecOptions opts;
+      opts.policy = policy;
+      core::StepGraphExecutor exec(cfg, 2, opts);
+      const std::string what = caseName(scheme, policy, 2);
+      EXPECT_THROW((void)exec.beginPhase(0), std::logic_error)
+          << what << ": no capture yet";
+      EXPECT_EQ(exec.preparePhases(prog, u, {}), 1u) << what;
+      EXPECT_EQ(exec.stats().graphCount, 1u) << what;
+      EXPECT_THROW((void)exec.beginPhase(1), std::logic_error) << what;
+      EXPECT_THROW(exec.endPhase(1), std::logic_error) << what;
+      const TaskGraphModel m = exec.lowerModel(prog, u, {});
+      const GraphCheckReport rep = analysis::checkTaskGraph(m);
+      EXPECT_TRUE(rep.ok())
+          << m.name << ": "
+          << (rep.diagnostics.empty() ? std::string("-")
+                                      : rep.diagnostics[0].message());
+      EXPECT_GT(rep.edgeCount, 0) << m.name;
     }
   }
 }
@@ -629,9 +515,7 @@ TEST(StepGraph, CapturedEdgesGrowLinearlyWithSteps) {
   const auto dbl = smallLayout();
   const auto edgesOf = [&](int steps) {
     LevelData u = initialState(dbl);
-    core::StepExecOptions opts;
-    opts.fuse = StepFuse::Fused;
-    core::StepGraphExecutor exec(tiledConfig(), 2, opts);
+    core::StepGraphExecutor exec(tiledConfig(), 2);
     (void)exec.preparePhases(buildStepProgram(Scheme::RK4, 0.01, steps), u,
                              {});
     return exec.stats().edgeCount;
@@ -650,35 +534,16 @@ TEST(StepGraph, StatsReflectTheCapture) {
   const core::StepProgram prog = buildStepProgram(Scheme::RK4, 0.01);
   LevelData u = initialState(dbl);
 
-  core::StepExecOptions fused;
-  fused.fuse = StepFuse::Fused;
-  core::StepGraphExecutor fusedExec(cfg, 2, fused);
-  fusedExec.run(prog, u, {});
-  const core::StepGraphStats fusedStats = fusedExec.stats();
-  EXPECT_EQ(fusedStats.fuse, StepFuse::Fused);
-  EXPECT_EQ(fusedStats.graphCount, 1u);
-  EXPECT_EQ(fusedStats.exchangeDepth, kNumGhost);
-  EXPECT_GT(fusedStats.taskCount, 0u);
-  EXPECT_GT(fusedStats.edgeCount, fusedStats.taskCount)
+  core::StepGraphExecutor exec(cfg, 2);
+  exec.run(prog, u, {});
+  const core::StepGraphStats stats = exec.stats();
+  EXPECT_EQ(stats.fuse, StepFuse::Fused);
+  EXPECT_EQ(stats.graphCount, 1u);
+  EXPECT_EQ(stats.exchangeDepth, kNumGhost);
+  EXPECT_GT(stats.taskCount, 0u);
+  EXPECT_GT(stats.edgeCount, stats.taskCount)
       << "cross-stage fusion must carry more dependencies than tasks";
-
-  LevelData v = initialState(dbl);
-  core::StepExecOptions ca;
-  ca.fuse = StepFuse::CommAvoid;
-  core::StepGraphExecutor caExec(cfg, 2, ca);
-  caExec.run(prog, v, {});
-  const core::StepGraphStats caStats = caExec.stats();
-  EXPECT_EQ(caStats.fuse, StepFuse::CommAvoid);
-  EXPECT_EQ(caStats.exchangeDepth, kNumGhost * schemeRhsEvals(Scheme::RK4));
-  EXPECT_LT(caStats.exchangeOps, fusedStats.exchangeOps)
-      << "one deepened exchange must replace four shallow ones";
-}
-
-TEST(StepGraph, EagerFuseIsRejectedByTheExecutor) {
-  core::StepExecOptions opts;
-  opts.fuse = StepFuse::Eager;
-  EXPECT_THROW(core::StepGraphExecutor(tiledConfig(), 2, opts),
-               std::invalid_argument);
+  EXPECT_GT(stats.exchangeOps, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -707,9 +572,7 @@ std::string firstWord(const std::string& s) {
 TEST(StepGraph, DroppedCrossStageEdgesAreCaught) {
   const auto dbl = smallLayout();
   LevelData u = initialState(dbl);
-  core::StepExecOptions opts;
-  opts.fuse = StepFuse::Fused;
-  core::StepGraphExecutor exec(tiledConfig(), 2, opts);
+  core::StepGraphExecutor exec(tiledConfig(), 2);
   const TaskGraphModel m =
       exec.lowerModel(buildStepProgram(Scheme::RK4, 0.01), u, {});
 
@@ -786,11 +649,13 @@ TEST(StepGraph, DefaultsAreFusedAndBoxParallel) {
             LevelPolicy::BoxParallel);
 
   core::StepFuse parsed{};
-  EXPECT_TRUE(core::parseStepFuse("comm-avoiding", parsed));
-  EXPECT_EQ(parsed, StepFuse::CommAvoid);
-  EXPECT_FALSE(core::parseStepFuse("staged", parsed))
-      << "the removed per-stage mode is an unknown name";
-  EXPECT_EQ(parsed, StepFuse::CommAvoid) << "untouched on failure";
+  EXPECT_TRUE(core::parseStepFuse("eager", parsed));
+  EXPECT_EQ(parsed, StepFuse::Eager);
+  for (const char* removed : {"staged", "commavoid", "comm-avoiding"}) {
+    EXPECT_FALSE(core::parseStepFuse(removed, parsed))
+        << "the removed mode '" << removed << "' is an unknown name";
+  }
+  EXPECT_EQ(parsed, StepFuse::Eager) << "untouched on failure";
   EXPECT_FALSE(core::parseStepFuse("nope", parsed));
   core::LevelPolicy policy = LevelPolicy::BoxSequential;
   EXPECT_FALSE(core::parseLevelPolicy("warp-drive", policy));

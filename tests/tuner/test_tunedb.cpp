@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -9,7 +10,6 @@
 #include <string>
 
 #include "analysis/costmodel.hpp"
-#include "solvers/integrator.hpp"
 
 namespace fluxdiv::tuner {
 namespace {
@@ -34,8 +34,8 @@ std::string tmpPath(const std::string& name) {
 TEST(TuneDB, RoundTripThroughDisk) {
   const std::string path = tmpPath("tunedb_roundtrip.json");
   TuneDB db(fakeMachine());
-  db.observe(key(), core::StepFuse::CommAvoid,
-             core::LevelPolicy::BoxSequential, 1.25e-3);
+  db.observe(key(), core::StepFuse::Fused, core::LevelPolicy::BoxSequential,
+             1.25e-3);
   db.save(path);
 
   TuneDB reloaded(fakeMachine());
@@ -43,7 +43,7 @@ TEST(TuneDB, RoundTripThroughDisk) {
   EXPECT_EQ(reloaded.size(), 1U);
   const TuneEntry* e = reloaded.find(key());
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->fuse, core::StepFuse::CommAvoid);
+  EXPECT_EQ(e->fuse, core::StepFuse::Fused);
   EXPECT_EQ(e->policy, core::LevelPolicy::BoxSequential);
   EXPECT_DOUBLE_EQ(e->seconds, 1.25e-3);
   EXPECT_TRUE(e->measured);
@@ -67,7 +67,7 @@ TEST(TuneDB, RoundTripThroughDisk) {
                 std::istreambuf_iterator<char>());
   }
   const std::string fused = "\"fuse\": \"fused\"";
-  const std::size_t at = text.find(fused);
+  const std::size_t at = text.find(fused, text.find("\"boxSize\": 32"));
   ASSERT_NE(at, std::string::npos) << text;
   text.replace(at, fused.size(), "\"fuse\": \"staged\"");
   std::ofstream(path, std::ios::trunc) << text;
@@ -77,7 +77,7 @@ TEST(TuneDB, RoundTripThroughDisk) {
   EXPECT_EQ(old.size(), 1U);
   EXPECT_EQ(old.find(key("rk4", 32, 4)), nullptr);
   ASSERT_NE(old.find(key()), nullptr);
-  EXPECT_EQ(old.find(key())->fuse, core::StepFuse::CommAvoid);
+  EXPECT_EQ(old.find(key())->policy, core::LevelPolicy::BoxSequential);
 }
 
 TEST(TuneDB, RemovedHybridPolicyRecordIsRejectedAndTheRestLoads) {
@@ -90,7 +90,7 @@ TEST(TuneDB, RemovedHybridPolicyRecordIsRejectedAndTheRestLoads) {
              core::LevelPolicy::BoxParallel, 1.0);
   db.observe(key("rk4", 128, 4), core::StepFuse::Fused,
              core::LevelPolicy::BoxSequential, 2.0);
-  db.observe(key("euler", 32, 4), core::StepFuse::CommAvoid,
+  db.observe(key("euler", 32, 4), core::StepFuse::Fused,
              core::LevelPolicy::BoxParallel, 3.0);
   db.save(path);
   std::string text;
@@ -112,7 +112,39 @@ TEST(TuneDB, RemovedHybridPolicyRecordIsRejectedAndTheRestLoads) {
   EXPECT_EQ(old.find(key("rk4", 128, 4)), nullptr);
   ASSERT_NE(old.find(key("rk4", 16, 4)), nullptr);
   ASSERT_NE(old.find(key("euler", 32, 4)), nullptr);
-  EXPECT_EQ(old.find(key("euler", 32, 4))->fuse, core::StepFuse::CommAvoid);
+  EXPECT_DOUBLE_EQ(old.find(key("euler", 32, 4))->seconds, 3.0);
+}
+
+TEST(TuneDB, RemovedCommAvoidRecordIsRejectedAndTheRestLoads) {
+  // A file written before comm-avoiding step fusion was deleted: one
+  // record names it, and every record carries the prior's priced bytes.
+  // The commavoid record alone is dropped and counted; the fused one
+  // loads, and the priorCostBytes key is ignored.
+  const std::string path = tmpPath("tunedb_commavoid.json");
+  const MachineSignature sig = fakeMachine();
+  std::ofstream(path, std::ios::trunc)
+      << "{\n  \"machine\": {\"cpuModel\": \"" << sig.cpuModel
+      << "\", \"logicalCores\": " << sig.logicalCores
+      << ", \"llcBytes\": " << sig.llcBytes << "},\n  \"records\": [\n"
+      << "    {\"scheme\": \"rk4\", \"boxSize\": 16, \"ghost\": 2, "
+         "\"threads\": 4, \"fuse\": \"commavoid\", \"policy\": "
+         "\"parallel\", \"seconds\": 0.002, \"priorCostBytes\": 1.5e+06, "
+         "\"refines\": 1},\n"
+      << "    {\"scheme\": \"ssprk3\", \"boxSize\": 24, \"ghost\": 2, "
+         "\"threads\": 4, \"fuse\": \"fused\", \"policy\": "
+         "\"sequential\", \"seconds\": 0.003, \"priorCostBytes\": "
+         "2.5e+06, \"refines\": 2}\n  ]\n}\n";
+  TuneDB old(sig);
+  ASSERT_TRUE(old.load(path));
+  EXPECT_EQ(old.counters().rejected, 1U);
+  EXPECT_EQ(old.size(), 1U);
+  EXPECT_EQ(old.find(key("rk4", 16, 4)), nullptr);
+  const TuneEntry* e = old.find(key("ssprk3", 24, 4));
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->fuse, core::StepFuse::Fused);
+  EXPECT_EQ(e->policy, core::LevelPolicy::BoxSequential);
+  EXPECT_DOUBLE_EQ(e->seconds, 0.003);
+  EXPECT_EQ(e->refines, 2);
 }
 
 TEST(TuneDB, MachineMismatchFallsBackToCostModelPrior) {
@@ -134,45 +166,37 @@ TEST(TuneDB, MachineMismatchFallsBackToCostModelPrior) {
   EXPECT_NE(prior.fuse, core::StepFuse::Eager);
 }
 
-TEST(TuneDB, PriorMatchesStepFusionRanking) {
-  const TuneKey k = key("rk4", 16, 4);
+TEST(TuneDB, PriorMatchesLevelPolicyRanking) {
+  // The prior runs the fused step graph, the one graph mode, under the
+  // level policy analyzeLevelPolicies predicts fastest from the service
+  // variant's cost report under the machine's LLC.
   const MachineSignature machine = fakeMachine();
-  const TuneEntry prior = costModelPrior(k, 8, machine);
-  // The same price the prior takes: the service variant's cost report
-  // under the machine's LLC, one RK4 step over 8 boxes.
   analysis::CacheSpec spec;
   spec.llcBytes = machine.llcBytes;
-  const analysis::CostReport box = analysis::analyzeCost(
-      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 16, 4,
-      spec);
-  const auto fusion = analysis::analyzeStepFusion(
-      solvers::buildStepProgram(solvers::Scheme::RK4, 1.0), box, 16, 8);
-  for (const auto& f : fusion) {
-    if (f.rank == 1) {
-      EXPECT_EQ(prior.fuse, f.fuse);
-      EXPECT_DOUBLE_EQ(prior.priorCostBytes, f.costBytes);
+  for (const int n : {8, 16, 64}) {
+    for (const int nBoxes : {1, 8}) {
+      const TuneEntry prior = costModelPrior(key("rk4", n, 4), nBoxes,
+                                             machine);
+      EXPECT_EQ(prior.fuse, core::StepFuse::Fused);
+      EXPECT_FALSE(prior.measured);
+      const auto policies = analysis::analyzeLevelPolicies(
+          core::makeShiftFuse(core::ParallelGranularity::WithinBox), n,
+          nBoxes, 4, spec);
+      const auto best = std::max_element(
+          policies.begin(), policies.end(), [](const auto& a, const auto& b) {
+            return a.predictedSpeedup < b.predictedSpeedup;
+          });
+      EXPECT_EQ(prior.policy, best->policy)
+          << nBoxes << " x " << n << "^3";
     }
   }
-  // A prior priced for another within-box variant charges that variant's
-  // RHS traffic.
-  const core::VariantConfig baseline =
-      core::makeBaseline(core::ParallelGranularity::WithinBox);
-  EXPECT_NE(costModelPrior(k, 8, machine, baseline).priorCostBytes,
-            prior.priorCostBytes);
-  // One stage: Fused and Eager move the same bytes and Fused wins on
-  // dispatches; CommAvoid's single exchange is no deeper but it copies
-  // the solution in and out.
-  EXPECT_EQ(costModelPrior(key("euler", 16, 4), 8, fakeMachine()).fuse,
-            core::StepFuse::Fused);
   EXPECT_THROW(costModelPrior(TuneKey{"rk9", 16, 2, 4}, 8, fakeMachine()),
                std::invalid_argument);
 }
 
 TEST(TuneDB, PriorAdmitsServeWarmShapesFused) {
   // benchsuite's serve-warm mix: {ssprk3, rk4} x box {12, 16, 24} x
-  // {2, 4} boxes at 4 threads. Comm-avoiding measured 1.2-3.5x slower
-  // than fused on every one of them at 1 and 4 threads
-  // (BENCH_rkstep.json).
+  // {2, 4} boxes at 4 threads, every shape admitted to the fused graph.
   for (const char* scheme : {"ssprk3", "rk4"}) {
     for (const int n : {12, 16, 24}) {
       for (const int nBoxes : {2, 4}) {
@@ -203,20 +227,20 @@ TEST(TuneDB, PriorIsSeededOnceAndUpgradedByObserve) {
 
 TEST(TuneDB, ObserveKeepsTheFasterChoice) {
   TuneDB db(fakeMachine());
-  db.observe(key(), core::StepFuse::CommAvoid,
-             core::LevelPolicy::BoxParallel, 2.0);
+  db.observe(key(), core::StepFuse::Fused, core::LevelPolicy::BoxParallel,
+             2.0);
   db.observe(key(), core::StepFuse::Fused,
              core::LevelPolicy::BoxSequential, 1.0);
   const TuneEntry* e = db.find(key());
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->fuse, core::StepFuse::Fused);
+  EXPECT_EQ(e->policy, core::LevelPolicy::BoxSequential);
   EXPECT_DOUBLE_EQ(e->seconds, 1.0);
 
   // A slower repeat of a different choice does not displace the record;
   // a faster repeat of the same choice tightens it.
-  db.observe(key(), core::StepFuse::Eager,
-             core::LevelPolicy::BoxSequential, 1.5);
-  EXPECT_EQ(db.find(key())->fuse, core::StepFuse::Fused);
+  db.observe(key(), core::StepFuse::Fused, core::LevelPolicy::BoxParallel,
+             1.5);
+  EXPECT_EQ(db.find(key())->policy, core::LevelPolicy::BoxSequential);
   db.observe(key(), core::StepFuse::Fused,
              core::LevelPolicy::BoxSequential, 0.5);
   EXPECT_DOUBLE_EQ(db.find(key())->seconds, 0.5);
@@ -257,7 +281,7 @@ TEST(TuneDB, FailedSaveLeavesTheOldFileIntact) {
   TuneDB db(fakeMachine());
   db.observe(key("rk4", 16, 4), core::StepFuse::Fused,
              core::LevelPolicy::BoxParallel, 1.0);
-  db.observe(key("ssprk3", 16, 4), core::StepFuse::CommAvoid,
+  db.observe(key("ssprk3", 16, 4), core::StepFuse::Fused,
              core::LevelPolicy::BoxSequential, 2.0);
   db.save(path);
 
@@ -283,7 +307,7 @@ TEST(TuneDB, EveryTruncatedPrefixLoadsWithoutThrowing) {
   TuneDB db(fakeMachine());
   db.observe(key("rk4", 16, 4), core::StepFuse::Fused,
              core::LevelPolicy::BoxParallel, 1.0);
-  db.observe(key("ssprk3", 24, 4), core::StepFuse::CommAvoid,
+  db.observe(key("ssprk3", 24, 4), core::StepFuse::Fused,
              core::LevelPolicy::BoxSequential, 2.0);
   db.observe(key("euler", 8, 2), core::StepFuse::Fused,
              core::LevelPolicy::BoxSequential, 3.0);

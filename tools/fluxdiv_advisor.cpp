@@ -16,15 +16,10 @@
 // offsets — overdeclared footprints mean the traffic model and the
 // exchange plan price ghost cells no kernel touches.
 //
-// --scheme additionally ranks the whole-RK-step fusion modes
-// (core::StepFuse: eager / fused / comm-avoiding, lowered by
-// core/stepgraph) for that time scheme — or every scheme with 'all' — by
-// the price the TuneDB's cold prior uses (analysis::analyzeStepFusion):
-// exchange bytes and latency, the RHS work at the service variant's
-// modeled bytes per cell including comm-avoiding's recomputed shell, and
-// the stage combines and copies. It prints a deep-halo-recompute note
-// whenever comm-avoiding's widened work costs more than the exchange
-// latency it eliminates; --strict also checks every step price.
+// --scheme additionally proves that time scheme's recorded step program
+// (or every scheme's with 'all') live and tight under the halo plan the
+// fused step graph runs (analysis/stepcheck), and prints any dead-store
+// or over-deep-halo note, the latter priced in recomputed cells.
 //
 // --pad prices working sets for the default padded fab allocation (x-pitch
 // rounded to grid::kSimdDoubles, docs/perf.md) instead of dense storage.
@@ -58,7 +53,6 @@
 #include "harness/machine.hpp"
 #include "harness/table.hpp"
 #include "kernels/exemplar.hpp"
-#include "serve/solve_service.hpp"
 #include "solvers/integrator.hpp"
 
 using namespace fluxdiv;
@@ -122,7 +116,7 @@ int main(int argc, char** argv) {
                "probe the shipped kernels and report overdeclared "
                "footprints (declared-but-never-read stencil offsets)");
   args.addString("scheme", "",
-                 "rank RK step-fusion modes for this time scheme "
+                 "whole-step notes for this time scheme "
                  "(euler/midpoint/ssprk3/rk4, or 'all')");
   try {
     if (!args.parse(argc, argv)) {
@@ -331,83 +325,38 @@ int main(int argc, char** argv) {
       }
       schemes.push_back(s);
     }
-    const int levelBoxes = std::max(1, nBoxes);
-    // The TuneDB prior's price: the service's within-box variant, analyzed
-    // once, prices every scheme's RHS work.
-    const core::VariantConfig serviceCfg = serve::ServiceOptions{}.cfg;
-    const analysis::CostReport box =
-        analysis::analyzeCost(serviceCfg, n, nThreads, spec);
-    std::cout << "\nstep-fusion ranking (" << levelBoxes << " x " << n
-              << "^3 boxes, per time step; exchange + RHS work at "
-              << serviceCfg.name() << "'s "
-              << harness::formatDouble(box.bytesPerCell, 1)
-              << " B/cell + combines, analysis::analyzeStepFusion):\n\n";
-    harness::Table ftable({"scheme", "fuse", "exchanges", "depth", "halo",
-                           "alpha", "rhs", "recomp", "combine",
-                           "dispatches", "cost", "rank"});
-    std::vector<std::pair<std::string, analysis::CostNote>> fuseNotes;
-    for (const solvers::Scheme s : schemes) {
-      const auto costs = analysis::analyzeStepFusion(
-          solvers::buildStepProgram(s, /*dt=*/1.0), box, n, levelBoxes);
-      for (const auto& fc : costs) {
-        ftable.addRow({solvers::schemeName(s),
-                       core::stepFuseName(fc.fuse),
-                       std::to_string(fc.exchanges),
-                       std::to_string(fc.exchangeDepth),
-                       fmtBytes(fc.exchangeBytes),
-                       fmtBytes(fc.alphaBytes),
-                       fmtBytes(fc.rhsBytes),
-                       harness::formatDouble(fc.recomputeFraction, 3),
-                       fmtBytes(fc.combineBytes + fc.copyBytes),
-                       std::to_string(fc.dispatches),
-                       fmtBytes(fc.costBytes),
-                       std::to_string(fc.rank)});
-        for (const auto& note : fc.notes) {
-          fuseNotes.emplace_back(solvers::schemeName(s), note);
-        }
-        if (args.getBool("strict") &&
-            (!std::isfinite(fc.costBytes) || fc.costBytes <= 0 ||
-             fc.rhsBytes <= 0)) {
-          std::cerr << "model error: " << solvers::schemeName(s) << "/"
-                    << core::stepFuseName(fc.fuse)
-                    << ": non-finite or non-positive step price\n";
-          ++strictFailures;
-        }
-      }
-    }
-    ftable.print(std::cout);
-    for (const auto& [name, note] : fuseNotes) {
-      std::cout << "  [" << analysis::costNoteKindName(note.kind) << "] "
-                << name << ": " << note.message() << "\n";
-    }
-
     // Whole-step liveness/tightness notes (analysis/stepcheck): dead
     // stores and over-deep halo widths in each scheme's recorded program
-    // under each fuse mode's planned halos, the latter priced in extra
+    // under the fused graph's planned halos, the latter priced in extra
     // recomputed cells per step over this level.
     bool anyStepNote = false;
     for (const solvers::Scheme s : schemes) {
       const core::StepProgram prog =
           solvers::buildStepProgram(s, /*dt=*/1.0);
-      for (const core::StepFuse fuse :
-           {core::StepFuse::Fused, core::StepFuse::CommAvoid}) {
-        analysis::StepCheckOptions sopts;
-        sopts.boxSize = n;
-        sopts.nBoxes = levelBoxes;
-        const analysis::StepCheckReport rep =
-            analysis::checkStepProgram(prog, fuse, sopts);
-        for (const analysis::CostNote& note :
-             analysis::stepCheckNotes(rep, prog)) {
-          if (!anyStepNote) {
-            std::cout << "\nwhole-step notes (analysis/stepcheck):\n";
-            anyStepNote = true;
-          }
-          std::cout << "  [" << analysis::costNoteKindName(note.kind)
-                    << "] " << solvers::schemeName(s) << "/"
-                    << core::stepFuseName(fuse) << ": " << note.message()
-                    << "\n";
-        }
+      analysis::StepCheckOptions sopts;
+      sopts.boxSize = n;
+      sopts.nBoxes = std::max(1, nBoxes);
+      const analysis::StepCheckReport rep =
+          analysis::checkStepProgram(prog, core::StepFuse::Fused, sopts);
+      if (args.getBool("strict") && !rep.ok()) {
+        std::cerr << "model error: " << solvers::schemeName(s) << ": "
+                  << rep.diagnostics[0].message() << "\n";
+        ++strictFailures;
       }
+      for (const analysis::CostNote& note :
+           analysis::stepCheckNotes(rep, prog)) {
+        if (!anyStepNote) {
+          std::cout << "\nwhole-step notes (analysis/stepcheck):\n";
+          anyStepNote = true;
+        }
+        std::cout << "  [" << analysis::costNoteKindName(note.kind) << "] "
+                  << solvers::schemeName(s) << ": " << note.message()
+                  << "\n";
+      }
+    }
+    if (!anyStepNote) {
+      std::cout << "\nwhole-step notes: every scheme's step program is "
+                   "live and its halos tight\n";
     }
   }
 
