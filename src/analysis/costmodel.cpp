@@ -537,8 +537,6 @@ const char* costNoteKindName(CostNoteKind k) {
     return "overdeclared-footprint";
   case CostNoteKind::DeadStore:
     return "dead-store";
-  case CostNoteKind::OverDeepHalo:
-    return "over-deep-halo";
   case CostNoteKind::ModelError:
     return "model-error";
   }
@@ -587,14 +585,6 @@ std::string CostNote::message() const {
     os << "'" << where
        << "': written values are never read by a later op -> the step "
           "program carries dead work";
-    break;
-  case CostNoteKind::OverDeepHalo:
-    os << "'" << where << "': halo width "
-       << static_cast<std::int64_t>(actualBytes)
-       << " exceeds the proven-minimal "
-       << static_cast<std::int64_t>(limitBytes) << " -> +"
-       << static_cast<std::int64_t>(fraction)
-       << " recomputed cells per run for no accuracy gain";
     break;
   case CostNoteKind::ModelError:
     os << where;

@@ -58,7 +58,6 @@ enum class CostNoteKind {
   OverCommunicated, ///< exchange plan has redundant/mergeable ops
   OverdeclaredFootprint, ///< declared stencil offsets no kernel reads
   DeadStore,      ///< step op writes values nothing reads (stepcheck S2)
-  OverDeepHalo,   ///< halo width above proven minimum (stepcheck S3)
   ModelError,     ///< internal inconsistency (tool-level strict checks)
 };
 

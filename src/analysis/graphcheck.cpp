@@ -374,8 +374,38 @@ GraphCheckReport checkTaskGraph(const TaskGraphModel& m,
   }
 
   // G3: when the graph performs the exchange itself, each task's Phi0 read
-  // outside its box's valid region must be covered by the Phi0 writes that
-  // happen-before it (the exchange-op tasks feeding that ghost region).
+  // outside its box's valid region must be covered by the current Phi0
+  // writes that happen-before it (the exchange-op tasks feeding that ghost
+  // region). A write is current for reader t unless a task ordered between
+  // the two overwrites what the writer read: then the ghost holds an
+  // earlier stage's value, e.g. the fill a later, under-copying exchange
+  // of the same slot left behind.
+  const auto before = [&](int ga, int gb) {
+    const auto a = static_cast<std::size_t>(ga);
+    const auto b = static_cast<std::size_t>(gb);
+    const int c = comps.compOf[a];
+    return ga != gb && c == comps.compOf[b] &&
+           reach[static_cast<std::size_t>(c)].test(
+               static_cast<std::size_t>(comps.localId[a]),
+               static_cast<std::size_t>(comps.localId[b]));
+  };
+  const auto current = [&](int gu, int t) {
+    for (const auto& a : m.tasks[static_cast<std::size_t>(gu)].reads) {
+      const auto it =
+          buckets.find({static_cast<int>(a.field), a.slot, a.box});
+      if (it == buckets.end()) {
+        continue;
+      }
+      for (const Ref& v : it->second.first) {
+        if (!m.tasks[static_cast<std::size_t>(v.task)].orderingOnly &&
+            v.access->overlaps(a) && before(gu, v.task) &&
+            before(v.task, t)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
   if (!m.ghostsPreExchanged) {
     for (std::size_t t = 0; t < m.tasks.size(); ++t) {
       if (m.tasks[t].orderingOnly) {
@@ -406,7 +436,8 @@ GraphCheckReport checkTaskGraph(const TaskGraphModel& m,
           for (const auto& w : m.tasks[gu].writes) {
             if (w.field == FieldId::Phi0 && w.box == r.box &&
                 w.slot == r.slot && w.comp0 <= r.comp0 &&
-                r.comp0 + r.nComp <= w.comp0 + w.nComp) {
+                r.comp0 + r.nComp <= w.comp0 + w.nComp &&
+                current(static_cast<int>(gu), static_cast<int>(t))) {
               cover.add(w.region);
             }
           }
@@ -417,23 +448,32 @@ GraphCheckReport checkTaskGraph(const TaskGraphModel& m,
             continue;
           }
           // Name the exchange op that should have fed the missing cells:
-          // the op whose (grown) ghost fill is nearest the hole.
+          // the op whose (grown) ghost fill is nearest the hole, preferring
+          // the latest such op before the reader.
           int bestOp = -1;
           std::int64_t bestVol = 0;
-          for (std::size_t u = 0; u < m.tasks.size(); ++u) {
-            if (!m.tasks[u].exchangeOp) {
-              continue;
+          for (const bool onlyBefore : {true, false}) {
+            if (bestOp >= 0) {
+              break;
             }
-            for (const auto& w : m.tasks[u].writes) {
-              if (w.field != FieldId::Phi0 || w.box != r.box ||
-                  w.slot != r.slot) {
+            for (std::size_t u = 0; u < m.tasks.size(); ++u) {
+              if (!m.tasks[u].exchangeOp ||
+                  (onlyBefore && !before(static_cast<int>(u),
+                                         static_cast<int>(t)))) {
                 continue;
               }
-              const std::int64_t vol =
-                  (w.region.grow(1) & missing).numPts();
-              if (vol > bestVol) {
-                bestVol = vol;
-                bestOp = static_cast<int>(u);
+              for (const auto& w : m.tasks[u].writes) {
+                if (w.field != FieldId::Phi0 || w.box != r.box ||
+                    w.slot != r.slot) {
+                  continue;
+                }
+                const std::int64_t vol =
+                    (w.region.grow(1) & missing).numPts();
+                if (vol > bestVol || (onlyBefore && vol > 0 &&
+                                      vol == bestVol)) {
+                  bestVol = vol;
+                  bestOp = static_cast<int>(u);
+                }
               }
             }
           }

@@ -22,7 +22,10 @@
 //   G3 (ghost coverage) when the graph itself performs the exchange
 //                       (ghostsPreExchanged == false), every ghost-region
 //                       read is covered by the union of exchange-op writes
-//                       that happen-before the reader.
+//                       that happen-before the reader and are still
+//                       current: no task ordered between write and read
+//                       overwrites the cells the writer copied from (else
+//                       the ghost holds an earlier stage's value).
 //
 // Violations come back as the same structured Diagnostic the schedule
 // verifier uses, naming both tasks and a witness cell region. The checker

@@ -290,9 +290,10 @@ GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
             continue;
           }
           // The starved reader the checker will name: the lowest-id
-          // compute task whose Phi0 read of this box needs a lost cell.
+          // compute task after the op whose Phi0 read of this box needs a
+          // lost cell (tasks are numbered in program order).
           int reader = -1;
-          for (std::size_t r = 0; r < m.tasks.size() && reader < 0;
+          for (std::size_t r = t + 1; r < m.tasks.size() && reader < 0;
                ++r) {
             if (m.tasks[r].exchangeOp) {
               continue;
@@ -624,153 +625,109 @@ KernelMutation forgetDeclaredOffset(const KernelFootprintModel& m,
 }
 
 // ------------------------------------------------------------------ steps
+//
+// The predictions below use the fixed halo widths of every step program:
+// an exchange or boundary fill writes ghost layers 1..kNumGhost, a
+// compute op writes the valid region (layers <= 0), and an RHS reads its
+// source kNumGhost layers beyond what it writes.
 
 namespace {
 
-using core::StepFuse;
-using core::StepHaloPlan;
 using core::StepOp;
 using core::StepOpKind;
 using core::StepProgram;
 
+constexpr int kG = kernels::kNumGhost;
+
 /// Sentinel: the slot (still) agrees with the reference at every layer.
 constexpr int kCleanLayer = 1 << 20;
-
-int stepStorageDepth(const StepProgram& prog, const StepHaloPlan& plan) {
-  const int g = kernels::kNumGhost;
-  int depth = std::max(plan.depth, g);
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    const int w = plan.width[i];
-    depth = std::max(
-        depth, prog.ops[i].kind == StepOpKind::RhsEval ? w + g : w);
-  }
-  return depth;
-}
-
-/// Forward staleness pass predicting checkStepProgram's witness for a
-/// dropped/shaved exchange at op `from`: per slot, track the lowest layer
-/// whose content diverges from the unmutated run (the corrupt band is
-/// [c, depth]); the witness is the first op whose *written interior*
-/// (layer <= 0) the corruption reaches. Deliberately independent of the
-/// checker's band interpreter — the tests assert the two agree.
-int predictStaleWitness(const StepProgram& prog, const StepHaloPlan& plan,
-                        std::size_t from, int corruptFrom) {
-  const int g = kernels::kNumGhost;
-  const int depth = stepStorageDepth(prog, plan);
-  std::vector<int> c(static_cast<std::size_t>(prog.nSlots), kCleanLayer);
-  const auto s = [](int slot) { return static_cast<std::size_t>(slot); };
-  c[s(prog.ops[from].dst)] = corruptFrom;
-  // Old content above an op's overwritten range [.., w] survives it.
-  const auto remnant = [&](int old, int w) {
-    if (old == kCleanLayer || old > w) {
-      return old;
-    }
-    return w + 1 > depth ? kCleanLayer : w + 1;
-  };
-  for (std::size_t i = from + 1; i < prog.ops.size(); ++i) {
-    const StepOp& op = prog.ops[i];
-    const int w = plan.width[i];
-    switch (op.kind) {
-    case StepOpKind::Exchange:
-      // A mirror-refill from a clean interior repairs ghosts up to w.
-      if (c[s(op.dst)] > 0) {
-        const int nc = std::max(c[s(op.dst)], w + 1);
-        c[s(op.dst)] = nc > depth ? kCleanLayer : nc;
-      }
-      break;
-    case StepOpKind::BoundaryFill:
-      break;
-    case StepOpKind::RhsEval: {
-      // The stencil at layer L reads src [L-g, L+g]: corruption moves
-      // inward by g and lands everywhere the op writes (layers <= w).
-      const int in = c[s(op.src)];
-      const int out = in <= w + g ? in - g : kCleanLayer;
-      c[s(op.dst)] = std::min(out, remnant(c[s(op.dst)], w));
-      break;
-    }
-    case StepOpKind::CopySlot: {
-      const int in = c[s(op.src)] <= w ? c[s(op.src)] : kCleanLayer;
-      c[s(op.dst)] = std::min(in, remnant(c[s(op.dst)], w));
-      break;
-    }
-    case StepOpKind::AxpySlot: {
-      // Accumulates in place: old corruption persists, src's joins.
-      const int in = c[s(op.src)] <= w ? c[s(op.src)] : kCleanLayer;
-      c[s(op.dst)] = std::min(c[s(op.dst)], in);
-      break;
-    }
-    case StepOpKind::ScaleSlot:
-      break; // in place: corruption neither spreads nor heals
-    }
-    const bool writesInterior = op.kind == StepOpKind::RhsEval ||
-                                op.kind == StepOpKind::CopySlot ||
-                                op.kind == StepOpKind::AxpySlot ||
-                                op.kind == StepOpKind::ScaleSlot;
-    if (writesInterior && c[s(op.dst)] <= 0) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-/// Layers a slot read reaches: RHS stencils read g beyond their width,
-/// the rest read exactly the layers they run on (exchange and BC fill
-/// read interior mirrors only).
-int stepReadDepth(const StepOp& op, int w) {
-  switch (op.kind) {
-  case StepOpKind::RhsEval:
-    return w + kernels::kNumGhost;
-  case StepOpKind::CopySlot:
-  case StepOpKind::AxpySlot:
-  case StepOpKind::ScaleSlot:
-    return w;
-  case StepOpKind::Exchange:
-  case StepOpKind::BoundaryFill:
-    return 0;
-  }
-  return 0;
-}
 
 bool stepWritesInterior(StepOpKind k) {
   return k == StepOpKind::RhsEval || k == StepOpKind::CopySlot ||
          k == StepOpKind::AxpySlot || k == StepOpKind::ScaleSlot;
 }
 
+/// Forward staleness pass predicting checkStepProgram's witness when the
+/// exchange at op `from` is missing and its slot's ghosts stay stale: per
+/// slot, track the lowest layer whose content diverges from the reference
+/// (the corrupt band is [c, kG]); the witness is the first op whose
+/// *written interior* (layer <= 0) the corruption reaches. Deliberately
+/// independent of the checker's band interpreter — the tests assert the
+/// two agree.
+int predictStaleWitness(const StepProgram& prog, std::size_t from) {
+  std::vector<int> c(static_cast<std::size_t>(prog.nSlots), kCleanLayer);
+  const auto s = [](int slot) { return static_cast<std::size_t>(slot); };
+  c[s(prog.ops[from].dst)] = 1;
+  // Ghost-layer corruption survives an op that overwrites the interior.
+  const auto remnant = [](int old) {
+    return old == kCleanLayer || old > 0 ? old : 1;
+  };
+  for (std::size_t i = from + 1; i < prog.ops.size(); ++i) {
+    const StepOp& op = prog.ops[i];
+    switch (op.kind) {
+    case StepOpKind::Exchange:
+      // A mirror-refill from a clean interior repairs every ghost layer.
+      if (c[s(op.dst)] > 0) {
+        c[s(op.dst)] = kCleanLayer;
+      }
+      break;
+    case StepOpKind::BoundaryFill:
+      break;
+    case StepOpKind::RhsEval: {
+      // The stencil at layer L reads src [L-kG, L+kG]: corruption moves
+      // inward by kG and lands everywhere the op writes (layers <= 0).
+      const int in = c[s(op.src)];
+      const int out = in <= kG ? in - kG : kCleanLayer;
+      c[s(op.dst)] = std::min(out, remnant(c[s(op.dst)]));
+      break;
+    }
+    case StepOpKind::CopySlot: {
+      const int in = c[s(op.src)] <= 0 ? c[s(op.src)] : kCleanLayer;
+      c[s(op.dst)] = std::min(in, remnant(c[s(op.dst)]));
+      break;
+    }
+    case StepOpKind::AxpySlot: {
+      // Accumulates in place: old corruption persists, src's joins.
+      const int in = c[s(op.src)] <= 0 ? c[s(op.src)] : kCleanLayer;
+      c[s(op.dst)] = std::min(c[s(op.dst)], in);
+      break;
+    }
+    case StepOpKind::ScaleSlot:
+      break; // in place: corruption neither spreads nor heals
+    }
+    if (stepWritesInterior(op.kind) && c[s(op.dst)] <= 0) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+/// Layers a slot read reaches: RHS stencils read kG beyond the valid
+/// region, combines read exactly the valid region, and exchange and BC
+/// fill read interior mirrors only.
+int stepReadDepth(const StepOp& op) {
+  return op.kind == StepOpKind::RhsEval ? kG : 0;
+}
+
 /// Sentinel: every layer of the slot is still unwritten.
 constexpr int kUninitAll = -kCleanLayer;
 
 /// Per slot, the lowest still-unwritten layer after executing ops
-/// [0, upTo) at their plan widths. Slot 0 starts fully defined (u plus
-/// stale-but-written ghosts); stage temps start unwritten everywhere.
-std::vector<int> stepUninitFrom(const StepProgram& prog,
-                                const StepHaloPlan& plan,
-                                std::size_t upTo) {
+/// [0, upTo). Slot 0 starts fully defined (u plus stale-but-written
+/// ghosts); stage temps start unwritten everywhere.
+std::vector<int> stepUninitFrom(const StepProgram& prog, std::size_t upTo) {
   std::vector<int> u(static_cast<std::size_t>(prog.nSlots), kUninitAll);
   u[0] = kCleanLayer;
   for (std::size_t j = 0; j < upTo; ++j) {
-    const int w = plan.width[j];
     const StepOp& op = prog.ops[j];
     int& ud = u[static_cast<std::size_t>(op.dst)];
     if (stepWritesInterior(op.kind)) {
-      ud = std::max(ud, w + 1);
+      ud = std::max(ud, 1);
     } else if (ud >= 1) { // ghost fill from a written interior
-      const int fill =
-          op.kind == StepOpKind::Exchange ? w : kernels::kNumGhost;
-      ud = std::max(ud, fill + 1);
+      ud = std::max(ud, kG + 1);
     }
   }
   return u;
-}
-
-std::vector<std::size_t> keptExchanges(const StepProgram& prog,
-                                       const StepHaloPlan& plan) {
-  std::vector<std::size_t> cand;
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    if (prog.ops[i].kind == StepOpKind::Exchange && plan.width[i] > 0) {
-      cand.push_back(i);
-    }
-  }
-  return cand;
 }
 
 std::vector<int> stepReadSlots(const StepOp& op) {
@@ -788,57 +745,45 @@ std::vector<int> stepReadSlots(const StepOp& op) {
   return {};
 }
 
-bool sameStepOp(const StepOp& a, const StepOp& b) {
-  return a.kind == b.kind && a.dst == b.dst && a.src == b.src &&
-         a.scale == b.scale && a.step == b.step;
-}
-
 std::string stepOpWhat(const StepProgram& prog, std::size_t i) {
   const StepOp& op = prog.ops[i];
   return "op " + std::to_string(i) + " ('" + prog.slotName(op.dst) +
          "', step " + std::to_string(op.step) + ")";
 }
 
-/// Predict checkStepProgram's verdict for an exchange at op `from` that no
-/// longer delivers layers [corruptFrom, origWidth] of its slot. Two
-/// regimes: if those layers were never written before (a stage temp's
-/// first exchange), the first op reading that deep trips ReadBeforeWrite;
-/// if they held older (stale) values, the staleness pass locates the first
-/// interior the divergence reaches (ValueMismatch). Returns false when the
-/// damage never reaches a reader.
-bool predictExchangeWitness(const StepProgram& prog,
-                            const StepHaloPlan& plan, std::size_t from,
-                            int corruptFrom, int origWidth,
+/// Predict checkStepProgram's verdict for `prog` without its exchange at
+/// op `from`; `witnessOp` indexes `prog`. Two regimes: if the slot's ghost
+/// layers were never written before (a stage temp's first exchange), the
+/// first op reading them trips ReadBeforeWrite; if they held older
+/// (stale) values, the staleness pass locates the first interior the
+/// divergence reaches (ValueMismatch). Returns false when the damage
+/// never reaches a reader.
+bool predictExchangeWitness(const StepProgram& prog, std::size_t from,
                             StepDiagKind& kind, int& witnessOp) {
   const int dst = prog.ops[from].dst;
-  const std::vector<int> u0 = stepUninitFrom(prog, plan, from);
-  int U = std::max(corruptFrom, u0[static_cast<std::size_t>(dst)]);
-  if (U <= origWidth) {
-    const int depth = stepStorageDepth(prog, plan);
+  int unwritten = std::max(1, stepUninitFrom(prog, from)[
+                                  static_cast<std::size_t>(dst)]);
+  if (unwritten <= kG) {
     for (std::size_t j = from + 1; j < prog.ops.size(); ++j) {
-      const int w = plan.width[j];
       const StepOp& op = prog.ops[j];
       const std::vector<int> reads = stepReadSlots(op);
       if (std::find(reads.begin(), reads.end(), dst) != reads.end() &&
-          stepReadDepth(op, w) >= U) {
+          stepReadDepth(op) >= unwritten) {
         kind = StepDiagKind::ReadBeforeWrite;
         witnessOp = static_cast<int>(j);
         return true;
       }
       if (op.dst == dst) { // later writes can define the missing layers
-        const int covered = stepWritesInterior(op.kind) ? w
-                            : op.kind == StepOpKind::Exchange
-                                ? w
-                                : kernels::kNumGhost;
-        U = std::max(U, covered + 1);
-        if (U > depth) {
+        unwritten =
+            std::max(unwritten, stepWritesInterior(op.kind) ? 1 : kG + 1);
+        if (unwritten > kG) {
           return false; // fully repaired before any deep read
         }
       }
     }
     return false;
   }
-  const int wit = predictStaleWitness(prog, plan, from, corruptFrom);
+  const int wit = predictStaleWitness(prog, from);
   if (wit < 0) {
     return false;
   }
@@ -853,47 +798,27 @@ StepMutation dropStepExchange(const core::StepProgram& prog,
                               std::uint64_t seed) {
   StepMutation mut;
   mut.prog = prog;
-  mut.plan = core::planStepHalos(prog);
-  const std::vector<std::size_t> cand = keptExchanges(prog, mut.plan);
+  mut.reference = prog;
+  std::vector<std::size_t> cand;
+  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
+    if (prog.ops[i].kind == StepOpKind::Exchange) {
+      cand.push_back(i);
+    }
+  }
   if (cand.empty()) {
-    mut.what = "dropStepExchange: no kept exchange to drop";
+    mut.what = "dropStepExchange: no exchange to drop";
     return mut;
   }
   const std::size_t i = cand[seed % cand.size()];
-  const int w = mut.plan.width[i];
-  mut.plan.width[i] = 0; // an exchange of width 0 moves nothing
-  if (!predictExchangeWitness(prog, mut.plan, i, 1, w, mut.expect,
-                              mut.witnessOp)) {
+  if (!predictExchangeWitness(prog, i, mut.expect, mut.witnessOp)) {
     mut.what = "dropStepExchange: missing ghosts never reach a reader";
     return mut;
   }
+  mut.prog.ops.erase(mut.prog.ops.begin() + static_cast<std::ptrdiff_t>(i));
+  --mut.witnessOp; // the witness follows the dropped op: one index down
+  mut.useReference = true;
   mut.valid = true;
   mut.what = "dropped exchange " + stepOpWhat(prog, i);
-  return mut;
-}
-
-StepMutation shallowStepHalo(const core::StepProgram& prog,
-                             std::uint64_t seed) {
-  StepMutation mut;
-  mut.prog = prog;
-  mut.plan = core::planStepHalos(prog);
-  const std::vector<std::size_t> cand = keptExchanges(prog, mut.plan);
-  if (cand.empty()) {
-    mut.what = "shallowStepHalo: no kept exchange to shave";
-    return mut;
-  }
-  const std::size_t i = cand[seed % cand.size()];
-  const int w = mut.plan.width[i];
-  mut.plan.width[i] = w - 1;
-  // Layer w is the one the shaved exchange no longer delivers.
-  if (!predictExchangeWitness(prog, mut.plan, i, w, w, mut.expect,
-                              mut.witnessOp)) {
-    mut.what = "shallowStepHalo: shaved layer never reaches a reader";
-    return mut;
-  }
-  mut.valid = true;
-  mut.what = "exchange " + stepOpWhat(prog, i) + " shaved to width " +
-             std::to_string(w - 1);
   return mut;
 }
 
@@ -910,7 +835,7 @@ StepMutation reorderStepOps(const core::StepProgram& prog,
   for (std::size_t i = 0; i + 1 < prog.ops.size(); ++i) {
     const StepOp& x = prog.ops[i];
     const StepOp& y = prog.ops[i + 1];
-    if (sameStepOp(x, y)) {
+    if (x == y) {
       continue;
     }
     if (!stepWritesInterior(x.kind) && !stepWritesInterior(y.kind)) {
@@ -940,7 +865,6 @@ StepMutation reorderStepOps(const core::StepProgram& prog,
   }
   const std::size_t i = cand[seed % cand.size()];
   std::swap(mut.prog.ops[i], mut.prog.ops[i + 1]);
-  mut.plan = core::planStepHalos(mut.prog);
   mut.useReference = true;
   mut.valid = true;
   mut.witnessOp = static_cast<int>(i);
@@ -948,11 +872,11 @@ StepMutation reorderStepOps(const core::StepProgram& prog,
   // layer it now reads was never yet written (a stage temp's interior, or
   // ghost layers whose exchange it just jumped ahead of); otherwise the
   // lockstep sees the two runs write different values at the swap point.
-  const std::vector<int> u0 = stepUninitFrom(prog, mut.plan, i);
+  const std::vector<int> u0 = stepUninitFrom(prog, i);
   bool rbw = false;
   for (const int r : stepReadSlots(prog.ops[i + 1])) {
-    rbw = rbw || u0[static_cast<std::size_t>(r)] <=
-                     stepReadDepth(prog.ops[i + 1], mut.plan.width[i]);
+    rbw = rbw ||
+          u0[static_cast<std::size_t>(r)] <= stepReadDepth(prog.ops[i + 1]);
   }
   mut.expect =
       rbw ? StepDiagKind::ReadBeforeWrite : StepDiagKind::ValueMismatch;
@@ -982,38 +906,11 @@ StepMutation skewStepCoeff(const core::StepProgram& prog,
   }
   const std::size_t i = cand[seed % cand.size()];
   mut.prog.ops[i].scale *= 1.0 + 1e-12;
-  mut.plan = core::planStepHalos(mut.prog);
   mut.useReference = true;
   mut.valid = true;
   mut.expect = StepDiagKind::ValueMismatch;
   mut.witnessOp = static_cast<int>(i);
   mut.what = "combine coefficient skewed at " + stepOpWhat(prog, i);
-  return mut;
-}
-
-StepMutation deepenStepHalo(const core::StepProgram& prog,
-                            std::uint64_t seed) {
-  StepMutation mut;
-  mut.prog = prog;
-  mut.plan = core::planStepHalos(prog);
-  // Only exchanges can be deepened without side effects: a mirror-fill one
-  // layer deeper is still well-defined, whereas e.g. a widened stage
-  // combine would read ghost layers its RHS never produced.
-  const std::vector<std::size_t> cand = keptExchanges(prog, mut.plan);
-  if (cand.empty()) {
-    mut.what = "deepenStepHalo: no kept exchange to deepen";
-    return mut;
-  }
-  const std::size_t i = cand[seed % cand.size()];
-  const int w = mut.plan.width[i];
-  mut.plan.width[i] = w + 1;
-  mut.plan.depth = std::max(mut.plan.depth, w + 1);
-  mut.valid = true;
-  mut.expectAdvisory = true;
-  mut.witnessOp = static_cast<int>(i);
-  mut.expectMinWidth = w;
-  mut.what = "exchange " + stepOpWhat(prog, i) + " deepened to width " +
-             std::to_string(w + 1);
   return mut;
 }
 

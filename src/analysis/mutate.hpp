@@ -9,12 +9,17 @@
 // (analysis/graphcheck.hpp): seeded edge drops, edge reroutes, and
 // ghost-write shrinks, each predicting the two-task witness
 // checkTaskGraph must report.
-
 //
 // The CommMutation half miscompiles *exchange plans*
 // (analysis/commcheck.hpp): seeded op drops, region shrinks, source
 // skews, and send unmatchings, each predicting the labeled two-endpoint
 // witness checkCommPlan must report.
+//
+// The StepMutation half miscompiles *step programs*
+// (analysis/stepcheck.hpp): a dropped exchange, a reordered op pair, and
+// a skewed combine coefficient, each predicting the op at which
+// checkStepProgram must report the mutant's divergence from the
+// unmutated program.
 
 #include <cstddef>
 #include <cstdint>
@@ -84,8 +89,9 @@ GraphMutation rerouteGraphEdge(const TaskGraphModel& m,
 /// Shrink one exchange-op task's ghost write by its outermost layer (a
 /// halo fill that under-copies). Requires a graph that performs its own
 /// exchange (ghostsPreExchanged == false), as every step graph does.
-/// Expected: ReadUncovered naming the first starved reader of the same
-/// slot and the op.
+/// Expected: ReadUncovered naming the first starved reader after the op
+/// of the same slot and the op — also when an earlier exchange of the
+/// slot filled the lost layer, whose value is stale by then.
 GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
                                std::uint64_t seed);
 
@@ -170,67 +176,48 @@ KernelMutation shiftKernelStencil(const KernelFootprintModel& m,
 KernelMutation forgetDeclaredOffset(const KernelFootprintModel& m,
                                     std::uint64_t seed);
 
-/// A seeded step-program/halo-plan miscompilation plus the verdict it must
-/// provoke from checkStepProgram (analysis/stepcheck.hpp). `valid == false`
-/// means the program offered no candidate for this mutation class (e.g. a
-/// plan with no exchange has nothing to drop); callers skip those. Every
-/// factory mutates core::planStepHalos(prog), the plan the step graph
-/// runs.
+/// A seeded step-program miscompilation plus the verdict it must provoke
+/// from checkStepProgram (analysis/stepcheck.hpp). `valid == false` means
+/// the program offered no candidate for this mutation class (e.g. a
+/// program with no conflicting adjacent pair has nothing to reorder);
+/// callers skip those. Every factory mutates the program and keeps the
+/// unmutated one as the S1 reference.
 ///
 /// Check the mutation with
 ///   StepCheckOptions o; if (m.useReference) o.reference = &m.reference;
-///   checkStepProgram(m.prog, StepFuse::Fused, m.plan, o)
-/// When `expectAdvisory` is false the report's FIRST diagnostic must have
-/// kind `expect` and op `witnessOp`. When true the report must instead be
-/// clean (ok()) but carry an OverDeepHalo advisory at `witnessOp` whose
-/// proven minimum equals `expectMinWidth`.
+///   checkStepProgram(m.prog, o)
+/// The report's FIRST diagnostic must have kind `expect` and op
+/// `witnessOp`, an index into the mutated program.
 struct StepMutation {
-  core::StepProgram prog;      ///< program to check (mutated for reorder/skew)
-  core::StepHaloPlan plan;     ///< plan to check under (mutated for the rest)
-  core::StepProgram reference; ///< unmutated program (reorder/skew only)
+  core::StepProgram prog;      ///< the mutated program to check
+  core::StepProgram reference; ///< the unmutated program
   bool useReference = false;   ///< pass `reference` via StepCheckOptions
   bool valid = false;          ///< false: no candidate for this class
   std::string what;            ///< human description of the injected bug
   StepDiagKind expect = StepDiagKind::ValueMismatch;
-  int witnessOp = -1;          ///< predicted first-failure / advisory op
-  bool expectAdvisory = false; ///< deepenStepHalo: expect advisory, not diag
-  int expectMinWidth = -1;     ///< deepen: the width S3 must prove minimal
+  int witnessOp = -1;          ///< predicted first-failure op
 };
 
-/// Drop one halo exchange from the plan outright (width -> 0) — the
-/// classic forgotten exchange before a stage RHS. Expected: ValueMismatch
-/// at the first later op whose written interior is fed by the now-stale
-/// ghosts (predicted by an independent forward staleness pass).
+/// Remove one Exchange op from the program — a builder that forgets the
+/// exchange before a stage RHS. Expected: ReadBeforeWrite at the first op
+/// reading the never-filled ghosts of a stage temp's first exchange, else
+/// ValueMismatch at the first later op whose written interior is fed by
+/// the now-stale ghosts (predicted by an independent forward staleness
+/// pass).
 StepMutation dropStepExchange(const core::StepProgram& prog,
                               std::uint64_t seed);
 
-/// Shave one ghost layer off one exchange (width w -> w-1) — the
-/// under-provisioned halo. Expected: ValueMismatch at the
-/// first op where the missing layer reaches a written interior cell; this
-/// is exactly the width-minimality direction of the S3 tightness proof.
-StepMutation shallowStepHalo(const core::StepProgram& prog,
-                             std::uint64_t seed);
-
 /// Swap one adjacent pair of genuinely conflicting ops (one writes a slot
 /// the other touches) — the classic stage-combine emitted before its RHS.
-/// Checked against the unmutated program as reference. Expected: a
-/// diagnostic at the first swapped index — ReadBeforeWrite when the
-/// hoisted op now reads a never-written stage temp, ValueMismatch
-/// otherwise.
+/// Expected: a diagnostic at the first swapped index — ReadBeforeWrite
+/// when the hoisted op now reads a never-written stage temp,
+/// ValueMismatch otherwise.
 StepMutation reorderStepOps(const core::StepProgram& prog,
                             std::uint64_t seed);
 
 /// Perturb one combine coefficient by a relative 1e-12 (a wrong Butcher
-/// tableau entry). Checked against the unmutated program as reference.
-/// Expected: ValueMismatch at the skewed op itself.
+/// tableau entry). Expected: ValueMismatch at the skewed op itself.
 StepMutation skewStepCoeff(const core::StepProgram& prog,
                            std::uint64_t seed);
-
-/// Deepen one op's halo width by a layer (width w -> w+1, growing plan
-/// depth if needed) — the over-provisioned halo that silently recomputes.
-/// S1 still holds, so expected: a clean report carrying an OverDeepHalo
-/// advisory at the op with proven minimum = the original width.
-StepMutation deepenStepHalo(const core::StepProgram& prog,
-                            std::uint64_t seed);
 
 } // namespace fluxdiv::analysis::mutate

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -14,7 +13,6 @@
 namespace fluxdiv::analysis {
 
 using core::StepFuse;
-using core::StepHaloPlan;
 using core::StepOp;
 using core::StepOpKind;
 using core::StepProgram;
@@ -67,7 +65,8 @@ struct ExNode {
   /// MixedRhs: the window's field profile as (upper layer offset relative
   /// to the evaluated cell's layer, expr) pairs, ascending, last offset
   /// +kG. Relative keying makes the node independent of which absolute
-  /// layer it was built for, so plan and eager runs intern identically.
+  /// layer it was built for, so program and reference runs intern
+  /// identically.
   std::vector<std::pair<int, int>> win;
   int op = -1; ///< creating op index — witness metadata, NOT hashed
 };
@@ -122,7 +121,7 @@ private:
 // ---------------------------------------------------------------------------
 // Per-slot symbolic state: ascending layer bands. Band i covers layers
 // (band[i-1].upTo, band[i].upTo]; band 0 reaches down to -infinity; the
-// last band's upTo is the slot's storage depth. Layer L >= 1 is ghost
+// last band's upTo is the storage depth kG. Layer L >= 1 is ghost
 // depth L (L-inf); L <= 0 is interior distance -L from the valid-region
 // boundary.
 
@@ -152,7 +151,7 @@ void normalize(Bands& b) {
       return i;
     }
   }
-  return b.size() - 1; // callers guard layer <= storage depth
+  return b.size() - 1; // every read stays within the storage depth kG
 }
 
 [[nodiscard]] int exprAt(const Bands& b, int layer) {
@@ -196,28 +195,29 @@ void overlay(Bands& b, int lo, int hi, const Bands& part) {
 }
 
 // ---------------------------------------------------------------------------
-// The abstract machine: one per run (fuse-plan side and eager side), both
-// interning into one shared ExprTable.
+// The abstract machine: one per run (the checked program and its
+// reference), both interning into one shared ExprTable. Exchanges and
+// boundary fills write ghost layers 1..kG; compute ops write the valid
+// region (layers <= 0).
 
 struct Machine {
   ExprTable* tab = nullptr;
-  int depth = kG; ///< storage depth every slot is banded to
   std::vector<Bands> slots;
-  /// Plan-side only: per-op "some later op read my written value".
+  /// Checked-program side only: per-op "some later op read my written
+  /// value", and the ReadBeforeWrite sink.
   std::vector<char>* consumed = nullptr;
-  std::vector<StepDiagnostic>* diags = nullptr; ///< plan-side RBW sink
+  std::vector<StepDiagnostic>* diags = nullptr;
   const StepProgram* prog = nullptr;
 
-  void reset(int nSlots, int d) {
-    depth = d;
+  void reset(int nSlots) {
     slots.assign(static_cast<std::size_t>(nSlots), {});
     for (int s = 0; s < nSlots; ++s) {
       Bands& b = slots[static_cast<std::size_t>(s)];
       if (s == 0) {
         b.push_back({0, tab->init(0), -1});
-        b.push_back({depth, tab->stale(0), -1});
+        b.push_back({kG, tab->stale(0), -1});
       } else {
-        b.push_back({depth, tab->uninit(s), -1});
+        b.push_back({kG, tab->uninit(s), -1});
       }
     }
   }
@@ -284,40 +284,33 @@ struct Machine {
     return rel;
   }
 
-  void applyExchange(int s, int w, int op) {
-    if (w <= 0) {
-      return; // zero layers: nothing moves
-    }
-    consume(s, 1 - w, 0, op);
-    Bands part;
-    const Bands& cur = slot(s);
-    for (int layer = 1; layer <= w; ++layer) {
-      // Ghost depth L holds what the neighbor's valid cells hold at
-      // interior distance L-1 from their own boundary: the mirror.
-      part.push_back({layer, exprAt(cur, 1 - layer), op});
-    }
-    overlay(slot(s), 1, w, part);
-  }
-
-  void applyBoundaryFill(int s, int op) {
+  /// Fill ghost layers 1..kG of slot `s` from its interior mirror: ghost
+  /// depth L takes what the neighbor's valid cells hold at interior
+  /// distance L-1 from their own boundary (an exchange), or a BC value
+  /// derived from it (a boundary fill).
+  void applyGhostFill(int s, bool boundary, int op) {
     consume(s, 1 - kG, 0, op);
     Bands part;
     const Bands& cur = slot(s);
     for (int layer = 1; layer <= kG; ++layer) {
-      ExNode n;
-      n.kind = ExKind::BCFill;
-      n.a = exprAt(cur, 1 - layer);
-      n.op = op;
-      part.push_back({layer, tab->intern(std::move(n)), op});
+      int expr = exprAt(cur, 1 - layer);
+      if (boundary) {
+        ExNode n;
+        n.kind = ExKind::BCFill;
+        n.a = expr;
+        n.op = op;
+        expr = tab->intern(std::move(n));
+      }
+      part.push_back({layer, expr, op});
     }
     overlay(slot(s), 1, kG, part);
   }
 
-  void applyRhs(int src, int dst, int w, int op) {
-    consume(src, kBottom, w + kG, op);
+  void applyRhs(int src, int dst, int op) {
+    consume(src, kBottom, kG, op);
     const Bands& in = slot(src);
     Bands out;
-    const int bottom = std::min(in.front().upTo - kG, w);
+    const int bottom = std::min(in.front().upTo - kG, 0);
     {
       ExNode n;
       n.kind = ExKind::Rhs;
@@ -325,7 +318,7 @@ struct Machine {
       n.op = op;
       out.push_back({bottom, tab->intern(std::move(n)), op});
     }
-    for (int layer = bottom + 1; layer <= w; ++layer) {
+    for (int layer = bottom + 1; layer <= 0; ++layer) {
       auto rel = window(in, layer);
       ExNode n;
       if (rel.size() == 1) {
@@ -338,17 +331,17 @@ struct Machine {
       n.op = op;
       out.push_back({layer, tab->intern(std::move(n)), op});
     }
-    writeUpTo(slot(dst), w, std::move(out));
+    writeUpTo(slot(dst), 0, std::move(out));
   }
 
-  void applyCombine(const StepOp& sop, int w, int op) {
+  void applyCombine(const StepOp& sop, int op) {
     const int dst = sop.dst;
     const int src = sop.src;
     if (sop.kind != StepOpKind::ScaleSlot) {
-      consume(src, kBottom, w, op);
+      consume(src, kBottom, 0, op);
     }
     if (sop.kind != StepOpKind::CopySlot) {
-      consume(dst, kBottom, w, op); // axpy/scale read-modify their dst;
+      consume(dst, kBottom, 0, op); // axpy/scale read-modify their dst;
                                     // copy overwrites without reading, so
                                     // an overwritten-unread store stays
                                     // dead for S2
@@ -359,17 +352,17 @@ struct Machine {
       Bands out;
       int prevUp = kBottom;
       for (const Band& band : b) {
-        if (prevUp >= w) {
+        if (prevUp >= 0) {
           break;
         }
-        out.push_back({std::min(band.upTo, w), band.expr, op});
+        out.push_back({std::min(band.upTo, 0), band.expr, op});
         prevUp = band.upTo;
       }
-      writeUpTo(slot(dst), w, std::move(out));
+      writeUpTo(slot(dst), 0, std::move(out));
       return;
     }
     Bands out;
-    const int bottom = std::min({a.front().upTo, b.front().upTo, w});
+    const int bottom = std::min({a.front().upTo, b.front().upTo, 0});
     const auto make = [&](int layer) {
       ExNode n;
       if (sop.kind == StepOpKind::AxpySlot) {
@@ -385,28 +378,26 @@ struct Machine {
       return tab->intern(std::move(n));
     };
     out.push_back({bottom, make(bottom), op});
-    for (int layer = bottom + 1; layer <= w; ++layer) {
+    for (int layer = bottom + 1; layer <= 0; ++layer) {
       out.push_back({layer, make(layer), op});
     }
-    writeUpTo(slot(dst), w, std::move(out));
+    writeUpTo(slot(dst), 0, std::move(out));
   }
 
-  /// Execute op `i` at plan width `w`.
-  void apply(const StepOp& sop, int w, int i) {
+  /// Execute op `i`.
+  void apply(const StepOp& sop, int i) {
     switch (sop.kind) {
     case StepOpKind::Exchange:
-      applyExchange(sop.dst, w, i);
-      break;
     case StepOpKind::BoundaryFill:
-      applyBoundaryFill(sop.dst, i);
+      applyGhostFill(sop.dst, sop.kind == StepOpKind::BoundaryFill, i);
       break;
     case StepOpKind::RhsEval:
-      applyRhs(sop.src, sop.dst, w, i);
+      applyRhs(sop.src, sop.dst, i);
       break;
     case StepOpKind::CopySlot:
     case StepOpKind::AxpySlot:
     case StepOpKind::ScaleSlot:
-      applyCombine(sop, w, i);
+      applyCombine(sop, i);
       break;
     }
   }
@@ -451,18 +442,6 @@ grid::IntVect witnessCell(int layer, int boxSize) {
   return {d, d, d};
 }
 
-/// Storage depth the plan implies: every width fits, every RHS source
-/// read (width + kG) fits, and at least the declared depth / the base
-/// ghost width.
-int storageDepth(const StepProgram& prog, const StepHaloPlan& plan) {
-  int d = std::max(plan.depth, kG);
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    const int w = i < plan.width.size() ? plan.width[i] : 0;
-    d = std::max(d, prog.ops[i].kind == StepOpKind::RhsEval ? w + kG : w);
-  }
-  return d;
-}
-
 std::string opLabel(const StepProgram& prog, int i) {
   if (i < 0 || static_cast<std::size_t>(i) >= prog.ops.size()) {
     return "op " + std::to_string(i);
@@ -495,116 +474,94 @@ std::string opLabel(const StepProgram& prog, int i) {
          std::to_string(op.step) + ")";
 }
 
-/// One lockstep S1 interpretation: `prog` under `plan` against `ref`
-/// under `ref`'s eager plan. Returns diagnostics; fills
-/// `consumed`/`advDiags` only when tracking liveness (full mode).
-struct RunOutcome {
-  std::vector<StepDiagnostic> diagnostics;
-  std::vector<char> consumed;
-  Machine plan; ///< final plan-side state (liveness post-pass)
-};
+/// Record S1's witness: slot `s` of the program's run (`a`) diverges from
+/// the reference's run (`b`) at `layer`, first seen after op `op`.
+void reportMismatch(Machine& a, Machine& b, int s, int layer, int op,
+                    const std::string& where, const StepCheckOptions& opts,
+                    std::vector<StepDiagnostic>& diags) {
+  const auto held = [s, layer](Machine& m) {
+    return exKindName(m.tab->node(exprAt(m.slot(s), layer)).kind);
+  };
+  StepDiagnostic d;
+  d.kind = StepDiagKind::ValueMismatch;
+  d.op = op;
+  d.slot = s;
+  d.layer = layer;
+  d.cell = witnessCell(layer, opts.boxSize);
+  d.detail = where + ": program holds " + held(a) +
+             " where the reference holds " + held(b) + " in slot '" +
+             a.slotName(s) + "'";
+  diags.push_back(std::move(d));
+}
 
-RunOutcome runLockstep(const StepProgram& prog, const StepHaloPlan& plan,
-                       const StepProgram& ref, const StepCheckOptions& opts,
-                       ExprTable& tab, bool track) {
-  const StepHaloPlan eager = core::planStepHalos(ref);
-  const int depth =
-      std::max(storageDepth(prog, plan), storageDepth(ref, eager));
-
-  RunOutcome out;
-  out.consumed.assign(prog.ops.size(), 0);
-
-  Machine& a = out.plan;
-  a.tab = &tab;
-  a.prog = &prog;
-  if (track) {
-    a.consumed = &out.consumed;
-    a.diags = &out.diagnostics;
-  }
-  a.reset(prog.nSlots, depth);
-
+/// S1: run `prog` on `a` (which also tracks S2) and `ref` on a fresh
+/// machine in lockstep, and report the first op whose written interior
+/// diverges. Programs of unequal length run in lockstep over their common
+/// prefix; then the longer one's extra ops run alone, and the rest stays
+/// aligned on the shifted index. Witness ops index `prog`.
+void runLockstep(Machine& a, const StepProgram& prog, const StepProgram& ref,
+                 const StepCheckOptions& opts,
+                 std::vector<StepDiagnostic>& diags) {
   Machine b;
-  b.tab = &tab;
+  b.tab = a.tab;
   b.prog = &ref;
-  b.reset(ref.nSlots, depth);
+  b.reset(ref.nSlots);
 
-  const bool lockstep = prog.ops.size() == ref.ops.size();
-  const std::size_t n = prog.ops.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t before = out.diagnostics.size();
-    a.apply(prog.ops[i], plan.width[i], static_cast<int>(i));
-    if (!lockstep) {
-      continue;
+  const std::size_t np = prog.ops.size();
+  const std::size_t nr = ref.ops.size();
+  std::size_t prefix = 0;
+  while (prefix < std::min(np, nr) && prog.ops[prefix] == ref.ops[prefix]) {
+    ++prefix;
+  }
+  const std::size_t progExtra = np > nr ? np - nr : 0;
+  const std::size_t refExtra = nr > np ? nr - np : 0;
+  for (std::size_t i = 0; i <= np; ++i) {
+    if (i == prefix) {
+      for (std::size_t j = prefix; j < prefix + refExtra; ++j) {
+        b.apply(ref.ops[j], static_cast<int>(j));
+      }
     }
-    b.apply(ref.ops[i], eager.width[i], static_cast<int>(i));
-    if (out.diagnostics.size() > before) {
-      return out; // the op's own read-before-write is the minimal witness
+    if (i == np) {
+      break;
     }
-    // S1, incrementally: the first op whose written interior diverges
-    // from the eager reference is the minimal witness.
-    for (const int s : {prog.ops[i].dst, ref.ops[i].dst}) {
+    a.apply(prog.ops[i], static_cast<int>(i));
+    if (!diags.empty()) {
+      return; // the op's own read-before-write is the minimal witness
+    }
+    if (i >= prefix && i < prefix + progExtra) {
+      continue; // an extra op of the program: nothing to align with
+    }
+    const std::size_t j = i < prefix ? i : i + refExtra - progExtra;
+    b.apply(ref.ops[j], static_cast<int>(j));
+    // Incrementally: the first op whose written interior diverges from
+    // the reference is the minimal witness.
+    for (const int s : {prog.ops[i].dst, ref.ops[j].dst}) {
       if (s >= prog.nSlots || s >= ref.nSlots) {
         continue;
       }
       const int layer = divergingLayer(a.slot(s), b.slot(s));
-      if (layer == kBottom) {
-        if (s == prog.ops[i].dst && s == ref.ops[i].dst) {
-          break; // same dst checked once
-        }
-        continue;
+      if (layer != kBottom) {
+        reportMismatch(a, b, s, layer, static_cast<int>(i),
+                       opLabel(prog, static_cast<int>(i)), opts, diags);
+        return;
       }
-      StepDiagnostic d;
-      d.kind = StepDiagKind::ValueMismatch;
-      d.op = static_cast<int>(i);
-      d.slot = s;
-      d.layer = layer;
-      d.cell = witnessCell(layer, opts.boxSize);
-      d.detail = opLabel(prog, static_cast<int>(i)) + ": plan writes " +
-                 std::string(exKindName(
-                     tab.node(exprAt(a.slot(s), layer)).kind)) +
-                 " where eager holds " +
-                 std::string(exKindName(
-                     tab.node(exprAt(b.slot(s), layer)).kind)) +
-                 " in slot '" + a.slotName(s) + "'";
-      out.diagnostics.push_back(std::move(d));
-      return out;
     }
   }
-  // Final safety net (and the only comparison when op counts differ):
-  // every slot's interior must agree at the end.
-  const int nSlots = std::min(prog.nSlots, ref.nSlots);
-  for (int s = 0; s < nSlots; ++s) {
+  // Final safety net: every slot's interior must agree at the end.
+  for (int s = 0; s < std::min(prog.nSlots, ref.nSlots); ++s) {
     const int layer = divergingLayer(a.slot(s), b.slot(s));
-    if (layer == kBottom) {
-      continue;
+    if (layer != kBottom) {
+      reportMismatch(a, b, s, layer, a.slot(s)[bandAt(a.slot(s), layer)].writer,
+                     "final interior", opts, diags);
+      return;
     }
-    StepDiagnostic d;
-    d.kind = StepDiagKind::ValueMismatch;
-    d.op = a.slot(s)[bandAt(a.slot(s), layer)].writer;
-    d.slot = s;
-    d.layer = layer;
-    d.cell = witnessCell(layer, opts.boxSize);
-    d.detail = "final interior of slot '" + a.slotName(s) +
-               "' diverges from eager";
-    out.diagnostics.push_back(std::move(d));
-    return out;
   }
-  return out;
-}
-
-long long extraCells(int boxSize, int nBoxes, int w, int minW) {
-  const auto vol = [boxSize](int width) {
-    const long long side = boxSize + 2LL * width;
-    return side * side * side;
-  };
-  return (vol(w) - vol(minW)) * nBoxes;
 }
 
 const char* stepDiagKindName(StepDiagKind kind) {
   switch (kind) {
   case StepDiagKind::ValueMismatch: return "value-mismatch";
   case StepDiagKind::ReadBeforeWrite: return "read-before-write";
-  case StepDiagKind::StorageExceeded: return "storage-exceeded";
   }
   return "?";
 }
@@ -613,7 +570,6 @@ const char* stepNoteKindName(StepNoteKind kind) {
   switch (kind) {
   case StepNoteKind::DeadStore: return "dead-store";
   case StepNoteKind::DeadExchange: return "dead-exchange";
-  case StepNoteKind::OverDeepHalo: return "over-deep-halo";
   }
   return "?";
 }
@@ -645,12 +601,6 @@ std::string StepAdvisory::message() const {
   msg += ", slot ";
   msg += std::to_string(slot);
   switch (kind) {
-  case StepNoteKind::OverDeepHalo:
-    msg += ": width " + std::to_string(width) +
-           " exceeds the proven-minimal " + std::to_string(minWidth) +
-           " (+" + std::to_string(recomputeCells) +
-           " recomputed cells per run)";
-    break;
   case StepNoteKind::DeadStore:
     msg += ": written values are never read";
     break;
@@ -661,31 +611,36 @@ std::string StepAdvisory::message() const {
   return msg;
 }
 
-StepCheckReport checkStepProgram(const StepProgram& prog, StepFuse fuse,
-                                 const StepHaloPlan& plan,
+StepCheckReport checkStepProgram(const StepProgram& prog,
                                  const StepCheckOptions& opts) {
   StepCheckReport report;
-  report.fuse = fuse;
-  report.planDepth = plan.depth;
-  const StepProgram& ref =
-      opts.reference != nullptr ? *opts.reference : prog;
-
   ExprTable tab;
-  RunOutcome run = runLockstep(prog, plan, ref, opts, tab, /*track=*/true);
-  report.diagnostics = std::move(run.diagnostics);
+  std::vector<char> consumed(prog.ops.size(), 0);
+  Machine run;
+  run.tab = &tab;
+  run.prog = &prog;
+  run.consumed = &consumed;
+  run.diags = &report.diagnostics;
+  run.reset(prog.nSlots);
+  if (opts.reference != nullptr) {
+    runLockstep(run, prog, *opts.reference, opts, report.diagnostics);
+  } else {
+    for (std::size_t i = 0; i < prog.ops.size() && report.ok(); ++i) {
+      run.apply(prog.ops[i], static_cast<int>(i));
+    }
+  }
 
   if (report.ok()) {
     // S2 advisories: ops whose written values nothing ever consumed.
-    run.plan.consumeOutput();
+    run.consumeOutput();
     for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-      if (run.consumed[i] != 0) {
+      if (consumed[i] != 0) {
         continue;
       }
       const StepOp& op = prog.ops[i];
       StepAdvisory adv;
       adv.op = static_cast<int>(i);
       adv.slot = op.dst;
-      adv.width = plan.width[i];
       adv.kind = (op.kind == StepOpKind::Exchange ||
                   op.kind == StepOpKind::BoundaryFill)
                      ? StepNoteKind::DeadExchange
@@ -693,49 +648,8 @@ StepCheckReport checkStepProgram(const StepProgram& prog, StepFuse fuse,
       report.advisories.push_back(adv);
     }
   }
-
-  if (report.ok() && opts.checkTightness) {
-    // S3: every positive width must be minimal — width-1 breaks S1.
-    StepCheckOptions sub = opts;
-    sub.checkTightness = false;
-    for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-      const int w = plan.width[i];
-      if (w <= 0) {
-        continue;
-      }
-      int minW = w;
-      for (int t = w - 1; t >= 0; --t) {
-        StepHaloPlan trial = plan;
-        trial.width[i] = t;
-        ExprTable trialTab;
-        const RunOutcome probe =
-            runLockstep(prog, trial, ref, sub, trialTab, /*track=*/true);
-        if (!probe.diagnostics.empty()) {
-          break; // t provably breaks S1/S2: w = t+1 is necessary
-        }
-        minW = t;
-      }
-      if (minW < w) {
-        StepAdvisory adv;
-        adv.kind = StepNoteKind::OverDeepHalo;
-        adv.op = static_cast<int>(i);
-        adv.slot = prog.ops[i].dst;
-        adv.width = w;
-        adv.minWidth = minW;
-        adv.recomputeCells =
-            extraCells(opts.boxSize, opts.nBoxes, w, minW);
-        report.advisories.push_back(adv);
-      }
-    }
-  }
-
   report.exprCount = tab.size();
   return report;
-}
-
-StepCheckReport checkStepProgram(const StepProgram& prog, StepFuse fuse,
-                                 const StepCheckOptions& opts) {
-  return checkStepProgram(prog, fuse, core::planStepHalos(prog), opts);
 }
 
 std::vector<CostNote> stepCheckNotes(const StepCheckReport& report,
@@ -743,15 +657,8 @@ std::vector<CostNote> stepCheckNotes(const StepCheckReport& report,
   std::vector<CostNote> notes;
   for (const StepAdvisory& adv : report.advisories) {
     CostNote note;
-    note.kind = adv.kind == StepNoteKind::OverDeepHalo
-                    ? CostNoteKind::OverDeepHalo
-                    : CostNoteKind::DeadStore;
+    note.kind = CostNoteKind::DeadStore;
     note.where = opLabel(prog, adv.op);
-    // OverDeepHalo: actual vs proven-minimal width, recompute volume in
-    // `fraction`. Dead stores/exchanges: the planned width only.
-    note.actualBytes = static_cast<double>(adv.width);
-    note.limitBytes = static_cast<double>(adv.minWidth);
-    note.fraction = static_cast<double>(adv.recomputeCells);
     notes.push_back(note);
   }
   return notes;

@@ -1,26 +1,24 @@
 #pragma once
-// analysis/stepcheck: the whole-step semantic-equivalence prover
+// analysis/stepcheck: the whole-step program checker
 // (docs/static-analysis.md, "stepcheck"). The top layer of the proof
 // pyramid: schedules (verifier) -> task graphs (graphcheck) -> comm plans
 // (commcheck) -> kernel contracts (kernelcheck) -> whole-step semantics
 // (this file). It interprets a core::StepProgram symbolically — per slot,
 // per *ghost/interior layer* — building hash-consed provenance
-// expressions for every value the op chain produces, and proves that the
-// halo plan core::StepGraphExecutor lowers cannot change the answer:
+// expressions for every value the op chain produces. Halo width is fixed
+// by the stencil: every exchange fills kNumGhost layers and every compute
+// op runs on the valid region, so what can vary is the program itself:
 //
-//   S1 equivalence   under the StepHaloPlan, every valid-region layer of
-//                    every slot carries the same provenance expression as
-//                    under eager semantics. Failure carries a minimal witness
-//                    (first op whose written interior diverges, deepest
-//                    diverging layer, a concrete witness cell).
+//   S1 equivalence   against a reference program (StepCheckOptions::
+//                    reference), every valid-region layer of every slot
+//                    carries the same provenance expression after every
+//                    op. Failure carries a minimal witness (first op
+//                    whose written interior diverges, deepest diverging
+//                    layer, a concrete witness cell).
 //   S2 liveness      no op reads a slot layer that was never written
 //                    (ReadBeforeWrite); ops whose written values are
 //                    never consumed raise DeadStore / DeadExchange
 //                    advisories.
-//   S3 tightness     every planStepHalos width is minimal: width-1
-//                    provably breaks S1. A width that still passes when
-//                    shrunk raises an OverDeepHalo advisory priced in
-//                    recomputed cells (surfaced by fluxdiv_advisor).
 //   S4 rebind        stepSignature() digests (program, fuse, layout,
 //                    physics) into the key the executor-cache rebind
 //                    paths must match before reusing a captured graph
@@ -34,8 +32,8 @@
 // is an ordered list of layer bands sharing one expression; an exchange
 // fills ghost layer L with the interior expression at layer 1-L (what the
 // neighbor's valid cells hold); an RHS evaluation at layer L reads the
-// window [L-g, L+g]. Both the planned run and the eager reference run
-// intern expressions into one table, so S1 is a per-layer id comparison.
+// window [L-g, L+g]. The program's run and the reference's run intern
+// expressions into one table, so S1 is a per-layer id comparison.
 
 #include <array>
 #include <cstdint>
@@ -51,9 +49,8 @@ namespace fluxdiv::analysis {
 struct CostNote; // costmodel.hpp
 
 enum class StepDiagKind {
-  ValueMismatch,   ///< S1: interior provenance diverges from eager
+  ValueMismatch,   ///< S1: interior provenance diverges from the reference
   ReadBeforeWrite, ///< S2: op reads a never-written stage-slot layer
-  StorageExceeded, ///< plan inconsistency: exchange deeper than its depth
 };
 
 /// One stepcheck failure with its minimal witness: `op` is the first
@@ -74,57 +71,40 @@ struct StepDiagnostic {
 enum class StepNoteKind {
   DeadStore,    ///< op's written values are never read (S2)
   DeadExchange, ///< exchange fills ghosts nothing ever reads (S2)
-  OverDeepHalo, ///< plan width not minimal; shrinking keeps S1 (S3)
 };
 
 struct StepAdvisory {
   StepNoteKind kind = StepNoteKind::DeadStore;
   int op = -1;
   int slot = 0;
-  int width = 0;    ///< planned width (OverDeepHalo)
-  int minWidth = 0; ///< proven-minimal width: minWidth-1 breaks S1
-  /// Extra cells recomputed (or ghost cells filled) per run because of
-  /// the over-deep width, over opts.nBoxes boxes of side opts.boxSize.
-  long long recomputeCells = 0;
 
   [[nodiscard]] std::string message() const;
 };
 
 struct StepCheckOptions {
-  int boxSize = 16; ///< cubic box side for witness cells and pricing
-  int nBoxes = 1;   ///< boxes, for OverDeepHalo pricing
-  bool checkTightness = true; ///< run S3 (quadratic in program length)
-  /// Compare against this program's eager run instead of `prog`'s own
-  /// (mutation testing: the skew/reorder mutants perturb the program and
-  /// must diverge from the *unperturbed* reference). Must have the same
-  /// op count as `prog`; null means self-reference.
+  int boxSize = 16; ///< cubic box side for witness cells
+  /// S1 reference: the program `prog` must match op by op (mutation
+  /// testing: a mutant must diverge from the *unmutated* program). When
+  /// the two differ in length, they run in lockstep over their common
+  /// prefix, the longer one's extra ops run alone, and the rest stays
+  /// aligned on the shifted index. Null: S2 only.
   const core::StepProgram* reference = nullptr;
 };
 
 struct StepCheckReport {
-  core::StepFuse fuse = core::StepFuse::Fused;
   std::vector<StepDiagnostic> diagnostics;
   std::vector<StepAdvisory> advisories;
   std::size_t exprCount = 0; ///< hash-consed provenance DAG size
-  int planDepth = 0;         ///< deepest exchange of the plan
 
   [[nodiscard]] bool ok() const { return diagnostics.empty(); }
 };
 
-/// Prove S1/S2/S3 for `prog` under `plan` against the eager reference
-/// semantics; `fuse` labels the report. The overload without a plan takes
-/// core::planStepHalos(prog).
+/// Check S2 for `prog`, plus S1 against `opts.reference` when it is set.
 StepCheckReport checkStepProgram(const core::StepProgram& prog,
-                                 core::StepFuse fuse,
-                                 const core::StepHaloPlan& plan,
-                                 const StepCheckOptions& opts = {});
-StepCheckReport checkStepProgram(const core::StepProgram& prog,
-                                 core::StepFuse fuse,
                                  const StepCheckOptions& opts = {});
 
-/// Convert a report's advisories to cost-model notes (DeadStore /
-/// OverDeepHalo CostNoteKind) for fluxdiv_advisor --scheme; `prog` is
-/// the checked program, for op labels.
+/// Convert a report's advisories to DeadStore cost-model notes for
+/// fluxdiv_advisor --scheme; `prog` is the checked program, for op labels.
 std::vector<CostNote> stepCheckNotes(const StepCheckReport& report,
                                      const core::StepProgram& prog);
 

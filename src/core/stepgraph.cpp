@@ -28,9 +28,6 @@ using grid::Real;
 using kernels::kNumComp;
 using kernels::kNumGhost;
 
-// planStepHalos moved to core/stepprogram.cpp (fluxdiv_variant) so the
-// analysis library can plan halos without linking the executors.
-
 namespace {
 
 #ifdef FLUXDIV_VERIFY
@@ -74,12 +71,10 @@ analysis::StepShapeKey stepShapeKeyOf(const LevelData& u,
 
 #ifdef FLUXDIV_VERIFY
 /// Whole-step gate: before the first capture of each distinct
-/// (program, layout, physics) signature, prove the graph's halo plan
-/// semantically equivalent to the eager reference (stepcheck S1/S2).
-/// Tightness (S3) is advisory and proven offline by the stepcheck test
-/// suite (tests/analysis/test_stepcheck.cpp), so the gate skips it.
-void verifyStepOnce(const StepProgram& prog, const StepHaloPlan& plan,
-                    const LevelData& u, const StepRhsSpec& rhs) {
+/// (program, layout, physics) signature, prove the program live
+/// (stepcheck S2: no op reads a never-written stage-slot layer).
+void verifyStepOnce(const StepProgram& prog, const LevelData& u,
+                    const StepRhsSpec& rhs) {
   static analysis::VerifyGate gate;
   const std::uint64_t sig = analysis::stepSignature(
       prog, StepFuse::Fused, stepShapeKeyOf(u, rhs));
@@ -88,10 +83,8 @@ void verifyStepOnce(const StepProgram& prog, const StepHaloPlan& plan,
   }
   analysis::StepCheckOptions opts;
   opts.boxSize = u.validBox(0).size(0);
-  opts.nBoxes = static_cast<int>(u.size());
-  opts.checkTightness = false;
   const analysis::StepCheckReport report =
-      analysis::checkStepProgram(prog, StepFuse::Fused, plan, opts);
+      analysis::checkStepProgram(prog, opts);
   if (report.ok()) {
     return;
   }
@@ -694,11 +687,10 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   cap->boundary = rhs.boundary;
   cap->boundU = &u;
 
-  const StepHaloPlan plan = planStepHalos(prog);
   cap->signature =
       analysis::stepSignature(prog, StepFuse::Fused, stepShapeKeyOf(u, rhs));
 #ifdef FLUXDIV_VERIFY
-  verifyStepOnce(prog, plan, u, rhs);
+  verifyStepOnce(prog, u, rhs);
 #endif
 
   // Schedule-legality and kernel-contract gates for every box shape the
@@ -748,7 +740,7 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   stats_.rebinds = rebinds;
   stats_.fuse = StepFuse::Fused;
   stats_.graphCount = 1;
-  stats_.exchangeDepth = plan.depth;
+  stats_.exchangeDepth = kNumGhost;
   stats_.rebuilt = true;
   stats_.taskCount = cap->graph.size();
   stats_.edgeCount = cap->model.edgeCount();

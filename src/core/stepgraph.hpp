@@ -29,9 +29,11 @@
 // slot-qualified footprints (TaskAccess::slot). In Debug or with
 // -DFLUXDIV_VERIFY=ON it is proven race-free by analysis/graphcheck before
 // its first execution, and before its first capture the step program is
-// proven equivalent to eager by analysis/stepcheck and the exchange plan
-// of every slot level is proven exact, matched, and deadlock-free by
-// analysis/commcheck. Shadow-epoch barrier tasks (orderingOnly in the
+// proven live (no read of a never-written stage slot) by analysis/
+// stepcheck and the exchange plan of every slot level is proven exact,
+// matched, and deadlock-free by analysis/commcheck. Every exchange fills
+// kNumGhost ghost layers; graphcheck's ghost-coverage rule (G3) proves
+// each reader's ghosts are filled before it runs. Shadow-epoch barrier tasks (orderingOnly in the
 // model) re-arm the FLUXDIV_SHADOW_CHECK write detector between
 // successive RHS writes into the same stage slot.
 
@@ -53,7 +55,7 @@ namespace fluxdiv::core {
 
 class FluxDivRunner; // verification gates (core/runner.hpp)
 
-// StepOpKind / StepOp / StepProgram / StepHaloPlan / planStepHalos live in
+// StepOpKind / StepOp / StepProgram / logicalTiles live in
 // core/stepprogram.hpp (compiled into fluxdiv_variant) so the analysis
 // library can verify step programs without linking the executors.
 

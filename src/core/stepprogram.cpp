@@ -8,18 +8,6 @@ namespace fluxdiv::core {
 
 using kernels::kNumGhost;
 
-StepHaloPlan planStepHalos(const StepProgram& prog) {
-  StepHaloPlan plan;
-  plan.width.assign(prog.ops.size(), 0);
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    if (prog.ops[i].kind == StepOpKind::Exchange) {
-      plan.width[i] = kNumGhost;
-      plan.depth = kNumGhost;
-    }
-  }
-  return plan;
-}
-
 std::vector<grid::Box> logicalTiles(const grid::Box& valid) {
   // Tile starts in y and z: the box's low edge, then every
   // kLogicalTileWidth cells of the interior.

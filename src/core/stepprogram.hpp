@@ -1,10 +1,12 @@
 #pragma once
 // The symbolic step-program layer: the recorded RK substep chain
-// (core::StepProgram), its per-op halo plan (planStepHalos), and the
-// logical tiles the lowering cuts each box into (logicalTiles). Split out
-// of stepgraph.hpp so the analysis library — which deliberately does not
-// link the executors — can interpret and verify step programs
-// (analysis/stepcheck) with only the variant layer underneath it.
+// (core::StepProgram) and the logical tiles the lowering cuts each box
+// into (logicalTiles). Halo width is fixed by the stencil, not planned
+// per op: every exchange fills kNumGhost ghost layers and every compute
+// op runs on the valid region. Split out of stepgraph.hpp so the analysis
+// library — which deliberately does not link the executors — can
+// interpret and verify step programs (analysis/stepcheck) with only the
+// variant layer underneath it.
 // stepgraph.hpp re-exports everything here; executor-side types
 // (StepRhsSpec, StepGraphExecutor) stay there.
 
@@ -36,6 +38,8 @@ struct StepOp {
   int src = 0;            ///< slot read (RhsEval/CopySlot/AxpySlot)
   grid::Real scale = 0.0; ///< AxpySlot / ScaleSlot coefficient
   int step = 0;           ///< time-step index within a multi-step capture
+
+  bool operator==(const StepOp&) const = default;
 };
 
 /// The recorded substep chain of one (or several) RK time steps, built by
@@ -71,20 +75,6 @@ struct StepProgram {
     return slotNames[static_cast<std::size_t>(s)];
   }
 };
-
-/// Per-op halo plan of one program: width[i] is the ghost width op i runs
-/// at (exchanges fill `width` ghost layers; compute ops run on
-/// valid.grow(width)), and `depth` is the deepest exchange. analysis/
-/// stepcheck proves a plan equivalent to eager and minimal, and its
-/// mutation suite perturbs the widths.
-struct StepHaloPlan {
-  std::vector<int> width;
-  int depth = 0;
-};
-
-/// The halo plan the step-graph lowering runs: every exchange fills
-/// kNumGhost layers and every compute op runs on the valid region.
-StepHaloPlan planStepHalos(const StepProgram& prog);
 
 /// Side in y and z of a logical tile. A fixed constant: on a 4-core Xeon,
 /// an RK4 step of one 128^3 box took 20% less time with 16-wide tiles

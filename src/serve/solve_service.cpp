@@ -1,6 +1,7 @@
 #include "serve/solve_service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 #include <fstream>
 #include <iomanip>
@@ -86,7 +87,10 @@ InstanceSpec parseInstanceSpec(const std::string& line) {
         badToken(line, token);
       }
     } else if (key == "dt") {
-      if (!toReal(val, spec.dt)) {
+      // A NaN dt would never match itself in the executor-cache lookup,
+      // so every such solve would build a new executor and domain.
+      if (!toReal(val, spec.dt) || !std::isfinite(spec.dt) ||
+          spec.dt <= 0) {
         badToken(line, token);
       }
     } else if (key == "weight") {

@@ -4,24 +4,24 @@
 // StepProgram cell by cell on a 1-D periodic box with real doubles, a
 // deliberately asymmetric g-wide stencil, and explicit
 // definedness-tracking — sharing no code with the checker. Like the
-// checker, the oracle runs the planned program and the eager reference in
-// lockstep and compares every slot's interior after every op: stepcheck
-// proves *per-op* equivalence, which is strictly stronger than
-// final-state equivalence (a reordered exchange/axpy pair can converge
-// again by the last op, and the checker still — correctly — rejects it).
-// The bridge properties, over every scheme x step count and the seeded
-// mutations:
+// checker, the oracle runs a program and its reference in lockstep, with
+// the same alignment rule when one is shorter (common prefix, the longer
+// one's extra ops alone, then aligned on the shifted index), and compares
+// every slot's interior after every aligned op: stepcheck proves *per-op*
+// equivalence, which is strictly stronger than final-state equivalence (a
+// reordered exchange/axpy pair can converge again by the last op, and the
+// checker still — correctly — rejects it). The bridge properties, over
+// every scheme x step count and the seeded mutations:
 //
-//   checker Ok             => lockstep runs bit-equal after every op
+//   checker Ok             => the program reads nothing undefined
 //   predicts ValueMismatch => the runs concretely diverge at some op
 //                             (and the mutant reads nothing undefined)
 //   predicts ReadBeforeWrite => the mutant concretely reads an undefined
 //                             cell, at the predicted op
-//   OverDeepHalo advisory  => still bit-equal after every op (deepening
-//                             is semantically free, just priced)
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,8 +35,6 @@
 namespace fluxdiv::analysis {
 namespace {
 
-using core::StepFuse;
-using core::StepHaloPlan;
 using core::StepOp;
 using core::StepOpKind;
 using core::StepProgram;
@@ -57,7 +55,7 @@ double stencilWeight(int d) {
 double interiorValue(int i) { return 0.3 + 0.07 * i + 0.001 * i * i; }
 double staleValue(int i) { return 900.0 + 1.3 * i; }
 
-/// One concrete slot field over [-depth, kCells + depth) with per-cell
+/// One concrete slot field over [-kGhost, kCells + kGhost) with per-cell
 /// definedness.
 struct Field {
   std::vector<double> val;
@@ -66,28 +64,13 @@ struct Field {
 
 struct OracleState {
   std::vector<Field> slots;
-  int depth = 0;
   bool undefinedRead = false;
   int undefinedAtOp = -1;
 };
 
-/// Storage a run needs: every op's write band plus the stencil reach of
-/// the deepest RHS evaluation.
-int storageDepth(const StepProgram& prog, const std::vector<int>& width) {
-  int d = kGhost;
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    const int w = width[i];
-    const int reach =
-        prog.ops[i].kind == StepOpKind::RhsEval ? w + kGhost : w;
-    d = std::max(d, reach);
-  }
-  return d;
-}
-
-OracleState initState(const StepProgram& prog, int depth) {
+OracleState initState(const StepProgram& prog) {
   OracleState st;
-  st.depth = depth;
-  const int total = kCells + 2 * depth;
+  const int total = kCells + 2 * kGhost;
   st.slots.resize(static_cast<std::size_t>(prog.nSlots));
   for (int s = 0; s < prog.nSlots; ++s) {
     Field& f = st.slots[static_cast<std::size_t>(s)];
@@ -95,24 +78,22 @@ OracleState initState(const StepProgram& prog, int depth) {
     f.def.assign(static_cast<std::size_t>(total), 0);
   }
   Field& u = st.slots[0];
-  for (int i = -depth; i < kCells + depth; ++i) {
-    const std::size_t k = static_cast<std::size_t>(i + depth);
+  for (int i = -kGhost; i < kCells + kGhost; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i + kGhost);
     u.val[k] = (i >= 0 && i < kCells) ? interiorValue(i) : staleValue(i);
     u.def[k] = 1;
   }
   return st;
 }
 
-/// Execute op `opIdx` of `prog` cell by cell at ghost width `w` (an
-/// exchange of width 0 — a dropped exchange — moves nothing).
-void applyOp(OracleState& st, const StepProgram& prog, std::size_t opIdx,
-             int w) {
+/// Execute op `opIdx` of `prog` cell by cell: an exchange fills kGhost
+/// ghost layers, every other op runs on the interior.
+void applyOp(OracleState& st, const StepProgram& prog, std::size_t opIdx) {
   if (st.undefinedRead) {
     return; // like the checker, stop at the first bad read
   }
   const StepOp& op = prog.ops[opIdx];
-  const int D = st.depth;
-  const auto at = [D](int i) { return static_cast<std::size_t>(i + D); };
+  const auto at = [](int i) { return static_cast<std::size_t>(i + kGhost); };
   Field& dst = st.slots[static_cast<std::size_t>(op.dst)];
   Field& src = st.slots[static_cast<std::size_t>(op.src)];
   const auto read = [&st, opIdx, at](const Field& f, int i) -> double {
@@ -126,7 +107,7 @@ void applyOp(OracleState& st, const StepProgram& prog, std::size_t opIdx,
   case StepOpKind::Exchange:
     // Periodic: ghost layer L holds the neighbor's valid cell, which on
     // one box is the interior cell L-1 in from the opposite side.
-    for (int L = 1; L <= w; ++L) {
+    for (int L = 1; L <= kGhost; ++L) {
       dst.val[at(-L)] = read(dst, kCells - L);
       dst.def[at(-L)] = 1;
       dst.val[at(kCells - 1 + L)] = read(dst, L - 1);
@@ -137,33 +118,33 @@ void applyOp(OracleState& st, const StepProgram& prog, std::size_t opIdx,
     FAIL() << "oracle programs are periodic; no BoundaryFill";
     break;
   case StepOpKind::RhsEval: {
-    std::vector<double> out(static_cast<std::size_t>(kCells + 2 * w));
-    for (int i = -w; i < kCells + w; ++i) {
+    std::vector<double> out(static_cast<std::size_t>(kCells));
+    for (int i = 0; i < kCells; ++i) {
       double acc = 0.0;
       for (int d = -kGhost; d <= kGhost; ++d) {
         acc += stencilWeight(d) * read(src, i + d);
       }
-      out[static_cast<std::size_t>(i + w)] = acc;
+      out[static_cast<std::size_t>(i)] = acc;
     }
-    for (int i = -w; i < kCells + w; ++i) {
-      dst.val[at(i)] = out[static_cast<std::size_t>(i + w)];
+    for (int i = 0; i < kCells; ++i) {
+      dst.val[at(i)] = out[static_cast<std::size_t>(i)];
       dst.def[at(i)] = 1;
     }
     break;
   }
   case StepOpKind::CopySlot:
-    for (int i = -w; i < kCells + w; ++i) {
+    for (int i = 0; i < kCells; ++i) {
       dst.val[at(i)] = read(src, i);
       dst.def[at(i)] = 1; // overwrites: old dst is not consumed
     }
     break;
   case StepOpKind::AxpySlot:
-    for (int i = -w; i < kCells + w; ++i) {
+    for (int i = 0; i < kCells; ++i) {
       dst.val[at(i)] = read(dst, i) + op.scale * read(src, i);
     }
     break;
   case StepOpKind::ScaleSlot:
-    for (int i = -w; i < kCells + w; ++i) {
+    for (int i = 0; i < kCells; ++i) {
       dst.val[at(i)] = op.scale * read(dst, i);
     }
     break;
@@ -171,15 +152,13 @@ void applyOp(OracleState& st, const StepProgram& prog, std::size_t opIdx,
 }
 
 /// Bitwise comparison of every slot's interior cells defined in both
-/// states (the planned run may define more ghost layers; a mutated run
-/// may define slots in a different order).
+/// states (a mutated run may define slots in a different order).
 bool interiorsEqual(const OracleState& a, const OracleState& b) {
   for (std::size_t s = 0; s < a.slots.size(); ++s) {
     for (int i = 0; i < kCells; ++i) {
-      const std::size_t ka = static_cast<std::size_t>(i + a.depth);
-      const std::size_t kb = static_cast<std::size_t>(i + b.depth);
-      if (a.slots[s].def[ka] && b.slots[s].def[kb] &&
-          a.slots[s].val[ka] != b.slots[s].val[kb]) {
+      const std::size_t k = static_cast<std::size_t>(i + kGhost);
+      if (a.slots[s].def[k] && b.slots[s].def[k] &&
+          a.slots[s].val[k] != b.slots[s].val[k]) {
         return false;
       }
     }
@@ -187,12 +166,8 @@ bool interiorsEqual(const OracleState& a, const OracleState& b) {
   return true;
 }
 
-std::vector<int> eagerWidths(const StepProgram& prog) {
-  return core::planStepHalos(prog).width;
-}
-
-/// Run the mutant and the eager reference in lockstep — the concrete
-/// mirror of the checker's per-op comparison.
+/// Run the mutant and its reference in lockstep — the concrete mirror of
+/// the checker's per-op comparison, aligned by the same rule.
 struct OracleVerdict {
   int firstDivergeOp = -1; ///< first op after which interiors differ
   bool undefinedRead = false;
@@ -200,21 +175,34 @@ struct OracleVerdict {
   [[nodiscard]] bool diverged() const { return firstDivergeOp >= 0; }
 };
 
-OracleVerdict runLockstep(const StepProgram& prog,
-                          const std::vector<int>& width,
-                          const StepProgram& ref) {
-  const std::vector<int> refWidth = eagerWidths(ref);
-  OracleState run = initState(prog, storageDepth(prog, width));
-  OracleState eager = initState(ref, storageDepth(ref, refWidth));
+OracleVerdict runLockstep(const StepProgram& prog, const StepProgram& ref) {
+  OracleState run = initState(prog);
+  OracleState eager = initState(ref);
+  const std::size_t np = prog.ops.size();
+  const std::size_t nr = ref.ops.size();
+  std::size_t prefix = 0;
+  while (prefix < std::min(np, nr) && prog.ops[prefix] == ref.ops[prefix]) {
+    ++prefix;
+  }
+  const std::size_t progExtra = np > nr ? np - nr : 0;
+  const std::size_t refExtra = nr > np ? nr - np : 0;
   OracleVerdict v;
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    applyOp(run, prog, i, width[i]);
+  for (std::size_t i = 0; i < np; ++i) {
+    if (i == prefix) {
+      for (std::size_t j = prefix; j < prefix + refExtra; ++j) {
+        applyOp(eager, ref, j);
+      }
+    }
+    applyOp(run, prog, i);
     if (run.undefinedRead) {
       v.undefinedRead = true;
       v.undefinedAtOp = run.undefinedAtOp;
       return v;
     }
-    applyOp(eager, ref, i, refWidth[i]);
+    if (i >= prefix && i < prefix + progExtra) {
+      continue;
+    }
+    applyOp(eager, ref, i < prefix ? i : i + refExtra - progExtra);
     if (!interiorsEqual(run, eager)) {
       v.firstDivergeOp = static_cast<int>(i);
       return v;
@@ -233,14 +221,13 @@ TEST(StepCheckProps, CheckerOkImpliesConcreteLockstepEquality) {
     for (const int steps : {1, 2, 3}) {
       const StepProgram prog =
           solvers::buildStepProgram(scheme, /*dt=*/1e-3, steps);
-      const StepHaloPlan plan = core::planStepHalos(prog);
-      ASSERT_TRUE(checkStepProgram(prog, StepFuse::Fused, plan).ok())
-          << tag(scheme, steps);
-      const OracleVerdict v = runLockstep(prog, plan.width, prog);
-      EXPECT_FALSE(v.undefinedRead) << tag(scheme, steps);
-      EXPECT_FALSE(v.diverged())
-          << tag(scheme, steps) << ": checker passed a plan the "
-          << "concrete oracle refutes at op " << v.firstDivergeOp;
+      ASSERT_TRUE(checkStepProgram(prog).ok()) << tag(scheme, steps);
+      const OracleVerdict v = runLockstep(prog, prog);
+      EXPECT_FALSE(v.undefinedRead)
+          << tag(scheme, steps) << ": checker passed a program the "
+          << "concrete oracle reads undefined cells in at op "
+          << v.undefinedAtOp;
+      EXPECT_FALSE(v.diverged()) << tag(scheme, steps);
     }
   }
 }
@@ -252,6 +239,7 @@ TEST(StepCheckProps, PredictedFailuresAreConcretelyReal) {
   // perturbed addend can round into the identical double — the checker's
   // provenance mismatch guarantees a representable divergence only when
   // the magnitudes cooperate.)
+  int dropsByKind[2] = {0, 0}; ///< drops by kind: [ValueMismatch, RBW]
   for (const Scheme scheme : solvers::kSchemes) {
     for (const int steps : {1, 3}) {
       const StepProgram prog =
@@ -259,10 +247,12 @@ TEST(StepCheckProps, PredictedFailuresAreConcretelyReal) {
       for (std::uint64_t seed = 0; seed < 5; ++seed) {
         const StepMutation muts[] = {
             mutate::dropStepExchange(prog, seed),
-            mutate::shallowStepHalo(prog, seed),
             mutate::reorderStepOps(prog, seed),
             mutate::skewStepCoeff(prog, seed),
         };
+        if (muts[0].valid) {
+          ++dropsByKind[muts[0].expect == StepDiagKind::ReadBeforeWrite];
+        }
         for (const StepMutation& m : muts) {
           if (!m.valid) {
             continue;
@@ -270,7 +260,7 @@ TEST(StepCheckProps, PredictedFailuresAreConcretelyReal) {
           const std::string where = tag(scheme, steps) + ", seed " +
                                     std::to_string(seed) + ": " + m.what;
           const StepProgram& ref = m.useReference ? m.reference : m.prog;
-          const OracleVerdict v = runLockstep(m.prog, m.plan.width, ref);
+          const OracleVerdict v = runLockstep(m.prog, ref);
           if (m.expect == StepDiagKind::ReadBeforeWrite) {
             EXPECT_TRUE(v.undefinedRead)
                 << where << ": checker predicts a read of "
@@ -286,23 +276,11 @@ TEST(StepCheckProps, PredictedFailuresAreConcretelyReal) {
       }
     }
   }
-}
-
-TEST(StepCheckProps, OverDeepHalosAreConcretelyHarmless) {
-  for (const Scheme scheme : solvers::kSchemes) {
-    const StepProgram prog = solvers::buildStepProgram(scheme, 1e-3);
-    for (std::uint64_t seed = 0; seed < 3; ++seed) {
-      const StepMutation m = mutate::deepenStepHalo(prog, seed);
-      if (!m.valid) {
-        continue;
-      }
-      const OracleVerdict v = runLockstep(m.prog, m.plan.width, m.prog);
-      EXPECT_FALSE(v.undefinedRead) << m.what;
-      EXPECT_FALSE(v.diverged())
-          << tag(scheme, 1) << ": " << m.what
-          << ": a deepened halo must not change the answer";
-    }
-  }
+  // Both regimes of a dropped exchange occur in the shipped programs: a
+  // stage temp's first exchange (read before write) and a refill of u's
+  // stale ghosts (value mismatch).
+  EXPECT_GT(dropsByKind[0], 0);
+  EXPECT_GT(dropsByKind[1], 0);
 }
 
 } // namespace

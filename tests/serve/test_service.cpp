@@ -69,6 +69,11 @@ TEST(Workload, ParsesNamesAndKeyValueTokens) {
   EXPECT_THROW(parseInstanceSpec("x box=0"), std::invalid_argument);
   EXPECT_THROW(parseInstanceSpec("x bogus=1"), std::invalid_argument);
   EXPECT_THROW(parseInstanceSpec("scheme=rk4"), std::invalid_argument);
+  // dt must be finite and positive.
+  for (const std::string dt : {"nan", "inf", "0", "-1e-3"}) {
+    EXPECT_THROW(parseInstanceSpec("x dt=" + dt), std::invalid_argument)
+        << "dt=" << dt;
+  }
   // Every solve runs the fused graph: `fuse=` takes only fused and auto.
   // The eager reference path and the removed modes are unknown tokens
   // like any other.

@@ -3,8 +3,9 @@
 // across schemes, schedule families, policies, pitches, and thread counts
 // (including steps that start from stale ghosts and boxes cut into
 // logical tiles); the task structure of the logical tiles; graphcheck
-// verification of every lowered model; seeded cross-stage edge-drop
-// mutations; and adversarial serial replay of the fused graphs.
+// verification of every lowered model; seeded cross-stage edge-drop and
+// ghost-layer-shave mutations; and adversarial serial replay of the fused
+// graphs.
 
 #include <gtest/gtest.h>
 
@@ -602,6 +603,51 @@ TEST(StepGraph, DroppedCrossStageEdgesAreCaught) {
   EXPECT_GE(crossOp, 1)
       << "at least one dropped edge must cross an op-kind boundary "
       << "(a cross-stage dependency)";
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation: shaving the outermost ghost layer off one exchange copy
+// of a real multi-stage graph must be rejected by graphcheck's coverage
+// rule (G3), naming the starved reader and the exchange.
+// ---------------------------------------------------------------------------
+
+TEST(StepGraph, ShavedGhostLayersAreCaught) {
+  const auto dbl = smallLayout();
+  for (const Scheme scheme : kSchemes) {
+    LevelData u = initialState(dbl);
+    core::StepExecOptions opts;
+    opts.policy = LevelPolicy::BoxParallel;
+    core::StepGraphExecutor exec(tiledConfig(), 2, opts);
+    const TaskGraphModel m =
+        exec.lowerModel(buildStepProgram(scheme, 0.01), u, {});
+
+    // A prime stride walks the candidate list (ordered by task, so by
+    // exchange) well past the solution's first exchange.
+    int caught = 0;
+    int stageTemp = 0;
+    for (std::uint64_t seed = 0; seed < 40 * 101; seed += 101) {
+      const analysis::mutate::GraphMutation mut =
+          analysis::mutate::shrinkGhostWrite(m, seed);
+      ASSERT_EQ(mut.expect, DiagnosticKind::ReadUncovered)
+          << schemeName(scheme) << " seed " << seed << ": " << mut.what;
+      const GraphCheckReport rep = analysis::checkTaskGraph(mut.model);
+      ASSERT_FALSE(rep.ok()) << schemeName(scheme) << " seed " << seed
+                             << ": " << mut.what << " was accepted";
+      EXPECT_TRUE(reported(rep, mut.expect, m.label(mut.taskA),
+                           m.label(mut.taskB)))
+          << schemeName(scheme) << " seed " << seed << ": " << mut.what
+          << "\n  first diagnostic: " << rep.diagnostics[0].message();
+      ++caught;
+      const auto& shaved = m.tasks[static_cast<std::size_t>(mut.taskB)];
+      stageTemp += !shaved.writes.empty() && shaved.writes[0].slot >= 1;
+    }
+    EXPECT_EQ(caught, 40) << schemeName(scheme);
+    if (scheme == Scheme::RK4 || scheme == Scheme::SSPRK3) {
+      EXPECT_GE(stageTemp, 1)
+          << schemeName(scheme)
+          << ": some shaved exchange must fill a stage temporary";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
