@@ -246,7 +246,7 @@ private:
   std::vector<std::set<int>> preds_;
 };
 
-/// Everything lowerOp() needs about the capture being built. `tab` is the
+/// Everything the lowering needs about the capture being built. `tab` is the
 /// capture's runtime slot table: the lowering reads layouts, copiers and
 /// valid boxes through it, and task lambdas capture it and dereference it
 /// on every execution, so rebinding an entry (layout-keyed reuse after the
@@ -315,6 +315,122 @@ std::vector<NamedRegion> combineRegions(const LowerEnv& env,
     out.push_back({tiles[t], tileTag(" tile", "", t, tiles.size())});
   }
   return out;
+}
+
+bool isCombine(StepOpKind kind) {
+  return kind == StepOpKind::CopySlot || kind == StepOpKind::AxpySlot ||
+         kind == StepOpKind::ScaleSlot;
+}
+
+/// One stage combine on `region`: dst = src, dst += scale * src, or
+/// dst *= scale (src unused) — the loops of solvers::copyValid,
+/// addScaled and scaleValid, so every task rounds as the eager path does.
+void combineOn(const StepOp& op, const FArrayBox& src, FArrayBox& dst,
+               const Box& region) {
+  switch (op.kind) {
+  case StepOpKind::CopySlot:
+    dst.copy(src, region, 0, 0, dst.nComp());
+    break;
+  case StepOpKind::AxpySlot:
+    dst.plus(src, op.scale, region);
+    break;
+  default: { // ScaleSlot
+    for (int c = 0; c < dst.nComp(); ++c) {
+      Real* p = dst.dataPtr(c);
+      forEachCell(region, [&](int i, int j, int k) {
+        p[dst.offset(i, j, k)] *= op.scale;
+      });
+    }
+    break;
+  }
+  }
+}
+
+/// The calling thread's tile-local RHS output, defined on `region`. One
+/// buffer per thread, reused for every tile: define() keeps the
+/// allocation, so after the largest tile no task allocates. It holds
+/// nothing between tasks.
+FArrayBox& tileBuffer(const Box& region, int nc) {
+  thread_local FArrayBox buf;
+  if (!(buf.box() == region) || buf.nComp() != nc) {
+    buf.define(region, nc, grid::Pitch::Padded, grid::Init::Deferred);
+  }
+  return buf;
+}
+
+bool reads(const StepOp& op, int slot) {
+  switch (op.kind) {
+  case StepOpKind::RhsEval:
+  case StepOpKind::CopySlot:
+    return op.src == slot;
+  case StepOpKind::AxpySlot:
+    return op.src == slot || op.dst == slot;
+  default: // Exchange, BoundaryFill and ScaleSlot read what they write
+    return op.dst == slot;
+  }
+}
+
+/// How the lowering fuses a program. After an RhsEval it absorbs, as an
+/// epilogue run by each RHS tile task on its own tile, the maximal run of
+/// combines that write neither the RHS's source (neighbouring tiles still
+/// read it through their halos) nor its output. Under the parallel policy
+/// the RHS output is tile-local when nothing after the epilogue reads it
+/// before an RhsEval or CopySlot overwrites it whole (or the program
+/// ends): the task then writes it to its thread's tile buffer, and the
+/// epilogue reads it from there.
+struct FusionPlan {
+  std::vector<std::size_t> epilogue; ///< per RhsEval op: combines absorbed
+  std::vector<bool> tileLocal;       ///< per RhsEval op: output in the buffer
+  std::vector<bool> level;           ///< per slot: some task touches a level
+};
+
+FusionPlan planFusion(const StepProgram& prog, LevelPolicy policy) {
+  const std::size_t n = prog.ops.size();
+  FusionPlan plan;
+  plan.epilogue.assign(n, 0);
+  plan.tileLocal.assign(n, false);
+  plan.level.assign(static_cast<std::size_t>(prog.nSlots), false);
+  plan.level[0] = true; // the caller's solution
+  const auto use = [&](int slot) {
+    plan.level[static_cast<std::size_t>(slot)] = true;
+  };
+  for (std::size_t i = 0; i < n; i += plan.epilogue[i] + 1) {
+    const StepOp& op = prog.ops[i];
+    if (op.kind != StepOpKind::RhsEval) {
+      use(op.dst);
+      use(op.src);
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < n && isCombine(prog.ops[end].kind) &&
+           prog.ops[end].dst != op.src && prog.ops[end].dst != op.dst) {
+      ++end;
+    }
+    plan.epilogue[i] = end - i - 1;
+    bool local = policy != LevelPolicy::BoxSequential;
+    for (std::size_t j = end; local && j < n; ++j) {
+      const StepOp& later = prog.ops[j];
+      if (reads(later, op.dst)) {
+        local = false;
+      } else if (later.dst == op.dst &&
+                 (later.kind == StepOpKind::RhsEval ||
+                  later.kind == StepOpKind::CopySlot)) {
+        break;
+      }
+    }
+    plan.tileLocal[i] = local;
+    use(op.src);
+    if (!local) {
+      use(op.dst);
+    }
+    for (std::size_t j = i + 1; j < end; ++j) {
+      use(prog.ops[j].dst);
+      if (!(local && prog.ops[j].src == op.dst)) {
+        use(prog.ops[j].src);
+      }
+    }
+  }
+  return plan;
 }
 
 void lowerExchange(Lowering& low, LowerEnv& env, const StepOp& op) {
@@ -411,19 +527,35 @@ void lowerBoundaryFill(Lowering& low, LowerEnv& env, const StepOp& op) {
   }
 }
 
-void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op) {
-  LevelData& dst = *env.tab[static_cast<std::size_t>(op.dst)];
-  const int nc = dst.nComp();
+/// One RhsEval op and the `epilogue` combines that follow it in the
+/// program (FusionPlan): per box, one task per region (rhsRegions) that
+/// evaluates the RHS on its region and then runs the epilogue on the same
+/// region in program order. With `tileLocal` the RHS output goes to the
+/// thread's tile buffer instead of its slot's level.
+void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op,
+                  std::vector<StepOp> epilogue, bool tileLocal) {
+  const LevelData& u = *env.tab[0]; // every slot shares u's layout
+  const int nc = u.nComp();
   const bool firstWrite = !low.rhsWritten[static_cast<std::size_t>(op.dst)];
-  low.rhsWritten[static_cast<std::size_t>(op.dst)] = true;
+  if (!tileLocal) {
+    low.rhsWritten[static_cast<std::size_t>(op.dst)] = true;
+  }
   LevelData* const* tab = env.tab;
   const auto srcSlot = static_cast<std::size_t>(op.src);
   const auto dstSlot = static_cast<std::size_t>(op.dst);
-  for (std::size_t b = 0; b < dst.size(); ++b) {
-    const Box valid = dst.validBox(b);
-    if (firstWrite) {
+  std::string label = "rhs " + env.prog.slotName(op.src) + "->" +
+                      env.prog.slotName(op.dst);
+  for (const StepOp& e : epilogue) { // e.g. "rhs u->k+copy+axpy"
+    label += e.kind == StepOpKind::CopySlot   ? "+copy"
+             : e.kind == StepOpKind::AxpySlot ? "+axpy"
+                                              : "+scale";
+  }
+  for (std::size_t b = 0; b < u.size(); ++b) {
+    const Box valid = u.validBox(b);
+    // A tile-local output has no level, so no shadow epoch to arm.
+    if (!tileLocal && firstWrite) {
       low.epochTargets.emplace_back(op.dst, b);
-    } else {
+    } else if (!tileLocal) {
       // Shadow-epoch barrier: the slot is being re-written by a later
       // stage, which the per-epoch write detector would flag as a
       // cross-worker double write. The barrier task re-arms the epoch;
@@ -445,6 +577,7 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op) {
           "epoch " + env.prog.slotName(op.dst) + " box" +
               std::to_string(b) + env.stepTag(op),
           /*exchangeOp=*/false, /*orderingOnly=*/true);
+      const LevelData& dst = *tab[dstSlot];
       low.access(t, op.dst, b, valid.grow(dst.nGhost()), nc, true);
     }
     const VariantConfig* cfg = &env.cfg;
@@ -454,10 +587,11 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op) {
     for (const NamedRegion& nr : rhsRegions(env, valid)) {
       const Box region = nr.region;
       const int t = low.addTask(
-          [cfg, ws, tab, srcSlot, dstSlot, b, region, nc, scale,
-           diss](int worker) {
+          [cfg, ws, tab, srcSlot, dstSlot, b, region, nc, scale, diss,
+           epilogue, tileLocal](int worker) {
             const FArrayBox& sf = (*tab[srcSlot])[b];
-            FArrayBox& df = (*tab[dstSlot])[b];
+            FArrayBox& df =
+                tileLocal ? tileBuffer(region, nc) : (*tab[dstSlot])[b];
             for (int c = 0; c < nc; ++c) {
               df.setVal(0.0, region, c);
             }
@@ -466,12 +600,21 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op) {
             if (diss != 0.0) {
               kernels::addLaplacian(sf, df, region, diss);
             }
-            FLUXDIV_SHADOW_WRITE(df, region, 0, nc);
+            if (!tileLocal) {
+              FLUXDIV_SHADOW_WRITE(df, region, 0, nc);
+            }
+            for (const StepOp& e : epilogue) {
+              FArrayBox& ed = (*tab[static_cast<std::size_t>(e.dst)])[b];
+              const FArrayBox& es =
+                  tileLocal && e.src == static_cast<int>(dstSlot)
+                      ? df
+                      : (*tab[static_cast<std::size_t>(e.src)])[b];
+              combineOn(e, es, ed, region);
+            }
           },
           env.ownerOf(b),
-          "rhs " + env.prog.slotName(op.src) + "->" +
-              env.prog.slotName(op.dst) + " box" + std::to_string(b) +
-              " " + nr.tag + env.stepTag(op));
+          label + " box" + std::to_string(b) + " " + nr.tag +
+              env.stepTag(op));
       low.model.tasks[static_cast<std::size_t>(t)].rhsSourceSlot = op.src;
       for (int d = 0; d < grid::SpaceDim; ++d) {
         low.access(t, op.src, b,
@@ -479,59 +622,52 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op) {
                                        region),
                    nc, false);
       }
-      low.access(t, op.dst, b, region, nc, true);
+      if (!tileLocal) {
+        low.access(t, op.dst, b, region, nc, true);
+      }
+      for (const StepOp& e : epilogue) {
+        if (e.kind != StepOpKind::ScaleSlot &&
+            !(tileLocal && e.src == op.dst)) {
+          low.access(t, e.src, b, region, nc, false);
+        }
+        if (e.kind != StepOpKind::CopySlot) {
+          low.access(t, e.dst, b, region, nc, false); // reads old value
+        }
+        low.access(t, e.dst, b, region, nc, true);
+      }
     }
   }
 }
 
+/// A combine no RhsEval absorbed: one task per region (combineRegions).
 void lowerCombine(Lowering& low, LowerEnv& env, const StepOp& op) {
-  LevelData& dst = *env.tab[static_cast<std::size_t>(op.dst)];
+  const LevelData& dst = *env.tab[static_cast<std::size_t>(op.dst)];
   const int nc = dst.nComp();
   LevelData* const* tab = env.tab;
-  const auto srcSlot = static_cast<std::size_t>(op.src);
-  const auto dstSlot = static_cast<std::size_t>(op.dst);
+  std::string label;
+  switch (op.kind) {
+  case StepOpKind::CopySlot:
+    label = "copy " + env.prog.slotName(op.src) + "->" +
+            env.prog.slotName(op.dst);
+    break;
+  case StepOpKind::AxpySlot:
+    label = "axpy " + env.prog.slotName(op.dst) +
+            "+=" + env.prog.slotName(op.src);
+    break;
+  default: // ScaleSlot
+    label = "scale " + env.prog.slotName(op.dst);
+    break;
+  }
   for (std::size_t b = 0; b < dst.size(); ++b) {
-    const Box valid = dst.validBox(b);
-    for (const NamedRegion& nr : combineRegions(env, valid)) {
+    for (const NamedRegion& nr : combineRegions(env, dst.validBox(b))) {
       const Box region = nr.region;
-      TaskGraph::Fn fn;
-      std::string label;
-      switch (op.kind) {
-      case StepOpKind::CopySlot:
-        fn = [tab, srcSlot, dstSlot, b, region, nc](int) {
-          (*tab[dstSlot])[b].copy((*tab[srcSlot])[b], region, 0, 0, nc);
-        };
-        label = "copy " + env.prog.slotName(op.src) + "->" +
-                env.prog.slotName(op.dst);
-        break;
-      case StepOpKind::AxpySlot: {
-        const Real s = op.scale;
-        fn = [tab, srcSlot, dstSlot, b, region, s](int) {
-          (*tab[dstSlot])[b].plus((*tab[srcSlot])[b], s, region);
-        };
-        label = "axpy " + env.prog.slotName(op.dst) + "+=" +
-                env.prog.slotName(op.src);
-        break;
-      }
-      default: { // ScaleSlot
-        const Real s = op.scale;
-        fn = [tab, dstSlot, b, region, nc, s](int) {
-          FArrayBox& df = (*tab[dstSlot])[b];
-          for (int c = 0; c < nc; ++c) {
-            Real* p = df.dataPtr(c);
-            forEachCell(region, [&](int i, int j, int k) {
-              p[df.offset(i, j, k)] *= s;
-            });
-          }
-        };
-        label = "scale " + env.prog.slotName(op.dst);
-        break;
-      }
-      }
-      const int t =
-          low.addTask(std::move(fn), env.ownerOf(b),
-                      label + " box" + std::to_string(b) + nr.tag +
-                          env.stepTag(op));
+      const int t = low.addTask(
+          [tab, op, b, region](int) {
+            combineOn(op, (*tab[static_cast<std::size_t>(op.src)])[b],
+                      (*tab[static_cast<std::size_t>(op.dst)])[b], region);
+          },
+          env.ownerOf(b),
+          label + " box" + std::to_string(b) + nr.tag + env.stepTag(op));
       if (op.kind != StepOpKind::ScaleSlot) {
         low.access(t, op.src, b, region, nc, false);
       }
@@ -543,22 +679,34 @@ void lowerCombine(Lowering& low, LowerEnv& env, const StepOp& op) {
   }
 }
 
-void lowerOp(Lowering& low, LowerEnv& env, const StepOp& op) {
-  switch (op.kind) {
-  case StepOpKind::Exchange:
-    lowerExchange(low, env, op);
-    break;
-  case StepOpKind::BoundaryFill:
-    lowerBoundaryFill(low, env, op);
-    break;
-  case StepOpKind::RhsEval:
-    lowerRhsEval(low, env, op);
-    break;
-  case StepOpKind::CopySlot:
-  case StepOpKind::AxpySlot:
-  case StepOpKind::ScaleSlot:
-    lowerCombine(low, env, op);
-    break;
+/// Lower the whole program: every op in program order, each RhsEval
+/// together with the epilogue `plan` gives it.
+void lowerProgram(Lowering& low, LowerEnv& env, const FusionPlan& plan) {
+  const std::vector<StepOp>& ops = env.prog.ops;
+  for (std::size_t i = 0; i < ops.size(); i += plan.epilogue[i] + 1) {
+    const StepOp& op = ops[i];
+    switch (op.kind) {
+    case StepOpKind::Exchange:
+      lowerExchange(low, env, op);
+      break;
+    case StepOpKind::BoundaryFill:
+      lowerBoundaryFill(low, env, op);
+      break;
+    case StepOpKind::RhsEval: {
+      const auto first = ops.begin() + static_cast<std::ptrdiff_t>(i + 1);
+      lowerRhsEval(low, env, op,
+                   std::vector<StepOp>(
+                       first,
+                       first + static_cast<std::ptrdiff_t>(plan.epilogue[i])),
+                   plan.tileLocal[i]);
+      break;
+    }
+    case StepOpKind::CopySlot:
+    case StepOpKind::AxpySlot:
+    case StepOpKind::ScaleSlot:
+      lowerCombine(low, env, op);
+      break;
+    }
   }
 }
 
@@ -596,10 +744,6 @@ struct StepGraphExecutor::Capture {
 
   [[nodiscard]] bool matches(const StepProgram& prog, const LevelData& u,
                              const StepRhsSpec& rhs) const {
-    const auto sameOp = [](const StepOp& a, const StepOp& b) {
-      return a.kind == b.kind && a.dst == b.dst && a.src == b.src &&
-             a.scale == b.scale && a.step == b.step;
-    };
     const grid::ProblemDomain& dom = u.layout().domain();
     for (int d = 0; d < grid::SpaceDim; ++d) {
       if (periodic[static_cast<std::size_t>(d)] != dom.isPeriodic(d)) {
@@ -610,8 +754,7 @@ struct StepGraphExecutor::Capture {
            boxSize == u.layout().boxSize() && uGhost == u.nGhost() &&
            uComp == u.nComp() && invDx == rhs.invDx &&
            dissipation == rhs.dissipation && boundary == rhs.boundary &&
-           ops.size() == prog.ops.size() &&
-           std::equal(ops.begin(), ops.end(), prog.ops.begin(), sameOp);
+           ops == prog.ops;
   }
 };
 
@@ -700,18 +843,25 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
     runner_->prepare(u.validBox(b));
   }
 
-  // Backing storage: the solution slot is the caller's level; stage slots
-  // get standard-ghost levels owned by the capture.
-  cap->tab.reset(new LevelData*[static_cast<std::size_t>(prog.nSlots)]);
+  // Backing storage: the solution slot is the caller's level; every stage
+  // slot some task touches gets a level owned by the capture, with ghosts
+  // only where the program needs them (slotGhosts). A tile-local RHS
+  // output has no level: its slot-table entry stays null.
+  const FusionPlan plan = planFusion(prog, opts_.policy);
+  cap->tab.reset(new LevelData*[static_cast<std::size_t>(prog.nSlots)]());
   cap->tab[0] = &u;
   cap->stage.reserve(static_cast<std::size_t>(prog.nSlots - 1));
   for (int s = 1; s < prog.nSlots; ++s) {
-    cap->stage.emplace_back(u.layout(), kNumComp, kNumGhost);
-    cap->tab[static_cast<std::size_t>(s)] = &cap->stage.back();
+    if (plan.level[static_cast<std::size_t>(s)]) {
+      cap->stage.emplace_back(u.layout(), kNumComp, slotGhosts(prog, s));
+      cap->tab[static_cast<std::size_t>(s)] = &cap->stage.back();
+    }
   }
 #ifdef FLUXDIV_VERIFY
   for (int s = 0; s < prog.nSlots; ++s) {
-    verifyCommOnce(*cap->tab[static_cast<std::size_t>(s)]);
+    if (cap->tab[static_cast<std::size_t>(s)] != nullptr) {
+      verifyCommOnce(*cap->tab[static_cast<std::size_t>(s)]);
+    }
   }
 #endif
 
@@ -721,9 +871,7 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
                    " " + levelPolicyName(opts_.policy) + "]",
                u);
   low.rhsWritten.assign(static_cast<std::size_t>(prog.nSlots), false);
-  for (const StepOp& op : prog.ops) {
-    lowerOp(low, env, op);
-  }
+  lowerProgram(low, env, plan);
   cap->graph = std::move(low.graph);
   cap->model = std::move(low.model);
   cap->epochTargets = std::move(low.epochTargets);

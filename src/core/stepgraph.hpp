@@ -15,15 +15,26 @@
 // the serial reference path). A capture is exactly one graph, dispatched
 // once per run, over the whole step (or several steps): only true data
 // dependencies order tasks across stages. Under the parallel level policy
-// each box's RHS and copyValid/addScaled stage combines run as one task
-// per logical tile (core::logicalTiles: full-x x 16 x 16), so one large
-// box keeps every worker busy and a tile's stage-2 compute starts right
-// after its stage-1 producers.
+// each box's RHS runs as one task per logical tile (core::logicalTiles:
+// full-x x 16 x 16), so one large box keeps every worker busy and a
+// tile's stage-2 compute starts right after its stage-1 producers.
+//
+// Each RHS task also runs, on its own tile and in program order, the
+// copy/axpy/scale stage combines that follow the RHS in the program, as
+// long as they write neither the RHS's source (neighbouring tiles read
+// it through their halos) nor its output. When nothing else reads the
+// RHS output before it is overwritten (RK4's and SSPRK3's k), the task
+// writes it to a per-thread tile buffer instead of a level: the capture
+// allocates no level for it, and k costs no memory pass and no epoch
+// barrier. Under the sequential policy k stays a level (a whole-box task
+// would need a whole-box buffer per thread). A combine that no RHS
+// absorbs, such as Euler's u += dt k, is one task per tile.
 //
 // The graph is bit-identical to the eager reference: RHS tasks reuse the
 // per-region serial dispatch (every family accumulates each cell's x, y,
-// z flux differences in the same per-cell order) and both RHS and
-// combine tasks partition the valid region.
+// z flux differences in the same per-cell order), the combines run the
+// eager path's loops, and RHS and combine tasks partition the valid
+// region.
 //
 // The captured graph is mirrored into an analysis::TaskGraphModel with
 // slot-qualified footprints (TaskAccess::slot). In Debug or with
@@ -33,9 +44,9 @@
 // stepcheck and the exchange plan of every slot level is proven exact,
 // matched, and deadlock-free by analysis/commcheck. Every exchange fills
 // kNumGhost ghost layers; graphcheck's ghost-coverage rule (G3) proves
-// each reader's ghosts are filled before it runs. Shadow-epoch barrier tasks (orderingOnly in the
-// model) re-arm the FLUXDIV_SHADOW_CHECK write detector between
-// successive RHS writes into the same stage slot.
+// each reader's ghosts are filled before it runs. Shadow-epoch barrier
+// tasks (orderingOnly in the model) re-arm the FLUXDIV_SHADOW_CHECK write
+// detector between successive RHS writes into the same stage level.
 
 #include <cstddef>
 #include <cstdint>
@@ -106,7 +117,9 @@ struct StepGraphStats {
 /// a re-allocated solution with an identical shape rebinds into the
 /// cached graph through the capture's slot table instead of re-lowering
 /// (stats().rebinds counts these). Stage storage is owned by the executor
-/// and reused across runs.
+/// and reused across runs; a stage slot gets ghost cells only where the
+/// program needs them (slotGhosts), and a tile-local RHS output gets no
+/// level at all.
 class StepGraphExecutor {
 public:
   StepGraphExecutor(VariantConfig cfg, int nThreads,

@@ -8,6 +8,17 @@ namespace fluxdiv::core {
 
 using kernels::kNumGhost;
 
+int slotGhosts(const StepProgram& prog, int s) {
+  for (const StepOp& op : prog.ops) {
+    if ((op.kind == StepOpKind::RhsEval && op.src == s) ||
+        (op.kind == StepOpKind::Exchange && op.dst == s) ||
+        (op.kind == StepOpKind::BoundaryFill && op.dst == s)) {
+      return kNumGhost;
+    }
+  }
+  return 0;
+}
+
 std::vector<grid::Box> logicalTiles(const grid::Box& valid) {
   // Tile starts in y and z: the box's low edge, then every
   // kLogicalTileWidth cells of the interior.

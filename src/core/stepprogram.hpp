@@ -76,6 +76,14 @@ struct StepProgram {
   }
 };
 
+/// Ghost layers the storage of slot `s` of `prog` needs: kNumGhost when
+/// the program exchanges the slot, fills its boundary, or reads it as an
+/// RHS source; 0 when it is only written and read on the valid region (an
+/// RHS output such as RK4's k, or a combine accumulator such as acc). The
+/// eager interpreter and the step-graph capture both size their stage
+/// levels by it.
+int slotGhosts(const StepProgram& prog, int s);
+
 /// Side in y and z of a logical tile. A fixed constant: on a 4-core Xeon,
 /// an RK4 step of one 128^3 box took 20% less time with 16-wide tiles
 /// than with 32-wide ones at 4 threads, and the same at 1 and 2 threads

@@ -76,10 +76,10 @@ core::StepProgram buildStepProgram(Scheme scheme, Real dt, int nSteps,
     prog.slotNames = {"u", "k", "mid"};
     break;
   case Scheme::SSPRK3:
-    prog.slotNames = {"u", "k", "s1"};
+    prog.slotNames = {"u", "k", "s1", "s2"};
     break;
   case Scheme::RK4:
-    prog.slotNames = {"u", "k", "acc", "stage"};
+    prog.slotNames = {"u", "k", "acc", "stage", "stage2"};
     break;
   }
   prog.nSlots = static_cast<int>(prog.slotNames.size());
@@ -99,6 +99,16 @@ core::StepProgram buildStepProgram(Scheme scheme, Real dt, int nSteps,
     // advanceEager() interprets the program op by op, and any lowering
     // that preserves per-(slot, region) program order reproduces that
     // interpretation's FP rounding exactly.
+    //
+    // No combine writes the source slot of the RHS it follows. The
+    // step-graph lowering runs the combines after an RHS inside that
+    // RHS's tile tasks, and a neighbouring tile still reads the source
+    // through its halo, so writing it there would race. Hence RK4
+    // alternates two stage slots and SSPRK3 builds u2 in s2 (a copy of
+    // u1, then the in-place updates). Each cell sees the same operation
+    // sequence as with one stage slot, so u is unchanged bit for bit.
+    // Euler's u += dt k writes its own RHS source and stays a separate
+    // combine.
     switch (scheme) {
     case Scheme::ForwardEuler:
       rhsOf(0, 1);
@@ -116,12 +126,13 @@ core::StepProgram buildStepProgram(Scheme scheme, Real dt, int nSteps,
       prog.copy(0, 2, t);
       prog.axpy(2, 1, dt, t); // u1
       rhsOf(2, 1);
-      prog.scale(2, 0.25, t);
-      prog.axpy(2, 0, 0.75, t);
-      prog.axpy(2, 1, 0.25 * dt, t); // u2
-      rhsOf(2, 1);
+      prog.copy(2, 3, t);
+      prog.scale(3, 0.25, t);
+      prog.axpy(3, 0, 0.75, t);
+      prog.axpy(3, 1, 0.25 * dt, t); // u2
+      rhsOf(3, 1);
       prog.scale(0, 1.0 / 3.0, t);
-      prog.axpy(0, 2, 2.0 / 3.0, t);
+      prog.axpy(0, 3, 2.0 / 3.0, t);
       prog.axpy(0, 1, 2.0 / 3.0 * dt, t);
       break;
     case Scheme::RK4:
@@ -131,9 +142,9 @@ core::StepProgram buildStepProgram(Scheme scheme, Real dt, int nSteps,
       prog.axpy(3, 1, 0.5 * dt, t);
       rhsOf(3, 1); // k2
       prog.axpy(2, 1, 2.0, t);
-      prog.copy(0, 3, t);
-      prog.axpy(3, 1, 0.5 * dt, t);
-      rhsOf(3, 1); // k3
+      prog.copy(0, 4, t);
+      prog.axpy(4, 1, 0.5 * dt, t);
+      rhsOf(4, 1); // k3
       prog.axpy(2, 1, 2.0, t);
       prog.copy(0, 3, t);
       prog.axpy(3, 1, dt, t);
@@ -209,7 +220,8 @@ void TimeIntegrator::advanceEager(LevelData& u, Real dt, FluxDivRhs& rhs) {
   if (stages_.empty()) {
     stages_.reserve(static_cast<std::size_t>(prog.nSlots - 1));
     for (int s = 1; s < prog.nSlots; ++s) {
-      stages_.emplace_back(layout_, kernels::kNumComp, kernels::kNumGhost);
+      stages_.emplace_back(layout_, kernels::kNumComp,
+                           core::slotGhosts(prog, s));
     }
   }
   const auto slot = [&](int s) -> LevelData& {

@@ -10,8 +10,8 @@
 //     synchronously exchanges, evaluates the RHS, and combines stages with
 //     level-wide sweeps. The bit-identity reference for the graph below.
 //   * Fused: the program is lowered by core::StepGraphExecutor into one
-//     dependency-tracked task graph — the stage combines become
-//     per-box/per-tile tasks and cross-stage tasks overlap.
+//     dependency-tracked task graph — each RHS tile task also runs the
+//     stage combines that follow it, and cross-stage tasks overlap.
 // Selected by setStepFuse() (default: fused). Both produce bit-identical
 // solutions.
 

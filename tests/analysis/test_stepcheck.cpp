@@ -11,9 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/costmodel.hpp"
@@ -93,35 +94,53 @@ void expectCaught(const char* name, const StepMutation& m,
 TEST(StepCheck, MutationsRejectedWithPredictedWitness) {
   // Every scheme: 1- and 3-step programs at seeds 0-4 on 16^3 witness
   // boxes, then the 3-step programs again at seeds 0-6 on 32^3 witness
-  // boxes.
+  // boxes. A factory picks its candidate by seed modulo the number of
+  // candidates, so seeds repeat mutants (forward Euler has one exchange,
+  // hence one drop mutant): each distinct mutated program is checked once
+  // per sweep, and the suite counts mutants, not seeds.
   struct Sweep {
     int steps;
     int boxSize;
     std::uint64_t seeds;
   };
-  int executed = 0;
+  using Ops = std::vector<core::StepOp>;
+  const char* const names[] = {"drop", "reorder", "skew"};
+  std::array<std::vector<Ops>, 3> distinct; // over every scheme and sweep
   for (const Sweep sw : {Sweep{1, 16, 5}, Sweep{3, 16, 5}, Sweep{3, 32, 7}}) {
     for (const Scheme scheme : solvers::kSchemes) {
       const StepProgram prog =
           solvers::buildStepProgram(scheme, 1e-3, sw.steps);
+      std::array<std::vector<Ops>, 3> checked; // in this sweep
       for (std::uint64_t seed = 0; seed < sw.seeds; ++seed) {
         const std::string where = tag(scheme, sw.steps) + " @ " +
                                   std::to_string(sw.boxSize) + ", seed " +
                                   std::to_string(seed);
-        const std::pair<const char*, StepMutation> muts[] = {
-            {"drop", mutate::dropStepExchange(prog, seed)},
-            {"reorder", mutate::reorderStepOps(prog, seed)},
-            {"skew", mutate::skewStepCoeff(prog, seed)},
+        const StepMutation muts[] = {
+            mutate::dropStepExchange(prog, seed),
+            mutate::reorderStepOps(prog, seed),
+            mutate::skewStepCoeff(prog, seed),
         };
-        for (const auto& [name, mut] : muts) {
-          expectCaught(name, mut, where, sw.boxSize);
-          executed += mut.valid ? 1 : 0;
+        for (std::size_t c = 0; c < 3; ++c) {
+          const StepMutation& mut = muts[c];
+          ASSERT_TRUE(mut.valid)
+              << names[c] << " [" << where << "] found no candidate";
+          if (std::ranges::find(checked[c], mut.prog.ops) !=
+              checked[c].end()) {
+            continue;
+          }
+          checked[c].push_back(mut.prog.ops);
+          expectCaught(names[c], mut, where, sw.boxSize);
+          if (std::ranges::find(distinct[c], mut.prog.ops) ==
+              distinct[c].end()) {
+            distinct[c].push_back(mut.prog.ops);
+          }
         }
       }
     }
   }
-  // 4 schemes x 3 classes x (5 + 5 + 7) seeds, every one a candidate.
-  EXPECT_EQ(executed, 4 * 3 * 17);
+  EXPECT_EQ(distinct[0].size(), 33u) << "distinct drop mutants";
+  EXPECT_EQ(distinct[1].size(), 45u) << "distinct reorder mutants";
+  EXPECT_EQ(distinct[2].size(), 36u) << "distinct skew mutants";
 }
 
 TEST(StepCheck, EveryMutationClassFindsACandidateSomewhere) {

@@ -310,8 +310,9 @@ TEST(StepGraph, MultiStepCaptureMatchesRepeatedAdvance) {
 }
 
 // ---------------------------------------------------------------------------
-// Logical tiles: under the parallel policy each box's RHS interior and
-// stage combines lower to one task per logical tile (core::logicalTiles).
+// Logical tiles: under the parallel policy each box's RHS lowers to one
+// task per logical tile (core::logicalTiles), which also runs the stage
+// combines that follow the RHS on its tile.
 // ---------------------------------------------------------------------------
 
 TEST(StepGraph, LogicalTilesPartitionTheBox) {
@@ -344,18 +345,20 @@ TEST(StepGraph, LogicalTilesPartitionTheBox) {
   }
 }
 
-/// The model of one forward-Euler step over a single periodic box of side
-/// `side`, lowered fused under the parallel policy.
-TaskGraphModel eulerModelOnOneBox(int side) {
+/// The model of one `scheme` step over a single periodic box of side
+/// `side`, lowered fused under `policy`.
+TaskGraphModel modelOnOneBox(int side, Scheme scheme = Scheme::ForwardEuler,
+                             LevelPolicy policy = LevelPolicy::BoxParallel) {
   const DisjointBoxLayout dbl(ProblemDomain(Box::cube(side)), side);
   LevelData u = initialState(dbl);
+  core::StepExecOptions opts;
+  opts.policy = policy;
   core::StepGraphExecutor exec(
-      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 4);
-  return exec.lowerModel(buildStepProgram(Scheme::ForwardEuler, 0.01), u,
-                         {});
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox), 4, opts);
+  return exec.lowerModel(buildStepProgram(scheme, 0.01), u, {});
 }
 
-/// Counts of the RHS and combine tasks of eulerModelOnOneBox(side).
+/// Counts of the RHS and combine tasks of modelOnOneBox(side).
 struct EulerTasks {
   int tile = 0;     ///< whole-tile RHS tasks
   int otherRhs = 0; ///< any other RHS task
@@ -364,7 +367,7 @@ struct EulerTasks {
 
 EulerTasks eulerTasksOnOneBox(int side) {
   EulerTasks n;
-  for (const analysis::GraphTask& t : eulerModelOnOneBox(side).tasks) {
+  for (const analysis::GraphTask& t : modelOnOneBox(side).tasks) {
     if (t.label.starts_with("rhs ")) {
       const bool tile = t.label.find(" tile") != std::string::npos ||
                         t.label.ends_with(" all");
@@ -390,6 +393,131 @@ TEST(StepGraph, LargeBoxLowersToOneTaskPerLogicalTile) {
   EXPECT_EQ(small.combine, 1);
 }
 
+/// Tasks of `m` whose label starts with `word` followed by a space.
+int tasksNamed(const TaskGraphModel& m, const std::string& word) {
+  int n = 0;
+  for (const analysis::GraphTask& t : m.tasks) {
+    n += t.label.starts_with(word + " ") ? 1 : 0;
+  }
+  return n;
+}
+
+/// Whether any task of `m` reads or writes program slot `slot`.
+bool touchesSlot(const TaskGraphModel& m, int slot) {
+  for (const analysis::GraphTask& t : m.tasks) {
+    for (const auto* list : {&t.reads, &t.writes}) {
+      for (const analysis::TaskAccess& a : *list) {
+        if (a.slot == slot) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+TEST(StepGraph, RhsTilesRunTheStageCombinesAndKeepKOffTheLevel) {
+  // Every combine of midpoint, SSPRK3 and RK4 follows an RHS whose source
+  // it does not write, so it runs in that RHS's tile tasks; k is read only
+  // there, so it never reaches a level and needs no epoch barrier.
+  for (const Scheme scheme : {Scheme::Midpoint, Scheme::SSPRK3, Scheme::RK4}) {
+    const TaskGraphModel m = modelOnOneBox(64, scheme);
+    for (const char* word : {"copy", "axpy", "scale", "epoch"}) {
+      EXPECT_EQ(tasksNamed(m, word), 0) << schemeName(scheme) << " " << word;
+    }
+    EXPECT_EQ(tasksNamed(m, "rhs"), 16 * schemeRhsEvals(scheme))
+        << schemeName(scheme);
+    EXPECT_FALSE(touchesSlot(m, 1)) << schemeName(scheme) << ": slot k";
+    EXPECT_TRUE(analysis::checkTaskGraph(m).ok()) << schemeName(scheme);
+  }
+  // Euler's u += dt k writes its RHS source: a separate axpy per tile
+  // (LargeBoxLowersToOneTaskPerLogicalTile), reading k from its level.
+  EXPECT_TRUE(touchesSlot(modelOnOneBox(64), 1));
+}
+
+TEST(StepGraph, SequentialPolicyKeepsKOnALevel) {
+  // A whole-box task would need a whole box of per-thread buffer, so
+  // under the sequential policy k stays a level (its combines still run
+  // in the RHS task).
+  const TaskGraphModel m =
+      modelOnOneBox(64, Scheme::RK4, LevelPolicy::BoxSequential);
+  EXPECT_TRUE(touchesSlot(m, 1));
+  EXPECT_EQ(tasksNamed(m, "rhs"), 4);
+  EXPECT_EQ(tasksNamed(m, "axpy") + tasksNamed(m, "copy"), 0);
+  EXPECT_TRUE(analysis::checkTaskGraph(m).ok());
+}
+
+/// One step of RK4 or SSPRK3 in their former in-place form, with a single
+/// stage slot that each stage overwrites, interpreted by hand with the
+/// public level calls.
+void inPlaceStep(Scheme scheme, LevelData& u, Real dt, FluxDivRhs& rhs) {
+  const DisjointBoxLayout& dbl = u.layout();
+  LevelData k(dbl, kNumComp, kNumGhost);
+  LevelData acc(dbl, kNumComp, kNumGhost);
+  LevelData s(dbl, kNumComp, kNumGhost);
+  const auto f = [&](LevelData& src) {
+    src.exchange();
+    rhs.evaluate(src, k);
+  };
+  if (scheme == Scheme::RK4) {
+    f(u);
+    copyValid(k, acc);
+    copyValid(u, s);
+    addScaled(s, k, 0.5 * dt);
+    f(s);
+    addScaled(acc, k, 2.0);
+    copyValid(u, s);
+    addScaled(s, k, 0.5 * dt);
+    f(s);
+    addScaled(acc, k, 2.0);
+    copyValid(u, s);
+    addScaled(s, k, dt);
+    f(s);
+    addScaled(acc, k, 1.0);
+    addScaled(u, acc, dt / 6.0);
+  } else { // SSPRK3
+    f(u);
+    copyValid(u, s);
+    addScaled(s, k, dt);
+    f(s);
+    scaleValid(s, 0.25);
+    addScaled(s, u, 0.75);
+    addScaled(s, k, 0.25 * dt);
+    f(s);
+    scaleValid(u, 1.0 / 3.0);
+    addScaled(u, s, 2.0 / 3.0);
+    addScaled(u, k, 2.0 / 3.0 * dt);
+  }
+}
+
+TEST(StepGraph, StagedProgramsMatchTheInPlaceSchemesBitwise) {
+  // The second stage slot of RK4 and SSPRK3 changes storage, not
+  // arithmetic: each cell sees the in-place scheme's operation sequence.
+  // Two 36^3 boxes of 2 x 2 logical tiles each.
+  const DisjointBoxLayout dbl(
+      ProblemDomain(Box(grid::IntVect::zero(), grid::IntVect{71, 35, 35})),
+      36);
+  const Real dt = 0.003;
+  const auto cfg = tiledConfig();
+  for (const Scheme scheme : {Scheme::SSPRK3, Scheme::RK4}) {
+    LevelData ref = initialState(dbl);
+    FluxDivRhs rhs(cfg, 2);
+    for (int step = 0; step < 2; ++step) {
+      inPlaceStep(scheme, ref, dt, rhs);
+    }
+    for (const StepFuse fuse : {StepFuse::Eager, StepFuse::Fused}) {
+      LevelData u = initialState(dbl);
+      TimeIntegrator integ(scheme, dbl);
+      integ.setStepFuse(fuse);
+      for (int step = 0; step < 2; ++step) {
+        integ.advance(u, dt, rhs);
+      }
+      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+          << schemeName(scheme) << " " << core::stepFuseName(fuse);
+    }
+  }
+}
+
 /// The copier sectors ("sector[-1,0,0]") of the exchange-op tasks with a
 /// direct edge into `task`.
 std::set<std::string> exchangeSectorsFeeding(const TaskGraphModel& m,
@@ -411,7 +539,7 @@ TEST(StepGraph, EachTileWaitsOnlyForTheCopiesThatFeedIt) {
   // away from the y/z rim reads ghosts only through its x faces, so its
   // RHS task must wait for the x-lo and x-hi face copies and no others; a
   // rim tile also waits for the y/z copies its footprint reaches.
-  const TaskGraphModel m = eulerModelOnOneBox(64);
+  const TaskGraphModel m = modelOnOneBox(64);
   const grid::IntVect innerCell(32, 24, 24); // in the y, z in [18, 33] tile
   const grid::IntVect rimCell(0, 0, 0);
   std::size_t innerTask = m.tasks.size();
