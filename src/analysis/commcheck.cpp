@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <map>
 #include <sstream>
 #include <utility>
 
 #include "analysis/region_ops.hpp"
-#include "distsim/comm_model.hpp"
-#include "distsim/rank_layout.hpp"
 
 namespace fluxdiv::analysis {
 
@@ -33,18 +30,6 @@ const char* commDiagKindName(CommDiagKind k) {
     return "unmatched-recv";
   case CommDiagKind::ExtentMismatch:
     return "extent-mismatch";
-  case CommDiagKind::DeadlockCycle:
-    return "deadlock-cycle";
-  }
-  return "?";
-}
-
-const char* commAdviceKindName(CommAdviceKind k) {
-  switch (k) {
-  case CommAdviceKind::RedundantOp:
-    return "redundant-op";
-  case CommAdviceKind::MergeableMessages:
-    return "mergeable-messages";
   }
   return "?";
 }
@@ -58,37 +43,15 @@ std::string CommDiagnostic::message() const {
   os << ": plan '" << plan << "'";
   if (!opA.empty()) {
     os << " | recv side: " << opA;
-    if (rankA >= 0) {
-      os << " (rank " << rankA << ")";
-    }
   }
   if (!opB.empty()) {
     os << " | send side: " << opB;
-    if (rankB >= 0) {
-      os << " (rank " << rankB << ")";
-    }
   }
   if (!region.empty()) {
     os << " | region " << region;
   }
   if (!detail.empty()) {
     os << " | " << detail;
-  }
-  return os.str();
-}
-
-std::string CommAdvisory::message() const {
-  std::ostringstream os;
-  os << commAdviceKindName(kind) << ": plan '" << plan << "': ";
-  if (kind == CommAdviceKind::RedundantOp) {
-    os << opLabel
-       << " — dest region already covered by the box's other incoming "
-          "ops; the copy is removable";
-  } else {
-    os << "rank " << rankA << "->" << rankB << ": " << messages
-       << " messages across " << merged
-       << " box pair(s) — aggregatable per box pair, saving "
-       << (messages - merged) << " message(s) of latency";
   }
   return os.str();
 }
@@ -202,10 +165,6 @@ std::vector<DerivedSend> deriveSends(const CommPlanModel& m) {
   return sends;
 }
 
-int rankOfBox(const CommPlanModel& m, std::size_t box) {
-  return box < m.rankOf.size() ? m.rankOf[box] : 0;
-}
-
 /// The halo sector a ghost region sits in relative to `valid`, judged
 /// per direction from the region's extremes (a naming aid for gap
 /// witnesses; exact when the region stays inside one sector, as every
@@ -288,8 +247,6 @@ void checkExactness(const CommPlanModel& m,
       d.plan = m.name;
       d.opA = a.label;
       d.opB = c.label;
-      d.rankA = rankOfBox(m, a.srcBox);
-      d.rankB = rankOfBox(m, c.srcBox);
       d.region = overlap->region;
       d.detail = "two ops write the same ghost cells of box " +
                  std::to_string(b);
@@ -304,8 +261,6 @@ void checkExactness(const CommPlanModel& m,
         d.kind = CommDiagKind::StrayWrite;
         d.plan = m.name;
         d.opA = op.label;
-        d.rankA = rankOfBox(m, op.destBox);
-        d.rankB = rankOfBox(m, op.srcBox);
         d.region = stray.front();
         d.detail = "write outside the exchange-owned ghost halo of box " +
                    std::to_string(b);
@@ -318,8 +273,6 @@ void checkExactness(const CommPlanModel& m,
         d.kind = CommDiagKind::SourceInvalid;
         d.plan = m.name;
         d.opA = op.label;
-        d.rankA = rankOfBox(m, op.destBox);
-        d.rankB = rankOfBox(m, op.srcBox);
         d.region = badSrc.front();
         d.detail = "source cells outside the valid region of box " +
                    std::to_string(op.srcBox);
@@ -335,10 +288,8 @@ void checkExactness(const CommPlanModel& m,
         d.kind = CommDiagKind::GhostGap;
         d.plan = m.name;
         d.opA = "box" + std::to_string(b) + " ghost halo";
-        d.rankA = rankOfBox(m, b);
         if (it != bySector.end()) {
           d.opB = it->second->label();
-          d.rankB = rankOfBox(m, it->second->srcBox);
         }
         d.region = missing;
         d.detail = "no op fills these exchange-owned ghost cells";
@@ -348,11 +299,9 @@ void checkExactness(const CommPlanModel& m,
   }
 }
 
-/// C2: match the plan (the posted recvs) against the derived sends. The
-/// check runs over every op, cross-rank or not — a skewed source or an
-/// unmatched send is just as wrong inside a rank — and the diagnostics
-/// carry both endpoint ranks, so under a partition each cross-rank
-/// violation names its two endpoints.
+/// C2: match the plan (the posted recvs) against the derived sends. Each
+/// violation names its recv-side op and, where one exists, the derived
+/// send it disagrees with.
 void checkMatching(const CommPlanModel& m,
                    const std::vector<DerivedSend>& derived,
                    CommCheckReport& rep) {
@@ -427,8 +376,6 @@ void checkMatching(const CommPlanModel& m,
       d.plan = m.name;
       d.opA = op.label;
       d.opB = ds.label();
-      d.rankA = rankOfBox(m, op.destBox);
-      d.rankB = rankOfBox(m, ds.srcBox);
       if (sameRegion) {
         std::ostringstream os;
         os << "source shift disagrees: plan " << op.srcShift
@@ -455,8 +402,6 @@ void checkMatching(const CommPlanModel& m,
       d.kind = CommDiagKind::UnmatchedSend;
       d.plan = m.name;
       d.opA = op.label;
-      d.rankA = rankOfBox(m, op.destBox);
-      d.rankB = rankOfBox(m, op.srcBox);
       d.region = op.destRegion;
       d.detail = "recv posted but the geometry requires no such send "
                  "from box " +
@@ -473,230 +418,11 @@ void checkMatching(const CommPlanModel& m,
     d.kind = CommDiagKind::UnmatchedRecv;
     d.plan = m.name;
     d.opB = ds.label();
-    d.rankA = rankOfBox(m, ds.destBox);
-    d.rankB = rankOfBox(m, ds.srcBox);
     d.region = ds.destRegion;
     d.detail = "geometry requires this send but the plan posts no recv "
                "for it on box " +
                std::to_string(ds.destBox);
     rep.diagnostics.push_back(std::move(d));
-  }
-}
-
-/// C3: greedy execution of the per-rank send/recv programs induced by
-/// plan order, against bounded FIFO channels per ordered rank pair. The
-/// system is deterministic and confluent (enabled steps on distinct
-/// ranks commute, each rank's program is sequential), so if the greedy
-/// run stalls, *every* schedule stalls: the stall is a real deadlock and
-/// the blocked-rank wait chain is the witness.
-void checkDeadlock(const CommPlanModel& m, CommCheckReport& rep) {
-  const int nRanks = std::max(m.nRanks, 1);
-  struct Step {
-    bool send = false;
-    std::size_t op = 0;
-    int peer = 0;
-  };
-  std::vector<std::vector<Step>> prog(static_cast<std::size_t>(nRanks));
-  for (std::size_t i = 0; i < m.ops.size(); ++i) {
-    const int src = rankOfBox(m, m.ops[i].srcBox);
-    const int dst = rankOfBox(m, m.ops[i].destBox);
-    if (src == dst) {
-      continue;
-    }
-    prog[static_cast<std::size_t>(src)].push_back({true, i, dst});
-    prog[static_cast<std::size_t>(dst)].push_back({false, i, src});
-  }
-
-  std::vector<std::size_t> pc(static_cast<std::size_t>(nRanks), 0);
-  std::map<std::pair<int, int>, std::deque<std::size_t>> chan;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int r = 0; r < nRanks; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      while (pc[ur] < prog[ur].size()) {
-        const Step& st = prog[ur][pc[ur]];
-        if (st.send) {
-          auto& q = chan[{r, st.peer}];
-          if (static_cast<int>(q.size()) >= m.queueCapacity) {
-            break;
-          }
-          q.push_back(st.op);
-        } else {
-          auto& q = chan[{st.peer, r}];
-          if (q.empty() || q.front() != st.op) {
-            break;
-          }
-          q.pop_front();
-        }
-        ++pc[ur];
-        progress = true;
-      }
-    }
-  }
-
-  int firstBlocked = -1;
-  for (int r = 0; r < nRanks; ++r) {
-    if (pc[static_cast<std::size_t>(r)] <
-        prog[static_cast<std::size_t>(r)].size()) {
-      firstBlocked = r;
-      break;
-    }
-  }
-  if (firstBlocked < 0) {
-    return;  // all programs ran to completion: schedulable
-  }
-
-  // Walk the wait-for chain from the first blocked rank: a blocked send
-  // waits on its receiver to drain the full channel, a blocked recv on
-  // its sender. The walk revisits a rank (cyclic wait) or reaches a
-  // completed rank (starved recv) within nRanks steps.
-  std::ostringstream chain;
-  std::vector<bool> visited(static_cast<std::size_t>(nRanks), false);
-  int r = firstBlocked;
-  const Step& first = prog[static_cast<std::size_t>(r)]
-                          [pc[static_cast<std::size_t>(r)]];
-  for (int hop = 0; hop <= nRanks; ++hop) {
-    const auto ur = static_cast<std::size_t>(r);
-    if (pc[ur] >= prog[ur].size()) {
-      chain << "rank " << r << " has completed its program";
-      break;
-    }
-    if (visited[ur]) {
-      chain << "back to rank " << r << " — cyclic wait";
-      break;
-    }
-    visited[ur] = true;
-    const Step& st = prog[ur][pc[ur]];
-    const std::string label =
-        st.op < m.ops.size() ? m.ops[st.op].label
-                             : "op " + std::to_string(st.op);
-    if (st.send) {
-      chain << "rank " << r << " blocked sending " << label
-            << " (channel " << r << "->" << st.peer << " at capacity "
-            << m.queueCapacity << ") -> ";
-    } else {
-      chain << "rank " << r << " blocked receiving " << label
-            << " from rank " << st.peer << " -> ";
-    }
-    r = st.peer;
-  }
-
-  CommDiagnostic d;
-  d.kind = CommDiagKind::DeadlockCycle;
-  d.plan = m.name;
-  d.opA = first.op < m.ops.size() ? m.ops[first.op].label : "";
-  d.rankA = firstBlocked;
-  d.rankB = first.peer;
-  d.detail = chain.str();
-  rep.diagnostics.push_back(std::move(d));
-}
-
-/// Statically counted traffic, from the *derived* schedule: what the
-/// alpha-beta model must have been fed. Receiver-side maxima match
-/// distsim's accounting convention.
-void countTraffic(const CommPlanModel& m,
-                  const std::vector<DerivedSend>& derived,
-                  CommCheckReport& rep) {
-  const int nRanks = std::max(m.nRanks, 1);
-  std::vector<std::int64_t> recvMessages(static_cast<std::size_t>(nRanks),
-                                         0);
-  std::vector<std::uint64_t> recvBytes(static_cast<std::size_t>(nRanks),
-                                       0);
-  std::map<std::pair<int, int>, RankPairTraffic> pairs;
-  for (const DerivedSend& ds : derived) {
-    const int src = rankOfBox(m, ds.srcBox);
-    const int dst = rankOfBox(m, ds.destBox);
-    const std::int64_t cells = ds.destRegion.numPts();
-    if (src == dst) {
-      rep.onRankCells += cells;
-      continue;
-    }
-    rep.offRankCells += cells;
-    const auto bytes = static_cast<std::uint64_t>(cells) * m.ncomp *
-                       sizeof(grid::Real);
-    ++rep.messagesTotal;
-    rep.bytesTotal += bytes;
-    ++recvMessages[static_cast<std::size_t>(dst)];
-    recvBytes[static_cast<std::size_t>(dst)] += bytes;
-    RankPairTraffic& pt = pairs[{src, dst}];
-    pt.srcRank = src;
-    pt.dstRank = dst;
-    ++pt.messages;
-    pt.bytes += bytes;
-  }
-  for (int r = 0; r < nRanks; ++r) {
-    const auto ur = static_cast<std::size_t>(r);
-    rep.maxMessagesPerRank =
-        std::max(rep.maxMessagesPerRank, recvMessages[ur]);
-    rep.maxBytesPerRank = std::max(rep.maxBytesPerRank, recvBytes[ur]);
-  }
-  rep.pairs.reserve(pairs.size());
-  for (const auto& [key, pt] : pairs) {
-    rep.pairs.push_back(pt);
-  }
-}
-
-/// Over-communication advisories: copies the plan performs that a
-/// smarter lowering would not pay for.
-void findAdvisoriesIn(const CommPlanModel& m, CommCheckReport& rep) {
-  // Redundant ops: dest region already covered by the box's other ops.
-  std::vector<std::vector<std::size_t>> byDest(m.layout.size());
-  for (std::size_t i = 0; i < m.ops.size(); ++i) {
-    if (m.ops[i].destBox < m.layout.size()) {
-      byDest[m.ops[i].destBox].push_back(i);
-    }
-  }
-  for (const auto& opIdxs : byDest) {
-    for (const std::size_t i : opIdxs) {
-      CoverSet others;
-      for (const std::size_t j : opIdxs) {
-        if (j != i) {
-          others.add(m.ops[j].destRegion);
-        }
-      }
-      if (!others.empty() && others.covers(m.ops[i].destRegion)) {
-        CommAdvisory a;
-        a.kind = CommAdviceKind::RedundantOp;
-        a.plan = m.name;
-        a.opLabel = m.ops[i].label;
-        a.rankA = rankOfBox(m, m.ops[i].destBox);
-        a.rankB = rankOfBox(m, m.ops[i].srcBox);
-        rep.advisories.push_back(std::move(a));
-      }
-    }
-  }
-
-  // Mergeable messages: multiple cross-rank ops between one box pair
-  // (adjacent in several sectors, e.g. two boxes per periodic
-  // direction) each pay a message, though one aggregated send per box
-  // pair would do — the granularity the alpha-beta model assumes.
-  std::map<std::pair<int, int>,
-           std::map<std::pair<std::size_t, std::size_t>, std::int64_t>>
-      byRankPair;
-  for (const CommOp& op : m.ops) {
-    const int src = rankOfBox(m, op.srcBox);
-    const int dst = rankOfBox(m, op.destBox);
-    if (src != dst) {
-      ++byRankPair[{src, dst}][{op.srcBox, op.destBox}];
-    }
-  }
-  for (const auto& [ranks, boxPairs] : byRankPair) {
-    std::int64_t messages = 0;
-    for (const auto& [boxes, count] : boxPairs) {
-      messages += count;
-    }
-    const auto merged = static_cast<std::int64_t>(boxPairs.size());
-    if (messages > merged) {
-      CommAdvisory a;
-      a.kind = CommAdviceKind::MergeableMessages;
-      a.plan = m.name;
-      a.rankA = ranks.first;
-      a.rankB = ranks.second;
-      a.messages = messages;
-      a.merged = merged;
-      rep.advisories.push_back(std::move(a));
-    }
   }
 }
 
@@ -709,7 +435,7 @@ std::string derivedSendLabel(std::size_t srcBox, std::size_t destBox,
 }
 
 CommPlanModel buildCommPlanModel(const grid::DisjointBoxLayout& layout,
-                                 const grid::Copier& copier, int ncomp,
+                                 const grid::Copier& copier,
                                  std::string name) {
   CommPlanModel m;
   if (name.empty()) {
@@ -724,9 +450,6 @@ CommPlanModel buildCommPlanModel(const grid::DisjointBoxLayout& layout,
   }
   m.layout = layout;
   m.nghost = copier.nGhost();
-  m.ncomp = ncomp;
-  m.rankOf.assign(layout.size(), 0);
-  m.nRanks = 1;
   m.ops.reserve(copier.ops().size());
   for (std::size_t i = 0; i < copier.ops().size(); ++i) {
     const grid::CopyOp& op = copier.ops()[i];
@@ -742,85 +465,13 @@ CommPlanModel buildCommPlanModel(const grid::DisjointBoxLayout& layout,
   return m;
 }
 
-void applyRankPartition(CommPlanModel& model,
-                        const distsim::RankDecomposition& ranks) {
-  model.nRanks = ranks.nRanks();
-  model.rankOf.resize(model.layout.size());
-  for (std::size_t b = 0; b < model.layout.size(); ++b) {
-    model.rankOf[b] = ranks.rankOf(b);
-  }
-}
-
-void applyRankPartition(CommPlanModel& model, int nRanks) {
-  applyRankPartition(
-      model, distsim::RankDecomposition(model.layout, nRanks));
-}
-
-CommCheckReport checkCommPlan(const CommPlanModel& model,
-                              bool findAdvisories) {
+CommCheckReport checkCommPlan(const CommPlanModel& model) {
   CommCheckReport rep;
   rep.opCount = model.ops.size();
-  for (const CommOp& op : model.ops) {
-    if (rankOfBox(model, op.srcBox) != rankOfBox(model, op.destBox)) {
-      ++rep.crossRankOps;
-    }
-  }
   const std::vector<DerivedSend> derived = deriveSends(model);
   checkExactness(model, derived, rep);
   checkMatching(model, derived, rep);
-  checkDeadlock(model, rep);
-  countTraffic(model, derived, rep);
-  if (findAdvisories) {
-    findAdvisoriesIn(model, rep);
-  }
   return rep;
-}
-
-std::vector<std::string>
-crossValidateCommCost(const CommCheckReport& report,
-                      const distsim::ExchangeCost& cost) {
-  std::vector<std::string> mismatches;
-  const auto check = [&](const std::string& what, std::uint64_t ours,
-                         std::uint64_t theirs) {
-    if (ours != theirs) {
-      mismatches.push_back(what + ": commcheck " + std::to_string(ours) +
-                           " vs alpha-beta " + std::to_string(theirs));
-    }
-  };
-  check("onRankCells", static_cast<std::uint64_t>(report.onRankCells),
-        static_cast<std::uint64_t>(cost.onRankCells));
-  check("offRankCells", static_cast<std::uint64_t>(report.offRankCells),
-        static_cast<std::uint64_t>(cost.offRankCells));
-  check("messagesTotal", static_cast<std::uint64_t>(report.messagesTotal),
-        static_cast<std::uint64_t>(cost.messagesTotal));
-  check("maxMessagesPerRank",
-        static_cast<std::uint64_t>(report.maxMessagesPerRank),
-        static_cast<std::uint64_t>(cost.maxMessagesPerRank));
-  check("bytesTotal", report.bytesTotal, cost.bytesTotal);
-  check("maxBytesPerRank", report.maxBytesPerRank, cost.maxBytesPerRank);
-  if (report.pairs.size() != cost.pairs.size()) {
-    mismatches.push_back(
-        "rank pairs: commcheck " + std::to_string(report.pairs.size()) +
-        " vs alpha-beta " + std::to_string(cost.pairs.size()));
-    return mismatches;
-  }
-  for (std::size_t i = 0; i < report.pairs.size(); ++i) {
-    const RankPairTraffic& a = report.pairs[i];
-    const distsim::RankPairCost& b = cost.pairs[i];
-    const std::string tag = "pair " + std::to_string(a.srcRank) + "->" +
-                            std::to_string(a.dstRank);
-    if (a.srcRank != b.srcRank || a.dstRank != b.dstRank) {
-      mismatches.push_back(tag + " vs alpha-beta pair " +
-                           std::to_string(b.srcRank) + "->" +
-                           std::to_string(b.dstRank) +
-                           ": rank-pair lists disagree");
-      continue;
-    }
-    check(tag + " messages", static_cast<std::uint64_t>(a.messages),
-          static_cast<std::uint64_t>(b.messages));
-    check(tag + " bytes", a.bytes, b.bytes);
-  }
-  return mismatches;
 }
 
 }  // namespace fluxdiv::analysis

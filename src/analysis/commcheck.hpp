@@ -3,8 +3,7 @@
 // third leg of the correctness net after the schedule verifier
 // (analysis/verifier) and the task-graph race checker
 // (analysis/graphcheck). From the same plan the executors consume it
-// builds an exact region model and proves, per (layout, nghost, rank
-// partition) shape:
+// builds an exact region model and proves, per (layout, nghost) shape:
 //
 //   C1 exactness        every exchange-owned ghost cell of every box is
 //                       written by exactly one incoming copy op (no gaps,
@@ -14,26 +13,10 @@
 //                       plan from layout geometry must agree op-for-op
 //                       with the recv-side plan: every required send has
 //                       its posted recv and vice versa, with identical
-//                       region/byte extent. Under a rank partition this
-//                       is exactly "every cross-rank op appears in both
-//                       endpoints' schedules".
-//   C3 deadlock freedom the per-rank send/recv programs induced by the
-//                       plan order, executed against FIFO rank-to-rank
-//                       channels of bounded capacity (the planned RankSim
-//                       queue depth), run to completion with no cyclic
-//                       wait. The simulation is confluent (enabled steps
-//                       on distinct ranks commute), so one greedy run
-//                       decides schedulability.
-//
-// Beyond the proofs, the checker emits over-communication advisories
-// (ops already satisfied locally, same-box-pair messages that could be
-// aggregated) and counts bytes/messages per rank pair from the *derived*
-// schedule — an independent path that crossValidateCommCost() compares
-// exactly against distsim's alpha-beta inputs, so the cost model of
-// docs/cost-model.md is checked rather than assumed.
+//                       region and source shift. C2 is the only check
+//                       that catches a source shift skewed onto other
+//                       valid cells.
 
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,21 +24,9 @@
 #include "grid/copier.hpp"
 #include "grid/layout.hpp"
 
-namespace fluxdiv::distsim {
-class RankDecomposition;
-struct ExchangeCost;
-} // namespace fluxdiv::distsim
-
 namespace fluxdiv::analysis {
 
 using grid::Box;
-
-/// Planned RankSim per-channel queue depth: max in-flight messages per
-/// ordered rank pair before a sender blocks. C3 proves plans schedulable
-/// at this depth; a capacity <= 0 models unbuffered channels (every
-/// cross-rank send blocks forever — useful for forcing the deadlock
-/// witness in tests).
-inline constexpr int kDefaultQueueCapacity = 4;
 
 /// One exchange op in the model: a grid::CopyOp plus the stable label
 /// (grid::Copier::opLabel) diagnostics quote, matching graphcheck's
@@ -79,33 +50,19 @@ struct CommOp {
 std::string derivedSendLabel(std::size_t srcBox, std::size_t destBox,
                              const grid::IntVect& sector);
 
-/// A communication plan under test: the ops, the layout they exchange
-/// over, and the rank partition they are scheduled under (nRanks == 1,
-/// all boxes on rank 0, until applyRankPartition()).
+/// A communication plan under test: the ops and the layout they
+/// exchange over.
 struct CommPlanModel {
   std::string name;               ///< for reports, e.g. "exchange 8@16^3 g2"
   grid::DisjointBoxLayout layout;
   int nghost = 0;
-  int ncomp = 1;
   std::vector<CommOp> ops;
-  std::vector<int> rankOf;        ///< box -> owning rank
-  int nRanks = 1;
-  int queueCapacity = kDefaultQueueCapacity;
 };
 
-/// Lift a Copier plan into the model, labels included. `ncomp` prices the
-/// byte extents. The partition defaults to a single rank.
+/// Lift a Copier plan into the model, labels included.
 CommPlanModel buildCommPlanModel(const grid::DisjointBoxLayout& layout,
-                                 const grid::Copier& copier, int ncomp,
+                                 const grid::Copier& copier,
                                  std::string name = {});
-
-/// Apply the distsim sharding: every box owned per `ranks`.
-void applyRankPartition(CommPlanModel& model,
-                        const distsim::RankDecomposition& ranks);
-
-/// Convenience: partition onto `nRanks` contiguous chunks (the distsim
-/// default decomposition) without constructing one at the call site.
-void applyRankPartition(CommPlanModel& model, int nRanks);
 
 enum class CommDiagKind {
   Ok,
@@ -113,26 +70,22 @@ enum class CommDiagKind {
   DoubleWrite,     ///< C1: two ops write intersecting dest regions
   StrayWrite,      ///< C1: op writes outside its box's ghost halo
   SourceInvalid,   ///< C1: op reads outside the source box's valid cells
-  UnmatchedSend,   ///< C2: posted recv whose send no rank performs
+  UnmatchedSend,   ///< C2: posted recv the geometry requires no send for
   UnmatchedRecv,   ///< C2: required send for which no recv is posted
-  ExtentMismatch,  ///< C2: endpoints disagree on region/byte extent
-  DeadlockCycle,   ///< C3: cyclic or starved wait at the queue capacity
+  ExtentMismatch,  ///< C2: endpoints disagree on region or source shift
 };
 const char* commDiagKindName(CommDiagKind k);
 
 /// One violation witness. `opA`/`opB` are labeled endpoints (plan-op
 /// labels, or derived-send labels of the form "send box3->box5
-/// sector[+1,0,0]"); `rankA`/`rankB` the endpoint ranks where meaningful
-/// (-1 otherwise); `region` the offending cells in the destination
-/// frame; `detail` kind-specific amplification (e.g. the wait chain of a
-/// DeadlockCycle).
+/// sector[+1,0,0]"); `region` the offending cells in the destination
+/// frame; `detail` kind-specific amplification (e.g. the disagreeing
+/// source shifts of an ExtentMismatch).
 struct CommDiagnostic {
   CommDiagKind kind = CommDiagKind::Ok;
   std::string plan;
   std::string opA;
   std::string opB;
-  int rankA = -1;
-  int rankB = -1;
   Box region;
   std::string detail;
 
@@ -140,72 +93,16 @@ struct CommDiagnostic {
   [[nodiscard]] std::string message() const;
 };
 
-enum class CommAdviceKind {
-  RedundantOp,        ///< op's dest region already covered by the others
-  MergeableMessages,  ///< same-box-pair ops aggregatable into one message
-};
-const char* commAdviceKindName(CommAdviceKind k);
-
-/// Over-communication advisory: not a correctness violation, but alpha
-/// (message count) or bytes the plan spends that a smarter lowering would
-/// not. `messages` -> `merged` is the achievable reduction for
-/// MergeableMessages; `opLabel` names the redundant op for RedundantOp.
-struct CommAdvisory {
-  CommAdviceKind kind = CommAdviceKind::MergeableMessages;
-  std::string plan;
-  std::string opLabel;
-  int rankA = -1;
-  int rankB = -1;
-  std::int64_t messages = 0;
-  std::int64_t merged = 0;
-
-  [[nodiscard]] std::string message() const;
-};
-
-/// Per-rank-pair traffic of one exchange — exactly the alpha-beta model's
-/// inputs: how many messages and bytes rank `srcRank` sends rank
-/// `dstRank`. Sorted by (srcRank, dstRank); cross-rank pairs only.
-struct RankPairTraffic {
-  int srcRank = 0;
-  int dstRank = 0;
-  std::int64_t messages = 0;
-  std::uint64_t bytes = 0;
-};
-
-/// Everything checkCommPlan() proves and counts. Traffic figures are
-/// counted from the *derived* send schedule (layout geometry), not the
-/// plan ops, so their exact agreement with distsim::analyzeExchange —
-/// which walks the plan — is an independent check, not a tautology.
+/// Everything checkCommPlan() proves.
 struct CommCheckReport {
   std::vector<CommDiagnostic> diagnostics;
-  std::vector<CommAdvisory> advisories;
-
   std::size_t opCount = 0;
-  std::size_t crossRankOps = 0;
-  std::int64_t onRankCells = 0;
-  std::int64_t offRankCells = 0;
-  std::int64_t messagesTotal = 0;
-  std::int64_t maxMessagesPerRank = 0;
-  std::uint64_t bytesTotal = 0;
-  std::uint64_t maxBytesPerRank = 0;
-  std::vector<RankPairTraffic> pairs;
 
   [[nodiscard]] bool ok() const { return diagnostics.empty(); }
 };
 
-/// Run C1 + C2 + C3 over `model` (advisories only when asked: they cost
-/// an extra coverage pass per op). Diagnostics carry labeled two-endpoint
+/// Run C1 + C2 over `model`. Diagnostics carry labeled two-endpoint
 /// witnesses; an empty list is the proof.
-CommCheckReport checkCommPlan(const CommPlanModel& model,
-                              bool findAdvisories = false);
-
-/// Compare the report's statically counted traffic against the alpha-beta
-/// model's inputs for the same (plan, partition, ncomp): totals, per-rank
-/// maxima, and every rank pair must agree EXACTLY. Returns one
-/// human-readable mismatch per disagreement; empty means the cost model's
-/// inputs are verified.
-std::vector<std::string>
-crossValidateCommCost(const CommCheckReport& report,
-                      const distsim::ExchangeCost& cost);
+CommCheckReport checkCommPlan(const CommPlanModel& model);
 
 } // namespace fluxdiv::analysis

@@ -531,8 +531,6 @@ const char* costNoteKindName(CostNoteKind k) {
     return "high-recompute";
   case CostNoteKind::OverSynchronized:
     return "over-synchronized";
-  case CostNoteKind::OverCommunicated:
-    return "over-communicated";
   case CostNoteKind::OverdeclaredFootprint:
     return "overdeclared-footprint";
   case CostNoteKind::DeadStore:
@@ -566,13 +564,6 @@ std::string CostNote::message() const {
        << static_cast<std::int64_t>(limitBytes)
        << " dependency edges removable without losing race-freedom "
           "-> schedule over-synchronized";
-    break;
-  case CostNoteKind::OverCommunicated:
-    os << "plan '" << where << "': "
-       << static_cast<std::int64_t>(actualBytes) << " of "
-       << static_cast<std::int64_t>(limitBytes)
-       << " exchange messages redundant or mergeable per box pair "
-          "-> plan over-communicates";
     break;
   case CostNoteKind::OverdeclaredFootprint:
     os << "'" << where << "': "

@@ -55,7 +55,6 @@ enum class CostNoteKind {
   ItemExceedsL2,  ///< a concurrent work item's footprint exceeds L2
   HighRecompute,  ///< duplicated temporary production above threshold
   OverSynchronized, ///< task graph carries removable dependency edges
-  OverCommunicated, ///< exchange plan has redundant/mergeable ops
   OverdeclaredFootprint, ///< declared stencil offsets no kernel reads
   DeadStore,      ///< step op writes values nothing reads (stepcheck S2)
   ModelError,     ///< internal inconsistency (tool-level strict checks)

@@ -17,7 +17,7 @@
 //   K2 (tightness)   every declared offset is actually exercised by the
 //                    kernel: slack => an Overdeclared advisory (slack
 //                    footprints inflate ghost depth, cost-model traffic,
-//                    and commcheck message volume).
+//                    and exchange volume).
 //   K3 (consistency) the footprints the task-graph models and the cost
 //                    model consume agree with the ones proven here
 //                    (checkGraphFootprints over a lowered TaskGraphModel).

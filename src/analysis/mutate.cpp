@@ -459,7 +459,7 @@ CommMutation unmatchCommSend(const CommPlanModel& m, std::uint64_t seed) {
   out.witnessB = "";  // no geometric send exists from the wrong box
   out.what = "repoint source of '" + op.label + "' from box" +
              std::to_string(original) + " to box" +
-             std::to_string(op.srcBox) + " (send posted by the wrong rank)";
+             std::to_string(op.srcBox) + " (send posted by the wrong box)";
   return out;
 }
 

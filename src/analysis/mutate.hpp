@@ -133,7 +133,7 @@ CommMutation shrinkCommRegion(const CommPlanModel& m, std::uint64_t seed);
 CommMutation skewCommSource(const CommPlanModel& m, std::uint64_t seed);
 
 /// Repoint one op's source at an unrelated box (send posted from the
-/// wrong rank; needs >= 2 boxes). Expected: UnmatchedSend at the
+/// wrong box; needs >= 2 boxes). Expected: UnmatchedSend at the
 /// receiver plus UnmatchedRecv for the original sender's now-orphaned
 /// send — the two-endpoint witness.
 CommMutation unmatchCommSend(const CommPlanModel& m, std::uint64_t seed);

@@ -115,36 +115,30 @@ std::string levelShapeKey(const LevelData& level) {
 }
 
 /// Exchange-plan gate: before a capture lowers the exchanges of a
-/// slot level, prove the level's exchange plan exact, matched, and
-/// deadlock-free (analysis/commcheck) under rank partitions {1,2,4,8}.
-/// Each distinct (layout, ghost depth) is proven once per process.
+/// slot level, prove the level's exchange plan exact and matched
+/// (analysis/commcheck). Each distinct (layout, ghost depth) is proven
+/// once per process.
 void verifyCommOnce(const LevelData& level) {
   static analysis::VerifyGate gate;
   if (level.size() == 0 || level.nGhost() <= 0 ||
       !gate.shouldVerify(levelShapeKey(level))) {
     return;
   }
-  analysis::CommPlanModel model = analysis::buildCommPlanModel(
-      level.layout(), level.copier(), level.nComp());
-  for (const int nranks : {1, 2, 4, 8}) {
-    if (static_cast<std::size_t>(nranks) > level.size()) {
-      break;
-    }
-    analysis::applyRankPartition(model, nranks);
-    const analysis::CommCheckReport report = analysis::checkCommPlan(model);
-    if (report.ok()) {
-      continue;
-    }
-    std::vector<std::string> msgs;
-    msgs.reserve(report.diagnostics.size());
-    for (const auto& d : report.diagnostics) {
-      msgs.push_back(d.message());
-    }
-    throw std::logic_error(analysis::verifyFailureMessage(
-        "StepGraphExecutor: exchange-plan verification failed for '" +
-            model.name + "' under " + std::to_string(nranks) + " rank(s)",
-        msgs));
+  const analysis::CommPlanModel model =
+      analysis::buildCommPlanModel(level.layout(), level.copier());
+  const analysis::CommCheckReport report = analysis::checkCommPlan(model);
+  if (report.ok()) {
+    return;
   }
+  std::vector<std::string> msgs;
+  msgs.reserve(report.diagnostics.size());
+  for (const auto& d : report.diagnostics) {
+    msgs.push_back(d.message());
+  }
+  throw std::logic_error(analysis::verifyFailureMessage(
+      "StepGraphExecutor: exchange-plan verification failed for '" +
+          model.name + "'",
+      msgs));
 }
 #endif
 

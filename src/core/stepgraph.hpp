@@ -41,8 +41,8 @@
 // -DFLUXDIV_VERIFY=ON it is proven race-free by analysis/graphcheck before
 // its first execution, and before its first capture the step program is
 // proven live (no read of a never-written stage slot) by analysis/
-// stepcheck and the exchange plan of every slot level is proven exact,
-// matched, and deadlock-free by analysis/commcheck. Every exchange fills
+// stepcheck and the exchange plan of every slot level is proven exact
+// and matched by analysis/commcheck. Every exchange fills
 // kNumGhost ghost layers; graphcheck's ghost-coverage rule (G3) proves
 // each reader's ghosts are filled before it runs. Shadow-epoch barrier
 // tasks (orderingOnly in the model) re-arm the FLUXDIV_SHADOW_CHECK write

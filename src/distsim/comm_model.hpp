@@ -22,8 +22,7 @@ struct NetworkParams {
 };
 
 /// Traffic one ordered rank pair exchanges: the alpha-beta inputs at
-/// their native granularity. analysis/commcheck re-derives these figures
-/// independently from layout geometry and cross-validates them exactly.
+/// their native granularity.
 struct RankPairCost {
   int srcRank = 0;
   int dstRank = 0;

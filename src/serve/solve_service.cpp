@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -63,6 +65,7 @@ InstanceSpec parseInstanceSpec(const std::string& line) {
         "'");
   }
   std::string token;
+  std::string extentToken; ///< the last box= or nboxes= token
   while (in >> token) {
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos) {
@@ -78,10 +81,12 @@ InstanceSpec parseInstanceSpec(const std::string& line) {
       if (!toInt(val, spec.boxSize) || spec.boxSize < 1) {
         badToken(line, token);
       }
+      extentToken = token;
     } else if (key == "nboxes") {
       if (!toInt(val, spec.nBoxes) || spec.nBoxes < 1) {
         badToken(line, token);
       }
+      extentToken = token;
     } else if (key == "steps") {
       if (!toInt(val, spec.steps) || spec.steps < 1) {
         badToken(line, token);
@@ -109,6 +114,13 @@ InstanceSpec parseInstanceSpec(const std::string& line) {
     } else {
       badToken(line, token);
     }
+  }
+  // specLayout's domain is box * nboxes cells long in x; with its ghost
+  // layers that extent must fit in int, or the layout overflows.
+  const std::int64_t ghostedX =
+      std::int64_t{spec.boxSize} * spec.nBoxes + 2 * kernels::kNumGhost;
+  if (ghostedX > std::numeric_limits<int>::max()) {
+    badToken(line, extentToken);
   }
   return spec;
 }

@@ -46,7 +46,9 @@ struct InstanceSpec {
 /// Parse one workload line: `name key=value...` with keys scheme, box,
 /// nboxes, steps, dt, weight, fuse, policy (policy accepts "auto"). Every
 /// solve runs the fused step graph, so `fuse=` accepts only `fused` and
-/// `auto`, kept so existing workload files still parse. Throws
+/// `auto`, kept so existing workload files still parse. A line whose
+/// box x nboxes x extent, ghosts included, does not fit in int is
+/// rejected at its last box= or nboxes= token. Throws
 /// std::invalid_argument with the offending token.
 InstanceSpec parseInstanceSpec(const std::string& line);
 

@@ -1,29 +1,26 @@
 // Tests of the exchange-plan verifier (analysis/commcheck). Three layers,
 // mirroring test_graphcheck: every real Copier plan the suite's layouts
-// produce must verify exact/matched/deadlock-free under rank partitions
-// {1,2,4,8} with traffic agreeing EXACTLY with distsim's alpha-beta
-// inputs; hand-edited plans exercise each diagnostic kind in isolation
-// with its labeled two-endpoint witness; and the seeded plan
-// miscompilations of analysis/mutate must each be rejected with their
-// predicted witness labels. The suite layouts include a matrix of level
-// shapes x ghost depths x domain periodicities.
+// produce must verify exact and matched; hand-edited plans exercise each
+// diagnostic kind in isolation with its labeled two-endpoint witness; and
+// the seeded plan miscompilations of analysis/mutate must each be
+// rejected with their predicted witness labels. The suite layouts include
+// the shared level matrix of shapes x ghost depths x domain
+// periodicities (level_matrix.hpp).
 
 #include "analysis/commcheck.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "analysis/mutate.hpp"
-#include "distsim/comm_model.hpp"
-#include "distsim/rank_layout.hpp"
 #include "grid/box.hpp"
 #include "grid/copier.hpp"
 #include "grid/layout.hpp"
+#include "level_matrix.hpp"
 
 namespace fluxdiv::analysis {
 namespace {
@@ -33,67 +30,8 @@ using grid::DisjointBoxLayout;
 using grid::IntVect;
 using grid::ProblemDomain;
 
-/// The layout shapes the repo's tests and benches exchange over.
-struct NamedLayout {
-  std::string name;
-  DisjointBoxLayout dbl;
-  int nghost;
-  int maxRanks = 8; ///< largest rank partition to verify and mutate
-};
-
-/// Near-cubic per-axis box counts whose product is >= nBoxes.
-IntVect factorBoxes(int nBoxes) {
-  IntVect counts = IntVect::unit(1);
-  while (counts.product() < nBoxes) {
-    int smallest = 0;
-    for (int d = 1; d < grid::SpaceDim; ++d) {
-      if (counts[d] < counts[smallest]) {
-        smallest = d;
-      }
-    }
-    counts[smallest] += 1;
-  }
-  return counts;
-}
-
-/// A matrix of level shapes: shared-memory levels (8 x 16^3, 27 x 8^3)
-/// and rank-partitioned ones (4 ranks over 64 x 8^3, 8 ranks over
-/// 16 x 8^3), at ghost depths 1, 2 and 4, each over periodic, walled and
-/// mixed-periodicity domains.
-std::vector<NamedLayout> levelMatrix() {
-  struct Shape {
-    int maxRanks;
-    int nBoxes;
-    int boxSize;
-  };
-  std::vector<NamedLayout> out;
-  for (const Shape& sh : {Shape{8, 8, 16}, Shape{8, 27, 8}, Shape{4, 64, 8},
-                          Shape{8, 16, 8}}) {
-    const grid::Box domBox(IntVect::zero(),
-                           factorBoxes(sh.nBoxes) * sh.boxSize -
-                               IntVect::unit(1));
-    for (const int ghost : {1, 2, 4}) {
-      const std::string tag = std::to_string(sh.nBoxes) + "@" +
-                              std::to_string(sh.boxSize) + " g" +
-                              std::to_string(ghost);
-      out.push_back({"periodic " + tag,
-                     DisjointBoxLayout(ProblemDomain(domBox), sh.boxSize),
-                     ghost, sh.maxRanks});
-      out.push_back(
-          {"walls " + tag,
-           DisjointBoxLayout(ProblemDomain(domBox, /*periodicAll=*/false),
-                             sh.boxSize),
-           ghost, sh.maxRanks});
-      out.push_back(
-          {"mixed " + tag,
-           DisjointBoxLayout(
-               ProblemDomain(domBox, std::array<bool, 3>{true, false, true}),
-               sh.boxSize),
-           ghost, sh.maxRanks});
-    }
-  }
-  return out;
-}
+using test::levelMatrix;
+using test::NamedLayout;
 
 std::vector<NamedLayout> suiteLayouts() {
   std::vector<NamedLayout> out = {
@@ -125,9 +63,9 @@ std::vector<NamedLayout> suiteLayouts() {
   return out;
 }
 
-CommPlanModel modelFor(const NamedLayout& nl, int ncomp = 2) {
+CommPlanModel modelFor(const NamedLayout& nl) {
   const Copier copier(nl.dbl, nl.nghost);
-  return buildCommPlanModel(nl.dbl, copier, ncomp, nl.name);
+  return buildCommPlanModel(nl.dbl, copier, nl.name);
 }
 
 bool reported(const CommCheckReport& rep, CommDiagKind kind,
@@ -142,85 +80,18 @@ bool reported(const CommCheckReport& rep, CommDiagKind kind,
 }
 
 // ---------------------------------------------------------------------------
-// Every real plan proves clean under every standard partition, and the
-// statically counted traffic agrees exactly with distsim.
+// Every real plan proves clean.
 // ---------------------------------------------------------------------------
 
 TEST(CommCheckClean, AllSuitePlansVerifyUnderAllPartitions) {
   for (const NamedLayout& nl : suiteLayouts()) {
-    const Copier copier(nl.dbl, nl.nghost);
-    CommPlanModel model = buildCommPlanModel(nl.dbl, copier, 2, nl.name);
-    for (const int nranks : {1, 2, 4, 8}) {
-      if (static_cast<std::size_t>(nranks) > nl.dbl.size() ||
-          nranks > nl.maxRanks) {
-        break;
-      }
-      const distsim::RankDecomposition ranks(nl.dbl, nranks);
-      applyRankPartition(model, ranks);
-      const CommCheckReport rep = checkCommPlan(model);
-      for (const CommDiagnostic& d : rep.diagnostics) {
-        ADD_FAILURE() << nl.name << " @ " << nranks
-                      << " ranks: " << d.message();
-      }
-      EXPECT_EQ(rep.opCount, model.ops.size());
-      const std::vector<std::string> mismatches = crossValidateCommCost(
-          rep, distsim::analyzeExchange(ranks, copier, 2));
-      for (const std::string& m : mismatches) {
-        ADD_FAILURE() << nl.name << " @ " << nranks << " ranks: " << m;
-      }
+    const CommPlanModel model = modelFor(nl);
+    const CommCheckReport rep = checkCommPlan(model);
+    for (const CommDiagnostic& d : rep.diagnostics) {
+      ADD_FAILURE() << nl.name << ": " << d.message();
     }
+    EXPECT_EQ(rep.opCount, model.ops.size());
   }
-}
-
-TEST(CommCheckClean, SchedulableEvenAtCapacityOne) {
-  // Plan order gives every channel identical send and recv order, so the
-  // proof must go through even with a single in-flight message per
-  // channel.
-  CommPlanModel model = modelFor(suiteLayouts()[0]);
-  applyRankPartition(model, 4);
-  model.queueCapacity = 1;
-  const CommCheckReport rep = checkCommPlan(model);
-  EXPECT_TRUE(rep.ok());
-  EXPECT_GT(rep.crossRankOps, 0u);
-}
-
-TEST(CommCheckClean, TrafficCountsMatchKnownGeometry) {
-  // 4^3 boxes of 8^3 on 64 ranks: every box alone on its rank, so every
-  // one of its 26 incoming sector ops is a message.
-  const DisjointBoxLayout dbl(ProblemDomain(grid::Box::cube(32)), 8);
-  const Copier copier(dbl, 2);
-  CommPlanModel model = buildCommPlanModel(dbl, copier, 1);
-  const distsim::RankDecomposition ranks(dbl, 64);
-  applyRankPartition(model, ranks);
-  const CommCheckReport rep = checkCommPlan(model);
-  EXPECT_TRUE(rep.ok());
-  EXPECT_EQ(rep.messagesTotal, 64 * 26);
-  EXPECT_EQ(rep.maxMessagesPerRank, 26);
-  // Per-pair traffic must sum back to the totals.
-  std::int64_t msgs = 0;
-  std::uint64_t bytes = 0;
-  for (const RankPairTraffic& p : rep.pairs) {
-    EXPECT_NE(p.srcRank, p.dstRank);
-    msgs += p.messages;
-    bytes += p.bytes;
-  }
-  EXPECT_EQ(msgs, rep.messagesTotal);
-  EXPECT_EQ(bytes, rep.bytesTotal);
-  EXPECT_TRUE(crossValidateCommCost(
-                  rep, distsim::analyzeExchange(ranks, copier, 1))
-                  .empty());
-}
-
-TEST(CommCheckClean, SingleRankHasNoCrossTraffic) {
-  const CommPlanModel model = modelFor(suiteLayouts()[0]);
-  const CommCheckReport rep = checkCommPlan(model);
-  EXPECT_TRUE(rep.ok());
-  EXPECT_EQ(rep.crossRankOps, 0u);
-  EXPECT_EQ(rep.messagesTotal, 0);
-  EXPECT_EQ(rep.bytesTotal, 0u);
-  EXPECT_TRUE(rep.pairs.empty());
-  EXPECT_GT(rep.onRankCells, 0);
-  EXPECT_EQ(rep.offRankCells, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -305,20 +176,6 @@ TEST(CommCheckDiagnostics, ShrunkRegionIsExtentMismatch) {
   FAIL() << "no shrinkable op in the plan";
 }
 
-TEST(CommCheckDiagnostics, ZeroCapacityChannelsDeadlock) {
-  CommPlanModel model = modelFor(suiteLayouts()[0]);
-  applyRankPartition(model, 2);
-  model.queueCapacity = 0; // unbuffered: every cross-rank send blocks
-  const CommCheckReport rep = checkCommPlan(model);
-  ASSERT_TRUE(reported(rep, CommDiagKind::DeadlockCycle));
-  for (const CommDiagnostic& d : rep.diagnostics) {
-    if (d.kind == CommDiagKind::DeadlockCycle) {
-      EXPECT_NE(d.detail.find("blocked"), std::string::npos)
-          << d.message();
-    }
-  }
-}
-
 TEST(CommCheckDiagnostics, MessageFormatNamesBothEndpointsAndPlan) {
   CommPlanModel model = modelFor(suiteLayouts()[0]);
   const CommOp dropped = model.ops.front();
@@ -338,49 +195,6 @@ TEST(CommCheckDiagnostics, MessageFormatNamesBothEndpointsAndPlan) {
     EXPECT_NE(msg.find(d.opB), std::string::npos);
   }
   EXPECT_TRUE(sawGap);
-}
-
-// ---------------------------------------------------------------------------
-// Advisories.
-// ---------------------------------------------------------------------------
-
-TEST(CommCheckAdvisories, DuplicatedOpIsAlsoRedundant) {
-  CommPlanModel model = modelFor(suiteLayouts()[0]);
-  model.ops.push_back(model.ops.front());
-  const CommCheckReport rep = checkCommPlan(model, /*findAdvisories=*/true);
-  bool sawRedundant = false;
-  for (const CommAdvisory& a : rep.advisories) {
-    if (a.kind == CommAdviceKind::RedundantOp) {
-      sawRedundant = true;
-      EXPECT_FALSE(a.opLabel.empty());
-      EXPECT_NE(a.message().find("redundant-op"), std::string::npos);
-    }
-  }
-  EXPECT_TRUE(sawRedundant);
-}
-
-TEST(CommCheckAdvisories, SmallPeriodicLayoutHasMergeableMessages) {
-  // 2 boxes per axis and periodic wrap: each box exchanges with the same
-  // neighbor through multiple sectors, so the per-pair message count
-  // exceeds the box-pair count.
-  const DisjointBoxLayout dbl(ProblemDomain(grid::Box::cube(16)), 8);
-  const Copier copier(dbl, 2);
-  CommPlanModel model = buildCommPlanModel(dbl, copier, 2);
-  applyRankPartition(model, 8);
-  const CommCheckReport rep = checkCommPlan(model, /*findAdvisories=*/true);
-  EXPECT_TRUE(rep.ok());
-  bool sawMergeable = false;
-  for (const CommAdvisory& a : rep.advisories) {
-    if (a.kind == CommAdviceKind::MergeableMessages) {
-      sawMergeable = true;
-      EXPECT_GT(a.messages, a.merged);
-      EXPECT_GE(a.rankA, 0);
-      EXPECT_GE(a.rankB, 0);
-    }
-  }
-  EXPECT_TRUE(sawMergeable);
-  // Advisories never fire from the default (diagnostics-only) entry.
-  EXPECT_TRUE(checkCommPlan(model).advisories.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -422,10 +236,7 @@ TEST(CommCheckMutations, AllMutatorsCaughtOnAllSuiteLayouts) {
   const std::vector<NamedLayout> layouts = suiteLayouts();
   const std::size_t matrixBegin = layouts.size() - levelMatrix().size();
   for (std::size_t i = 0; i < layouts.size(); ++i) {
-    const NamedLayout& nl = layouts[i];
-    CommPlanModel base = modelFor(nl);
-    applyRankPartition(base, std::min(static_cast<int>(nl.dbl.size()),
-                                      nl.maxRanks));
+    const CommPlanModel base = modelFor(layouts[i]);
     const int executed =
         expectCaught(base, &mutate::dropCommOp, "dropCommOp") +
         expectCaught(base, &mutate::shrinkCommRegion, "shrinkCommRegion") +

@@ -3,10 +3,9 @@
 // against brute-force per-cell oracles. The region-ops properties pin the
 // primitives all three static checkers (verifier, graphcheck, commcheck)
 // now share; the exactness property pins the whole C1 pipeline: over
-// random layouts (box counts, sizes, ghost depths, per-axis periodicity,
-// rank partitions) the checker's verdict must equal the per-cell count
-// "every exchange-owned ghost cell covered exactly once", and the counted
-// traffic must agree exactly with distsim.
+// random layouts (box counts, sizes, ghost depths, per-axis periodicity)
+// the checker's verdict must equal the per-cell count "every
+// exchange-owned ghost cell covered exactly once".
 
 #include <gtest/gtest.h>
 
@@ -20,8 +19,6 @@
 
 #include "analysis/commcheck.hpp"
 #include "analysis/region_ops.hpp"
-#include "distsim/comm_model.hpp"
-#include "distsim/rank_layout.hpp"
 #include "grid/box.hpp"
 #include "grid/copier.hpp"
 #include "grid/layout.hpp"
@@ -184,7 +181,6 @@ TEST(RegionOpsProps, FirstPairOverlapAgreesWithPairwiseScan) {
 struct RandomLevel {
   DisjointBoxLayout dbl;
   int nghost = 1;
-  int nranks = 1;
 };
 
 RandomLevel randomLevel(Rng& rng) {
@@ -196,10 +192,9 @@ RandomLevel randomLevel(Rng& rng) {
                            counts[1] * sizes[1] - 1,
                            counts[2] * sizes[2] - 1});
   RandomLevel lvl{
-      DisjointBoxLayout(ProblemDomain(domBox, periodic), sizes), 1, 1};
+      DisjointBoxLayout(ProblemDomain(domBox, periodic), sizes), 1};
   const int minSide = std::min(sizes[0], std::min(sizes[1], sizes[2]));
   lvl.nghost = rng.range(1, std::min(4, minSide));
-  lvl.nranks = rng.range(1, static_cast<int>(lvl.dbl.size()));
   return lvl;
 }
 
@@ -254,19 +249,11 @@ TEST(CommCheckProps, ExactnessAgreesWithPerCellOracle) {
     const std::string oracle = oracleCheck(lvl, copier);
     EXPECT_EQ(oracle, std::string{}) << "seed " << seed;
 
-    CommPlanModel model =
-        buildCommPlanModel(lvl.dbl, copier, rng.range(1, 5));
-    const distsim::RankDecomposition ranks(lvl.dbl, lvl.nranks);
-    applyRankPartition(model, ranks);
+    const CommPlanModel model = buildCommPlanModel(lvl.dbl, copier);
     const CommCheckReport rep = checkCommPlan(model);
     for (const CommDiagnostic& d : rep.diagnostics) {
-      ADD_FAILURE() << "seed " << seed << " (" << model.name << ", "
-                    << lvl.nranks << " ranks): " << d.message();
-    }
-    const std::vector<std::string> mismatches = crossValidateCommCost(
-        rep, distsim::analyzeExchange(ranks, copier, model.ncomp));
-    for (const std::string& m : mismatches) {
-      ADD_FAILURE() << "seed " << seed << ": " << m;
+      ADD_FAILURE() << "seed " << seed << " (" << model.name
+                    << "): " << d.message();
     }
   }
 }
@@ -278,7 +265,7 @@ TEST(CommCheckProps, MutatedPlansRejectedWhereOracleRejects) {
     Rng rng(seed + 5000);
     const RandomLevel lvl = randomLevel(rng);
     const Copier copier(lvl.dbl, lvl.nghost);
-    CommPlanModel model = buildCommPlanModel(lvl.dbl, copier, 1);
+    CommPlanModel model = buildCommPlanModel(lvl.dbl, copier);
     if (model.ops.empty()) {
       continue;
     }

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <vector>
+
+#include "level_matrix.hpp"
 
 namespace fluxdiv::distsim {
 namespace {
@@ -19,6 +24,32 @@ struct Case {
       : dbl(ProblemDomain(Box::cube(dom)), box), copier(dbl, nghost) {}
 };
 
+/// One (plan, partition) an accounting identity is checked on.
+struct Input {
+  std::string name;
+  Copier copier;
+  RankDecomposition ranks;
+};
+
+/// 64^3 in 16^3 boxes at each of `rankCounts`, then every layout of the
+/// shared level matrix at ranks {1,2,4,8}.
+std::vector<Input> identityInputs(std::initializer_list<int> rankCounts) {
+  std::vector<Input> out;
+  const Case c(64, 16);
+  for (const int n : rankCounts) {
+    out.push_back({"64@16 at " + std::to_string(n) + " ranks", c.copier,
+                   RankDecomposition(c.dbl, n)});
+  }
+  for (const test::NamedLayout& nl : test::levelMatrix()) {
+    const Copier copier(nl.dbl, nl.nghost);
+    for (const int n : {1, 2, 4, 8}) {
+      out.push_back({nl.name + " at " + std::to_string(n) + " ranks",
+                     copier, RankDecomposition(nl.dbl, n)});
+    }
+  }
+  return out;
+}
+
 TEST(CommModel, SingleRankIsAllLocal) {
   Case c(64, 16);
   RankDecomposition ranks(c.dbl, 1);
@@ -31,13 +62,11 @@ TEST(CommModel, SingleRankIsAllLocal) {
 }
 
 TEST(CommModel, CellsPartitionIntoLocalAndRemote) {
-  Case c(64, 16);
-  for (int nRanks : {2, 4, 8, 64}) {
-    RankDecomposition ranks(c.dbl, nRanks);
-    const ExchangeCost cost = analyzeExchange(ranks, c.copier, 5);
+  for (const Input& in : identityInputs({2, 4, 8, 64})) {
+    const ExchangeCost cost = analyzeExchange(in.ranks, in.copier, 5);
     EXPECT_EQ(cost.onRankCells + cost.offRankCells,
-              c.copier.ghostCellCount())
-        << nRanks;
+              in.copier.ghostCellCount())
+        << in.name;
   }
 }
 
@@ -115,10 +144,10 @@ TEST(CommModel, OffRankFraction) {
 }
 
 TEST(CommModel, RankPairTrafficSumsToTotals) {
-  Case c(64, 16);
-  for (int nRanks : {1, 2, 4, 8, 64}) {
-    RankDecomposition ranks(c.dbl, nRanks);
-    const ExchangeCost cost = analyzeExchange(ranks, c.copier, 5);
+  for (const Input& in : identityInputs({1, 2, 4, 8, 64})) {
+    SCOPED_TRACE(in.name);
+    const int nRanks = in.ranks.nRanks();
+    const ExchangeCost cost = analyzeExchange(in.ranks, in.copier, 5);
     std::int64_t msgs = 0;
     std::uint64_t bytes = 0;
     int prevSrc = -1;
@@ -139,8 +168,8 @@ TEST(CommModel, RankPairTrafficSumsToTotals) {
       msgs += p.messages;
       bytes += p.bytes;
     }
-    EXPECT_EQ(msgs, cost.messagesTotal) << nRanks;
-    EXPECT_EQ(bytes, cost.bytesTotal) << nRanks;
+    EXPECT_EQ(msgs, cost.messagesTotal);
+    EXPECT_EQ(bytes, cost.bytesTotal);
     if (nRanks == 1) {
       EXPECT_TRUE(cost.pairs.empty());
     }

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "kernels/exemplar.hpp"
 #include "kernels/init.hpp"
@@ -83,6 +85,31 @@ TEST(Workload, ParsesNamesAndKeyValueTokens) {
       ADD_FAILURE() << "fuse=" << mode << " must be rejected";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("bad token 'fuse=" + mode + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // box x nboxes cells along x, plus ghosts on both sides, must fit in
+  // int, or the layout's domain wraps negative (2000000 x 2000 would run
+  // a solve of zero tasks). The last extent token takes the blame;
+  // nboxes defaults to 4.
+  const int widest =
+      std::numeric_limits<int>::max() - 2 * kernels::kNumGhost;
+  EXPECT_EQ(parseInstanceSpec("x nboxes=1 box=" + std::to_string(widest))
+                .boxSize,
+            widest);
+  for (const auto& [line, token] :
+       {std::pair<std::string, std::string>{
+            "x box=2000000 nboxes=2000", "nboxes=2000"},
+        {"x nboxes=2000 box=2000000 steps=1", "box=2000000"},
+        {"x box=1000000000", "box=1000000000"},
+        {"x nboxes=1 box=" + std::to_string(widest + 1),
+         "box=" + std::to_string(widest + 1)}}) {
+    try {
+      (void)parseInstanceSpec(line);
+      ADD_FAILURE() << "'" << line << "' must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad token '" + token + "'"),
                 std::string::npos)
           << e.what();
     }

@@ -27,7 +27,7 @@
 // --nboxes > 1 additionally ranks the level policies (sequential /
 // parallel: the step graphs' task granularity, core/stepgraph) for a
 // level of that many boxes, from the box- and tile-level concurrency each
-// policy exposes, and notes removable edges in a lowered Euler step.
+// policy exposes, and notes removable edges in a lowered RK4 step.
 //
 // --strict additionally runs internal consistency checks over every report
 // (finite traffic, non-degenerate working sets, traffic not far below the
@@ -40,12 +40,10 @@
 #include <vector>
 
 #include "analysis/advisor.hpp"
-#include "analysis/commcheck.hpp"
 #include "analysis/graphcheck.hpp"
 #include "analysis/kernelcheck.hpp"
 #include "analysis/stepcheck.hpp"
 #include "core/stepgraph.hpp"
-#include "grid/copier.hpp"
 #include "grid/leveldata.hpp"
 #include "grid/real.hpp"
 #include "harness/args.hpp"
@@ -222,12 +220,12 @@ int main(int argc, char** argv) {
     }
     ptable.print(std::cout);
 
-    // Over-synchronization advisory: lower the step graph of one
-    // forward-Euler step (exchange, RHS evaluation, axpy) under the
-    // parallel policy over a small level of this box count, and ask the
-    // graph checker which dependency edges could be dropped without losing
-    // race-freedom. Removable edges are parallelism the depth/concurrency
-    // table above cannot see.
+    // Over-synchronization advisory: lower the step graph of one RK4 step
+    // (the service's scheme: four exchanges, RHS tiles with their stage
+    // combines) under the parallel policy over a small level of this box
+    // count, and ask the graph checker which dependency edges could be
+    // dropped without losing race-freedom. Removable edges are
+    // parallelism the depth/concurrency table above cannot see.
     const int side = std::min(n, 16);
     const int wantBoxes = std::min(nBoxes, 8);
     grid::IntVect counts = grid::IntVect::unit(1);
@@ -245,15 +243,15 @@ int main(int argc, char** argv) {
         grid::IntVect{counts[0] * side - 1, counts[1] * side - 1,
                       counts[2] * side - 1}));
     const grid::DisjointBoxLayout dbl(dom, side);
-    const core::StepProgram euler =
-        solvers::buildStepProgram(solvers::Scheme::ForwardEuler, 1e-3);
+    const core::StepProgram rk4 =
+        solvers::buildStepProgram(solvers::Scheme::RK4, 1e-3);
     bool anyGraphNote = false;
     for (std::size_t i = 0; i < shown; ++i) {
       core::StepExecOptions opts;
       opts.policy = core::LevelPolicy::BoxParallel;
       core::StepGraphExecutor exec(ranked[i].cfg, nThreads, opts);
       grid::LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
-      const analysis::TaskGraphModel model = exec.lowerModel(euler, u, {});
+      const analysis::TaskGraphModel model = exec.lowerModel(rk4, u, {});
       const analysis::GraphCheckReport rep =
           analysis::checkTaskGraph(model, /*findRemovable=*/true);
       if (rep.removable.empty()) {
@@ -271,42 +269,6 @@ int main(int argc, char** argv) {
       }
       std::cout << "  [" << analysis::costNoteKindName(note.kind) << "] "
                 << ranked[i].cost.variant << ": " << note.message() << "\n";
-    }
-
-    // Over-communication advisory: verify the level's ghost-exchange plan
-    // (analysis/commcheck) under the largest standard rank partition and
-    // surface any redundant ops or same-box-pair messages a smarter
-    // lowering would aggregate — alpha-model latency the policy table
-    // above prices as unavoidable.
-    int planRanks = 1;
-    for (const int r : {2, 4, 8}) {
-      if (static_cast<std::size_t>(r) <= dbl.size()) {
-        planRanks = r;
-      }
-    }
-    const grid::Copier copier(dbl, kernels::kNumGhost);
-    analysis::CommPlanModel plan = analysis::buildCommPlanModel(
-        dbl, copier, kernels::kNumComp);
-    analysis::applyRankPartition(plan, planRanks);
-    const analysis::CommCheckReport commRep =
-        analysis::checkCommPlan(plan, /*findAdvisories=*/true);
-    std::int64_t wastedMessages = 0;
-    for (const analysis::CommAdvisory& a : commRep.advisories) {
-      wastedMessages += a.kind == analysis::CommAdviceKind::RedundantOp
-                            ? 1
-                            : a.messages - a.merged;
-    }
-    if (wastedMessages > 0) {
-      analysis::CostNote note;
-      note.kind = analysis::CostNoteKind::OverCommunicated;
-      note.where = plan.name;
-      note.actualBytes = static_cast<double>(wastedMessages);
-      note.limitBytes = static_cast<double>(commRep.messagesTotal);
-      std::cout << "\nexchange-plan notes (" << dbl.size() << " x " << side
-                << "^3 boxes, " << planRanks
-                << " simulated ranks, analysis/commcheck):\n";
-      std::cout << "  [" << analysis::costNoteKindName(note.kind) << "] "
-                << note.message() << "\n";
     }
   }
 

@@ -11,6 +11,7 @@
 // Workload spec: one instance per line, `name key=value...` with keys
 // scheme, box, nboxes, steps, dt, weight, fuse, policy ('#' comments).
 
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -55,9 +56,17 @@ int main(int argc, char** argv) {
 
     tuner::TuneDB db;
     const std::string dbPath = args.getString("tunedb");
-    if (!dbPath.empty() && db.load(dbPath)) {
-      std::cout << "tunedb: " << db.size() << " measured record(s) for "
-                << db.machine().str() << "\n";
+    if (!dbPath.empty()) {
+      if (db.load(dbPath)) {
+        std::cout << "tunedb: " << db.size() << " measured record(s) for "
+                  << db.machine().str() << "\n";
+      } else if (std::filesystem::exists(dbPath)) {
+        // A missing file is a cold cache; an existing one that cannot
+        // be loaded is worth a word before the save below replaces it.
+        std::cerr << "fluxdiv_serve: tunedb '" << dbPath
+                  << "' cannot be loaded; starting cold (the save after "
+                     "the run overwrites it)\n";
+      }
     }
 
     serve::ServiceOptions opts;
