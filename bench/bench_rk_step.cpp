@@ -13,7 +13,9 @@
 // --fuse all means eager and fused; the "vs fused" column is the fused
 // step time over each row's (>1 = faster than fused).
 // --window W > 1 captures W consecutive time steps as one task graph
-// under fused (cross-timestep fusion).
+// under fused (cross-timestep fusion). Fused rows also give the captured
+// graph's tasks, edges and exchange-copy tasks per time step
+// (TimeIntegrator::stepStats()); eager rows have no graph.
 //
 // BENCH_rkstep.json in the repo root holds this bench's committed rows,
 // the measurements docs/perf.md "Step fusion" cites.
@@ -23,6 +25,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -83,16 +86,26 @@ grid::DisjointBoxLayout rowLayout(int n, int nBoxes) {
   return grid::DisjointBoxLayout(grid::ProblemDomain(domain), n);
 }
 
+/// One measured row: seconds per step, and the captured graph's counts
+/// per step (fused only).
+struct StepTiming {
+  double secs = 0.0;
+  bool graph = false;
+  double tasks = 0.0;
+  double edges = 0.0;
+  double exchangeOps = 0.0;
+};
+
 /// Min wall seconds per time step over `reps` measurements of `steps`
 /// time steps advanced in `window`-step chunks: window 1 times the
 /// per-step graphs; window > 1 captures `window` consecutive steps as
 /// ONE task graph under fused (cross-timestep fusion; eager always
 /// advances step by step). One warm-up chunk
 /// captures the graph outside the timed region.
-double timeStep(solvers::Scheme scheme, core::StepFuse fuse,
-                core::LevelPolicy policy, const core::VariantConfig& cfg,
-                const grid::DisjointBoxLayout& dbl, int threads, int steps,
-                int window, int reps) {
+StepTiming timeStep(solvers::Scheme scheme, core::StepFuse fuse,
+                    core::LevelPolicy policy, const core::VariantConfig& cfg,
+                    const grid::DisjointBoxLayout& dbl, int threads,
+                    int steps, int window, int reps) {
   grid::LevelData u(dbl, kernels::kNumComp, kernels::kNumGhost);
   kernels::initializeExemplar(u);
   solvers::FluxDivRhs rhs(cfg, threads);
@@ -114,7 +127,15 @@ double timeStep(solvers::Scheme scheme, core::StepFuse fuse,
       best = secs;
     }
   }
-  return best;
+  StepTiming out;
+  out.secs = best;
+  if (const core::StepGraphStats* st = integ.stepStats()) {
+    out.graph = true;
+    out.tasks = static_cast<double>(st->taskCount) / window;
+    out.edges = static_cast<double>(st->edgeCount) / window;
+    out.exchangeOps = static_cast<double>(st->exchangeOps) / window;
+  }
+  return out;
 }
 
 } // namespace
@@ -172,10 +193,13 @@ int main(int argc, char** argv) {
       core::makeShiftFuse(core::ParallelGranularity::WithinBox);
 
   harness::Table table({"scheme", "boxes", "fuse", "threads", "s/step",
-                        "vs fused"});
+                        "vs fused", "tasks/step", "edges/step",
+                        "xchg ops/step"});
   harness::CsvWriter csv(args.getString("csv"),
                          {"scheme", "boxsize", "nboxes", "fuse", "policy",
-                          "window", "threads", "seconds_per_step"});
+                          "window", "threads", "seconds_per_step",
+                          "tasks_per_step", "edges_per_step",
+                          "exchange_ops_per_step"});
   bench::JsonWriter json(args.getString("json"));
 
   for (const solvers::Scheme scheme : schemes) {
@@ -184,43 +208,57 @@ int main(int argc, char** argv) {
       const std::string boxes =
           std::to_string(nBoxes) + "x" + std::to_string(n) + "^3";
       for (const int t : threads) {
-        std::vector<double> secsOf;
+        std::vector<StepTiming> rows;
         double fusedSecs = 0.0;
         for (const core::StepFuse fuse : fuses) {
-          secsOf.push_back(timeStep(scheme, fuse, policy, cfg, dbl, t,
-                                    steps, window, reps));
+          rows.push_back(timeStep(scheme, fuse, policy, cfg, dbl, t, steps,
+                                  window, reps));
           if (fuse == core::StepFuse::Fused) {
-            fusedSecs = secsOf.back();
+            fusedSecs = rows.back().secs;
           }
           std::cerr << "  " << solvers::schemeName(scheme) << " " << boxes
                     << " " << core::stepFuseName(fuse) << " t=" << t
-                    << ": " << harness::formatSeconds(secsOf.back())
+                    << ": " << harness::formatSeconds(rows.back().secs)
                     << "s/step\n";
         }
         for (std::size_t f = 0; f < fuses.size(); ++f) {
           const core::StepFuse fuse = fuses[f];
-          const double secs = secsOf[f];
+          const StepTiming& row = rows[f];
+          const auto count = [&](double v) {
+            return row.graph ? harness::formatDouble(v, 0) : std::string("-");
+          };
           table.addRow({solvers::schemeName(scheme), boxes,
                         core::stepFuseName(fuse), std::to_string(t),
-                        harness::formatSeconds(secs),
+                        harness::formatSeconds(row.secs),
                         fusedSecs > 0.0
-                            ? harness::formatDouble(fusedSecs / secs, 2) +
+                            ? harness::formatDouble(fusedSecs / row.secs, 2) +
                                   "x"
-                            : "-"});
+                            : "-",
+                        count(row.tasks), count(row.edges),
+                        count(row.exchangeOps)});
           csv.writeRow({solvers::schemeName(scheme), std::to_string(n),
                         std::to_string(nBoxes),
                         core::stepFuseName(fuse),
                         core::levelPolicyName(policy),
                         std::to_string(window), std::to_string(t),
-                        harness::formatSeconds(secs)});
+                        harness::formatSeconds(row.secs), count(row.tasks),
+                        count(row.edges), count(row.exchangeOps)});
+          std::vector<std::pair<std::string, double>> numbers = {
+              {"boxsize", static_cast<double>(n)},
+              {"nboxes", static_cast<double>(nBoxes)},
+              {"window", static_cast<double>(window)},
+              {"threads", static_cast<double>(t)},
+              {"seconds_per_step", row.secs}};
+          if (row.graph) {
+            numbers.insert(numbers.end(),
+                           {{"tasks_per_step", row.tasks},
+                            {"edges_per_step", row.edges},
+                            {"exchange_ops_per_step", row.exchangeOps}});
+          }
           json.record({{"scheme", solvers::schemeName(scheme)},
                        {"fuse", core::stepFuseName(fuse)},
                        {"policy", core::levelPolicyName(policy)}},
-                      {{"boxsize", static_cast<double>(n)},
-                       {"nboxes", static_cast<double>(nBoxes)},
-                       {"window", static_cast<double>(window)},
-                       {"threads", static_cast<double>(t)},
-                       {"seconds_per_step", secs}});
+                      std::move(numbers));
         }
       }
     }

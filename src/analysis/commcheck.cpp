@@ -467,7 +467,6 @@ CommPlanModel buildCommPlanModel(const grid::DisjointBoxLayout& layout,
 
 CommCheckReport checkCommPlan(const CommPlanModel& model) {
   CommCheckReport rep;
-  rep.opCount = model.ops.size();
   const std::vector<DerivedSend> derived = deriveSends(model);
   checkExactness(model, derived, rep);
   checkMatching(model, derived, rep);

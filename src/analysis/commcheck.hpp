@@ -96,7 +96,6 @@ struct CommDiagnostic {
 /// Everything checkCommPlan() proves.
 struct CommCheckReport {
   std::vector<CommDiagnostic> diagnostics;
-  std::size_t opCount = 0;
 
   [[nodiscard]] bool ok() const { return diagnostics.empty(); }
 };

@@ -427,12 +427,116 @@ FusionPlan planFusion(const StepProgram& prog, LevelPolicy policy) {
   return plan;
 }
 
-void lowerExchange(Lowering& low, LowerEnv& env, const StepOp& op) {
+/// What the boundary fill of dimension `d` logs on one face of `valid`:
+/// the ghost slab it writes and the interior planes it reads.
+struct BcFace {
+  Box write;
+  Box read;
+};
+
+/// The faces of `valid` (allocated with `g` ghosts) whose ghosts the fill
+/// of dimension `d` writes: those on the domain boundary with a BC.
+std::vector<BcFace> bcFaces(const grid::BoundaryFiller& bf,
+                            const grid::ProblemDomain& domain,
+                            const Box& valid, int g, int d) {
+  const Box dom = domain.box();
+  const Box alloc = valid.grow(g);
+  const auto& type = bf.spec().type[static_cast<std::size_t>(d)];
+  std::vector<BcFace> out;
+  for (int side = 0; side < 2; ++side) {
+    const bool atFace =
+        side == 0 ? valid.lo(d) == dom.lo(d) : valid.hi(d) == dom.hi(d);
+    if (!atFace ||
+        type[static_cast<std::size_t>(side)] == grid::BCType::None) {
+      continue;
+    }
+    // Writes: the g ghost planes beyond this face, spanning the full
+    // allocated cross-section (corners included, as fillSide does).
+    // Reads: the 4 interior planes the mirror/cubic/Dirichlet rules
+    // consume. Cross-section: dimensions e < d span the full allocation
+    // (their beyond-domain ghosts were rebuilt by the e-sweep, which
+    // happens-before via the corner overlap); dimensions e > d are
+    // clipped to the domain when non-periodic — fillSide does read those
+    // beyond-domain cells, but whatever it computes from them is
+    // overwritten by the later e-sweep, so the effective dataflow (what
+    // G2/G3 must order and cover) excludes them.
+    IntVect rlo = alloc.lo();
+    IntVect rhi = alloc.hi();
+    if (side == 0) {
+      rlo[d] = valid.lo(d);
+      rhi[d] = std::min(valid.lo(d) + 3, valid.hi(d));
+    } else {
+      rhi[d] = valid.hi(d);
+      rlo[d] = std::max(valid.hi(d) - 3, valid.lo(d));
+    }
+    for (int e = d + 1; e < grid::SpaceDim; ++e) {
+      if (!domain.isPeriodic(e)) {
+        rlo[e] = std::max(rlo[e], dom.lo(e));
+        rhi[e] = std::min(rhi[e], dom.hi(e));
+      }
+    }
+    out.push_back({side == 0 ? alloc.lowSlab(d, g) : alloc.highSlab(d, g),
+                   Box(rlo, rhi)});
+  }
+  return out;
+}
+
+/// Per box of the slot that prog.ops[`exchange`] fills: the regions that
+/// later ops read from it up to the slot's next Exchange, as their tasks
+/// log them. Only two ops read ghost cells: an RhsEval of the slot (the
+/// per-direction FusedCell footprints, which miss every edge and corner
+/// ghost) and a BoundaryFill of it (bcFaces).
+std::vector<std::vector<Box>> ghostReadsAfter(const LowerEnv& env,
+                                              std::size_t exchange) {
+  const std::vector<StepOp>& ops = env.prog.ops;
+  const int slot = ops[exchange].dst;
+  const LevelData& level = *env.tab[static_cast<std::size_t>(slot)];
+  const grid::BoundaryFiller* bf = env.rhs.boundary;
+  std::vector<std::vector<Box>> reads(level.size());
+  for (std::size_t j = exchange + 1; j < ops.size(); ++j) {
+    const StepOp& op = ops[j];
+    if (op.kind == StepOpKind::Exchange && op.dst == slot) {
+      break;
+    }
+    for (std::size_t b = 0; b < level.size(); ++b) {
+      const Box valid = level.validBox(b);
+      if (op.kind == StepOpKind::RhsEval && op.src == slot) {
+        for (int d = 0; d < grid::SpaceDim; ++d) {
+          reads[b].push_back(
+              kernels::readRegion(kernels::Stage::FusedCell, d, valid));
+        }
+      }
+      if (op.kind == StepOpKind::BoundaryFill && op.dst == slot &&
+          bf != nullptr) {
+        for (int d = 0; d < grid::SpaceDim; ++d) {
+          for (const BcFace& f : bcFaces(*bf, level.layout().domain(),
+                                         valid, level.nGhost(), d)) {
+            reads[b].push_back(f.read);
+          }
+        }
+      }
+    }
+  }
+  return reads;
+}
+
+/// The copies of the slot's exchange plan whose destination region meets
+/// a later read (ghostReadsAfter), one task each. The plan itself stays
+/// whole: it is what LevelData::exchange() runs and what commcheck
+/// proves exact, so each exchange-owned ghost cell a task reads lies in
+/// exactly one copy, and that copy is lowered; G3 re-proves the coverage.
+void lowerExchange(Lowering& low, LowerEnv& env, const StepOp& op,
+                   const std::vector<std::vector<Box>>& reads) {
   LevelData& level = *env.tab[static_cast<std::size_t>(op.dst)];
   const auto& ops = level.copier().ops();
   const int nc = level.nComp();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const grid::CopyOp cop = ops[i];
+    if (std::ranges::none_of(reads[cop.destBox], [&](const Box& r) {
+          return r.intersects(cop.destRegion);
+        })) {
+      continue;
+    }
     LevelData* const* tab = env.tab;
     const auto slot = static_cast<std::size_t>(op.dst);
     const int t = low.addTask(
@@ -456,13 +560,9 @@ void lowerBoundaryFill(Lowering& low, LowerEnv& env, const StepOp& op) {
     return;
   }
   LevelData& level = *env.tab[static_cast<std::size_t>(op.dst)];
-  const grid::ProblemDomain& domain = level.layout().domain();
-  const Box dom = domain.box();
   const int nc = level.nComp();
-  const int g = level.nGhost();
   for (std::size_t b = 0; b < level.size(); ++b) {
     const Box valid = level.validBox(b);
-    const Box alloc = valid.grow(g);
     // One task per (box, dimension), chained d-1 -> d by the write/write
     // overlap of their corner slabs (the tracker orders them in program
     // order), preserving fill()'s dimension-sweep semantics where later
@@ -478,44 +578,10 @@ void lowerBoundaryFill(Lowering& low, LowerEnv& env, const StepOp& op) {
           env.ownerOf(b),
           "bc " + env.prog.slotName(op.dst) + " box" + std::to_string(b) +
               " d" + std::to_string(d) + env.stepTag(op));
-      const auto& type = bf->spec().type[static_cast<std::size_t>(d)];
-      for (int side = 0; side < 2; ++side) {
-        const bool atFace = side == 0 ? valid.lo(d) == dom.lo(d)
-                                      : valid.hi(d) == dom.hi(d);
-        if (!atFace || type[static_cast<std::size_t>(side)] ==
-                           grid::BCType::None) {
-          continue;
-        }
-        // Writes: the g ghost planes beyond this face, spanning the full
-        // allocated cross-section (corners included, as fillSide does).
-        low.access(t, op.dst, b,
-                   side == 0 ? alloc.lowSlab(d, g) : alloc.highSlab(d, g),
-                   nc, true);
-        // Reads: the 4 interior planes the mirror/cubic/Dirichlet rules
-        // consume. Cross-section: dimensions e < d span the full
-        // allocation (their beyond-domain ghosts were rebuilt by the
-        // e-sweep, which happens-before via the corner overlap);
-        // dimensions e > d are clipped to the domain when non-periodic —
-        // fillSide does read those beyond-domain cells, but whatever it
-        // computes from them is overwritten by the later e-sweep, so the
-        // effective dataflow (what G2/G3 must order and cover) excludes
-        // them.
-        IntVect rlo = alloc.lo();
-        IntVect rhi = alloc.hi();
-        if (side == 0) {
-          rlo[d] = valid.lo(d);
-          rhi[d] = std::min(valid.lo(d) + 3, valid.hi(d));
-        } else {
-          rhi[d] = valid.hi(d);
-          rlo[d] = std::max(valid.hi(d) - 3, valid.lo(d));
-        }
-        for (int e = d + 1; e < grid::SpaceDim; ++e) {
-          if (!domain.isPeriodic(e)) {
-            rlo[e] = std::max(rlo[e], dom.lo(e));
-            rhi[e] = std::min(rhi[e], dom.hi(e));
-          }
-        }
-        low.access(t, op.dst, b, Box(rlo, rhi), nc, false);
+      for (const BcFace& f :
+           bcFaces(*bf, level.layout().domain(), valid, level.nGhost(), d)) {
+        low.access(t, op.dst, b, f.write, nc, true);
+        low.access(t, op.dst, b, f.read, nc, false);
       }
     }
   }
@@ -681,7 +747,7 @@ void lowerProgram(Lowering& low, LowerEnv& env, const FusionPlan& plan) {
     const StepOp& op = ops[i];
     switch (op.kind) {
     case StepOpKind::Exchange:
-      lowerExchange(low, env, op);
+      lowerExchange(low, env, op, ghostReadsAfter(env, i));
       break;
     case StepOpKind::BoundaryFill:
       lowerBoundaryFill(low, env, op);

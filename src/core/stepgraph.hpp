@@ -42,9 +42,12 @@
 // its first execution, and before its first capture the step program is
 // proven live (no read of a never-written stage slot) by analysis/
 // stepcheck and the exchange plan of every slot level is proven exact
-// and matched by analysis/commcheck. Every exchange fills
-// kNumGhost ghost layers; graphcheck's ghost-coverage rule (G3) proves
-// each reader's ghosts are filled before it runs. Shadow-epoch barrier
+// and matched by analysis/commcheck. An exchange lowers only the copies
+// of that plan whose ghost cells a later task reads before the slot's
+// next exchange (the RHS reads face ghosts only, so a periodic level
+// without BCs gets 6 copies per box, not 26), each kNumGhost layers
+// deep; graphcheck's ghost-coverage rule (G3) proves each reader's
+// ghosts are filled before it runs. Shadow-epoch barrier
 // tasks (orderingOnly in the model) re-arm the FLUXDIV_SHADOW_CHECK write
 // detector between successive RHS writes into the same stage level.
 

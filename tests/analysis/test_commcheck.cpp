@@ -90,7 +90,6 @@ TEST(CommCheckClean, AllSuitePlansVerifyUnderAllPartitions) {
     for (const CommDiagnostic& d : rep.diagnostics) {
       ADD_FAILURE() << nl.name << ": " << d.message();
     }
-    EXPECT_EQ(rep.opCount, model.ops.size());
   }
 }
 

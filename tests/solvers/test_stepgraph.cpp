@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/graphcheck.hpp"
@@ -563,10 +565,59 @@ TEST(StepGraph, EachTileWaitsOnlyForTheCopiesThatFeedIt) {
   EXPECT_EQ(exchangeSectorsFeeding(m, innerTask),
             (std::set<std::string>{"sector[-1,0,0]", "sector[+1,0,0]"}))
       << m.label(static_cast<int>(innerTask));
-  const std::set<std::string> rimSectors = exchangeSectorsFeeding(m, rimTask);
-  for (const char* s : {"sector[-1,0,0]", "sector[+1,0,0]", "sector[0,-1,0]",
-                        "sector[0,0,-1]"}) {
-    EXPECT_TRUE(rimSectors.contains(s)) << s;
+  EXPECT_EQ(exchangeSectorsFeeding(m, rimTask),
+            (std::set<std::string>{"sector[-1,0,0]", "sector[+1,0,0]",
+                                   "sector[0,-1,0]", "sector[0,0,-1]"}))
+      << m.label(static_cast<int>(rimTask));
+}
+
+TEST(StepGraph, EveryLoweredExchangeCopyHasAReader) {
+  // An exchange lowers only the copies some later task reads: each copy
+  // has a direct successor whose read of the same (slot, box) meets the
+  // copy's write. The RHS reads face ghosts only, so on a periodic level
+  // without BCs each exchange lowers the 6 face copies of every box; a
+  // wall-bounded level also keeps the edge copies its BC fills read.
+  ProblemDomain walled(Box::cube(16), std::array<bool, 3>{false, true, true});
+  const DisjointBoxLayout walledLayout(walled, 8);
+  grid::BoundarySpec spec;
+  spec.type[0] = {grid::BCType::ReflectiveWall, grid::BCType::ReflectiveWall};
+  const grid::BoundaryFiller walls(walledLayout, spec);
+  const DisjointBoxLayout periodicLayout = smallLayout();
+  const std::pair<const DisjointBoxLayout*, const grid::BoundaryFiller*>
+      levels[] = {{&periodicLayout, nullptr}, {&walledLayout, &walls}};
+  for (const auto& [dbl, bc] : levels) {
+    for (const Scheme scheme : kSchemes) {
+      for (const LevelPolicy policy : core::kLevelPolicies) {
+        LevelData u = initialState(*dbl);
+        core::StepExecOptions opts;
+        opts.policy = policy;
+        core::StepGraphExecutor exec(tiledConfig(), 2, opts);
+        core::StepRhsSpec rhs;
+        rhs.boundary = bc;
+        const TaskGraphModel m = exec.lowerModel(
+            buildStepProgram(scheme, 0.01, 1, bc != nullptr), u, rhs);
+        for (const analysis::GraphTask& t : m.tasks) {
+          if (!t.exchangeOp) {
+            continue;
+          }
+          ASSERT_EQ(t.writes.size(), 1u) << t.label;
+          const analysis::TaskAccess& w = t.writes[0];
+          const bool read = std::ranges::any_of(t.successors, [&](int s) {
+            return std::ranges::any_of(
+                m.tasks[static_cast<std::size_t>(s)].reads,
+                [&](const analysis::TaskAccess& r) {
+                  return r.slot == w.slot && r.box == w.box &&
+                         r.region.intersects(w.region);
+                });
+          });
+          EXPECT_TRUE(read) << m.name << (bc != nullptr ? " walls" : "")
+                            << ": nothing reads " << t.label;
+        }
+        if (bc == nullptr && scheme == Scheme::RK4) {
+          EXPECT_EQ(exec.stats().exchangeOps, 6 * dbl->size() * 4) << m.name;
+        }
+      }
+    }
   }
 }
 
