@@ -520,37 +520,72 @@ std::vector<std::vector<Box>> ghostReadsAfter(const LowerEnv& env,
   return reads;
 }
 
-/// The copies of the slot's exchange plan whose destination region meets
-/// a later read (ghostReadsAfter), one task each. The plan itself stays
-/// whole: it is what LevelData::exchange() runs and what commcheck
-/// proves exact, so each exchange-owned ghost cell a task reads lies in
-/// exactly one copy, and that copy is lowered; G3 re-proves the coverage.
+/// The RHS regions of `valid` (rhsRegions), each tile face on the box
+/// rim pushed out by `g` ghost layers: they partition valid.grow(g).
+std::vector<Box> ghostFrameTiles(const LowerEnv& env, const Box& valid,
+                                 int g) {
+  std::vector<Box> out;
+  for (const NamedRegion& nr : rhsRegions(env, valid)) {
+    IntVect lo = nr.region.lo();
+    IntVect hi = nr.region.hi();
+    for (int d = 0; d < grid::SpaceDim; ++d) {
+      lo[d] -= lo[d] == valid.lo(d) ? g : 0;
+      hi[d] += hi[d] == valid.hi(d) ? g : 0;
+    }
+    out.emplace_back(lo, hi);
+  }
+  return out;
+}
+
+/// The copies of the slot's exchange plan, cut at the tiles of their
+/// destination box (ghostFrameTiles), one task per piece that meets a
+/// later read (ghostReadsAfter). A tile's RHS then waits only for the
+/// pieces in its own frame: an x-face piece reads the source's x rim on
+/// that tile's (y, z) cross-section alone, so the next stage of one
+/// large box starts tile by tile instead of after a whole-face copy.
+/// The plan itself stays whole: it is what LevelData::exchange() runs
+/// and what commcheck proves exact, so each exchange-owned ghost cell a
+/// task reads lies in exactly one piece, and that piece is lowered; G3
+/// re-proves the coverage. A one-tile box lowers each copy whole.
 void lowerExchange(Lowering& low, LowerEnv& env, const StepOp& op,
                    const std::vector<std::vector<Box>>& reads) {
-  LevelData& level = *env.tab[static_cast<std::size_t>(op.dst)];
+  LevelData* const* tab = env.tab;
+  const auto slot = static_cast<std::size_t>(op.dst);
+  const LevelData& level = *tab[slot];
   const auto& ops = level.copier().ops();
   const int nc = level.nComp();
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    const grid::CopyOp cop = ops[i];
-    if (std::ranges::none_of(reads[cop.destBox], [&](const Box& r) {
-          return r.intersects(cop.destRegion);
-        })) {
+    const grid::CopyOp& cop = ops[i];
+    const auto isRead = [&](const Box& region) {
+      return std::ranges::any_of(reads[cop.destBox], [&](const Box& r) {
+        return r.intersects(region);
+      });
+    };
+    if (!isRead(cop.destRegion)) {
       continue;
     }
-    LevelData* const* tab = env.tab;
-    const auto slot = static_cast<std::size_t>(op.dst);
-    const int t = low.addTask(
-        [tab, slot, cop, nc](int) {
-          LevelData& lp = *tab[slot];
-          lp[cop.destBox].copyShifted(lp[cop.srcBox], cop.destRegion,
-                                      cop.srcShift, 0, 0, nc);
-        },
-        env.ownerOf(cop.destBox),
-        env.prog.slotName(op.dst) + " " + level.copier().opLabel(i) +
-            env.stepTag(op),
-        /*exchangeOp=*/true);
-    low.access(t, op.dst, cop.srcBox, cop.srcRegion(), nc, false);
-    low.access(t, op.dst, cop.destBox, cop.destRegion, nc, true);
+    const std::vector<Box> frame = ghostFrameTiles(
+        env, level.validBox(cop.destBox), level.nGhost());
+    for (std::size_t p = 0; p < frame.size(); ++p) {
+      grid::CopyOp piece = cop;
+      piece.destRegion = cop.destRegion & frame[p];
+      if (piece.destRegion.empty() || !isRead(piece.destRegion)) {
+        continue;
+      }
+      const int t = low.addTask(
+          [tab, slot, piece, nc](int) {
+            LevelData& lp = *tab[slot];
+            lp[piece.destBox].copyShifted(lp[piece.srcBox],
+                                          piece.destRegion, piece.srcShift,
+                                          0, 0, nc);
+          },
+          env.ownerOf(cop.destBox),
+          env.prog.slotName(op.dst) + " " + level.copier().opLabel(i) +
+              tileTag(" tile", "", p, frame.size()) + env.stepTag(op),
+          /*exchangeOp=*/true);
+      low.access(t, op.dst, piece.srcBox, piece.srcRegion(), nc, false);
+      low.access(t, op.dst, piece.destBox, piece.destRegion, nc, true);
+    }
   }
 }
 

@@ -7,9 +7,10 @@
 // evaluation, and copy/axpy stage combine, optionally for several
 // consecutive time steps — as a slot-based StepProgram, then lowers it
 // into one dependency-tracked core::TaskGraph, so stage-(i+1) tile
-// tasks on one box start while stage-i tile/exchange tasks on other
-// boxes are still in flight (the delayed-execution idea of the OPS
-// runtime-tiling work, applied to our RK substep chains).
+// tasks start while stage-i tile/exchange tasks are still in flight, on
+// other boxes and on the other tiles of the same box (the
+// delayed-execution idea of the OPS runtime-tiling work, applied to our
+// RK substep chains).
 //
 // One graph mode, StepFuse::Fused (StepFuse::Eager stays in solvers as
 // the serial reference path). A capture is exactly one graph, dispatched
@@ -42,14 +43,19 @@
 // its first execution, and before its first capture the step program is
 // proven live (no read of a never-written stage slot) by analysis/
 // stepcheck and the exchange plan of every slot level is proven exact
-// and matched by analysis/commcheck. An exchange lowers only the copies
-// of that plan whose ghost cells a later task reads before the slot's
-// next exchange (the RHS reads face ghosts only, so a periodic level
-// without BCs gets 6 copies per box, not 26), each kNumGhost layers
-// deep; graphcheck's ghost-coverage rule (G3) proves each reader's
-// ghosts are filled before it runs. Shadow-epoch barrier
-// tasks (orderingOnly in the model) re-arm the FLUXDIV_SHADOW_CHECK write
-// detector between successive RHS writes into the same stage level.
+// and matched by analysis/commcheck. An exchange cuts each copy of that
+// plan at the logical tiles of its destination box (the tiles on the box
+// rim reach out over the ghost frame) and lowers only the pieces whose
+// ghost cells a later task reads before the slot's next exchange, each
+// kNumGhost layers deep. The RHS reads face ghosts only, so a periodic
+// level without BCs gets 6 face copies per box, not 26; a 64^3 box's 4 x
+// 4 tiles cut them into 48 pieces, one x-face piece per tile and side,
+// so a tile's next stage waits for its own x rim and its y/z neighbour
+// tiles only, not for a whole-face copy. graphcheck's ghost-coverage
+// rule (G3) proves each reader's ghosts are filled before it runs.
+// Shadow-epoch barrier tasks (orderingOnly in the model) re-arm the
+// FLUXDIV_SHADOW_CHECK write detector between successive RHS writes into
+// the same stage level.
 
 #include <cstddef>
 #include <cstdint>

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -86,25 +87,35 @@ std::string caseName(Scheme scheme, LevelPolicy policy, int threads) {
 // reproduces the eager reference exactly.
 // ---------------------------------------------------------------------------
 
+/// Two 36^3 boxes: 2 x 2 logical tiles each, so the parallel policy cuts
+/// every exchange copy at the tiles.
+DisjointBoxLayout tiledLayout() {
+  return DisjointBoxLayout(
+      ProblemDomain(Box(grid::IntVect::zero(), grid::IntVect{71, 35, 35})),
+      36);
+}
+
 TEST(StepGraph, BitIdenticalAcrossSchemesFuseModesAndPolicies) {
-  const auto dbl = smallLayout();
   const Real dt = 0.005;
   const int steps = 3;
   const auto cfg = tiledConfig();
-  for (const Scheme scheme : kSchemes) {
-    for (const int threads : {1, 3}) {
-      const LevelData ref =
-          eagerReference(scheme, dbl, cfg, dt, steps, threads);
-      for (const LevelPolicy policy : core::kLevelPolicies) {
-        LevelData u = initialState(dbl);
-        FluxDivRhs rhs(cfg, threads);
-        TimeIntegrator integ(scheme, dbl);
-        integ.setLevelPolicy(policy);
-        for (int s = 0; s < steps; ++s) {
-          integ.advance(u, dt, rhs);
+  for (const DisjointBoxLayout& dbl : {smallLayout(), tiledLayout()}) {
+    for (const Scheme scheme : kSchemes) {
+      for (const int threads : {1, 3}) {
+        const LevelData ref =
+            eagerReference(scheme, dbl, cfg, dt, steps, threads);
+        for (const LevelPolicy policy : core::kLevelPolicies) {
+          LevelData u = initialState(dbl);
+          FluxDivRhs rhs(cfg, threads);
+          TimeIntegrator integ(scheme, dbl);
+          integ.setLevelPolicy(policy);
+          for (int s = 0; s < steps; ++s) {
+            integ.advance(u, dt, rhs);
+          }
+          EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+              << caseName(scheme, policy, threads) << " " << dbl.size()
+              << " boxes";
         }
-        EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-            << caseName(scheme, policy, threads);
       }
     }
   }
@@ -228,52 +239,73 @@ TEST(StepGraph, InvDxIsHonoredUnderEveryPolicy) {
 }
 
 TEST(StepGraph, BitIdenticalWithDissipation) {
-  const auto dbl = smallLayout();
   const Real dt = 0.004;
   const auto cfg = tiledConfig();
-  LevelData ref = initialState(dbl);
-  {
+  for (const DisjointBoxLayout& dbl : {smallLayout(), tiledLayout()}) {
+    LevelData ref = initialState(dbl);
+    {
+      FluxDivRhs rhs(cfg, 2, /*invDx=*/1.0, nullptr, /*dissipation=*/0.05);
+      TimeIntegrator integ(Scheme::RK4, dbl);
+      integ.setStepFuse(StepFuse::Eager);
+      integ.advance(ref, dt, rhs);
+    }
+    LevelData u = initialState(dbl);
     FluxDivRhs rhs(cfg, 2, /*invDx=*/1.0, nullptr, /*dissipation=*/0.05);
     TimeIntegrator integ(Scheme::RK4, dbl);
-    integ.setStepFuse(StepFuse::Eager);
-    integ.advance(ref, dt, rhs);
+    integ.advance(u, dt, rhs);
+    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+        << "with dissipation, " << dbl.size() << " boxes";
   }
-  LevelData u = initialState(dbl);
-  FluxDivRhs rhs(cfg, 2, /*invDx=*/1.0, nullptr, /*dissipation=*/0.05);
-  TimeIntegrator integ(Scheme::RK4, dbl);
-  integ.advance(u, dt, rhs);
-  EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0) << "with dissipation";
 }
 
 TEST(StepGraph, WallBoundedBitIdentical) {
-  // Walls on x, periodic y/z: the BC fill becomes per-(box, dim) tasks in
-  // the fused graph.
-  const int n = 16;
-  ProblemDomain domain(Box::cube(n), std::array<bool, 3>{false, true, true});
-  DisjointBoxLayout dbl(domain, 8);
-  grid::BoundarySpec spec;
-  spec.type[0] = {grid::BCType::ReflectiveWall, grid::BCType::ReflectiveWall};
-  grid::BoundaryFiller walls(dbl, spec);
+  // The BC fill becomes per-(box, dim) tasks in the fused graph. Walls on
+  // x of 8^3 boxes (one tile each), and walls on x and y of 36^3 boxes,
+  // whose 2 x 2 logical tiles cut every exchange copy into pieces that
+  // the BC fills and RHS tiles read, with and without dissipation.
+  struct Case {
+    Box domain;
+    int box;
+    bool wallY;
+  };
+  const Case cases[] = {{Box::cube(16), 8, false},
+                        {tiledLayout().domain().box(), 36, true}};
   const Real dt = 0.004;
   const auto cfg = tiledConfig();
-  for (const Scheme scheme : {Scheme::Midpoint, Scheme::RK4}) {
-    LevelData ref = initialState(dbl);
-    {
-      FluxDivRhs rhs(cfg, 2, 1.0, &walls);
-      TimeIntegrator integ(scheme, dbl);
-      integ.setStepFuse(StepFuse::Eager);
-      for (int s = 0; s < 2; ++s) {
-        integ.advance(ref, dt, rhs);
+  for (const Case& c : cases) {
+    ProblemDomain domain(c.domain, std::array<bool, 3>{false, !c.wallY, true});
+    DisjointBoxLayout dbl(domain, c.box);
+    grid::BoundarySpec spec;
+    spec.type[0] = {grid::BCType::ReflectiveWall, grid::BCType::ReflectiveWall};
+    if (c.wallY) {
+      spec.type[1] = spec.type[0];
+    }
+    grid::BoundaryFiller walls(dbl, spec);
+    for (const Scheme scheme : kSchemes) {
+      for (const Real diss : {0.0, 0.05}) {
+        LevelData ref = initialState(dbl);
+        {
+          FluxDivRhs rhs(cfg, 2, 1.0, &walls, diss);
+          TimeIntegrator integ(scheme, dbl);
+          integ.setStepFuse(StepFuse::Eager);
+          for (int s = 0; s < 2; ++s) {
+            integ.advance(ref, dt, rhs);
+          }
+        }
+        for (const LevelPolicy policy : core::kLevelPolicies) {
+          LevelData u = initialState(dbl);
+          FluxDivRhs rhs(cfg, 2, 1.0, &walls, diss);
+          TimeIntegrator integ(scheme, dbl);
+          integ.setLevelPolicy(policy);
+          for (int s = 0; s < 2; ++s) {
+            integ.advance(u, dt, rhs);
+          }
+          EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+              << caseName(scheme, policy, 2) << " wall-bounded " << c.box
+              << "^3 boxes, dissipation " << diss;
+        }
       }
     }
-    LevelData u = initialState(dbl);
-    FluxDivRhs rhs(cfg, 2, 1.0, &walls);
-    TimeIntegrator integ(scheme, dbl);
-    for (int s = 0; s < 2; ++s) {
-      integ.advance(u, dt, rhs);
-    }
-    EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-        << caseName(scheme, LevelPolicy::BoxParallel, 2) << " wall-bounded";
   }
 }
 
@@ -495,10 +527,7 @@ void inPlaceStep(Scheme scheme, LevelData& u, Real dt, FluxDivRhs& rhs) {
 TEST(StepGraph, StagedProgramsMatchTheInPlaceSchemesBitwise) {
   // The second stage slot of RK4 and SSPRK3 changes storage, not
   // arithmetic: each cell sees the in-place scheme's operation sequence.
-  // Two 36^3 boxes of 2 x 2 logical tiles each.
-  const DisjointBoxLayout dbl(
-      ProblemDomain(Box(grid::IntVect::zero(), grid::IntVect{71, 35, 35})),
-      36);
+  const DisjointBoxLayout dbl = tiledLayout();
   const Real dt = 0.003;
   const auto cfg = tiledConfig();
   for (const Scheme scheme : {Scheme::SSPRK3, Scheme::RK4}) {
@@ -520,18 +549,29 @@ TEST(StepGraph, StagedProgramsMatchTheInPlaceSchemesBitwise) {
   }
 }
 
-/// The copier sectors ("sector[-1,0,0]") of the exchange-op tasks with a
-/// direct edge into `task`.
+/// The copier sector ("sector[-1,0,0]") of an exchange-op label, without
+/// the tile suffix of a piece ("... sector[-1,0,0] tile5").
+std::string sectorOf(const std::string& label) {
+  const std::size_t at = label.find("sector[");
+  return label.substr(at, label.find(']', at) + 1 - at);
+}
+
+/// Whether exchange-op task `t` has a direct edge into `task`.
+bool feeds(const analysis::GraphTask& t, std::size_t task) {
+  return t.exchangeOp && std::ranges::find(t.successors,
+                                           static_cast<int>(task)) !=
+                             t.successors.end();
+}
+
+/// The copier sectors of the exchange-op tasks with a direct edge into
+/// `task`.
 std::set<std::string> exchangeSectorsFeeding(const TaskGraphModel& m,
                                              std::size_t task) {
   std::set<std::string> sectors;
   for (const analysis::GraphTask& t : m.tasks) {
-    if (!t.exchangeOp ||
-        std::ranges::find(t.successors, static_cast<int>(task)) ==
-            t.successors.end()) {
-      continue;
+    if (feeds(t, task)) {
+      sectors.insert(sectorOf(t.label));
     }
-    sectors.insert(t.label.substr(t.label.find("sector[")));
   }
   return sectors;
 }
@@ -569,6 +609,84 @@ TEST(StepGraph, EachTileWaitsOnlyForTheCopiesThatFeedIt) {
             (std::set<std::string>{"sector[-1,0,0]", "sector[+1,0,0]",
                                    "sector[0,-1,0]", "sector[0,0,-1]"}))
       << m.label(static_cast<int>(rimTask));
+  // The x-face copies are cut at the tiles: each piece feeding the inner
+  // tile writes ghosts in that tile's (y, z) cross-section only.
+  const Box innerTile(grid::IntVect(-kNumGhost, 18, 18),
+                      grid::IntVect(63 + kNumGhost, 33, 33));
+  int xPieces = 0;
+  for (const analysis::GraphTask& t : m.tasks) {
+    if (!feeds(t, innerTask)) {
+      continue;
+    }
+    ++xPieces;
+    for (const analysis::TaskAccess& w : t.writes) {
+      EXPECT_TRUE(innerTile.contains(w.region))
+          << t.label << " writes outside the inner tile's cross-section";
+    }
+  }
+  EXPECT_EQ(xPieces, 2);
+}
+
+/// Whether `to` is reachable from `from` along the model's edges.
+bool hasPath(const TaskGraphModel& m, int from, int to) {
+  std::vector<bool> seen(m.tasks.size(), false);
+  std::vector<int> stack{from};
+  while (!stack.empty()) {
+    const int t = stack.back();
+    stack.pop_back();
+    if (t == to) {
+      return true;
+    }
+    for (const int s : m.tasks[static_cast<std::size_t>(t)].successors) {
+      if (!seen[static_cast<std::size_t>(s)]) {
+        seen[static_cast<std::size_t>(s)] = true;
+        stack.push_back(s);
+      }
+    }
+  }
+  return false;
+}
+
+/// The RHS task of RK stage `stage` (1-based) on logical tile `tile` of
+/// modelOnOneBox: the stage-th task whose label names that tile.
+int rhsTaskOf(const TaskGraphModel& m, int stage, std::size_t tile) {
+  const std::string tag = " tile" + std::to_string(tile);
+  int seen = 0;
+  for (std::size_t t = 0; t < m.tasks.size(); ++t) {
+    const std::string& label = m.tasks[t].label;
+    if (label.starts_with("rhs ") && label.ends_with(tag) &&
+        ++seen == stage) {
+      return static_cast<int>(t);
+    }
+  }
+  return -1;
+}
+
+TEST(StepGraph, StageTilesWaitOnlyForNeighbourTiles) {
+  // One periodic 64^3 box under RK4, tiles cut at y, z = 18, 34, 50
+  // (z-outer, y-inner: tile 5 is y, z in [18, 33], tile 15 is y, z in
+  // [50, 63]). The inner tile's stage-2 RHS reads stage-1 results of
+  // itself and its y/z neighbours, directly and through its x-face
+  // exchange pieces; a whole-face x copy would make it wait for every
+  // tile of stage 1, the far corner tile included.
+  const TaskGraphModel m = modelOnOneBox(64, Scheme::RK4);
+  const std::vector<Box> tiles = core::logicalTiles(Box::cube(64));
+  ASSERT_EQ(tiles.size(), 16u);
+  ASSERT_EQ(tiles[5].lo(1), 18);
+  ASSERT_EQ(tiles[5].hi(2), 33);
+  ASSERT_EQ(tiles[15].lo(1), 50);
+  ASSERT_EQ(tiles[15].lo(2), 50);
+  const int far = rhsTaskOf(m, 1, 15);
+  const int inner = rhsTaskOf(m, 2, 5);
+  ASSERT_GE(far, 0);
+  ASSERT_GE(inner, 0);
+  EXPECT_FALSE(hasPath(m, far, inner))
+      << m.label(inner) << " waits for " << m.label(far);
+  // The inner tile's own and neighbour stage-1 tasks stay ordered before it.
+  for (const std::size_t before : {5u, 4u, 6u, 1u, 9u}) {
+    EXPECT_TRUE(hasPath(m, rhsTaskOf(m, 1, before), inner))
+        << m.label(rhsTaskOf(m, 1, before)) << " -> " << m.label(inner);
+  }
 }
 
 TEST(StepGraph, EveryLoweredExchangeCopyHasAReader) {
@@ -577,14 +695,19 @@ TEST(StepGraph, EveryLoweredExchangeCopyHasAReader) {
   // copy's write. The RHS reads face ghosts only, so on a periodic level
   // without BCs each exchange lowers the 6 face copies of every box; a
   // wall-bounded level also keeps the edge copies its BC fills read.
+  // One 64^3 box cuts each copy at its 4 x 4 logical tiles under the
+  // parallel policy: 16 pieces per x-face copy, 4 per y- or z-face copy.
   ProblemDomain walled(Box::cube(16), std::array<bool, 3>{false, true, true});
   const DisjointBoxLayout walledLayout(walled, 8);
   grid::BoundarySpec spec;
   spec.type[0] = {grid::BCType::ReflectiveWall, grid::BCType::ReflectiveWall};
   const grid::BoundaryFiller walls(walledLayout, spec);
   const DisjointBoxLayout periodicLayout = smallLayout();
+  const DisjointBoxLayout bigBox(ProblemDomain(Box::cube(64)), 64);
   const std::pair<const DisjointBoxLayout*, const grid::BoundaryFiller*>
-      levels[] = {{&periodicLayout, nullptr}, {&walledLayout, &walls}};
+      levels[] = {{&periodicLayout, nullptr},
+                  {&walledLayout, &walls},
+                  {&bigBox, nullptr}};
   for (const auto& [dbl, bc] : levels) {
     for (const Scheme scheme : kSchemes) {
       for (const LevelPolicy policy : core::kLevelPolicies) {
@@ -613,7 +736,25 @@ TEST(StepGraph, EveryLoweredExchangeCopyHasAReader) {
           EXPECT_TRUE(read) << m.name << (bc != nullptr ? " walls" : "")
                             << ": nothing reads " << t.label;
         }
-        if (bc == nullptr && scheme == Scheme::RK4) {
+        if (bc != nullptr || scheme != Scheme::RK4) {
+          continue;
+        }
+        if (dbl == &bigBox && policy == LevelPolicy::BoxParallel) {
+          std::map<std::string, int> pieces;
+          for (const analysis::GraphTask& t : m.tasks) {
+            if (t.exchangeOp) {
+              ++pieces[sectorOf(t.label)];
+            }
+          }
+          for (const char* x : {"sector[-1,0,0]", "sector[+1,0,0]"}) {
+            EXPECT_EQ(pieces[x], 16 * 4) << m.name << " " << x;
+          }
+          for (const char* yz : {"sector[0,-1,0]", "sector[0,+1,0]",
+                                 "sector[0,0,-1]", "sector[0,0,+1]"}) {
+            EXPECT_EQ(pieces[yz], 4 * 4) << m.name << " " << yz;
+          }
+          EXPECT_EQ(exec.stats().exchangeOps, 48u * 4) << m.name;
+        } else {
           EXPECT_EQ(exec.stats().exchangeOps, 6 * dbl->size() * 4) << m.name;
         }
       }
@@ -625,10 +766,7 @@ TEST(StepGraph, TiledInteriorsBitIdenticalAcrossFamiliesThreadsAndPitches) {
   // 1 x 40^3: 36-cell interiors cut 16 + 16 + 4 (a ragged last tile) in
   // y and z; 2 x 36^3: 32-cell interiors, 2 x 2 tiles per box.
   const DisjointBoxLayout levels[] = {
-      DisjointBoxLayout(ProblemDomain(Box::cube(40)), 40),
-      DisjointBoxLayout(
-          ProblemDomain(Box(grid::IntVect::zero(), grid::IntVect{71, 35, 35})),
-          36)};
+      DisjointBoxLayout(ProblemDomain(Box::cube(40)), 40), tiledLayout()};
   const Real dt = 0.002;
   for (const DisjointBoxLayout& dbl : levels) {
     for (const Pitch pitch : {Pitch::Padded, Pitch::Dense}) {
