@@ -165,6 +165,17 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
+  // The level is sized by --boxsize and --nboxes; the shared work-unit
+  // flags would be silently ignored, so they are refused.
+  const char* sizeFlag = args.getBool("paper")                ? "--paper"
+                         : args.getInt("nboxes128") != 1 ? "--nboxes128"
+                                                         : nullptr;
+  if (sizeFlag != nullptr) {
+    std::cerr << "error: " << sizeFlag
+              << " is not supported here; size the level with --boxsize "
+                 "and --nboxes\n";
+    return 1;
+  }
 
   std::vector<solvers::Scheme> schemes;
   std::vector<core::StepFuse> fuses;

@@ -948,7 +948,8 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   cap->stage.reserve(static_cast<std::size_t>(prog.nSlots - 1));
   for (int s = 1; s < prog.nSlots; ++s) {
     if (plan.level[static_cast<std::size_t>(s)]) {
-      cap->stage.emplace_back(u.layout(), kNumComp, slotGhosts(prog, s));
+      cap->stage.emplace_back(u.layout(), kNumComp, slotGhosts(prog, s),
+                              grid::Pitch::Padded, grid::Init::Deferred);
       cap->tab[static_cast<std::size_t>(s)] = &cap->stage.back();
     }
   }
@@ -962,6 +963,27 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
 
   LowerEnv env{cfg_, ws_, nThreads_, prog, rhs, cap->tab.get(),
                opts_.policy};
+
+  // Zero the stage levels on the pool: the stage slots hold zeros before
+  // the first step, as under Init::Zero, but the memory pass (and the
+  // first touch of fresh pages) is parallel. One task per ~512 KiB chunk
+  // of each fab, on the worker that owns the box.
+  {
+    constexpr std::size_t kChunk = (std::size_t{512} << 10) / sizeof(Real);
+    TaskGraph zero;
+    for (LevelData& level : cap->stage) {
+      for (std::size_t b = 0; b < level.size(); ++b) {
+        Real* p = level[b].dataPtr();
+        const std::size_t n = level[b].size();
+        for (std::size_t lo = 0; lo < n; lo += kChunk) {
+          const std::size_t hi = std::min(n, lo + kChunk);
+          zero.addTask([p, lo, hi](int) { std::fill(p + lo, p + hi, 0.0); },
+                       env.ownerOf(b));
+        }
+      }
+    }
+    dispatch(zero);
+  }
   Lowering low(cfg_.name() + " [step " + stepFuseName(StepFuse::Fused) +
                    " " + levelPolicyName(opts_.policy) + "]",
                u);
@@ -1003,12 +1025,18 @@ void StepGraphExecutor::run(const StepProgram& prog, grid::LevelData& u,
   TaskGraph& graph = beginPhase(0);
   if (opts_.replay.order != ReplayOrder::None) {
     pool_->runReplay(graph, opts_.replay);
-  } else if (opts_.sharedPool != nullptr) {
+  } else {
+    dispatch(graph);
+  }
+  endPhase(0);
+}
+
+void StepGraphExecutor::dispatch(TaskGraph& graph) {
+  if (opts_.sharedPool != nullptr) {
     pool_->wait(pool_->submit(graph, opts_.domain));
   } else {
     pool_->run(graph);
   }
-  endPhase(0);
 }
 
 std::size_t StepGraphExecutor::preparePhases(const StepProgram& prog,

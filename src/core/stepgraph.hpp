@@ -183,6 +183,10 @@ private:
   Capture& ensureCapture(const StepProgram& prog, grid::LevelData& u,
                          const StepRhsSpec& rhs);
 
+  /// Run `graph` to completion on the pool: submitted to opts_.domain
+  /// and waited for on a shared pool, run() on an owned one.
+  void dispatch(TaskGraph& graph);
+
   /// The capture, after checking the phase index `p` is 0 (throws
   /// std::logic_error naming `caller` otherwise, or with no capture).
   Capture& capturedPhase(std::size_t p, const char* caller);

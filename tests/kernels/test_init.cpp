@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "kernels/exemplar.hpp"
 
 namespace fluxdiv::kernels {
@@ -62,6 +65,43 @@ TEST(InitializeExemplar, StandaloneFabMatchesLevelFill) {
   FArrayBox fab(Box::cube(8).grow(kNumGhost), kNumComp);
   initializeExemplar(fab, dom);
   EXPECT_EQ(FArrayBox::maxAbsDiff(level[0], fab, fab.box()), 0.0);
+}
+
+TEST(InitializeExemplar, TablesMatchExemplarValueBitwise) {
+  // Both fills evaluate exemplarValue through per-axis factor tables; each
+  // value must be exemplarValue's to the bit, not only to rounding.
+  const Box dom(IntVect::zero(), IntVect{23, 15, 39});
+  const auto sameBits = [](Real a, Real b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const auto wrap = [](int v, int lo, int n) {
+    return lo + (((v - lo) % n) + n) % n;
+  };
+  for (const IntVect& boxSize : {IntVect::unit(8), dom.size()}) {
+    const DisjointBoxLayout dbl{ProblemDomain(dom), boxSize};
+    LevelData level(dbl, kNumComp, kNumGhost);
+    initializeExemplar(level);
+    for (std::size_t b = 0; b < level.size(); ++b) {
+      FArrayBox fab(level.validBox(b).grow(kNumGhost), kNumComp);
+      initializeExemplar(fab, dom);
+      for (int c = 0; c < kNumComp; ++c) {
+        forEachCell(level.validBox(b), [&](int i, int j, int k) {
+          ASSERT_TRUE(
+              sameBits(level[b](i, j, k, c), exemplarValue(i, j, k, c, dom)))
+              << "level box " << b << " cell " << i << "," << j << "," << k
+              << " comp " << c;
+        });
+        forEachCell(fab.box(), [&](int i, int j, int k) {
+          const Real want = exemplarValue(wrap(i, 0, dom.size(0)),
+                                          wrap(j, 0, dom.size(1)),
+                                          wrap(k, 0, dom.size(2)), c, dom);
+          ASSERT_TRUE(sameBits(fab(i, j, k, c), want))
+              << "fab of box " << b << " cell " << i << "," << j << ","
+              << k << " comp " << c;
+        });
+      }
+    }
+  }
 }
 
 } // namespace

@@ -121,6 +121,33 @@ TEST(StepGraph, BitIdenticalAcrossSchemesFuseModesAndPolicies) {
   }
 }
 
+TEST(StepGraph, SharedPoolCaptureIsBitIdentical) {
+  // The capture zeroes its stage levels as a graph of its own on the
+  // executor's pool. A 1-thread shared pool runs nothing until wait()
+  // lends it the calling thread, so a fill that was submitted but not
+  // waited for would still be pending (or run over the step's results).
+  const auto dbl = tiledLayout();
+  const Real dt = 0.005;
+  const auto cfg = tiledConfig();
+  for (const int threads : {1, 4}) {
+    core::TaskPool pool(threads);
+    for (const Scheme scheme : kSchemes) {
+      const LevelData ref = eagerReference(scheme, dbl, cfg, dt, 2, threads);
+      core::StepExecOptions opts;
+      opts.sharedPool = &pool;
+      opts.domain = pool.createDomain();
+      core::StepGraphExecutor exec(cfg, threads, opts);
+      LevelData u = initialState(dbl);
+      const core::StepProgram prog = buildStepProgram(scheme, dt);
+      for (int s = 0; s < 2; ++s) {
+        exec.run(prog, u, {});
+      }
+      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+          << schemeName(scheme) << " on a " << threads << "-thread pool";
+    }
+  }
+}
+
 TEST(StepGraph, BitIdenticalWithDensePitch) {
   const auto dbl = smallLayout();
   const Real dt = 0.004;

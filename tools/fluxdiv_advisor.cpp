@@ -27,7 +27,9 @@
 // --nboxes > 1 additionally ranks the level policies (sequential /
 // parallel: the step graphs' task granularity, core/stepgraph) for a
 // level of that many boxes, from the box- and tile-level concurrency each
-// policy exposes, and notes removable edges in a lowered RK4 step.
+// policy exposes. Every run notes removable edges in a lowered RK4 step:
+// over up to 8 boxes of side min(N, 16), or over one box of side
+// min(N, 64) when --nboxes is 1.
 //
 // --strict additionally runs internal consistency checks over every report
 // (finite traffic, non-degenerate working sets, traffic not far below the
@@ -196,6 +198,7 @@ int main(int argc, char** argv) {
   }
 
   const int nBoxes = static_cast<int>(args.getInt("nboxes"));
+  const std::size_t shown = std::min<std::size_t>(ranked.size(), 4);
   if (nBoxes > 1) {
     std::cout << "\nlevel-policy ranking for " << nBoxes << " x " << n
               << "^3 boxes, threads=" << nThreads
@@ -203,7 +206,6 @@ int main(int argc, char** argv) {
     harness::Table ptable({"variant", "policy", "tasks", "depth",
                            "max conc", "avg conc", "barriers",
                            "speedup vs seq"});
-    const std::size_t shown = std::min<std::size_t>(ranked.size(), 4);
     for (std::size_t i = 0; i < shown; ++i) {
       const auto policies = analysis::analyzeLevelPolicies(
           ranked[i].cfg, n, nBoxes, nThreads, spec);
@@ -219,14 +221,19 @@ int main(int argc, char** argv) {
       }
     }
     ptable.print(std::cout);
+  }
 
-    // Over-synchronization advisory: lower the step graph of one RK4 step
-    // (the service's scheme: four exchanges, RHS tiles with their stage
-    // combines) under the parallel policy over a small level of this box
-    // count, and ask the graph checker which dependency edges could be
-    // dropped without losing race-freedom. Removable edges are
-    // parallelism the depth/concurrency table above cannot see.
-    const int side = std::min(n, 16);
+  // Over-synchronization advisory: lower the step graph of one RK4 step
+  // (the service's scheme: four exchanges, RHS tiles with their stage
+  // combines) under the parallel policy over a small level of this box
+  // count, and ask the graph checker which dependency edges could be
+  // dropped without losing race-freedom. Removable edges are parallelism
+  // the level-policy table's depth and concurrency cannot see. Several
+  // boxes are lowered at side <= 16; a single box at side <= 64, so a
+  // large box's logical tiles (and the tile-cut exchange copies) are
+  // checked too.
+  {
+    const int side = std::min(n, nBoxes > 1 ? 16 : 64);
     const int wantBoxes = std::min(nBoxes, 8);
     grid::IntVect counts = grid::IntVect::unit(1);
     while (counts.product() < wantBoxes) {
