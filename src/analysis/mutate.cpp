@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "kernels/footprint.hpp"
-
 namespace fluxdiv::analysis::mutate {
 
 ScheduleModel shallowHalo(ScheduleModel m) {
@@ -626,10 +624,12 @@ KernelMutation forgetDeclaredOffset(const KernelFootprintModel& m,
 
 // ------------------------------------------------------------------ steps
 //
-// The predictions below use the fixed halo widths of every step program:
-// an exchange or boundary fill writes ghost layers 1..kNumGhost, a
-// compute op writes the valid region (layers <= 0), and an RHS reads its
-// source kNumGhost layers beyond what it writes.
+// Both step mutations keep only the candidates that make the program read
+// a never-written slot, the one fault checkStepProgram reports. The
+// prediction restates the step semantics on its own, op by op: every
+// compute op writes its destination's whole valid region, only an
+// Exchange fills a whole ghost frame, and the solution (slot 0) starts
+// written everywhere.
 
 namespace {
 
@@ -637,112 +637,48 @@ using core::StepOp;
 using core::StepOpKind;
 using core::StepProgram;
 
-constexpr int kG = kernels::kNumGhost;
-
-/// Sentinel: the slot (still) agrees with the reference at every layer.
-constexpr int kCleanLayer = 1 << 20;
-
-bool stepWritesInterior(StepOpKind k) {
-  return k == StepOpKind::RhsEval || k == StepOpKind::CopySlot ||
-         k == StepOpKind::AxpySlot || k == StepOpKind::ScaleSlot;
+/// Whether ops [0, upTo) of `prog` leave op `upTo` reading a slot part
+/// nothing wrote: a valid region it reads, or an RHS source's ghost frame.
+bool readsUnwritten(const StepProgram& prog, std::size_t upTo) {
+  const auto wrote = [&](int slot, bool frame) {
+    if (slot == 0) {
+      return true;
+    }
+    for (std::size_t j = 0; j < upTo; ++j) {
+      const StepOp& op = prog.ops[j];
+      const bool fills = frame ? op.kind == StepOpKind::Exchange
+                               : op.kind != StepOpKind::Exchange &&
+                                     op.kind != StepOpKind::BoundaryFill;
+      if (fills && op.dst == slot) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const StepOp& op = prog.ops[upTo];
+  switch (op.kind) {
+  case StepOpKind::Exchange:
+  case StepOpKind::BoundaryFill:
+  case StepOpKind::ScaleSlot:
+    return !wrote(op.dst, false);
+  case StepOpKind::RhsEval:
+    return !wrote(op.src, false) || !wrote(op.src, true);
+  case StepOpKind::CopySlot:
+    return !wrote(op.src, false);
+  case StepOpKind::AxpySlot:
+    return !wrote(op.src, false) || !wrote(op.dst, false);
+  }
+  return false;
 }
 
-/// Forward staleness pass predicting checkStepProgram's witness when the
-/// exchange at op `from` is missing and its slot's ghosts stay stale: per
-/// slot, track the lowest layer whose content diverges from the reference
-/// (the corrupt band is [c, kG]); the witness is the first op whose
-/// *written interior* (layer <= 0) the corruption reaches. Deliberately
-/// independent of the checker's band interpreter — the tests assert the
-/// two agree.
-int predictStaleWitness(const StepProgram& prog, std::size_t from) {
-  std::vector<int> c(static_cast<std::size_t>(prog.nSlots), kCleanLayer);
-  const auto s = [](int slot) { return static_cast<std::size_t>(slot); };
-  c[s(prog.ops[from].dst)] = 1;
-  // Ghost-layer corruption survives an op that overwrites the interior.
-  const auto remnant = [](int old) {
-    return old == kCleanLayer || old > 0 ? old : 1;
-  };
-  for (std::size_t i = from + 1; i < prog.ops.size(); ++i) {
-    const StepOp& op = prog.ops[i];
-    switch (op.kind) {
-    case StepOpKind::Exchange:
-      // A mirror-refill from a clean interior repairs every ghost layer.
-      if (c[s(op.dst)] > 0) {
-        c[s(op.dst)] = kCleanLayer;
-      }
-      break;
-    case StepOpKind::BoundaryFill:
-      break;
-    case StepOpKind::RhsEval: {
-      // The stencil at layer L reads src [L-kG, L+kG]: corruption moves
-      // inward by kG and lands everywhere the op writes (layers <= 0).
-      const int in = c[s(op.src)];
-      const int out = in <= kG ? in - kG : kCleanLayer;
-      c[s(op.dst)] = std::min(out, remnant(c[s(op.dst)]));
-      break;
-    }
-    case StepOpKind::CopySlot: {
-      const int in = c[s(op.src)] <= 0 ? c[s(op.src)] : kCleanLayer;
-      c[s(op.dst)] = std::min(in, remnant(c[s(op.dst)]));
-      break;
-    }
-    case StepOpKind::AxpySlot: {
-      // Accumulates in place: old corruption persists, src's joins.
-      const int in = c[s(op.src)] <= 0 ? c[s(op.src)] : kCleanLayer;
-      c[s(op.dst)] = std::min(c[s(op.dst)], in);
-      break;
-    }
-    case StepOpKind::ScaleSlot:
-      break; // in place: corruption neither spreads nor heals
-    }
-    if (stepWritesInterior(op.kind) && c[s(op.dst)] <= 0) {
+/// The first op of `prog` that reads a never-written slot part, or -1.
+int firstUnwrittenRead(const StepProgram& prog) {
+  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
+    if (readsUnwritten(prog, i)) {
       return static_cast<int>(i);
     }
   }
   return -1;
-}
-
-/// Layers a slot read reaches: RHS stencils read kG beyond the valid
-/// region, combines read exactly the valid region, and exchange and BC
-/// fill read interior mirrors only.
-int stepReadDepth(const StepOp& op) {
-  return op.kind == StepOpKind::RhsEval ? kG : 0;
-}
-
-/// Sentinel: every layer of the slot is still unwritten.
-constexpr int kUninitAll = -kCleanLayer;
-
-/// Per slot, the lowest still-unwritten layer after executing ops
-/// [0, upTo). Slot 0 starts fully defined (u plus stale-but-written
-/// ghosts); stage temps start unwritten everywhere.
-std::vector<int> stepUninitFrom(const StepProgram& prog, std::size_t upTo) {
-  std::vector<int> u(static_cast<std::size_t>(prog.nSlots), kUninitAll);
-  u[0] = kCleanLayer;
-  for (std::size_t j = 0; j < upTo; ++j) {
-    const StepOp& op = prog.ops[j];
-    int& ud = u[static_cast<std::size_t>(op.dst)];
-    if (stepWritesInterior(op.kind)) {
-      ud = std::max(ud, 1);
-    } else if (ud >= 1) { // ghost fill from a written interior
-      ud = std::max(ud, kG + 1);
-    }
-  }
-  return u;
-}
-
-std::vector<int> stepReadSlots(const StepOp& op) {
-  switch (op.kind) {
-  case StepOpKind::Exchange:      // mirrors its own interior into ghosts
-  case StepOpKind::BoundaryFill:
-  case StepOpKind::ScaleSlot:
-    return {op.dst};
-  case StepOpKind::RhsEval:
-  case StepOpKind::CopySlot:
-    return {op.src};
-  case StepOpKind::AxpySlot:
-    return {op.src, op.dst};
-  }
-  return {};
 }
 
 std::string stepOpWhat(const StepProgram& prog, std::size_t i) {
@@ -751,166 +687,68 @@ std::string stepOpWhat(const StepProgram& prog, std::size_t i) {
          "', step " + std::to_string(op.step) + ")";
 }
 
-/// Predict checkStepProgram's verdict for `prog` without its exchange at
-/// op `from`; `witnessOp` indexes `prog`. Two regimes: if the slot's ghost
-/// layers were never written before (a stage temp's first exchange), the
-/// first op reading them trips ReadBeforeWrite; if they held older
-/// (stale) values, the staleness pass locates the first interior the
-/// divergence reaches (ValueMismatch). Returns false when the damage
-/// never reaches a reader.
-bool predictExchangeWitness(const StepProgram& prog, std::size_t from,
-                            StepDiagKind& kind, int& witnessOp) {
-  const int dst = prog.ops[from].dst;
-  int unwritten = std::max(1, stepUninitFrom(prog, from)[
-                                  static_cast<std::size_t>(dst)]);
-  if (unwritten <= kG) {
-    for (std::size_t j = from + 1; j < prog.ops.size(); ++j) {
-      const StepOp& op = prog.ops[j];
-      const std::vector<int> reads = stepReadSlots(op);
-      if (std::find(reads.begin(), reads.end(), dst) != reads.end() &&
-          stepReadDepth(op) >= unwritten) {
-        kind = StepDiagKind::ReadBeforeWrite;
-        witnessOp = static_cast<int>(j);
-        return true;
-      }
-      if (op.dst == dst) { // later writes can define the missing layers
-        unwritten =
-            std::max(unwritten, stepWritesInterior(op.kind) ? 1 : kG + 1);
-        if (unwritten > kG) {
-          return false; // fully repaired before any deep read
-        }
-      }
+/// Apply `edit` at every op index of `prog`; keep the edits whose program
+/// reads a never-written slot part, and return the seed's pick.
+template <typename Edit>
+StepMutation pickStepMutation(const StepProgram& prog, std::uint64_t seed,
+                              Edit edit) {
+  std::vector<StepMutation> cand;
+  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
+    StepMutation m;
+    m.prog = prog;
+    if (!edit(m, i)) {
+      continue;
     }
-    return false;
+    m.witnessOp = firstUnwrittenRead(m.prog);
+    if (m.witnessOp >= 0) {
+      m.valid = true;
+      cand.push_back(std::move(m));
+    }
   }
-  const int wit = predictStaleWitness(prog, from);
-  if (wit < 0) {
-    return false;
+  if (cand.empty()) {
+    StepMutation none;
+    none.prog = prog;
+    return none;
   }
-  kind = StepDiagKind::ValueMismatch;
-  witnessOp = wit;
-  return true;
+  return cand[seed % cand.size()];
 }
 
 } // namespace
 
 StepMutation dropStepExchange(const core::StepProgram& prog,
                               std::uint64_t seed) {
-  StepMutation mut;
-  mut.prog = prog;
-  mut.reference = prog;
-  std::vector<std::size_t> cand;
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    if (prog.ops[i].kind == StepOpKind::Exchange) {
-      cand.push_back(i);
-    }
+  StepMutation mut = pickStepMutation(
+      prog, seed, [&prog](StepMutation& m, std::size_t i) {
+        if (prog.ops[i].kind != StepOpKind::Exchange) {
+          return false;
+        }
+        m.prog.ops.erase(m.prog.ops.begin() + static_cast<std::ptrdiff_t>(i));
+        m.what = "dropped exchange " + stepOpWhat(prog, i);
+        return true;
+      });
+  if (!mut.valid) {
+    mut.what = "dropStepExchange: no dropped exchange leaves a read unfed";
   }
-  if (cand.empty()) {
-    mut.what = "dropStepExchange: no exchange to drop";
-    return mut;
-  }
-  const std::size_t i = cand[seed % cand.size()];
-  if (!predictExchangeWitness(prog, i, mut.expect, mut.witnessOp)) {
-    mut.what = "dropStepExchange: missing ghosts never reach a reader";
-    return mut;
-  }
-  mut.prog.ops.erase(mut.prog.ops.begin() + static_cast<std::ptrdiff_t>(i));
-  --mut.witnessOp; // the witness follows the dropped op: one index down
-  mut.useReference = true;
-  mut.valid = true;
-  mut.what = "dropped exchange " + stepOpWhat(prog, i);
   return mut;
 }
 
 StepMutation reorderStepOps(const core::StepProgram& prog,
                             std::uint64_t seed) {
-  StepMutation mut;
-  mut.prog = prog;
-  mut.reference = prog;
-  // Adjacent pairs where one op writes a slot the other touches — swapping
-  // those genuinely changes the step's dataflow (independent pairs would
-  // still be flagged by the intensional lockstep, but the mutation should
-  // model a real miscompilation, not an overly strict checker).
-  std::vector<std::size_t> cand;
-  for (std::size_t i = 0; i + 1 < prog.ops.size(); ++i) {
-    const StepOp& x = prog.ops[i];
-    const StepOp& y = prog.ops[i + 1];
-    if (x == y) {
-      continue;
-    }
-    if (!stepWritesInterior(x.kind) && !stepWritesInterior(y.kind)) {
-      continue; // ghost-fill pairs on different slots commute
-    }
-    if (x.kind == StepOpKind::ScaleSlot && y.kind == StepOpKind::ScaleSlot) {
-      continue; // two in-place scalings commute bit-exactly
-    }
-    const auto touches = [](const StepOp& o) {
-      std::vector<int> t = stepReadSlots(o);
-      t.push_back(o.dst);
-      return t;
-    };
-    const std::vector<int> tx = touches(x);
-    const std::vector<int> ty = touches(y);
-    const bool conflict =
-        std::find(ty.begin(), ty.end(), x.dst) != ty.end() ||
-        std::find(tx.begin(), tx.end(), y.dst) != tx.end();
-    if (!conflict) {
-      continue;
-    }
-    cand.push_back(i);
+  StepMutation mut = pickStepMutation(
+      prog, seed, [&prog](StepMutation& m, std::size_t i) {
+        if (i + 1 >= prog.ops.size()) {
+          return false;
+        }
+        std::swap(m.prog.ops[i], m.prog.ops[i + 1]);
+        m.what = "swapped adjacent ops " + std::to_string(i) + " and " +
+                 std::to_string(i + 1) + " ('" +
+                 prog.slotName(prog.ops[i].dst) + "' / '" +
+                 prog.slotName(prog.ops[i + 1].dst) + "')";
+        return true;
+      });
+  if (!mut.valid) {
+    mut.what = "reorderStepOps: no swap hoists a read above its write";
   }
-  if (cand.empty()) {
-    mut.what = "reorderStepOps: no conflicting adjacent pair";
-    return mut;
-  }
-  const std::size_t i = cand[seed % cand.size()];
-  std::swap(mut.prog.ops[i], mut.prog.ops[i + 1]);
-  mut.useReference = true;
-  mut.valid = true;
-  mut.witnessOp = static_cast<int>(i);
-  // The hoisted op (originally ops[i+1]) fires ReadBeforeWrite when any
-  // layer it now reads was never yet written (a stage temp's interior, or
-  // ghost layers whose exchange it just jumped ahead of); otherwise the
-  // lockstep sees the two runs write different values at the swap point.
-  const std::vector<int> u0 = stepUninitFrom(prog, i);
-  bool rbw = false;
-  for (const int r : stepReadSlots(prog.ops[i + 1])) {
-    rbw = rbw ||
-          u0[static_cast<std::size_t>(r)] <= stepReadDepth(prog.ops[i + 1]);
-  }
-  mut.expect =
-      rbw ? StepDiagKind::ReadBeforeWrite : StepDiagKind::ValueMismatch;
-  mut.what = "swapped adjacent ops " + std::to_string(i) + " and " +
-             std::to_string(i + 1) + " ('" +
-             prog.slotName(prog.ops[i].dst) + "' / '" +
-             prog.slotName(prog.ops[i + 1].dst) + "')";
-  return mut;
-}
-
-StepMutation skewStepCoeff(const core::StepProgram& prog,
-                           std::uint64_t seed) {
-  StepMutation mut;
-  mut.prog = prog;
-  mut.reference = prog;
-  std::vector<std::size_t> cand;
-  for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-    const StepOpKind k = prog.ops[i].kind;
-    if ((k == StepOpKind::AxpySlot || k == StepOpKind::ScaleSlot) &&
-        prog.ops[i].scale != 0.0) {
-      cand.push_back(i);
-    }
-  }
-  if (cand.empty()) {
-    mut.what = "skewStepCoeff: no combine coefficient to skew";
-    return mut;
-  }
-  const std::size_t i = cand[seed % cand.size()];
-  mut.prog.ops[i].scale *= 1.0 + 1e-12;
-  mut.useReference = true;
-  mut.valid = true;
-  mut.expect = StepDiagKind::ValueMismatch;
-  mut.witnessOp = static_cast<int>(i);
-  mut.what = "combine coefficient skewed at " + stepOpWhat(prog, i);
   return mut;
 }
 

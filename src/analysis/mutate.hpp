@@ -16,10 +16,9 @@
 // witness checkCommPlan must report.
 //
 // The StepMutation half miscompiles *step programs*
-// (analysis/stepcheck.hpp): a dropped exchange, a reordered op pair, and
-// a skewed combine coefficient, each predicting the op at which
-// checkStepProgram must report the mutant's divergence from the
-// unmutated program.
+// (analysis/stepcheck.hpp): a dropped exchange and a reordered op pair,
+// each making the program read a never-written slot part and predicting
+// the op at which checkStepProgram must report it.
 
 #include <cstddef>
 #include <cstdint>
@@ -29,7 +28,7 @@
 #include "analysis/graphcheck.hpp"
 #include "analysis/kernelcheck.hpp"
 #include "analysis/model.hpp"
-#include "analysis/stepcheck.hpp"
+#include "core/stepprogram.hpp"
 
 namespace fluxdiv::analysis::mutate {
 
@@ -176,48 +175,33 @@ KernelMutation shiftKernelStencil(const KernelFootprintModel& m,
 KernelMutation forgetDeclaredOffset(const KernelFootprintModel& m,
                                     std::uint64_t seed);
 
-/// A seeded step-program miscompilation plus the verdict it must provoke
-/// from checkStepProgram (analysis/stepcheck.hpp). `valid == false` means
-/// the program offered no candidate for this mutation class (e.g. a
-/// program with no conflicting adjacent pair has nothing to reorder);
-/// callers skip those. Every factory mutates the program and keeps the
-/// unmutated one as the S1 reference.
-///
-/// Check the mutation with
-///   StepCheckOptions o; if (m.useReference) o.reference = &m.reference;
-///   checkStepProgram(m.prog, o)
-/// The report's FIRST diagnostic must have kind `expect` and op
-/// `witnessOp`, an index into the mutated program.
+/// A seeded step-program miscompilation plus the op at which
+/// checkStepProgram (analysis/stepcheck.hpp) must report it. Each factory
+/// draws only among the edits that make the program read a never-written
+/// slot part, so checkStepProgram(m.prog)'s FIRST diagnostic must be at
+/// `witnessOp`, an index into the mutated program. `valid == false`
+/// means no edit of this class does that (e.g. forward Euler's one
+/// exchange fills u, whose ghosts are never unwritten); callers skip
+/// those.
 struct StepMutation {
-  core::StepProgram prog;      ///< the mutated program to check
-  core::StepProgram reference; ///< the unmutated program
-  bool useReference = false;   ///< pass `reference` via StepCheckOptions
-  bool valid = false;          ///< false: no candidate for this class
-  std::string what;            ///< human description of the injected bug
-  StepDiagKind expect = StepDiagKind::ValueMismatch;
-  int witnessOp = -1;          ///< predicted first-failure op
+  core::StepProgram prog; ///< the mutated program to check
+  bool valid = false;     ///< false: no candidate for this class
+  std::string what;       ///< human description of the injected bug
+  int witnessOp = -1;     ///< predicted first ReadBeforeWrite op
 };
 
 /// Remove one Exchange op from the program — a builder that forgets the
-/// exchange before a stage RHS. Expected: ReadBeforeWrite at the first op
-/// reading the never-filled ghosts of a stage temp's first exchange, else
-/// ValueMismatch at the first later op whose written interior is fed by
-/// the now-stale ghosts (predicted by an independent forward staleness
-/// pass).
+/// exchange before a stage RHS. Candidates: the exchanges that give a
+/// stage temp its first ghost frame before an RHS reads it. Expected:
+/// ReadBeforeWrite at that RHS.
 StepMutation dropStepExchange(const core::StepProgram& prog,
                               std::uint64_t seed);
 
-/// Swap one adjacent pair of genuinely conflicting ops (one writes a slot
-/// the other touches) — the classic stage-combine emitted before its RHS.
-/// Expected: a diagnostic at the first swapped index — ReadBeforeWrite
-/// when the hoisted op now reads a never-written stage temp,
-/// ValueMismatch otherwise.
+/// Swap one adjacent op pair so the second op now reads what the first
+/// one wrote before it is written — the classic stage RHS emitted before
+/// its exchange, or a combine before the op that fills its operand.
+/// Expected: ReadBeforeWrite at the hoisted op.
 StepMutation reorderStepOps(const core::StepProgram& prog,
                             std::uint64_t seed);
-
-/// Perturb one combine coefficient by a relative 1e-12 (a wrong Butcher
-/// tableau entry). Expected: ValueMismatch at the skewed op itself.
-StepMutation skewStepCoeff(const core::StepProgram& prog,
-                           std::uint64_t seed);
 
 } // namespace fluxdiv::analysis::mutate

@@ -72,7 +72,7 @@ analysis::StepShapeKey stepShapeKeyOf(const LevelData& u,
 #ifdef FLUXDIV_VERIFY
 /// Whole-step gate: before the first capture of each distinct
 /// (program, layout, physics) signature, prove the program live
-/// (stepcheck S2: no op reads a never-written stage-slot layer).
+/// (stepcheck S2: no op reads a never-written stage slot).
 void verifyStepOnce(const StepProgram& prog, const LevelData& u,
                     const StepRhsSpec& rhs) {
   static analysis::VerifyGate gate;
@@ -81,10 +81,7 @@ void verifyStepOnce(const StepProgram& prog, const LevelData& u,
   if (!gate.shouldVerify(analysis::stepSignatureHex(sig))) {
     return;
   }
-  analysis::StepCheckOptions opts;
-  opts.boxSize = u.validBox(0).size(0);
-  const analysis::StepCheckReport report =
-      analysis::checkStepProgram(prog, opts);
+  const analysis::StepCheckReport report = analysis::checkStepProgram(prog);
   if (report.ok()) {
     return;
   }

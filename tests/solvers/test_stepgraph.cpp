@@ -508,9 +508,10 @@ TEST(StepGraph, SequentialPolicyKeepsKOnALevel) {
   EXPECT_TRUE(analysis::checkTaskGraph(m).ok());
 }
 
-/// One step of RK4 or SSPRK3 in their former in-place form, with a single
-/// stage slot that each stage overwrites, interpreted by hand with the
-/// public level calls.
+/// One step of `scheme` written out by hand with the public level calls
+/// and literal coefficients: the one check that a step program computes
+/// its scheme. RK4 and SSPRK3 take their former in-place form, with a
+/// single stage slot that each stage overwrites.
 void inPlaceStep(Scheme scheme, LevelData& u, Real dt, FluxDivRhs& rhs) {
   const DisjointBoxLayout& dbl = u.layout();
   LevelData k(dbl, kNumComp, kNumGhost);
@@ -518,9 +519,24 @@ void inPlaceStep(Scheme scheme, LevelData& u, Real dt, FluxDivRhs& rhs) {
   LevelData s(dbl, kNumComp, kNumGhost);
   const auto f = [&](LevelData& src) {
     src.exchange();
+    if (rhs.boundary() != nullptr) {
+      rhs.boundary()->fill(src);
+    }
     rhs.evaluate(src, k);
   };
-  if (scheme == Scheme::RK4) {
+  switch (scheme) {
+  case Scheme::ForwardEuler:
+    f(u);
+    addScaled(u, k, dt);
+    break;
+  case Scheme::Midpoint:
+    f(u);
+    copyValid(u, s);
+    addScaled(s, k, 0.5 * dt);
+    f(s);
+    addScaled(u, k, dt);
+    break;
+  case Scheme::RK4:
     f(u);
     copyValid(k, acc);
     copyValid(u, s);
@@ -536,7 +552,8 @@ void inPlaceStep(Scheme scheme, LevelData& u, Real dt, FluxDivRhs& rhs) {
     f(s);
     addScaled(acc, k, 1.0);
     addScaled(u, acc, dt / 6.0);
-  } else { // SSPRK3
+    break;
+  case Scheme::SSPRK3:
     f(u);
     copyValid(u, s);
     addScaled(s, k, dt);
@@ -548,30 +565,48 @@ void inPlaceStep(Scheme scheme, LevelData& u, Real dt, FluxDivRhs& rhs) {
     scaleValid(u, 1.0 / 3.0);
     addScaled(u, s, 2.0 / 3.0);
     addScaled(u, k, 2.0 / 3.0 * dt);
+    break;
   }
 }
 
 TEST(StepGraph, StagedProgramsMatchTheInPlaceSchemesBitwise) {
-  // The second stage slot of RK4 and SSPRK3 changes storage, not
-  // arithmetic: each cell sees the in-place scheme's operation sequence.
-  const DisjointBoxLayout dbl = tiledLayout();
+  // Every scheme's step program, run eager and fused for 2 steps, matches
+  // the scheme written out by hand bit for bit, periodic and with walls
+  // on x. A wrong coefficient, a misordered combine, a missing exchange
+  // or a missing BC fill changes some cell; the second step reads u's
+  // ghosts, so a step that skips u's exchange computes from the first
+  // step's stale ghosts. The second stage slot of RK4 and SSPRK3 changes
+  // storage, not arithmetic: each cell sees the in-place scheme's
+  // operation sequence.
+  const DisjointBoxLayout periodic = tiledLayout();
+  const DisjointBoxLayout walled(
+      ProblemDomain(periodic.domain().box(),
+                    std::array<bool, 3>{false, true, true}),
+      36);
+  grid::BoundarySpec spec;
+  spec.type[0] = {grid::BCType::ReflectiveWall, grid::BCType::ReflectiveWall};
+  const grid::BoundaryFiller walls(walled, spec);
   const Real dt = 0.003;
   const auto cfg = tiledConfig();
-  for (const Scheme scheme : {Scheme::SSPRK3, Scheme::RK4}) {
-    LevelData ref = initialState(dbl);
-    FluxDivRhs rhs(cfg, 2);
-    for (int step = 0; step < 2; ++step) {
-      inPlaceStep(scheme, ref, dt, rhs);
-    }
-    for (const StepFuse fuse : {StepFuse::Eager, StepFuse::Fused}) {
-      LevelData u = initialState(dbl);
-      TimeIntegrator integ(scheme, dbl);
-      integ.setStepFuse(fuse);
+  for (const bool wall : {false, true}) {
+    const DisjointBoxLayout& dbl = wall ? walled : periodic;
+    FluxDivRhs rhs(cfg, 2, 1.0, wall ? &walls : nullptr);
+    for (const Scheme scheme : kSchemes) {
+      LevelData ref = initialState(dbl);
       for (int step = 0; step < 2; ++step) {
-        integ.advance(u, dt, rhs);
+        inPlaceStep(scheme, ref, dt, rhs);
       }
-      EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
-          << schemeName(scheme) << " " << core::stepFuseName(fuse);
+      for (const StepFuse fuse : {StepFuse::Eager, StepFuse::Fused}) {
+        LevelData u = initialState(dbl);
+        TimeIntegrator integ(scheme, dbl);
+        integ.setStepFuse(fuse);
+        for (int step = 0; step < 2; ++step) {
+          integ.advance(u, dt, rhs);
+        }
+        EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
+            << schemeName(scheme) << " " << core::stepFuseName(fuse)
+            << (wall ? " walls" : "");
+      }
     }
   }
 }

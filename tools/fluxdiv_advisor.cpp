@@ -300,10 +300,7 @@ int main(int argc, char** argv) {
     for (const solvers::Scheme s : schemes) {
       const core::StepProgram prog =
           solvers::buildStepProgram(s, /*dt=*/1.0);
-      analysis::StepCheckOptions sopts;
-      sopts.boxSize = n;
-      const analysis::StepCheckReport rep =
-          analysis::checkStepProgram(prog, sopts);
+      const analysis::StepCheckReport rep = analysis::checkStepProgram(prog);
       if (args.getBool("strict") && !rep.ok()) {
         std::cerr << "model error: " << solvers::schemeName(s) << ": "
                   << rep.diagnostics[0].message() << "\n";
