@@ -216,6 +216,28 @@ void shiftFuseBoxGraph(TaskGraph& graph, const VariantConfig& cfg,
                        const Box& shape, int nThreads,
                        const RunnerCall& call);
 
+/// Consumer of the rows a streamed sweep (shiftFuseBoxRows) finishes.
+class RowSink {
+public:
+  /// Where component c of output row (j, k) goes: valid.size(0) values,
+  /// each written exactly once.
+  virtual Real* row(int c, int j, int k) = 0;
+  /// Row (c, j, k) is final; called before the sweep writes another row.
+  virtual void finish(int c, int j, int k, Real* row) = 0;
+
+protected:
+  ~RowSink() = default;
+};
+
+/// The serial shifted-and-fused sweep of `valid` (shiftFuseBoxSerial's
+/// schedule), streamed: each output row starts from +0.0 instead of
+/// accumulating into phi1, goes to sink.row(c, j, k), and is handed to
+/// sink.finish(c, j, k, row) as soon as it is final. Bit-identical to
+/// shiftFuseBoxSerial into a zeroed phi1, the sign of a zero included.
+void shiftFuseBoxRows(const VariantConfig& cfg, const FArrayBox& phi0,
+                      const Box& valid, Workspace& ws, Real scale,
+                      RowSink& sink);
+
 void blockedWFBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
                         FArrayBox& phi1, const Box& valid, Workspace& ws,
                         Real scale);

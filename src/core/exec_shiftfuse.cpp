@@ -7,12 +7,16 @@
 //
 // The serial sweeps are vectorized one x-row at a time through the pencil
 // layer (kernels/pencil.hpp): the y/z carries become whole carry rows
-// rolled forward by fusedFaceDiffPencil, and the x carry chain becomes a
+// rolled forward by fusedRowPencil, and the x carry chain becomes a
 // fresh (nx+1)-face flux row — each x-face flux is still computed exactly
 // once per sweep (the carried value and the fresh value are the same
 // expression on the same cells), so the schedule's recomputation count and
 // per-(cell, component) x,y,z accumulation order — hence the bits — are
-// unchanged. The wavefront schedule keeps the per-cell fused iteration:
+// unchanged. fusedRowPencil accumulates a row's x, y and z differences in
+// registers and stores each output element once, so a sweep finishes its
+// output one row at a time: shiftFuseBoxRows hands each finished row to a
+// consumer (the step graph's stage combines) while the row is in L1.
+// The wavefront schedule keeps the per-cell fused iteration:
 // cells of one diagonal front are not contiguous in any direction, so
 // there is no pencil to form.
 
@@ -55,18 +59,20 @@ namespace pencil = kernels::pencil;
 /// with carry temporaries of size ~C*nx (x-face row), C*nx (y row carry),
 /// and C*nx*ny (z plane carry) — the 2N + 2N^2 scaling of Table I row 2.
 /// Carry rows are component-major (c*nx + ii) so each (row, component)
-/// step is one contiguous pencil.
-void serialCLI(const FArrayBox& phi0, FArrayBox& phi1, const Box& valid,
-               Workspace& ws, Real scale) {
+/// step is one contiguous pencil. Output row (c, j, k) goes to
+/// rowAt(c, j, k) (fusedRowPencil, from +0.0 or, with Accumulate, from
+/// the row's old values), and finish(c, j, k, row) runs before the next.
+template <bool Accumulate, typename RowAt, typename Finish>
+void serialCLI(const FArrayBox& phi0, const Box& valid, Workspace& ws,
+               Real scale, RowAt&& rowAt, Finish&& finish) {
   const Idx ip(phi0);
-  const Idx io(phi1);
   const ConstComps p(phi0);
-  const MutComps out(phi1);
   const int nx = valid.size(0);
   const int ny = valid.size(1);
+  const std::int64_t sy = ip.sy;
+  const std::int64_t sz = ip.sz;
   Real* fface =
       ws.buffer(Slot::CarryX, static_cast<std::size_t>(nx) + 1);
-  Real* hi = ws.buffer(Slot::Extra, static_cast<std::size_t>(nx));
   Real* rowY = ws.buffer(Slot::CarryY,
                          static_cast<std::size_t>(nx) * kNumComp);
   Real* planeZ = ws.buffer(
@@ -77,29 +83,31 @@ void serialCLI(const FArrayBox& phi0, FArrayBox& phi1, const Box& valid,
       const bool freshY = j == valid.lo(1);
       const int jj = j - valid.lo(1);
       const std::int64_t a = ip(valid.lo(0), j, k);
-      const std::int64_t o = io(valid.lo(0), j, k);
       for (int c = 0; c < kNumComp; ++c) {
-        // x: all nx+1 face fluxes of the row, then the shifted difference.
+        // x: all nx+1 face fluxes of the row; y/z: low faces carried from
+        // row j-1 / plane k-1 (computed fresh on the sweep's low boundary),
+        // high faces computed in the row step.
         pencil::faceFluxPencil(p[c] + a, p[1] + a, 1, nx + 1, fface);
-        pencil::accumulatePencil(fface, 1, nx, scale, out[c] + o);
-        // y: high faces fresh; low faces carried from row j-1 (computed
-        // fresh on the sweep's low boundary).
         Real* carryY = rowY + static_cast<std::size_t>(c) * nx;
         if (freshY) {
-          pencil::faceFluxPencil(p[c] + a, p[2] + a, ip.sy, nx, carryY);
+          pencil::faceFluxPencil(p[c] + a, p[2] + a, sy, nx, carryY);
         }
-        pencil::faceFluxPencil(p[c] + a + ip.sy, p[2] + a + ip.sy, ip.sy,
-                               nx, hi);
-        pencil::fusedFaceDiffPencil(hi, carryY, nx, scale, out[c] + o);
-        // z: same with the plane carry of row (j) from plane k-1.
         Real* carryZ =
             planeZ + (static_cast<std::size_t>(c) * ny + jj) * nx;
         if (freshZ) {
-          pencil::faceFluxPencil(p[c] + a, p[3] + a, ip.sz, nx, carryZ);
+          pencil::faceFluxPencil(p[c] + a, p[3] + a, sz, nx, carryZ);
         }
-        pencil::faceFluxPencil(p[c] + a + ip.sz, p[3] + a + ip.sz, ip.sz,
-                               nx, hi);
-        pencil::fusedFaceDiffPencil(hi, carryZ, nx, scale, out[c] + o);
+        const Real* cy = p[c] + a + sy;
+        const Real* vy = p[2] + a + sy;
+        const Real* cz = p[c] + a + sz;
+        const Real* vz = p[3] + a + sz;
+        Real* out = rowAt(c, j, k);
+        pencil::fusedRowPencil<Accumulate>(
+            fface,
+            [=](int i) { return kernels::faceFlux(cy + i, vy + i, sy); },
+            [=](int i) { return kernels::faceFlux(cz + i, vz + i, sz); },
+            carryY, carryZ, nx, scale, out);
+        finish(c, j, k, out);
       }
     }
   }
@@ -108,18 +116,20 @@ void serialCLI(const FArrayBox& phi0, FArrayBox& phi1, const Box& valid,
 /// Serial fused sweep, component loop outside: per component, a fused pass
 /// with row/plane carries; the face-averaged velocities for all three
 /// directions are precomputed (the 3(N+1)^3 velocity temporary of Table I).
-void serialCLO(const FArrayBox& phi0, FArrayBox& phi1, const Box& valid,
-               Workspace& ws, Real scale) {
+/// Rows go out as in serialCLI, component by component.
+template <bool Accumulate, typename RowAt, typename Finish>
+void serialCLO(const FArrayBox& phi0, const Box& valid, Workspace& ws,
+               Real scale, RowAt&& rowAt, Finish&& finish) {
   const Idx ip(phi0);
-  const Idx io(phi1);
   FArrayBox& vel = ws.fab(Slot::Velocity, faceSupersetBox(valid), 3);
   precomputeFaceVelocity(phi0, vel, valid, 1, 0);
   const Idx iv(vel);
   const int nx = valid.size(0);
   const int ny = valid.size(1);
+  const std::int64_t sy = ip.sy;
+  const std::int64_t sz = ip.sz;
   Real* fface =
       ws.buffer(Slot::CarryX, static_cast<std::size_t>(nx) + 1);
-  Real* hi = ws.buffer(Slot::Extra, static_cast<std::size_t>(nx));
   Real* rowY = ws.buffer(Slot::CarryY, static_cast<std::size_t>(nx));
   Real* planeZ =
       ws.buffer(Slot::CarryZ, static_cast<std::size_t>(nx) * ny);
@@ -128,32 +138,52 @@ void serialCLO(const FArrayBox& phi0, FArrayBox& phi1, const Box& valid,
   const Real* velz = vel.dataPtr(2);
   for (int c = 0; c < kNumComp; ++c) {
     const Real* pc = phi0.dataPtr(c);
-    Real* outc = phi1.dataPtr(c);
     for (int k = valid.lo(2); k <= valid.hi(2); ++k) {
       const bool freshZ = k == valid.lo(2);
       for (int j = valid.lo(1); j <= valid.hi(1); ++j) {
         const bool freshY = j == valid.lo(1);
         const int jj = j - valid.lo(1);
         const std::int64_t a = ip(valid.lo(0), j, k);
-        const std::int64_t o = io(valid.lo(0), j, k);
         const std::int64_t av = iv(valid.lo(0), j, k);
         pencil::evalFlux1MulPencil(pc + a, 1, velx + av, nx + 1, fface);
-        pencil::accumulatePencil(fface, 1, nx, scale, outc + o);
         if (freshY) {
-          pencil::evalFlux1MulPencil(pc + a, ip.sy, vely + av, nx, rowY);
+          pencil::evalFlux1MulPencil(pc + a, sy, vely + av, nx, rowY);
         }
-        pencil::evalFlux1MulPencil(pc + a + ip.sy, ip.sy,
-                                   vely + av + iv.sy, nx, hi);
-        pencil::fusedFaceDiffPencil(hi, rowY, nx, scale, outc + o);
         Real* carryZ = planeZ + static_cast<std::size_t>(jj) * nx;
         if (freshZ) {
-          pencil::evalFlux1MulPencil(pc + a, ip.sz, velz + av, nx, carryZ);
+          pencil::evalFlux1MulPencil(pc + a, sz, velz + av, nx, carryZ);
         }
-        pencil::evalFlux1MulPencil(pc + a + ip.sz, ip.sz,
-                                   velz + av + iv.sz, nx, hi);
-        pencil::fusedFaceDiffPencil(hi, carryZ, nx, scale, outc + o);
+        const Real* cy = pc + a + sy;
+        const Real* vy = vely + av + iv.sy;
+        const Real* cz = pc + a + sz;
+        const Real* vz = velz + av + iv.sz;
+        Real* out = rowAt(c, j, k);
+        pencil::fusedRowPencil<Accumulate>(
+            fface,
+            [=](int i) {
+              return kernels::evalFlux2(kernels::evalFlux1(cy + i, sy),
+                                        vy[i]);
+            },
+            [=](int i) {
+              return kernels::evalFlux2(kernels::evalFlux1(cz + i, sz),
+                                        vz[i]);
+            },
+            rowY, carryZ, nx, scale, out);
+        finish(c, j, k, out);
       }
     }
+  }
+}
+
+/// Run the family's serial sweep (CLI or CLO) with the row callbacks.
+template <bool Accumulate, typename RowAt, typename Finish>
+void serialSweep(const VariantConfig& cfg, const FArrayBox& phi0,
+                 const Box& valid, Workspace& ws, Real scale, RowAt&& rowAt,
+                 Finish&& finish) {
+  if (cfg.comp == ComponentLoop::Inside) {
+    serialCLI<Accumulate>(phi0, valid, ws, scale, rowAt, finish);
+  } else {
+    serialCLO<Accumulate>(phi0, valid, ws, scale, rowAt, finish);
   }
 }
 
@@ -220,11 +250,22 @@ void shiftFuseBoxSerial(const VariantConfig& cfg, const FArrayBox& phi0,
                         FArrayBox& phi1, const Box& valid, Workspace& ws,
                         Real scale) {
   FLUXDIV_SHADOW_WRITE(phi1, valid, 0, kNumComp);
-  if (cfg.comp == ComponentLoop::Inside) {
-    serialCLI(phi0, phi1, valid, ws, scale);
-  } else {
-    serialCLO(phi0, phi1, valid, ws, scale);
-  }
+  const Idx io(phi1);
+  serialSweep<true>(
+      cfg, phi0, valid, ws, scale,
+      [&](int c, int j, int k) {
+        return phi1.dataPtr(c) + io(valid.lo(0), j, k);
+      },
+      [](int, int, int, Real*) {});
+}
+
+void shiftFuseBoxRows(const VariantConfig& cfg, const FArrayBox& phi0,
+                      const Box& valid, Workspace& ws, Real scale,
+                      RowSink& sink) {
+  serialSweep<false>(
+      cfg, phi0, valid, ws, scale,
+      [&](int c, int j, int k) { return sink.row(c, j, k); },
+      [&](int c, int j, int k, Real* row) { sink.finish(c, j, k, row); });
 }
 
 WavefrontScratch::WavefrontScratch(const VariantConfig& cfg,

@@ -313,40 +313,144 @@ bool isCombine(StepOpKind kind) {
          kind == StepOpKind::ScaleSlot;
 }
 
-/// One stage combine on `region`: dst = src, dst += scale * src, or
-/// dst *= scale (src unused) — the loops of solvers::copyValid,
-/// addScaled and scaleValid, so every task rounds as the eager path does.
-void combineOn(const StepOp& op, const FArrayBox& src, FArrayBox& dst,
-               const Box& region) {
+/// One stage combine on one x-row of n values: dst = src, dst += scale *
+/// src, or dst *= scale (src unused) — the grid row helpers that
+/// solvers::copyValid, addScaled and scaleValid run, so every task rounds
+/// as the eager path does.
+void combineRow(const StepOp& op, const Real* src, Real* dst, int n) {
   switch (op.kind) {
   case StepOpKind::CopySlot:
-    dst.copy(src, region, 0, 0, dst.nComp());
+    grid::copyRow(src, n, dst);
     break;
   case StepOpKind::AxpySlot:
-    dst.plus(src, op.scale, region);
+    grid::plusRow(src, op.scale, n, dst);
     break;
-  default: { // ScaleSlot
-    for (int c = 0; c < dst.nComp(); ++c) {
-      Real* p = dst.dataPtr(c);
-      forEachCell(region, [&](int i, int j, int k) {
-        p[dst.offset(i, j, k)] *= op.scale;
-      });
-    }
+  default: // ScaleSlot
+    grid::multRow(op.scale, n, dst);
     break;
-  }
   }
 }
 
-/// The calling thread's tile-local RHS output, defined on `region`. One
-/// buffer per thread, reused for every tile: define() keeps the
-/// allocation, so after the largest tile no task allocates. It holds
-/// nothing between tasks.
+/// Component c of `fab` from cell `at` on: the start of one x-row.
+template <typename Fab> auto* rowOf(Fab& fab, int c, const IntVect& at) {
+  return fab.dataPtr(c) + fab.offset(at[0], at[1], at[2]);
+}
+
+/// A combine no RhsEval absorbed, on `region` of box `b`, row by row.
+void combineOn(const StepOp& op, LevelData* const* tab, std::size_t b,
+               const Box& region) {
+  FArrayBox& dst = (*tab[static_cast<std::size_t>(op.dst)])[b];
+  FArrayBox& src = (*tab[static_cast<std::size_t>(op.src)])[b];
+  for (int c = 0; c < dst.nComp(); ++c) {
+    grid::forEachRow(region, [&](int j, int k) {
+      const IntVect at(region.lo(0), j, k);
+      combineRow(op, rowOf(src, c, at), rowOf(dst, c, at), region.size(0));
+    });
+  }
+}
+
+/// What an RHS tile task does with each finished row of its output k
+/// (component c, row (j, k) of the tile) while the row is in L1: add the
+/// dissipation row when `diss` != 0, then run the absorbed epilogue
+/// combines on that row in program order. The combines are pointwise and
+/// write neither the RHS's source nor k, so row by row is the same
+/// per-element operation sequence as tile pass after tile pass.
+struct RowEpilogue {
+  LevelData* const* tab;
+  std::size_t b;
+  const FArrayBox* src; ///< the RHS's source (the Laplacian reads it)
+  int kSlot;            ///< the RHS's output slot
+  Real diss;
+  const std::vector<StepOp>* ops;
+  int lo0;
+  int nx;
+
+  void operator()(int c, int j, int k, Real* krow) const {
+    const IntVect at(lo0, j, k);
+    if (diss != 0.0) {
+      kernels::addLaplacianRow(rowOf(*src, c, at), src->strideY(),
+                               src->strideZ(), nx, diss, krow);
+    }
+    for (const StepOp& e : *ops) {
+      const Real* srow =
+          e.src == kSlot
+              ? krow
+              : rowOf((*tab[static_cast<std::size_t>(e.src)])[b], c, at);
+      combineRow(e, srow, rowOf((*tab[static_cast<std::size_t>(e.dst)])[b],
+                                c, at),
+                 nx);
+    }
+  }
+};
+
+/// The streamed RHS output: each row of k goes to `level`'s row (k on a
+/// level) or to the one-row buffer `buf` (tile-local k), and the row
+/// epilogue consumes it before the sweep writes the next.
+class StreamedRhs final : public detail::RowSink {
+public:
+  StreamedRhs(FArrayBox* level, Real* buf, const RowEpilogue& epilogue)
+      : level_(level), buf_(buf), epilogue_(epilogue) {}
+
+  Real* row(int c, int j, int k) override {
+    return level_ != nullptr
+               ? rowOf(*level_, c, IntVect(epilogue_.lo0, j, k))
+               : buf_;
+  }
+  void finish(int c, int j, int k, Real* row) override {
+    epilogue_(c, j, k, row);
+  }
+
+private:
+  FArrayBox* level_;
+  Real* buf_;
+  const RowEpilogue& epilogue_;
+};
+
+/// The calling thread's tile-local RHS output for the families whose
+/// sweeps do not finish rows in order, defined on `region`. One buffer
+/// per thread, reused for every tile: define() keeps the allocation, so
+/// after the largest tile no task allocates. It holds nothing between
+/// tasks.
 FArrayBox& tileBuffer(const Box& region, int nc) {
   thread_local FArrayBox buf;
   if (!(buf.box() == region) || buf.nComp() != nc) {
     buf.define(region, nc, grid::Pitch::Padded, grid::Init::Deferred);
   }
   return buf;
+}
+
+/// One RHS evaluation of `epilogue.src` on `region`, with its row
+/// epilogue. A ShiftFuse sweep streams k row by row (shiftFuseBoxRows): no
+/// zero pass,
+/// and a tile-local k is one row of the worker's workspace. The other
+/// families accumulate the whole region into a zeroed k (the tile buffer,
+/// or k's level), whose rows the epilogue then walks.
+void runRhsTile(const VariantConfig& cfg, Workspace& ws, FArrayBox* level,
+                const Box& region, int nc, Real scale,
+                const RowEpilogue& epilogue) {
+  const FArrayBox& sf = *epilogue.src;
+  if (cfg.family == ScheduleFamily::ShiftFuse) {
+    Real* buf = level == nullptr
+                    ? ws.buffer(Slot::Extra,
+                                static_cast<std::size_t>(region.size(0)))
+                    : nullptr;
+    StreamedRhs sink(level, buf, epilogue);
+    detail::shiftFuseBoxRows(cfg, sf, region, ws, scale, sink);
+  } else {
+    FArrayBox& df = level != nullptr ? *level : tileBuffer(region, nc);
+    for (int c = 0; c < nc; ++c) {
+      df.setVal(0.0, region, c);
+    }
+    detail::runBoxSerialDispatch(cfg, sf, df, region, ws, scale);
+    for (int c = 0; c < nc; ++c) {
+      grid::forEachRow(region, [&](int j, int k) {
+        epilogue(c, j, k, rowOf(df, c, IntVect(region.lo(0), j, k)));
+      });
+    }
+  }
+  if (level != nullptr) {
+    FLUXDIV_SHADOW_WRITE(*level, region, 0, nc);
+  }
 }
 
 bool reads(const StepOp& op, int slot) {
@@ -367,11 +471,11 @@ bool reads(const StepOp& op, int slot) {
 /// read it through their halos) nor its output. Under the parallel policy
 /// the RHS output is tile-local when nothing after the epilogue reads it
 /// before an RhsEval or CopySlot overwrites it whole (or the program
-/// ends): the task then writes it to its thread's tile buffer, and the
-/// epilogue reads it from there.
+/// ends): it then has no level, and the epilogue reads it from a row of
+/// the worker's workspace or the thread's tile buffer (runRhsTile).
 struct FusionPlan {
   std::vector<std::size_t> epilogue; ///< per RhsEval op: combines absorbed
-  std::vector<bool> tileLocal;       ///< per RhsEval op: output in the buffer
+  std::vector<bool> tileLocal;       ///< per RhsEval op: output off-level
   std::vector<bool> level;           ///< per slot: some task touches a level
 };
 
@@ -621,9 +725,8 @@ void lowerBoundaryFill(Lowering& low, LowerEnv& env, const StepOp& op) {
 
 /// One RhsEval op and the `epilogue` combines that follow it in the
 /// program (FusionPlan): per box, one task per region (rhsRegions) that
-/// evaluates the RHS on its region and then runs the epilogue on the same
-/// region in program order. With `tileLocal` the RHS output goes to the
-/// thread's tile buffer instead of its slot's level.
+/// evaluates the RHS on its region and runs the epilogue on each finished
+/// row of it (runRhsTile). With `tileLocal` the RHS output has no level.
 void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op,
                   std::vector<StepOp> epilogue, bool tileLocal) {
   const LevelData& u = *env.tab[0]; // every slot shares u's layout
@@ -681,28 +784,17 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op,
       const int t = low.addTask(
           [cfg, ws, tab, srcSlot, dstSlot, b, region, nc, scale, diss,
            epilogue, tileLocal](int worker) {
-            const FArrayBox& sf = (*tab[srcSlot])[b];
-            FArrayBox& df =
-                tileLocal ? tileBuffer(region, nc) : (*tab[dstSlot])[b];
-            for (int c = 0; c < nc; ++c) {
-              df.setVal(0.0, region, c);
-            }
-            detail::runBoxSerialDispatch(*cfg, sf, df, region,
-                                         (*ws)[worker], scale);
-            if (diss != 0.0) {
-              kernels::addLaplacian(sf, df, region, diss);
-            }
-            if (!tileLocal) {
-              FLUXDIV_SHADOW_WRITE(df, region, 0, nc);
-            }
-            for (const StepOp& e : epilogue) {
-              FArrayBox& ed = (*tab[static_cast<std::size_t>(e.dst)])[b];
-              const FArrayBox& es =
-                  tileLocal && e.src == static_cast<int>(dstSlot)
-                      ? df
-                      : (*tab[static_cast<std::size_t>(e.src)])[b];
-              combineOn(e, es, ed, region);
-            }
+            const RowEpilogue rows{.tab = tab,
+                                   .b = b,
+                                   .src = &(*tab[srcSlot])[b],
+                                   .kSlot = static_cast<int>(dstSlot),
+                                   .diss = diss,
+                                   .ops = &epilogue,
+                                   .lo0 = region.lo(0),
+                                   .nx = region.size(0)};
+            runRhsTile(*cfg, (*ws)[worker],
+                       tileLocal ? nullptr : &(*tab[dstSlot])[b], region, nc,
+                       scale, rows);
           },
           env.ownerOf(b),
           label + " box" + std::to_string(b) + " " + nr.tag +
@@ -754,10 +846,7 @@ void lowerCombine(Lowering& low, LowerEnv& env, const StepOp& op) {
     for (const NamedRegion& nr : combineRegions(env, dst.validBox(b))) {
       const Box region = nr.region;
       const int t = low.addTask(
-          [tab, op, b, region](int) {
-            combineOn(op, (*tab[static_cast<std::size_t>(op.src)])[b],
-                      (*tab[static_cast<std::size_t>(op.dst)])[b], region);
-          },
+          [tab, op, b, region](int) { combineOn(op, tab, b, region); },
           env.ownerOf(b),
           label + " box" + std::to_string(b) + nr.tag + env.stepTag(op));
       if (op.kind != StepOpKind::ScaleSlot) {

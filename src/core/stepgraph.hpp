@@ -20,21 +20,27 @@
 // full-x x 16 x 16), so one large box keeps every worker busy and a
 // tile's stage-2 compute starts right after its stage-1 producers.
 //
-// Each RHS task also runs, on its own tile and in program order, the
-// copy/axpy/scale stage combines that follow the RHS in the program, as
-// long as they write neither the RHS's source (neighbouring tiles read
-// it through their halos) nor its output. When nothing else reads the
-// RHS output before it is overwritten (RK4's and SSPRK3's k), the task
-// writes it to a per-thread tile buffer instead of a level: the capture
-// allocates no level for it, and k costs no memory pass and no epoch
+// Each RHS task also runs the copy/axpy/scale stage combines that follow
+// the RHS in the program, as long as they write neither the RHS's source
+// (neighbouring tiles read it through their halos) nor its output. It
+// runs them, with the dissipation term, on each finished row of the RHS
+// output while the row is in L1: a ShiftFuse sweep streams its output
+// row by row (detail::shiftFuseBoxRows), each element summed in a
+// register from +0.0 and stored once, so the task has no zero pass; the
+// other families sum the tile into a zeroed buffer whose rows the same
+// row epilogue then walks. When nothing else reads the RHS output before
+// it is overwritten (RK4's and SSPRK3's k), it gets no level: under
+// ShiftFuse it is one row of the worker's workspace, otherwise a
+// per-thread tile buffer, so k costs no memory pass and no epoch
 // barrier. Under the sequential policy k stays a level (a whole-box task
 // would need a whole-box buffer per thread). A combine that no RHS
 // absorbs, such as Euler's u += dt k, is one task per tile.
 //
-// The graph is bit-identical to the eager reference: RHS tasks reuse the
-// per-region serial dispatch (every family accumulates each cell's x, y,
-// z flux differences in the same per-cell order), the combines run the
-// eager path's loops, and RHS and combine tasks partition the valid
+// The graph is bit-identical to the eager reference, down to the sign of
+// a zero: every family accumulates each cell's x, y, z flux differences
+// in the same per-cell order from +0.0, the dissipation and combines run
+// the eager path's row helpers (kernels::addLaplacianRow, grid::copyRow/
+// plusRow/multRow), and RHS and combine tasks partition the valid
 // region.
 //
 // The captured graph is mirrored into an analysis::TaskGraphModel with
@@ -128,7 +134,7 @@ struct StepGraphStats {
 /// (stats().rebinds counts these). Stage storage is owned by the executor
 /// and reused across runs; a stage slot gets ghost cells only where the
 /// program needs them (slotGhosts), and a tile-local RHS output gets no
-/// level at all.
+/// level at all (only a workspace row or a per-thread tile buffer).
 class StepGraphExecutor {
 public:
   StepGraphExecutor(VariantConfig cfg, int nThreads,

@@ -117,4 +117,14 @@ template <typename F> void forEachCell(const Box& b, F&& f) {
   }
 }
 
+/// Invoke f(j, k) for every x-row of the box, z-outer: the row-wise form
+/// of forEachCell for loops that hand a whole row to a row kernel.
+template <typename F> void forEachRow(const Box& b, F&& f) {
+  for (int k = b.lo(2); k <= b.hi(2); ++k) {
+    for (int j = b.lo(1); j <= b.hi(1); ++j) {
+      f(j, k);
+    }
+  }
+}
+
 } // namespace fluxdiv::grid

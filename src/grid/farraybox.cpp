@@ -60,7 +60,7 @@ void FArrayBox::copyShifted(const FArrayBox& src, const Box& region,
         const Real* srow =
             s + src.offset(r.lo(0) + srcShift[0], j + srcShift[1],
                            k + srcShift[2]);
-        std::copy(srow, srow + nx, drow);
+        copyRow(srow, nx, drow);
       }
     }
   }
@@ -69,11 +69,30 @@ void FArrayBox::copyShifted(const FArrayBox& src, const Box& region,
 void FArrayBox::plus(const FArrayBox& src, Real scale, const Box& region) {
   const Box r = region & box_ & src.box_;
   assert(src.ncomp_ == ncomp_);
+  if (r.empty()) {
+    return;
+  }
+  const int nx = r.size(0);
   for (int c = 0; c < ncomp_; ++c) {
     Real* d = dataPtr(c);
     const Real* s = src.dataPtr(c);
-    forEachCell(r, [&](int i, int j, int k) {
-      d[offset(i, j, k)] += scale * s[src.offset(i, j, k)];
+    forEachRow(r, [&](int j, int k) {
+      plusRow(s + src.offset(r.lo(0), j, k), scale, nx,
+              d + offset(r.lo(0), j, k));
+    });
+  }
+}
+
+void FArrayBox::mult(Real scale, const Box& region) {
+  const Box r = region & box_;
+  if (r.empty()) {
+    return;
+  }
+  const int nx = r.size(0);
+  for (int c = 0; c < ncomp_; ++c) {
+    Real* d = dataPtr(c);
+    forEachRow(r, [&](int j, int k) {
+      multRow(scale, nx, d + offset(r.lo(0), j, k));
     });
   }
 }
@@ -94,10 +113,18 @@ Real FArrayBox::maxAbsDiff(const FArrayBox& a, const FArrayBox& b,
   for (int c = 0; c < a.ncomp_; ++c) {
     const Real* pa = a.dataPtr(c);
     const Real* pb = b.dataPtr(c);
-    forEachCell(r, [&](int i, int j, int k) {
-      worst = std::max(worst, std::abs(pa[a.offset(i, j, k)] -
-                                       pb[b.offset(i, j, k)]));
-    });
+    for (int k = r.lo(2); k <= r.hi(2); ++k) {
+      for (int j = r.lo(1); j <= r.hi(1); ++j) {
+        for (int i = r.lo(0); i <= r.hi(0); ++i) {
+          const Real d =
+              std::abs(pa[a.offset(i, j, k)] - pb[b.offset(i, j, k)]);
+          if (std::isnan(d)) {
+            return d; // std::max(worst, NaN) would keep worst
+          }
+          worst = std::max(worst, d);
+        }
+      }
+    }
   }
   return worst;
 }

@@ -7,6 +7,7 @@
 // unit-stride columns with pointer arithmetic; Stencil/dataPtr support
 // exactly that idiom.
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
@@ -34,6 +35,28 @@ enum class Pitch : std::uint8_t {
 /// the pages: per-worker scratch (core/workspace) is first written by the
 /// worker that uses it.
 enum class Init : std::uint8_t { Zero, Deferred };
+
+/// The per-element arithmetic of the stage combines, one x-row of `n`
+/// values at a time. FArrayBox::copy/plus/mult, the eager level combines
+/// (solvers::copyValid/addScaled/scaleValid) and the step graph's combines
+/// all call these, so every path rounds each element alike.
+inline void copyRow(const Real* src, int n, Real* dst) {
+  std::copy(src, src + n, dst);
+}
+
+/// dst[i] += scale * src[i].
+inline void plusRow(const Real* src, Real scale, int n, Real* dst) {
+  for (int i = 0; i < n; ++i) {
+    dst[i] += scale * src[i];
+  }
+}
+
+/// dst[i] *= scale.
+inline void multRow(Real scale, int n, Real* dst) {
+  for (int i = 0; i < n; ++i) {
+    dst[i] *= scale;
+  }
+}
 
 /// Multi-component double-precision array over a Box (including any ghost
 /// region baked into the box).
@@ -138,14 +161,20 @@ public:
                    const IntVect& srcShift, int srcComp, int destComp,
                    int ncomp);
 
-  /// this += scale * src over `region`, all components. Used by the
-  /// time-integration example.
+  /// this += scale * src over `region`, all components (plusRow).
   void plus(const FArrayBox& src, Real scale, const Box& region);
+
+  /// this *= scale over `region`, all components (multRow).
+  void mult(Real scale, const Box& region);
 
   /// Sum of component c over `region` (conservation checks).
   [[nodiscard]] Real sum(const Box& region, int c) const;
 
-  /// Max |a-b| over `region` and components [0, ncomp) of both.
+  /// Max |a-b| over `region` and components [0, ncomp) of both. A NaN
+  /// difference (a NaN on either side, or inf - inf) makes the result
+  /// NaN, so a NaN never compares equal to 0. It does not see the sign
+  /// of zero: -0.0 against +0.0 differs by 0; compare bit patterns
+  /// (memcmp) where that matters.
   static Real maxAbsDiff(const FArrayBox& a, const FArrayBox& b,
                          const Box& region);
 

@@ -1,6 +1,7 @@
 #include "grid/leveldata.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace fluxdiv::grid {
@@ -124,10 +125,12 @@ Real LevelData::maxAbsDiffValid(const LevelData& a, const LevelData& b) {
               b.layout_.wrappedIndex(IntVect(bx, by, bz), unusedShift);
           const Box region =
               abox & b.validBox(static_cast<std::size_t>(bi));
-          worst = std::max(worst,
-                           FArrayBox::maxAbsDiff(
-                               a[ai], b[static_cast<std::size_t>(bi)],
-                               region));
+          const Real d = FArrayBox::maxAbsDiff(
+              a[ai], b[static_cast<std::size_t>(bi)], region);
+          if (std::isnan(d)) {
+            return d;
+          }
+          worst = std::max(worst, d);
         }
       }
     }

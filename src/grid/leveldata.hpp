@@ -70,7 +70,9 @@ public:
   void copyTo(LevelData& dest) const;
 
   /// Max |a-b| over the valid regions of two levels on any layouts covering
-  /// the same domain (used to check cross-box-size equivalence).
+  /// the same domain (used to check cross-box-size equivalence). NaN when
+  /// any compared difference is NaN; blind to the sign of zero, like
+  /// FArrayBox::maxAbsDiff.
   static Real maxAbsDiffValid(const LevelData& a, const LevelData& b);
 
 private:

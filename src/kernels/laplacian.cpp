@@ -23,13 +23,8 @@ void addLaplacian(const FArrayBox& phi, FArrayBox& out, const Box& valid,
     Real* o = out.dataPtr(c);
     for (int k = valid.lo(2); k <= valid.hi(2); ++k) {
       for (int j = valid.lo(1); j <= valid.hi(1); ++j) {
-        const Real* prow = p + phi.offset(valid.lo(0), j, k);
-        Real* orow = o + out.offset(valid.lo(0), j, k);
-        for (int i = 0; i < nx; ++i) {
-          orow[i] += scale * (prow[i - 1] + prow[i + 1] + prow[i - sy] +
-                              prow[i + sy] + prow[i - sz] + prow[i + sz] -
-                              6.0 * prow[i]);
-        }
+        addLaplacianRow(p + phi.offset(valid.lo(0), j, k), sy, sz, nx,
+                        scale, o + out.offset(valid.lo(0), j, k));
       }
     }
   }

@@ -128,6 +128,39 @@ inline void fusedFaceDiffPencil(const Real* FLUXDIV_RESTRICT hiFlux,
   }
 }
 
+/// The fused serial sweep's whole row step, one output row of one
+/// component: the x difference of the row's n+1 face fluxes `fx`, then
+/// for y and z the difference between the high-face flux hiY(i)/hiZ(i),
+/// computed here, and the carried low-face flux, whose carry rolls
+/// forward. Each element accumulates in a register and is stored once:
+///   v = Accumulate ? out[i] : +0.0;
+///   v += scale * (fx[i + 1] - fx[i]);
+///   v += scale * (hiY(i) - carryY[i]);  carryY[i] = hiY(i);
+///   v += scale * (hiZ(i) - carryZ[i]);  carryZ[i] = hiZ(i);
+///   out[i] = v;
+/// These are the per-element operations of accumulatePencil and two
+/// fusedFaceDiffPencil passes over the row (a zeroed row when not
+/// Accumulate), in that order, so the bits are the same, down to the
+/// sign of a zero: +0.0 + -0.0 is +0.0 in memory and in a register.
+template <bool Accumulate, typename HiY, typename HiZ>
+inline void fusedRowPencil(const Real* FLUXDIV_RESTRICT fx, HiY&& hiY,
+                           HiZ&& hiZ, Real* FLUXDIV_RESTRICT carryY,
+                           Real* FLUXDIV_RESTRICT carryZ, int n, Real scale,
+                           Real* FLUXDIV_RESTRICT out) {
+  FLUXDIV_PRAGMA_SIMD
+  for (int i = 0; i < n; ++i) {
+    Real v = Accumulate ? out[i] : 0.0;
+    v += scale * (fx[i + 1] - fx[i]);
+    const Real hy = hiY(i);
+    v += scale * (hy - carryY[i]);
+    carryY[i] = hy;
+    const Real hz = hiZ(i);
+    v += scale * (hz - carryZ[i]);
+    carryZ[i] = hz;
+    out[i] = v;
+  }
+}
+
 /// Plain pencil copy (velocity extraction in the CLI baseline).
 inline void copyPencil(const Real* FLUXDIV_RESTRICT src, int n,
                        Real* FLUXDIV_RESTRICT dst) {

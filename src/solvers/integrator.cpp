@@ -7,7 +7,6 @@
 namespace fluxdiv::solvers {
 
 using grid::DisjointBoxLayout;
-using grid::FArrayBox;
 using grid::LevelData;
 using grid::Real;
 
@@ -28,14 +27,7 @@ void addScaled(LevelData& dst, const LevelData& src, Real scale) {
 void scaleValid(LevelData& dst, Real scale) {
 #pragma omp parallel for schedule(static)
   for (std::size_t b = 0; b < dst.size(); ++b) {
-    FArrayBox& fab = dst[b];
-    const grid::Box valid = dst.validBox(b);
-    for (int c = 0; c < dst.nComp(); ++c) {
-      Real* p = fab.dataPtr(c);
-      forEachCell(valid, [&](int i, int j, int k) {
-        p[fab.offset(i, j, k)] *= scale;
-      });
-    }
+    dst[b].mult(scale, dst.validBox(b));
   }
 }
 

@@ -1,6 +1,8 @@
 #include "grid/farraybox.hpp"
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -161,6 +163,33 @@ TEST(FArrayBox, MaxAbsDiff) {
   EXPECT_EQ(FArrayBox::maxAbsDiff(a, b, a.box()), 3.0);
   // Diff restricted to a region that excludes the perturbation.
   EXPECT_EQ(FArrayBox::maxAbsDiff(a, b, Box::cube(2)), 0.0);
+}
+
+TEST(FArrayBox, MaxAbsDiffPropagatesNaN) {
+  // A NaN difference must not read as "equal" (std::max(worst, NaN)
+  // keeps worst, which would make a NaN-vs-0 cell read 0).
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const Real inf = std::numeric_limits<Real>::infinity();
+  FArrayBox a(Box::cube(4), 2);
+  FArrayBox b(Box::cube(4), 2);
+  a(IntVect(1, 2, 3), 1) = nan;
+  EXPECT_TRUE(std::isnan(FArrayBox::maxAbsDiff(a, b, a.box())));
+  EXPECT_TRUE(std::isnan(FArrayBox::maxAbsDiff(b, a, a.box())));
+  // ... also after a larger finite difference was seen first.
+  b(IntVect(0, 0, 0), 0) = 5.0;
+  EXPECT_TRUE(std::isnan(FArrayBox::maxAbsDiff(a, b, a.box())));
+  // inf - inf is NaN as well.
+  a(IntVect(1, 2, 3), 1) = inf;
+  b(IntVect(1, 2, 3), 1) = inf;
+  EXPECT_TRUE(std::isnan(FArrayBox::maxAbsDiff(a, b, a.box())));
+  // Outside the compared region the NaN does not count.
+  a(IntVect(1, 2, 3), 1) = nan;
+  EXPECT_EQ(FArrayBox::maxAbsDiff(a, b, Box::cube(1)), 5.0);
+  // The sign of zero is invisible to it: -0.0 vs +0.0 differs by 0.
+  FArrayBox z(Box::cube(2), 1);
+  FArrayBox nz(Box::cube(2), 1);
+  nz.setVal(-0.0);
+  EXPECT_EQ(FArrayBox::maxAbsDiff(z, nz, z.box()), 0.0);
 }
 
 TEST(FArrayBox, RedefineReshapes) {

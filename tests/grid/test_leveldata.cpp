@@ -1,5 +1,8 @@
 #include "grid/leveldata.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace fluxdiv::grid {
@@ -107,6 +110,10 @@ TEST(LevelData, MaxAbsDiffValidAcrossLayouts) {
   EXPECT_EQ(LevelData::maxAbsDiffValid(a, b), 0.0);
   b[0](IntVect(0, 0, 0), 0) += 2.5;
   EXPECT_EQ(LevelData::maxAbsDiffValid(a, b), 2.5);
+  // A NaN in a later box than the larger difference still makes it NaN.
+  b[b.size() - 1](b.validBox(b.size() - 1).hi(), 0) =
+      std::numeric_limits<Real>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(LevelData::maxAbsDiffValid(a, b)));
 }
 
 TEST(LevelData, ExchangeOnAnisotropicBoxes) {

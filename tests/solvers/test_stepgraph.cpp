@@ -2,7 +2,8 @@
 // modes): bit-identity of the fused graph against the eager reference
 // across schemes, schedule families, policies, pitches, and thread counts
 // (including steps that start from stale ghosts and boxes cut into
-// logical tiles); the task structure of the logical tiles; graphcheck
+// logical tiles, and down to the sign of zero); the task structure of the
+// logical tiles; graphcheck
 // verification of every lowered model; seeded cross-stage edge-drop and
 // ghost-layer-shave mutations; and adversarial serial replay of the fused
 // graphs.
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <map>
 #include <set>
@@ -282,6 +284,84 @@ TEST(StepGraph, BitIdenticalWithDissipation) {
     integ.advance(u, dt, rhs);
     EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
         << "with dissipation, " << dbl.size() << " boxes";
+  }
+}
+
+/// Empty when every valid value of `got` has the bit pattern of `want`'s
+/// (memcmp, so -0.0 and +0.0 differ), else the first differing cell.
+std::string bitwiseMismatch(const LevelData& want, const LevelData& got) {
+  for (std::size_t b = 0; b < want.size(); ++b) {
+    const Box valid = want.validBox(b);
+    const auto n = static_cast<std::size_t>(valid.size(0));
+    for (int c = 0; c < want.nComp(); ++c) {
+      for (int k = valid.lo(2); k <= valid.hi(2); ++k) {
+        for (int j = valid.lo(1); j <= valid.hi(1); ++j) {
+          const Real* w =
+              want[b].dataPtr(c) + want[b].offset(valid.lo(0), j, k);
+          const Real* g =
+              got[b].dataPtr(c) + got[b].offset(valid.lo(0), j, k);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (std::memcmp(w + i, g + i, sizeof(Real)) != 0) {
+              return "box " + std::to_string(b) + " comp " +
+                     std::to_string(c) + " cell (" +
+                     std::to_string(valid.lo(0) + static_cast<int>(i)) +
+                     "," + std::to_string(j) + "," + std::to_string(k) +
+                     "): want " + std::to_string(w[i]) + ", got " +
+                     std::to_string(g[i]);
+            }
+          }
+        }
+      }
+    }
+  }
+  return {};
+}
+
+TEST(StepGraph, SignedZerosMatchEager) {
+  // From u = -0.0 everywhere (ghosts included) every flux and flux
+  // difference is a zero of either sign. Eager sums each cell's
+  // differences into a zeroed k, and +0.0 + -0.0 is +0.0, so k holds
+  // +0.0; a row that started from its first flux term instead of +0.0
+  // could keep a -0.0, and u + dt k would then stay -0.0 where eager
+  // gives +0.0. maxAbsDiff cannot see that, so compare bit patterns.
+  const auto dbl = smallLayout();
+  const Real dt = 0.004;
+  const core::VariantConfig cfgs[] = {
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox,
+                          core::ComponentLoop::Outside),
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox,
+                          core::ComponentLoop::Inside),
+      tiledConfig(), // a buffered family: k is accumulated in a tile
+  };
+  const auto negativeZero = [&] {
+    LevelData u(dbl, kNumComp, kNumGhost);
+    for (std::size_t b = 0; b < u.size(); ++b) {
+      u[b].setVal(-0.0);
+    }
+    return u;
+  };
+  for (const core::VariantConfig& cfg : cfgs) {
+    for (const Scheme scheme : kSchemes) {
+      for (const Real diss : {0.0, 0.05}) {
+        LevelData ref = negativeZero();
+        {
+          FluxDivRhs rhs(cfg, 2, 1.0, nullptr, diss);
+          TimeIntegrator integ(scheme, dbl);
+          integ.setStepFuse(StepFuse::Eager);
+          integ.advance(ref, dt, rhs);
+        }
+        for (const LevelPolicy policy : core::kLevelPolicies) {
+          LevelData u = negativeZero();
+          FluxDivRhs rhs(cfg, 2, 1.0, nullptr, diss);
+          TimeIntegrator integ(scheme, dbl);
+          integ.setLevelPolicy(policy);
+          integ.advance(u, dt, rhs);
+          EXPECT_EQ(bitwiseMismatch(ref, u), "")
+              << cfg.name() << " / " << caseName(scheme, policy, 2)
+              << " / dissipation " << diss;
+        }
+      }
+    }
   }
 }
 
