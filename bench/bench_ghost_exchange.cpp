@@ -3,8 +3,6 @@
 // with actual copied bytes and wall time per exchange — the overhead that
 // shrinks as boxes grow, which is why the paper pushes toward 128^3.
 
-#include <omp.h>
-
 #include <iostream>
 
 #include "common.hpp"
@@ -30,7 +28,6 @@ int main(int argc, char** argv) {
   bench::printHeader("Ghost-exchange cost vs box size", args);
   const int nWork = bench::workUnits(args);
   const int reps = static_cast<int>(args.getInt("reps"));
-  const int threads = bench::threadSweep(args).back();
 
   harness::Table table({"box size", "boxes", "ghost cells/valid",
                         "bytes/exchange", "seconds/exchange"});
@@ -42,9 +39,9 @@ int main(int argc, char** argv) {
     bench::Problem problem(n, nWork);
     grid::LevelData& phi = problem.phi0;
     // Time the exchange (the runner never re-exchanges, so this is the
-    // isolated ghost cost).
+    // isolated ghost cost). LevelData::exchange() copies serially; the
+    // step graphs run the same copies as tasks.
     double best = 0.0;
-    omp_set_num_threads(threads);
     for (int r = 0; r < reps + 1; ++r) {
       harness::Timer t;
       phi.exchange();

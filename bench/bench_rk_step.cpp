@@ -20,8 +20,6 @@
 // BENCH_rkstep.json in the repo root holds this bench's committed rows,
 // the measurements docs/perf.md "Step fusion" cites.
 
-#include <omp.h>
-
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -99,9 +97,9 @@ struct StepTiming {
 /// Min wall seconds per time step over `reps` measurements of `steps`
 /// time steps advanced in `window`-step chunks: window 1 times the
 /// per-step graphs; window > 1 captures `window` consecutive steps as
-/// ONE task graph under fused (cross-timestep fusion; eager always
-/// advances step by step). One warm-up chunk
-/// captures the graph outside the timed region.
+/// ONE task graph under fused (cross-timestep fusion). Eager rows call
+/// the reference TimeIntegrator::advanceEager() once per step. One
+/// warm-up chunk captures the graph outside the timed region.
 StepTiming timeStep(solvers::Scheme scheme, core::StepFuse fuse,
                     core::LevelPolicy policy, const core::VariantConfig& cfg,
                     const grid::DisjointBoxLayout& dbl, int threads,
@@ -110,17 +108,24 @@ StepTiming timeStep(solvers::Scheme scheme, core::StepFuse fuse,
   kernels::initializeExemplar(u);
   solvers::FluxDivRhs rhs(cfg, threads);
   solvers::TimeIntegrator integ(scheme, dbl);
-  integ.setStepFuse(fuse);
   integ.setLevelPolicy(policy);
   const grid::Real dt = 1e-4;
   const int chunks = std::max(1, steps / window);
-  omp_set_num_threads(threads);
-  integ.advanceSteps(u, dt, rhs, window); // warm-up: capture + first touch
+  const auto advanceChunk = [&] {
+    if (fuse == core::StepFuse::Fused) {
+      integ.advanceSteps(u, dt, rhs, window);
+      return;
+    }
+    for (int s = 0; s < window; ++s) {
+      integ.advanceEager(u, dt, rhs);
+    }
+  };
+  advanceChunk(); // warm-up: capture + first touch
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     harness::Timer t;
     for (int c = 0; c < chunks; ++c) {
-      integ.advanceSteps(u, dt, rhs, window);
+      advanceChunk();
     }
     const double secs = t.seconds() / (chunks * window);
     if (r == 0 || secs < best) {

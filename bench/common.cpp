@@ -125,7 +125,7 @@ std::vector<int> threadSweep(const harness::Args& args) {
   }
   if (sweep.empty()) {
     const auto info = harness::queryMachine();
-    for (std::int64_t t : harness::defaultThreadSweep(info.ompMaxThreads)) {
+    for (std::int64_t t : harness::defaultThreadSweep(info.logicalCores)) {
       sweep.push_back(static_cast<int>(t));
     }
   }

@@ -57,7 +57,7 @@ struct Problem {
 };
 
 /// Minimum wall time (seconds) over `reps` runs of one flux-div evaluation
-/// of `problem` under `cfg` with `threads` OpenMP threads.
+/// of `problem` under `cfg` on a runner of `threads` workers.
 double timeVariant(const core::VariantConfig& cfg, Problem& problem,
                    int threads, int reps);
 

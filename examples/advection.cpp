@@ -7,8 +7,6 @@
 //
 //   ./examples/advection [--steps S] [--boxsize N] [--variant ot|baseline]
 
-#include <omp.h>
-
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -17,6 +15,7 @@
 
 #include "core/runner.hpp"
 #include "harness/args.hpp"
+#include "harness/machine.hpp"
 #include "harness/timer.hpp"
 #include "kernels/exemplar.hpp"
 #include "kernels/init.hpp"
@@ -46,7 +45,8 @@ int main(int argc, char** argv) {
   args.addDouble("cfl", 0.2, "CFL-like dt/dx factor");
   args.addString("variant", "ot",
                  "schedule: 'baseline', 'shiftfuse', or 'ot'");
-  args.addInt("threads", omp_get_max_threads(), "OpenMP threads");
+  args.addInt("threads", harness::queryMachine().logicalCores,
+              "worker threads");
   try {
     if (!args.parse(argc, argv)) {
       return 0;

@@ -6,11 +6,10 @@
 //
 //   ./examples/autotuned_solver [--boxsize N] [--steps S] [--threads T]
 
-#include <omp.h>
-
 #include <iostream>
 
 #include "harness/args.hpp"
+#include "harness/machine.hpp"
 #include "harness/table.hpp"
 #include "harness/timer.hpp"
 #include "kernels/exemplar.hpp"
@@ -43,7 +42,8 @@ int main(int argc, char** argv) {
   args.addInt("nboxes", 2, "boxes per direction");
   args.addInt("steps", 5, "RK4 time steps");
   args.addDouble("dt", 0.05, "time step");
-  args.addInt("threads", omp_get_max_threads(), "OpenMP threads");
+  args.addInt("threads", harness::queryMachine().logicalCores,
+              "worker threads");
   try {
     if (!args.parse(argc, argv)) {
       return 0;

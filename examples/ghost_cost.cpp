@@ -7,8 +7,6 @@
 //
 //   ./examples/ghost_cost [--domain 128] [--threads T]
 
-#include <omp.h>
-
 #include <iostream>
 
 #include "core/runner.hpp"
@@ -24,7 +22,8 @@ using namespace fluxdiv;
 int main(int argc, char** argv) {
   harness::Args args;
   args.addInt("domain", 128, "domain side length (power of two >= 32)");
-  args.addInt("threads", omp_get_max_threads(), "OpenMP threads");
+  args.addInt("threads", harness::queryMachine().logicalCores,
+              "worker threads");
   try {
     if (!args.parse(argc, argv)) {
       return 0;
@@ -53,7 +52,6 @@ int main(int argc, char** argv) {
     grid::LevelData phi1(layout, kernels::kNumComp, kernels::kNumGhost);
     kernels::initializeExemplar(phi0);
 
-    omp_set_num_threads(threads);
     harness::Timer tx;
     phi0.exchange();
     const double exchangeSecs = tx.seconds();

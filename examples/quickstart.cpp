@@ -4,12 +4,11 @@
 //
 //   ./examples/quickstart [--boxsize N] [--threads T]
 
-#include <omp.h>
-
 #include <iostream>
 
 #include "core/runner.hpp"
 #include "harness/args.hpp"
+#include "harness/machine.hpp"
 #include "harness/timer.hpp"
 #include "kernels/exemplar.hpp"
 #include "kernels/init.hpp"
@@ -20,7 +19,8 @@ int main(int argc, char** argv) {
   harness::Args args;
   args.addInt("boxsize", 64, "box side length");
   args.addInt("nboxes", 2, "boxes per direction");
-  args.addInt("threads", omp_get_max_threads(), "OpenMP threads");
+  args.addInt("threads", harness::queryMachine().logicalCores,
+              "worker threads");
   try {
     if (!args.parse(argc, argv)) {
       return 0;

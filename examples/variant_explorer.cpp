@@ -4,8 +4,6 @@
 //
 //   ./examples/variant_explorer [--boxsize N] [--threads T] [--reps R]
 
-#include <omp.h>
-
 #include <algorithm>
 #include <iostream>
 #include <vector>
@@ -24,7 +22,8 @@ int main(int argc, char** argv) {
   harness::Args args;
   args.addInt("boxsize", 64, "box side length");
   args.addInt("nboxes", 2, "boxes along x (domain = nboxes*N x N x N)");
-  args.addInt("threads", omp_get_max_threads(), "OpenMP threads");
+  args.addInt("threads", harness::queryMachine().logicalCores,
+              "worker threads");
   args.addInt("reps", 3, "repetitions (minimum time reported)");
   args.addBool("extensions",
                "also explore the beyond-paper axes (hybrid granularity, "

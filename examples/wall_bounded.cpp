@@ -8,8 +8,6 @@
 //
 //   ./examples/wall_bounded [--steps S] [--boxsize N] [--vtk out.vtk]
 
-#include <omp.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -17,6 +15,7 @@
 #include "grid/norms.hpp"
 #include "grid/vtk_io.hpp"
 #include "harness/args.hpp"
+#include "harness/machine.hpp"
 #include "kernels/exemplar.hpp"
 #include "kernels/init.hpp"
 #include "solvers/integrator.hpp"
@@ -30,7 +29,8 @@ int main(int argc, char** argv) {
   args.addInt("steps", 8, "RK2 time steps");
   args.addDouble("cfl", 0.1, "dt/dx factor");
   args.addString("vtk", "", "write the final state to this VTK file");
-  args.addInt("threads", omp_get_max_threads(), "OpenMP threads");
+  args.addInt("threads", harness::queryMachine().logicalCores,
+              "worker threads");
   try {
     if (!args.parse(argc, argv)) {
       return 0;

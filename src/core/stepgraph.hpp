@@ -12,8 +12,8 @@
 // delayed-execution idea of the OPS runtime-tiling work, applied to our
 // RK substep chains).
 //
-// One graph mode, StepFuse::Fused (StepFuse::Eager stays in solvers as
-// the serial reference path). A capture is exactly one graph, dispatched
+// One graph mode, StepFuse::Fused (TimeIntegrator::advanceEager() is the
+// serial reference). A capture is exactly one graph, dispatched
 // once per run, over the whole step (or several steps): only true data
 // dependencies order tasks across stages. Under the parallel level policy
 // each box's RHS runs as one task per logical tile (core::logicalTiles:

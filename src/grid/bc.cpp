@@ -46,7 +46,6 @@ void BoundaryFiller::fill(LevelData& level) const {
   // Dimension sweep: later directions overwrite edge/corner ghosts using
   // the earlier directions' results, so composite corners end consistent.
   for (int d = 0; d < SpaceDim; ++d) {
-#pragma omp parallel for schedule(static)
     for (std::size_t b = 0; b < level.size(); ++b) {
       fillBoxDim(level, b, d);
     }

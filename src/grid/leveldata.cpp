@@ -17,13 +17,7 @@ LevelData::LevelData(const DisjointBoxLayout& layout, int ncomp, int nghost,
 }
 
 void LevelData::exchange() {
-  const auto& ops = copier_.ops();
-  if (ops.empty()) {
-    return; // nghost == 0: no halos to fill, skip the parallel region
-  }
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const CopyOp& op = ops[i];
+  for (const CopyOp& op : copier_.ops()) {
     fabs_[op.destBox].copyShifted(fabs_[op.srcBox], op.destRegion,
                                   op.srcShift, 0, 0, ncomp_);
   }
@@ -57,55 +51,7 @@ void overlapRange(const DisjointBoxLayout& src, const Box& region,
   }
 }
 
-/// One valid-region copy in a copyTo plan.
-struct CopyToOp {
-  std::size_t destBox = 0;
-  std::size_t srcBox = 0;
-  Box region;
-};
-
 } // namespace
-
-void LevelData::copyTo(LevelData& dest) const {
-  if (dest.ncomp_ != ncomp_) {
-    throw std::invalid_argument("copyTo: component count mismatch");
-  }
-  if (dest.layout_.domain().box() != layout_.domain().box()) {
-    throw std::invalid_argument("copyTo: domain mismatch");
-  }
-  // Build the plan serially, skipping empty intersections up front, so the
-  // parallel loop below only dispatches real copies and load-balances over
-  // them rather than over destination boxes of uneven overlap.
-  std::vector<CopyToOp> plan;
-  for (std::size_t di = 0; di < dest.size(); ++di) {
-    const Box dbox = dest.validBox(di);
-    IntVect lo, hi;
-    overlapRange(layout_, dbox, lo, hi);
-    for (int bz = lo[2]; bz <= hi[2]; ++bz) {
-      for (int by = lo[1]; by <= hi[1]; ++by) {
-        for (int bx = lo[0]; bx <= hi[0]; ++bx) {
-          IntVect unusedShift;
-          const std::int64_t si =
-              layout_.wrappedIndex(IntVect(bx, by, bz), unusedShift);
-          const Box region =
-              dbox & layout_.box(static_cast<std::size_t>(si));
-          if (region.empty()) {
-            continue;
-          }
-          plan.push_back({di, static_cast<std::size_t>(si), region});
-        }
-      }
-    }
-  }
-  if (plan.empty()) {
-    return;
-  }
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    const CopyToOp& op = plan[i];
-    dest.fabs_[op.destBox].copy(fabs_[op.srcBox], op.region, 0, 0, ncomp_);
-  }
-}
 
 Real LevelData::maxAbsDiffValid(const LevelData& a, const LevelData& b) {
   if (a.layout_.domain().box() != b.layout_.domain().box() ||

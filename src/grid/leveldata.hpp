@@ -42,9 +42,8 @@ public:
     return layout_.box(idx);
   }
 
-  /// Fill all ghost cells from neighbors' valid cells. Parallelized over
-  /// copy operations with OpenMP (each op writes a disjoint ghost region);
-  /// a plan with no ops (nghost == 0) skips the parallel region entirely.
+  /// Fill all ghost cells from neighbors' valid cells: the plan's copy
+  /// operations, serially and in plan order.
   void exchange();
 
   /// Number of ghost-exchange bytes moved per exchange() call (empty
@@ -62,12 +61,6 @@ public:
   [[nodiscard]] std::int64_t totalCellsAllocated() const;
   /// Total valid (physical) cells across all boxes, per component.
   [[nodiscard]] std::int64_t totalCellsValid() const;
-
-  /// Copy this level's valid data into `dest` (same ProblemDomain, possibly
-  /// a different box decomposition). Only dest's valid regions are written;
-  /// call dest.exchange() afterwards if its ghosts are needed. Empty
-  /// intersections are skipped before the parallel dispatch.
-  void copyTo(LevelData& dest) const;
 
   /// Max |a-b| over the valid regions of two levels on any layouts covering
   /// the same domain (used to check cross-box-size equivalence). NaN when

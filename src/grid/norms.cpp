@@ -1,5 +1,6 @@
 #include "grid/norms.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -8,14 +9,14 @@ namespace fluxdiv::grid {
 
 namespace {
 
-/// Reduce f(value) over the valid cells of one component.
+/// Reduce f(value) over the valid cells of one component, box by box in
+/// layout order: one summation order, so one result.
 template <typename F>
 Real reduceValid(const LevelData& level, int comp, F&& f) {
   if (comp < 0 || comp >= level.nComp()) {
     throw std::out_of_range("norms: component out of range");
   }
   Real total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
   for (std::size_t b = 0; b < level.size(); ++b) {
     const FArrayBox& fab = level[b];
     const FabIndexer ix = fab.indexer();
@@ -54,7 +55,10 @@ Real levelNormInf(const LevelData& level, int comp) {
     const FabIndexer ix = fab.indexer();
     const Real* p = fab.dataPtr(comp);
     forEachCell(level.validBox(b), [&](int i, int j, int k) {
-      worst = std::max(worst, std::abs(p[ix(i, j, k)]));
+      // std::max(worst, NaN) would keep worst; once worst is NaN,
+      // std::max(worst, v) keeps it.
+      const Real v = std::abs(p[ix(i, j, k)]);
+      worst = std::isnan(v) ? v : std::max(worst, v);
     });
   }
   return worst;
@@ -67,26 +71,6 @@ std::array<Real, 8> levelSums(const LevelData& level) {
     sums[static_cast<std::size_t>(c)] = levelSum(level, c);
   }
   return sums;
-}
-
-Real levelDiffInf(const LevelData& a, const LevelData& b, int comp) {
-  if (a.size() != b.size() || a.nComp() != b.nComp()) {
-    throw std::invalid_argument("levelDiffInf: incompatible levels");
-  }
-  Real worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const FArrayBox& fa = a[i];
-    const FArrayBox& fb = b[i];
-    const FabIndexer ia = fa.indexer();
-    const FabIndexer ib = fb.indexer();
-    const Real* pa = fa.dataPtr(comp);
-    const Real* pb = fb.dataPtr(comp);
-    forEachCell(a.validBox(i), [&](int x, int y, int z) {
-      worst = std::max(worst,
-                       std::abs(pa[ia(x, y, z)] - pb[ib(x, y, z)]));
-    });
-  }
-  return worst;
 }
 
 } // namespace fluxdiv::grid

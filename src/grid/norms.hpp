@@ -19,14 +19,10 @@ Real levelNormL1(const LevelData& level, int comp);
 /// L2 norm: sqrt(sum of u^2) over valid cells of component c.
 Real levelNormL2(const LevelData& level, int comp);
 
-/// Max norm over valid cells of component c.
+/// Max norm over valid cells of component c; NaN if any value is NaN.
 Real levelNormInf(const LevelData& level, int comp);
 
 /// All components' conserved totals at once.
 std::array<Real, 8> levelSums(const LevelData& level);
-
-/// Max-norm of the difference between two levels on the same layout,
-/// per component.
-Real levelDiffInf(const LevelData& a, const LevelData& b, int comp);
 
 } // namespace fluxdiv::grid

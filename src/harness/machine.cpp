@@ -1,6 +1,5 @@
 #include "harness/machine.hpp"
 
-#include <omp.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -160,7 +159,6 @@ MachineInfo queryMachine() {
   MachineInfo info;
   info.logicalCores =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  info.ompMaxThreads = omp_get_max_threads();
 
   std::ifstream cpuinfo("/proc/cpuinfo");
   std::string line;
@@ -236,8 +234,7 @@ std::size_t lastLevelCacheBytes(const MachineInfo& info) {
 
 void printMachineReport(std::ostream& os, const MachineInfo& info) {
   os << "machine: " << (info.cpuModel.empty() ? "unknown CPU" : info.cpuModel)
-     << ", " << info.logicalCores << " logical cores, OpenMP max threads "
-     << info.ompMaxThreads << '\n';
+     << ", " << info.logicalCores << " logical cores\n";
   os << "  NUMA: " << info.numaNodes.size()
      << (info.numaNodes.size() == 1 ? " node (" : " nodes (");
   for (std::size_t i = 0; i < info.numaNodes.size(); ++i) {

@@ -32,7 +32,6 @@ struct NumaNode {
 struct MachineInfo {
   std::string cpuModel;
   int logicalCores = 1;
-  int ompMaxThreads = 1;
   std::vector<CacheLevel> caches; ///< data/unified levels of cpu0
   bool cacheFallback = false;     ///< true when `caches` are the documented
                                   ///< defaults, not detected values

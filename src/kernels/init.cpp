@@ -98,14 +98,24 @@ Real exemplarValue(int i, int j, int k, int c, const Box& domain) {
 }
 
 void initializeExemplar(LevelData& phi) {
-  const Box domain = phi.layout().domain().box();
-  for (int c = 0; c < phi.nComp(); ++c) {
-    const AxisTables tables(domain, domain, c);
-    for (std::size_t b = 0; b < phi.size(); ++b) {
-      fillFromTables(phi[b], phi.validBox(b), tables, c);
+  // The ghost cells exchange() fills are those whose periodic image lies
+  // in the domain: the domain grown by the ghost width along each periodic
+  // axis. Each takes its image's value, as exchange() would copy it, so no
+  // exchange pass is needed.
+  const grid::ProblemDomain& pd = phi.layout().domain();
+  const Box domain = pd.box();
+  Box reach = domain;
+  for (int d = 0; d < grid::SpaceDim; ++d) {
+    if (pd.isPeriodic(d)) {
+      reach = reach.grow(d, phi.nGhost());
     }
   }
-  phi.exchange();
+  for (int c = 0; c < phi.nComp(); ++c) {
+    const AxisTables tables(reach, domain, c);
+    for (std::size_t b = 0; b < phi.size(); ++b) {
+      fillFromTables(phi[b], phi[b].box() & reach, tables, c);
+    }
+  }
 }
 
 void initializeExemplar(FArrayBox& fab, const Box& domain) {

@@ -13,8 +13,9 @@ namespace fluxdiv::kernels {
 /// on a domain of extent (nx,ny,nz) cells. Periodic in every direction.
 grid::Real exemplarValue(int i, int j, int k, int c, const grid::Box& domain);
 
-/// Fill the valid region of every box of `phi` with exemplarValue and then
-/// exchange() so ghost cells are consistent.
+/// Fill every box of `phi` with exemplarValue: the valid region, and each
+/// ghost cell exchange() would fill with its periodic image's value (the
+/// cells exchange() leaves to boundary conditions stay untouched).
 void initializeExemplar(grid::LevelData& phi);
 
 /// Fill valid + ghost cells of a single standalone FArrayBox directly from

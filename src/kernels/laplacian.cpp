@@ -32,7 +32,6 @@ void addLaplacian(const FArrayBox& phi, FArrayBox& out, const Box& valid,
 
 void addLaplacian(const LevelData& phi, LevelData& out, grid::Real scale) {
   assert(phi.size() == out.size());
-#pragma omp parallel for schedule(static)
   for (std::size_t b = 0; b < phi.size(); ++b) {
     addLaplacian(phi[b], out[b], phi.validBox(b), scale);
   }

@@ -30,8 +30,8 @@ inline void addLaplacianRow(const grid::Real* p, std::int64_t sy,
 void addLaplacian(const grid::FArrayBox& phi, grid::FArrayBox& out,
                   const grid::Box& valid, grid::Real scale);
 
-/// Level-wide: out[b] += scale * Lap(phi[b]) on every box (OpenMP over
-/// boxes). phi's ghosts must be exchanged.
+/// Level-wide: out[b] += scale * Lap(phi[b]) on every box, serially.
+/// phi's ghosts must be exchanged.
 void addLaplacian(const grid::LevelData& phi, grid::LevelData& out,
                   grid::Real scale);
 

@@ -112,8 +112,8 @@ public:
     }
   }
 
-  /// Cells on wavefront w as an explicit list (for OpenMP loops that need
-  /// random access over the wavefront's iterations).
+  /// Cells on wavefront w as an explicit list (for loops that need random
+  /// access over the wavefront's iterations).
   [[nodiscard]] std::vector<IntVect> cells(int w) const {
     std::vector<IntVect> out;
     forEach(w, [&](int i, int j, int k) { out.emplace_back(i, j, k); });

@@ -1,6 +1,7 @@
 #include "solvers/integrator.hpp"
 
 #include <string>
+#include <vector>
 
 #include "kernels/exemplar.hpp"
 
@@ -11,21 +12,18 @@ using grid::LevelData;
 using grid::Real;
 
 void copyValid(const LevelData& src, LevelData& dst) {
-#pragma omp parallel for schedule(static)
   for (std::size_t b = 0; b < src.size(); ++b) {
     dst[b].copy(src[b], src.validBox(b), 0, 0, src.nComp());
   }
 }
 
 void addScaled(LevelData& dst, const LevelData& src, Real scale) {
-#pragma omp parallel for schedule(static)
   for (std::size_t b = 0; b < dst.size(); ++b) {
     dst[b].plus(src[b], scale, dst.validBox(b));
   }
 }
 
 void scaleValid(LevelData& dst, Real scale) {
-#pragma omp parallel for schedule(static)
   for (std::size_t b = 0; b < dst.size(); ++b) {
     dst[b].mult(scale, dst.validBox(b));
   }
@@ -161,9 +159,6 @@ const core::StepGraphStats* TimeIntegrator::stepStats() const {
 
 core::StepGraphExecutor*
 TimeIntegrator::stepExecutor(const FluxDivRhs& rhs) {
-  if (fuse_ == core::StepFuse::Eager) {
-    return nullptr;
-  }
   core::StepExecOptions opts;
   opts.policy = policy_;
   opts.replay = replay_;
@@ -187,20 +182,13 @@ void TimeIntegrator::advance(LevelData& u, Real dt, FluxDivRhs& rhs) {
 
 void TimeIntegrator::advanceSteps(LevelData& u, Real dt, FluxDivRhs& rhs,
                                   int nSteps) {
-  core::StepGraphExecutor* exec = stepExecutor(rhs);
-  if (exec == nullptr) { // StepFuse::Eager
-    for (int t = 0; t < nSteps; ++t) {
-      advanceEager(u, dt, rhs);
-    }
-    return;
-  }
   const core::StepProgram prog = buildStepProgram(
       scheme_, dt, nSteps, rhs.boundary() != nullptr);
   core::StepRhsSpec spec;
   spec.invDx = rhs.invDx();
   spec.dissipation = rhs.dissipation();
   spec.boundary = rhs.boundary();
-  exec->run(prog, u, spec);
+  stepExecutor(rhs)->run(prog, u, spec);
 }
 
 void TimeIntegrator::advanceEager(LevelData& u, Real dt, FluxDivRhs& rhs) {
@@ -208,16 +196,16 @@ void TimeIntegrator::advanceEager(LevelData& u, Real dt, FluxDivRhs& rhs) {
   // to completion over the whole level before the next starts.
   const core::StepProgram prog =
       buildStepProgram(scheme_, dt, 1, rhs.boundary() != nullptr);
-  // Slot 0 of the program is the caller's solution; the rest are stages.
-  if (stages_.empty()) {
-    stages_.reserve(static_cast<std::size_t>(prog.nSlots - 1));
-    for (int s = 1; s < prog.nSlots; ++s) {
-      stages_.emplace_back(layout_, kernels::kNumComp,
-                           core::slotGhosts(prog, s));
-    }
+  // Slot 0 of the program is the caller's solution; the rest are stages,
+  // which live for this call only.
+  std::vector<LevelData> stages;
+  stages.reserve(static_cast<std::size_t>(prog.nSlots - 1));
+  for (int s = 1; s < prog.nSlots; ++s) {
+    stages.emplace_back(layout_, kernels::kNumComp,
+                        core::slotGhosts(prog, s));
   }
   const auto slot = [&](int s) -> LevelData& {
-    return s == 0 ? u : stages_[static_cast<std::size_t>(s - 1)];
+    return s == 0 ? u : stages[static_cast<std::size_t>(s - 1)];
   };
   for (const core::StepOp& op : prog.ops) {
     LevelData& dst = slot(op.dst);

@@ -5,18 +5,18 @@
 // variant) plugs in.
 //
 // Every scheme is stated once, as a symbolic StepProgram
-// (buildStepProgram). Two execution paths per step (core::StepFuse):
-//   * Eager: the program interpreted serially, op by op — each stage
-//     synchronously exchanges, evaluates the RHS, and combines stages with
-//     level-wide sweeps. The bit-identity reference for the graph below.
-//   * Fused: the program is lowered by core::StepGraphExecutor into one
-//     dependency-tracked task graph — each RHS tile task also runs the
-//     stage combines that follow it, and cross-stage tasks overlap.
-// Selected by setStepFuse() (default: fused). Both produce bit-identical
-// solutions.
+// (buildStepProgram), and run two ways:
+//   * advance()/advanceSteps(): the program lowered by
+//     core::StepGraphExecutor into one dependency-tracked task graph on
+//     the executor's TaskPool — each RHS tile task also runs the stage
+//     combines that follow it, and cross-stage tasks overlap.
+//   * advanceEager(): the reference. The program interpreted op by op,
+//     each op run to completion over the whole level before the next:
+//     exchange, boundary fill and combines are serial loops over boxes,
+//     the RHS runs through the FluxDivRunner.
+// Both produce bit-identical solutions.
 
 #include <memory>
-#include <vector>
 
 #include "core/stepgraph.hpp"
 #include "grid/leveldata.hpp"
@@ -88,22 +88,21 @@ core::StepProgram buildStepProgram(Scheme scheme, grid::Real dt,
                                    int nSteps = 1,
                                    bool withBoundary = false);
 
-/// Copy the valid region of `src` into `dst` (same layout).
+/// Copy the valid region of `src` into `dst` (same layout), box by box.
 void copyValid(const grid::LevelData& src, grid::LevelData& dst);
 
-/// dst += scale * src over valid regions (same layout).
+/// dst += scale * src over valid regions (same layout), box by box.
 void addScaled(grid::LevelData& dst, const grid::LevelData& src,
                grid::Real scale);
 
-/// dst *= scale over valid regions.
+/// dst *= scale over valid regions, box by box.
 void scaleValid(grid::LevelData& dst, grid::Real scale);
 
 /// Explicit RK integrator.
 class TimeIntegrator {
 public:
-  /// Eager stage storage is allocated on `layout`, with the exemplar's
-  /// component and ghost counts, by the first advanceEager(); the
-  /// step-graph modes use their executor's own stage levels.
+  /// advanceEager() allocates its stage levels on `layout` for the length
+  /// of one call; advance() uses its executor's own stage levels.
   TimeIntegrator(Scheme scheme, const grid::DisjointBoxLayout& layout);
   ~TimeIntegrator();
 
@@ -113,45 +112,37 @@ public:
   [[nodiscard]] Scheme scheme() const { return scheme_; }
 
   /// Advance u by one step of size dt: u <- u + dt * combination of
-  /// rhs evaluations per the scheme. Dispatches on the fuse mode (see the
-  /// header comment).
+  /// rhs evaluations per the scheme, run as a step graph.
   void advance(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs);
 
-  /// Advance u by `nSteps` steps of size dt. Under Fused the whole
-  /// sequence is captured as ONE task graph (cross-time-step
-  /// fusion); under Eager equivalent to calling advance() nSteps times.
+  /// Advance u by `nSteps` steps of size dt, captured as ONE task graph
+  /// (cross-time-step fusion).
   void advanceSteps(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs,
                     int nSteps);
 
-  /// The eager reference path, always available regardless of fuse mode:
-  /// the step program interpreted serially, op by op.
+  /// The reference step: the step program interpreted serially, op by op.
+  /// Its stage levels are allocated here and freed on return.
   void advanceEager(grid::LevelData& u, grid::Real dt, FluxDivRhs& rhs);
-
-  /// Select the fuse mode (default: fused).
-  void setStepFuse(core::StepFuse fuse) { fuse_ = fuse; }
 
   /// Select the step-graph executor's task granularity (default:
   /// box-parallel).
   void setLevelPolicy(core::LevelPolicy policy) { policy_ = policy; }
 
   /// Adversarial serial replay of the captured graph (tests; see
-  /// core::ReplayMode). Only affects the non-eager paths.
+  /// core::ReplayMode). Does not affect advanceEager().
   void setReplay(core::ReplayMode replay) { replay_ = replay; }
 
-  /// Capture statistics of the step-graph executor: null until a
-  /// non-eager advance() ran.
+  /// Capture statistics of the step-graph executor: null until an
+  /// advance() ran.
   [[nodiscard]] const core::StepGraphStats* stepStats() const;
 
-  /// The executor a non-eager advance would use, creating it on demand
-  /// (tests poke lowerModel() through this). Null only for
-  /// StepFuse::Eager.
+  /// The executor advance() uses for `rhs`, created on demand (tests poke
+  /// lowerModel() through this). Never null.
   core::StepGraphExecutor* stepExecutor(const FluxDivRhs& rhs);
 
 private:
   Scheme scheme_;
-  grid::DisjointBoxLayout layout_;      ///< where stages_ is allocated
-  std::vector<grid::LevelData> stages_; ///< eager k_i and staging state
-  core::StepFuse fuse_ = core::StepFuse::Fused;
+  grid::DisjointBoxLayout layout_; ///< where advanceEager() allocates stages
   core::LevelPolicy policy_ = core::LevelPolicy::BoxParallel;
   core::ReplayMode replay_{};
   core::VariantConfig execCfg_; ///< config the executor was built for

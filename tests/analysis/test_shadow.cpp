@@ -6,9 +6,10 @@
 
 #include "grid/shadow.hpp"
 
-#include <omp.h>
-
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "grid/box.hpp"
 #include "grid/farraybox.hpp"
@@ -25,6 +26,19 @@ namespace fluxdiv::grid {
 namespace {
 
 using Kind = ShadowMemory::ViolationKind;
+
+/// Run body(tid) on `team` std::threads (tid 0..team-1) at once and join.
+template <typename Body>
+void runTeam(int team, Body body) {
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(team));
+  for (int tid = 0; tid < team; ++tid) {
+    threads.emplace_back(body, tid);
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+}
 
 // ShadowMemory owns a mutex and atomics and is deliberately immovable, so
 // the tests share one fixture-held instance shaped in SetUp.
@@ -126,21 +140,15 @@ TEST_F(ShadowMemoryTest, MessageNamesCellCompAndWorkers) {
   EXPECT_NE(msg.find('7'), std::string::npos) << msg;
 }
 
-TEST_F(ShadowMemoryTest, SeededCrossWorkerOmpRace) {
-  // The race the detector exists for: an OpenMP team writing one slot in
-  // the same epoch. With one write per worker, every worker after the
+TEST_F(ShadowMemoryTest, SeededCrossWorkerThreadRace) {
+  // The race the detector exists for: a team of threads writing one slot
+  // in the same epoch. With one write per worker, every worker after the
   // first observes a tag from a different worker.
-  int team = 1;
-#pragma omp parallel num_threads(4)
-  {
-#pragma omp single
-    team = omp_get_num_threads();
-    s.recordWrite(IntVect(3, 3, 3), 0, omp_get_thread_num());
-  }
-  EXPECT_EQ(s.violationCount(), static_cast<std::size_t>(team - 1));
-  if (team > 1) {
-    EXPECT_EQ(s.violations()[0].kind, Kind::WriteWrite);
-  }
+  const int team = 4;
+  runTeam(team,
+          [&](int tid) { s.recordWrite(IntVect(3, 3, 3), 0, tid); });
+  ASSERT_EQ(s.violationCount(), static_cast<std::size_t>(team - 1));
+  EXPECT_EQ(s.violations()[0].kind, Kind::WriteWrite);
 }
 
 TEST(CheckedAccessor, RoundTripAndRaceDetection) {
@@ -185,17 +193,9 @@ TEST(ShadowIntegration, OverlappingTileCommitsAreCaught) {
   phi1.shadowBeginEpoch();
   const Box tileA(IntVect(0, 0, 0), IntVect(8, 15, 15));
   const Box tileB(IntVect(8, 0, 0), IntVect(15, 15, 15));
-  int team = 1;
-#pragma omp parallel num_threads(2)
-  {
-#pragma omp single
-    team = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
+  runTeam(2, [&](int tid) {
     phi1.shadowRecordWrite(tid == 0 ? tileA : tileB, 0, 1, tid);
-  }
-  if (team < 2) {
-    GTEST_SKIP() << "needs two OpenMP threads to race";
-  }
+  });
   ASSERT_GT(phi1.shadow().violationCount(), 0u);
   const auto v = phi1.shadow().violations();
   EXPECT_EQ(v[0].kind, Kind::WriteWrite);
@@ -208,11 +208,9 @@ TEST(ShadowIntegration, DisjointTileCommitsAreClean) {
   phi1.shadowBeginEpoch();
   const Box tileA(IntVect(0, 0, 0), IntVect(7, 15, 15));
   const Box tileB(IntVect(8, 0, 0), IntVect(15, 15, 15));
-#pragma omp parallel num_threads(2)
-  {
-    const int tid = omp_get_thread_num();
+  runTeam(2, [&](int tid) {
     phi1.shadowRecordWrite(tid == 0 ? tileA : tileB, 0, 1, tid);
-  }
+  });
   EXPECT_EQ(phi1.shadow().violationCount(), 0u);
 }
 

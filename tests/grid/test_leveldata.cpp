@@ -86,21 +86,6 @@ TEST(LevelData, ExchangeBytesMatchesCopierPlan) {
             static_cast<std::size_t>(ghostCells) * 5 * sizeof(Real));
 }
 
-TEST(LevelData, CopyToFinerDecomposition) {
-  ProblemDomain dom(Box::cube(32));
-  LevelData coarseBoxes(DisjointBoxLayout(dom, 32), 2, 2);
-  LevelData fineBoxes(DisjointBoxLayout(dom, 8), 2, 2);
-  fillValid(coarseBoxes);
-  coarseBoxes.copyTo(fineBoxes);
-  for (std::size_t b = 0; b < fineBoxes.size(); ++b) {
-    for (int c = 0; c < 2; ++c) {
-      forEachCell(fineBoxes.validBox(b), [&](int i, int j, int k) {
-        ASSERT_EQ(fineBoxes[b](i, j, k, c), fieldValue(i, j, k, c));
-      });
-    }
-  }
-}
-
 TEST(LevelData, MaxAbsDiffValidAcrossLayouts) {
   ProblemDomain dom(Box::cube(16));
   LevelData a(DisjointBoxLayout(dom, 16), 1, 2);

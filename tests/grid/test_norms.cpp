@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace fluxdiv::grid {
 namespace {
@@ -45,6 +46,19 @@ TEST(Norms, InfPicksLargestMagnitude) {
   EXPECT_EQ(levelNormInf(ld, 0), 7.25);
 }
 
+TEST(Norms, InfPropagatesNaN) {
+  LevelData ld = makeLevel();
+  // A NaN before a larger magnitude, then one after it: either way the
+  // max norm is NaN.
+  ld[0](IntVect(0, 0, 0), 0) = std::numeric_limits<Real>::quiet_NaN();
+  ld[3](IntVect(5, 5, 1), 0) = -7.25;
+  EXPECT_TRUE(std::isnan(levelNormInf(ld, 0)));
+  ld[0](IntVect(0, 0, 0), 0) = 1.0;
+  ld[ld.size() - 1](ld.validBox(ld.size() - 1).hi(), 0) =
+      std::numeric_limits<Real>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(levelNormInf(ld, 0)));
+}
+
 TEST(Norms, GhostCellsAreExcluded) {
   LevelData ld = makeLevel();
   // Poison a ghost cell; no norm may see it.
@@ -58,14 +72,6 @@ TEST(Norms, LevelSumsCoversAllComponents) {
   const auto sums = levelSums(ld);
   EXPECT_EQ(sums[0], 0.0);
   EXPECT_EQ(sums[1], 3.0 * 512);
-}
-
-TEST(Norms, DiffInf) {
-  LevelData a = makeLevel();
-  LevelData b = makeLevel();
-  EXPECT_EQ(levelDiffInf(a, b, 0), 0.0);
-  b[1](IntVect(4, 0, 0), 0) += 0.5;
-  EXPECT_EQ(levelDiffInf(a, b, 0), 0.5);
 }
 
 TEST(Norms, ComponentRangeChecked) {

@@ -10,7 +10,6 @@ namespace {
 TEST(Machine, QueryReturnsSaneValues) {
   const MachineInfo info = queryMachine();
   EXPECT_GE(info.logicalCores, 1);
-  EXPECT_GE(info.ompMaxThreads, 1);
   for (const auto& c : info.caches) {
     EXPECT_GE(c.level, 1);
     EXPECT_GT(c.sizeBytes, 0u);
@@ -33,7 +32,6 @@ TEST(Machine, ReportMentionsCoresAndCaches) {
   MachineInfo info;
   info.cpuModel = "TestCPU 9000";
   info.logicalCores = 42;
-  info.ompMaxThreads = 42;
   info.caches = {{3, "Unified", 6 * 1024 * 1024, 64, 12}};
   std::ostringstream os;
   printMachineReport(os, info);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 
@@ -69,7 +70,10 @@ TEST(InitializeExemplar, StandaloneFabMatchesLevelFill) {
 
 TEST(InitializeExemplar, TablesMatchExemplarValueBitwise) {
   // Both fills evaluate exemplarValue through per-axis factor tables; each
-  // value must be exemplarValue's to the bit, not only to rounding.
+  // value must be exemplarValue's to the bit, not only to rounding. A
+  // level's ghost cell holds its periodic image's value, as exchange()
+  // would copy it, except beyond a non-periodic face (walls on x), where
+  // it keeps its zero for the boundary conditions.
   const Box dom(IntVect::zero(), IntVect{23, 15, 39});
   const auto sameBits = [](Real a, Real b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -77,28 +81,33 @@ TEST(InitializeExemplar, TablesMatchExemplarValueBitwise) {
   const auto wrap = [](int v, int lo, int n) {
     return lo + (((v - lo) % n) + n) % n;
   };
-  for (const IntVect& boxSize : {IntVect::unit(8), dom.size()}) {
-    const DisjointBoxLayout dbl{ProblemDomain(dom), boxSize};
-    LevelData level(dbl, kNumComp, kNumGhost);
-    initializeExemplar(level);
-    for (std::size_t b = 0; b < level.size(); ++b) {
-      FArrayBox fab(level.validBox(b).grow(kNumGhost), kNumComp);
-      initializeExemplar(fab, dom);
-      for (int c = 0; c < kNumComp; ++c) {
-        forEachCell(level.validBox(b), [&](int i, int j, int k) {
-          ASSERT_TRUE(
-              sameBits(level[b](i, j, k, c), exemplarValue(i, j, k, c, dom)))
-              << "level box " << b << " cell " << i << "," << j << "," << k
-              << " comp " << c;
-        });
-        forEachCell(fab.box(), [&](int i, int j, int k) {
-          const Real want = exemplarValue(wrap(i, 0, dom.size(0)),
-                                          wrap(j, 0, dom.size(1)),
-                                          wrap(k, 0, dom.size(2)), c, dom);
-          ASSERT_TRUE(sameBits(fab(i, j, k, c), want))
-              << "fab of box " << b << " cell " << i << "," << j << ","
-              << k << " comp " << c;
-        });
+  const auto image = [&](int i, int j, int k, int c) {
+    return exemplarValue(wrap(i, 0, dom.size(0)), wrap(j, 0, dom.size(1)),
+                         wrap(k, 0, dom.size(2)), c, dom);
+  };
+  for (const bool wallX : {false, true}) {
+    const ProblemDomain pdom(dom, std::array<bool, 3>{!wallX, true, true});
+    for (const IntVect& boxSize : {IntVect::unit(8), dom.size()}) {
+      const DisjointBoxLayout dbl{pdom, boxSize};
+      LevelData level(dbl, kNumComp, kNumGhost);
+      initializeExemplar(level);
+      for (std::size_t b = 0; b < level.size(); ++b) {
+        FArrayBox fab(level.validBox(b).grow(kNumGhost), kNumComp);
+        initializeExemplar(fab, dom);
+        for (int c = 0; c < kNumComp; ++c) {
+          forEachCell(level[b].box(), [&](int i, int j, int k) {
+            const bool beyondWall = wallX && (i < dom.lo(0) || i > dom.hi(0));
+            ASSERT_TRUE(sameBits(level[b](i, j, k, c),
+                                 beyondWall ? 0.0 : image(i, j, k, c)))
+                << "level box " << b << " cell " << i << "," << j << ","
+                << k << " comp " << c << (wallX ? " walls" : "");
+          });
+          forEachCell(fab.box(), [&](int i, int j, int k) {
+            ASSERT_TRUE(sameBits(fab(i, j, k, c), image(i, j, k, c)))
+                << "fab of box " << b << " cell " << i << "," << j << ","
+                << k << " comp " << c;
+          });
+        }
       }
     }
   }

@@ -1,6 +1,7 @@
-// Whole-RK-step task graphs (core/stepgraph.hpp + the TimeIntegrator fuse
-// modes): bit-identity of the fused graph against the eager reference
-// across schemes, schedule families, policies, pitches, and thread counts
+// Whole-RK-step task graphs (core/stepgraph.hpp via TimeIntegrator::advance):
+// bit-identity of the fused graph against the eager reference
+// (TimeIntegrator::advanceEager) across schemes, schedule families,
+// policies, pitches, and thread counts
 // (including steps that start from stale ghosts and boxes cut into
 // logical tiles, and down to the sign of zero); the task structure of the
 // logical tiles; graphcheck
@@ -72,9 +73,8 @@ LevelData eagerReference(Scheme scheme, const DisjointBoxLayout& dbl,
   LevelData u = initialState(dbl, pitch);
   FluxDivRhs rhs(cfg, threads);
   TimeIntegrator integ(scheme, dbl);
-  integ.setStepFuse(StepFuse::Eager);
   for (int s = 0; s < steps; ++s) {
-    integ.advance(u, dt, rhs);
+    integ.advanceEager(u, dt, rhs);
   }
   return u;
 }
@@ -253,8 +253,7 @@ TEST(StepGraph, InvDxIsHonoredUnderEveryPolicy) {
   {
     FluxDivRhs rhs(cfg, 2, /*invDx=*/2.0);
     TimeIntegrator integ(Scheme::Midpoint, dbl);
-    integ.setStepFuse(StepFuse::Eager);
-    integ.advance(ref, dt, rhs);
+    integ.advanceEager(ref, dt, rhs);
   }
   for (const LevelPolicy policy : core::kLevelPolicies) {
     LevelData u = initialState(dbl);
@@ -275,8 +274,7 @@ TEST(StepGraph, BitIdenticalWithDissipation) {
     {
       FluxDivRhs rhs(cfg, 2, /*invDx=*/1.0, nullptr, /*dissipation=*/0.05);
       TimeIntegrator integ(Scheme::RK4, dbl);
-      integ.setStepFuse(StepFuse::Eager);
-      integ.advance(ref, dt, rhs);
+      integ.advanceEager(ref, dt, rhs);
     }
     LevelData u = initialState(dbl);
     FluxDivRhs rhs(cfg, 2, /*invDx=*/1.0, nullptr, /*dissipation=*/0.05);
@@ -347,8 +345,7 @@ TEST(StepGraph, SignedZerosMatchEager) {
         {
           FluxDivRhs rhs(cfg, 2, 1.0, nullptr, diss);
           TimeIntegrator integ(scheme, dbl);
-          integ.setStepFuse(StepFuse::Eager);
-          integ.advance(ref, dt, rhs);
+          integ.advanceEager(ref, dt, rhs);
         }
         for (const LevelPolicy policy : core::kLevelPolicies) {
           LevelData u = negativeZero();
@@ -394,9 +391,8 @@ TEST(StepGraph, WallBoundedBitIdentical) {
         {
           FluxDivRhs rhs(cfg, 2, 1.0, &walls, diss);
           TimeIntegrator integ(scheme, dbl);
-          integ.setStepFuse(StepFuse::Eager);
           for (int s = 0; s < 2; ++s) {
-            integ.advance(ref, dt, rhs);
+            integ.advanceEager(ref, dt, rhs);
           }
         }
         for (const LevelPolicy policy : core::kLevelPolicies) {
@@ -679,9 +675,12 @@ TEST(StepGraph, StagedProgramsMatchTheInPlaceSchemesBitwise) {
       for (const StepFuse fuse : {StepFuse::Eager, StepFuse::Fused}) {
         LevelData u = initialState(dbl);
         TimeIntegrator integ(scheme, dbl);
-        integ.setStepFuse(fuse);
         for (int step = 0; step < 2; ++step) {
-          integ.advance(u, dt, rhs);
+          if (fuse == StepFuse::Eager) {
+            integ.advanceEager(u, dt, rhs);
+          } else {
+            integ.advance(u, dt, rhs);
+          }
         }
         EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)
             << schemeName(scheme) << " " << core::stepFuseName(fuse)
@@ -1125,7 +1124,6 @@ TEST(StepGraph, AdversarialReplayIsBitIdentical) {
       LevelData u = initialState(dbl);
       FluxDivRhs rhs(cfg, 3);
       TimeIntegrator integ(Scheme::RK4, dbl);
-      integ.setStepFuse(StepFuse::Fused);
       integ.setReplay({order, seed});
       integ.advance(u, dt, rhs);
       EXPECT_EQ(LevelData::maxAbsDiffValid(ref, u), 0.0)

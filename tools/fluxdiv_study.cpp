@@ -8,8 +8,6 @@
 //   ./tools/fluxdiv_study [--outdir study-out] [--threads 1,2,...]
 //                         [--nboxes128 1] [--reps 3] [--quick]
 
-#include <omp.h>
-
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -74,9 +72,9 @@ int main(int argc, char** argv) {
   for (auto t : args.getIntList("threads")) {
     threads.push_back(static_cast<int>(t));
   }
+  const auto machine = harness::queryMachine();
   if (threads.empty()) {
-    for (auto t :
-         harness::defaultThreadSweep(omp_get_max_threads())) {
+    for (auto t : harness::defaultThreadSweep(machine.logicalCores)) {
       threads.push_back(static_cast<int>(t));
     }
   }
@@ -84,7 +82,6 @@ int main(int argc, char** argv) {
       args.getBool("quick") ? std::vector<int>{16, 64}
                             : std::vector<int>{16, 32, 64, 128};
 
-  const auto machine = harness::queryMachine();
   md << "# fluxdiv study report\n\nReproduction of Olschanowsky et al., "
         "SC14.\n\n## Machine\n\n```\n";
   harness::printMachineReport(md, machine);
