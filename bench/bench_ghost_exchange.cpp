@@ -24,6 +24,13 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
+  // LevelData::exchange() copies serially, so a thread count would be
+  // silently ignored: it is refused.
+  if (!args.getIntList("threads").empty()) {
+    std::cerr << "error: --threads is not supported here; the exchange "
+                 "is serial\n";
+    return 1;
+  }
 
   bench::printHeader("Ghost-exchange cost vs box size", args);
   const int nWork = bench::workUnits(args);

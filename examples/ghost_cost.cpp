@@ -3,7 +3,9 @@
 // more exchange traffic per step — while larger boxes shift the problem
 // to on-node scheduling (which the core library then solves). This
 // example prints the full cost picture per box size: memory overhead,
-// exchange volume, exchange time, and compute time of one step.
+// exchange volume, exchange time, and compute time of one step. The
+// exchange (LevelData::exchange()) is serial; --threads sets the workers
+// of the compute column only.
 //
 //   ./examples/ghost_cost [--domain 128] [--threads T]
 
@@ -23,7 +25,8 @@ int main(int argc, char** argv) {
   harness::Args args;
   args.addInt("domain", 128, "domain side length (power of two >= 32)");
   args.addInt("threads", harness::queryMachine().logicalCores,
-              "worker threads");
+              "worker threads of the compute column (the exchange is "
+              "serial)");
   try {
     if (!args.parse(argc, argv)) {
       return 0;
@@ -35,11 +38,12 @@ int main(int argc, char** argv) {
   const int dom = static_cast<int>(args.getInt("domain"));
   const int threads = static_cast<int>(args.getInt("threads"));
 
-  std::cout << "ghost-cell economics on a " << dom << "^3 domain ("
-            << threads << " thread(s))\n\n";
+  std::cout << "ghost-cell economics on a " << dom
+            << "^3 domain (serial exchange, compute on " << threads
+            << " thread(s))\n\n";
 
   harness::Table table({"box size", "boxes", "memory overhead",
-                        "exchange volume", "exchange time",
+                        "exchange volume", "exchange time (serial)",
                         "compute time (best OT)"});
 
   for (int n : {16, 32, 64, 128}) {

@@ -1,7 +1,6 @@
 #pragma once
 // commcheck: static verification of Copier ghost-exchange plans — the
-// third leg of the correctness net after the schedule verifier
-// (analysis/verifier) and the task-graph race checker
+// leg of the correctness net beside the task-graph race checker
 // (analysis/graphcheck). From the same plan the executors consume it
 // builds an exact region model and proves, per (layout, nghost) shape:
 //

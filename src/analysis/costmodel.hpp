@@ -1,10 +1,10 @@
 #pragma once
-// Static working-set / memory-traffic analyzer over lowered ScheduleModels.
-// Where the verifier (verifier.hpp) proves a schedule *legal*, this pass
-// predicts whether it is *fast*: per-phase working sets, DRAM traffic under
-// a cache-capacity model, recomputation volume, and parallelism metrics —
-// all from the declared rectangular access regions, without executing a
-// kernel. docs/cost-model.md derives the equations; the memmodel cache
+// Static working-set / memory-traffic analyzer over lowered ScheduleModels
+// (lower.hpp). It predicts whether a schedule is *fast* — per-phase
+// working sets, DRAM traffic under a cache-capacity model, recomputation
+// volume, and parallelism metrics — all from the declared rectangular
+// access regions, without executing a kernel. Whether a schedule is
+// correct is checked on the executors (docs/static-analysis.md). docs/cost-model.md derives the equations; the memmodel cache
 // simulator cross-validates the traffic prediction in tests.
 
 #include <cstddef>
@@ -48,8 +48,8 @@ struct CacheSpec {
   static CacheSpec typical() { return {}; }
 };
 
-/// Kinds of structured cost findings, mirroring the verifier's
-/// DiagnosticKind: machine-readable kind + human-readable message().
+/// Kinds of structured cost findings, mirroring the checkers'
+/// diagnostics: machine-readable kind + human-readable message().
 enum class CostNoteKind {
   CapacityBound,  ///< a phase's working set exceeds the LLC
   ItemExceedsL2,  ///< a concurrent work item's footprint exceeds L2

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <sstream>
 #include <tuple>
 #include <utility>
 
@@ -11,6 +12,40 @@
 #include "analysis/region_ops.hpp"
 
 namespace fluxdiv::analysis {
+
+const char* diagnosticKindName(DiagnosticKind k) {
+  switch (k) {
+  case DiagnosticKind::Ok:
+    return "ok";
+  case DiagnosticKind::ReadUncovered:
+    return "read-uncovered";
+  case DiagnosticKind::WriteOverlap:
+    return "write-overlap";
+  case DiagnosticKind::ReadWriteRace:
+    return "read-write-race";
+  case DiagnosticKind::DependencyCycle:
+    return "dependency-cycle";
+  }
+  return "?";
+}
+
+std::string Diagnostic::message() const {
+  std::ostringstream os;
+  os << diagnosticKindName(kind);
+  if (ok()) {
+    return os.str();
+  }
+  os << ": " << stageA;
+  if (!itemA.empty()) {
+    os << " [" << itemA << "]";
+  }
+  os << " vs " << stageB;
+  if (!itemB.empty()) {
+    os << " [" << itemB << "]";
+  }
+  os << " over " << region;
+  return os.str();
+}
 
 int TaskGraphModel::addTask(std::string label) {
   GraphTask t;

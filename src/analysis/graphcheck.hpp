@@ -1,11 +1,9 @@
 #pragma once
 // Static race verifier over lowered task graphs (docs/static-analysis.md,
-// "Task-graph verification"). Where ScheduleVerifier (verifier.hpp) proves
-// the *sequential per-box loop schedules* legal, this pass proves the
-// *concurrent layer* legal: the whole-RK-step task graphs the step-graph
-// executor (core/stepgraph) hands to the work-stealing TaskPool — ghost
-// exchange copy-op tasks, boundary fills, whole-box/tile RHS tasks, and
-// stage combines.
+// "Task-graph verification"): it proves the *concurrent layer* legal —
+// the whole-RK-step task graphs the step-graph executor (core/stepgraph)
+// hands to the work-stealing TaskPool: ghost exchange copy-op tasks,
+// boundary fills, whole-box/tile RHS tasks, and stage combines.
 //
 // The executor mirrors every graph it builds into a TaskGraphModel — one
 // node per task with its exact rectangular read/write footprints (the RHS
@@ -27,11 +25,11 @@
 //                       overwrites the cells the writer copied from (else
 //                       the ghost holds an earlier stage's value).
 //
-// Violations come back as the same structured Diagnostic the schedule
-// verifier uses, naming both tasks and a witness cell region. The checker
-// also flags *over*-synchronization — edges whose removal provably keeps
-// the graph race-free — as advisory notes feeding the cost model's
-// parallelism metrics (advisor CostNoteKind::OverSynchronized).
+// Violations come back as a structured Diagnostic naming both tasks and a
+// witness cell region. The checker also flags *over*-synchronization —
+// edges whose removal provably keeps the graph race-free — as advisory
+// notes feeding the cost model's parallelism metrics (advisor
+// CostNoteKind::OverSynchronized).
 
 #include <cstddef>
 #include <cstdint>
@@ -39,9 +37,35 @@
 #include <vector>
 
 #include "analysis/model.hpp"
-#include "analysis/verifier.hpp"
 
 namespace fluxdiv::analysis {
+
+enum class DiagnosticKind {
+  Ok,
+  ReadUncovered,   ///< ghost read no current exchange-op write covers
+  WriteOverlap,    ///< unordered tasks write intersecting regions
+  ReadWriteRace,   ///< a task reads what an unordered task writes
+  DependencyCycle, ///< task-graph edges admit no topological order
+};
+
+const char* diagnosticKindName(DiagnosticKind k);
+
+/// Structured verification verdict. `stageA` is the consuming/first task's
+/// label, `stageB` the producing/conflicting one's, `itemA`/`itemB` their
+/// task tags, `region` the violating cell region.
+struct Diagnostic {
+  DiagnosticKind kind = DiagnosticKind::Ok;
+  std::string variant; ///< TaskGraphModel::name
+  std::string stageA;
+  std::string stageB;
+  std::string itemA;
+  std::string itemB;
+  grid::Box region;
+
+  [[nodiscard]] bool ok() const { return kind == DiagnosticKind::Ok; }
+  /// One-line human-readable rendering of the verdict.
+  [[nodiscard]] std::string message() const;
+};
 
 /// One rectangular access of a task. Unlike the per-box Access of
 /// model.hpp, a task access is qualified by the index of the LevelData box

@@ -1,9 +1,9 @@
 #pragma once
 // Kernel footprint contract checker (docs/static-analysis.md, "Kernel
-// contract checking"). Every proof in this analysis layer — schedule
-// legality (verifier.hpp), task-graph happens-before (graphcheck.hpp),
-// exchange-plan exactness (commcheck.hpp), and the cost model's traffic
-// predictions — derives from the hand-written offset boxes in
+// contract checking"). Every proof in this analysis layer — task-graph
+// happens-before (graphcheck.hpp), exchange-plan exactness
+// (commcheck.hpp), and the cost model's traffic predictions (the
+// lowering of lower.hpp) — derives from the hand-written offset boxes in
 // kernels/footprint.hpp. If a kernel's arithmetic ever read outside its
 // declared stencil, every downstream proof would be silently unsound.
 // This pass closes the loop: it *infers* the actual access sets of the
@@ -88,8 +88,9 @@ struct KernelShape {
   KernelFn fn;
 };
 
-/// Diagnostic kinds of the contract checker, mirroring DiagnosticKind /
-/// CommDiagKind: machine-readable kind + human message().
+/// Diagnostic kinds of the contract checker, mirroring graphcheck's
+/// DiagnosticKind and CommDiagKind: machine-readable kind + human
+/// message().
 enum class KernelDiagKind : std::uint8_t {
   Ok,
   UndeclaredRead,   ///< K1: observed read outside declared readOffsets

@@ -26,9 +26,8 @@ constexpr StorageClass kPrivate = StorageClass::Private;
 
 const char* dirName(int d) { return d == 0 ? "x" : (d == 1 ? "y" : "z"); }
 
-/// Canonical per-direction stage label, e.g. "EvalFlux1[d=x]" — the one
-/// spelling of kernels::stageName the verifier diagnostics, mutation
-/// greps, and kernelcheck witnesses all share.
+/// Canonical per-direction stage label, e.g. "EvalFlux1[d=x]" — the
+/// spelling of kernels::stageName the kernelcheck witnesses share.
 std::string stageTag(Stage stage, int d) {
   return std::string(kernels::stageName(stage)) + "[d=" + dirName(d) + "]";
 }
@@ -264,34 +263,12 @@ Phase velocityPrecomputePhase(const Box& valid, int nThreads) {
   return phase;
 }
 
-/// Carried-dependence record of a fused wavefront over `lattice` (cells or
-/// tile coordinates): dependence vectors are the three carry directions,
-/// writes are the target field plus the three co-dimension caches.
-ConeCheck fusedCone(const std::string& name, const Box& lattice) {
+/// A fused wavefront over `lattice` (cells or tile coordinates): front
+/// index = x + y + z.
+ConeCheck fusedCone(const Box& lattice) {
   ConeCheck cone;
-  cone.name = name;
   cone.lattice = lattice;
-  cone.skew = IntVect::unit(1); // front index = x + y + z
-  for (int d = 0; d < grid::SpaceDim; ++d) {
-    ConeCheck::Dep dep;
-    dep.vector = IntVect::basis(d);
-    dep.producerStage =
-        std::string("carry-") + dirName(d) + " flux deposit";
-    dep.consumerStage = std::string("carry-") + dirName(d) + " flux read";
-    cone.deps.push_back(std::move(dep));
-
-    ConeCheck::LatticeWrite cw;
-    cw.field = cacheField(d);
-    cw.stage = std::string("carry-") + dirName(d) + " flux deposit";
-    cw.indexed = {true, true, true};
-    cw.indexed[static_cast<std::size_t>(d)] = false; // projected out
-    cone.writes.push_back(std::move(cw));
-  }
-  ConeCheck::LatticeWrite pw;
-  pw.field = FieldId::Phi1;
-  pw.stage = std::string(kernels::stageName(Stage::FluxDifference)) + " (fused)";
-  pw.indexed = {true, true, true};
-  cone.writes.push_back(std::move(pw));
+  cone.skew = IntVect::unit(1);
   return cone;
 }
 
@@ -459,8 +436,8 @@ void lowerShiftFuse(ScheduleModel& m, const VariantConfig& cfg,
     return;
   }
 
-  // Per-iteration cell wavefront: concurrency legality is symbolic.
-  m.cones.push_back(fusedCone("cell wavefront", valid));
+  // Per-iteration cell wavefront: its fronts are symbolic.
+  m.cones.push_back(fusedCone(valid));
 
   const bool clo = cfg.comp == ComponentLoop::Outside;
   if (clo) {
@@ -527,10 +504,9 @@ void lowerBlockedWF(ScheduleModel& m, const VariantConfig& cfg,
   }
 
   // Tile wavefronts: symbolic cone over tile coordinates, plus the
-  // explicit front decomposition for the coverage/disjointness walk.
-  m.cones.push_back(fusedCone(
-      "tile wavefront",
-      Box(IntVect::zero(), tiles.gridSize() - IntVect::unit(1))));
+  // explicit front decomposition whose phases the cost model prices.
+  m.cones.push_back(
+      fusedCone(Box(IntVect::zero(), tiles.gridSize() - IntVect::unit(1))));
 
   if (!cli) {
     m.phases.push_back(velocityPrecomputePhase(valid, nThreads));
@@ -600,7 +576,7 @@ void lowerOverlapped(ScheduleModel& m, const VariantConfig& cfg,
   (void)nThreads;
 }
 
-/// Display label used for Diagnostic::variant (kept independent of
+/// Display label used for CostReport::variant (kept independent of
 /// core::VariantConfig::name() so the analysis library layers strictly
 /// below fluxdiv_core).
 std::string variantLabel(const VariantConfig& cfg) {
@@ -660,7 +636,6 @@ ScheduleModel lowerVariant(const VariantConfig& cfg, const Box& valid,
   ScheduleModel m;
   m.variant = variantLabel(cfg);
   m.valid = valid;
-  m.ghost = kernels::kNumGhost;
   switch (cfg.family) {
   case ScheduleFamily::SeriesOfLoops:
     lowerBaseline(m, cfg, valid, nThreads);

@@ -1,11 +1,10 @@
 #pragma once
 // lowerVariant: build the explicit ScheduleModel of one VariantConfig over
 // one box — which stages run, over which regions, under which concurrency
-// structure. The lowering mirrors the executors in src/core stage by stage
-// and barrier by barrier; ScheduleVerifier then proves the model legal.
-// Keeping the lowering separate from the executors is what lets the tests
-// mutate a model into a deliberately-broken schedule (mutate.hpp) and
-// prove the verifier rejects it.
+// structure. The lowering follows the executors in src/core stage by stage
+// and barrier by barrier; it is the static cost model's input
+// (costmodel.hpp), not a proof of the executors, which are checked by
+// running them (docs/static-analysis.md).
 
 #include "analysis/model.hpp"
 #include "core/variant.hpp"

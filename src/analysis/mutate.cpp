@@ -7,76 +7,6 @@
 
 namespace fluxdiv::analysis::mutate {
 
-ScheduleModel shallowHalo(ScheduleModel m) {
-  m.ghost = m.ghost > 0 ? m.ghost - 1 : 0;
-  return m;
-}
-
-ScheduleModel weakSkew(ScheduleModel m) {
-  for (auto& cone : m.cones) {
-    cone.skew[2] = 0;
-  }
-  return m;
-}
-
-ScheduleModel thinOverlap(ScheduleModel m) {
-  for (auto& phase : m.phases) {
-    for (auto& item : phase.items) {
-      for (auto& stage : item.stages) {
-        if (stage.stage.find("EvalFlux1[d=x]") == std::string::npos) {
-          continue;
-        }
-        for (auto& w : stage.writes) {
-          if (!w.box.empty()) {
-            w.box = Box(w.box.lo(), w.box.hi() - IntVect::basis(0));
-          }
-        }
-      }
-    }
-  }
-  return m;
-}
-
-ScheduleModel overlappingTileWrites(ScheduleModel m) {
-  for (auto& phase : m.phases) {
-    if (phase.items.size() < 2) {
-      continue; // only concurrent writers can overlap
-    }
-    for (auto& item : phase.items) {
-      for (auto& stage : item.stages) {
-        for (auto& w : stage.writes) {
-          if (w.field == FieldId::Phi1 && !w.box.empty()) {
-            w.box = w.box.grow(1);
-          }
-        }
-      }
-    }
-  }
-  return m;
-}
-
-ScheduleModel droppedBarrier(ScheduleModel m, std::size_t phase) {
-  if (phase + 1 >= m.phases.size()) {
-    return m;
-  }
-  Phase& a = m.phases[phase];
-  Phase& b = m.phases[phase + 1];
-  a.name += " + " + b.name + " (barrier dropped)";
-  // Merge item-by-item: slab i of the first phase continues straight into
-  // slab i of the second with no synchronization in between.
-  for (std::size_t i = 0; i < b.items.size(); ++i) {
-    if (i < a.items.size()) {
-      for (auto& s : b.items[i].stages) {
-        a.items[i].stages.push_back(std::move(s));
-      }
-    } else {
-      a.items.push_back(std::move(b.items[i]));
-    }
-  }
-  m.phases.erase(m.phases.begin() + static_cast<std::ptrdiff_t>(phase) + 1);
-  return m;
-}
-
 // ---------------------------------------------------------------------------
 // Task-graph mutations.
 // ---------------------------------------------------------------------------

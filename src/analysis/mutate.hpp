@@ -1,11 +1,10 @@
 #pragma once
-// Deliberately-broken schedule mutations. Each takes a *legal* lowered
-// ScheduleModel and miscompiles it the way a buggy executor or a wrong
-// tuning decision would, so the tests (tests/analysis) and the verify tool
-// can prove ScheduleVerifier rejects each class of illegality with the
-// right diagnostic — not merely accepts the legal ones.
+// Seeded miscompilations of the artifacts the checkers prove, each
+// predicting the witness its checker must report, so the tests can prove
+// every checker rejects each class of bug for the right reason — not
+// merely accepts the legal artifacts.
 //
-// The GraphMutation half does the same for lowered *task graphs*
+// The GraphMutation half miscompiles lowered *task graphs*
 // (analysis/graphcheck.hpp): seeded edge drops, edge reroutes, and
 // ghost-write shrinks, each predicting the two-task witness
 // checkTaskGraph must report.
@@ -15,48 +14,25 @@
 // skews, and send unmatchings, each predicting the labeled two-endpoint
 // witness checkCommPlan must report.
 //
+// The KernelMutation half edits inferred *kernel footprints*
+// (analysis/kernelcheck.hpp): widened reads, shifted stencils and
+// forgotten declared offsets, each predicting the role and offset
+// checkKernelFootprints must report.
+//
 // The StepMutation half miscompiles *step programs*
 // (analysis/stepcheck.hpp): a dropped exchange and a reordered op pair,
 // each making the program read a never-written slot part and predicting
 // the op at which checkStepProgram must report it.
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "analysis/commcheck.hpp"
 #include "analysis/graphcheck.hpp"
 #include "analysis/kernelcheck.hpp"
-#include "analysis/model.hpp"
 #include "core/stepprogram.hpp"
 
 namespace fluxdiv::analysis::mutate {
-
-/// Understate the ghost depth on Phi0 (a too-shallow halo exchange).
-/// Every variant's EvalFlux1 reads 2 deep, so depth 1 must be rejected
-/// with HaloTooShallow.
-ScheduleModel shallowHalo(ScheduleModel m);
-
-/// Zero the z component of every wavefront skew (a diagonal that no
-/// longer covers the z carry). Rejected with SkewTooSmall naming the
-/// carry-z dependence.
-ScheduleModel weakSkew(ScheduleModel m);
-
-/// Shrink the x-direction EvalFlux1 recompute region by one face on the
-/// high side (an overlapped tile whose interior recomputation is too
-/// thin). Rejected with RecomputeUncovered at the first consuming stage.
-ScheduleModel thinOverlap(ScheduleModel m);
-
-/// Grow every Phi1 write footprint by one cell (tiles that also commit
-/// their overlap region). Concurrent tiles then write intersecting
-/// regions: rejected with WriteOverlap naming the two tiles.
-ScheduleModel overlappingTileWrites(ScheduleModel m);
-
-/// Remove the barrier after `phase`, merging it with its successor (the
-/// classic dropped barrier: a missing join between two phases). For the slab-parallel baseline in the z
-/// direction this races a slab's flux-difference read against its
-/// neighbor's face writes: rejected with ReadWriteRace.
-ScheduleModel droppedBarrier(ScheduleModel m, std::size_t phase);
 
 /// A seeded task-graph miscompilation plus the diagnostic it must provoke.
 /// `expect == Ok` means the graph offered no candidate for this mutation

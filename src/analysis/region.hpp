@@ -1,8 +1,8 @@
 #pragma once
-// Region algebra for the schedule verifier and cost model: box subtraction,
-// coverage queries, and union volumes over sets of boxes. The verifier's
-// questions are all of the form "is this read region fully inside that
-// union of written regions, and if not, which cells are missing?"; the cost
+// Region algebra for the checkers and the cost model: box subtraction,
+// coverage queries, and union volumes over sets of boxes. The checkers'
+// questions are of the form "is this read region fully inside that union
+// of written regions, and if not, which cells are missing?"; the cost
 // model's are "how many distinct cells does this union of accesses touch?"
 // Both are answered exactly (rectangular decomposition / compressed
 // coordinates — no full-resolution rasterization).

@@ -1,8 +1,7 @@
 #pragma once
 // Shared region-set operations built on the primitives of region.hpp.
-// The three static checkers (verifier: R1 read coverage, graphcheck: G3
-// ghost coverage, commcheck: C1 exchange exactness) all ask the same two
-// questions — "do these boxes cover that target, and if not, where is the
+// The region checkers (graphcheck: G3 ghost coverage, commcheck: C1
+// exchange exactness) ask the same two questions — "do these boxes cover that target, and if not, where is the
 // first hole?" and "do any two of these boxes overlap, and where?" — so
 // the cover-collection and witness-extraction logic lives here once
 // instead of being reimplemented per checker.

@@ -1,9 +1,8 @@
 #pragma once
 // analysis/stepcheck: the whole-step program checker
 // (docs/static-analysis.md, "stepcheck"). The top layer of the proof
-// pyramid: schedules (verifier) -> task graphs (graphcheck) -> comm plans
-// (commcheck) -> kernel contracts (kernelcheck) -> whole-step programs
-// (this file). Halo width is fixed by the stencil: every Exchange fills
+// pyramid: task graphs (graphcheck) -> comm plans (commcheck) -> kernel
+// contracts (kernelcheck) -> whole-step programs (this file). Halo width is fixed by the stencil: every Exchange fills
 // kNumGhost layers and every compute op writes a slot's whole valid
 // region. So per slot the checker tracks only the op that wrote its valid
 // region and the ops that wrote its ghost frame since its last Exchange:

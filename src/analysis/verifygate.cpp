@@ -4,14 +4,30 @@
 
 namespace fluxdiv::analysis {
 
-bool VerifyGate::shouldVerify(const std::string& shapeKey) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return seen_.insert(shapeKey).second;
+void VerifyGate::verifyOnce(const std::string& shapeKey,
+                            const std::function<void()>& check) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto [it, first] = verdicts_.try_emplace(shapeKey);
+    if (!first) {
+      if (it->second) {
+        std::rethrow_exception(it->second);
+      }
+      return;
+    }
+  }
+  try {
+    check();
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    verdicts_[shapeKey] = std::current_exception();
+    throw;
+  }
 }
 
 std::size_t VerifyGate::verifiedShapes() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return seen_.size();
+  return verdicts_.size();
 }
 
 std::string verifyFailureMessage(std::string header,

@@ -9,8 +9,7 @@
 
 #ifdef FLUXDIV_VERIFY
 #include "analysis/kernelcheck.hpp"
-#include "analysis/lower.hpp"
-#include "analysis/verifier.hpp"
+#include "analysis/verifygate.hpp"
 #include "core/kernelshapes.hpp"
 #endif
 
@@ -44,56 +43,33 @@ FluxDivRunner::FluxDivRunner(VariantConfig cfg, int nThreads)
 
 FluxDivRunner::~FluxDivRunner() = default;
 
-void FluxDivRunner::verifySchedule(const Box& valid) {
-#ifdef FLUXDIV_VERIFY
-  const grid::IntVect extents = valid.size();
-  const std::string key = std::to_string(extents[0]) + "x" +
-                          std::to_string(extents[1]) + "x" +
-                          std::to_string(extents[2]);
-  if (!scheduleGate_.shouldVerify(key)) {
-    return;
-  }
-  const Box shape(grid::IntVect::zero(), extents - grid::IntVect::unit(1));
-  const analysis::Diagnostic diag = analysis::ScheduleVerifier{}.verify(
-      analysis::lowerVariant(cfg_, shape, nThreads_));
-  if (!diag.ok()) {
-    throw std::logic_error("schedule verification failed for variant '" +
-                           cfg_.name() + "': " + diag.message());
-  }
-#else
-  (void)valid;
-#endif
-}
-
-void FluxDivRunner::verifyKernels() {
+void FluxDivRunner::prepare() {
 #ifdef FLUXDIV_VERIFY
   if (kernelsVerified_) {
     return;
   }
-  kernelsVerified_ = true;
   // The probe executes this variant's real code path through a fresh
   // runner, whose runBox re-enters this gate under the same config name;
-  // VerifyGate inserts the name before the probe runs, which terminates
-  // the recursion (and keeps concurrent runners from probing the same
-  // config twice). Process-wide: footprints depend only on the config.
+  // VerifyGate lets that re-entrant use through, which terminates the
+  // recursion (and keeps concurrent runners from probing the same config
+  // twice). Process-wide: footprints depend only on the config.
   static analysis::VerifyGate gate;
-  if (!gate.shouldVerify(cfg_.name())) {
-    return;
-  }
-  analysis::ProbeOptions opts;
-  // Smallest box the config accepts; sampled probing keeps the one-time
-  // gate cheap enough for Debug test runs.
-  opts.boxSize = std::max(6, cfg_.tileSize);
-  opts.exhaustiveSlotLimit = 0;
-  opts.sampleTarget = 400;
-  const analysis::KernelCheckReport report = analysis::checkKernelFootprints(
-      analysis::inferFootprint(makeVariantShape(cfg_, nThreads_), opts));
-  if (!report.ok()) {
-    throw std::logic_error("kernel contract verification failed for "
-                           "variant '" +
-                           cfg_.name() +
-                           "': " + report.diagnostics.front().message());
-  }
+  gate.verifyOnce(cfg_.name(), [this] {
+    analysis::ProbeOptions opts;
+    // Smallest box the config accepts; sampled probing keeps the one-time
+    // gate cheap enough for Debug test runs.
+    opts.boxSize = std::max(6, cfg_.tileSize);
+    opts.exhaustiveSlotLimit = 0;
+    opts.sampleTarget = 400;
+    analysis::throwOnDiagnostics(
+        "kernel contract verification failed for variant '" + cfg_.name() +
+            "'",
+        analysis::checkKernelFootprints(
+            analysis::inferFootprint(makeVariantShape(cfg_, nThreads_),
+                                     opts))
+            .diagnostics);
+  });
+  kernelsVerified_ = true;
 #endif
 }
 
@@ -109,7 +85,7 @@ TaskGraph& FluxDivRunner::graphFor(const Box& valid, std::size_t nBoxes) {
     throw std::invalid_argument("variant '" + cfg_.name() +
                                 "' is not valid for this box size");
   }
-  prepare(valid);
+  prepare();
   const Box shape(grid::IntVect::zero(), ext - grid::IntVect::unit(1));
   const detail::RunnerCall& call = graphs_->call;
   TaskGraph graph;

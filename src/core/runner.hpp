@@ -8,19 +8,21 @@
 // workers, created on the first run()/runBox(): P>=Box as one task per
 // box, P=Box*Tile as one task per (box, tile), and P<Box box by box, each
 // box's schedule as tasks with a dependence join wherever the schedule
-// has a team barrier (the phases analysis::lowerVariant models). Graphs
-// are built once per box shape (per layout for P>=Box and P=Box*Tile).
+// has a team barrier (the phases analysis::lowerVariant models for the
+// cost model). Graphs are built once per box shape (per layout for P>=Box
+// and P=Box*Tile).
 //
 // In Debug builds (or with -DFLUXDIV_VERIFY=ON) the runner additionally
-// proves the configured schedule legal before the first execution over
-// each box shape, and probes each variant's kernels differentially once
-// per config to prove the declared stencil footprints sound — see
-// src/analysis and docs/static-analysis.md. Release builds compile both
-// gates out entirely.
+// probes each variant's kernels differentially once per config to prove
+// the declared stencil footprints sound — see src/analysis and
+// docs/static-analysis.md. Release builds compile the gate out entirely.
+// Whether the schedules themselves are legal is checked by running them:
+// the equivalence tests against the reference kernel, the adversarial
+// replay of every graph (FluxDivRunner.ReplayedGraphsMatchOneThreadRun)
+// and, with FLUXDIV_SHADOW_CHECK, the shadow race detector.
 
 #include <memory>
 
-#include "analysis/verifygate.hpp"
 #include "core/variant.hpp"
 #include "core/workspace.hpp"
 #include "grid/leveldata.hpp"
@@ -69,14 +71,15 @@ public:
   void run(const grid::LevelData& phi0, grid::LevelData& phi1,
            grid::Real scale = 1.0);
 
-  /// Run the kernel and legality gates for boxes of this shape (cached,
-  /// compiled out unless FLUXDIV_VERIFY — see above). runBox/run call
-  /// this when they first meet a box shape; the step-graph executor calls
-  /// it up front so graph tasks need not.
-  void prepare(const grid::Box& valid) {
-    verifyKernels();
-    verifySchedule(valid);
-  }
+  /// Kernel footprint contract gate (no-op unless FLUXDIV_VERIFY is
+  /// defined): differentially probe this variant's whole-pipeline
+  /// kernels over a small sampled box and prove the declared stencil
+  /// footprints sound (analysis/kernelcheck), throwing std::logic_error
+  /// on an undeclared access. Probed once per config name process-wide;
+  /// a config that failed fails again on every later call. runBox/run
+  /// call this when they first meet a box shape; the step-graph executor
+  /// calls it up front so graph tasks need not.
+  void prepare();
 
   /// Single-box entry point: phi0 must cover valid.grow(kNumGhost) with
   /// ghosts filled; phi1 must cover `valid`. Uses the configured parallel
@@ -107,25 +110,10 @@ private:
   /// Run one graph on the pool (created here on first use).
   void dispatch(TaskGraph& graph);
 
-  /// Schedule-legality gate (no-op unless FLUXDIV_VERIFY is
-  /// defined): lowers the variant over this box shape and runs the
-  /// ScheduleVerifier, throwing std::logic_error with the diagnostic on
-  /// an illegal schedule. Legality is translation-invariant, so results
-  /// are cached per box extent.
-  void verifySchedule(const grid::Box& valid);
-
-  /// Kernel footprint contract gate (no-op unless FLUXDIV_VERIFY is
-  /// defined): differentially probe this variant's whole-pipeline
-  /// kernels over a small sampled box and prove the declared stencil
-  /// footprints sound (analysis/kernelcheck), throwing std::logic_error
-  /// on an undeclared access. Probed once per config name process-wide.
-  void verifyKernels();
-
   VariantConfig cfg_;
   int nThreads_;
   WorkspacePool ws_; ///< one per pool worker
   std::unique_ptr<Graphs> graphs_;
-  analysis::VerifyGate scheduleGate_; ///< box extents proven legal
   bool kernelsVerified_ = false; ///< this runner passed the kernel gate
 };
 

@@ -30,25 +30,6 @@ using kernels::kNumGhost;
 
 namespace {
 
-#ifdef FLUXDIV_VERIFY
-void throwOnStepGraphDiagnostics(const analysis::TaskGraphModel& model) {
-  const analysis::GraphCheckReport report =
-      analysis::checkTaskGraph(model, /*findRemovable=*/false);
-  if (report.ok()) {
-    return;
-  }
-  std::vector<std::string> msgs;
-  msgs.reserve(report.diagnostics.size());
-  for (const auto& d : report.diagnostics) {
-    msgs.push_back(d.message());
-  }
-  throw std::logic_error(analysis::verifyFailureMessage(
-      "StepGraphExecutor: task-graph verification failed for '" +
-          model.name + "'",
-      msgs));
-}
-#endif
-
 /// The layout/physics half of the S4 rebind signature
 /// (analysis/stepcheck.hpp) — exactly the capture key fields beyond the
 /// program itself.
@@ -78,20 +59,11 @@ void verifyStepOnce(const StepProgram& prog, const LevelData& u,
   static analysis::VerifyGate gate;
   const std::uint64_t sig = analysis::stepSignature(
       prog, StepFuse::Fused, stepShapeKeyOf(u, rhs));
-  if (!gate.shouldVerify(analysis::stepSignatureHex(sig))) {
-    return;
-  }
-  const analysis::StepCheckReport report = analysis::checkStepProgram(prog);
-  if (report.ok()) {
-    return;
-  }
-  std::vector<std::string> msgs;
-  msgs.reserve(report.diagnostics.size());
-  for (const auto& d : report.diagnostics) {
-    msgs.push_back(d.message());
-  }
-  throw std::logic_error(analysis::verifyFailureMessage(
-      "StepGraphExecutor: step-program verification failed", msgs));
+  gate.verifyOnce(analysis::stepSignatureHex(sig), [&prog] {
+    analysis::throwOnDiagnostics(
+        "StepGraphExecutor: step-program verification failed",
+        analysis::checkStepProgram(prog).diagnostics);
+  });
 }
 
 /// Exchange plans are pure functions of the domain (box and periodicity),
@@ -117,25 +89,17 @@ std::string levelShapeKey(const LevelData& level) {
 /// once per process.
 void verifyCommOnce(const LevelData& level) {
   static analysis::VerifyGate gate;
-  if (level.size() == 0 || level.nGhost() <= 0 ||
-      !gate.shouldVerify(levelShapeKey(level))) {
+  if (level.size() == 0 || level.nGhost() <= 0) {
     return;
   }
-  const analysis::CommPlanModel model =
-      analysis::buildCommPlanModel(level.layout(), level.copier());
-  const analysis::CommCheckReport report = analysis::checkCommPlan(model);
-  if (report.ok()) {
-    return;
-  }
-  std::vector<std::string> msgs;
-  msgs.reserve(report.diagnostics.size());
-  for (const auto& d : report.diagnostics) {
-    msgs.push_back(d.message());
-  }
-  throw std::logic_error(analysis::verifyFailureMessage(
-      "StepGraphExecutor: exchange-plan verification failed for '" +
-          model.name + "'",
-      msgs));
+  gate.verifyOnce(levelShapeKey(level), [&level] {
+    const analysis::CommPlanModel model =
+        analysis::buildCommPlanModel(level.layout(), level.copier());
+    analysis::throwOnDiagnostics(
+        "StepGraphExecutor: exchange-plan verification failed for '" +
+            model.name + "'",
+        analysis::checkCommPlan(model).diagnostics);
+  });
 }
 #endif
 
@@ -1017,12 +981,9 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   verifyStepOnce(prog, u, rhs);
 #endif
 
-  // Schedule-legality and kernel-contract gates for every box shape the
-  // tasks will run (cached inside the runner, compiled out unless
-  // FLUXDIV_VERIFY — see core/runner.hpp).
-  for (std::size_t b = 0; b < u.size(); ++b) {
-    runner_->prepare(u.validBox(b));
-  }
+  // Kernel-contract gate of the variant the RHS tasks run (compiled out
+  // unless FLUXDIV_VERIFY — see core/runner.hpp).
+  runner_->prepare();
 
   // Backing storage: the solution slot is the caller's level; every stage
   // slot some task touches gets a level owned by the capture, with ghosts
@@ -1081,7 +1042,11 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
 
 #ifdef FLUXDIV_VERIFY
   // Prove the captured graph race-free before its first execution.
-  throwOnStepGraphDiagnostics(cap->model);
+  analysis::throwOnDiagnostics(
+      "StepGraphExecutor: task-graph verification failed for '" +
+          cap->model.name + "'",
+      analysis::checkTaskGraph(cap->model, /*findRemovable=*/false)
+          .diagnostics);
 #endif
 
   const std::uint64_t hits = stats_.cacheHits;

@@ -1,11 +1,11 @@
 // Randomized property tests for the shared region algebra
 // (analysis/region_ops) and commcheck's C1 exactness proof, both checked
 // against brute-force per-cell oracles. The region-ops properties pin the
-// primitives all three static checkers (verifier, graphcheck, commcheck)
-// now share; the exactness property pins the whole C1 pipeline: over
-// random layouts (box counts, sizes, ghost depths, per-axis periodicity)
-// the checker's verdict must equal the per-cell count "every
-// exchange-owned ghost cell covered exactly once".
+// primitives the region checkers (graphcheck, commcheck) share; the
+// exactness property pins the whole C1 pipeline: over random layouts
+// (box counts, sizes, ghost depths, per-axis periodicity) the checker's
+// verdict must equal the per-cell count "every exchange-owned ghost cell
+// covered exactly once".
 
 #include <gtest/gtest.h>
 

@@ -1,15 +1,18 @@
 // Unit tests for the static cost model: working-set orderings, traffic
 // regimes, recomputation accounting, parallelism metrics, and the
-// structured cost notes. Numeric agreement with the cache simulator is
-// covered separately in test_costmodel_xval.cpp.
+// structured cost notes, and the lowering (analysis/lower.hpp) they read.
+// Numeric agreement with the cache simulator is covered separately in
+// test_costmodel_xval.cpp.
 
 #include "analysis/costmodel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
+#include "analysis/lower.hpp"
 #include "core/kernelshapes.hpp"
 #include "core/stepprogram.hpp"
 #include "core/variant.hpp"
@@ -31,6 +34,40 @@ constexpr std::size_t kMiB = 1024 * 1024;
 bool hasNote(const CostReport& r, CostNoteKind kind) {
   return std::any_of(r.notes.begin(), r.notes.end(),
                      [&](const CostNote& n) { return n.kind == kind; });
+}
+
+TEST(CostModel, LoweringRejectsRunnerInvalidConfigs) {
+  // Configurations the runner would refuse must throw at lowering, not
+  // produce a bogus model.
+  core::VariantConfig tiledNoSize =
+      core::makeBlockedWF(8, core::ParallelGranularity::WithinBox,
+                          core::ComponentLoop::Inside);
+  tiledNoSize.tileSize = 0;
+  EXPECT_THROW(lowerVariant(tiledNoSize, grid::Box::cube(16), 4),
+               std::invalid_argument);
+
+  const core::VariantConfig hybridBaseline =
+      core::makeBaseline(core::ParallelGranularity::HybridBoxTile);
+  EXPECT_THROW(lowerVariant(hybridBaseline, grid::Box::cube(16), 4),
+               std::invalid_argument);
+
+  EXPECT_THROW(
+      lowerVariant(core::makeBaseline(core::ParallelGranularity::WithinBox),
+                   grid::Box::cube(16), 0),
+      std::invalid_argument);
+}
+
+TEST(CostModel, LoweredModelRecordsVariantAndBox) {
+  const ScheduleModel m = lowerVariant(
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox),
+      grid::Box::cube(16), 4);
+  EXPECT_FALSE(m.variant.empty());
+  EXPECT_EQ(m.valid, grid::Box::cube(16));
+  // The within-box shift-fuse schedule is the per-cell wavefront: one
+  // cone over the box's cells, fronts along x + y + z.
+  ASSERT_EQ(m.cones.size(), 1u);
+  EXPECT_EQ(m.cones[0].lattice, grid::Box::cube(16));
+  EXPECT_EQ(m.cones[0].skew, grid::IntVect::unit(1));
 }
 
 TEST(CostModel, ReportBasicsAreConsistent) {

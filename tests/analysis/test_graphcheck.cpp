@@ -16,12 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/mutate.hpp"
-#include "analysis/verifier.hpp"
 #include "core/kernelshapes.hpp"
 #include "core/stepgraph.hpp"
 #include "core/variant.hpp"
@@ -94,6 +94,41 @@ TEST(GraphCheck, UnorderedOverlappingWritesAreReported) {
   ASSERT_FALSE(rep.ok());
   EXPECT_TRUE(reported(rep, DiagnosticKind::WriteOverlap, "tile A",
                        "tile B"));
+}
+
+TEST(GraphCheck, DiagnosticMessageNamesEverything) {
+  // The rendered message is what the step-graph gate's exception carries:
+  // it must name the kind, both tasks, and the violating region.
+  TaskGraphModel m;
+  m.name = "w/w";
+  const int a = m.addTask("tile A");
+  const int b = m.addTask("tile B");
+  m.tasks[static_cast<std::size_t>(a)].writes.push_back(
+      acc(FieldId::Phi1, 0, Box::cube(4)));
+  m.tasks[static_cast<std::size_t>(b)].writes.push_back(
+      acc(FieldId::Phi1, 0, Box::cube(4, IntVect(3, 0, 0))));
+  const GraphCheckReport rep = checkTaskGraph(m);
+  ASSERT_EQ(rep.diagnostics.size(), 1u);
+  const std::string msg = rep.diagnostics[0].message();
+  EXPECT_NE(msg.find("write-overlap"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("tile A"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("tile B"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("(3,0,0)"), std::string::npos) << msg;
+  EXPECT_EQ(Diagnostic{}.message(), "ok");
+}
+
+TEST(GraphCheck, EveryKindHasAName) {
+  std::set<std::string> names;
+  for (const auto k :
+       {DiagnosticKind::Ok, DiagnosticKind::ReadUncovered,
+        DiagnosticKind::WriteOverlap, DiagnosticKind::ReadWriteRace,
+        DiagnosticKind::DependencyCycle}) {
+    const std::string name = diagnosticKindName(k);
+    EXPECT_GT(name.size(), 1u);
+    EXPECT_NE(name, "?");
+    names.insert(name);
+  }
+  EXPECT_EQ(names.size(), 5u) << "every kind has its own name";
 }
 
 TEST(GraphCheck, DisjointComponentsAndBoxesDoNotConflict) {

@@ -187,7 +187,7 @@ TEST(CheckedAccessor, OutOfBoundsIsFlaggedNotDereferenced) {
 
 TEST(ShadowIntegration, OverlappingTileCommitsAreCaught) {
   // A real broken overlapped-tile schedule: two concurrent tiles commit
-  // their *grown* regions (the overlappingTileWrites mutation, executed):
+  // their *grown* regions (a tile that commits its overlap region):
   // both workers write the shared plane x = 8 in the same epoch.
   FArrayBox phi1(Box::cube(16), 1);
   phi1.shadowBeginEpoch();

@@ -5,7 +5,7 @@
 // dead stores and dead exchanges surface as advisories and as advisor
 // cost notes; the S4 rebind signature is deterministic and sensitive to
 // every key field; and the shared VerifyGate runtime verifies each shape
-// once.
+// once and keeps failing a shape that failed.
 
 #include "analysis/stepcheck.hpp"
 
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -221,11 +222,47 @@ TEST(VerifyGate, EnvironmentDisablesAndMemoizes) {
   // The gate has no environment override (FLUXDIV_VERIFY is a build
   // option); what it does at run time is the once-per-shape memo.
   VerifyGate gate;
+  int runs = 0;
+  const auto count = [&runs] { ++runs; };
   EXPECT_EQ(gate.verifiedShapes(), 0u);
-  EXPECT_TRUE(gate.shouldVerify("a"));
-  EXPECT_FALSE(gate.shouldVerify("a")) << "each shape verifies once";
-  EXPECT_TRUE(gate.shouldVerify("b"));
+  gate.verifyOnce("a", count);
+  gate.verifyOnce("a", count);
+  EXPECT_EQ(runs, 1) << "each shape verifies once";
+  gate.verifyOnce("b", count);
+  EXPECT_EQ(runs, 2);
   EXPECT_EQ(gate.verifiedShapes(), 2u);
+}
+
+TEST(VerifyGate, FailedShapeFailsOnEveryUse) {
+  // A check that throws must not leave its shape marked proven: every
+  // later use of the key throws the first failure again.
+  VerifyGate gate;
+  int runs = 0;
+  const auto unsound = [&runs] {
+    ++runs;
+    throw std::logic_error("shape 'a' is unsound");
+  };
+  EXPECT_THROW(gate.verifyOnce("a", unsound), std::logic_error);
+  for (int use = 0; use < 2; ++use) {
+    try {
+      gate.verifyOnce("a", [] {});
+      ADD_FAILURE() << "use " << use << " of a failed shape passed the gate";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "shape 'a' is unsound");
+    }
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_NO_THROW(gate.verifyOnce("b", [] {})) << "other shapes still pass";
+}
+
+TEST(VerifyGate, ReentrantUsePassesThrough) {
+  // The kernel probe runs its variant through a fresh runner, which
+  // re-enters the gate under the same key while the check runs.
+  VerifyGate gate;
+  int inner = 0;
+  gate.verifyOnce("a", [&] { gate.verifyOnce("a", [&inner] { ++inner; }); });
+  EXPECT_EQ(inner, 0);
+  EXPECT_EQ(gate.verifiedShapes(), 1u);
 }
 
 TEST(VerifyGate, FailureMessageFormat) {

@@ -966,6 +966,30 @@ TEST(StepGraph, LoweredModelsPassGraphcheck) {
   }
 }
 
+#ifdef FLUXDIV_VERIFY
+TEST(StepGraph, UnsoundProgramFailsOnEveryExecutor) {
+  // The step gate proves each program shape once per process; a shape
+  // that failed must fail again for the next executor instead of passing
+  // as proven. The RHS reads slot 1, whose ghost frame is exchanged but
+  // whose valid region nothing writes, so only the step gate sees it.
+  core::StepProgram prog;
+  prog.nSlots = 3;
+  prog.rhsEvals = 1;
+  prog.slotNames = {"u", "k1", "k2"};
+  prog.exchange(0);
+  prog.exchange(1);
+  prog.rhs(1, 2);
+  prog.axpy(0, 2, 0.01);
+  for (int use = 0; use < 2; ++use) {
+    LevelData u = initialState(smallLayout());
+    core::StepGraphExecutor exec(
+        core::makeShiftFuse(core::ParallelGranularity::OverBoxes), 2);
+    EXPECT_THROW(exec.run(prog, u, {}), std::logic_error)
+        << "executor " << use;
+  }
+}
+#endif
+
 TEST(StepGraph, CapturedEdgesGrowLinearlyWithSteps) {
   // A write drops the parts of earlier dependence-log entries it covers,
   // so every captured step after the first adds the same edges. Without
