@@ -16,6 +16,10 @@
 // under fused (cross-timestep fusion). Fused rows also give the captured
 // graph's tasks, edges and exchange-copy tasks per time step
 // (TimeIntegrator::stepStats()); eager rows have no graph.
+// Every row also carries the utilization of its timed reps: process CPU
+// seconds over (wall seconds x threads). A row near 1/threads ran with
+// all its threads on one CPU (or, for eager rows, serially: the eager
+// reference is one thread).
 //
 // BENCH_rkstep.json in the repo root holds this bench's committed rows,
 // the measurements docs/perf.md "Step fusion" cites.
@@ -84,10 +88,11 @@ grid::DisjointBoxLayout rowLayout(int n, int nBoxes) {
   return grid::DisjointBoxLayout(grid::ProblemDomain(domain), n);
 }
 
-/// One measured row: seconds per step, and the captured graph's counts
-/// per step (fused only).
+/// One measured row: seconds per step, the utilization of the timed reps,
+/// and the captured graph's counts per step (fused only).
 struct StepTiming {
   double secs = 0.0;
+  double utilization = 0.0;
   bool graph = false;
   double tasks = 0.0;
   double edges = 0.0;
@@ -122,6 +127,8 @@ StepTiming timeStep(solvers::Scheme scheme, core::StepFuse fuse,
   };
   advanceChunk(); // warm-up: capture + first touch
   double best = 0.0;
+  const double cpu0 = harness::processCpuSeconds();
+  const harness::Timer wall;
   for (int r = 0; r < reps; ++r) {
     harness::Timer t;
     for (int c = 0; c < chunks; ++c) {
@@ -134,6 +141,8 @@ StepTiming timeStep(solvers::Scheme scheme, core::StepFuse fuse,
   }
   StepTiming out;
   out.secs = best;
+  out.utilization = harness::utilization(
+      harness::processCpuSeconds() - cpu0, wall.seconds(), threads);
   if (const core::StepGraphStats* st = integ.stepStats()) {
     out.graph = true;
     out.tasks = static_cast<double>(st->taskCount) / window;
@@ -209,12 +218,12 @@ int main(int argc, char** argv) {
       core::makeShiftFuse(core::ParallelGranularity::WithinBox);
 
   harness::Table table({"scheme", "boxes", "fuse", "threads", "s/step",
-                        "vs fused", "tasks/step", "edges/step",
+                        "vs fused", "util", "tasks/step", "edges/step",
                         "xchg ops/step"});
   harness::CsvWriter csv(args.getString("csv"),
                          {"scheme", "boxsize", "nboxes", "fuse", "policy",
                           "window", "threads", "seconds_per_step",
-                          "tasks_per_step", "edges_per_step",
+                          "utilization", "tasks_per_step", "edges_per_step",
                           "exchange_ops_per_step"});
   bench::JsonWriter json(args.getString("json"));
 
@@ -250,6 +259,7 @@ int main(int argc, char** argv) {
                             ? harness::formatDouble(fusedSecs / row.secs, 2) +
                                   "x"
                             : "-",
+                        harness::formatDouble(row.utilization, 2),
                         count(row.tasks), count(row.edges),
                         count(row.exchangeOps)});
           csv.writeRow({solvers::schemeName(scheme), std::to_string(n),
@@ -257,14 +267,17 @@ int main(int argc, char** argv) {
                         core::stepFuseName(fuse),
                         core::levelPolicyName(policy),
                         std::to_string(window), std::to_string(t),
-                        harness::formatSeconds(row.secs), count(row.tasks),
-                        count(row.edges), count(row.exchangeOps)});
+                        harness::formatSeconds(row.secs),
+                        harness::formatDouble(row.utilization, 3),
+                        count(row.tasks), count(row.edges),
+                        count(row.exchangeOps)});
           std::vector<std::pair<std::string, double>> numbers = {
               {"boxsize", static_cast<double>(n)},
               {"nboxes", static_cast<double>(nBoxes)},
               {"window", static_cast<double>(window)},
               {"threads", static_cast<double>(t)},
-              {"seconds_per_step", row.secs}};
+              {"seconds_per_step", row.secs},
+              {"utilization", row.utilization}};
           if (row.graph) {
             numbers.insert(numbers.end(),
                            {{"tasks_per_step", row.tasks},

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "analysis/lower.hpp"
 #include "analysis/region.hpp"
@@ -97,28 +98,18 @@ double slotsBytesPadded(const SlotBoxes& slots, int pad) {
 // Scratch anchoring. A serial item that runs many tiles in sequence (the
 // OverBoxes overlapped-tile lowering concatenates every tile's pipeline
 // into one WorkItem) reuses one tile-sized scratch workspace, not one per
-// tile. The lowering tags those stages "tile (x,y,z) ..."; translating
-// each tag group's private boxes to a common origin makes successive
-// tiles' scratch alias the same slots, which is exactly what the executor
-// workspace does.
+// tile. The lowering marks those stages with their tile's scratchGroup;
+// translating each group's private boxes to a common origin makes
+// successive tiles' scratch alias the same slots, which is exactly what
+// the executor workspace does.
 // ---------------------------------------------------------------------------
 
-std::string scratchGroup(const std::string& stage) {
-  if (stage.rfind("tile (", 0) == 0) {
-    const auto close = stage.find(") ");
-    if (close != std::string::npos) {
-      return stage.substr(0, close + 1);
-    }
-  }
-  return {};
-}
-
-using AnchorMap = std::map<std::string, IntVect>;
+using AnchorMap = std::map<int, IntVect>;
 
 AnchorMap scratchAnchors(const WorkItem& item) {
   AnchorMap anchors;
   for (const auto& stage : item.stages) {
-    const std::string group = scratchGroup(stage.stage);
+    const int group = stage.scratchGroup;
     auto note = [&](const Access& a) {
       if (a.storage != StorageClass::Private || a.box.empty()) {
         return;
@@ -138,8 +129,8 @@ AnchorMap scratchAnchors(const WorkItem& item) {
   return anchors;
 }
 
-IntVect anchorOf(const AnchorMap& anchors, const std::string& stage) {
-  const auto it = anchors.find(scratchGroup(stage));
+IntVect anchorOf(const AnchorMap& anchors, const StageExec& stage) {
+  const auto it = anchors.find(stage.scratchGroup);
   return it == anchors.end() ? IntVect::zero() : it->second;
 }
 
@@ -158,7 +149,7 @@ ItemFootprint itemFootprint(const WorkItem& item, SlotBoxes& phaseShared,
   SlotBoxes all;
   SlotBoxes priv;
   for (const auto& stage : item.stages) {
-    const IntVect anchor = anchorOf(anchors, stage.stage);
+    const IntVect anchor = anchorOf(anchors, stage);
     for (const auto& a : stage.reads) {
       addAccess(all, a, anchor);
       addAccess(a.storage == StorageClass::Private ? priv : phaseShared, a,
@@ -230,7 +221,7 @@ std::vector<TrafficUnit> cutTrafficUnits(const ScheduleModel& m,
     for (const auto& item : phase.items) {
       const AnchorMap anchors = scratchAnchors(item);
       for (const auto& stage : item.stages) {
-        const IntVect anchor = anchorOf(anchors, stage.stage);
+        const IntVect anchor = anchorOf(anchors, stage);
         const double bytes = stageBytes(stage, anchor);
         if (cur.weight > 0 && cur.weight + bytes > capacity) {
           units.push_back(std::move(cur));
@@ -337,7 +328,7 @@ double globalDistinctBytes(const ScheduleModel& m) {
     for (const auto& item : phase.items) {
       const AnchorMap anchors = scratchAnchors(item);
       for (const auto& stage : item.stages) {
-        const IntVect anchor = anchorOf(anchors, stage.stage);
+        const IntVect anchor = anchorOf(anchors, stage);
         for (const auto& a : stage.reads) {
           addAccess(all, a, anchor);
         }
@@ -394,8 +385,8 @@ double compulsoryTraffic(const ScheduleModel& m) {
 // ---------------------------------------------------------------------------
 // (c) Recomputation volume: temporary values (flux / velocity faces)
 // produced by more than one work unit. Work units are items, refined by
-// the "tile (x,y,z)" stage tags so the serial overlapped-tile lowering
-// (one item running every tile) still exposes its per-tile structure.
+// the stages' scratch groups so the serial overlapped-tile lowering (one
+// item running every tile) still exposes its per-tile structure.
 // Duplicates within one unit (EvalFlux1 then EvalFlux2 refining the same
 // faces) are pipeline staging, not recomputation, and union out.
 // ---------------------------------------------------------------------------
@@ -412,16 +403,15 @@ struct RecomputeTally {
 void tallyPhaseRecompute(const Phase& phase, RecomputeTally& tally) {
   // Producer unit -> slot -> boxes, in original (un-anchored) coordinates:
   // recompute is about *where* work repeats, not where scratch lives.
-  std::map<std::string, SlotBoxes> units;
+  // A unit is (item, scratch group).
+  std::map<std::pair<std::size_t, int>, SlotBoxes> units;
   for (std::size_t i = 0; i < phase.items.size(); ++i) {
     for (const auto& stage : phase.items[i].stages) {
       for (const auto& a : stage.writes) {
         if (!isRecomputeField(a.field)) {
           continue;
         }
-        const std::string unit =
-            std::to_string(i) + "|" + scratchGroup(stage.stage);
-        addAccess(units[unit], a, IntVect::zero());
+        addAccess(units[{i, stage.scratchGroup}], a, IntVect::zero());
       }
     }
   }

@@ -456,6 +456,16 @@ GraphCheckReport checkTaskGraph(const TaskGraphModel& m,
           continue;
         }
         CoverSet cover;
+        const auto fills = [&r](const TaskAccess& w) {
+          return w.field == FieldId::Phi0 && w.box == r.box &&
+                 w.slot == r.slot && w.comp0 <= r.comp0 &&
+                 r.comp0 + r.nComp <= w.comp0 + w.nComp;
+        };
+        for (const auto& g : m.tasks[t].gathers) {
+          if (fills(g)) {
+            cover.add(g.region);
+          }
+        }
         const auto cidx = static_cast<std::size_t>(
             comps.compOf[t]);
         const auto lt = static_cast<std::size_t>(comps.localId[t]);
@@ -469,9 +479,7 @@ GraphCheckReport checkTaskGraph(const TaskGraphModel& m,
             continue; // conservative barrier footprint, not a producer
           }
           for (const auto& w : m.tasks[gu].writes) {
-            if (w.field == FieldId::Phi0 && w.box == r.box &&
-                w.slot == r.slot && w.comp0 <= r.comp0 &&
-                r.comp0 + r.nComp <= w.comp0 + w.nComp &&
+            if (fills(w) &&
                 current(static_cast<int>(gu), static_cast<int>(t))) {
               cover.add(w.region);
             }
@@ -482,10 +490,13 @@ GraphCheckReport checkTaskGraph(const TaskGraphModel& m,
           if (missing.empty()) {
             continue;
           }
-          // Name the exchange op that should have fed the missing cells:
-          // the op whose (grown) ghost fill is nearest the hole, preferring
-          // the latest such op before the reader.
-          int bestOp = -1;
+          // Name the task that should have fed the missing cells: the
+          // reader itself when it gathers this box's halo, else the
+          // exchange op whose (grown) ghost fill is nearest the hole,
+          // preferring the latest such op before the reader.
+          int bestOp = std::ranges::any_of(m.tasks[t].gathers, fills)
+                           ? static_cast<int>(t)
+                           : -1;
           std::int64_t bestVol = 0;
           for (const bool onlyBefore : {true, false}) {
             if (bestOp >= 0) {

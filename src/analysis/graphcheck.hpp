@@ -19,8 +19,10 @@
 //                       edges at all and must simply not conflict).
 //   G3 (ghost coverage) when the graph itself performs the exchange
 //                       (ghostsPreExchanged == false), every ghost-region
-//                       read is covered by the union of exchange-op writes
-//                       that happen-before the reader and are still
+//                       read is covered by the union of the reader's own
+//                       gathered pieces (GraphTask::gathers, written in
+//                       the task before it reads) and the exchange-op
+//                       writes that happen-before the reader and are still
 //                       current: no task ordered between write and read
 //                       overwrites the cells the writer copied from (else
 //                       the ghost holds an earlier stage's value).
@@ -100,10 +102,15 @@ struct TaskAccess {
 /// `rhsSourceSlot` marks the flux-divergence tasks: the slot their stencil
 /// reads (their writes land in the destination slot), -1 for every other
 /// task. K3 (analysis/kernelcheck) checks exactly these tasks' footprints.
+/// `gathers` are ghost cells the task fills in its own halo buffer before
+/// it reads them (a gathering RHS task copies its neighbours' valid cells,
+/// which it lists as reads): they cover that task's own ghost reads under
+/// G3 and are private storage, so G2 never sees them.
 struct GraphTask {
   std::string label;
   std::vector<TaskAccess> reads;
   std::vector<TaskAccess> writes;
+  std::vector<TaskAccess> gathers;
   std::vector<int> successors;
   bool exchangeOp = false;
   bool orderingOnly = false;

@@ -26,18 +26,6 @@ constexpr StorageClass kPrivate = StorageClass::Private;
 
 const char* dirName(int d) { return d == 0 ? "x" : (d == 1 ? "y" : "z"); }
 
-/// Canonical per-direction stage label, e.g. "EvalFlux1[d=x]" — the
-/// spelling of kernels::stageName the kernelcheck witnesses share.
-std::string stageTag(Stage stage, int d) {
-  return std::string(kernels::stageName(stage)) + "[d=" + dirName(d) + "]";
-}
-
-/// Per-direction, per-component stage label, e.g. "EvalFlux2[d=x,c=2]".
-std::string stageTagC(Stage stage, int d, int c) {
-  return std::string(kernels::stageName(stage)) + "[d=" + dirName(d) +
-         ",c=" + std::to_string(c) + "]";
-}
-
 FieldId cacheField(int d) {
   return d == 0 ? FieldId::CacheX
                 : (d == 1 ? FieldId::CacheY : FieldId::CacheZ);
@@ -55,11 +43,6 @@ Box slotBox(int d, const Box& r) {
   lo[d] = 0;
   hi[d] = 0;
   return {lo, hi};
-}
-
-std::string coordTag(const IntVect& p) {
-  return "(" + std::to_string(p[0]) + "," + std::to_string(p[1]) + "," +
-         std::to_string(p[2]) + ")";
 }
 
 /// Tile extents of a tiled config over `valid` (mirrors
@@ -82,21 +65,20 @@ sched::TileSet makeTiles(const VariantConfig& cfg, const Box& valid) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage emitters. Each mirrors one executor code path; `tag` prefixes the
-// stage names with the enclosing tile/slab identity for diagnostics.
+// Stage emitters. Each mirrors one executor code path; `group` is the
+// StageExec::scratchGroup of every stage it emits.
 // ---------------------------------------------------------------------------
 
 /// Serial series-of-loops pipeline over `region` (baselineBoxSerial /
 /// basic-schedule overlapped tiles), temporaries in `scope`.
 void emitBaselineSerial(WorkItem& item, const VariantConfig& cfg,
-                        const Box& region, StorageClass scope,
-                        const std::string& tag) {
+                        const Box& region, StorageClass scope, int group) {
   for (int d = 0; d < grid::SpaceDim; ++d) {
     const Box fb = region.faceBox(d);
     const int vd = velocityComp(d);
     {
       StageExec s;
-      s.stage = tag + stageTag(Stage::EvalFlux1, d);
+      s.scratchGroup = group;
       s.reads.push_back(access(FieldId::Phi0, kShared, 0, kNumComp,
                                readRegion(Stage::EvalFlux1, d, fb)));
       s.writes.push_back(access(FieldId::Flux, scope, 0, kNumComp, fb));
@@ -106,20 +88,20 @@ void emitBaselineSerial(WorkItem& item, const VariantConfig& cfg,
       // CLI preserves the velocity face averages before EvalFlux2
       // overwrites the flux fab in place (the Velocity temporary).
       StageExec copy;
-      copy.stage = tag + "VelocityCopy[d=" + dirName(d) + "]";
+      copy.scratchGroup = group;
       copy.reads.push_back(access(FieldId::Flux, scope, vd, 1, fb));
       copy.writes.push_back(access(FieldId::Velocity, scope, 0, 1, fb));
       item.stages.push_back(std::move(copy));
 
       StageExec f2;
-      f2.stage = tag + stageTag(Stage::EvalFlux2, d);
+      f2.scratchGroup = group;
       f2.reads.push_back(access(FieldId::Velocity, scope, 0, 1, fb));
       f2.reads.push_back(access(FieldId::Flux, scope, 0, kNumComp, fb));
       f2.writes.push_back(access(FieldId::Flux, scope, 0, kNumComp, fb));
       item.stages.push_back(std::move(f2));
 
       StageExec acc;
-      acc.stage = tag + stageTag(Stage::FluxDifference, d);
+      acc.scratchGroup = group;
       acc.reads.push_back(
           access(FieldId::Flux, scope, 0, kNumComp,
                  readRegion(Stage::FluxDifference, d, region)));
@@ -132,13 +114,13 @@ void emitBaselineSerial(WorkItem& item, const VariantConfig& cfg,
       // consumed it (no Velocity temporary).
       auto emitComp = [&](int c) {
         StageExec f2;
-        f2.stage = tag + stageTagC(Stage::EvalFlux2, d, c);
+        f2.scratchGroup = group;
         f2.reads.push_back(access(FieldId::Flux, scope, vd, 1, fb));
         f2.writes.push_back(access(FieldId::Flux, scope, c, 1, fb));
         item.stages.push_back(std::move(f2));
 
         StageExec acc;
-        acc.stage = tag + stageTagC(Stage::FluxDifference, d, c);
+        acc.scratchGroup = group;
         acc.reads.push_back(
             access(FieldId::Flux, scope, c, 1,
                    readRegion(Stage::FluxDifference, d, region)));
@@ -160,11 +142,10 @@ void emitBaselineSerial(WorkItem& item, const VariantConfig& cfg,
 /// to the sweep and produced strictly before use by the lexicographic
 /// traversal, so they are not modeled; the CLO velocity precompute is.
 void emitFusedSerial(WorkItem& item, const VariantConfig& cfg,
-                     const Box& region, StorageClass scope,
-                     const std::string& tag) {
+                     const Box& region, StorageClass scope, int group) {
   if (cfg.comp == ComponentLoop::Outside) {
     StageExec pre;
-    pre.stage = tag + "PrecomputeVelocity";
+    pre.scratchGroup = group;
     for (int d = 0; d < grid::SpaceDim; ++d) {
       const Box fb = region.faceBox(d);
       pre.reads.push_back(access(FieldId::Phi0, kShared, velocityComp(d), 1,
@@ -174,7 +155,7 @@ void emitFusedSerial(WorkItem& item, const VariantConfig& cfg,
     item.stages.push_back(std::move(pre));
   }
   StageExec sweep;
-  sweep.stage = tag + "FusedSweep";
+  sweep.scratchGroup = group;
   for (int d = 0; d < grid::SpaceDim; ++d) {
     sweep.reads.push_back(access(FieldId::Phi0, kShared, 0, kNumComp,
                                  readRegion(Stage::FusedCell, d, region)));
@@ -193,10 +174,8 @@ void emitFusedSerial(WorkItem& item, const VariantConfig& cfg,
 /// co-dimension caches. `cacheComps` is kNumComp for CLI, 1 for the
 /// per-component CLO passes.
 StageExec blockedTileStage(const Box& tb, const IntVect& coords,
-                           const Box& valid, ComponentLoop comp, int c0,
-                           int cacheComps) {
+                           ComponentLoop comp, int c0, int cacheComps) {
   StageExec s;
-  s.stage = "FusedTileSweep" + coordTag(coords);
   const bool cli = comp == ComponentLoop::Inside;
   for (int d = 0; d < grid::SpaceDim; ++d) {
     s.reads.push_back(access(FieldId::Phi0, kShared, cli ? 0 : c0,
@@ -217,7 +196,6 @@ StageExec blockedTileStage(const Box& tb, const IntVect& coords,
     s.writes.push_back(
         access(cacheField(d), kShared, 0, cacheComps, slotBox(d, tb)));
   }
-  (void)valid;
   s.writes.push_back(
       access(FieldId::Phi1, kShared, c0, cli ? kNumComp : 1, tb));
   return s;
@@ -227,7 +205,6 @@ StageExec blockedTileStage(const Box& tb, const IntVect& coords,
 /// CLO blocked-wavefront path precomputes before sweeping tiles).
 void emitVelocityPrecompute(WorkItem& item, const Box& valid) {
   StageExec pre;
-  pre.stage = "PrecomputeVelocity";
   for (int d = 0; d < grid::SpaceDim; ++d) {
     const Box fb = valid.faceBox(d);
     pre.reads.push_back(access(FieldId::Phi0, kShared, velocityComp(d), 1,
@@ -243,9 +220,7 @@ Phase velocityPrecomputePhase(const Box& valid, int nThreads) {
   phase.name = "precompute-velocity";
   for (int tid = 0; tid < nThreads; ++tid) {
     WorkItem item;
-    item.name = "slab " + std::to_string(tid);
     StageExec s;
-    s.stage = "PrecomputeVelocity";
     for (int d = 0; d < grid::SpaceDim; ++d) {
       const Box fb = sched::zSlab(valid.faceBox(d), nThreads, tid);
       if (fb.empty()) {
@@ -282,8 +257,7 @@ void lowerBaseline(ScheduleModel& m, const VariantConfig& cfg,
     Phase phase;
     phase.name = "serial";
     WorkItem item;
-    item.name = "box";
-    emitBaselineSerial(item, cfg, valid, kPrivate, "");
+    emitBaselineSerial(item, cfg, valid, kPrivate, -1);
     phase.items.push_back(std::move(item));
     m.phases.push_back(std::move(phase));
     return;
@@ -293,14 +267,17 @@ void lowerBaseline(ScheduleModel& m, const VariantConfig& cfg,
   // makePhases (one join between consecutive phases):
   // EvalFlux1 | B | EvalFlux2[c0] | B | FluxDiff[c0] EvalFlux2[c1] | B |
   // ... | FluxDiff[c3] EvalFlux2[vd] | B | FluxDiff[vd] | B | next d.
-  auto slabItems = [&](const std::string& phaseName) {
+  // One item per slab worker tid that owns cells or z-faces, its stages
+  // emitted by stagesOf(item, tid).
+  const auto slabPhase = [&](const std::string& phaseName,
+                             const auto& stagesOf) {
     Phase phase;
     phase.name = phaseName;
     for (int tid = 0; tid < nThreads; ++tid) {
       if (!sched::zSlab(valid, nThreads, tid).empty() ||
           !sched::zSlab(valid.faceBox(2), nThreads, tid).empty()) {
         WorkItem item;
-        item.name = "slab " + std::to_string(tid);
+        stagesOf(item, tid);
         phase.items.push_back(std::move(item));
       }
     }
@@ -320,7 +297,6 @@ void lowerBaseline(ScheduleModel& m, const VariantConfig& cfg,
     };
     auto evalFlux1Stage = [&](int tid) {
       StageExec s;
-      s.stage = stageTag(Stage::EvalFlux1, d);
       s.reads.push_back(access(FieldId::Phi0, kShared, 0, kNumComp,
                                readRegion(Stage::EvalFlux1, d,
                                           faceSlab(tid))));
@@ -330,7 +306,6 @@ void lowerBaseline(ScheduleModel& m, const VariantConfig& cfg,
     };
     auto fluxDiffStage = [&](int tid, int c, int nc) {
       StageExec s;
-      s.stage = stageTagC(Stage::FluxDifference, d, c);
       s.reads.push_back(
           access(FieldId::Flux, kShared, c, nc,
                  readRegion(Stage::FluxDifference, d, cellSlab(tid))));
@@ -340,46 +315,37 @@ void lowerBaseline(ScheduleModel& m, const VariantConfig& cfg,
     };
 
     if (cfg.comp == ComponentLoop::Inside) {
-      Phase face = slabItems("baseline " + dTag + " face passes");
-      for (auto& item : face.items) {
-        const int tid = std::stoi(item.name.substr(5));
-        item.stages.push_back(evalFlux1Stage(tid));
-        StageExec copy;
-        copy.stage = "VelocityCopy[" + dTag + "]";
-        copy.reads.push_back(
-            access(FieldId::Flux, kShared, vd, 1, faceSlab(tid)));
-        copy.writes.push_back(
-            access(FieldId::Velocity, kShared, 0, 1, faceSlab(tid)));
-        item.stages.push_back(std::move(copy));
-        StageExec f2;
-        f2.stage = stageTag(Stage::EvalFlux2, d);
-        f2.reads.push_back(
-            access(FieldId::Velocity, kShared, 0, 1, faceSlab(tid)));
-        f2.reads.push_back(
-            access(FieldId::Flux, kShared, 0, kNumComp, faceSlab(tid)));
-        f2.writes.push_back(
-            access(FieldId::Flux, kShared, 0, kNumComp, faceSlab(tid)));
-        item.stages.push_back(std::move(f2));
-      }
-      m.phases.push_back(std::move(face));
-
-      Phase acc = slabItems("baseline " + dTag + " accumulate");
-      for (auto& item : acc.items) {
-        const int tid = std::stoi(item.name.substr(5));
-        item.stages.push_back(fluxDiffStage(tid, 0, kNumComp));
-      }
-      m.phases.push_back(std::move(acc));
+      m.phases.push_back(slabPhase(
+          "baseline " + dTag + " face passes", [&](WorkItem& item, int tid) {
+            item.stages.push_back(evalFlux1Stage(tid));
+            StageExec copy;
+            copy.reads.push_back(
+                access(FieldId::Flux, kShared, vd, 1, faceSlab(tid)));
+            copy.writes.push_back(
+                access(FieldId::Velocity, kShared, 0, 1, faceSlab(tid)));
+            item.stages.push_back(std::move(copy));
+            StageExec f2;
+            f2.reads.push_back(
+                access(FieldId::Velocity, kShared, 0, 1, faceSlab(tid)));
+            f2.reads.push_back(
+                access(FieldId::Flux, kShared, 0, kNumComp, faceSlab(tid)));
+            f2.writes.push_back(
+                access(FieldId::Flux, kShared, 0, kNumComp, faceSlab(tid)));
+            item.stages.push_back(std::move(f2));
+          }));
+      m.phases.push_back(slabPhase(
+          "baseline " + dTag + " accumulate", [&](WorkItem& item, int tid) {
+            item.stages.push_back(fluxDiffStage(tid, 0, kNumComp));
+          }));
       continue;
     }
 
     // CLO: the velocity component is consumed by every other component's
     // EvalFlux2 and multiplied last.
-    Phase face = slabItems("baseline " + dTag + " EvalFlux1");
-    for (auto& item : face.items) {
-      const int tid = std::stoi(item.name.substr(5));
-      item.stages.push_back(evalFlux1Stage(tid));
-    }
-    m.phases.push_back(std::move(face));
+    m.phases.push_back(slabPhase(
+        "baseline " + dTag + " EvalFlux1", [&](WorkItem& item, int tid) {
+          item.stages.push_back(evalFlux1Stage(tid));
+        }));
 
     std::vector<int> order;
     for (int c = 0; c < kNumComp; ++c) {
@@ -391,7 +357,6 @@ void lowerBaseline(ScheduleModel& m, const VariantConfig& cfg,
 
     auto evalFlux2Stage = [&](int tid, int c) {
       StageExec s;
-      s.stage = stageTagC(Stage::EvalFlux2, d, c);
       s.reads.push_back(
           access(FieldId::Flux, kShared, vd, 1, faceSlab(tid)));
       s.writes.push_back(
@@ -401,25 +366,21 @@ void lowerBaseline(ScheduleModel& m, const VariantConfig& cfg,
 
     int prev = -1;
     for (int c : order) {
-      Phase phase = slabItems("baseline " + dTag + " pipeline c=" +
-                              std::to_string(c));
-      for (auto& item : phase.items) {
-        const int tid = std::stoi(item.name.substr(5));
-        if (prev >= 0) {
-          item.stages.push_back(fluxDiffStage(tid, prev, 1));
-        }
-        item.stages.push_back(evalFlux2Stage(tid, c));
-      }
-      m.phases.push_back(std::move(phase));
+      m.phases.push_back(slabPhase(
+          "baseline " + dTag + " pipeline c=" + std::to_string(c),
+          [&](WorkItem& item, int tid) {
+            if (prev >= 0) {
+              item.stages.push_back(fluxDiffStage(tid, prev, 1));
+            }
+            item.stages.push_back(evalFlux2Stage(tid, c));
+          }));
       prev = c;
     }
-    Phase last = slabItems("baseline " + dTag + " accumulate c=" +
-                           std::to_string(vd));
-    for (auto& item : last.items) {
-      const int tid = std::stoi(item.name.substr(5));
-      item.stages.push_back(fluxDiffStage(tid, vd, 1));
-    }
-    m.phases.push_back(std::move(last));
+    m.phases.push_back(slabPhase(
+        "baseline " + dTag + " accumulate c=" + std::to_string(vd),
+        [&](WorkItem& item, int tid) {
+          item.stages.push_back(fluxDiffStage(tid, vd, 1));
+        }));
   }
 }
 
@@ -429,8 +390,7 @@ void lowerShiftFuse(ScheduleModel& m, const VariantConfig& cfg,
     Phase phase;
     phase.name = "serial";
     WorkItem item;
-    item.name = "box";
-    emitFusedSerial(item, cfg, valid, kPrivate, "");
+    emitFusedSerial(item, cfg, valid, kPrivate, -1);
     phase.items.push_back(std::move(item));
     m.phases.push_back(std::move(phase));
     return;
@@ -449,9 +409,7 @@ void lowerShiftFuse(ScheduleModel& m, const VariantConfig& cfg,
     phase.name = clo ? "fused wavefront c=" + std::to_string(c)
                      : "fused wavefront";
     WorkItem item;
-    item.name = "front team";
     StageExec s;
-    s.stage = "FusedSweep (wavefront)";
     for (int d = 0; d < grid::SpaceDim; ++d) {
       s.reads.push_back(access(FieldId::Phi0, kShared, clo ? c : 0,
                                clo ? 1 : kNumComp,
@@ -486,7 +444,6 @@ void lowerBlockedWF(ScheduleModel& m, const VariantConfig& cfg,
     Phase phase;
     phase.name = "serial tiles";
     WorkItem item;
-    item.name = "box";
     if (!cli) {
       emitVelocityPrecompute(item, valid);
     }
@@ -494,8 +451,7 @@ void lowerBlockedWF(ScheduleModel& m, const VariantConfig& cfg,
     for (int c = 0; c < sweeps; ++c) {
       for (std::size_t t = 0; t < tiles.size(); ++t) {
         item.stages.push_back(blockedTileStage(
-            tiles.tileBox(t), tiles.tileCoords(t), valid, cfg.comp, c,
-            cacheComps));
+            tiles.tileBox(t), tiles.tileCoords(t), cfg.comp, c, cacheComps));
       }
     }
     phase.items.push_back(std::move(item));
@@ -522,10 +478,8 @@ void lowerBlockedWF(ScheduleModel& m, const VariantConfig& cfg,
                    std::to_string(w);
       for (std::size_t t : fronts.front(w)) {
         WorkItem item;
-        item.name = "tile " + coordTag(tiles.tileCoords(t));
         item.stages.push_back(blockedTileStage(
-            tiles.tileBox(t), tiles.tileCoords(t), valid, cfg.comp, c,
-            cacheComps));
+            tiles.tileBox(t), tiles.tileCoords(t), cfg.comp, c, cacheComps));
         phase.items.push_back(std::move(item));
       }
       m.phases.push_back(std::move(phase));
@@ -534,7 +488,7 @@ void lowerBlockedWF(ScheduleModel& m, const VariantConfig& cfg,
 }
 
 void lowerOverlapped(ScheduleModel& m, const VariantConfig& cfg,
-                     const Box& valid, int nThreads) {
+                     const Box& valid) {
   const sched::TileSet tiles = makeTiles(cfg, valid);
   const bool parallel = cfg.par != ParallelGranularity::OverBoxes;
 
@@ -543,13 +497,12 @@ void lowerOverlapped(ScheduleModel& m, const VariantConfig& cfg,
                         : "overlapped tiles (serial)";
   auto tileItem = [&](std::size_t t) {
     WorkItem item;
-    item.name = "tile " + coordTag(tiles.tileCoords(t));
     const Box tb = tiles.tileBox(t);
-    const std::string tag = item.name + " ";
+    const int group = static_cast<int>(t);
     if (cfg.intra == IntraTileSchedule::Basic) {
-      emitBaselineSerial(item, cfg, tb, kPrivate, tag);
+      emitBaselineSerial(item, cfg, tb, kPrivate, group);
     } else {
-      emitFusedSerial(item, cfg, tb, kPrivate, tag);
+      emitFusedSerial(item, cfg, tb, kPrivate, group);
     }
     return item;
   };
@@ -563,7 +516,6 @@ void lowerOverlapped(ScheduleModel& m, const VariantConfig& cfg,
     // independent because tiles recompute their whole flux need): one
     // item running every tile in sequence.
     WorkItem item;
-    item.name = "box";
     for (std::size_t t = 0; t < tiles.size(); ++t) {
       WorkItem tileStages = tileItem(t);
       for (auto& s : tileStages.stages) {
@@ -573,7 +525,6 @@ void lowerOverlapped(ScheduleModel& m, const VariantConfig& cfg,
     phase.items.push_back(std::move(item));
   }
   m.phases.push_back(std::move(phase));
-  (void)nThreads;
 }
 
 /// Display label used for CostReport::variant (kept independent of
@@ -647,7 +598,7 @@ ScheduleModel lowerVariant(const VariantConfig& cfg, const Box& valid,
     lowerBlockedWF(m, cfg, valid, nThreads);
     break;
   case ScheduleFamily::OverlappedTiles:
-    lowerOverlapped(m, cfg, valid, nThreads);
+    lowerOverlapped(m, cfg, valid);
     break;
   }
   return m;

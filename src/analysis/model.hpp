@@ -59,17 +59,20 @@ struct Access {
   Box box;
 };
 
-/// One executor pass (e.g. "EvalFlux1[d=2,c=4]" over a slab, or the whole
-/// fused sweep of a tile), with its declared reads and writes.
+/// One executor pass (e.g. EvalFlux1 of one direction and component over
+/// a slab, or the whole fused sweep of a tile), with its declared reads
+/// and writes. `scratchGroup` >= 0 names the tile whose private scratch
+/// the pass uses when one item runs several tiles in sequence (the serial
+/// overlapped-tile traversal): the cost model lays each group's private
+/// boxes over one tile-sized workspace, as the executor reuses it.
 struct StageExec {
-  std::string stage;
+  int scratchGroup = -1;
   std::vector<Access> reads;
   std::vector<Access> writes;
 };
 
 /// A sequential stream of stages executed by one worker/tile/slab.
 struct WorkItem {
-  std::string name;
   std::vector<StageExec> stages;
 };
 

@@ -184,6 +184,7 @@ GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
   }
   struct Cand {
     int op = -1;
+    bool gather = false; ///< a gathered piece, not an exchange write
     std::size_t write = 0;
     Box lost;
     Box shrunk;
@@ -192,11 +193,11 @@ GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
   };
   std::vector<Cand> cands;
   for (std::size_t t = 0; t < m.tasks.size(); ++t) {
-    if (!m.tasks[t].exchangeOp) {
-      continue;
-    }
-    for (std::size_t wi = 0; wi < m.tasks[t].writes.size(); ++wi) {
-      const TaskAccess& w = m.tasks[t].writes[wi];
+    const bool gather = !m.tasks[t].exchangeOp;
+    const std::vector<TaskAccess>& fills =
+        gather ? m.tasks[t].gathers : m.tasks[t].writes;
+    for (std::size_t wi = 0; wi < fills.size(); ++wi) {
+      const TaskAccess& w = fills[wi];
       if (w.field != FieldId::Phi0 || w.box >= m.validBoxes.size()) {
         continue;
       }
@@ -217,12 +218,14 @@ GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
           } else {
             continue;
           }
-          // The starved reader the checker will name: the lowest-id
-          // compute task after the op whose Phi0 read of this box needs a
-          // lost cell (tasks are numbered in program order).
+          // The starved reader the checker will name: a gathering task
+          // itself, else the lowest-id compute task after the op whose
+          // Phi0 read of this box needs a lost cell (tasks are numbered
+          // in program order).
+          const std::size_t first = gather ? t : t + 1;
+          const std::size_t last = gather ? t + 1 : m.tasks.size();
           int reader = -1;
-          for (std::size_t r = t + 1; r < m.tasks.size() && reader < 0;
-               ++r) {
+          for (std::size_t r = first; r < last && reader < 0; ++r) {
             if (m.tasks[r].exchangeOp) {
               continue;
             }
@@ -237,9 +240,8 @@ GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
             }
           }
           if (reader >= 0) {
-            cands.push_back({static_cast<int>(t), wi, lost, shrunk,
-                             reader,
-                             side == 0 ? "low" : "high"});
+            cands.push_back({static_cast<int>(t), gather, wi, lost, shrunk,
+                             reader, side == 0 ? "low" : "high"});
           }
         }
       }
@@ -250,14 +252,15 @@ GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
     return out;
   }
   const Cand& c = cands[seed % cands.size()];
-  out.model.tasks[static_cast<std::size_t>(c.op)]
-      .writes[c.write]
-      .region = c.shrunk;
+  GraphTask& op = out.model.tasks[static_cast<std::size_t>(c.op)];
+  (c.gather ? op.gathers : op.writes)[c.write].region = c.shrunk;
   out.expect = DiagnosticKind::ReadUncovered;
   out.taskA = c.reader;
   out.taskB = c.op;
-  out.what = "shrink ghost write of '" + m.label(c.op) + "' by its " +
-             c.side + " layer (starves '" + m.label(c.reader) + "')";
+  out.what = std::string(c.gather ? "shrink gathered piece of '"
+                                  : "shrink ghost write of '") +
+             m.label(c.op) + "' by its " + c.side + " layer (starves '" +
+             m.label(c.reader) + "')";
   return out;
 }
 

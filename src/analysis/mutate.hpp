@@ -61,12 +61,14 @@ GraphMutation dropGraphEdge(const TaskGraphModel& m, std::uint64_t seed);
 GraphMutation rerouteGraphEdge(const TaskGraphModel& m,
                                std::uint64_t seed);
 
-/// Shrink one exchange-op task's ghost write by its outermost layer (a
-/// halo fill that under-copies). Requires a graph that performs its own
-/// exchange (ghostsPreExchanged == false), as every step graph does.
-/// Expected: ReadUncovered naming the first starved reader after the op
-/// of the same slot and the op — also when an earlier exchange of the
-/// slot filled the lost layer, whose value is stale by then.
+/// Shrink one ghost fill by its outermost layer (a halo fill that
+/// under-copies): an exchange-op task's ghost write, or a piece a task
+/// gathers into its own halo (GraphTask::gathers). Requires a graph that
+/// performs its own exchange (ghostsPreExchanged == false), as every step
+/// graph does. Expected: ReadUncovered naming the first starved reader
+/// after the op of the same slot and the op — also when an earlier
+/// exchange of the slot filled the lost layer, whose value is stale by
+/// then; for a gathered piece, the gathering task as both.
 GraphMutation shrinkGhostWrite(const TaskGraphModel& m,
                                std::uint64_t seed);
 

@@ -1,17 +1,26 @@
 #include "analysis/verifygate.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace fluxdiv::analysis {
 
 void VerifyGate::verifyOnce(const std::string& shapeKey,
                             const std::function<void()>& check) {
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     const auto [it, first] = verdicts_.try_emplace(shapeKey);
-    if (!first) {
-      if (it->second) {
-        std::rethrow_exception(it->second);
+    // Map nodes are stable, so the reference survives other keys' inserts.
+    Verdict& v = it->second;
+    if (first) {
+      v.checker = std::this_thread::get_id();
+    } else {
+      if (!v.decided && v.checker == std::this_thread::get_id()) {
+        return; // the check re-entering its own gate
+      }
+      decided_.wait(lock, [&v] { return v.decided; });
+      if (v.failure) {
+        std::rethrow_exception(v.failure);
       }
       return;
     }
@@ -19,10 +28,21 @@ void VerifyGate::verifyOnce(const std::string& shapeKey,
   try {
     check();
   } catch (...) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    verdicts_[shapeKey] = std::current_exception();
+    decide(shapeKey, std::current_exception());
     throw;
   }
+  decide(shapeKey, nullptr);
+}
+
+void VerifyGate::decide(const std::string& shapeKey,
+                        std::exception_ptr failure) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    Verdict& v = verdicts_[shapeKey];
+    v.decided = true;
+    v.failure = std::move(failure);
+  }
+  decided_.notify_all();
 }
 
 std::size_t VerifyGate::verifiedShapes() const {

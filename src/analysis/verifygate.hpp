@@ -6,11 +6,13 @@
 // once per gate instance and remembers the verdict; the checkers
 // themselves stay in their own translation units.
 
+#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -21,12 +23,13 @@ public:
   /// Run `check`, which throws on a failed proof, the first time
   /// `shapeKey` is met. A failure is remembered and rethrown on every
   /// later use of the key, so a shape that failed once never runs
-  /// unchecked. The key is recorded *before* `check` runs, so a check
-  /// that re-enters its own gate (the kernel probe does) passes through
-  /// instead of recursing — as does a use from another thread while the
-  /// check is still running. The record is mutex-protected and `check`
-  /// runs unlocked, so a process-wide static gate is safe under
-  /// concurrent executors.
+  /// unchecked. A use from another thread while the first check is still
+  /// running waits for its verdict (and rethrows its failure). The key is
+  /// recorded with its checking thread *before* `check` runs, so a check
+  /// that re-enters its own gate on that thread (the kernel probe does)
+  /// passes through instead of recursing or waiting for itself. The
+  /// record is mutex-protected and `check` runs unlocked, so a
+  /// process-wide static gate is safe under concurrent executors.
   void verifyOnce(const std::string& shapeKey,
                   const std::function<void()>& check);
 
@@ -34,9 +37,19 @@ public:
   [[nodiscard]] std::size_t verifiedShapes() const;
 
 private:
+  struct Verdict {
+    std::thread::id checker; ///< the thread running the first check
+    bool decided = false;
+    std::exception_ptr failure; ///< set iff the check failed
+  };
+
+  /// Record the outcome of `shapeKey`'s check and wake its waiters.
+  void decide(const std::string& shapeKey, std::exception_ptr failure);
+
   mutable std::mutex mutex_;
-  /// Every shape met so far; a failed one maps to its failure.
-  std::unordered_map<std::string, std::exception_ptr> verdicts_;
+  std::condition_variable decided_;
+  /// Every shape met so far, with its verdict once the check finished.
+  std::unordered_map<std::string, Verdict> verdicts_;
 };
 
 /// The uniform gate-failure text every gate throws:

@@ -50,9 +50,10 @@ void FluxDivRunner::prepare() {
   }
   // The probe executes this variant's real code path through a fresh
   // runner, whose runBox re-enters this gate under the same config name;
-  // VerifyGate lets that re-entrant use through, which terminates the
-  // recursion (and keeps concurrent runners from probing the same config
-  // twice). Process-wide: footprints depend only on the config.
+  // VerifyGate lets that same-thread re-entrant use through, which
+  // terminates the recursion; a concurrent runner of the same config waits
+  // for the probe's verdict instead of probing twice. Process-wide:
+  // footprints depend only on the config.
   static analysis::VerifyGate gate;
   gate.verifyOnce(cfg_.name(), [this] {
     analysis::ProbeOptions opts;

@@ -183,6 +183,30 @@ public:
     (write ? t.writes : t.reads).push_back(a);
   }
 
+  /// A gathering RHS task's halo (lowerRhsEval): the model reads its
+  /// stencil footprint `reads` of (slot, box), after the task filled the
+  /// ghost part of it with `pieces` in its own buffer. Neither touches the
+  /// slot's storage, so neither is logged: the task's dependences come from
+  /// its reads of the valid cells it copies.
+  void modelHalo(int task, int slot, std::size_t box,
+                 const std::vector<Box>& reads,
+                 const std::vector<grid::CopyOp>& pieces, int nc) {
+    auto& t = model.tasks[static_cast<std::size_t>(task)];
+    analysis::TaskAccess a;
+    a.field = analysis::FieldId::Phi0;
+    a.box = box;
+    a.slot = slot;
+    a.nComp = nc;
+    for (const Box& r : reads) {
+      a.region = r;
+      t.reads.push_back(a);
+    }
+    for (const grid::CopyOp& p : pieces) {
+      a.region = p.destRegion;
+      t.gathers.push_back(a);
+    }
+  }
+
   TaskGraph graph;
   analysis::TaskGraphModel model;
   /// RHS-output (slot, box) pairs whose shadow epochs run() re-arms and
@@ -214,6 +238,11 @@ struct LowerEnv {
   const StepRhsSpec& rhs;
   LevelData* const* tab; ///< program slot -> storage (Capture-owned)
   LevelPolicy policy;
+  /// The gather lowering (gathersHalos): each RHS task gathers its box's
+  /// halo, `halo[b]` for box b (haloPieces), and Exchange ops lower to no
+  /// task.
+  bool gather = false;
+  std::vector<std::vector<grid::CopyOp>> halo;
 
   [[nodiscard]] int ownerOf(std::size_t b) const {
     return static_cast<int>(b % static_cast<std::size_t>(nThreads));
@@ -687,10 +716,75 @@ void lowerBoundaryFill(Lowering& low, LowerEnv& env, const StepOp& op) {
   }
 }
 
+/// Whether a capture of `prog` over `u` gathers halos instead of lowering
+/// exchanges: every box is one logical tile, the domain is periodic and
+/// no op fills a boundary, so every ghost cell an RHS reads is a copy of
+/// a neighbour's valid cell. Each RHS task then copies its box and the
+/// face pieces its stencil reads into the worker's ghosted buffer
+/// (gatherHalo) and reads only that, so no Exchange lowers to a task and
+/// no stage slot needs ghost cells.
+bool gathersHalos(const StepProgram& prog, const LevelData& u) {
+  for (int d = 0; d < grid::SpaceDim; ++d) {
+    if (!u.layout().domain().isPeriodic(d)) {
+      return false;
+    }
+  }
+  if (std::ranges::any_of(prog.ops, [](const StepOp& op) {
+        return op.kind == StepOpKind::BoundaryFill;
+      })) {
+    return false;
+  }
+  for (std::size_t b = 0; b < u.size(); ++b) {
+    if (logicalTiles(u.validBox(b)).size() != 1) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Per box of `u`, the pieces of u's exchange plan that the RHS stencil
+/// (the FusedCell footprint) reads: each copy clipped to the footprint's
+/// ghost slab in each direction. Edge and corner copies meet no
+/// footprint and drop out. Every slot shares u's layout, so the pieces
+/// serve every RHS source; commcheck proves u's plan exact.
+std::vector<std::vector<grid::CopyOp>> haloPieces(const LevelData& u) {
+  std::vector<std::vector<grid::CopyOp>> out(u.size());
+  for (const grid::CopyOp& op : u.copier().ops()) {
+    const Box valid = u.validBox(op.destBox);
+    for (int d = 0; d < grid::SpaceDim; ++d) {
+      grid::CopyOp piece = op;
+      piece.destRegion =
+          op.destRegion &
+          kernels::readRegion(kernels::Stage::FusedCell, d, valid);
+      if (!piece.destRegion.empty()) {
+        out[op.destBox].push_back(piece);
+      }
+    }
+  }
+  return out;
+}
+
+/// The RHS source of a gathering task: box `b` of `level` on `valid`,
+/// plus its halo `pieces`, copied into the worker's ghosted buffer.
+const FArrayBox& gatherHalo(Workspace& ws, const LevelData& level,
+                            std::size_t b, const Box& valid,
+                            const std::vector<grid::CopyOp>& pieces) {
+  const int nc = level.nComp();
+  FArrayBox& halo = ws.fab(Slot::Halo, valid.grow(kNumGhost), nc);
+  halo.copy(level[b], valid, 0, 0, nc);
+  for (const grid::CopyOp& p : pieces) {
+    halo.copyShifted(level[p.srcBox], p.destRegion, p.srcShift, 0, 0, nc);
+  }
+  return halo;
+}
+
 /// One RhsEval op and the `epilogue` combines that follow it in the
 /// program (FusionPlan): per box, one task per region (rhsRegions) that
 /// evaluates the RHS on its region and runs the epilogue on each finished
 /// row of it (runRhsTile). With `tileLocal` the RHS output has no level.
+/// Under the gather lowering the one region is the box, and the task
+/// first gathers the box's halo (gatherHalo), which its stencil and the
+/// dissipation then read.
 void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op,
                   std::vector<StepOp> epilogue, bool tileLocal) {
   const LevelData& u = *env.tab[0]; // every slot shares u's layout
@@ -743,32 +837,48 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op,
     WorkspacePool* ws = &env.ws;
     const Real scale = -env.rhs.invDx;
     const Real diss = env.rhs.dissipation;
+    const bool gather = env.gather;
+    const std::vector<grid::CopyOp> pieces =
+        gather ? env.halo[b] : std::vector<grid::CopyOp>{};
     for (const NamedRegion& nr : rhsRegions(env, valid)) {
       const Box region = nr.region;
       const int t = low.addTask(
           [cfg, ws, tab, srcSlot, dstSlot, b, region, nc, scale, diss,
-           epilogue, tileLocal](int worker) {
-            const RowEpilogue rows{.tab = tab,
-                                   .b = b,
-                                   .src = &(*tab[srcSlot])[b],
-                                   .kSlot = static_cast<int>(dstSlot),
-                                   .diss = diss,
-                                   .ops = &epilogue,
-                                   .lo0 = region.lo(0),
-                                   .nx = region.size(0)};
-            runRhsTile(*cfg, (*ws)[worker],
-                       tileLocal ? nullptr : &(*tab[dstSlot])[b], region, nc,
-                       scale, rows);
+           epilogue, tileLocal, gather, pieces](int worker) {
+            Workspace& w = (*ws)[worker];
+            const LevelData& src = *tab[srcSlot];
+            const RowEpilogue rows{
+                .tab = tab,
+                .b = b,
+                .src = gather ? &gatherHalo(w, src, b, region, pieces)
+                              : &src[b],
+                .kSlot = static_cast<int>(dstSlot),
+                .diss = diss,
+                .ops = &epilogue,
+                .lo0 = region.lo(0),
+                .nx = region.size(0)};
+            runRhsTile(*cfg, w, tileLocal ? nullptr : &(*tab[dstSlot])[b],
+                       region, nc, scale, rows);
           },
           env.ownerOf(b),
           label + " box" + std::to_string(b) + " " + nr.tag +
               env.stepTag(op));
       low.model.tasks[static_cast<std::size_t>(t)].rhsSourceSlot = op.src;
+      std::vector<Box> footprint;
       for (int d = 0; d < grid::SpaceDim; ++d) {
-        low.access(t, op.src, b,
-                   kernels::readRegion(kernels::Stage::FusedCell, d,
-                                       region),
-                   nc, false);
+        footprint.push_back(
+            kernels::readRegion(kernels::Stage::FusedCell, d, region));
+      }
+      if (gather) {
+        low.access(t, op.src, b, region, nc, false);
+        for (const grid::CopyOp& p : pieces) {
+          low.access(t, op.src, p.srcBox, p.srcRegion(), nc, false);
+        }
+        low.modelHalo(t, op.src, b, footprint, pieces, nc);
+      } else {
+        for (const Box& r : footprint) {
+          low.access(t, op.src, b, r, nc, false);
+        }
       }
       if (!tileLocal) {
         low.access(t, op.dst, b, region, nc, true);
@@ -832,7 +942,9 @@ void lowerProgram(Lowering& low, LowerEnv& env, const FusionPlan& plan) {
     const StepOp& op = ops[i];
     switch (op.kind) {
     case StepOpKind::Exchange:
-      lowerExchange(low, env, op, ghostReadsAfter(env, i));
+      if (!env.gather) {
+        lowerExchange(low, env, op, ghostReadsAfter(env, i));
+      }
       break;
     case StepOpKind::BoundaryFill:
       lowerBoundaryFill(low, env, op);
@@ -987,15 +1099,18 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
 
   // Backing storage: the solution slot is the caller's level; every stage
   // slot some task touches gets a level owned by the capture, with ghosts
-  // only where the program needs them (slotGhosts). A tile-local RHS
-  // output has no level: its slot-table entry stays null.
+  // only where the program needs them (slotGhosts), and none at all under
+  // the gather lowering, whose RHS tasks read their own halo buffers. A
+  // tile-local RHS output has no level: its slot-table entry stays null.
   const FusionPlan plan = planFusion(prog, opts_.policy);
+  const bool gather = gathersHalos(prog, u);
   cap->tab.reset(new LevelData*[static_cast<std::size_t>(prog.nSlots)]());
   cap->tab[0] = &u;
   cap->stage.reserve(static_cast<std::size_t>(prog.nSlots - 1));
   for (int s = 1; s < prog.nSlots; ++s) {
     if (plan.level[static_cast<std::size_t>(s)]) {
-      cap->stage.emplace_back(u.layout(), kNumComp, slotGhosts(prog, s),
+      cap->stage.emplace_back(u.layout(), kNumComp,
+                              gather ? 0 : slotGhosts(prog, s),
                               grid::Pitch::Padded, grid::Init::Deferred);
       cap->tab[static_cast<std::size_t>(s)] = &cap->stage.back();
     }
@@ -1008,8 +1123,11 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   }
 #endif
 
-  LowerEnv env{cfg_, ws_, nThreads_, prog, rhs, cap->tab.get(),
-               opts_.policy};
+  LowerEnv env{cfg_,         ws_,    nThreads_, prog, rhs, cap->tab.get(),
+               opts_.policy, gather, {}};
+  if (gather) {
+    env.halo = haloPieces(u);
+  }
 
   // Zero the stage levels on the pool: the stage slots hold zeros before
   // the first step, as under Init::Zero, but the memory pass (and the
@@ -1064,6 +1182,9 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
     if (t.exchangeOp) {
       ++stats_.exchangeOps;
     }
+  }
+  for (const LevelData& level : cap->stage) {
+    stats_.stageGhosts = std::max(stats_.stageGhosts, level.nGhost());
   }
 
   capture_ = std::move(cap);

@@ -62,6 +62,17 @@
 // Shadow-epoch barrier tasks (orderingOnly in the model) re-arm the
 // FLUXDIV_SHADOW_CHECK write detector between successive RHS writes into
 // the same stage level.
+//
+// A periodic level of one-tile boxes without boundary fills (box16's 512
+// boxes of 16^3) lowers no exchange at all: its RHS task gathers the box's
+// valid cells and the face pieces of the exchange plan its stencil reads
+// (from the neighbours' valid cells) into a per-worker ghosted buffer
+// (Workspace Slot::Halo) and runs the sweep and the dissipation on that.
+// One task per box and stage is left, the stage levels get no ghost
+// cells, and the task's dependences come from its reads of the valid
+// cells it copies. In the model the gathered pieces are the task's own
+// ghost writes, made before its footprint reads (GraphTask::gathers), so
+// G3 still proves every gathered halo cell filled.
 
 #include <cstddef>
 #include <cstdint>
@@ -119,6 +130,7 @@ struct StepGraphStats {
   std::size_t edgeCount = 0;         ///< dependency edges in the graph
   int exchangeDepth = 0;             ///< ghost layers the exchanges fill
   std::size_t exchangeOps = 0;       ///< ghost copy-op tasks per run
+  int stageGhosts = 0;               ///< most ghost layers of a stage level
   bool rebuilt = false;              ///< last run() rebuilt the graph
   std::uint64_t cacheHits = 0;       ///< runs that reused the cached graph
   std::uint64_t rebinds = 0;         ///< hits onto a reallocated LevelData
@@ -133,8 +145,10 @@ struct StepGraphStats {
 /// cached graph through the capture's slot table instead of re-lowering
 /// (stats().rebinds counts these). Stage storage is owned by the executor
 /// and reused across runs; a stage slot gets ghost cells only where the
-/// program needs them (slotGhosts), and a tile-local RHS output gets no
-/// level at all (only a workspace row or a per-thread tile buffer).
+/// program needs them (slotGhosts) and the capture lowers exchanges (not
+/// when one-tile boxes gather their halos), and a tile-local RHS output
+/// gets no level at all (only a workspace row or a per-thread tile
+/// buffer).
 class StepGraphExecutor {
 public:
   StepGraphExecutor(VariantConfig cfg, int nThreads,

@@ -25,6 +25,7 @@ enum class Slot : int {
   CarryY,
   CarryZ,
   Extra,
+  Halo,          ///< a one-tile box's gathered source (step-graph RHS)
   kCount
 };
 

@@ -1,4 +1,17 @@
 #include "harness/timer.hpp"
 
-// Header-only today; this TU anchors the library target and is the natural
-// home if timing ever grows platform-specific code paths.
+#include <sys/resource.h>
+
+namespace fluxdiv::harness {
+
+double processCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return secs(usage.ru_utime) + secs(usage.ru_stime);
+}
+
+} // namespace fluxdiv::harness

@@ -40,4 +40,18 @@ template <typename F> double timeOnce(F&& f) {
   return t.seconds();
 }
 
+/// CPU seconds (user + system) this process has used so far, over all its
+/// threads (getrusage(RUSAGE_SELF)).
+double processCpuSeconds();
+
+/// Share of `threads` CPUs a timed region kept busy: the process CPU
+/// seconds it used over (wall seconds x threads). About 1 when every
+/// thread had a CPU of its own; about 1 / threads when all shared one.
+[[nodiscard]] inline double utilization(double cpuSeconds,
+                                        double wallSeconds, int threads) {
+  return wallSeconds > 0.0 && threads > 0
+             ? cpuSeconds / (wallSeconds * threads)
+             : 0.0;
+}
+
 } // namespace fluxdiv::harness

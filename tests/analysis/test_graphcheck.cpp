@@ -487,50 +487,61 @@ TEST(GraphCheckReplay, HostileOrderingsAreBitIdenticalToSequential) {
 }
 
 TEST(GraphCheckReplay, RunStepReplayExchangesAndMatches) {
+  // 16^3 boxes are one logical tile each: their RHS tasks gather their
+  // halos and the step writes no ghost of u. A 24^3 box is two tiles in y
+  // and z, so its step lowers the exchange into u's face ghosts.
   const VariantConfig cfg = core::representativeFamilies(8)[1];
-  const LevelData expected = eagerStep(cfg, Pitch::Padded);
-  for (const core::ReplayOrder order : core::kReplayOrders) {
-    // Start from clobbered ghosts: a skipped or short-circuited exchange
-    // task would show up in the RHS, hence in the stepped solution.
-    LevelData u = makeLevel(Pitch::Padded);
-    for (std::size_t b = 0; b < u.size(); ++b) {
-      grid::FArrayBox& fab = u[b];
-      const Box valid = u.validBox(b);
-      for (int c = 0; c < kernels::kNumComp; ++c) {
-        grid::Real* p = fab.dataPtr(c);
-        grid::forEachCell(fab.box(), [&](int i, int j, int k) {
-          if (!valid.contains(IntVect(i, j, k))) {
-            p[fab.offset(i, j, k)] = -1.0e30;
-          }
-        });
+  for (const StepSetup& s : {kStepSetups[0], tiledSetup(kStepSetups[0])}) {
+    const LevelData expected = eagerStep(cfg, Pitch::Padded, s);
+    for (const core::ReplayOrder order : core::kReplayOrders) {
+      // Start from clobbered ghosts: a skipped or short-circuited exchange
+      // task or halo gather would show up in the RHS, hence in the stepped
+      // solution.
+      LevelData u = makeLevel(Pitch::Padded, s);
+      for (std::size_t b = 0; b < u.size(); ++b) {
+        grid::FArrayBox& fab = u[b];
+        const Box valid = u.validBox(b);
+        for (int c = 0; c < kernels::kNumComp; ++c) {
+          grid::Real* p = fab.dataPtr(c);
+          grid::forEachCell(fab.box(), [&](int i, int j, int k) {
+            if (!valid.contains(IntVect(i, j, k))) {
+              p[fab.offset(i, j, k)] = -1.0e30;
+            }
+          });
+        }
       }
-    }
-    core::StepExecOptions opts;
-    opts.policy = LevelPolicy::BoxParallel;
-    opts.replay = {order, /*seed=*/42};
-    core::StepGraphExecutor exec(cfg, 3, opts);
-    exec.run(eulerStep(), u, {});
-    // Valid cells and the face ghosts the step's exchange filled match the
-    // eager step. The step reads no edge or corner ghost, so its exchange
-    // copies none: they keep the clobber value.
-    for (std::size_t b = 0; b < u.size(); ++b) {
-      const Box valid = u.validBox(b);
-      const grid::FArrayBox& got = u[b];
-      const grid::FArrayBox& want = expected[b];
-      int mismatches = 0;
-      for (int c = 0; c < kernels::kNumComp; ++c) {
-        grid::forEachCell(got.box(), [&](int i, int j, int k) {
-          const IntVect p(i, j, k);
-          int outside = 0;
-          for (int d = 0; d < grid::SpaceDim; ++d) {
-            outside += p[d] < valid.lo(d) || p[d] > valid.hi(d);
-          }
-          const grid::Real w =
-              outside <= 1 ? want.dataPtr(c)[want.offset(i, j, k)] : -1.0e30;
-          mismatches += got.dataPtr(c)[got.offset(i, j, k)] != w;
-        });
+      core::StepExecOptions opts;
+      opts.policy = LevelPolicy::BoxParallel;
+      opts.replay = {order, /*seed=*/42};
+      core::StepGraphExecutor exec(cfg, 3, opts);
+      exec.run(eulerStep(), u, {});
+      const bool exchanges = exec.stats().exchangeOps > 0;
+      EXPECT_EQ(exchanges, s.perSide == 1) << "box side " << s.boxSize;
+      // Valid cells, and the face ghosts the step's exchange filled, match
+      // the eager step. The step reads no edge or corner ghost, so its
+      // exchange copies none: they keep the clobber value, as every ghost
+      // does under the gather lowering.
+      for (std::size_t b = 0; b < u.size(); ++b) {
+        const Box valid = u.validBox(b);
+        const grid::FArrayBox& got = u[b];
+        const grid::FArrayBox& want = expected[b];
+        int mismatches = 0;
+        for (int c = 0; c < kernels::kNumComp; ++c) {
+          grid::forEachCell(got.box(), [&](int i, int j, int k) {
+            const IntVect p(i, j, k);
+            int outside = 0;
+            for (int d = 0; d < grid::SpaceDim; ++d) {
+              outside += p[d] < valid.lo(d) || p[d] > valid.hi(d);
+            }
+            const grid::Real w = outside == 0 || (exchanges && outside == 1)
+                                     ? want.dataPtr(c)[want.offset(i, j, k)]
+                                     : -1.0e30;
+            mismatches += got.dataPtr(c)[got.offset(i, j, k)] != w;
+          });
+        }
+        EXPECT_EQ(mismatches, 0) << core::replayOrderName(order) << " box "
+                                 << b << " of side " << s.boxSize;
       }
-      EXPECT_EQ(mismatches, 0) << core::replayOrderName(order) << " box " << b;
     }
   }
 }

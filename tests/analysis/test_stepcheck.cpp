@@ -13,9 +13,12 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/costmodel.hpp"
@@ -263,6 +266,40 @@ TEST(VerifyGate, ReentrantUsePassesThrough) {
   gate.verifyOnce("a", [&] { gate.verifyOnce("a", [&inner] { ++inner; }); });
   EXPECT_EQ(inner, 0);
   EXPECT_EQ(gate.verifiedShapes(), 1u);
+}
+
+TEST(VerifyGate, UseFromAnotherThreadWaitsForTheVerdict) {
+  // While the first check of 'a' runs, a second thread uses 'a'. It must
+  // wait for the verdict and rethrow the failure, not pass as proven. The
+  // check starts that thread itself (so the key is already recorded) and
+  // then blocks until the second use returns or 2 s pass: a use that
+  // waits cannot return before the check ends, so with the fix the check
+  // always times out and fails first; a use that does not wait returns at
+  // once, passing.
+  VerifyGate gate;
+  std::thread other;
+  std::promise<void> returned;
+  std::future<void> otherReturned = returned.get_future();
+  bool otherPassed = false;
+  std::string otherFailure;
+  const auto unsound = [&] {
+    other = std::thread([&] {
+      try {
+        gate.verifyOnce("a", [] {});
+        otherPassed = true;
+      } catch (const std::logic_error& e) {
+        otherFailure = e.what();
+      }
+      returned.set_value();
+    });
+    (void)otherReturned.wait_for(std::chrono::seconds(2));
+    throw std::logic_error("shape 'a' is unsound");
+  };
+  EXPECT_THROW(gate.verifyOnce("a", unsound), std::logic_error);
+  other.join();
+  EXPECT_FALSE(otherPassed)
+      << "a use from another thread passed while the check was running";
+  EXPECT_EQ(otherFailure, "shape 'a' is unsound");
 }
 
 TEST(VerifyGate, FailureMessageFormat) {

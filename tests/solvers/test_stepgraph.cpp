@@ -833,20 +833,24 @@ TEST(StepGraph, StageTilesWaitOnlyForNeighbourTiles) {
 TEST(StepGraph, EveryLoweredExchangeCopyHasAReader) {
   // An exchange lowers only the copies some later task reads: each copy
   // has a direct successor whose read of the same (slot, box) meets the
-  // copy's write. The RHS reads face ghosts only, so on a periodic level
-  // without BCs each exchange lowers the 6 face copies of every box; a
-  // wall-bounded level also keeps the edge copies its BC fills read.
-  // One 64^3 box cuts each copy at its 4 x 4 logical tiles under the
-  // parallel policy: 16 pieces per x-face copy, 4 per y- or z-face copy.
+  // copy's write. The layouts are those that still lower exchanges:
+  // multi-tile boxes, and one-tile boxes with walls (a periodic level of
+  // one-tile boxes gathers its halos instead; HaloGatherReplacesExchanges).
+  // The RHS reads face ghosts only, so on a periodic level without BCs
+  // each exchange lowers the 6 face copies of every box under the
+  // sequential policy; a wall-bounded level also keeps the edge copies
+  // its BC fills read. One 64^3 box cuts each copy at its 4 x 4 logical
+  // tiles under the parallel policy: 16 pieces per x-face copy, 4 per y-
+  // or z-face copy.
   ProblemDomain walled(Box::cube(16), std::array<bool, 3>{false, true, true});
   const DisjointBoxLayout walledLayout(walled, 8);
   grid::BoundarySpec spec;
   spec.type[0] = {grid::BCType::ReflectiveWall, grid::BCType::ReflectiveWall};
   const grid::BoundaryFiller walls(walledLayout, spec);
-  const DisjointBoxLayout periodicLayout = smallLayout();
+  const DisjointBoxLayout twoBoxes = tiledLayout();
   const DisjointBoxLayout bigBox(ProblemDomain(Box::cube(64)), 64);
   const std::pair<const DisjointBoxLayout*, const grid::BoundaryFiller*>
-      levels[] = {{&periodicLayout, nullptr},
+      levels[] = {{&twoBoxes, nullptr},
                   {&walledLayout, &walls},
                   {&bigBox, nullptr}};
   for (const auto& [dbl, bc] : levels) {
@@ -877,10 +881,15 @@ TEST(StepGraph, EveryLoweredExchangeCopyHasAReader) {
           EXPECT_TRUE(read) << m.name << (bc != nullptr ? " walls" : "")
                             << ": nothing reads " << t.label;
         }
+        EXPECT_GT(exec.stats().exchangeOps, 0u) << m.name;
         if (bc != nullptr || scheme != Scheme::RK4) {
           continue;
         }
-        if (dbl == &bigBox && policy == LevelPolicy::BoxParallel) {
+        if (policy == LevelPolicy::BoxParallel && dbl == &twoBoxes) {
+          // 2 x 2 tiles per box: 4 pieces per x-face copy, 2 per y or z.
+          EXPECT_EQ(exec.stats().exchangeOps, 2u * (2 * 4 + 4 * 2) * 4)
+              << m.name;
+        } else if (dbl == &bigBox && policy == LevelPolicy::BoxParallel) {
           std::map<std::string, int> pieces;
           for (const analysis::GraphTask& t : m.tasks) {
             if (t.exchangeOp) {
@@ -928,6 +937,134 @@ TEST(StepGraph, TiledInteriorsBitIdenticalAcrossFamiliesThreadsAndPitches) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Halo gather: on a periodic level of one-tile boxes without BCs, each RHS
+// task copies its box and the face pieces its stencil reads into a
+// per-worker ghosted buffer, so no exchange lowers to a task and the stage
+// levels carry no ghost cells.
+// ---------------------------------------------------------------------------
+
+/// A level whose one-tile 8^3 boxes have reflective walls on x: one tile
+/// per box, but a BC fill, so it keeps the exchange lowering.
+struct WalledOneTile {
+  DisjointBoxLayout dbl{
+      ProblemDomain(Box::cube(16), std::array<bool, 3>{false, true, true}),
+      8};
+  grid::BoundaryFiller walls{dbl, [] {
+                               grid::BoundarySpec spec;
+                               spec.type[0] = {grid::BCType::ReflectiveWall,
+                                               grid::BCType::ReflectiveWall};
+                               return spec;
+                             }()};
+};
+
+/// Eight 16^3 boxes: one logical tile each, as box16's level.
+DisjointBoxLayout box16Layout() {
+  return DisjointBoxLayout(ProblemDomain(Box::cube(32)), 16);
+}
+
+/// The stats of one capture of `scheme` over `dbl` under `policy`.
+core::StepGraphStats captureStats(const DisjointBoxLayout& dbl,
+                                  Scheme scheme, LevelPolicy policy,
+                                  const grid::BoundaryFiller* bc = nullptr) {
+  LevelData u(dbl, kNumComp, kNumGhost);
+  core::StepExecOptions opts;
+  opts.policy = policy;
+  core::StepGraphExecutor exec(tiledConfig(), 2, opts);
+  core::StepRhsSpec rhs;
+  rhs.boundary = bc;
+  (void)exec.preparePhases(
+      buildStepProgram(scheme, 0.01, 1, bc != nullptr), u, rhs);
+  return exec.stats();
+}
+
+TEST(StepGraph, HaloGatherIsBitIdenticalToEager) {
+  // Two steps, so the second reads halos gathered from updated
+  // neighbours; with dissipation, whose Laplacian reads the gathered
+  // buffer too. The multi-tile and the walled levels keep the exchange
+  // lowering and must match as well.
+  const WalledOneTile walled;
+  struct Level {
+    DisjointBoxLayout dbl;
+    const grid::BoundaryFiller* bc;
+  };
+  const Level levels[] = {{smallLayout(), nullptr},
+                          {box16Layout(), nullptr},
+                          {tiledLayout(), nullptr},
+                          {walled.dbl, &walled.walls}};
+  const Real dt = 0.004;
+  const auto cfg = tiledConfig();
+  for (const Level& level : levels) {
+    for (const Scheme scheme : kSchemes) {
+      for (const Real diss : {0.0, 0.05}) {
+        LevelData ref = initialState(level.dbl);
+        {
+          FluxDivRhs rhs(cfg, 3, 1.0, level.bc, diss);
+          TimeIntegrator integ(scheme, level.dbl);
+          for (int step = 0; step < 2; ++step) {
+            integ.advanceEager(ref, dt, rhs);
+          }
+        }
+        for (const LevelPolicy policy : core::kLevelPolicies) {
+          LevelData u = initialState(level.dbl);
+          FluxDivRhs rhs(cfg, 3, 1.0, level.bc, diss);
+          TimeIntegrator integ(scheme, level.dbl);
+          integ.setLevelPolicy(policy);
+          for (int step = 0; step < 2; ++step) {
+            integ.advance(u, dt, rhs);
+          }
+          EXPECT_EQ(bitwiseMismatch(ref, u), "")
+              << caseName(scheme, policy, 3) << " on " << level.dbl.size()
+              << " x " << level.dbl.boxSize()[0] << "^3"
+              << (level.bc != nullptr ? " with walls" : "")
+              << ", dissipation " << diss;
+        }
+      }
+    }
+  }
+}
+
+TEST(StepGraph, HaloGatherReplacesExchanges) {
+  // One-tile periodic boxes lower no exchange op and allocate their stage
+  // levels without ghosts; multi-tile boxes and walled levels keep both.
+  const WalledOneTile walled;
+  for (const Scheme scheme : kSchemes) {
+    for (const LevelPolicy policy : core::kLevelPolicies) {
+      const std::string what = caseName(scheme, policy, 2);
+      for (const DisjointBoxLayout& dbl : {smallLayout(), box16Layout()}) {
+        const core::StepGraphStats one = captureStats(dbl, scheme, policy);
+        EXPECT_EQ(one.exchangeOps, 0u) << what << " " << dbl.boxSize()[0];
+        EXPECT_EQ(one.stageGhosts, 0) << what << " " << dbl.boxSize()[0];
+      }
+      const core::StepGraphStats tiled =
+          captureStats(tiledLayout(), scheme, policy);
+      EXPECT_GT(tiled.exchangeOps, 0u) << what << " multi-tile";
+      const core::StepGraphStats walls =
+          captureStats(walled.dbl, scheme, policy, &walled.walls);
+      EXPECT_GT(walls.exchangeOps, 0u) << what << " walled";
+      // Euler's one stage level is k, which no RHS reads.
+      EXPECT_EQ(walls.stageGhosts,
+                scheme == Scheme::ForwardEuler ? 0 : kNumGhost)
+          << what << " walled";
+    }
+  }
+}
+
+TEST(StepGraph, Box16LevelLowersOneTaskPerBoxAndStage) {
+  // RK4 on 512 x 16^3: one gathering RHS task per box and stage, which
+  // runs the stage's combines too: 2,048 tasks, where the exchange
+  // lowering added 6 face copies per box and stage (12,288 more).
+  const DisjointBoxLayout dbl(ProblemDomain(Box::cube(128)), 16);
+  ASSERT_EQ(dbl.size(), 512u);
+  const core::StepGraphStats st =
+      captureStats(dbl, Scheme::RK4, LevelPolicy::BoxParallel);
+  EXPECT_EQ(st.taskCount, 2048u);
+  EXPECT_EQ(st.exchangeOps, 0u);
+  EXPECT_LT(st.edgeCount, 36864u)
+      << "the exchange lowering ran 36,864 edges per step; got "
+      << st.edgeCount;
 }
 
 // ---------------------------------------------------------------------------
@@ -1012,7 +1149,9 @@ TEST(StepGraph, CapturedEdgesGrowLinearlyWithSteps) {
 }
 
 TEST(StepGraph, StatsReflectTheCapture) {
-  const auto dbl = smallLayout();
+  // Multi-tile boxes: the capture lowers exchange copies into ghosted
+  // stage levels.
+  const auto dbl = tiledLayout();
   const auto cfg = tiledConfig();
   const core::StepProgram prog = buildStepProgram(Scheme::RK4, 0.01);
   LevelData u = initialState(dbl);
@@ -1027,6 +1166,7 @@ TEST(StepGraph, StatsReflectTheCapture) {
   EXPECT_GT(stats.edgeCount, stats.taskCount)
       << "cross-stage fusion must carry more dependencies than tasks";
   EXPECT_GT(stats.exchangeOps, 0u);
+  EXPECT_EQ(stats.stageGhosts, kNumGhost);
 }
 
 // ---------------------------------------------------------------------------
@@ -1053,38 +1193,44 @@ std::string firstWord(const std::string& s) {
 }
 
 TEST(StepGraph, DroppedCrossStageEdgesAreCaught) {
-  const auto dbl = smallLayout();
-  LevelData u = initialState(dbl);
-  core::StepGraphExecutor exec(tiledConfig(), 2);
-  const TaskGraphModel m =
-      exec.lowerModel(buildStepProgram(Scheme::RK4, 0.01), u, {});
+  // Multi-tile boxes lower exchange copies, one-tile boxes gather their
+  // halos: there every edge joins two RHS tasks of successive stages.
+  for (const DisjointBoxLayout& dbl : {tiledLayout(), smallLayout()}) {
+    LevelData u = initialState(dbl);
+    core::StepGraphExecutor exec(tiledConfig(), 2);
+    const TaskGraphModel m =
+        exec.lowerModel(buildStepProgram(Scheme::RK4, 0.01), u, {});
+    const bool gather = exec.stats().exchangeOps == 0;
 
-  int caught = 0;
-  int crossOp = 0;
-  for (std::uint64_t seed = 0; seed < 24; ++seed) {
-    const analysis::mutate::GraphMutation mut =
-        analysis::mutate::dropGraphEdge(m, seed);
-    if (mut.expect == DiagnosticKind::Ok) {
-      continue; // no candidate for this seed
+    int caught = 0;
+    int crossOp = 0;
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      const analysis::mutate::GraphMutation mut =
+          analysis::mutate::dropGraphEdge(m, seed);
+      if (mut.expect == DiagnosticKind::Ok) {
+        continue; // no candidate for this seed
+      }
+      const GraphCheckReport rep = analysis::checkTaskGraph(mut.model);
+      ASSERT_FALSE(rep.ok()) << "seed " << seed << ": " << mut.what
+                             << " was accepted";
+      EXPECT_TRUE(reported(rep, mut.expect, m.label(mut.taskA),
+                           m.label(mut.taskB)))
+          << "seed " << seed << ": " << mut.what << "\n  expected "
+          << analysis::diagnosticKindName(mut.expect) << " naming '"
+          << m.label(mut.taskA) << "' vs '" << m.label(mut.taskB)
+          << "', first diagnostic: " << rep.diagnostics[0].message();
+      ++caught;
+      if (firstWord(m.label(mut.taskA)) != firstWord(m.label(mut.taskB))) {
+        ++crossOp; // e.g. an rhs task racing an axpy/exchange task
+      }
     }
-    const GraphCheckReport rep = analysis::checkTaskGraph(mut.model);
-    ASSERT_FALSE(rep.ok()) << "seed " << seed << ": " << mut.what
-                           << " was accepted";
-    EXPECT_TRUE(reported(rep, mut.expect, m.label(mut.taskA),
-                         m.label(mut.taskB)))
-        << "seed " << seed << ": " << mut.what << "\n  expected "
-        << analysis::diagnosticKindName(mut.expect) << " naming '"
-        << m.label(mut.taskA) << "' vs '" << m.label(mut.taskB)
-        << "', first diagnostic: " << rep.diagnostics[0].message();
-    ++caught;
-    if (firstWord(m.label(mut.taskA)) != firstWord(m.label(mut.taskB))) {
-      ++crossOp; // e.g. an rhs task racing an axpy/exchange task
+    EXPECT_GE(caught, 5) << "the fused RK4 graph must offer drop candidates";
+    if (!gather) {
+      EXPECT_GE(crossOp, 1)
+          << "at least one dropped edge must cross an op-kind boundary "
+          << "(a cross-stage dependency)";
     }
   }
-  EXPECT_GE(caught, 5) << "the fused RK4 graph must offer drop candidates";
-  EXPECT_GE(crossOp, 1)
-      << "at least one dropped edge must cross an op-kind boundary "
-      << "(a cross-stage dependency)";
 }
 
 // ---------------------------------------------------------------------------
@@ -1094,7 +1240,8 @@ TEST(StepGraph, DroppedCrossStageEdgesAreCaught) {
 // ---------------------------------------------------------------------------
 
 TEST(StepGraph, ShavedGhostLayersAreCaught) {
-  const auto dbl = smallLayout();
+  // Multi-tile boxes, so the graph lowers its exchanges.
+  const auto dbl = tiledLayout();
   for (const Scheme scheme : kSchemes) {
     LevelData u = initialState(dbl);
     core::StepExecOptions opts;
@@ -1129,6 +1276,37 @@ TEST(StepGraph, ShavedGhostLayersAreCaught) {
           << schemeName(scheme)
           << ": some shaved exchange must fill a stage temporary";
     }
+  }
+}
+
+TEST(StepGraph, ShavedGatherPiecesAreCaught) {
+  // One-tile boxes gather their halos: shaving the outermost layer off
+  // one gathered piece of a real multi-stage graph must be rejected by
+  // G3, naming the gathering task as reader and filler.
+  const auto dbl = smallLayout();
+  for (const Scheme scheme : kSchemes) {
+    LevelData u = initialState(dbl);
+    core::StepGraphExecutor exec(tiledConfig(), 2);
+    const TaskGraphModel m =
+        exec.lowerModel(buildStepProgram(scheme, 0.01), u, {});
+    ASSERT_EQ(exec.stats().exchangeOps, 0u) << schemeName(scheme);
+    int caught = 0;
+    for (std::uint64_t seed = 0; seed < 40 * 101; seed += 101) {
+      const analysis::mutate::GraphMutation mut =
+          analysis::mutate::shrinkGhostWrite(m, seed);
+      ASSERT_EQ(mut.expect, DiagnosticKind::ReadUncovered)
+          << schemeName(scheme) << " seed " << seed << ": " << mut.what;
+      ASSERT_EQ(mut.taskA, mut.taskB) << mut.what;
+      const GraphCheckReport rep = analysis::checkTaskGraph(mut.model);
+      ASSERT_FALSE(rep.ok()) << schemeName(scheme) << " seed " << seed
+                             << ": " << mut.what << " was accepted";
+      EXPECT_TRUE(reported(rep, mut.expect, m.label(mut.taskA),
+                           m.label(mut.taskB)))
+          << schemeName(scheme) << " seed " << seed << ": " << mut.what
+          << "\n  first diagnostic: " << rep.diagnostics[0].message();
+      ++caught;
+    }
+    EXPECT_EQ(caught, 40) << schemeName(scheme);
   }
 }
 
