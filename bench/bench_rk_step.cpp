@@ -10,6 +10,9 @@
 //                         [--window 1] [--threads ...] [--reps 5]
 //                         [--csv out.csv] [--json out.json]
 //
+// The level is --nboxes periodic boxes of side --boxsize in a near-cubic
+// grid (cubicLayout): --boxsize 16 --nboxes 512 is benchsuite box16's
+// 8 x 8 x 8 level.
 // --fuse all means eager and fused; the "vs fused" column is the fused
 // step time over each row's (>1 = faster than fused).
 // --window W > 1 captures W consecutive time steps as one task graph
@@ -80,11 +83,33 @@ std::vector<core::StepFuse> parseFuseList(const std::string& text) {
   return out;
 }
 
-/// A level of `nBoxes` boxes of side `n` along x (periodic), exemplar
-/// initial state.
-grid::DisjointBoxLayout rowLayout(int n, int nBoxes) {
+/// A periodic level of `nBoxes` boxes of side `n`, laid out as a
+/// near-cubic grid of boxes: z gets the largest divisor of nBoxes whose
+/// cube does not exceed it, y the largest divisor of the rest whose square
+/// does not exceed that, x the remainder (8 x 8 x 8 for 512, as benchsuite
+/// box16; 3 x 2 x 2 for 12).
+grid::DisjointBoxLayout cubicLayout(int n, int nBoxes) {
+  const auto largestRoot = [](int m, int power) {
+    int best = 1;
+    for (int d = 1; d <= m; ++d) {
+      long long p = 1;
+      for (int i = 0; i < power; ++i) {
+        p *= d;
+      }
+      if (p > m) {
+        break;
+      }
+      if (m % d == 0) {
+        best = d;
+      }
+    }
+    return best;
+  };
+  const int nz = largestRoot(nBoxes, 3);
+  const int ny = largestRoot(nBoxes / nz, 2);
+  const int nx = nBoxes / nz / ny;
   const grid::Box domain(grid::IntVect::zero(),
-                         grid::IntVect(n * nBoxes - 1, n - 1, n - 1));
+                         grid::IntVect(n * nx - 1, n * ny - 1, n * nz - 1));
   return grid::DisjointBoxLayout(grid::ProblemDomain(domain), n);
 }
 
@@ -229,7 +254,7 @@ int main(int argc, char** argv) {
 
   for (const solvers::Scheme scheme : schemes) {
     for (const int n : args.getIntList("boxsize")) {
-      const grid::DisjointBoxLayout dbl = rowLayout(n, nBoxes);
+      const grid::DisjointBoxLayout dbl = cubicLayout(n, nBoxes);
       const std::string boxes =
           std::to_string(nBoxes) + "x" + std::to_string(n) + "^3";
       for (const int t : threads) {

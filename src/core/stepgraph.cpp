@@ -15,6 +15,7 @@
 #include "analysis/verifygate.hpp"
 #include "core/exec_common.hpp"
 #include "core/runner.hpp"
+#include "core/workspace.hpp"
 #include "kernels/footprint.hpp"
 #include "kernels/laplacian.hpp"
 
@@ -225,6 +226,31 @@ private:
   std::vector<std::set<int>> preds_;
 };
 
+/// Cells along x that one gathering RHS task sweeps at most. On 512 boxes
+/// of 16^3 at 4 threads, 64 beat 128 (the x extent of a 128^3 box's
+/// logical tiles) and 32 did not beat 64 (docs/perf.md, "Gather runs
+/// along x").
+constexpr int kGatherRunCells = 64;
+
+/// One box's part of an RHS task's region: a task's output rows split at
+/// the boxes it covers. A tile task has one segment; a gathering run task
+/// (gatherRuns) has one per member box.
+struct RhsSegment {
+  std::size_t b;
+  Box region;
+};
+
+/// One RHS task of an RhsEval: the region its sweep covers, the boxes
+/// that region covers (its segments, ascending in x), and under the gather
+/// lowering the halo pieces it copies.
+struct RhsTask {
+  Box region;
+  std::vector<RhsSegment> segments;
+  std::vector<grid::CopyOp> pieces;
+  int owner = 0;
+  std::string name; ///< e.g. "box3 tile2" or "box8-15 all"
+};
+
 /// Everything the lowering needs about the capture being built. `tab` is the
 /// capture's runtime slot table: the lowering reads layouts, copiers and
 /// valid boxes through it, and task lambdas capture it and dereference it
@@ -232,17 +258,17 @@ private:
 /// solution is reallocated) retargets every task without re-lowering.
 struct LowerEnv {
   const VariantConfig& cfg;
-  WorkspacePool& ws;
   int nThreads;
   const StepProgram& prog;
   const StepRhsSpec& rhs;
   LevelData* const* tab; ///< program slot -> storage (Capture-owned)
   LevelPolicy policy;
-  /// The gather lowering (gathersHalos): each RHS task gathers its box's
-  /// halo, `halo[b]` for box b (haloPieces), and Exchange ops lower to no
-  /// task.
+  /// The gather lowering (gathersHalos): each RHS task gathers the halo of
+  /// one run of boxes (`runs`, gatherRuns), the model reads `halo[b]` for
+  /// box b (haloPieces), and Exchange ops lower to no task.
   bool gather = false;
   std::vector<std::vector<grid::CopyOp>> halo;
+  std::vector<RhsTask> runs;
 
   [[nodiscard]] int ownerOf(std::size_t b) const {
     return static_cast<int>(b % static_cast<std::size_t>(nThreads));
@@ -342,42 +368,63 @@ void combineOn(const StepOp& op, LevelData* const* tab, std::size_t b,
   }
 }
 
-/// What an RHS tile task does with each finished row of its output k
-/// (component c, row (j, k) of the tile) while the row is in L1: add the
-/// dissipation row when `diss` != 0, then run the absorbed epilogue
-/// combines on that row in program order. The combines are pointwise and
-/// write neither the RHS's source nor k, so row by row is the same
-/// per-element operation sequence as tile pass after tile pass.
+/// What an RHS task does with each finished row of its output k (component
+/// c, row (j, k) of the task's region, x from lo0 to lo0 + nx - 1) while the
+/// row is in L1: add the dissipation row when `diss` != 0, then, segment by
+/// segment, run the absorbed epilogue combines on the segment's part of the
+/// row in program order, and store that part to k's level when the sweep
+/// wrote the row elsewhere. The combines are pointwise and write neither
+/// the RHS's source nor k, so row by row is the same per-element operation
+/// sequence as tile pass after tile pass.
 struct RowEpilogue {
   LevelData* const* tab;
-  std::size_t b;
   const FArrayBox* src; ///< the RHS's source (the Laplacian reads it)
+  LevelData* kLevel;    ///< k's level; null when k is tile-local
   int kSlot;            ///< the RHS's output slot
   Real diss;
   const std::vector<StepOp>* ops;
+  const std::vector<RhsSegment>* segments;
   int lo0;
   int nx;
 
+  /// Box b's k fab when the task's one segment writes its rows in place.
+  [[nodiscard]] FArrayBox* inPlace() const {
+    return kLevel != nullptr && segments->size() == 1
+               ? &(*kLevel)[segments->front().b]
+               : nullptr;
+  }
+
   void operator()(int c, int j, int k, Real* krow) const {
-    const IntVect at(lo0, j, k);
     if (diss != 0.0) {
-      kernels::addLaplacianRow(rowOf(*src, c, at), src->strideY(),
-                               src->strideZ(), nx, diss, krow);
+      kernels::addLaplacianRow(rowOf(*src, c, IntVect(lo0, j, k)),
+                               src->strideY(), src->strideZ(), nx, diss,
+                               krow);
     }
-    for (const StepOp& e : *ops) {
-      const Real* srow =
-          e.src == kSlot
-              ? krow
-              : rowOf((*tab[static_cast<std::size_t>(e.src)])[b], c, at);
-      combineRow(e, srow, rowOf((*tab[static_cast<std::size_t>(e.dst)])[b],
-                                c, at),
-                 nx);
+    const bool store = kLevel != nullptr && segments->size() > 1;
+    for (const RhsSegment& seg : *segments) {
+      const IntVect at(seg.region.lo(0), j, k);
+      const int n = seg.region.size(0);
+      Real* srow = krow + (at[0] - lo0);
+      for (const StepOp& e : *ops) {
+        const Real* erow =
+            e.src == kSlot
+                ? srow
+                : rowOf((*tab[static_cast<std::size_t>(e.src)])[seg.b], c,
+                        at);
+        combineRow(e, erow,
+                   rowOf((*tab[static_cast<std::size_t>(e.dst)])[seg.b], c,
+                         at),
+                   n);
+      }
+      if (store) {
+        grid::copyRow(srow, n, rowOf((*kLevel)[seg.b], c, at));
+      }
     }
   }
 };
 
-/// The streamed RHS output: each row of k goes to `level`'s row (k on a
-/// level) or to the one-row buffer `buf` (tile-local k), and the row
+/// The streamed RHS output: each row of k goes to its row on k's level
+/// (RowEpilogue::inPlace) or to the one-row buffer `buf`, and the row
 /// epilogue consumes it before the sweep writes the next.
 class StreamedRhs final : public detail::RowSink {
 public:
@@ -399,11 +446,20 @@ private:
   const RowEpilogue& epilogue_;
 };
 
-/// The calling thread's tile-local RHS output for the families whose
-/// sweeps do not finish rows in order, defined on `region`. One buffer
-/// per thread, reused for every tile: define() keeps the allocation, so
-/// after the largest tile no task allocates. It holds nothing between
+/// The calling thread's step workspace: the sweeps' scratch, the gathered
+/// halo (Slot::Halo) and the one-row k buffer (Slot::Extra) of every RHS
+/// task this thread runs, whichever executor's graph the task belongs to.
+/// A task writes everything it reads from it; nothing is kept between
 /// tasks.
+Workspace& stepWorkspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+/// The calling thread's RHS output for the families whose sweeps do not
+/// finish rows in order, defined on `region`. One buffer per thread,
+/// reused for every task: define() keeps the allocation, so after the
+/// largest region no task allocates. It holds nothing between tasks.
 FArrayBox& tileBuffer(const Box& region, int nc) {
   thread_local FArrayBox buf;
   if (!(buf.box() == region) || buf.nComp() != nc) {
@@ -414,23 +470,23 @@ FArrayBox& tileBuffer(const Box& region, int nc) {
 
 /// One RHS evaluation of `epilogue.src` on `region`, with its row
 /// epilogue. A ShiftFuse sweep streams k row by row (shiftFuseBoxRows): no
-/// zero pass,
-/// and a tile-local k is one row of the worker's workspace. The other
-/// families accumulate the whole region into a zeroed k (the tile buffer,
-/// or k's level), whose rows the epilogue then walks.
-void runRhsTile(const VariantConfig& cfg, Workspace& ws, FArrayBox* level,
-                const Box& region, int nc, Real scale,
-                const RowEpilogue& epilogue) {
+/// zero pass, and k's row is one row of the thread's workspace unless the
+/// task's one segment writes k's level in place. The other families
+/// accumulate the whole region into a zeroed k (that level fab, or the
+/// thread's tile buffer), whose rows the epilogue then walks.
+void runRhsTile(const VariantConfig& cfg, Workspace& ws, const Box& region,
+                int nc, Real scale, const RowEpilogue& epilogue) {
   const FArrayBox& sf = *epilogue.src;
+  FArrayBox* inPlace = epilogue.inPlace();
   if (cfg.family == ScheduleFamily::ShiftFuse) {
-    Real* buf = level == nullptr
+    Real* buf = inPlace == nullptr
                     ? ws.buffer(Slot::Extra,
                                 static_cast<std::size_t>(region.size(0)))
                     : nullptr;
-    StreamedRhs sink(level, buf, epilogue);
+    StreamedRhs sink(inPlace, buf, epilogue);
     detail::shiftFuseBoxRows(cfg, sf, region, ws, scale, sink);
   } else {
-    FArrayBox& df = level != nullptr ? *level : tileBuffer(region, nc);
+    FArrayBox& df = inPlace != nullptr ? *inPlace : tileBuffer(region, nc);
     for (int c = 0; c < nc; ++c) {
       df.setVal(0.0, region, c);
     }
@@ -441,9 +497,13 @@ void runRhsTile(const VariantConfig& cfg, Workspace& ws, FArrayBox* level,
       });
     }
   }
-  if (level != nullptr) {
-    FLUXDIV_SHADOW_WRITE(*level, region, 0, nc);
+#ifdef FLUXDIV_SHADOW_CHECK
+  if (epilogue.kLevel != nullptr) {
+    for (const RhsSegment& seg : *epilogue.segments) {
+      FLUXDIV_SHADOW_WRITE((*epilogue.kLevel)[seg.b], seg.region, 0, nc);
+    }
   }
+#endif
 }
 
 bool reads(const StepOp& op, int slot) {
@@ -464,8 +524,8 @@ bool reads(const StepOp& op, int slot) {
 /// read it through their halos) nor its output. Under the parallel policy
 /// the RHS output is tile-local when nothing after the epilogue reads it
 /// before an RhsEval or CopySlot overwrites it whole (or the program
-/// ends): it then has no level, and the epilogue reads it from a row of
-/// the worker's workspace or the thread's tile buffer (runRhsTile).
+/// ends): it then has no level, and the epilogue reads it from a row
+/// of the thread's workspace or its tile buffer (runRhsTile).
 struct FusionPlan {
   std::vector<std::size_t> epilogue; ///< per RhsEval op: combines absorbed
   std::vector<bool> tileLocal;       ///< per RhsEval op: output off-level
@@ -719,10 +779,10 @@ void lowerBoundaryFill(Lowering& low, LowerEnv& env, const StepOp& op) {
 /// Whether a capture of `prog` over `u` gathers halos instead of lowering
 /// exchanges: every box is one logical tile, the domain is periodic and
 /// no op fills a boundary, so every ghost cell an RHS reads is a copy of
-/// a neighbour's valid cell. Each RHS task then copies its box and the
-/// face pieces its stencil reads into the worker's ghosted buffer
-/// (gatherHalo) and reads only that, so no Exchange lowers to a task and
-/// no stage slot needs ghost cells.
+/// a neighbour's valid cell. Each RHS task then copies a run of boxes and
+/// the face pieces their stencil reads into the thread's ghosted buffer
+/// (gatherRun) and reads only that, so no Exchange lowers to a task and no
+/// stage slot needs ghost cells.
 bool gathersHalos(const StepProgram& prog, const LevelData& u) {
   for (int d = 0; d < grid::SpaceDim; ++d) {
     if (!u.layout().domain().isPeriodic(d)) {
@@ -764,27 +824,100 @@ std::vector<std::vector<grid::CopyOp>> haloPieces(const LevelData& u) {
   return out;
 }
 
-/// The RHS source of a gathering task: box `b` of `level` on `valid`,
-/// plus its halo `pieces`, copied into the worker's ghosted buffer.
-const FArrayBox& gatherHalo(Workspace& ws, const LevelData& level,
-                            std::size_t b, const Box& valid,
-                            const std::vector<grid::CopyOp>& pieces) {
+/// The RHS tasks of the gather lowering, one per run: each (y, z) row of
+/// u's boxes cut into runs of consecutive x-neighbours, as few runs as keep
+/// each within kGatherRunCells, balanced in box count (a wider box is a run
+/// alone). A run's task sweeps the union of its boxes, so of their `halo`
+/// pieces it copies only those whose destination lies outside the run: the
+/// x faces between members are valid cells of its buffer already. Run r
+/// belongs to worker r % nThreads: ownerOf(first box) would put every
+/// 4-box run of a 4-thread pool on worker 0.
+std::vector<RhsTask>
+gatherRuns(const LevelData& u,
+           const std::vector<std::vector<grid::CopyOp>>& halo, int nThreads) {
+  const IntVect n = u.layout().gridSize();
+  const int perRun = std::max(1, kGatherRunCells / u.layout().boxSize()[0]);
+  const int nRuns = (n[0] + perRun - 1) / perRun;
+  std::vector<RhsTask> out;
+  for (int bz = 0; bz < n[2]; ++bz) {
+    for (int by = 0; by < n[1]; ++by) {
+      const auto index = [&](int bx) {
+        IntVect unused;
+        return static_cast<std::size_t>(
+            u.layout().wrappedIndex(IntVect(bx, by, bz), unused));
+      };
+      for (int r = 0; r < nRuns; ++r) {
+        const int first = r * n[0] / nRuns;
+        const int last = (r + 1) * n[0] / nRuns - 1;
+        RhsTask run;
+        for (int bx = first; bx <= last; ++bx) {
+          run.segments.push_back({index(bx), u.validBox(index(bx))});
+        }
+        run.region = Box(run.segments.front().region.lo(),
+                         run.segments.back().region.hi());
+        for (const RhsSegment& seg : run.segments) {
+          for (const grid::CopyOp& p : halo[seg.b]) {
+            if (!run.region.contains(p.destRegion)) {
+              run.pieces.push_back(p);
+            }
+          }
+        }
+        run.owner = static_cast<int>(out.size() %
+                                     static_cast<std::size_t>(nThreads));
+        run.name = "box" + std::to_string(index(first));
+        if (last > first) {
+          run.name += '-';
+          run.name += std::to_string(index(last));
+        }
+        run.name += " all";
+        out.push_back(std::move(run));
+      }
+    }
+  }
+  return out;
+}
+
+/// The RHS tasks of the exchange lowering: one per box and region
+/// (rhsRegions), on the box's worker.
+std::vector<RhsTask> tileTasks(const LowerEnv& env) {
+  const LevelData& u = *env.tab[0]; // every slot shares u's layout
+  std::vector<RhsTask> out;
+  for (std::size_t b = 0; b < u.size(); ++b) {
+    for (const NamedRegion& nr : rhsRegions(env, u.validBox(b))) {
+      out.push_back({nr.region,
+                     {{b, nr.region}},
+                     {},
+                     env.ownerOf(b),
+                     "box" + std::to_string(b) + " " + nr.tag});
+    }
+  }
+  return out;
+}
+
+/// The RHS source of a gathering run task: the valid cells of its boxes
+/// and its halo pieces, copied from `level` into the thread's ghosted
+/// buffer over the run.
+const FArrayBox& gatherRun(Workspace& ws, const LevelData& level,
+                           const RhsTask& run) {
   const int nc = level.nComp();
-  FArrayBox& halo = ws.fab(Slot::Halo, valid.grow(kNumGhost), nc);
-  halo.copy(level[b], valid, 0, 0, nc);
-  for (const grid::CopyOp& p : pieces) {
+  FArrayBox& halo = ws.fab(Slot::Halo, run.region.grow(kNumGhost), nc);
+  for (const RhsSegment& seg : run.segments) {
+    halo.copy(level[seg.b], seg.region, 0, 0, nc);
+  }
+  for (const grid::CopyOp& p : run.pieces) {
     halo.copyShifted(level[p.srcBox], p.destRegion, p.srcShift, 0, 0, nc);
   }
   return halo;
 }
 
 /// One RhsEval op and the `epilogue` combines that follow it in the
-/// program (FusionPlan): per box, one task per region (rhsRegions) that
-/// evaluates the RHS on its region and runs the epilogue on each finished
-/// row of it (runRhsTile). With `tileLocal` the RHS output has no level.
-/// Under the gather lowering the one region is the box, and the task
-/// first gathers the box's halo (gatherHalo), which its stencil and the
-/// dissipation then read.
+/// program (FusionPlan): one task per RhsTask (gatherRuns or tileTasks)
+/// that evaluates the RHS on its region and runs the epilogue on each
+/// finished row of it (runRhsTile). With `tileLocal` the RHS output has no
+/// level. Under the gather lowering the task first gathers its run's halo
+/// (gatherRun), which its stencil and the dissipation then read. The
+/// access log and the model stay per box: each segment logs what one box's
+/// task would.
 void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op,
                   std::vector<StepOp> epilogue, bool tileLocal) {
   const LevelData& u = *env.tab[0]; // every slot shares u's layout
@@ -803,12 +936,25 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op,
              : e.kind == StepOpKind::AxpySlot ? "+axpy"
                                               : "+scale";
   }
-  for (std::size_t b = 0; b < u.size(); ++b) {
-    const Box valid = u.validBox(b);
-    // A tile-local output has no level, so no shadow epoch to arm.
-    if (!tileLocal && firstWrite) {
-      low.epochTargets.emplace_back(op.dst, b);
-    } else if (!tileLocal) {
+  const VariantConfig* cfg = &env.cfg;
+  const Real scale = -env.rhs.invDx;
+  const Real diss = env.rhs.dissipation;
+  const bool gather = env.gather;
+  const std::vector<RhsTask> tiles =
+      gather ? std::vector<RhsTask>{} : tileTasks(env);
+  std::vector<bool> armed(u.size(), false);
+  for (const RhsTask& task : gather ? env.runs : tiles) {
+    for (const RhsSegment& seg : task.segments) {
+      // A tile-local output has no level, so no shadow epoch to arm.
+      if (tileLocal || armed[seg.b]) {
+        continue;
+      }
+      armed[seg.b] = true;
+      const std::size_t b = seg.b;
+      if (firstWrite) {
+        low.epochTargets.emplace_back(op.dst, b);
+        continue;
+      }
       // Shadow-epoch barrier: the slot is being re-written by a later
       // stage, which the per-epoch write detector would flag as a
       // cross-worker double write. The barrier task re-arms the epoch;
@@ -827,43 +973,35 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op,
 #endif
           },
           env.ownerOf(b),
-          "epoch " + env.prog.slotName(op.dst) + " box" +
-              std::to_string(b) + env.stepTag(op),
+          "epoch " + env.prog.slotName(op.dst) + " box" + std::to_string(b) +
+              env.stepTag(op),
           /*exchangeOp=*/false, /*orderingOnly=*/true);
       const LevelData& dst = *tab[dstSlot];
-      low.access(t, op.dst, b, valid.grow(dst.nGhost()), nc, true);
+      low.access(t, op.dst, b, u.validBox(b).grow(dst.nGhost()), nc, true);
     }
-    const VariantConfig* cfg = &env.cfg;
-    WorkspacePool* ws = &env.ws;
-    const Real scale = -env.rhs.invDx;
-    const Real diss = env.rhs.dissipation;
-    const bool gather = env.gather;
-    const std::vector<grid::CopyOp> pieces =
-        gather ? env.halo[b] : std::vector<grid::CopyOp>{};
-    for (const NamedRegion& nr : rhsRegions(env, valid)) {
-      const Box region = nr.region;
-      const int t = low.addTask(
-          [cfg, ws, tab, srcSlot, dstSlot, b, region, nc, scale, diss,
-           epilogue, tileLocal, gather, pieces](int worker) {
-            Workspace& w = (*ws)[worker];
-            const LevelData& src = *tab[srcSlot];
-            const RowEpilogue rows{
-                .tab = tab,
-                .b = b,
-                .src = gather ? &gatherHalo(w, src, b, region, pieces)
-                              : &src[b],
-                .kSlot = static_cast<int>(dstSlot),
-                .diss = diss,
-                .ops = &epilogue,
-                .lo0 = region.lo(0),
-                .nx = region.size(0)};
-            runRhsTile(*cfg, w, tileLocal ? nullptr : &(*tab[dstSlot])[b],
-                       region, nc, scale, rows);
-          },
-          env.ownerOf(b),
-          label + " box" + std::to_string(b) + " " + nr.tag +
-              env.stepTag(op));
-      low.model.tasks[static_cast<std::size_t>(t)].rhsSourceSlot = op.src;
+    const int t = low.addTask(
+        [cfg, tab, srcSlot, dstSlot, task, nc, scale, diss, epilogue,
+         tileLocal, gather](int) {
+          Workspace& w = stepWorkspace();
+          const LevelData& src = *tab[srcSlot];
+          const RowEpilogue rows{
+              .tab = tab,
+              .src = gather ? &gatherRun(w, src, task)
+                            : &src[task.segments.front().b],
+              .kLevel = tileLocal ? nullptr : tab[dstSlot],
+              .kSlot = static_cast<int>(dstSlot),
+              .diss = diss,
+              .ops = &epilogue,
+              .segments = &task.segments,
+              .lo0 = task.region.lo(0),
+              .nx = task.region.size(0)};
+          runRhsTile(*cfg, w, task.region, nc, scale, rows);
+        },
+        task.owner, label + " " + task.name + env.stepTag(op));
+    low.model.tasks[static_cast<std::size_t>(t)].rhsSourceSlot = op.src;
+    for (const RhsSegment& seg : task.segments) {
+      const std::size_t b = seg.b;
+      const Box& region = seg.region;
       std::vector<Box> footprint;
       for (int d = 0; d < grid::SpaceDim; ++d) {
         footprint.push_back(
@@ -871,10 +1009,10 @@ void lowerRhsEval(Lowering& low, LowerEnv& env, const StepOp& op,
       }
       if (gather) {
         low.access(t, op.src, b, region, nc, false);
-        for (const grid::CopyOp& p : pieces) {
+        for (const grid::CopyOp& p : env.halo[b]) {
           low.access(t, op.src, p.srcBox, p.srcRegion(), nc, false);
         }
-        low.modelHalo(t, op.src, b, footprint, pieces, nc);
+        low.modelHalo(t, op.src, b, footprint, env.halo[b], nc);
       } else {
         for (const Box& r : footprint) {
           low.access(t, op.src, b, r, nc, false);
@@ -1026,7 +1164,6 @@ StepGraphExecutor::StepGraphExecutor(VariantConfig cfg, int nThreads,
                      : std::make_unique<TaskPool>(nThreads_, opts.pin)),
       pool_(opts.sharedPool != nullptr ? opts.sharedPool
                                        : ownedPool_.get()),
-      ws_(nThreads_),
       runner_(std::make_unique<FluxDivRunner>(cfg, nThreads_)) {}
 
 StepGraphExecutor::~StepGraphExecutor() = default;
@@ -1123,10 +1260,11 @@ StepGraphExecutor::ensureCapture(const StepProgram& prog,
   }
 #endif
 
-  LowerEnv env{cfg_,         ws_,    nThreads_, prog, rhs, cap->tab.get(),
-               opts_.policy, gather, {}};
+  LowerEnv env{cfg_,         nThreads_, prog, rhs, cap->tab.get(),
+               opts_.policy, gather, {},        {}};
   if (gather) {
     env.halo = haloPieces(u);
+    env.runs = gatherRuns(u, env.halo, nThreads_);
   }
 
   // Zero the stage levels on the pool: the stage slots hold zeros before

@@ -30,7 +30,7 @@
 // other families sum the tile into a zeroed buffer whose rows the same
 // row epilogue then walks. When nothing else reads the RHS output before
 // it is overwritten (RK4's and SSPRK3's k), it gets no level: under
-// ShiftFuse it is one row of the worker's workspace, otherwise a
+// ShiftFuse it is one row of the thread's workspace, otherwise a
 // per-thread tile buffer, so k costs no memory pass and no epoch
 // barrier. Under the sequential policy k stays a level (a whole-box task
 // would need a whole-box buffer per thread). A combine that no RHS
@@ -64,14 +64,19 @@
 // the same stage level.
 //
 // A periodic level of one-tile boxes without boundary fills (box16's 512
-// boxes of 16^3) lowers no exchange at all: its RHS task gathers the box's
-// valid cells and the face pieces of the exchange plan its stencil reads
-// (from the neighbours' valid cells) into a per-worker ghosted buffer
-// (Workspace Slot::Halo) and runs the sweep and the dissipation on that.
-// One task per box and stage is left, the stage levels get no ghost
-// cells, and the task's dependences come from its reads of the valid
-// cells it copies. In the model the gathered pieces are the task's own
-// ghost writes, made before its footprint reads (GraphTask::gathers), so
+// boxes of 16^3) lowers no exchange at all. Each (y, z) row of its boxes
+// is cut into runs of consecutive x-neighbours, each at most 64 cells wide
+// (kGatherRunCells, measured against 128). One RHS task per run and stage
+// copies the valid cells of the run's boxes, and the face pieces of the
+// exchange plan that their stencil reads from outside the run, into the
+// thread's ghosted buffer (Workspace Slot::Halo). It sweeps the whole run
+// in rows of up to 64 cells and splits each finished row into per-box
+// segments for the dissipation and the combines. The x faces between a
+// run's boxes are valid cells of that buffer, so they cost no copy. The
+// stage levels get no ghost cells, and the task's dependences come from
+// its reads of the valid cells it copies. The access log and the model
+// stay per box: each box's gathered pieces are the task's own ghost
+// writes, made before that box's footprint reads (GraphTask::gathers), so
 // G3 still proves every gathered halo cell filled.
 
 #include <cstddef>
@@ -83,7 +88,6 @@
 #include "core/stepprogram.hpp"
 #include "core/taskpool.hpp"
 #include "core/variant.hpp"
-#include "core/workspace.hpp"
 #include "grid/bc.hpp"
 #include "grid/leveldata.hpp"
 #include "grid/real.hpp"
@@ -217,7 +221,6 @@ private:
   StepGraphStats stats_;
   std::unique_ptr<TaskPool> ownedPool_; ///< null when sharedPool is set
   TaskPool* pool_ = nullptr;            ///< owned or shared
-  WorkspacePool ws_;
   std::unique_ptr<FluxDivRunner> runner_; ///< schedule/kernel/advice gates
   std::unique_ptr<Capture> capture_;
 };

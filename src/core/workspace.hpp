@@ -25,7 +25,7 @@ enum class Slot : int {
   CarryY,
   CarryZ,
   Extra,
-  Halo,          ///< a one-tile box's gathered source (step-graph RHS)
+  Halo,          ///< a gathered run of one-tile boxes (step-graph RHS)
   kCount
 };
 

@@ -941,9 +941,9 @@ TEST(StepGraph, TiledInteriorsBitIdenticalAcrossFamiliesThreadsAndPitches) {
 
 // ---------------------------------------------------------------------------
 // Halo gather: on a periodic level of one-tile boxes without BCs, each RHS
-// task copies its box and the face pieces its stencil reads into a
-// per-worker ghosted buffer, so no exchange lowers to a task and the stage
-// levels carry no ghost cells.
+// task copies a run of x-neighbour boxes and the face pieces their stencil
+// reads from outside the run into a per-thread ghosted buffer, so no
+// exchange lowers to a task and the stage levels carry no ghost cells.
 // ---------------------------------------------------------------------------
 
 /// A level whose one-tile 8^3 boxes have reflective walls on x: one tile
@@ -980,46 +980,89 @@ core::StepGraphStats captureStats(const DisjointBoxLayout& dbl,
   return exec.stats();
 }
 
+/// A level, its boundary fill, and the gathering runs each RK4 stage
+/// lowers on it (0: the level keeps the exchange lowering).
+struct GatherLevel {
+  DisjointBoxLayout dbl;
+  const grid::BoundaryFiller* bc;
+  std::size_t runs;
+  const char* what;
+};
+
+/// A periodic domain of `domain` cells cut into boxes of `box` cells.
+DisjointBoxLayout boxesOf(grid::IntVect domain, grid::IntVect box) {
+  return DisjointBoxLayout(
+      ProblemDomain(
+          Box(grid::IntVect::zero(), domain - grid::IntVect::unit(1))),
+      box);
+}
+
 TEST(StepGraph, HaloGatherIsBitIdenticalToEager) {
   // Two steps, so the second reads halos gathered from updated
   // neighbours; with dissipation, whose Laplacian reads the gathered
-  // buffer too. The multi-tile and the walled levels keep the exchange
-  // lowering and must match as well.
+  // buffer too. The one-tile levels gather in runs of x-neighbours of at
+  // most 64 cells; the multi-tile and the walled levels keep the
+  // exchange lowering and must match as well.
   const WalledOneTile walled;
-  struct Level {
-    DisjointBoxLayout dbl;
-    const grid::BoundaryFiller* bc;
-  };
-  const Level levels[] = {{smallLayout(), nullptr},
-                          {box16Layout(), nullptr},
-                          {tiledLayout(), nullptr},
-                          {walled.dbl, &walled.walls}};
+  const GatherLevel levels[] = {
+      {smallLayout(), nullptr, 4, "2 x 2 x 2 boxes of 8^3: runs of 2"},
+      {box16Layout(), nullptr, 4, "2 x 2 x 2 boxes of 16^3: runs of 2"},
+      {boxesOf({160, 8, 8}, {80, 8, 8}), nullptr, 2,
+       "two 80 x 8 x 8 boxes: runs of 1"},
+      {boxesOf({64, 8, 8}, {8, 8, 8}), nullptr, 1,
+       "a row of 8 boxes of 8^3: one run of 8 spanning x"},
+      {boxesOf({72, 8, 8}, {8, 8, 8}), nullptr, 2,
+       "a row of 9 boxes of 8^3: runs of 4 and 5"},
+      {boxesOf({64, 16, 16}, {8, 16, 16}), nullptr, 1,
+       "8 boxes of 8 x 16 x 16: one run of 8"},
+      {tiledLayout(), nullptr, 0, "two 36^3 boxes (multi-tile)"},
+      {walled.dbl, &walled.walls, 0, "walled 8^3 boxes"}};
   const Real dt = 0.004;
-  const auto cfg = tiledConfig();
-  for (const Level& level : levels) {
-    for (const Scheme scheme : kSchemes) {
-      for (const Real diss : {0.0, 0.05}) {
-        LevelData ref = initialState(level.dbl);
-        {
-          FluxDivRhs rhs(cfg, 3, 1.0, level.bc, diss);
-          TimeIntegrator integ(scheme, level.dbl);
-          for (int step = 0; step < 2; ++step) {
-            integ.advanceEager(ref, dt, rhs);
+  const core::VariantConfig cfgs[] = {
+      tiledConfig(),
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox,
+                          core::ComponentLoop::Outside),
+      core::makeShiftFuse(core::ParallelGranularity::WithinBox,
+                          core::ComponentLoop::Inside)};
+  for (const core::VariantConfig& cfg : cfgs) {
+    for (const GatherLevel& level : levels) {
+      if (level.runs == 0 && !(cfg == cfgs[0])) {
+        continue; // the exchange lowering does not change with the family
+      }
+      for (const Scheme scheme : kSchemes) {
+        for (const Real diss : {0.0, 0.05}) {
+          LevelData ref = initialState(level.dbl);
+          {
+            FluxDivRhs rhs(cfg, 3, 1.0, level.bc, diss);
+            TimeIntegrator integ(scheme, level.dbl);
+            for (int step = 0; step < 2; ++step) {
+              integ.advanceEager(ref, dt, rhs);
+            }
           }
-        }
-        for (const LevelPolicy policy : core::kLevelPolicies) {
-          LevelData u = initialState(level.dbl);
-          FluxDivRhs rhs(cfg, 3, 1.0, level.bc, diss);
-          TimeIntegrator integ(scheme, level.dbl);
-          integ.setLevelPolicy(policy);
-          for (int step = 0; step < 2; ++step) {
-            integ.advance(u, dt, rhs);
+          for (const LevelPolicy policy : core::kLevelPolicies) {
+            const std::string what = caseName(scheme, policy, 3) + " " +
+                                     cfg.name() + " on " + level.what +
+                                     ", dissipation " +
+                                     (diss == 0.0 ? "0" : "0.05");
+            LevelData u = initialState(level.dbl);
+            FluxDivRhs rhs(cfg, 3, 1.0, level.bc, diss);
+            TimeIntegrator integ(scheme, level.dbl);
+            integ.setLevelPolicy(policy);
+            for (int step = 0; step < 2; ++step) {
+              integ.advance(u, dt, rhs);
+            }
+            EXPECT_EQ(bitwiseMismatch(ref, u), "") << what;
+            // Box-parallel RK4 lowers one task per run and stage: its
+            // combines all ride in the RHS tasks and k stays off the
+            // level.
+            if (scheme == Scheme::RK4 && policy == LevelPolicy::BoxParallel &&
+                level.runs > 0) {
+              ASSERT_NE(integ.stepStats(), nullptr) << what;
+              EXPECT_EQ(integ.stepStats()->taskCount, 4 * level.runs)
+                  << what;
+              EXPECT_EQ(integ.stepStats()->exchangeOps, 0u) << what;
+            }
           }
-          EXPECT_EQ(bitwiseMismatch(ref, u), "")
-              << caseName(scheme, policy, 3) << " on " << level.dbl.size()
-              << " x " << level.dbl.boxSize()[0] << "^3"
-              << (level.bc != nullptr ? " with walls" : "")
-              << ", dissipation " << diss;
         }
       }
     }
@@ -1052,19 +1095,19 @@ TEST(StepGraph, HaloGatherReplacesExchanges) {
   }
 }
 
-TEST(StepGraph, Box16LevelLowersOneTaskPerBoxAndStage) {
-  // RK4 on 512 x 16^3: one gathering RHS task per box and stage, which
-  // runs the stage's combines too: 2,048 tasks, where the exchange
-  // lowering added 6 face copies per box and stage (12,288 more).
+TEST(StepGraph, Box16LevelLowersOneTaskPerRunAndStage) {
+  // RK4 on 8 x 8 x 8 boxes of 16^3: each row of 8 boxes along x is two
+  // gathering runs of 64 cells, and a run's RHS task runs the stage's
+  // combines too: 128 runs x 4 stages = 512 tasks, where one task per box
+  // and stage made 2,048 (and 15,360 edges), and the exchange lowering
+  // 14,336 (36,864 edges).
   const DisjointBoxLayout dbl(ProblemDomain(Box::cube(128)), 16);
   ASSERT_EQ(dbl.size(), 512u);
   const core::StepGraphStats st =
       captureStats(dbl, Scheme::RK4, LevelPolicy::BoxParallel);
-  EXPECT_EQ(st.taskCount, 2048u);
+  EXPECT_EQ(st.taskCount, 512u);
   EXPECT_EQ(st.exchangeOps, 0u);
-  EXPECT_LT(st.edgeCount, 36864u)
-      << "the exchange lowering ran 36,864 edges per step; got "
-      << st.edgeCount;
+  EXPECT_EQ(st.edgeCount, 3328u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1280,33 +1323,66 @@ TEST(StepGraph, ShavedGhostLayersAreCaught) {
 }
 
 TEST(StepGraph, ShavedGatherPiecesAreCaught) {
-  // One-tile boxes gather their halos: shaving the outermost layer off
-  // one gathered piece of a real multi-stage graph must be rejected by
-  // G3, naming the gathering task as reader and filler.
-  const auto dbl = smallLayout();
-  for (const Scheme scheme : kSchemes) {
-    LevelData u = initialState(dbl);
-    core::StepGraphExecutor exec(tiledConfig(), 2);
-    const TaskGraphModel m =
-        exec.lowerModel(buildStepProgram(scheme, 0.01), u, {});
-    ASSERT_EQ(exec.stats().exchangeOps, 0u) << schemeName(scheme);
-    int caught = 0;
-    for (std::uint64_t seed = 0; seed < 40 * 101; seed += 101) {
-      const analysis::mutate::GraphMutation mut =
-          analysis::mutate::shrinkGhostWrite(m, seed);
-      ASSERT_EQ(mut.expect, DiagnosticKind::ReadUncovered)
-          << schemeName(scheme) << " seed " << seed << ": " << mut.what;
-      ASSERT_EQ(mut.taskA, mut.taskB) << mut.what;
-      const GraphCheckReport rep = analysis::checkTaskGraph(mut.model);
-      ASSERT_FALSE(rep.ok()) << schemeName(scheme) << " seed " << seed
-                             << ": " << mut.what << " was accepted";
-      EXPECT_TRUE(reported(rep, mut.expect, m.label(mut.taskA),
-                           m.label(mut.taskB)))
-          << schemeName(scheme) << " seed " << seed << ": " << mut.what
-          << "\n  first diagnostic: " << rep.diagnostics[0].message();
-      ++caught;
+  // One-tile boxes gather their halos in runs along x: shaving the
+  // outermost layer off any gathered piece of a real multi-stage graph
+  // must be rejected by G3, naming the gathering task as reader and
+  // filler. That holds for the x-face pieces a run task copies at its
+  // ends and for the x faces between its boxes, which it never copies but
+  // which the model still lists per box. Every candidate shave is tried:
+  // the graphs have fewer than 256.
+  for (const DisjointBoxLayout& dbl :
+       {smallLayout(), boxesOf({72, 8, 8}, {8, 8, 8})}) {
+    for (const Scheme scheme : kSchemes) {
+      const std::string what = std::string(schemeName(scheme)) + " on " +
+                               std::to_string(dbl.size()) + " boxes";
+      LevelData u = initialState(dbl);
+      core::StepGraphExecutor exec(tiledConfig(), 2);
+      const TaskGraphModel m =
+          exec.lowerModel(buildStepProgram(scheme, 0.01), u, {});
+      ASSERT_EQ(exec.stats().exchangeOps, 0u) << what;
+      int runEnds = 0;
+      int between = 0;
+      for (std::uint64_t seed = 0; seed < 256; ++seed) {
+        const analysis::mutate::GraphMutation mut =
+            analysis::mutate::shrinkGhostWrite(m, seed);
+        ASSERT_EQ(mut.expect, DiagnosticKind::ReadUncovered)
+            << what << " seed " << seed << ": " << mut.what;
+        ASSERT_EQ(mut.taskA, mut.taskB) << mut.what;
+        const GraphCheckReport rep = analysis::checkTaskGraph(mut.model);
+        ASSERT_FALSE(rep.ok()) << what << " seed " << seed << ": "
+                               << mut.what << " was accepted";
+        EXPECT_TRUE(reported(rep, mut.expect, m.label(mut.taskA),
+                             m.label(mut.taskB)))
+            << what << " seed " << seed << ": " << mut.what
+            << "\n  first diagnostic: " << rep.diagnostics[0].message();
+        // Where the shaved piece lies relative to its task's run (the
+        // hull of the boxes the task gathers for).
+        const auto task = static_cast<std::size_t>(mut.taskB);
+        const auto& pieces = m.tasks[task].gathers;
+        grid::IntVect lo = m.validBoxes[pieces[0].box].lo();
+        grid::IntVect hi = m.validBoxes[pieces[0].box].hi();
+        for (const analysis::TaskAccess& g : pieces) {
+          for (int d = 0; d < grid::SpaceDim; ++d) {
+            lo[d] = std::min(lo[d], m.validBoxes[g.box].lo(d));
+            hi[d] = std::max(hi[d], m.validBoxes[g.box].hi(d));
+          }
+        }
+        const Box run(lo, hi);
+        for (std::size_t i = 0; i < pieces.size(); ++i) {
+          const Box& piece = pieces[i].region;
+          if (mut.model.tasks[task].gathers[i].region == piece) {
+            continue;
+          }
+          if (piece.hi(0) < run.lo(0) || piece.lo(0) > run.hi(0)) {
+            ++runEnds;
+          } else if (run.contains(piece)) {
+            ++between;
+          }
+        }
+      }
+      EXPECT_GT(runEnds, 0) << what << ": no shaved piece at a run end";
+      EXPECT_GT(between, 0) << what << ": no shaved face between boxes";
     }
-    EXPECT_EQ(caught, 40) << schemeName(scheme);
   }
 }
 
